@@ -41,7 +41,17 @@ persistent worker pool over shared-memory CSR buffers.  Results, workload
 counters and modeled times are backend-independent; only the measured
 ``wall_s`` phases change.
 
-For mutable graphs (:mod:`repro.dynamic`) the loops accept two extensions:
+That super-step is written once.  :meth:`TraversalEngine.step_loop` is the
+only level loop, :meth:`~TraversalEngine._plan_super_step` the only plan walk
+and :meth:`~TraversalEngine._finalize_super_step` the only serial half;
+sequential programs, batched (MS-BFS) programs and frontier-scheduling
+drivers such as delta-stepping SSSP all run through them.  What differs
+between one source and a batch of them — how the frontier is stored, how a
+discovery folds into state, which exchange and reduction carry it — sits
+behind a frontier representation (:mod:`repro.core.frontier`) chosen from
+the state the entry point built.
+
+For mutable graphs (:mod:`repro.dynamic`) the loop accepts two extensions:
 a pre-seeded ``init`` replacing the program's ``init_state`` (the
 resumable-from-frontier entry point incremental repair starts from) and an
 ``overlay`` of not-yet-compacted edge insertions, relaxed from each
@@ -62,10 +72,10 @@ from repro.cluster.comm import Communicator
 from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
-from repro.core.direction import DirectionState, estimate_backward_workload
-from repro.core.kernels import KernelOutput
+from repro.core.direction import DirectionState
+from repro.core.frontier import BatchState, frontier_for, global_ids
 from repro.core.options import BFSOptions
-from repro.core.programs.base import FrontierProgram, VisitContext
+from repro.core.programs.base import FrontierProgram
 from repro.core.programs.batched import (
     BatchedBFSLevels,
     BatchedFrontierProgram,
@@ -73,18 +83,11 @@ from repro.core.programs.batched import (
 )
 from repro.core.programs.bfs_levels import BFSLevels
 from repro.core.results import BatchResult, BFSResult, IterationRecord, TraversalResult
-from repro.core.state import UNVISITED, TraversalState
+from repro.core.state import TraversalState
 from repro.exec.backend import ExecutionBackend, resolve_backend
-from repro.exec.plan import (
-    BatchedGPUPlan,
-    BatchedVisitSpec,
-    GPUPlan,
-    SuperStepPlan,
-    VisitSpec,
-)
+from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
 from repro.exec.providers import resolve_provider
 from repro.partition.subgraphs import PartitionedGraph
-from repro.utils.bitmask import BatchBitmask, Bitmask
 from repro.obs.tracer import get_tracer
 from repro.utils.timing import TimingBreakdown, now_s
 
@@ -213,6 +216,15 @@ class TraversalEngine:
         self._owns_backend = False
         self._kernels_spec = kernels
         self._provider = None
+        # Which visit kernels run on each GPU, in fold order: without
+        # delegates only nn exists, and a GPU owning no normal vertex has no
+        # dn destinations.  Planning and folding both walk this list.
+        self._kernels = [
+            ("nn",)
+            if not graph.num_delegates
+            else ("nn", "nd", "dn", "dd") if gpu.num_local else ("nn", "nd", "dd")
+            for gpu in graph.gpus
+        ]
         # Cache per-GPU out-degree arrays of every subgraph; they are needed
         # for previsit filtering and forward-workload computation each
         # super-step and never change.
@@ -359,9 +371,7 @@ class TraversalEngine:
             overlay edges leaving that step's input frontier, so traversals
             of a mutable graph see the union graph.
         """
-        opts = self.options
         graph = self.graph
-        p = graph.num_gpus
 
         # Driver programs (delta-stepping SSSP, PageRank, ...) own their outer
         # loop: they orchestrate engine phases themselves and return a
@@ -369,7 +379,7 @@ class TraversalEngine:
         if hasattr(program, "drive"):
             return program.drive(self, init=init, overlay=overlay)
 
-        if getattr(program, "needs_weights", False) and not graph.is_weighted:
+        if program.needs_weights and not graph.is_weighted:
             raise ValueError(
                 f"program {program.name!r} needs edge weights but the graph has "
                 "none; build it with weights (e.g. --weights on the generators)"
@@ -377,102 +387,8 @@ class TraversalEngine:
 
         if init is None:
             init = program.init_state(graph)
-        state = TraversalState(
-            graph=graph,
-            normal_values=init.normal_values,
-            delegate_values=init.delegate_values,
-            delegate_visited=Bitmask.from_indices(
-                graph.num_delegates,
-                np.flatnonzero(init.delegate_values != UNVISITED),
-            )
-            if graph.num_delegates
-            else Bitmask(0),
-            normal_frontiers=init.normal_frontiers,
-            delegate_frontier=init.delegate_frontier,
-        )
-        communicator = Communicator(self.topology, self.netmodel)
-        do_enabled = opts.direction_optimized and program.direction_optimized_ok
-        dir_states = {
-            "nd": [DirectionState(opts.nd_factors, enabled=do_enabled) for _ in range(p)],
-            "dn": [DirectionState(opts.dn_factors, enabled=do_enabled) for _ in range(p)],
-            "dd": [DirectionState(opts.dd_factors, enabled=do_enabled) for _ in range(p)],
-        }
-
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
-        level = 0
-        # Wall-clock accounting of the simulation itself (not modeled time):
-        # per-phase seconds the bench harness reads off the result.
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
-        backend = self.backend
-        overlay_live = overlay is not None and not overlay.empty
-        tracer = get_tracer()
-        run_started = now_s()
-
-        while not state.frontier_empty():
-            if program.max_levels is not None and level >= program.max_levels:
-                break
-            level += 1
-            if level > opts.max_iterations:
-                raise RuntimeError(
-                    f"{program.name} exceeded max_iterations={opts.max_iterations}; "
-                    "the graph or the engine state is inconsistent"
-                )
-            if overlay_live:
-                pre_frontier = self._capture_frontier(state)
-            plan_started = now_s()
-            plan = self._plan_super_step(program, state, communicator, dir_states, level, wall)
-            plan_done = now_s()
-            wall["kernels"] += plan_done - plan_started
-            if tracer.enabled:
-                tracer.record_span(
-                    "plan+direction", cat="engine", start=plan_started,
-                    dur=plan_done - plan_started,
-                    args={"level": level, "pulls": _plan_pulls(plan)},
-                )
-            record = backend.run_super_step(plan)
-            if overlay_live:
-                relax_started = now_s()
-                self._overlay_relax(program, state, overlay, pre_frontier, level, record)
-                relax_done = now_s()
-                wall["kernels"] += relax_done - relax_started
-                if tracer.enabled:
-                    tracer.record_span(
-                        "overlay-relax", cat="engine", start=relax_started,
-                        dur=relax_done - relax_started, args={"level": level},
-                    )
-            if tracer.enabled:
-                tracer.record_span(
-                    "super-step", cat="engine", start=plan_started,
-                    dur=now_s() - plan_started,
-                    args={"level": level, "program": program.name},
-                )
-            records.append(record)
-            total_edges += record.total_edges_examined()
-            timing.computation += record.computation_s * 1e3
-            timing.local_communication += record.local_communication_s * 1e3
-            timing.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
-            timing.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
-            timing.elapsed_ms += record.elapsed_s * 1e3
-            timing.per_iteration.append(record)
-
-        timing.iterations = len(records)
-        wall["traversal"] = now_s() - run_started
-        if tracer.enabled:
-            tracer.record_span(
-                "traversal", cat="engine", start=run_started, dur=wall["traversal"],
-                args={"program": program.name, "iterations": len(records)},
-            )
-        base = {
-            "iterations": len(records),
-            "records": records,
-            "timing": timing,
-            "comm_stats": communicator.stats,
-            "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
-            "wall_s": wall,
-        }
+        state = TraversalState.from_init(graph, init)
+        base = self.step_loop(program, state, overlay=overlay)
         return program.make_result(state.gather_values(), base)
 
     def run_many(
@@ -554,39 +470,66 @@ class TraversalEngine:
         super-step with OR-propagated lane words, mirroring the sequential
         path, so the per-lane equivalence holds on dynamic graphs too.
         """
+        graph = self.graph
+        program.begin(graph)
+        state = BatchState.initialize(graph, program.sources, program.width)
+        return program.make_result(self.step_loop(program, state, overlay=overlay))
+
+    # ------------------------------------------------------------------ #
+    # The step loop (shared by run, run_batch and driver programs)
+    # ------------------------------------------------------------------ #
+    def step_loop(self, program, state, overlay=None, select=None, settle=None) -> dict:
+        """Run super-steps over ``state`` until its frontier drains.
+
+        The one level loop of the engine: it owns level counting, the
+        ``max_levels`` / ``max_iterations`` guards, overlay capture and
+        relaxation, backend dispatch, the ``plan+direction`` /
+        ``overlay-relax`` / ``super-step`` / ``traversal`` spans, wall-clock
+        accounting and the result ``base`` dictionary it returns.
+        :meth:`run` and :meth:`run_batch` build a state and call it; driver
+        programs that schedule their own frontiers (delta-stepping SSSP)
+        call it with two hooks:
+
+        ``select()``
+            Called before every step in place of the frontier-empty test:
+            install the step's input frontier into ``state`` and return
+            ``True``, or return ``False`` to end the run.
+        ``settle()``
+            Called after every step, once ``state`` holds the step's output
+            frontier.
+
+        How frontiers are stored — id arrays over a :class:`TraversalState`
+        or lane words over a batched state — is observed from ``state`` and
+        handled by the matching :mod:`repro.core.frontier` representation.
+        """
         opts = self.options
         graph = self.graph
         p = graph.num_gpus
-        width = program.width
-        nwords = (width + 63) // 64
-
-        program.begin(graph)
-        state = _BatchState.initialize(graph, program.sources, width)
+        rep = frontier_for(graph, opts, self.provider, program, state)
         communicator = Communicator(self.topology, self.netmodel)
-        do_enabled = opts.direction_optimized
         dir_states = {
-            "nd": [DirectionState(opts.nd_factors, enabled=do_enabled) for _ in range(p)],
-            "dn": [DirectionState(opts.dn_factors, enabled=do_enabled) for _ in range(p)],
-            "dd": [DirectionState(opts.dd_factors, enabled=do_enabled) for _ in range(p)],
+            kernel: [DirectionState(factors, enabled=rep.pull_ok) for _ in range(p)]
+            for kernel, factors in (
+                ("nd", opts.nd_factors),
+                ("dn", opts.dn_factors),
+                ("dd", opts.dd_factors),
+            )
         }
-        # Lane-word mask of the valid lanes in the last word (the padding
-        # lanes beyond B must never go hot).
-        tail = width & 63
-        full_words = np.full(nwords, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        if tail:
-            full_words[-1] = np.uint64((1 << tail) - 1)
 
         records: list[IterationRecord] = []
         timing = TimingBreakdown()
         total_edges = 0
         level = 0
+        # Wall-clock accounting of the simulation itself (not modeled time):
+        # per-phase seconds the bench harness reads off the result.
         wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
         backend = self.backend
         overlay_live = overlay is not None and not overlay.empty
         tracer = get_tracer()
         run_started = now_s()
 
-        while not state.frontier_empty():
+        has_work = select if select is not None else (lambda: not rep.frontier_empty())
+        while has_work():
             if program.max_levels is not None and level >= program.max_levels:
                 break
             level += 1
@@ -595,12 +538,11 @@ class TraversalEngine:
                     f"{program.name} exceeded max_iterations={opts.max_iterations}; "
                     "the graph or the engine state is inconsistent"
                 )
+            rep.level = level
             if overlay_live:
-                pre_frontier = self._capture_batched_frontier(state)
+                pre_frontier = rep.capture()
             plan_started = now_s()
-            plan = self._plan_batched_super_step(
-                program, state, communicator, dir_states, level, full_words, wall
-            )
+            plan = self._plan_super_step(rep, communicator, dir_states, level, wall)
             plan_done = now_s()
             wall["kernels"] += plan_done - plan_started
             if tracer.enabled:
@@ -612,9 +554,7 @@ class TraversalEngine:
             record = backend.run_super_step(plan)
             if overlay_live:
                 relax_started = now_s()
-                self._overlay_relax_batched(
-                    program, state, overlay, pre_frontier, level, full_words, record
-                )
+                self._overlay_relax(rep, overlay, pre_frontier, record)
                 relax_done = now_s()
                 wall["kernels"] += relax_done - relax_started
                 if tracer.enabled:
@@ -626,29 +566,22 @@ class TraversalEngine:
                 tracer.record_span(
                     "super-step", cat="engine", start=plan_started,
                     dur=now_s() - plan_started,
-                    args={"level": level, "program": program.name, "width": width},
+                    args={"level": level, "program": program.name, **rep.span_args},
                 )
+            if settle is not None:
+                settle()
             records.append(record)
             total_edges += record.total_edges_examined()
-            timing.computation += record.computation_s * 1e3
-            timing.local_communication += record.local_communication_s * 1e3
-            timing.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
-            timing.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
-            timing.elapsed_ms += record.elapsed_s * 1e3
-            timing.per_iteration.append(record)
+            timing.add(record)
 
         timing.iterations = len(records)
         wall["traversal"] = now_s() - run_started
         if tracer.enabled:
             tracer.record_span(
                 "traversal", cat="engine", start=run_started, dur=wall["traversal"],
-                args={
-                    "program": program.name,
-                    "iterations": len(records),
-                    "width": width,
-                },
+                args={"program": program.name, "iterations": len(records), **rep.span_args},
             )
-        base = {
+        return {
             "iterations": len(records),
             "records": records,
             "timing": timing,
@@ -657,193 +590,59 @@ class TraversalEngine:
             "num_directed_edges": graph.num_directed_edges,
             "wall_s": wall,
         }
-        return program.make_result(base)
 
     # ------------------------------------------------------------------ #
     # Overlay relaxation (mutable graphs)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _capture_frontier(state: TraversalState) -> list:
-        """Snapshot the step's input frontier (finalize replaces the arrays)."""
-        segments = []
-        for g, slots in enumerate(state.normal_frontiers):
-            if slots.size:
-                segments.append(("n", g, slots))
-        if state.delegate_frontier.size:
-            segments.append(("d", -1, state.delegate_frontier))
-        return segments
-
-    def _overlay_relax(
-        self,
-        program: FrontierProgram,
-        state: TraversalState,
-        overlay,
-        segments: list,
-        level: int,
-        record: IterationRecord,
-    ) -> None:
+    def _overlay_relax(self, rep, overlay, segments: list, record: IterationRecord) -> None:
         """Relax the overlay edges leaving this step's input frontier.
 
         Runs on the coordinator after the planned kernels finish (so it is
-        backend-invariant), proposes values through the program's
-        ``visit_value``/``accept`` hooks exactly like a kernel discovery
-        would, merges fresh vertices into the next frontier, and charges the
-        examined overlay edges to the step's counters and modeled
-        computation (unoverlapped — the overlay is a serial side-structure).
+        backend-invariant): the captured frontier ``segments`` push their
+        payload (program values, or lane words OR-propagated per lane)
+        across the overlay, the representation turns that into one proposal
+        per target exactly like a kernel discovery would, fresh vertices
+        merge into the next frontier, and the examined overlay edges are
+        charged to the step's counters and modeled computation (unoverlapped
+        — the overlay is a serial side-structure).
         """
         graph = self.graph
-        src_ids: list[np.ndarray] = []
-        src_vals: list[np.ndarray] = []
-        for kind, g, arr in segments:
-            if kind == "n":
-                src_ids.append(graph.gpus[g].global_ids_of_locals(arr))
-                src_vals.append(state.normal_values[g][arr])
-            else:
-                src_ids.append(graph.delegate_vertices[arr])
-                src_vals.append(state.delegate_values[arr])
-        if not src_ids:
+        if not segments:
             return
-        rep_weights = None
-        if getattr(program, "needs_weights", False):
-            dst, rep_ids, rep_vals, rep_weights, edges = overlay.propagate_weighted(
-                np.concatenate(src_ids), np.concatenate(src_vals)
-            )
-        else:
-            dst, rep_ids, rep_vals, edges = overlay.propagate(
-                np.concatenate(src_ids), np.concatenate(src_vals)
-            )
+        targets, proposals, edges = rep.overlay_propose(
+            overlay,
+            np.concatenate([global_ids(graph, g, rows) for g, rows, _ in segments]),
+            np.concatenate([rep.overlay_payload(*segment) for segment in segments]),
+        )
         if edges == 0:
             return
         record.edges_examined["overlay"] = record.edges_examined.get("overlay", 0) + edges
         extra = self.netmodel.traversal_time(edges, backward=False)
         record.computation_s += extra
         record.elapsed_s += extra
-        values = program.visit_value(
-            VisitContext(
-                kernel="overlay",
-                gpu=-1,
-                level=level,
-                backward=False,
-                discovered=dst,
-                source_ids=rep_ids,
-                source_values=rep_vals,
-                edge_weights=rep_weights,
-            )
-        )
-        ids, vals = program.merge_remote(dst, values)
-        delegate_ids = graph.delegate_id_of_vertex(ids)
+
+        delegate_ids = graph.delegate_id_of_vertex(targets)
         is_delegate = delegate_ids >= 0
-        fresh_delegates = state.update_delegates(
-            delegate_ids[is_delegate], vals[is_delegate], program.accept
-        )
-        if fresh_delegates.size:
-            state.delegate_frontier = np.union1d(state.delegate_frontier, fresh_delegates)
-            record.discovered += int(fresh_delegates.size)
-        n_ids, n_vals = ids[~is_delegate], vals[~is_delegate]
-        if n_ids.size:
-            owners = graph.layout.flat_gpu_of(n_ids)
-            slots = graph.layout.local_index_of(n_ids)
+        if is_delegate.any():
+            record.discovered += rep.merge_proposals(
+                None, delegate_ids[is_delegate], proposals[is_delegate]
+            )
+        n_targets, n_proposals = targets[~is_delegate], proposals[~is_delegate]
+        if n_targets.size:
+            owners = graph.layout.flat_gpu_of(n_targets)
+            slots = graph.layout.local_index_of(n_targets)
             for g in np.unique(owners):
                 mask = owners == g
-                fresh = state.update_normals(int(g), slots[mask], n_vals[mask], program.accept)
-                if fresh.size:
-                    state.normal_frontiers[g] = np.union1d(state.normal_frontiers[g], fresh)
-                    record.discovered += int(fresh.size)
-
-    @staticmethod
-    def _capture_batched_frontier(state: "_BatchState") -> list:
-        """Snapshot the batched step's input frontier rows + lane words."""
-        segments = []
-        for g, rows in enumerate(state.frontier_n_rows):
-            if rows.size:
-                segments.append(("n", g, rows, state.frontier_n_words[g]))
-        if state.frontier_d_rows.size:
-            segments.append(("d", -1, state.frontier_d_rows, state.frontier_d_words))
-        return segments
-
-    def _overlay_relax_batched(
-        self,
-        program: BatchedFrontierProgram,
-        state: "_BatchState",
-        overlay,
-        segments: list,
-        level: int,
-        full_words: np.ndarray,
-        record: IterationRecord,
-    ) -> None:
-        """Batched analogue of :meth:`_overlay_relax`: OR-propagate the
-        frontier's lane words across the overlay edges and record first
-        visits per lane, keeping every lane bit-identical to its sequential
-        run on the same mutable graph."""
-        graph = self.graph
-        nwords = full_words.size
-        src_ids: list[np.ndarray] = []
-        src_words: list[np.ndarray] = []
-        for kind, g, rows, words in segments:
-            if kind == "n":
-                src_ids.append(graph.gpus[g].global_ids_of_locals(rows))
-            else:
-                src_ids.append(graph.delegate_vertices[rows])
-            src_words.append(words)
-        if not src_ids:
-            return
-        dst, words, edges = overlay.propagate_batch(
-            np.concatenate(src_ids), np.concatenate(src_words), nwords
-        )
-        if edges == 0:
-            return
-        record.edges_examined["overlay"] = record.edges_examined.get("overlay", 0) + edges
-        extra = self.netmodel.traversal_time(edges, backward=False)
-        record.computation_s += extra
-        record.elapsed_s += extra
-
-        def merge_frontier(rows, words, new_rows, new_words):
-            all_rows = np.concatenate([rows, new_rows])
-            all_words = np.concatenate([words, new_words])
-            unique, inverse = np.unique(all_rows, return_inverse=True)
-            merged = np.zeros((unique.size, nwords), dtype=np.uint64)
-            np.bitwise_or.at(merged, inverse, all_words)
-            return unique, merged
-
-        delegate_ids = graph.delegate_id_of_vertex(dst)
-        is_delegate = delegate_ids >= 0
-        d_rows, d_words = delegate_ids[is_delegate], words[is_delegate]
-        if d_rows.size:
-            new = d_words & np.bitwise_not(state.visited_d.words[d_rows]) & full_words[None, :]
-            keep = new.any(axis=1)
-            d_rows, new = d_rows[keep], new[keep]
-            if d_rows.size:
-                state.visited_d.or_rows(d_rows, new)
-                program.record(graph.delegate_vertices[d_rows], new, level)
-                state.frontier_d_rows, state.frontier_d_words = merge_frontier(
-                    state.frontier_d_rows, state.frontier_d_words, d_rows, new
+                record.discovered += rep.merge_proposals(
+                    int(g), slots[mask], n_proposals[mask]
                 )
-                record.discovered += int(d_rows.size)
-        n_dst, n_words = dst[~is_delegate], words[~is_delegate]
-        if n_dst.size:
-            owners = graph.layout.flat_gpu_of(n_dst)
-            slots = graph.layout.local_index_of(n_dst)
-            for g in np.unique(owners):
-                mask = owners == g
-                rows, proposed = slots[mask], n_words[mask]
-                new = proposed & np.bitwise_not(state.visited_n[g].words[rows]) & full_words[None, :]
-                keep = new.any(axis=1)
-                rows, new = rows[keep], new[keep]
-                if rows.size:
-                    state.visited_n[g].or_rows(rows, new)
-                    program.record(graph.gpus[g].global_ids_of_locals(rows), new, level)
-                    state.frontier_n_rows[g], state.frontier_n_words[g] = merge_frontier(
-                        state.frontier_n_rows[g], state.frontier_n_words[g], rows, new
-                    )
-                    record.discovered += int(rows.size)
 
     # ------------------------------------------------------------------ #
     # One super-step
     # ------------------------------------------------------------------ #
     def _plan_super_step(
         self,
-        program: FrontierProgram,
-        state: TraversalState,
+        rep,
         communicator: Communicator,
         dir_states: dict[str, list[DirectionState]],
         level: int,
@@ -855,36 +654,24 @@ class TraversalEngine:
         the same order — previsit filtering, backward-candidate construction
         and the (stateful) per-subgraph direction decisions — and emits one
         :class:`repro.exec.GPUPlan` of pure-data kernel tasks per GPU.  The
-        plan's ``finalize`` closure is the historical post-kernel half
-        (program folds, nn exchange, delegate reduction, modeled timing),
-        always run on the coordinating process, so results, counters and
-        modeled times are identical under every backend.
+        walk is the same for every frontier representation; ``rep`` supplies
+        the dense buffers, the filtered queues, which rows are still open to
+        a pull, the backward-workload estimate and each task's payload.  The
+        plan's ``finalize`` closure is the post-kernel half
+        (:meth:`_finalize_super_step`), always run on the coordinating
+        process, so results, counters and modeled times are identical under
+        every backend.
         """
         graph = self.graph
         p = graph.num_gpus
         d = graph.num_delegates
-        provider = self.provider
-        filter_frontier = provider.filter_frontier
-        # The backward-pull candidate sets only exist for visit-once programs;
-        # the options-level DO toggle is handled by the DirectionState objects
-        # (disabled states always decide forward), matching the seed engine.
-        pull_ok = program.direction_optimized_ok
-        needs_sources = program.payload_exchange or program.delegate_channel == "values"
-        mask_channel = program.delegate_channel == "mask"
-        # Weighted programs gather edge weights on every forward visit (they
-        # never pull: needs_weights implies direction_optimized_ok=False).
-        weighted = getattr(program, "needs_weights", False)
+        pull_ok = rep.pull_ok
+        empty = np.zeros(0, dtype=np.int64)
 
-        frontier_d = state.delegate_frontier
-        delegate_frontier_flags = np.zeros(d, dtype=bool)
-        if frontier_d.size:
-            delegate_frontier_flags[frontier_d] = True
-        if pull_ok:
-            unvisited_delegates = state.unvisited_delegates() if d else np.zeros(0, dtype=np.int64)
-        else:
-            unvisited_delegates = np.zeros(0, dtype=np.int64)
-
-        normal_frontier_total = int(sum(f.size for f in state.normal_frontiers))
+        rep.begin_step()
+        open_delegates = rep.open_delegates
+        delegate_size = rep.delegate_size()
+        normal_frontier_total = 0
         directions = {"nd": 0, "dn": 0, "dd": 0}
         base_comp = np.zeros(p, dtype=np.float64)
         gpu_plans: list[GPUPlan] = []
@@ -892,162 +679,89 @@ class TraversalEngine:
         for g in range(p):
             part = graph.gpus[g]
             deg = self._degrees[g]
-            frontier_n = state.normal_frontiers[g]
+            normal_size = rep.normal_size(g)
+            normal_frontier_total += normal_size
             comp = self.netmodel.iteration_overhead()
-            comp += self.netmodel.filter_time(2 * frontier_n.size + 2 * frontier_d.size)
+            comp += self.netmodel.filter_time(2 * normal_size + 2 * delegate_size)
             base_comp[g] = comp
-
-            # ---- nn visit: always forward -------------------------------- #
-            visits = [
-                VisitSpec(
-                    "nn",
-                    "nn",
-                    backward=False,
-                    queue=filter_frontier(frontier_n, deg["nn"]),
-                    keep_sources=program.payload_exchange,
-                    weighted=weighted,
-                )
-            ]
-            normal_flags = None
 
             # ---- shared backward candidate sets --------------------------- #
             if d and pull_ok:
-                cand_nd = unvisited_delegates[part.dn_source_mask[unvisited_delegates]]
-                cand_dd = unvisited_delegates[part.dd_source_mask[unvisited_delegates]]
+                cand_nd = open_delegates[part.dn_source_mask[open_delegates]]
+                cand_dd = open_delegates[part.dd_source_mask[open_delegates]]
             else:
-                cand_nd = np.zeros(0, dtype=np.int64)
-                cand_dd = np.zeros(0, dtype=np.int64)
+                cand_nd = cand_dd = empty
             if pull_ok and part.nd_source_list.size:
-                nd_src_values = state.normal_values[g][part.nd_source_list]
-                cand_dn = part.nd_source_list[nd_src_values == UNVISITED]
+                cand_dn = part.nd_source_list[rep.open_locals(g, part.nd_source_list)]
             else:
-                cand_dn = np.zeros(0, dtype=np.int64)
+                cand_dn = empty
+            # kernel -> (reverse CSR a pull scans, its candidates, the
+            # still-unvisited forward sources, the input frontier's length)
+            pulls = {
+                "nd": ("dn", cand_nd, cand_dn, normal_size),
+                "dn": ("nd", cand_dn, cand_nd, delegate_size),
+                "dd": ("dd", cand_dd, cand_dd, delegate_size),
+            }
 
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                queue_nd = filter_frontier(frontier_n, deg["nd"])
-                fv_nd = int(deg["nd"][queue_nd].sum()) if queue_nd.size else 0
-                bv_nd = estimate_backward_workload(cand_nd.size, q=int(frontier_n.size), s=int(cand_dn.size))
-                if dir_states["nd"][g].decide(fv_nd, bv_nd):
-                    directions["nd"] += 1
-                    # A backward nd pull scans the reverse edges (the dn CSR)
-                    # against this GPU's dense normal-frontier flags.
-                    normal_flags = np.zeros(part.num_local, dtype=bool)
-                    if frontier_n.size:
-                        normal_flags[frontier_n] = True
-                    visits.append(
-                        VisitSpec(
-                            "nd",
-                            "dn",
+            visits = []
+            dense_local = None
+            for kernel in self._kernels[g]:
+                spec = VisitSpec(
+                    kernel, kernel, backward=False, **rep.push_payload(kernel, g, deg[kernel])
+                )
+                # nn is always forward; nd/dn/dd each follow their own
+                # direction state (forward workload vs backward workload).
+                if kernel != "nn":
+                    reverse, candidates, unvisited_sources, frontier_size = pulls[kernel]
+                    queue = spec.queue
+                    forward = int(deg[kernel][queue].sum()) if queue.size else 0
+                    backward = rep.backward_workload(
+                        candidates, frontier_size, unvisited_sources, deg[reverse]
+                    )
+                    if dir_states[kernel][g].decide(forward, backward):
+                        directions[kernel] += 1
+                        if kernel == "nd":
+                            # A backward nd pull scans the reverse edges (the
+                            # dn CSR) against this GPU's dense normal frontier;
+                            # dn/dd pulls test the replicated delegate buffer.
+                            dense_local = rep.dense_local(g)
+                        spec = VisitSpec(
+                            kernel,
+                            reverse,
                             backward=True,
-                            candidates=cand_nd,
-                            flags="normal",
-                            keep_sources=not mask_channel,
+                            candidates=candidates,
+                            parents="normal" if kernel == "nd" else "delegate",
+                            **rep.pull_payload(kernel, g, candidates),
                         )
-                    )
-                else:
-                    visits.append(
-                        VisitSpec(
-                            "nd",
-                            "nd",
-                            backward=False,
-                            queue=queue_nd,
-                            keep_sources=not mask_channel,
-                            weighted=weighted,
-                        )
-                    )
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            if d and part.num_local:
-                queue_dn = filter_frontier(frontier_d, deg["dn"])
-                fv_dn = int(deg["dn"][queue_dn].sum()) if queue_dn.size else 0
-                bv_dn = estimate_backward_workload(cand_dn.size, q=int(frontier_d.size), s=int(cand_nd.size))
-                if dir_states["dn"][g].decide(fv_dn, bv_dn):
-                    directions["dn"] += 1
-                    visits.append(
-                        VisitSpec(
-                            "dn",
-                            "nd",
-                            backward=True,
-                            candidates=cand_dn,
-                            flags="delegate",
-                            keep_sources=needs_sources,
-                        )
-                    )
-                else:
-                    visits.append(
-                        VisitSpec(
-                            "dn",
-                            "dn",
-                            backward=False,
-                            queue=queue_dn,
-                            keep_sources=needs_sources,
-                            weighted=weighted,
-                        )
-                    )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                queue_dd = filter_frontier(frontier_d, deg["dd"])
-                fv_dd = int(deg["dd"][queue_dd].sum()) if queue_dd.size else 0
-                bv_dd = estimate_backward_workload(cand_dd.size, q=int(frontier_d.size), s=int(cand_dd.size))
-                if dir_states["dd"][g].decide(fv_dd, bv_dd):
-                    directions["dd"] += 1
-                    visits.append(
-                        VisitSpec(
-                            "dd",
-                            "dd",
-                            backward=True,
-                            candidates=cand_dd,
-                            flags="delegate",
-                            keep_sources=not mask_channel,
-                        )
-                    )
-                else:
-                    visits.append(
-                        VisitSpec(
-                            "dd",
-                            "dd",
-                            backward=False,
-                            queue=queue_dd,
-                            keep_sources=not mask_channel,
-                            weighted=weighted,
-                        )
-                    )
-
-            gpu_plans.append(GPUPlan(gpu=g, visits=visits, normal_flags=normal_flags))
+                visits.append(spec)
+            gpu_plans.append(GPUPlan(gpu=g, visits=visits, dense_local=dense_local))
 
         def finalize(outputs: list) -> IterationRecord:
             return self._finalize_super_step(
                 outputs,
-                program=program,
-                state=state,
+                rep=rep,
                 communicator=communicator,
                 level=level,
                 wall=wall,
                 base_comp=base_comp,
                 directions=directions,
                 normal_frontier_total=normal_frontier_total,
-                delegate_frontier_size=int(frontier_d.size),
-                mask_channel=mask_channel,
-                needs_sources=needs_sources,
+                delegate_frontier_size=delegate_size,
             )
 
         return SuperStepPlan(
             level=level,
-            batched=False,
             gpu_plans=gpu_plans,
             finalize=finalize,
             wall=wall,
-            delegate_flags=delegate_frontier_flags,
-            provider=provider,
+            dense_delegate=rep.dense_delegate,
+            provider=rep.provider,
         )
 
     def _finalize_super_step(
         self,
         outputs: list,
-        program: FrontierProgram,
-        state: TraversalState,
+        rep,
         communicator: Communicator,
         level: int,
         wall: dict,
@@ -1055,164 +769,25 @@ class TraversalEngine:
         directions: dict,
         normal_frontier_total: int,
         delegate_frontier_size: int,
-        mask_channel: bool,
-        needs_sources: bool,
     ) -> IterationRecord:
         """Fold kernel outputs, exchange, reduce: the serial half of a step."""
         opts = self.options
-        graph = self.graph
-        provider = self.provider
-        p = graph.num_gpus
-        d = graph.num_delegates
-
-        nn_outboxes: list[np.ndarray] = []
-        nn_payloads: list[np.ndarray] = []
-        out_masks: list[Bitmask] = []
-        delegate_proposals: list[np.ndarray] = []
-        delegate_proposals_any = False
-        fresh_from_dn: list[np.ndarray] = []
+        p = self.graph.num_gpus
+        traversal_time = self.netmodel.traversal_time
         per_gpu_comp = np.zeros(p, dtype=np.float64)
         edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
         tracer = get_tracer()
         fold_started = now_s()
 
-        def source_info(g: int, kernel: str, out: KernelOutput):
-            """Global ids and program values of a kernel's discovering sources."""
-            src = out.sources
-            if kernel in ("nn", "nd"):
-                # nn/nd edges originate at local normal vertices; forward rows
-                # and backward-pull hit parents are both local slots.
-                ids = graph.gpus[g].global_ids_of_locals(src)
-                vals = state.normal_values[g][src]
-            else:
-                # dn/dd edges originate at delegates in both directions.
-                ids = graph.delegate_vertices[src]
-                vals = state.delegate_values[src]
-            return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.int64)
-
-        def delegate_update(g: int, kernel: str, out: KernelOutput, out_mask: Bitmask):
-            """Fold a kernel's delegate discoveries into the g-th GPU's update.
-
-            Mask channel: the seed behaviour — deduplicate, drop delegates
-            whose replicated status is already visited (a free local filter),
-            set bits.  Values channel: propose program values, keep only
-            proposals the (replicated) current values would accept, and
-            combine them into the dense per-GPU proposal array.
-            """
-            nonlocal delegate_proposals_any
-            if out.discovered.size == 0:
-                return
-            if mask_channel:
-                found = np.unique(out.discovered)
-                # Drop delegates that are already visited (their status is
-                # replicated, so this local filter needs no communication
-                # and avoids pointless mask reductions).
-                found = found[~provider.bitmask_test_many(state.delegate_visited, found)]
-                if found.size:
-                    provider.bitmask_set_many(out_mask, found)
-                return
-            ids = np.asarray(out.discovered, dtype=np.int64)
-            src_ids, src_vals = source_info(g, kernel, out)
-            vals = program.visit_value(
-                VisitContext(
-                    kernel=kernel,
-                    gpu=g,
-                    level=level,
-                    backward=out.backward,
-                    discovered=ids,
-                    source_ids=src_ids,
-                    source_values=src_vals,
-                    edge_weights=out.weights,
-                )
-            )
-            keep = program.accept(state.delegate_values[ids], vals)
-            ids, vals = ids[keep], vals[keep]
-            if ids.size:
-                program.combine.at(delegate_proposals[g], ids, vals)
-                delegate_proposals_any = True
-
+        rep.begin_fold()
         for g in range(p):
-            part = graph.gpus[g]
             outs = outputs[g]
             comp = base_comp[g]
-
-            out_mask = Bitmask(d)
-            if not mask_channel:
-                delegate_proposals.append(
-                    np.full(d, program.combine_identity, dtype=np.int64)
-                )
-
-            # ---- nn visit: always forward -------------------------------- #
-            out_nn = outs["nn"]
-            comp += self.netmodel.traversal_time(out_nn.edges_examined, backward=False)
-            edges_examined["nn"] += out_nn.edges_examined
-            nn_outboxes.append(out_nn.discovered)
-            if program.payload_exchange:
-                src_ids, src_vals = source_info(g, "nn", out_nn)
-                nn_payloads.append(
-                    program.visit_value(
-                        VisitContext(
-                            kernel="nn",
-                            gpu=g,
-                            level=level,
-                            backward=False,
-                            discovered=out_nn.discovered,
-                            source_ids=src_ids,
-                            source_values=src_vals,
-                            edge_weights=out_nn.weights,
-                        )
-                    )
-                )
-
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                out_nd = outs["nd"]
-                comp += self.netmodel.traversal_time(
-                    out_nd.edges_examined, backward=out_nd.backward
-                )
-                edges_examined["nd"] += out_nd.edges_examined
-                delegate_update(g, "nd", out_nd, out_mask)
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            newly_local = np.zeros(0, dtype=np.int64)
-            newly_local_values = np.zeros(0, dtype=np.int64)
-            if d and part.num_local:
-                out_dn = outs["dn"]
-                comp += self.netmodel.traversal_time(
-                    out_dn.edges_examined, backward=out_dn.backward
-                )
-                edges_examined["dn"] += out_dn.edges_examined
-                newly_local = out_dn.discovered
-                if newly_local.size:
-                    src_ids = src_vals = None
-                    if needs_sources:
-                        src_ids, src_vals = source_info(g, "dn", out_dn)
-                    newly_local_values = program.visit_value(
-                        VisitContext(
-                            kernel="dn",
-                            gpu=g,
-                            level=level,
-                            backward=out_dn.backward,
-                            discovered=newly_local,
-                            source_ids=src_ids,
-                            source_values=src_vals,
-                            edge_weights=out_dn.weights,
-                        )
-                    )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                out_dd = outs["dd"]
-                comp += self.netmodel.traversal_time(
-                    out_dd.edges_examined, backward=out_dd.backward
-                )
-                edges_examined["dd"] += out_dd.edges_examined
-                delegate_update(g, "dd", out_dd, out_mask)
-
-            slots, values = program.merge_remote(newly_local, newly_local_values)
-            fresh = state.update_normals(g, slots, values, program.accept)
-            fresh_from_dn.append(fresh)
-            out_masks.append(out_mask)
+            for kernel in self._kernels[g]:
+                out = outs[kernel]
+                comp += traversal_time(out.edges_examined, backward=out.backward)
+                edges_examined[kernel] += out.edges_examined
+                rep.fold(g, kernel, out)
             per_gpu_comp[g] = comp
 
         # ------------------------------------------------------------------ #
@@ -1225,36 +800,10 @@ class TraversalEngine:
                 "fold", cat="engine", start=fold_started,
                 dur=exchange_started - fold_started, args={"level": level},
             )
-        exchange = communicator.exchange_normals(
-            nn_outboxes,
-            local_all2all=opts.local_all2all,
-            uniquify=opts.uniquify,
-            payloads=nn_payloads if program.payload_exchange else None,
-            payload_combine=program.combine,
-            payload_identity=program.combine_identity,
-        )
+        exchange = rep.exchange(communicator)
         discovered = 0
         for g in range(p):
-            inbox = exchange.inboxes[g]
-            if program.payload_exchange:
-                inbox_values = exchange.payload_inboxes[g]
-            else:
-                inbox_values = program.visit_value(
-                    VisitContext(
-                        kernel="recv",
-                        gpu=g,
-                        level=level,
-                        backward=False,
-                        discovered=inbox,
-                    )
-                )
-            slots, values = program.merge_remote(inbox, inbox_values)
-            fresh_recv = state.update_normals(g, slots, values, program.accept)
-            if fresh_from_dn[g].size or fresh_recv.size:
-                state.normal_frontiers[g] = np.union1d(fresh_from_dn[g], fresh_recv)
-            else:
-                state.normal_frontiers[g] = np.zeros(0, dtype=np.int64)
-            discovered += int(state.normal_frontiers[g].size)
+            discovered += rep.receive(g, exchange)
 
         reduce_started = now_s()
         wall["exchange"] += reduce_started - exchange_started
@@ -1263,39 +812,10 @@ class TraversalEngine:
                 "nn-exchange", cat="engine", start=exchange_started,
                 dur=reduce_started - exchange_started, args={"level": level},
             )
-        if mask_channel:
-            delegate_reduce_needed = any(mask.any() for mask in out_masks)
-        else:
-            delegate_reduce_needed = delegate_proposals_any
-        reduce_local_s = 0.0
-        reduce_global_s = 0.0
-        if delegate_reduce_needed and mask_channel:
-            reduce = communicator.allreduce_delegate_masks(
-                out_masks, blocking=opts.blocking_reduce
-            )
-            new_bits = reduce.merged.and_not(state.delegate_visited)
-            ids = new_bits.to_indices()
-            fresh_delegates = state.update_delegates(
-                ids,
-                np.full(ids.size, program.level_value(level), dtype=np.int64),
-                program.accept,
-            )
-            reduce_local_s = reduce.local_time_s
-            reduce_global_s = reduce.global_time_s
-        elif delegate_reduce_needed:
-            vreduce = communicator.allreduce_delegate_values(
-                delegate_proposals, combine=program.combine, blocking=opts.blocking_reduce
-            )
-            candidates = np.flatnonzero(vreduce.merged != program.combine_identity)
-            fresh_delegates = state.update_delegates(
-                candidates, vreduce.merged[candidates], program.accept
-            )
-            reduce_local_s = vreduce.local_time_s
-            reduce_global_s = vreduce.global_time_s
-        else:
-            fresh_delegates = np.zeros(0, dtype=np.int64)
-        state.delegate_frontier = fresh_delegates
-        discovered += int(fresh_delegates.size)
+        reduce = rep.reduce_delegates(communicator)
+        reduce_local_s = reduce.local_time_s if reduce is not None else 0.0
+        reduce_global_s = reduce.global_time_s if reduce is not None else 0.0
+        discovered += rep.delegate_size()
         reduce_done = now_s()
         wall["delegate_reduce"] += reduce_done - reduce_started
         if tracer.enabled:
@@ -1322,491 +842,13 @@ class TraversalEngine:
             edges_examined=edges_examined,
             directions=directions,
             discovered=discovered,
-            delegate_reduce=delegate_reduce_needed,
+            delegate_reduce=reduce is not None,
             computation_s=computation_s,
             local_communication_s=local_comm_s,
             remote_normal_exchange_s=remote_normal_s,
             remote_delegate_reduce_s=remote_delegate_s,
             elapsed_s=elapsed_s,
         )
-
-    def _plan_batched_super_step(
-        self,
-        program: BatchedFrontierProgram,
-        state: "_BatchState",
-        communicator: Communicator,
-        dir_states: dict[str, list[DirectionState]],
-        level: int,
-        full_words: np.ndarray,
-        wall: dict,
-    ) -> SuperStepPlan:
-        """Describe one fused batched super-step as a backend-executable plan.
-
-        Mirrors :meth:`_plan_super_step` kernel for kernel, with lane words
-        in place of single visited bits: forward tasks OR-propagate the
-        source rows' words, backward tasks collect the full parent lists (no
-        early exit — each lane needs its own parents), and the ``finalize``
-        closure ships (vertex, source-bitset) pairs through the exchange and
-        runs one 2-D delegate reduction for the whole batch.
-        """
-        opts = self.options
-        graph = self.graph
-        p = graph.num_gpus
-        d = graph.num_delegates
-        nwords = full_words.size
-        provider = self.provider
-        batched_filter_frontier = provider.batched_filter_frontier
-
-        rows_d = state.frontier_d_rows
-        words_d = state.frontier_d_words
-        dense_d = np.zeros((d, nwords), dtype=np.uint64)
-        if rows_d.size:
-            dense_d[rows_d] = words_d
-        if d:
-            wanted_d = np.bitwise_and(
-                np.bitwise_not(state.visited_d.words), full_words[None, :]
-            )
-            pull_ok = opts.direction_optimized
-            not_full_d = (
-                np.flatnonzero(wanted_d.any(axis=1)).astype(np.int64)
-                if pull_ok
-                else np.zeros(0, dtype=np.int64)
-            )
-        else:
-            wanted_d = np.zeros((0, nwords), dtype=np.uint64)
-            pull_ok = False
-            not_full_d = np.zeros(0, dtype=np.int64)
-
-        normal_frontier_total = int(sum(r.size for r in state.frontier_n_rows))
-        directions = {"nd": 0, "dn": 0, "dd": 0}
-        base_comp = np.zeros(p, dtype=np.float64)
-        wanted_n_all: list[np.ndarray] = []
-        gpu_plans: list[BatchedGPUPlan] = []
-
-        for g in range(p):
-            part = graph.gpus[g]
-            deg = self._degrees[g]
-            rows_n = state.frontier_n_rows[g]
-            words_n = state.frontier_n_words[g]
-            comp = self.netmodel.iteration_overhead()
-            comp += self.netmodel.filter_time(2 * rows_n.size + 2 * rows_d.size)
-            base_comp[g] = comp
-            # Lanes each local slot still wants; only the delegate-coupled
-            # kernels read it, so the all-normal partition never pays for it.
-            wanted_n = (
-                np.bitwise_and(
-                    np.bitwise_not(state.visited_n[g].words), full_words[None, :]
-                )
-                if d
-                else np.zeros((0, nwords), dtype=np.uint64)
-            )
-            wanted_n_all.append(wanted_n)
-            dense_n: np.ndarray | None = None
-
-            # ---- nn visit: always forward -------------------------------- #
-            q_rows, q_words = batched_filter_frontier(rows_n, words_n, deg["nn"])
-            visits = [
-                BatchedVisitSpec("nn", "nn", backward=False, rows=q_rows, words=q_words)
-            ]
-
-            # ---- shared backward candidate sets --------------------------- #
-            if d and pull_ok:
-                cand_nd = not_full_d[part.dn_source_mask[not_full_d]]
-                cand_dd = not_full_d[part.dd_source_mask[not_full_d]]
-            else:
-                cand_nd = np.zeros(0, dtype=np.int64)
-                cand_dd = np.zeros(0, dtype=np.int64)
-            if pull_ok and part.nd_source_list.size:
-                nd_src = part.nd_source_list
-                cand_dn = nd_src[wanted_n[nd_src].any(axis=1)]
-            else:
-                cand_dn = np.zeros(0, dtype=np.int64)
-
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                q_nd_rows, q_nd_words = batched_filter_frontier(rows_n, words_n, deg["nd"])
-                fv_nd = int(deg["nd"][q_nd_rows].sum()) if q_nd_rows.size else 0
-                # A batched pull has no early exit, so its workload is not the
-                # paper's expected-first-hit estimate but the exact full parent
-                # lists of the candidates — computable from the reverse CSR.
-                bv_nd = int(deg["dn"][cand_nd].sum()) if cand_nd.size else 0
-                if dir_states["nd"][g].decide(fv_nd, bv_nd):
-                    directions["nd"] += 1
-                    dense_n = np.zeros((part.num_local, nwords), dtype=np.uint64)
-                    if rows_n.size:
-                        dense_n[rows_n] = words_n
-                    visits.append(
-                        BatchedVisitSpec(
-                            "nd",
-                            "dn",
-                            backward=True,
-                            candidates=cand_nd,
-                            wanted=wanted_d[cand_nd],
-                            parents="normal",
-                        )
-                    )
-                else:
-                    visits.append(
-                        BatchedVisitSpec(
-                            "nd", "nd", backward=False, rows=q_nd_rows, words=q_nd_words
-                        )
-                    )
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            if d and part.num_local:
-                q_dn_rows, q_dn_words = batched_filter_frontier(rows_d, words_d, deg["dn"])
-                fv_dn = int(deg["dn"][q_dn_rows].sum()) if q_dn_rows.size else 0
-                bv_dn = int(deg["nd"][cand_dn].sum()) if cand_dn.size else 0
-                if dir_states["dn"][g].decide(fv_dn, bv_dn):
-                    directions["dn"] += 1
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dn",
-                            "nd",
-                            backward=True,
-                            candidates=cand_dn,
-                            wanted=wanted_n[cand_dn],
-                            parents="delegate",
-                        )
-                    )
-                else:
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dn", "dn", backward=False, rows=q_dn_rows, words=q_dn_words
-                        )
-                    )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                q_dd_rows, q_dd_words = batched_filter_frontier(rows_d, words_d, deg["dd"])
-                fv_dd = int(deg["dd"][q_dd_rows].sum()) if q_dd_rows.size else 0
-                bv_dd = int(deg["dd"][cand_dd].sum()) if cand_dd.size else 0
-                if dir_states["dd"][g].decide(fv_dd, bv_dd):
-                    directions["dd"] += 1
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dd",
-                            "dd",
-                            backward=True,
-                            candidates=cand_dd,
-                            wanted=wanted_d[cand_dd],
-                            parents="delegate",
-                        )
-                    )
-                else:
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dd", "dd", backward=False, rows=q_dd_rows, words=q_dd_words
-                        )
-                    )
-
-            gpu_plans.append(BatchedGPUPlan(gpu=g, visits=visits, dense_normal=dense_n))
-
-        def finalize(outputs: list) -> IterationRecord:
-            return self._finalize_batched_super_step(
-                outputs,
-                program=program,
-                state=state,
-                communicator=communicator,
-                level=level,
-                wall=wall,
-                full_words=full_words,
-                base_comp=base_comp,
-                directions=directions,
-                normal_frontier_total=normal_frontier_total,
-                delegate_frontier_size=int(rows_d.size),
-                wanted_d=wanted_d,
-                wanted_n_all=wanted_n_all,
-            )
-
-        return SuperStepPlan(
-            level=level,
-            batched=True,
-            gpu_plans=gpu_plans,
-            finalize=finalize,
-            wall=wall,
-            dense_delegate=dense_d,
-            provider=provider,
-        )
-
-    def _finalize_batched_super_step(
-        self,
-        outputs: list,
-        program: BatchedFrontierProgram,
-        state: "_BatchState",
-        communicator: Communicator,
-        level: int,
-        wall: dict,
-        full_words: np.ndarray,
-        base_comp: np.ndarray,
-        directions: dict,
-        normal_frontier_total: int,
-        delegate_frontier_size: int,
-        wanted_d: np.ndarray,
-        wanted_n_all: list,
-    ) -> IterationRecord:
-        """Fold batched kernel outputs, exchange, reduce (serial half)."""
-        opts = self.options
-        graph = self.graph
-        p = graph.num_gpus
-        d = graph.num_delegates
-        nwords = full_words.size
-
-        outboxes: list[np.ndarray] = []
-        outbox_words: list[np.ndarray] = []
-        update_masks: list[BatchBitmask] = []
-        fresh_dn_rows: list[np.ndarray] = []
-        fresh_dn_words: list[np.ndarray] = []
-        per_gpu_comp = np.zeros(p, dtype=np.float64)
-        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
-        tracer = get_tracer()
-        fold_started = now_s()
-
-        def propose_delegates(update: BatchBitmask, out) -> None:
-            """Fold a kernel's delegate discoveries into this GPU's update,
-            dropping lanes already visited (the free replicated-status
-            filter, exactly as the sequential mask channel does)."""
-            if out.discovered.size == 0:
-                return
-            words = out.words & wanted_d[out.discovered]
-            keep = words.any(axis=1)
-            if keep.any():
-                update.or_rows(out.discovered[keep], words[keep])
-
-        for g in range(p):
-            part = graph.gpus[g]
-            outs = outputs[g]
-            wanted_n = wanted_n_all[g]
-            comp = base_comp[g]
-            update_d = BatchBitmask(d, state.width) if d else BatchBitmask(0, state.width)
-
-            # ---- nn visit: always forward -------------------------------- #
-            out_nn = outs["nn"]
-            comp += self.netmodel.traversal_time(out_nn.edges_examined, backward=False)
-            edges_examined["nn"] += out_nn.edges_examined
-            outboxes.append(out_nn.discovered)
-            outbox_words.append(out_nn.words)
-
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                out_nd = outs["nd"]
-                comp += self.netmodel.traversal_time(
-                    out_nd.edges_examined, backward=out_nd.backward
-                )
-                edges_examined["nd"] += out_nd.edges_examined
-                propose_delegates(update_d, out_nd)
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            f_rows = np.zeros(0, dtype=np.int64)
-            f_words = np.zeros((0, nwords), dtype=np.uint64)
-            if d and part.num_local:
-                out_dn = outs["dn"]
-                comp += self.netmodel.traversal_time(
-                    out_dn.edges_examined, backward=out_dn.backward
-                )
-                edges_examined["dn"] += out_dn.edges_examined
-                if out_dn.discovered.size:
-                    new = out_dn.words & wanted_n[out_dn.discovered]
-                    keep = new.any(axis=1)
-                    f_rows = out_dn.discovered[keep]
-                    f_words = new[keep]
-                    if f_rows.size:
-                        state.visited_n[g].or_rows(f_rows, f_words)
-                        program.record(
-                            part.global_ids_of_locals(f_rows), f_words, level
-                        )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                out_dd = outs["dd"]
-                comp += self.netmodel.traversal_time(
-                    out_dd.edges_examined, backward=out_dd.backward
-                )
-                edges_examined["dd"] += out_dd.edges_examined
-                propose_delegates(update_d, out_dd)
-
-            update_masks.append(update_d)
-            fresh_dn_rows.append(f_rows)
-            fresh_dn_words.append(f_words)
-            per_gpu_comp[g] = comp
-
-        # ------------------------------------------------------------------ #
-        # Communication stage
-        # ------------------------------------------------------------------ #
-        exchange_started = now_s()
-        wall["kernels"] += exchange_started - fold_started
-        if tracer.enabled:
-            tracer.record_span(
-                "fold", cat="engine", start=fold_started,
-                dur=exchange_started - fold_started, args={"level": level},
-            )
-        exchange = communicator.exchange_batch(outboxes, outbox_words)
-        discovered = 0
-        for g in range(p):
-            inbox = exchange.inboxes[g]
-            rows_recv = np.zeros(0, dtype=np.int64)
-            words_recv = np.zeros((0, nwords), dtype=np.uint64)
-            if inbox.size:
-                unique, inverse = np.unique(inbox, return_inverse=True)
-                proposed = np.zeros((unique.size, nwords), dtype=np.uint64)
-                np.bitwise_or.at(proposed, inverse, exchange.word_inboxes[g])
-                current = state.visited_n[g].words[unique]
-                new = proposed & np.bitwise_not(current) & full_words[None, :]
-                keep = new.any(axis=1)
-                rows_recv = unique[keep]
-                words_recv = new[keep]
-                if rows_recv.size:
-                    state.visited_n[g].or_rows(rows_recv, words_recv)
-                    program.record(
-                        graph.gpus[g].global_ids_of_locals(rows_recv), words_recv, level
-                    )
-            rows_all = np.concatenate([fresh_dn_rows[g], rows_recv])
-            if rows_all.size:
-                words_all = np.concatenate([fresh_dn_words[g], words_recv])
-                unique, inverse = np.unique(rows_all, return_inverse=True)
-                merged = np.zeros((unique.size, nwords), dtype=np.uint64)
-                np.bitwise_or.at(merged, inverse, words_all)
-                state.frontier_n_rows[g] = unique
-                state.frontier_n_words[g] = merged
-            else:
-                state.frontier_n_rows[g] = rows_all
-                state.frontier_n_words[g] = np.zeros((0, nwords), dtype=np.uint64)
-            discovered += int(state.frontier_n_rows[g].size)
-
-        reduce_started = now_s()
-        wall["exchange"] += reduce_started - exchange_started
-        if tracer.enabled:
-            tracer.record_span(
-                "nn-exchange", cat="engine", start=exchange_started,
-                dur=reduce_started - exchange_started, args={"level": level},
-            )
-        delegate_reduce_needed = any(mask.any() for mask in update_masks)
-        reduce_local_s = 0.0
-        reduce_global_s = 0.0
-        if delegate_reduce_needed:
-            reduce = communicator.allreduce_delegate_batch(
-                update_masks, blocking=opts.blocking_reduce
-            )
-            new_bits = reduce.merged.and_not(state.visited_d)
-            rows = new_bits.nonzero_rows()
-            words = new_bits.words[rows]
-            state.visited_d.or_with(new_bits)
-            state.frontier_d_rows = rows
-            state.frontier_d_words = words
-            if rows.size:
-                program.record(graph.delegate_vertices[rows], words, level)
-            reduce_local_s = reduce.local_time_s
-            reduce_global_s = reduce.global_time_s
-        else:
-            state.frontier_d_rows = np.zeros(0, dtype=np.int64)
-            state.frontier_d_words = np.zeros((0, nwords), dtype=np.uint64)
-        discovered += int(state.frontier_d_rows.size)
-        reduce_done = now_s()
-        wall["delegate_reduce"] += reduce_done - reduce_started
-        if tracer.enabled:
-            tracer.record_span(
-                "delegate-reduce", cat="engine", start=reduce_started,
-                dur=reduce_done - reduce_started, args={"level": level},
-            )
-
-        computation_s = float(per_gpu_comp.max()) if p else 0.0
-        local_comm_s = exchange.local_time_s + reduce_local_s
-        remote_normal_s = exchange.remote_time_s
-        remote_delegate_s = reduce_global_s
-        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
-        elapsed_s = computation_s + comm_total - overlap
-
-        return IterationRecord(
-            iteration=level,
-            normal_frontier_size=normal_frontier_total,
-            delegate_frontier_size=delegate_frontier_size,
-            edges_examined=edges_examined,
-            directions=directions,
-            discovered=discovered,
-            delegate_reduce=delegate_reduce_needed,
-            computation_s=computation_s,
-            local_communication_s=local_comm_s,
-            remote_normal_exchange_s=remote_normal_s,
-            remote_delegate_reduce_s=remote_delegate_s,
-            elapsed_s=elapsed_s,
-        )
-
-
-class _BatchState:
-    """Mutable per-run state of one batched traversal.
-
-    Per GPU, a :class:`BatchBitmask` over the local normal slots plus the
-    (rows, words) frontier of the last super-step's discoveries; replicated,
-    the delegate batch mask and frontier — the 2-D analogue of
-    :class:`repro.core.state.TraversalState` for lane-bitset programs.
-    """
-
-    __slots__ = (
-        "width",
-        "visited_n",
-        "visited_d",
-        "frontier_n_rows",
-        "frontier_n_words",
-        "frontier_d_rows",
-        "frontier_d_words",
-    )
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-
-    @classmethod
-    def initialize(cls, graph: PartitionedGraph, sources, width: int) -> "_BatchState":
-        state = cls(width)
-        nwords = (width + 63) // 64
-        d = graph.num_delegates
-        state.visited_n = [BatchBitmask(gpu.num_local, width) for gpu in graph.gpus]
-        state.visited_d = BatchBitmask(d, width)
-        d_rows: list[int] = []
-        d_lanes: list[int] = []
-        n_rows: dict[int, list[int]] = {}
-        n_lanes: dict[int, list[int]] = {}
-        for lane, source in enumerate(sources):
-            delegate_id = int(graph.separation.delegate_id_of[source])
-            if delegate_id >= 0:
-                d_rows.append(delegate_id)
-                d_lanes.append(lane)
-            else:
-                owner = int(graph.layout.flat_gpu_of(source))
-                n_rows.setdefault(owner, []).append(
-                    int(graph.layout.local_index_of(source))
-                )
-                n_lanes.setdefault(owner, []).append(lane)
-        if d_rows:
-            state.visited_d.set_lanes(
-                np.asarray(d_rows, dtype=np.int64), np.asarray(d_lanes, dtype=np.int64)
-            )
-        for owner, rows in n_rows.items():
-            state.visited_n[owner].set_lanes(
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(n_lanes[owner], dtype=np.int64),
-            )
-        # The initial frontiers are exactly the seeds (nothing else is set).
-        state.frontier_n_rows = []
-        state.frontier_n_words = []
-        for mask in state.visited_n:
-            rows = mask.nonzero_rows()
-            state.frontier_n_rows.append(rows)
-            state.frontier_n_words.append(mask.get_rows(rows))
-        rows = state.visited_d.nonzero_rows()
-        state.frontier_d_rows = rows
-        state.frontier_d_words = (
-            state.visited_d.get_rows(rows)
-            if rows.size
-            else np.zeros((0, nwords), dtype=np.uint64)
-        )
-        return state
-
-    def frontier_empty(self) -> bool:
-        """Whether both the normal and delegate frontiers are empty everywhere."""
-        if self.frontier_d_rows.size:
-            return False
-        return all(rows.size == 0 for rows in self.frontier_n_rows)
 
 
 class DistributedBFS:

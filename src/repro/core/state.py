@@ -66,6 +66,25 @@ class TraversalState:
             delegate_frontier=np.zeros(0, dtype=np.int64),
         )
 
+    @classmethod
+    def from_init(cls, graph: PartitionedGraph, init) -> "TraversalState":
+        """The state a run starts from: a program's (or a repair's pre-seeded)
+        :class:`repro.core.programs.ProgramInit`, with the delegate visited
+        mask derived from the delegate values."""
+        d = graph.num_delegates
+        return cls(
+            graph=graph,
+            normal_values=init.normal_values,
+            delegate_values=init.delegate_values,
+            delegate_visited=Bitmask.from_indices(
+                d, np.flatnonzero(init.delegate_values != UNVISITED)
+            )
+            if d
+            else Bitmask(0),
+            normal_frontiers=init.normal_frontiers,
+            delegate_frontier=init.delegate_frontier,
+        )
+
     # ------------------------------------------------------------------ #
     # Frontier bookkeeping
     # ------------------------------------------------------------------ #

@@ -45,15 +45,7 @@ from repro.exec.backend import (
     default_backend_name,
     resolve_backend,
 )
-from repro.exec.plan import (
-    BatchedGPUPlan,
-    BatchedVisitSpec,
-    GPUPlan,
-    SuperStepPlan,
-    VisitSpec,
-    execute_batched_gpu_plan,
-    execute_gpu_plan,
-)
+from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan
 from repro.exec.providers import (
     KERNELS_ENV_VAR,
     PROVIDER_NAMES,
@@ -85,11 +77,8 @@ __all__ = [
     "resolve_provider",
     "SuperStepPlan",
     "GPUPlan",
-    "BatchedGPUPlan",
     "VisitSpec",
-    "BatchedVisitSpec",
     "execute_gpu_plan",
-    "execute_batched_gpu_plan",
 ]
 
 

@@ -25,12 +25,7 @@ from __future__ import annotations
 import abc
 import os
 
-from repro.exec.plan import (
-    SuperStepPlan,
-    execute_batched_gpu_plan,
-    execute_gpu_plan,
-    worker_spans,
-)
+from repro.exec.plan import SuperStepPlan, execute_gpu_plan, worker_spans
 from repro.obs.tracer import get_tracer
 from repro.utils.timing import now_s
 
@@ -161,17 +156,9 @@ class InlineBackend(ExecutionBackend):
         return getattr(self.graph.gpus[gpu], name)
 
     def _execute_kernels(self, plan: SuperStepPlan) -> list:
-        if plan.batched:
-            return [
-                execute_batched_gpu_plan(
-                    gp, self._resolve_csr, plan.dense_delegate, provider=plan.provider,
-                    collect_spans=plan.collect_spans,
-                )
-                for gp in plan.gpu_plans
-            ]
         return [
             execute_gpu_plan(
-                gp, self._resolve_csr, plan.delegate_flags, provider=plan.provider,
+                gp, self._resolve_csr, plan.dense_delegate, provider=plan.provider,
                 collect_spans=plan.collect_spans,
             )
             for gp in plan.gpu_plans

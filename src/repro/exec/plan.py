@@ -9,6 +9,16 @@ subgraph CSR to traverse, in which direction, over which queue or candidate
 set) — so an execution backend can ship it anywhere: run it inline, fan it
 out over a process pool, or (in principle) dispatch it to real devices.
 
+There is one plan vocabulary for every frontier representation.  A frontier
+is either one bit per vertex (sequential programs) or one lane word row per
+vertex (batched MS-BFS programs); the difference shows up here only as data:
+a :class:`VisitSpec` carrying ``words`` runs the lane-word kernels, and the
+dense frontier buffers a backward pull tests parents against
+(:attr:`SuperStepPlan.dense_delegate`, :attr:`GPUPlan.dense_local`) are
+``bool`` flags in one case and ``uint64`` lane words in the other.
+:func:`execute_gpu_plan` picks the kernel from the spec's own fields, so no
+backend ever asks which kind of plan it holds.
+
 The exchange and the reduction are global barriers over the kernel outputs
 and inherently involve the program's fold hooks (``visit_value`` /
 ``accept`` / ``merge_remote``), so the plan carries them as one ``finalize``
@@ -19,7 +29,7 @@ performs the delegate reduction and returns the super-step's
 :class:`~repro.core.results.IterationRecord`.
 
 Because the visit kernels are pure functions of their spec (and the shared
-frontier flag buffers), every backend — and every
+dense frontier buffers), every backend — and every
 :class:`~repro.exec.providers.KernelProvider` implementation of the kernels
 — produces bit-identical outputs; and since all folding runs on the
 coordinating process, results, workload counters and modeled times are
@@ -38,12 +48,9 @@ from repro.utils.timing import now_s
 
 __all__ = [
     "VisitSpec",
-    "BatchedVisitSpec",
     "GPUPlan",
-    "BatchedGPUPlan",
     "SuperStepPlan",
     "execute_gpu_plan",
-    "execute_batched_gpu_plan",
     "worker_spans",
 ]
 
@@ -52,7 +59,7 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 @dataclass
 class VisitSpec:
-    """One sequential visit-kernel task (picklable pure data).
+    """One visit-kernel task (picklable pure data).
 
     Attributes
     ----------
@@ -64,18 +71,23 @@ class VisitSpec:
         always :attr:`kernel`: a backward nd pull scans the reverse edges,
         which live in the ``dn`` CSR (and vice versa).
     backward:
-        ``True`` = backward-pull (:func:`~repro.core.kernels.backward_visit`),
-        ``False`` = forward-push.
+        ``True`` = backward-pull, ``False`` = forward-push.
     queue:
         Forward tasks: the pre-filtered frontier rows to expand.
     candidates:
         Backward tasks: the unvisited rows that pull.
-    flags:
-        Backward tasks: which shared frontier flag buffer the pull tests
-        parents against — ``"normal"`` (this GPU's dense local-slot flags,
-        :attr:`GPUPlan.normal_flags`) or ``"delegate"`` (the replicated
-        delegate flags shared by every GPU,
-        :attr:`SuperStepPlan.delegate_flags`).
+    parents:
+        Backward tasks: which dense frontier buffer the pull tests parents
+        against — ``"normal"`` (this GPU's local-slot buffer,
+        :attr:`GPUPlan.dense_local`) or ``"delegate"`` (the replicated
+        delegate buffer shared by every GPU,
+        :attr:`SuperStepPlan.dense_delegate`).
+    words:
+        Lane-word (batched) tasks: ``uint64`` lane words parallel to
+        ``queue`` (forward: the lanes each frontier row carries) or to
+        ``candidates`` (backward: the lanes each candidate still wants).
+        When set, the task runs the batched kernels, whose pulls collect the
+        full parent lists instead of exiting at the first hit.
     keep_sources:
         Whether the fold will read the kernel's ``sources`` array (only
         programs carrying per-discovery payloads do).  Remote backends may
@@ -97,54 +109,23 @@ class VisitSpec:
     backward: bool
     queue: np.ndarray | None = None
     candidates: np.ndarray | None = None
-    flags: str | None = None
+    parents: str | None = None
+    words: np.ndarray | None = None
     keep_sources: bool = True
     weighted: bool = False
     row_values: np.ndarray | None = None
 
 
 @dataclass
-class BatchedVisitSpec:
-    """One batched (MS-BFS style) visit-kernel task.
-
-    Mirrors :class:`VisitSpec` with lane words in place of single bits:
-    forward tasks carry the (rows, words) frontier, backward tasks the
-    candidate rows, their still-wanted lane words, and a reference to the
-    dense parent lane-word buffer (``"normal"`` = this GPU's
-    :attr:`BatchedGPUPlan.dense_normal`, ``"delegate"`` = the shared
-    :attr:`SuperStepPlan.dense_delegate`).
-    """
-
-    kernel: str
-    csr: str
-    backward: bool
-    rows: np.ndarray | None = None
-    words: np.ndarray | None = None
-    candidates: np.ndarray | None = None
-    wanted: np.ndarray | None = None
-    parents: str | None = None
-
-
-@dataclass
 class GPUPlan:
-    """All visit-kernel tasks of one GPU for one sequential super-step."""
+    """All visit-kernel tasks of one GPU for one super-step."""
 
     gpu: int
     visits: list = field(default_factory=list)
-    #: Dense boolean frontier over this GPU's local slots; present exactly
-    #: when some task pulls with ``flags="normal"``.
-    normal_flags: np.ndarray | None = None
-
-
-@dataclass
-class BatchedGPUPlan:
-    """All visit-kernel tasks of one GPU for one batched super-step."""
-
-    gpu: int
-    visits: list = field(default_factory=list)
-    #: Dense ``(num_local, nwords)`` frontier lane words; present exactly
-    #: when some task pulls with ``parents="normal"``.
-    dense_normal: np.ndarray | None = None
+    #: Dense frontier over this GPU's local slots (``bool`` flags or
+    #: ``(num_local, nwords)`` lane words); present exactly when some task
+    #: pulls with ``parents="normal"``.
+    dense_local: np.ndarray | None = None
 
 
 @dataclass
@@ -162,14 +143,12 @@ class SuperStepPlan:
     """
 
     level: int
-    batched: bool
     gpu_plans: list
     finalize: Callable[[list], object]
     wall: dict
-    #: Sequential plans: replicated delegate frontier flags (bool, size d).
-    delegate_flags: np.ndarray | None = None
-    #: Batched plans: dense ``(d, nwords)`` delegate frontier lane words.
-    dense_delegate: np.ndarray | None = None
+    #: Replicated dense delegate frontier: ``bool`` flags of size ``d``, or
+    #: ``(d, nwords)`` ``uint64`` lane words on lane-word plans.
+    dense_delegate: np.ndarray
     #: The :class:`~repro.exec.providers.KernelProvider` computing the visit
     #: kernels (``None`` = NumPy).  In-process backends use it directly;
     #: remote backends ship its ``name`` and re-resolve in the worker.
@@ -185,24 +164,26 @@ class SuperStepPlan:
 def execute_gpu_plan(
     gpu_plan: GPUPlan,
     resolve_csr: Callable[[int, str], object],
-    delegate_flags: np.ndarray | None,
+    dense_delegate: np.ndarray,
     strip_sources: bool = False,
     provider=None,
     collect_spans: bool = False,
 ) -> dict:
-    """Run every sequential visit task of one GPU; outputs keyed by kernel.
+    """Run every visit task of one GPU; outputs keyed by kernel.
 
     ``resolve_csr(gpu, name)`` maps a task's subgraph reference to a CSR —
     the in-process partition for :class:`~repro.exec.backend.InlineBackend`,
     a shared-memory view inside a :class:`~repro.exec.process.ProcessBackend`
     worker.  ``provider`` picks the kernel implementation
-    (:mod:`repro.exec.providers`; ``None`` = NumPy).  With ``strip_sources``
-    the ``sources`` arrays of tasks that declared ``keep_sources=False`` are
-    dropped (they can be as large as the examined edge set, and the fold
-    never reads them).  With ``collect_spans`` the per-kernel wall timings
-    ride back under the reserved ``"_spans"`` output key (see
-    :func:`worker_spans`); when ``False`` — the default, and always when
-    tracing is off — the kernel loop performs no timing work at all.
+    (:mod:`repro.exec.providers`; ``None`` = NumPy); *which* kernel runs
+    follows from the spec's own fields (``backward``, ``words``,
+    ``row_values``, ``weighted``).  With ``strip_sources`` the ``sources``
+    arrays of tasks that declared ``keep_sources=False`` are dropped (they
+    can be as large as the examined edge set, and the fold never reads
+    them).  With ``collect_spans`` the per-kernel wall timings ride back
+    under the reserved ``"_spans"`` output key (see :func:`worker_spans`);
+    when ``False`` — the default, and always when tracing is off — the
+    kernel loop performs no timing work at all.
     """
     if provider is None:
         provider = get_provider("numpy")
@@ -213,8 +194,13 @@ def execute_gpu_plan(
         started = now_s() if collect_spans else 0.0
         csr = resolve_csr(gpu_plan.gpu, spec.csr)
         if spec.backward:
-            flags = gpu_plan.normal_flags if spec.flags == "normal" else delegate_flags
-            out = provider.backward_visit(csr, spec.candidates, flags)
+            dense = gpu_plan.dense_local if spec.parents == "normal" else dense_delegate
+            if spec.words is not None:
+                out = provider.batched_backward_visit(csr, spec.candidates, dense, spec.words)
+            else:
+                out = provider.backward_visit(csr, spec.candidates, dense)
+        elif spec.words is not None:
+            out = provider.batched_forward_visit(csr, spec.queue, spec.words)
         elif spec.row_values is not None:
             out = provider.contrib_visit(csr, spec.queue, spec.row_values)
         elif spec.weighted:
@@ -223,43 +209,6 @@ def execute_gpu_plan(
             out = provider.forward_visit(csr, spec.queue)
         if strip_sources and not spec.keep_sources:
             out.sources = _EMPTY_I64
-        outputs[spec.kernel] = out
-        if collect_spans:
-            ended = now_s()
-            kind = "pull" if spec.backward else "push"
-            spans.append((f"{spec.kernel}:{kind}", started - base, ended - started))
-    if collect_spans:
-        outputs["_spans"] = {"base": base, "spans": spans}
-    return outputs
-
-
-def execute_batched_gpu_plan(
-    gpu_plan: BatchedGPUPlan,
-    resolve_csr: Callable[[int, str], object],
-    dense_delegate: np.ndarray | None,
-    provider=None,
-    collect_spans: bool = False,
-) -> dict:
-    """Run every batched visit task of one GPU; outputs keyed by kernel.
-
-    ``collect_spans`` mirrors :func:`execute_gpu_plan`: per-kernel timings
-    ride back under the reserved ``"_spans"`` key.
-    """
-    if provider is None:
-        provider = get_provider("numpy")
-    outputs: dict = {}
-    spans = [] if collect_spans else None
-    base = now_s() if collect_spans else 0.0
-    for spec in gpu_plan.visits:
-        started = now_s() if collect_spans else 0.0
-        csr = resolve_csr(gpu_plan.gpu, spec.csr)
-        if spec.backward:
-            parents = (
-                gpu_plan.dense_normal if spec.parents == "normal" else dense_delegate
-            )
-            out = provider.batched_backward_visit(csr, spec.candidates, parents, spec.wanted)
-        else:
-            out = provider.batched_forward_visit(csr, spec.rows, spec.words)
         outputs[spec.kernel] = out
         if collect_spans:
             ended = now_s()

@@ -14,8 +14,8 @@ Design notes:
   pools down.
 * **Graph data crosses the process boundary through shared memory, not
   pickles.**  Each backend exports its graph's CSR subgraphs once into a
-  :class:`~repro.exec.shm.SharedGraphStore`; the per-step frontier bitmask
-  buffers (delegate flags, dense normal flags, batched lane words) are
+  :class:`~repro.exec.shm.SharedGraphStore`; the per-step dense frontier
+  buffers (flags or lane words — the store does not care which) are
   rewritten in place before each dispatch.  Tasks carry only queues,
   candidate sets and small descriptors; workers attach lazily and cache
   attachments, so steady-state IPC is the frontier in and the discoveries
@@ -39,23 +39,16 @@ import atexit
 import multiprocessing
 import os
 import weakref
-
-import numpy as np
+from typing import NamedTuple
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.plan import (
-    BatchedGPUPlan,
-    GPUPlan,
-    SuperStepPlan,
-    execute_batched_gpu_plan,
-    execute_gpu_plan,
-)
+from repro.exec.plan import GPUPlan, SuperStepPlan, execute_gpu_plan
 from repro.exec.providers import resolve_provider
 from repro.exec.shm import (
     SegmentCache,
     SharedGraphStore,
-    batch_views_from_descriptor,
     csrs_from_descriptor,
+    dense_views_from_descriptor,
 )
 
 __all__ = ["ProcessBackend", "shutdown_pools"]
@@ -122,26 +115,26 @@ def _init_worker() -> None:  # pragma: no cover - runs in workers
     _WORKER_CACHE = SegmentCache()
 
 
-def _run_task(task: tuple):
+class _Task(NamedTuple):
+    """One GPU's share of a super-step, as shipped to a worker."""
+
+    gpu: int
+    visits: list
+    graph: dict  #: SharedGraphStore.graph_descriptor
+    dense: tuple  #: SharedGraphStore.publish_dense(...) descriptor
+    has_local: bool  #: whether this GPU's own dense buffer was published
+    provider: str
+    collect_spans: bool
+
+
+def _run_task(task: _Task):
     """Execute one GPU's kernel tasks inside a worker; returns (gpu, outputs)."""
-    (
-        batched,
-        gpu,
-        visits,
-        graph_descriptor,
-        flags_descriptor,
-        batch_descriptor,
-        nwords,
-        has_own_flags,
-        provider_name,
-        collect_spans,
-    ) = task
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else SegmentCache()
-    csrs = csrs_from_descriptor(cache, graph_descriptor)
+    csrs = csrs_from_descriptor(cache, task.graph)
     # Providers cross the process boundary by name; each worker resolves (and
     # for Numba, loads the on-disk JIT cache) once via the singleton registry.
-    provider = resolve_provider(provider_name)
-    if graph_descriptor.get("compressed"):
+    provider = resolve_provider(task.provider)
+    if task.graph.get("compressed"):
         # Compressed-store graphs: decode frontier/candidate rows lazily
         # before each visit so the kernels see raw adjacency.
         from repro.storage.codec import DecodingProvider
@@ -151,27 +144,16 @@ def _run_task(task: tuple):
     def resolve_csr(g: int, name: str):
         return csrs[(g, name)]
 
-    if batched:
-        dense_delegate, dense_normal = batch_views_from_descriptor(
-            cache, batch_descriptor, gpu, nwords
-        )
-        plan = BatchedGPUPlan(gpu, visits, dense_normal if has_own_flags else None)
-        return gpu, execute_batched_gpu_plan(
-            plan, resolve_csr, dense_delegate, provider=provider,
-            collect_spans=collect_spans,
-        )
-
-    segment, num_delegates, offsets, num_locals = flags_descriptor
-    delegate_flags = cache.array(segment, 0, np.bool_, (num_delegates,))
-    normal_flags = (
-        cache.array(segment, offsets[gpu], np.bool_, (num_locals[gpu],))
-        if has_own_flags
-        else None
+    dense_delegate, dense_local = dense_views_from_descriptor(
+        cache, task.dense, task.gpu, task.has_local
     )
-    plan = GPUPlan(gpu, visits, normal_flags)
-    return gpu, execute_gpu_plan(
-        plan, resolve_csr, delegate_flags, strip_sources=True, provider=provider,
-        collect_spans=collect_spans,
+    return task.gpu, execute_gpu_plan(
+        GPUPlan(task.gpu, task.visits, dense_local),
+        resolve_csr,
+        dense_delegate,
+        strip_sources=True,
+        provider=provider,
+        collect_spans=task.collect_spans,
     )
 
 
@@ -243,51 +225,21 @@ class ProcessBackend(ExecutionBackend):
             raise RuntimeError("ProcessBackend is closed")
         store = self.store
         provider_name = plan.provider.name if plan.provider is not None else "numpy"
-        tasks = []
-        if plan.batched:
-            nwords = int(plan.dense_delegate.shape[1])
-            store.ensure_batch_capacity(nwords)
-            store.write_dense_delegate(plan.dense_delegate)
-            batch_descriptor = store.batch_descriptor()
-            for gp in plan.gpu_plans:
-                has_dense = gp.dense_normal is not None
-                if has_dense:
-                    store.write_dense_normal(gp.gpu, gp.dense_normal)
-                tasks.append(
-                    (
-                        True,
-                        gp.gpu,
-                        gp.visits,
-                        store.graph_descriptor,
-                        None,
-                        batch_descriptor,
-                        nwords,
-                        has_dense,
-                        provider_name,
-                        plan.collect_spans,
-                    )
-                )
-        else:
-            store.write_delegate_flags(plan.delegate_flags)
-            flags_descriptor = store.flags_descriptor()
-            for gp in plan.gpu_plans:
-                has_flags = gp.normal_flags is not None
-                if has_flags:
-                    store.write_normal_flags(gp.gpu, gp.normal_flags)
-                tasks.append(
-                    (
-                        False,
-                        gp.gpu,
-                        gp.visits,
-                        store.graph_descriptor,
-                        flags_descriptor,
-                        None,
-                        0,
-                        has_flags,
-                        provider_name,
-                        plan.collect_spans,
-                    )
-                )
+        dense = store.publish_dense(
+            plan.dense_delegate, [gp.dense_local for gp in plan.gpu_plans]
+        )
+        tasks = [
+            _Task(
+                gpu=gp.gpu,
+                visits=gp.visits,
+                graph=store.graph_descriptor,
+                dense=dense,
+                has_local=gp.dense_local is not None,
+                provider=provider_name,
+                collect_spans=plan.collect_spans,
+            )
+            for gp in plan.gpu_plans
+        ]
         # chunksize=1: per-GPU work is heterogeneous (delegate-heavy GPUs do
         # more), so let idle workers steal instead of pre-binning.
         results = self._pool.map(_run_task, tasks, chunksize=1)

@@ -5,16 +5,16 @@ The per-GPU kernel tasks of a super-step read two kinds of data:
 * the **static graph** — every GPU's four CSR subgraphs (row offsets +
   column indices), which never change after partitioning and dominate the
   bytes a worker touches; and
-* the **per-step frontier bitmask buffers** — the replicated delegate
-  frontier flags every backward pull tests parents against, the per-GPU
-  dense normal-frontier flags, and (on the batched path) the dense lane-word
-  frontiers.
+* the **per-step dense frontier buffers** a backward pull tests parents
+  against — the replicated delegate frontier and, when some nd kernel pulls,
+  that GPU's local-slot frontier; ``bool`` flags for one-bit frontiers,
+  ``uint64`` lane words for batched ones.
 
 Shipping either through the task pickle every super-step would serialise
 the very data the pool exists to avoid copying, so
 :class:`SharedGraphStore` places both in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`): the graph is exported once at
-backend construction, the bitmask scratch is rewritten in place by the
+backend construction, the dense-frontier scratch is rewritten in place by the
 coordinator before each dispatch (the pool barrier orders the writes
 against the reads), and tasks carry only a small descriptor of names and
 offsets.  Workers attach lazily and cache their attachments, so after the
@@ -28,6 +28,7 @@ words, ``bool`` flags).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from multiprocessing import shared_memory
 
@@ -35,7 +36,13 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["SharedGraphStore", "SegmentCache", "csrs_from_descriptor", "csr_view"]
+__all__ = [
+    "SharedGraphStore",
+    "SegmentCache",
+    "csrs_from_descriptor",
+    "dense_views_from_descriptor",
+    "csr_view",
+]
 
 #: Subgraph attributes exported per GPU, in a fixed order.
 CSR_KEYS = ("nn", "nd", "dn", "dd")
@@ -212,9 +219,6 @@ class SharedGraphStore:
         self.num_delegates = int(graph.num_delegates)
         self.num_locals = tuple(int(gpu.num_local) for gpu in graph.gpus)
         self._closed = False
-        self._batch_generation = 0
-        self._batch_segment: shared_memory.SharedMemory | None = None
-        self._batch_nwords = 0
 
         # ---- static graph segment ------------------------------------- #
         storage = getattr(graph, "storage", "memory")
@@ -265,94 +269,69 @@ class SharedGraphStore:
                 "csrs": entries,
             }
 
-        # ---- frontier-flag scratch (rewritten before each dispatch) ---- #
-        flag_offsets = []
-        offset = _align(self.num_delegates)
-        for num_local in self.num_locals:
-            flag_offsets.append(offset)
-            offset = _align(offset + num_local)
-        self._flag_offsets = tuple(flag_offsets)
-        self._flags_segment = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        self._delegate_flags_view = np.frombuffer(
-            self._flags_segment.buf, dtype=np.bool_, count=self.num_delegates, offset=0
-        )
-        self._normal_flags_views = [
-            np.frombuffer(
-                self._flags_segment.buf, dtype=np.bool_, count=num_local, offset=off
-            )
-            for num_local, off in zip(self.num_locals, self._flag_offsets)
-        ]
+        # ---- dense-frontier scratch (rewritten before each dispatch) ---- #
+        self._dense_segment: shared_memory.SharedMemory | None = None
+        self._dense_row_bytes = 0
+        self._dense_offsets: tuple = ()
+        self._ensure_dense_capacity(1)
 
-    # ------------------------------------------------------------------ #
-    # Descriptors (picklable, shipped with every task)
-    # ------------------------------------------------------------------ #
     @property
     def graph_descriptor(self) -> dict:
+        """Picklable description of the static graph segment (shipped per task)."""
         return self._graph_descriptor
 
-    def flags_descriptor(self) -> tuple:
-        """``(segment, num_delegates, per-GPU offsets, per-GPU local counts)``."""
-        return (
-            self._flags_segment.name,
-            self.num_delegates,
-            self._flag_offsets,
-            self.num_locals,
-        )
-
-    def batch_descriptor(self) -> tuple:
-        """``(segment, nwords, num_delegates, per-GPU local counts)``."""
-        return (
-            self._batch_segment.name,
-            self._batch_nwords,
-            self.num_delegates,
-            self.num_locals,
-        )
-
     # ------------------------------------------------------------------ #
-    # Per-step scratch writes (coordinator side)
+    # Per-step dense frontier buffers (coordinator side)
     # ------------------------------------------------------------------ #
-    def write_delegate_flags(self, flags: np.ndarray) -> None:
-        self._delegate_flags_view[:] = flags
+    def _ensure_dense_capacity(self, row_bytes: int) -> None:
+        """Size the scratch for dense buffers of ``row_bytes`` bytes per row.
 
-    def write_normal_flags(self, gpu: int, flags: np.ndarray) -> None:
-        self._normal_flags_views[gpu][:] = flags
-
-    def ensure_batch_capacity(self, nwords: int) -> None:
-        """Size the dense lane-word scratch for ``nwords`` words per row.
-
-        Growing replaces the segment under a fresh name (tasks always name
-        the segment they expect, so workers never read a stale layout); the
-        old segment is unlinked and lingers only until the workers' caches
-        evict their attachment.
+        The segment holds one 8-aligned block per buffer — the delegate rows
+        first, then each GPU's local slots — every block ``rows * row_bytes``
+        long, so one layout serves 1-byte flags and ``nwords * 8``-byte lane
+        words alike.  Growing replaces the segment under a fresh name (tasks
+        always name the segment they expect, so workers never read a stale
+        layout); the old segment is unlinked and lingers only until the
+        workers' caches evict their attachment.
         """
-        if self._batch_segment is not None and nwords <= self._batch_nwords:
+        if row_bytes <= self._dense_row_bytes:
             return
-        rows = self.num_delegates + sum(self.num_locals)
-        size = max(rows * nwords * 8, 1)
-        if self._batch_segment is not None:
-            self._batch_segment.close()
-            self._batch_segment.unlink()
-        self._batch_generation += 1
-        self._batch_segment = shared_memory.SharedMemory(create=True, size=size)
-        self._batch_nwords = nwords
+        offsets = []
+        offset = 0
+        for rows in (self.num_delegates, *self.num_locals):
+            offsets.append(offset)
+            offset = _align(offset + rows * row_bytes)
+        if self._dense_segment is not None:
+            self._dense_segment.close()
+            self._dense_segment.unlink()
+        self._dense_segment = shared_memory.SharedMemory(create=True, size=max(offset, 1))
+        self._dense_row_bytes = row_bytes
+        self._dense_offsets = tuple(offsets)
 
-    def _batch_rows_view(self, row_start: int, rows: int) -> np.ndarray:
-        """A ``(rows, capacity)`` view of the scratch's capacity-wide slots."""
-        capacity = self._batch_nwords
-        return np.frombuffer(
-            self._batch_segment.buf,
-            dtype=np.uint64,
-            count=rows * capacity,
-            offset=row_start * capacity * 8,
-        ).reshape(rows, capacity)
+    def publish_dense(self, delegate: np.ndarray, local: list) -> tuple:
+        """Write one step's dense frontier buffers; returns their descriptor.
 
-    def write_dense_delegate(self, dense: np.ndarray) -> None:
-        if self.num_delegates:
-            self._batch_rows_view(0, self.num_delegates)[:, : dense.shape[1]] = dense
-
-    def write_dense_normal(self, gpu: int, dense: np.ndarray) -> None:
-        start = self.num_delegates + sum(self.num_locals[:gpu])
-        self._batch_rows_view(start, dense.shape[0])[:, : dense.shape[1]] = dense
+        ``delegate`` is the replicated delegate buffer; ``local[g]`` is GPU
+        ``g``'s own buffer or ``None`` when none of its tasks pulls from it.
+        All share one dtype and row shape.  The returned picklable descriptor
+        is what :func:`dense_views_from_descriptor` rebuilds worker-side views
+        from.
+        """
+        dtype = delegate.dtype
+        row_shape = delegate.shape[1:]
+        self._ensure_dense_capacity(dtype.itemsize * math.prod(row_shape))
+        buf = self._dense_segment.buf
+        for offset, dense in zip(self._dense_offsets, (delegate, *local)):
+            if dense is not None and dense.size:
+                view = np.frombuffer(buf, dtype=dtype, count=dense.size, offset=offset)
+                view.reshape(dense.shape)[...] = dense
+        return (
+            self._dense_segment.name,
+            dtype.str,
+            row_shape,
+            self._dense_offsets,
+            (self.num_delegates, *self.num_locals),
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -362,12 +341,9 @@ class SharedGraphStore:
         if self._closed:
             return
         self._closed = True
-        # Drop the numpy views before closing the mappings they point into.
-        self._delegate_flags_view = None
-        self._normal_flags_views = []
         # The graph segment is None for store-backed graphs (the store file
         # belongs to the store, never unlinked here).
-        for segment in (self._graph_segment, self._flags_segment, self._batch_segment):
+        for segment in (self._graph_segment, self._dense_segment):
             if segment is None:
                 continue
             try:
@@ -377,20 +353,19 @@ class SharedGraphStore:
                 pass
 
 
-def batch_views_from_descriptor(
-    cache: SegmentCache, descriptor: tuple, gpu: int, nwords: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worker-side views of the dense delegate + this GPU's normal scratch.
+def dense_views_from_descriptor(
+    cache: SegmentCache, descriptor: tuple, gpu: int, has_local: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Worker-side views of the dense delegate buffer + ``gpu``'s own buffer.
 
-    The segment was sized for ``capacity >= nwords`` words per row; views
-    are built over the leading ``nwords`` of each row's capacity slot.
+    ``descriptor`` comes from :meth:`SharedGraphStore.publish_dense`; the
+    local view is built only when the coordinator wrote one this step.
     """
-    name, capacity, num_delegates, num_locals = descriptor
-    dense_delegate = cache.array(name, 0, np.uint64, (num_delegates, capacity))[
-        :, :nwords
-    ]
-    start = num_delegates + sum(num_locals[:gpu])
-    dense_normal = cache.array(
-        name, start * capacity * 8, np.uint64, (num_locals[gpu], capacity)
-    )[:, :nwords]
-    return dense_delegate, dense_normal
+    name, dtype, row_shape, offsets, rows = descriptor
+    delegate = cache.array(name, offsets[0], dtype, (rows[0], *row_shape))
+    local = (
+        cache.array(name, offsets[gpu + 1], dtype, (rows[gpu + 1], *row_shape))
+        if has_local
+        else None
+    )
+    return delegate, local

@@ -3,7 +3,7 @@
 :class:`ThreadBackend` is the third execution backend: each GPU's kernel
 tasks run as jobs on a process-global :class:`~concurrent.futures.
 ThreadPoolExecutor`.  Threads share the coordinator's address space, so the
-CSR subgraphs, frontier flag buffers and dense lane-word arrays are read in
+CSR subgraphs and dense frontier buffers (flags or lane words) are read in
 place — zero pickling, zero shared-memory export, zero per-task IPC — which
 makes this backend strictly cheaper to enter than the
 :class:`~repro.exec.process.ProcessBackend` and its fork+shm machinery.
@@ -31,7 +31,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.plan import SuperStepPlan, execute_batched_gpu_plan, execute_gpu_plan
+from repro.exec.plan import SuperStepPlan, execute_gpu_plan
 
 __all__ = ["ThreadBackend", "MAX_WORKERS", "shutdown_executors"]
 
@@ -87,31 +87,18 @@ class ThreadBackend(ExecutionBackend):
         return getattr(self.graph.gpus[gpu], name)
 
     def _execute_kernels(self, plan: SuperStepPlan) -> list:
-        if plan.batched:
-            futures = [
-                self._executor.submit(
-                    execute_batched_gpu_plan,
-                    gp,
-                    self._resolve_csr,
-                    plan.dense_delegate,
-                    plan.provider,
-                    plan.collect_spans,
-                )
-                for gp in plan.gpu_plans
-            ]
-        else:
-            futures = [
-                self._executor.submit(
-                    execute_gpu_plan,
-                    gp,
-                    self._resolve_csr,
-                    plan.delegate_flags,
-                    False,
-                    plan.provider,
-                    plan.collect_spans,
-                )
-                for gp in plan.gpu_plans
-            ]
+        futures = [
+            self._executor.submit(
+                execute_gpu_plan,
+                gp,
+                self._resolve_csr,
+                plan.dense_delegate,
+                False,
+                plan.provider,
+                plan.collect_spans,
+            )
+            for gp in plan.gpu_plans
+        ]
         return [f.result() for f in futures]
 
     def close(self) -> None:

@@ -120,6 +120,15 @@ class TimingBreakdown:
     iterations: int = 0
     per_iteration: list = field(default_factory=list)
 
+    def add(self, record) -> None:
+        """Accumulate one super-step's :class:`IterationRecord` (seconds → ms)."""
+        self.computation += record.computation_s * 1e3
+        self.local_communication += record.local_communication_s * 1e3
+        self.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
+        self.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
+        self.elapsed_ms += record.elapsed_s * 1e3
+        self.per_iteration.append(record)
+
     def parts_sum(self) -> float:
         """Sum of the four phase times (no overlap accounting)."""
         return (

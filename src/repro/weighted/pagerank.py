@@ -159,7 +159,8 @@ class PageRank:
                     engine, communicator, sweep, contrib, nz, o_src, o_dst, wall
                 )
                 r = teleport + recv + np.int64(dangling // n)
-                self._account(record, records, timing)
+                records.append(record)
+                timing.add(record)
                 total_edges += record.total_edges_examined()
         else:
             eps_scaled = max(1, int(round(self.eps * SCALE)))
@@ -189,7 +190,8 @@ class PageRank:
                 pushed[active] = want[active]
                 pushed[active_dangling] = want[active_dangling]
                 r = r + recv + np.int64(dangling // n)
-                self._account(record, records, timing)
+                records.append(record)
+                timing.add(record)
                 total_edges += record.total_edges_examined()
 
         timing.iterations = len(records)
@@ -217,16 +219,6 @@ class PageRank:
             ranks=r,
             **base,
         )
-
-    @staticmethod
-    def _account(record: IterationRecord, records: list, timing: TimingBreakdown):
-        records.append(record)
-        timing.computation += record.computation_s * 1e3
-        timing.local_communication += record.local_communication_s * 1e3
-        timing.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
-        timing.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
-        timing.elapsed_ms += record.elapsed_s * 1e3
-        timing.per_iteration.append(record)
 
     # ------------------------------------------------------------------ #
     # One contribution super-step
@@ -302,7 +294,7 @@ class PageRank:
                 2 * queued
             )
             active_total += queued
-            gpu_plans.append(GPUPlan(gpu=g, visits=visits, normal_flags=None))
+            gpu_plans.append(GPUPlan(gpu=g, visits=visits))
 
         def finalize(outputs: list) -> IterationRecord:
             return self._finalize_sweep(
@@ -324,11 +316,11 @@ class PageRank:
         holder: dict = {}
         plan = SuperStepPlan(
             level=level,
-            batched=False,
             gpu_plans=gpu_plans,
             finalize=finalize,
             wall=wall,
-            delegate_flags=np.zeros(d, dtype=bool),
+            # Contribution sweeps never pull; the buffer is only published.
+            dense_delegate=np.zeros(d, dtype=bool),
             provider=engine.provider,
         )
         wall["kernels"] += now_s() - plan_started

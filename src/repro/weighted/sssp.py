@@ -30,14 +30,8 @@ import math
 
 import numpy as np
 
-from repro.cluster.comm import Communicator
-from repro.core.direction import DirectionState
 from repro.core.programs.base import FrontierProgram, VisitContext, single_source_init
-from repro.core.results import IterationRecord
 from repro.core.state import UNVISITED, TraversalState
-from repro.obs.tracer import get_tracer
-from repro.utils.bitmask import Bitmask
-from repro.utils.timing import TimingBreakdown, now_s
 from repro.weighted.results import SSSPResult
 
 __all__ = ["BellmanFordSSSP", "DeltaSteppingSSSP"]
@@ -127,12 +121,12 @@ class DeltaSteppingSSSP(BellmanFordSSSP):
     * ``inf`` — one bucket, i.e. the Bellman-Ford schedule (useful as a
       self-check: the phase loop must then match the plain program).
 
-    The driver owns the outer loop (the engine dispatches to
-    :meth:`drive`), keeping one traversal state and one communicator
-    across phases: per phase it sets the frontiers to the lowest-bucket
-    subset of the pending set, runs one standard super-step through the
-    engine's planner/backend, and returns changed vertices to the pending
-    set.  Counters, modeled time and overlay semantics are exactly the
+    The driver owns the *schedule*, not the loop (the engine dispatches to
+    :meth:`drive`, which hands :meth:`TraversalEngine.step_loop` two hooks):
+    before each phase it installs the lowest-bucket subset of the pending
+    set as the frontier, the engine runs one standard super-step, and
+    afterwards the changed vertices return to the pending set.  Counters,
+    modeled time, spans and overlay semantics are exactly the
     per-super-step engine machinery.
     """
 
@@ -169,35 +163,12 @@ class DeltaSteppingSSSP(BellmanFordSSSP):
     def drive(self, engine, init=None, overlay=None) -> SSSPResult:
         graph = engine.graph
         _require_weights(graph, self.name)
-        opts = engine.options
         p = graph.num_gpus
         delta = self.resolve_delta(graph)
 
         if init is None:
             init = self.init_state(graph)
-        state = TraversalState(
-            graph=graph,
-            normal_values=init.normal_values,
-            delegate_values=init.delegate_values,
-            delegate_visited=Bitmask.from_indices(
-                graph.num_delegates,
-                np.flatnonzero(init.delegate_values != UNVISITED),
-            )
-            if graph.num_delegates
-            else Bitmask(0),
-            normal_frontiers=init.normal_frontiers,
-            delegate_frontier=init.delegate_frontier,
-        )
-        communicator = Communicator(engine.topology, engine.netmodel)
-        # Weighted relaxation never pulls; DO stays off per subgraph.
-        dir_states = {
-            kind: [DirectionState(factors, enabled=False) for _ in range(p)]
-            for kind, factors in (
-                ("nd", opts.nd_factors),
-                ("dn", opts.dn_factors),
-                ("dd", opts.dd_factors),
-            )
-        }
+        state = TraversalState.from_init(graph, init)
 
         # Pending sets: vertices whose distance changed but whose out-edges
         # have not been relaxed since.  The engine's frontier arrays become
@@ -206,38 +177,24 @@ class DeltaSteppingSSSP(BellmanFordSSSP):
             np.zeros(gpu.num_local, dtype=bool) for gpu in graph.gpus
         ]
         pending_delegates = np.zeros(graph.num_delegates, dtype=bool)
-        for g, frontier in enumerate(state.normal_frontiers):
-            pending_normals[g][frontier] = True
-        pending_delegates[state.delegate_frontier] = True
 
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
-        level = 0
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
-        backend = engine.backend
-        overlay_live = overlay is not None and not overlay.empty
-        tracer = get_tracer()
-        run_started = now_s()
+        def settle() -> None:
+            # Everything the step changed is pending again — including
+            # vertices from the bucket just relaxed whose distance improved
+            # further (they need their out-edges re-relaxed).
+            for g in range(p):
+                pending_normals[g][state.normal_frontiers[g]] = True
+            pending_delegates[state.delegate_frontier] = True
 
-        while True:
+        def select() -> bool:
+            # Install the lowest-bucket subset of the pending set as this
+            # phase's frontier and retire it (re-improved vertices re-enter
+            # through ``settle``).
             bucket = self._lowest_bucket(
                 state, pending_normals, pending_delegates, delta
             )
             if bucket is None:
-                break
-            if self.max_levels is not None and level >= self.max_levels:
-                break
-            level += 1
-            if level > opts.max_iterations:
-                raise RuntimeError(
-                    f"{self.name} exceeded max_iterations={opts.max_iterations}; "
-                    "the graph or the engine state is inconsistent"
-                )
-
-            # Select the lowest-bucket subset of the pending set as this
-            # phase's frontier and retire it (re-improved vertices re-enter
-            # through the post-step frontiers below).
+                return False
             for g in range(p):
                 mask = pending_normals[g]
                 slots = np.flatnonzero(mask)
@@ -250,70 +207,17 @@ class DeltaSteppingSSSP(BellmanFordSSSP):
             selected = ids[take]
             state.delegate_frontier = selected
             pending_delegates[selected] = False
+            return True
 
-            if overlay_live:
-                pre_frontier = engine._capture_frontier(state)
-            plan_started = now_s()
-            plan = engine._plan_super_step(
-                self, state, communicator, dir_states, level, wall
-            )
-            wall["kernels"] += now_s() - plan_started
-            record = backend.run_super_step(plan)
-            if overlay_live:
-                relax_started = now_s()
-                engine._overlay_relax(self, state, overlay, pre_frontier, level, record)
-                relax_done = now_s()
-                wall["kernels"] += relax_done - relax_started
-                if tracer.enabled:
-                    tracer.record_span(
-                        "overlay-relax", cat="engine", start=relax_started,
-                        dur=relax_done - relax_started, args={"level": level},
-                    )
-            if tracer.enabled:
-                tracer.record_span(
-                    "super-step", cat="engine", start=plan_started,
-                    dur=now_s() - plan_started,
-                    args={"level": level, "program": self.name, "bucket": int(bucket)},
-                )
-
-            # Everything the step changed is pending again — including
-            # vertices from the bucket just relaxed whose distance improved
-            # further (they need their out-edges re-relaxed).
-            for g in range(p):
-                pending_normals[g][state.normal_frontiers[g]] = True
-            pending_delegates[state.delegate_frontier] = True
-
-            records.append(record)
-            total_edges += record.total_edges_examined()
-            timing.computation += record.computation_s * 1e3
-            timing.local_communication += record.local_communication_s * 1e3
-            timing.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
-            timing.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
-            timing.elapsed_ms += record.elapsed_s * 1e3
-            timing.per_iteration.append(record)
-
-        timing.iterations = len(records)
-        wall["traversal"] = now_s() - run_started
-        if tracer.enabled:
-            tracer.record_span(
-                "traversal", cat="engine", start=run_started,
-                dur=wall["traversal"],
-                args={"program": self.name, "iterations": len(records)},
-            )
-        base = {
-            "iterations": len(records),
-            "records": records,
-            "timing": timing,
-            "comm_stats": communicator.stats,
-            "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
-            "wall_s": wall,
-        }
+        settle()  # the initial frontier is the first pending set
+        base = engine.step_loop(
+            self, state, overlay=overlay, select=select, settle=settle
+        )
         return SSSPResult(
             source=self.source,
             delta=delta,
             dist_bits=state.gather_values(),
-            phases=len(records),
+            phases=base["iterations"],
             **base,
         )
 

@@ -1,0 +1,41 @@
+"""Tier-1 counter gate: replay committed quick scenarios against the baseline.
+
+The invariance contract (answers, counters and modeled times bit-identical
+across refactors) is enforced in CI by ``bench compare --fail-on counters``
+against ``benchmarks/baseline.json``; this test reads the same file so a
+counter drift fails ``pytest`` locally, before any CI leg runs.  One scenario
+per engine code path: sequential with payload exchange + value reduce,
+batched lanes, overlay relaxation under both frontier representations, and a
+hand-built (PageRank) plan.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.bench import find_scenarios, load_artifact, run_scenario
+
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
+
+SCENARIOS = (
+    "rmat14-parents-do-br",
+    "serve-rmat14-b32-zipf1.0",
+    "dyn-rmat14-uniform-levels",
+    "pagerank-rmat14-fixed",
+)
+
+
+@pytest.fixture(scope="module")
+def baseline() -> dict:
+    return load_artifact(BASELINE)["scenarios"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_counters_match_committed_baseline(baseline, name):
+    (spec,) = find_scenarios([name])
+    record = run_scenario(spec, repeats=1)
+    expected = baseline[name]
+    assert record["spec"] == expected["spec"], "scenario definition drifted"
+    assert record["counters"] == expected["counters"]

@@ -157,6 +157,29 @@ class TestBackendEquivalence:
             assert a.timing.elapsed_ms == b.timing.elapsed_ms
             assert a.workload_by_kernel() == b.workload_by_kernel()
 
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    def test_multiword_batch_with_pulls_matches_sequential(
+        self, graphs, process_backends, thread_backends, backend
+    ):
+        """A 70-lane (two-word) batch whose nd kernels pull — so the dense
+        *local* lane-word buffer is published next to the delegate one — with
+        sequential runs before and after it on the same backend, so one dense
+        scratch serves flags, then wider lane words, then flags again."""
+        graph = graphs["auto"]
+        sources = list(range(70))
+        reference = TraversalEngine(graph).run_batch(BatchedBFSLevels(sources))
+        assert any(r.directions["nd"] for r in reference.records)
+        shared = {"process": process_backends, "thread": thread_backends}.get(backend)
+        engine = TraversalEngine(graph, backend=shared["auto"] if shared else backend)
+        before = [engine.run(BFSLevels(source=s)).distances for s in sources[:3]]
+        batch = engine.run_batch(BatchedBFSLevels(sources))
+        after = [engine.run(BFSLevels(source=s)).distances for s in sources[3:]]
+        for lane, distances in enumerate(before + after):
+            np.testing.assert_array_equal(batch.distances[lane], distances)
+        assert len(batch.records) == len(reference.records)
+        for got, want in zip(batch.records, reference.records):
+            assert got == want  # every counter and modeled time of the step
+
     def test_run_many_with_dedup_and_batches(self, graphs, remote_backends):
         graph = graphs["auto"]
         programs = [BFSLevels(source=s) for s in [2, 7, 2, 9, 13, 7, 21]]

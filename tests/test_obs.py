@@ -26,7 +26,7 @@ from repro.bench.compare import compare_artifacts
 from repro.bench.runner import run_suite
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
-from repro.core.programs import BFSLevels
+from repro.core.programs import BatchedBFSLevels, BFSLevels
 from repro.graph.rmat import generate_rmat
 from repro.obs import (
     NULL_TRACER,
@@ -46,6 +46,7 @@ from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.storage import apply_storage
 from repro.utils.timing import now_s
+from repro.weighted import DeltaSteppingSSSP
 
 LAYOUT = ClusterLayout(num_ranks=2, gpus_per_rank=2)
 
@@ -231,6 +232,30 @@ class TestTraceInvariance:
                 for k in kernel_spans
             ), f"worker span {w['name']} at {w['ts']} outside every kernels span"
             assert w["tid"] >= 1  # per-GPU track, off the main thread's 0
+
+    @pytest.mark.parametrize("kind", ["levels", "batched", "sssp"])
+    def test_every_step_has_one_plan_span(self, fresh_tracer, kind):
+        """One ``plan+direction`` span per ``super-step`` span per iteration,
+        each nested in its step — for every program the one step loop drives
+        (the delta-stepping driver used to emit none)."""
+        edges = generate_rmat(9, rng=5, weights_seed=3)
+        with TraversalEngine(build_partitions(edges, LAYOUT, 32)) as engine:
+            if kind == "levels":
+                result = engine.run(BFSLevels(1))
+            elif kind == "batched":
+                result = engine.run_batch(BatchedBFSLevels([1, 2]))
+            else:
+                result = engine.run(DeltaSteppingSSSP(1, delta=0.25))
+        spans = {
+            name: [e for e in fresh_tracer.events if e["name"] == name]
+            for name in ("plan+direction", "super-step")
+        }
+        steps = spans["super-step"]
+        assert len(steps) == len(spans["plan+direction"]) == result.iterations > 1
+        for plan, step in zip(spans["plan+direction"], steps):
+            assert plan["args"]["level"] == step["args"]["level"]
+            assert step["ts"] <= plan["ts"]
+            assert plan["ts"] + plan["dur"] <= step["ts"] + step["dur"]
 
     def test_disabled_tracing_records_nothing(self, inv_graphs):
         assert get_tracer() is NULL_TRACER
