@@ -25,6 +25,7 @@ meaningless.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +34,7 @@ import numpy as np
 from repro.bench.artifact import new_artifact, save_artifact
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
+from repro.core.programs.table import PROGRAM_TABLE, make_program
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
@@ -67,6 +69,66 @@ def _resolve_storage(storage: str | None, spec: Scenario) -> str:
     return storage or spec.storage or default_storage_name()
 
 
+@dataclass
+class _Prepared:
+    """A scenario's graph: generated, partitioned and attached to its storage."""
+
+    edges: object
+    layout: ClusterLayout
+    threshold: int
+    graph: object
+    #: The storage mode that actually ran (the record's ``storage`` key).
+    storage: str
+    #: Wall seconds of ``graph_build``, ``partition`` and, store-backed only,
+    #: ``storage`` — in pipeline order, so ``sum`` of the completed dict is
+    #: the record's ``total``.
+    wall: dict
+    #: Peak RSS (MiB) sampled after each of those phases.
+    rss: dict
+    _store_dir: tempfile.TemporaryDirectory | None = None
+
+    def cleanup(self) -> None:
+        """Drop the temporary store.  Unlinking open-mmapped segments is safe
+        on POSIX; cached handles keep their (now anonymous) pages until
+        process exit."""
+        if self._store_dir is not None:
+            self._store_dir.cleanup()
+
+
+def _prepare_graph(spec: Scenario, storage: str | None, mutating: bool = False) -> _Prepared:
+    """The shared preamble of the traversal and serving runners: build edges
+    -> threshold -> partition -> attach storage into a temporary store.
+
+    ``mutating`` scenarios replay updates into their graph; stores are
+    immutable, so they pin memory and the record says so truthfully.
+    """
+    with Timer() as build_timer:
+        edges = spec.build_edges()
+    rss = {"graph_build": max_rss_mb()}
+    layout = ClusterLayout.from_notation(spec.layout)
+    threshold = (
+        spec.threshold
+        if spec.threshold is not None
+        else suggest_threshold(edges, layout.num_gpus)
+    )
+    with Timer() as partition_timer:
+        graph = build_partitions(edges, layout, threshold)
+    rss["partition"] = max_rss_mb()
+    wall = {"graph_build": build_timer.elapsed, "partition": partition_timer.elapsed}
+
+    effective_storage = "memory" if mutating else _resolve_storage(storage, spec)
+    store_dir = None
+    if effective_storage != "memory":
+        from repro.storage import apply_storage
+
+        store_dir = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
+        with Timer() as storage_timer:
+            graph = apply_storage(graph, effective_storage, path=store_dir.name)
+        wall["storage"] = storage_timer.elapsed
+        rss["storage"] = max_rss_mb()
+    return _Prepared(edges, layout, threshold, graph, effective_storage, wall, rss, store_dir)
+
+
 class BenchDeterminismError(AssertionError):
     """Two passes over the same scenario produced different workload counters."""
 
@@ -74,26 +136,13 @@ class BenchDeterminismError(AssertionError):
 def values_checksum(result) -> int:
     """Order-independent 64-bit checksum of a traversal result's answer.
 
-    Covers whichever per-vertex array the result carries (``distances``,
-    ``parents`` or ``labels`` — or, for the weighted zoo, ``dist_bits``,
-    ``ranks`` or ``per_vertex``) so the comparator can prove two artifacts
-    describe the *same* traversal answers, not merely similar timings.
+    Covers the per-vertex array(s) the result class names as its answer
+    (``answer_fields``) so the comparator can prove two artifacts describe
+    the *same* traversal answers, not merely similar timings.
     """
-    attrs = ("distances", "parents", "labels")
-    if getattr(result, "dist_bits", None) is not None:
-        # SSSP answers live in the int64 bit view — the exact values the
-        # engine's minimum-folds operated on; the float ``distances``
-        # property carries inf for unreached vertices and cannot coerce.
-        attrs = ("dist_bits",)
-    elif getattr(result, "ranks", None) is not None:
-        attrs = ("ranks",)  # PageRank fixed-point ranks: exact integers
-    elif getattr(result, "per_vertex", None) is not None:
-        attrs = ("per_vertex",)  # per-vertex triangle counts
     checksum = np.uint64(0)
-    for attr in attrs:
-        values = getattr(result, attr, None)
-        if values is None:
-            continue
+    for attr in result.answer_fields:
+        values = getattr(result, attr)
         values = np.asarray(values, dtype=np.int64)
         # Hash (index, value) pairs so permutations do not collide.
         mixed = hash64(
@@ -180,6 +229,32 @@ def time_program(
     }
 
 
+def _time_sources(
+    engine: TraversalEngine,
+    sources: list[int],
+    program_factory: Callable[[int], object],
+    repeats: int,
+    check_determinism: bool,
+) -> tuple[dict, TimingBreakdown, list[dict]]:
+    """:func:`time_program` once per source: the summed per-phase walls, the
+    summed modeled time and the per-source counters."""
+    wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0, "traversal": 0.0}
+    modeled = TimingBreakdown()
+    per_source_counters: list[dict] = []
+    for source in sources:
+        timed = time_program(
+            engine,
+            lambda: program_factory(source),
+            repeats=repeats,
+            check_determinism=check_determinism,
+        )
+        for phase, seconds in timed["wall_s"].items():
+            wall[phase] = wall.get(phase, 0.0) + seconds
+        modeled = modeled + TimingBreakdown(**timed["modeled_ms"])
+        per_source_counters.append(timed["counters"])
+    return wall, modeled, per_source_counters
+
+
 def run_serve_scenario(
     spec: Scenario,
     repeats: int = 2,
@@ -204,32 +279,10 @@ def run_serve_scenario(
     """
     from repro.serve.service import QueryService
 
-    with Timer() as build_timer:
-        edges = spec.build_edges()
-    rss = {"graph_build": max_rss_mb()}
-    layout = ClusterLayout.from_notation(spec.layout)
-    threshold = (
-        spec.threshold
-        if spec.threshold is not None
-        else suggest_threshold(edges, layout.num_gpus)
-    )
-    with Timer() as partition_timer:
-        graph = build_partitions(edges, layout, threshold)
-    rss["partition"] = max_rss_mb()
-
-    effective_storage = _resolve_storage(storage, spec)
-    store_dir: tempfile.TemporaryDirectory | None = None
-    storage_wall = 0.0
-    if effective_storage != "memory":
-        from repro.storage import apply_storage
-
-        store_dir = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-        with Timer() as storage_timer:
-            graph = apply_storage(graph, effective_storage, path=store_dir.name)
-        storage_wall = storage_timer.elapsed
-
+    prepared = _prepare_graph(spec, storage)
+    edges, rss = prepared.edges, prepared.rss
     engine = TraversalEngine(
-        graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
+        prepared.graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
     )
 
     from repro.graph.degree import out_degrees
@@ -287,29 +340,22 @@ def run_serve_scenario(
             walls.append(service.stats.wall_s)
     finally:
         engine.close()
-        if store_dir is not None:
-            store_dir.cleanup()
+        prepared.cleanup()
     rss["traversal"] = max_rss_mb()
 
     serve_wall = min(walls)
     throughput["queries_per_sec"] = (
         throughput["queries"] / serve_wall if serve_wall > 0 else 0.0
     )
-    wall = {
-        "graph_build": build_timer.elapsed,
-        "partition": partition_timer.elapsed,
-        "traversal": serve_wall,
-        "total": build_timer.elapsed + partition_timer.elapsed + storage_wall + serve_wall,
-    }
-    if effective_storage != "memory":
-        wall["storage"] = storage_wall
+    wall = {**prepared.wall, "traversal": serve_wall}
+    wall["total"] = sum(wall.values())
     return {
         "spec": spec.describe(),
         "repeats": repeats,
         "backend": backend_name,
         "kernels": kernels_name,
-        "storage": effective_storage,
-        "threshold_used": int(threshold),
+        "storage": prepared.storage,
+        "threshold_used": int(prepared.threshold),
         "workload": workload.describe(),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
         "modeled_ms": {"elapsed_ms": modeled_ms},
@@ -346,34 +392,10 @@ def run_serve_cluster_scenario(
     from repro.serve.cluster.dispatcher import ClusterDispatcher
     from repro.serve.cluster.replica import ReplicaPool
 
-    with Timer() as build_timer:
-        edges = spec.build_edges()
-    rss = {"graph_build": max_rss_mb()}
-    layout = ClusterLayout.from_notation(spec.layout)
-    threshold = (
-        spec.threshold
-        if spec.threshold is not None
-        else suggest_threshold(edges, layout.num_gpus)
-    )
-    with Timer() as partition_timer:
-        graph = build_partitions(edges, layout, threshold)
-    rss["partition"] = max_rss_mb()
-
     workload = spec.workload()
     mutating = spec.cluster_updates > 0
-
-    # Update-replaying clusters mutate their served graphs; stores are
-    # immutable, so such scenarios pin memory and record that truthfully.
-    effective_storage = "memory" if mutating else _resolve_storage(storage, spec)
-    store_dir: tempfile.TemporaryDirectory | None = None
-    storage_wall = 0.0
-    if effective_storage != "memory":
-        from repro.storage import apply_storage
-
-        store_dir = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-        with Timer() as storage_timer:
-            graph = apply_storage(graph, effective_storage, path=store_dir.name)
-        storage_wall = storage_timer.elapsed
+    prepared = _prepare_graph(spec, storage, mutating=mutating)
+    edges, graph, rss = prepared.edges, prepared.graph, prepared.rss
     stream = workload.generate(
         edges.num_vertices,
         degrees=out_degrees(edges),
@@ -391,7 +413,9 @@ def run_serve_cluster_scenario(
             # view adopting the already-built (read-only) partitioning.
             from repro.dynamic import DynamicGraph
 
-            served = DynamicGraph(edges, layout, threshold, partitioned=graph)
+            served = DynamicGraph(
+                edges, prepared.layout, prepared.threshold, partitioned=graph
+            )
         else:
             served = graph
         pool = ReplicaPool(
@@ -419,26 +443,18 @@ def run_serve_cluster_scenario(
                 f"{snapshot} vs {current}"
             )
         walls.append(replay_timer.elapsed)
-    if store_dir is not None:
-        store_dir.cleanup()
+    prepared.cleanup()
     rss["traversal"] = max_rss_mb()
 
-    replay_wall = min(walls)
-    wall = {
-        "graph_build": build_timer.elapsed,
-        "partition": partition_timer.elapsed,
-        "traversal": replay_wall,
-        "total": build_timer.elapsed + partition_timer.elapsed + storage_wall + replay_wall,
-    }
-    if effective_storage != "memory":
-        wall["storage"] = storage_wall
+    wall = {**prepared.wall, "traversal": min(walls)}
+    wall["total"] = sum(wall.values())
     return {
         "spec": spec.describe(),
         "repeats": repeats,
         "backend": backend_name,
         "kernels": kernels_name,
-        "storage": effective_storage,
-        "threshold_used": int(threshold),
+        "storage": prepared.storage,
+        "threshold_used": int(prepared.threshold),
         "workload": workload.describe(),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
         "modeled_ms": {"elapsed_ms": snapshot["cluster"]["virtual_makespan_ms"]},
@@ -470,7 +486,6 @@ def run_dynamic_scenario(
     scenario differ purely in maintenance strategy.
     """
     from repro.dynamic.graph import DynamicEngine, DynamicGraph
-    from repro.dynamic.incremental import MaintainedComponents, MaintainedLevels
 
     with Timer() as build_timer:
         edges = spec.build_edges()
@@ -481,7 +496,8 @@ def run_dynamic_scenario(
         else suggest_threshold(edges, layout.num_gpus)
     )
     stream = spec.update_stream(edges)
-    source = spec.pick_sources(edges)[0] if spec.maintained == "levels" else None
+    row = PROGRAM_TABLE[spec.maintained]
+    source = spec.pick_sources(edges)[0] if row.takes_source else None
 
     walls: list[dict] = []
     counters: dict | None = None
@@ -499,10 +515,7 @@ def run_dynamic_scenario(
         try:
             backend_name = engine.backend_name
             kernels_name = engine.provider_name
-            if spec.maintained == "levels":
-                maintained = MaintainedLevels(engine, source)
-            else:
-                maintained = MaintainedComponents(engine)
+            maintained = row.maintain(engine, source)
             initial = maintained.result
             initial_wall = float(initial.wall_s["traversal"])
 
@@ -716,128 +729,75 @@ def run_scenario(
             storage=storage,
         )
 
-    with Timer() as build_timer:
-        edges = spec.build_edges()
-    rss = {"graph_build": max_rss_mb()}
-    layout = ClusterLayout.from_notation(spec.layout)
-    threshold = (
-        spec.threshold
-        if spec.threshold is not None
-        else suggest_threshold(edges, layout.num_gpus)
-    )
-    with Timer() as partition_timer:
-        graph = build_partitions(edges, layout, threshold)
-    rss["partition"] = max_rss_mb()
-
-    effective_storage = _resolve_storage(storage, spec)
-    store_dir: tempfile.TemporaryDirectory | None = None
-    storage_wall = 0.0
-    if effective_storage != "memory":
-        from repro.storage import apply_storage
-
-        store_dir = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-        with Timer() as storage_timer:
-            graph = apply_storage(graph, effective_storage, path=store_dir.name)
-        storage_wall = storage_timer.elapsed
-        rss["storage"] = max_rss_mb()
-
+    prepared = _prepare_graph(spec, storage)
+    rss = prepared.rss
     engine = TraversalEngine(
-        graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
+        prepared.graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
     )
 
-    sources = spec.pick_sources(edges)
-    wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0, "traversal": 0.0}
-    modeled = TimingBreakdown()
-    per_source_counters: list[dict] = []
+    sources = spec.pick_sources(prepared.edges)
     sssp_section: dict | None = None
     try:
         backend_name = engine.backend_name
         kernels_name = engine.provider_name
-        for source in sources:
-            timed = time_program(
+        wall, modeled, per_source_counters = _time_sources(
+            engine, sources, spec.make_program, repeats, check_determinism
+        )
+        counters = _merge_counters(per_source_counters)
+        baseline = PROGRAM_TABLE[spec.program].baseline
+        if baseline is not None:
+            # Run the row's baseline (Bellman-Ford for sssp) from the same
+            # sources: its wall and counters land in the record's "sssp"
+            # section (never in the gated phases, which belong to the
+            # delta-stepping path), and its answers must match
+            # delta-stepping's bit for bit — asserted here, so every sssp
+            # artifact proves schedule equivalence.
+            bf_wall, _, bf_counters = _time_sources(
                 engine,
-                lambda: spec.make_program(source),
-                repeats=repeats,
-                check_determinism=check_determinism,
+                sources,
+                lambda source: make_program(baseline, source),
+                repeats,
+                check_determinism,
             )
-            for phase, seconds in timed["wall_s"].items():
-                wall[phase] = wall.get(phase, 0.0) + seconds
-            modeled = modeled + TimingBreakdown(**timed["modeled_ms"])
-            per_source_counters.append(timed["counters"])
-        if spec.program == "sssp":
-            # Run the Bellman-Ford baseline from the same sources: its wall
-            # and counters land in the record's "sssp" section (never in the
-            # gated phases, which belong to the delta-stepping path), and its
-            # answers must match delta-stepping's bit for bit — asserted
-            # here, so every sssp artifact proves schedule equivalence.
-            from repro.weighted import BellmanFordSSSP
-
-            bf_wall = 0.0
-            bf_modeled = 0.0
-            bf_edges = 0
-            for source, delta_counters in zip(sources, per_source_counters):
-                timed = time_program(
-                    engine,
-                    lambda: BellmanFordSSSP(source),
-                    repeats=repeats,
-                    check_determinism=check_determinism,
-                )
-                if (
-                    timed["counters"]["values_checksum"]
-                    != delta_counters["values_checksum"]
-                ):
+            for source, ours, theirs in zip(sources, per_source_counters, bf_counters):
+                if ours["values_checksum"] != theirs["values_checksum"]:
                     raise BenchDeterminismError(
                         "delta-stepping and Bellman-Ford disagree on the "
                         f"distances from source {source} in {spec.name!r}"
                     )
-                bf_wall += timed["wall_s"].get("traversal", 0.0)
-                bf_modeled += float(timed["counters"]["modeled_elapsed_ms"])
-                bf_edges += int(timed["counters"]["total_edges_examined"])
-            delta_wall = wall["traversal"]
-            delta_modeled = float(
-                sum(c["modeled_elapsed_ms"] for c in per_source_counters)
-            )
+            bf = _merge_counters(bf_counters)
+            delta_wall, delta_modeled = wall["traversal"], counters["modeled_elapsed_ms"]
             sssp_section = {
-                "delta": spec.delta if isinstance(spec.delta, str) else float(spec.delta),
+                "delta": spec.describe()["delta"],
                 "wall_delta_s": delta_wall,
-                "wall_bellman_ford_s": bf_wall,
-                "wall_speedup": bf_wall / delta_wall if delta_wall > 0 else 0.0,
+                "wall_bellman_ford_s": bf_wall["traversal"],
+                "wall_speedup": bf_wall["traversal"] / delta_wall if delta_wall > 0 else 0.0,
                 "modeled_delta_ms": delta_modeled,
-                "modeled_bellman_ford_ms": bf_modeled,
+                "modeled_bellman_ford_ms": bf["modeled_elapsed_ms"],
                 "modeled_speedup": (
-                    bf_modeled / delta_modeled if delta_modeled > 0 else 0.0
+                    bf["modeled_elapsed_ms"] / delta_modeled if delta_modeled > 0 else 0.0
                 ),
-                "edges_delta": int(
-                    sum(c["total_edges_examined"] for c in per_source_counters)
-                ),
-                "edges_bellman_ford": bf_edges,
+                "edges_delta": counters["total_edges_examined"],
+                "edges_bellman_ford": bf["total_edges_examined"],
             }
     finally:
         engine.close()
-        if store_dir is not None:
-            # Unlinking open-mmapped segments is safe on POSIX; cached
-            # handles keep their (now anonymous) pages until process exit.
-            store_dir.cleanup()
+        prepared.cleanup()
     rss["traversal"] = max_rss_mb()
 
-    wall["graph_build"] = build_timer.elapsed
-    wall["partition"] = partition_timer.elapsed
-    if effective_storage != "memory":
-        wall["storage"] = storage_wall
-    wall["total"] = (
-        build_timer.elapsed + partition_timer.elapsed + storage_wall + wall["traversal"]
-    )
+    wall.update(prepared.wall)
+    wall["total"] = sum(prepared.wall.values()) + wall["traversal"]
     record = {
         "spec": spec.describe(),
         "repeats": repeats,
         "backend": backend_name,
         "kernels": kernels_name,
-        "storage": effective_storage,
+        "storage": prepared.storage,
         "sources": sources,
-        "threshold_used": int(threshold),
+        "threshold_used": int(prepared.threshold),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
         "modeled_ms": modeled.as_dict(),
-        "counters": _merge_counters(per_source_counters),
+        "counters": counters,
         "max_rss_mb": {k: float(v) for k, v in sorted(rss.items())},
     }
     if sssp_section is not None:
@@ -868,10 +828,9 @@ def run_build_scenario(
     counters feed the cross-storage equivalence gate.  ``memory`` is not a
     store flavour, so a memory resolution coerces to ``mmap``.
     """
-    from repro.core.programs import BFSLevels
+    from repro.graph.degree import resolve_sources
     from repro.storage import load_graph_store
     from repro.storage.extsort import external_build
-    from repro.utils.rng import random_sources
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -903,30 +862,20 @@ def run_build_scenario(
         )
         sources = [
             int(s)
-            for s in random_sources(
-                graph.num_vertices,
-                spec.sources,
-                rng=spec.seed + 1,
-                degrees=graph.separation.degrees,
+            for s in resolve_sources(
+                spec.sources, graph.separation.degrees, rng=spec.seed + 1
             )
         ]
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0, "traversal": 0.0}
-        modeled = TimingBreakdown()
-        per_source_counters: list[dict] = []
         try:
             backend_name = engine.backend_name
             kernels_name = engine.provider_name
-            for source in sources:
-                timed = time_program(
-                    engine,
-                    lambda: BFSLevels(source=source),
-                    repeats=repeats,
-                    check_determinism=check_determinism,
-                )
-                for phase, seconds in timed["wall_s"].items():
-                    wall[phase] = wall.get(phase, 0.0) + seconds
-                modeled = modeled + TimingBreakdown(**timed["modeled_ms"])
-                per_source_counters.append(timed["counters"])
+            wall, modeled, per_source_counters = _time_sources(
+                engine,
+                sources,
+                lambda source: make_program("levels", source),
+                repeats,
+                check_determinism,
+            )
         finally:
             engine.close()
         rss["traversal"] = max_rss_mb()

@@ -80,48 +80,45 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.options import BFSOptions
-from repro.core.programs import (
-    BFSLevels,
-    BFSParents,
-    ConnectedComponents,
-    KHopReachability,
-)
+from repro.core.programs.table import PROGRAM_TABLE, make_program, names_where
 from repro.exec.backend import BACKEND_NAMES
-from repro.graph.degree import out_degrees
+from repro.graph.degree import out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
-from repro.utils.rng import random_sources
+from repro.graph.generators import (
+    CHUNKED_GRAPH_KINDS,
+    GRAPH_KINDS,
+    generate_edge_chunks,
+    generate_graph,
+)
 
 __all__ = ["Scenario", "REGISTRY", "registry", "quick_scenarios", "find_scenarios"]
 
-#: Frontier-program constructors by registry name.  Single-source programs
-#: receive the scenario's source vertex; the :data:`SOURCE_FREE` programs
-#: (components, pagerank, hooking components, triangles) ignore it and run
-#: once; ``sssp`` runs delta-stepping over the scenario's edge weights (and
-#: the runner records its Bellman-Ford baseline alongside);
-#: ``serve`` scenarios replay a query stream through the serving layer;
-#: ``serve_cluster`` scenarios replay a timed open-loop stream through the
-#: replicated cluster tier on a virtual clock; ``dynamic`` scenarios replay
-#: an update stream with incremental maintenance; ``build`` scenarios stream
-#: edge chunks through the out-of-core build (:mod:`repro.storage`) — their
-#: gated phase is the build wall itself, and the traversal they also run is
-#: the correctness verification.
-PROGRAMS = (
-    "levels",
-    "parents",
-    "components",
-    "khop",
-    "sssp",
-    "pagerank",
-    "wcc_hook",
-    "triangles",
-    "serve",
-    "serve_cluster",
-    "dynamic",
-    "build",
-)
+#: The stream kinds: ``serve`` scenarios replay a query stream through the
+#: serving layer; ``serve_cluster`` scenarios replay a timed open-loop stream
+#: through the replicated cluster tier on a virtual clock; ``dynamic``
+#: scenarios replay an update stream with incremental maintenance; ``build``
+#: scenarios stream edge chunks through the out-of-core build
+#: (:mod:`repro.storage`) — their gated phase is the build wall itself, and
+#: the traversal they also run is the correctness verification.
+STREAM_KINDS = ("serve", "serve_cluster", "dynamic", "build")
+
+#: What a scenario may run: every row of the program table (single-source
+#: programs receive the scenario's sources, the :data:`SOURCE_FREE` ones run
+#: once; for ``sssp`` the runner records the Bellman-Ford baseline alongside)
+#: plus the :data:`STREAM_KINDS`.
+PROGRAMS = (*PROGRAM_TABLE, *STREAM_KINDS)
+
+#: Program parameter -> the :class:`Scenario` field that holds it.
+_PARAM_FIELDS = {
+    "max_hops": "max_hops",
+    "delta": "delta",
+    "damping": "damping",
+    "mode": "pagerank_mode",
+    "iterations": "iterations",
+}
 
 #: Programs that ignore the source vertex and run exactly once per scenario.
-SOURCE_FREE = ("components", "pagerank", "wcc_hook", "triangles")
+SOURCE_FREE = tuple(name for name, row in PROGRAM_TABLE.items() if not row.takes_source)
 
 
 @dataclass(frozen=True)
@@ -244,7 +241,7 @@ class Scenario:
             raise ValueError(
                 f"unknown program {self.program!r}; expected one of {PROGRAMS}"
             )
-        if self.kind not in ("rmat", "uniform", "wdc"):
+        if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if self.program in ("serve", "serve_cluster") and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -269,46 +266,32 @@ class Scenario:
                     f"cluster_updates must be >= 0, got {self.cluster_updates}"
                 )
         if self.program == "dynamic":
-            if self.maintained not in ("levels", "components"):
+            row = PROGRAM_TABLE.get(self.maintained)
+            if row is None or row.maintained is None:
                 raise ValueError(
                     f"unknown maintained program {self.maintained!r}; "
-                    "dynamic scenarios maintain 'levels' or 'components'"
+                    f"dynamic scenarios maintain one of {names_where('maintained')}"
                 )
             if self.update_batches < 1:
                 raise ValueError(
                     f"update_batches must be >= 1, got {self.update_batches}"
                 )
         if self.program == "build":
-            if self.kind not in ("rmat", "wdc"):
+            if self.kind not in CHUNKED_GRAPH_KINDS:
                 raise ValueError(
-                    "build scenarios stream a chunked generator; only 'rmat' "
-                    f"and 'wdc' have one, got {self.kind!r}"
+                    "build scenarios stream a chunked generator; only "
+                    f"{CHUNKED_GRAPH_KINDS} have one, got {self.kind!r}"
                 )
             if self.chunk_edges < 1 or self.block_edges < 1:
                 raise ValueError("chunk_edges and block_edges must be >= 1")
-        if self.program == "sssp":
-            if self.weights is None:
+        row = self._traversed_row()
+        if row is not None:
+            if row.cls.needs_weights and self.weights is None:
                 raise ValueError(
-                    "sssp scenarios traverse edge weights; set weights=<seed>"
+                    f"{row.name} scenarios traverse edge weights; set weights=<seed>"
                 )
-            if isinstance(self.delta, str):
-                if self.delta != "auto":
-                    raise ValueError(
-                        f"delta must be 'auto', inf or a positive number, got {self.delta!r}"
-                    )
-            elif not float(self.delta) > 0:
-                raise ValueError(
-                    f"delta must be 'auto', inf or a positive number, got {self.delta!r}"
-                )
-        if self.program == "pagerank":
-            if not 0.0 < self.damping < 1.0:
-                raise ValueError(f"damping must be in (0, 1), got {self.damping!r}")
-            if self.pagerank_mode not in ("fixed", "push"):
-                raise ValueError(
-                    f"pagerank_mode must be 'fixed' or 'push', got {self.pagerank_mode!r}"
-                )
-            if self.iterations < 1:
-                raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+            # The constructors own every parameter range check.
+            make_program(row.name, 0, **self._program_params(row))
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
@@ -324,24 +307,19 @@ class Scenario:
     # ------------------------------------------------------------------ #
     # Materialisation
     # ------------------------------------------------------------------ #
+    def _traversed_row(self):
+        """The program-table row this scenario traverses: its program's, a
+        dynamic scenario's maintained program's, ``None`` for other streams."""
+        name = self.maintained if self.program == "dynamic" else self.program
+        return PROGRAM_TABLE.get(name)
+
+    def _program_params(self, row) -> dict:
+        """The row's declared parameters, read off this scenario's fields."""
+        return row.pick(**{name: getattr(self, f) for name, f in _PARAM_FIELDS.items()})
+
     def build_edges(self) -> EdgeList:
         """Generate this scenario's (prepared) edge list deterministically."""
-        if self.kind == "rmat":
-            from repro.graph.rmat import generate_rmat
-
-            return generate_rmat(self.scale, rng=self.seed, weights_seed=self.weights)
-        if self.kind == "uniform":
-            from repro.graph.generators import uniform_random_graph
-
-            n = 1 << self.scale
-            return uniform_random_graph(
-                n, num_edges=8 * n, rng=self.seed, weights_seed=self.weights
-            ).prepared()
-        from repro.graph.generators import wdc_like
-
-        return wdc_like(
-            num_vertices=1 << self.scale, rng=self.seed, weights_seed=self.weights
-        ).prepared()
+        return generate_graph(self.kind, self.scale, self.seed, weights_seed=self.weights)
 
     def edge_chunks(self):
         """The bounded edge-chunk stream of a build scenario (raw, unprepared).
@@ -352,25 +330,13 @@ class Scenario:
         """
         if self.program != "build":
             raise ValueError(f"scenario {self.name!r} is not a build scenario")
-        if self.kind == "rmat":
-            from repro.graph.rmat import generate_rmat_edge_chunks
-
-            return generate_rmat_edge_chunks(
-                self.scale, seed=self.seed, chunk_edges=self.chunk_edges
-            )
-        from repro.graph.generators import wdc_like_edge_chunks
-
-        return wdc_like_edge_chunks(
-            num_vertices=1 << self.scale, seed=self.seed, chunk_edges=self.chunk_edges
-        )
+        return generate_edge_chunks(self.kind, self.scale, self.seed, self.chunk_edges)
 
     def pick_sources(self, edges: EdgeList) -> list[int]:
         """Draw the scenario's traversal sources (degree-filtered, seeded)."""
         if self.program in SOURCE_FREE:
             return [0]
-        picked = random_sources(
-            edges.num_vertices, self.sources, rng=self.seed + 1, degrees=out_degrees(edges)
-        )
+        picked = resolve_sources(self.sources, out_degrees(edges), rng=self.seed + 1)
         return [int(s) for s in picked]
 
     def update_stream(self, edges: EdgeList):
@@ -390,38 +356,13 @@ class Scenario:
 
     def make_program(self, source: int):
         """Instantiate the frontier program for one source."""
-        if self.program in ("serve", "dynamic"):
+        row = PROGRAM_TABLE.get(self.program)
+        if row is None:
             raise ValueError(
                 f"{self.program} scenarios replay a stream; "
                 "they have no single frontier program"
             )
-        if self.program == "levels":
-            return BFSLevels(source=source)
-        if self.program == "parents":
-            return BFSParents(source=source)
-        if self.program == "khop":
-            return KHopReachability(source=source, max_hops=self.max_hops)
-        if self.program == "sssp":
-            from repro.weighted import DeltaSteppingSSSP
-
-            return DeltaSteppingSSSP(source, delta=self.delta)
-        if self.program == "pagerank":
-            from repro.weighted import PageRank
-
-            return PageRank(
-                damping=self.damping,
-                mode=self.pagerank_mode,
-                iterations=self.iterations,
-            )
-        if self.program == "wcc_hook":
-            from repro.weighted import ComponentsHooking
-
-            return ComponentsHooking()
-        if self.program == "triangles":
-            from repro.weighted import TriangleCount
-
-            return TriangleCount()
-        return ConnectedComponents()
+        return make_program(row.name, source, **self._program_params(row))
 
     def workload(self):
         """The pinned query stream of a serving (closed- or open-loop) scenario."""
@@ -486,22 +427,18 @@ class Scenario:
             "threshold": self.threshold,
             "seed": self.seed,
             "sources": self.sources if self.program not in SOURCE_FREE else 1,
-            "max_hops": self.max_hops if self.program == "khop" else None,
+            "max_hops": None,
         }
         if self.weights is not None:
             base["weights"] = self.weights
-        if self.program == "sssp":
-            base["delta"] = (
-                self.delta if isinstance(self.delta, str) else float(self.delta)
-            )
-        if self.program == "pagerank":
-            base.update(
-                {
-                    "damping": self.damping,
-                    "pagerank_mode": self.pagerank_mode,
-                    "iterations": self.iterations,
-                }
-            )
+        row = PROGRAM_TABLE.get(self.program)
+        if row is not None:
+            # Each declared parameter under its scenario field name, in its
+            # canonical type ("auto" stays a string, a numeric delta a float).
+            values = self._program_params(row)
+            for param in row.params:
+                if param.name in values:
+                    base[_PARAM_FIELDS[param.name]] = param.type(values[param.name])
         if self.program in ("serve", "serve_cluster"):
             base.update(
                 {

@@ -11,7 +11,7 @@ downstream user needs without writing Python:
     chunks through the external-memory sort/merge pipeline
     (:mod:`repro.storage`) into a memory-mapped (or compressed) CSR store,
     so peak memory never holds the whole edge list.  The store is loaded
-    back with ``--store`` on ``bfs``/``components``.
+    back with ``--store`` on the program commands.
 ``python -m repro.cli bfs``
     Partition a graph over a virtual cluster and run (DO)BFS from one or more
     sources — hop levels by default, Graph500-style parent trees with
@@ -51,7 +51,7 @@ downstream user needs without writing Python:
 ``python -m repro.cli trace``
     Inspect traces: ``trace summarize`` aggregates a trace written by
     ``--trace PATH`` (or ``$REPRO_TRACE``) into per-span totals.  The
-    traversal and serving subcommands plus ``bench run`` accept ``--trace``;
+    program commands, ``serve bench`` and ``bench run`` accept ``--trace``;
     a ``.jsonl`` suffix writes line-delimited events, anything else writes
     Chrome ``trace_event`` JSON loadable in Perfetto.  Tracing never changes
     results or gated counters — only wall clock, within noise.
@@ -63,27 +63,40 @@ downstream user needs without writing Python:
     against a from-scratch run and reporting the repair-vs-recompute
     traversal work.
 
-All graph subcommands accept either ``--npz PATH`` (a previously generated
-graph) or ``--scale N`` (generate an RMAT graph on the fly); ``bfs``,
-``components``, ``census`` and ``serve bench`` accept ``--json`` for
-machine-readable output.  The traversal-running subcommands (``bfs``,
-``components``, ``mutate``, ``bench run``, ``serve bench``) accept
-``--backend inline|process|thread`` to choose *where* super-steps execute
-(default: ``$REPRO_BACKEND`` or inline) and ``--kernels numpy|numba|auto``
-to choose *how* the visit kernels run (default: ``$REPRO_KERNELS`` or
-``auto``, which uses Numba when importable and NumPy otherwise).  Both axes
-change wall-clock only — results, workload counters and modeled times are
-identical across every combination.  The one rejected combination is an
-explicit ``--backend process --kernels numba``: forked workers each redo
-the JIT warm-up, so the pairing is refused with exit code 2 rather than
-silently serving worst-of-both performance.
+Every graph-consuming subcommand accepts either ``--npz PATH`` (a previously
+generated graph) or ``--scale N`` (generate an RMAT graph on the fly, with
+``--weights SEED`` to attach edge weights), and every subcommand except
+``generate`` accepts ``--json`` for machine-readable output.
 
-``bfs``, ``components`` and ``bench run`` also accept ``--storage
-memory|mmap|compressed`` (default: ``$REPRO_STORAGE`` or memory), a third
-run-time axis choosing *where the adjacency lives* — process heap,
-memory-mapped store segments, or delta+varint compressed segments.  Like
-backend and kernels it changes wall-clock and memory only; counters and
-results are bit-identical.
+The four **program commands** — ``bfs``, ``components``, ``sssp``,
+``pagerank`` — are one body (:func:`_cmd_program`) over the program table
+(:data:`repro.core.programs.PROGRAM_TABLE`) and accept one shared block:
+``--npz|--scale|--store``, ``--seed``, ``--weights``, ``--layout``,
+``--threshold``, ``--backend``, ``--kernels``, ``--storage``, ``--trace``,
+``--validate`` and ``--json`` — plus ``--source``/``--sources`` for the
+single-source programs, the flags their table rows' parameters declare
+(``--delta``; ``--damping``/``--mode``/``--iterations``/``--eps``) and a
+few of their own (``bfs``: ``--algorithm`` and the option flags; ``sssp``:
+``--bellman-ford``; ``pagerank``: ``--top``).  Parameter ranges are checked
+in one place, the program constructors; bad input ends in one ``error:``
+line and exit code 2.
+
+The three run-time axes change wall-clock (and memory) only — results,
+workload counters and modeled times are identical across every combination:
+
+``--backend inline|process|thread`` (program commands, ``mutate``, ``bench
+run``, ``serve bench``; default ``$REPRO_BACKEND`` or inline)
+    *where* super-steps execute.
+``--kernels numpy|numba|auto`` (same commands; default ``$REPRO_KERNELS`` or
+``auto`` = Numba when importable, NumPy otherwise)
+    *how* the visit kernels run.  The one rejected combination is an explicit
+    ``--backend process --kernels numba``: forked workers each redo the JIT
+    warm-up, so the pairing is refused with exit code 2 rather than silently
+    serving worst-of-both performance.
+``--storage memory|mmap|compressed`` (program commands and ``bench run``;
+default ``$REPRO_STORAGE`` or memory)
+    *where the adjacency lives* — process heap, memory-mapped store segments,
+    or delta+varint compressed segments.
 """
 
 from __future__ import annotations
@@ -93,7 +106,9 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,6 +118,7 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI."""
     import repro
+    from repro.core.programs.table import names_where
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -129,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(required by the weighted programs: sssp, mutate --program sssp)",
     )
     gen.add_argument("--output", type=Path, required=True)
+    gen.set_defaults(func=_cmd_generate)
 
     build = sub.add_parser(
         "build", help="stream edges through the out-of-core pipeline into a graph store"
@@ -174,100 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-scratch", action="store_true", help="keep the intermediate run/bucket files"
     )
     build.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    build.set_defaults(func=_cmd_build)
 
-    bfs = sub.add_parser("bfs", help="partition a graph and run (DO)BFS")
-    _add_graph_args(bfs, store=True)
-    _add_cluster_args(bfs)
-    _add_backend_arg(bfs)
-    _add_kernels_arg(bfs)
-    _add_storage_arg(bfs)
-    _add_trace_arg(bfs)
-    bfs.add_argument(
-        "--algorithm",
-        choices=["levels", "parents"],
-        default="levels",
-        help="output hop levels (the paper) or a Graph500-style parent tree",
-    )
-    bfs.add_argument("--sources", type=int, default=5, help="number of random sources")
-    bfs.add_argument("--source", type=int, default=None, help="explicit source vertex")
-    bfs.add_argument("--no-direction-optimization", action="store_true")
-    bfs.add_argument("--local-all2all", action="store_true")
-    bfs.add_argument("--uniquify", action="store_true")
-    bfs.add_argument("--nonblocking-reduce", action="store_true")
-    bfs.add_argument("--validate", action="store_true", help="check against a serial oracle")
-    bfs.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    comp = sub.add_parser(
-        "components", help="distributed connected components (label propagation)"
-    )
-    _add_graph_args(comp, store=True)
-    _add_cluster_args(comp)
-    _add_backend_arg(comp)
-    _add_kernels_arg(comp)
-    _add_storage_arg(comp)
-    comp.add_argument("--validate", action="store_true", help="check against union-find")
-    comp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    sssp = sub.add_parser(
-        "sssp", help="weighted single-source shortest paths (delta-stepping)"
-    )
-    _add_graph_args(sssp, store=True)
-    _add_cluster_args(sssp)
-    _add_backend_arg(sssp)
-    _add_kernels_arg(sssp)
-    _add_storage_arg(sssp)
-    _add_trace_arg(sssp)
-    sssp.add_argument("--sources", type=int, default=3, help="number of random sources")
-    sssp.add_argument("--source", type=int, default=None, help="explicit source vertex")
-    sssp.add_argument(
-        "--delta",
-        default="auto",
-        help="bucket width: a positive float, 'auto' (1/avg-degree) or 'inf' "
-        "(one bucket = the Bellman-Ford schedule)",
-    )
-    sssp.add_argument(
-        "--bellman-ford",
-        action="store_true",
-        help="run the plain Bellman-Ford program instead of the bucketed driver "
-        "(the workload baseline; identical distances)",
-    )
-    sssp.add_argument(
-        "--validate", action="store_true", help="check against a serial Dijkstra oracle"
-    )
-    sssp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    pr = sub.add_parser("pagerank", help="PageRank over the delegate-partitioned engine")
-    _add_graph_args(pr, store=True)
-    _add_cluster_args(pr)
-    _add_backend_arg(pr)
-    _add_kernels_arg(pr)
-    _add_storage_arg(pr)
-    _add_trace_arg(pr)
-    pr.add_argument("--damping", type=float, default=0.85, help="damping factor in (0, 1)")
-    pr.add_argument(
-        "--mode",
-        choices=["fixed", "push"],
-        default="fixed",
-        help="fixed sweep count (deterministic, the gated mode) or "
-        "residual-push to an eps threshold",
-    )
-    pr.add_argument("--iterations", type=int, default=20, help="sweeps in fixed mode")
-    pr.add_argument(
-        "--eps", type=float, default=1e-7, help="residual threshold in push mode"
-    )
-    pr.add_argument("--top", type=int, default=5, help="highest-ranked vertices to print")
-    pr.add_argument(
-        "--validate",
-        action="store_true",
-        help="check against the serial reference (exact in fixed mode, "
-        "float power iteration in push mode)",
-    )
-    pr.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    for spec in _PROGRAM_COMMANDS:
+        _add_program_command(sub, spec)
 
     census = sub.add_parser("census", help="edge-category census vs degree threshold")
     _add_graph_args(census)
     census.add_argument("--gpus", type=int, default=8, help="GPU count for the TH suggestion")
     census.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    census.set_defaults(func=_cmd_census)
 
     mut = sub.add_parser(
         "mutate", help="apply an update stream with incremental traversal maintenance"
@@ -278,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernels_arg(mut)
     mut.add_argument(
         "--program",
-        choices=["levels", "components", "sssp"],
+        choices=names_where("maintained"),
         default="levels",
         help="which maintained answer to repair across the stream "
         "(sssp needs a weighted graph: --weights)",
@@ -308,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the per-batch bit-identical check against a from-scratch run",
     )
     mut.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    mut.set_defaults(func=_cmd_mutate)
 
     bench = sub.add_parser("bench", help="benchmark harness and perf-regression gate")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
@@ -315,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     b_list = bench_sub.add_parser("list", help="list registered benchmark scenarios")
     b_list.add_argument("--quick", action="store_true", help="only the CI smoke subset")
     b_list.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    b_list.set_defaults(func=_cmd_bench_list)
 
     b_run = bench_sub.add_parser("run", help="time scenarios and write a BENCH artifact")
     b_run.add_argument("--quick", action="store_true", help="run the CI smoke subset")
@@ -386,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios pin memory and record what actually ran)",
     )
     _add_trace_arg(b_run)
+    b_run.set_defaults(func=_cmd_bench_run)
 
     b_cmp = bench_sub.add_parser("compare", help="diff two BENCH artifacts (perf gate)")
     b_cmp.add_argument(
@@ -418,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gate), or nothing (report only)",
     )
     b_cmp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    b_cmp.set_defaults(func=_cmd_bench_compare)
 
     serve = sub.add_parser("serve", help="batched multi-source query serving")
     serve_sub = serve.add_subparsers(dest="serve_command", required=True)
@@ -444,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s_bench.add_argument(
         "--program",
-        choices=["levels", "khop", "sssp", "pagerank"],
+        choices=names_where("servable"),
         default="levels",
         help="query program served to every request (sssp needs a weighted "
         "graph: --weights)",
@@ -531,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         "format to PATH after the replay",
     )
     s_bench.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    s_bench.set_defaults(func=_cmd_serve_bench)
 
     trace = sub.add_parser(
         "trace", help="inspect traces written by --trace / $REPRO_TRACE"
@@ -541,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_sum.add_argument("path", type=Path, help="trace file (.jsonl or Chrome JSON)")
     t_sum.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    t_sum.set_defaults(func=_cmd_trace_summarize)
 
     return parser
 
@@ -648,7 +587,22 @@ def _tracing(args: argparse.Namespace):
         print(f"trace: {len(tracer.events)} events -> {out}", file=sys.stderr)
 
 
-def _exec_args_error(args: argparse.Namespace) -> str | None:
+class _UsageError(Exception):
+    """Bad user input: :func:`main` prints ``error: <message>`` and returns 2."""
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Turn the ``ValueError`` of a program / workload *constructor* into a
+    usage error.  Never wrap a traversal in this: a ``ValueError`` from the
+    engine is a bug and must keep its traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _check_exec_args(args: argparse.Namespace) -> None:
     """Reject the one backend/provider pairing that can only hurt.
 
     ``--backend process --kernels numba`` makes every forked worker redo the
@@ -658,21 +612,11 @@ def _exec_args_error(args: argparse.Namespace) -> str | None:
     is the deliberate escape hatch for hosts where the pairing measures well.
     """
     if getattr(args, "backend", None) == "process" and getattr(args, "kernels", None) == "numba":
-        return (
+        raise _UsageError(
             "--backend process --kernels numba pays the Numba JIT warm-up in "
             "every forked worker; use --backend thread (JIT kernels release "
             "the GIL) or drop --kernels and let auto decide per process"
         )
-    return None
-
-
-def _check_exec_args(args: argparse.Namespace) -> int | None:
-    """Shared exit-2 path for invalid ``--backend``/``--kernels`` combos."""
-    error = _exec_args_error(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return None
 
 
 def _load_graph(args: argparse.Namespace):
@@ -686,8 +630,8 @@ def _load_graph(args: argparse.Namespace):
     )
 
 
-def _check_weights_arg(args: argparse.Namespace) -> int | None:
-    """Exit-2 path for ``--weights`` against a graph that ships its own.
+def _check_weights_arg(args: argparse.Namespace) -> None:
+    """Usage error for ``--weights`` against a graph that ships its own.
 
     ``--weights`` seeds weights for on-the-fly ``--scale`` generation; an
     npz archive or graph store either carries weights or was deliberately
@@ -696,16 +640,13 @@ def _check_weights_arg(args: argparse.Namespace) -> int | None:
     later for a different-sounding reason.
     """
     if getattr(args, "weights", None) is None:
-        return None
+        return
     if getattr(args, "npz", None) is not None or getattr(args, "store", None) is not None:
-        print(
-            "error: --weights only applies to --scale generation; npz/store "
+        raise _UsageError(
+            "--weights only applies to --scale generation; npz/store "
             "graphs carry their own weights (regenerate with "
-            "`repro generate --weights` to attach them)",
-            file=sys.stderr,
+            "`repro generate --weights` to attach them)"
         )
-        return 2
-    return None
 
 
 def _partition(args: argparse.Namespace, edges):
@@ -755,20 +696,10 @@ def _graph_info(graph) -> dict:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.graph.generators import friendster_like, wdc_like
+    from repro.graph.generators import generate_graph
     from repro.graph.io import save_npz
-    from repro.graph.rmat import generate_rmat
 
-    if args.kind == "rmat":
-        edges = generate_rmat(args.scale, rng=args.seed, weights_seed=args.weights)
-    elif args.kind == "friendster":
-        edges = friendster_like(
-            num_vertices=1 << args.scale, rng=args.seed, weights_seed=args.weights
-        ).prepared()
-    else:
-        edges = wdc_like(
-            num_vertices=1 << args.scale, rng=args.seed, weights_seed=args.weights
-        ).prepared()
+    edges = generate_graph(args.kind, args.scale, args.seed, weights_seed=args.weights)
     save_npz(args.output, edges)
     weighted = ", weighted" if edges.weights is not None else ""
     print(
@@ -801,22 +732,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
         num_vertices, _ = binary_edge_count(args.binary)
         chunks = iter_binary(args.binary, args.chunk_edges)
         source = f"binary {args.binary}"
-    elif args.kind == "wdc":
-        from repro.graph.generators import wdc_like_edge_chunks
-
-        num_vertices = 1 << args.scale
-        chunks = wdc_like_edge_chunks(
-            num_vertices=num_vertices, seed=args.seed, chunk_edges=args.chunk_edges
-        )
-        source = f"wdc scale {args.scale}"
     else:
-        from repro.graph.rmat import generate_rmat_edge_chunks
+        from repro.graph.generators import generate_edge_chunks
 
         num_vertices = 1 << args.scale
-        chunks = generate_rmat_edge_chunks(
-            args.scale, seed=args.seed, chunk_edges=args.chunk_edges
-        )
-        source = f"rmat scale {args.scale}"
+        chunks = generate_edge_chunks(args.kind, args.scale, args.seed, args.chunk_edges)
+        source = f"{args.kind} scale {args.scale}"
 
     path, report = external_build(
         chunks,
@@ -850,429 +771,342 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bfs(args: argparse.Namespace) -> int:
-    from repro.baselines.serial_bfs import serial_bfs
-    from repro.core.campaign import run_campaign
-    from repro.core.engine import TraversalEngine
-    from repro.core.options import BFSOptions
-    from repro.core.programs import BFSLevels, BFSParents
-    from repro.graph.csr import CSRGraph
-    from repro.graph.degree import out_degrees
-    from repro.utils.rng import random_sources
-    from repro.validate.graph500 import validate_distances, validate_parent_tree
+def _pick_sources(args: argparse.Namespace, count: int, degrees: np.ndarray) -> np.ndarray:
+    """``--source`` when given (range-checked), else ``count`` random sources
+    of non-zero degree drawn with ``seed + 1``."""
+    from repro.graph.degree import resolve_sources
 
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
-    if args.validate and getattr(args, "store", None) is not None:
-        print(
-            "error: --validate needs the raw edge list, which a graph store "
-            "does not keep; validate against --npz/--scale instead",
-            file=sys.stderr,
-        )
-        return 2
-    edges, graph = _obtain_graph(args)
-    layout, threshold = graph.layout, graph.separation.threshold
-    options = BFSOptions(
+    if args.source is None:
+        return resolve_sources(count, degrees, rng=args.seed + 1)
+    if not 0 <= args.source < len(degrees):
+        raise _UsageError(f"--source {args.source} out of range [0, {len(degrees)})")
+    return np.asarray([args.source], dtype=np.int64)
+
+
+# --------------------------------------------------------------------------- #
+# The program commands: one body, one row per command for what genuinely differs
+# --------------------------------------------------------------------------- #
+def _timing_breakdown(t) -> str:
+    return (
+        f"[comp {t.computation:.3f} | local {t.local_communication:.3f} | "
+        f"normal {t.remote_normal_exchange:.3f} | delegate {t.remote_delegate_reduce:.3f}]"
+    )
+
+
+def _bfs_arguments(sub: argparse.ArgumentParser, spec) -> None:
+    sub.add_argument(
+        "--algorithm",
+        choices=spec.rows,
+        default=spec.rows[0],
+        help="output hop levels (the paper) or a Graph500-style parent tree",
+    )
+    sub.add_argument("--no-direction-optimization", action="store_true")
+    sub.add_argument("--local-all2all", action="store_true")
+    sub.add_argument("--uniquify", action="store_true")
+    sub.add_argument("--nonblocking-reduce", action="store_true")
+
+
+def _bfs_options(args: argparse.Namespace):
+    from repro.core.options import BFSOptions
+
+    return BFSOptions(
         direction_optimized=not args.no_direction_optimization,
         local_all2all=args.local_all2all or args.uniquify,
         uniquify=args.uniquify,
         blocking_reduce=not args.nonblocking_reduce,
     )
-    engine = TraversalEngine(graph, options=options, backend=args.backend, kernels=args.kernels)
-    if not args.json:
-        print(
-            f"graph: {graph.num_vertices:,} vertices, {graph.num_directed_edges:,} edges | "
-            f"cluster {layout.notation()} | TH={threshold} | "
-            f"delegates {graph.num_delegates:,} | options {options.label()} | "
-            f"algorithm {args.algorithm} | backend {engine.backend_name} | "
-            f"kernels {engine.provider_name} | "
-            f"storage {getattr(graph, 'storage', 'memory')}"
-        )
-
-    if args.source is not None:
-        sources = np.asarray([args.source], dtype=np.int64)
-    else:
-        degrees = out_degrees(edges) if edges is not None else graph.separation.degrees
-        sources = random_sources(
-            graph.num_vertices, args.sources, rng=args.seed + 1, degrees=degrees
-        )
-
-    oracle = CSRGraph.from_edgelist(edges) if args.validate else None
-    if args.algorithm == "parents":
-        program_factory = lambda s: BFSParents(source=s)  # noqa: E731
-    else:
-        program_factory = lambda s: BFSLevels(source=s)  # noqa: E731
-
-    def validate(result) -> None:
-        if oracle is None:
-            return
-        reference = serial_bfs(oracle, result.source)
-        if args.algorithm == "parents":
-            report = validate_parent_tree(edges, result.source, result.parents, reference)
-        else:
-            report = validate_distances(edges, result.source, result.distances, reference)
-        report.raise_if_invalid()
-
-    def report_line(result) -> None:
-        if args.json:
-            return
-        if not result.traversed_more_than_one_iteration():
-            print(f"  source {result.source}: skipped (single-iteration run)")
-            return
-        t = result.timing
-        print(
-            f"  source {result.source:>9}: {result.num_visited:,} visited, "
-            f"{result.iterations} iters, {t.elapsed_ms:.3f} ms, {result.gteps():.3f} GTEPS "
-            f"[comp {t.computation:.3f} | local {t.local_communication:.3f} | "
-            f"normal {t.remote_normal_exchange:.3f} | delegate {t.remote_delegate_reduce:.3f}]"
-        )
-
-    try:
-        campaign = run_campaign(
-            engine, sources, program_factory=program_factory, validate=validate, on_result=report_line
-        )
-        backend_name = engine.backend_name
-        kernels_name = engine.provider_name
-    finally:
-        engine.close()
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_info(graph),
-                    "options": options.label(),
-                    "algorithm": args.algorithm,
-                    "backend": backend_name,
-                    "kernels": kernels_name,
-                    "runs": [r.summary() for r in campaign],
-                    "campaign": campaign.summary(),
-                    "validated": bool(args.validate),
-                },
-                indent=2,
-            )
-        )
-        return 0
-
-    if campaign.reported:
-        print(
-            f"geometric mean: {campaign.geo_mean_gteps():.3f} GTEPS "
-            f"over {len(campaign.reported)} runs"
-        )
-        if args.validate:
-            print("all runs validated against the serial oracle")
-    return 0
 
 
-def _cmd_components(args: argparse.Namespace) -> int:
-    from repro.baselines.union_find import serial_components
-    from repro.core.engine import TraversalEngine
-    from repro.core.programs import ConnectedComponents
+def _bfs_report(args: argparse.Namespace, result) -> list[str]:
+    if not result.traversed_more_than_one_iteration():
+        return [f"  source {result.source}: skipped (single-iteration run)"]
+    return [
+        f"  source {result.source:>9}: {result.num_visited:,} visited, "
+        f"{result.iterations} iters, {result.timing.elapsed_ms:.3f} ms, "
+        f"{result.gteps():.3f} GTEPS {_timing_breakdown(result.timing)}"
+    ]
 
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
-    if args.validate and getattr(args, "store", None) is not None:
-        print(
-            "error: --validate needs the raw edge list, which a graph store "
-            "does not keep; validate against --npz/--scale instead",
-            file=sys.stderr,
-        )
-        return 2
-    edges, graph = _obtain_graph(args)
-    layout, threshold = graph.layout, graph.separation.threshold
-    engine = TraversalEngine(graph, backend=args.backend, kernels=args.kernels)
-    try:
-        result = engine.run(ConnectedComponents())
-        backend_name = engine.backend_name
-        kernels_name = engine.provider_name
-    finally:
-        engine.close()
 
-    validated = False
-    if args.validate:
-        reference = serial_components(edges)
-        if not np.array_equal(result.labels, reference):
-            mismatches = int(np.count_nonzero(result.labels != reference))
-            raise AssertionError(
-                f"component labels disagree with union-find on {mismatches} vertices"
-            )
-        validated = True
+def _bfs_footer(spec, results: list, oracle: str | None) -> list[str]:
+    from repro.core.campaign import Campaign
 
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_info(graph),
-                    "backend": backend_name,
-                    "kernels": kernels_name,
-                    "result": result.summary(),
-                    "validated": validated,
-                },
-                indent=2,
-            )
-        )
-        return 0
+    campaign = Campaign.from_results(results)
+    if not campaign.reported:
+        return []
+    return [
+        f"geometric mean: {campaign.geo_mean_gteps():.3f} GTEPS "
+        f"over {len(campaign.reported)} runs",
+        *_validated_footer(spec, results, oracle),
+    ]
 
-    print(
-        f"graph: {graph.num_vertices:,} vertices, {graph.num_directed_edges:,} edges | "
-        f"cluster {layout.notation()} | TH={threshold} | "
-        f"delegates {graph.num_delegates:,} | backend {backend_name} | "
-        f"kernels {kernels_name} | storage {getattr(graph, 'storage', 'memory')}"
-    )
-    t = result.timing
-    print(
+
+def _bfs_json(args: argparse.Namespace, results: list) -> dict:
+    from repro.core.campaign import Campaign
+
+    return {"campaign": Campaign.from_results(results).summary()}
+
+
+def _components_report(args: argparse.Namespace, result) -> list[str]:
+    return [
         f"  components: {result.num_components:,} "
         f"(largest {result.largest_component_size:,} vertices) in "
-        f"{result.iterations} iterations, modeled {t.elapsed_ms:.3f} ms "
-        f"[comp {t.computation:.3f} | local {t.local_communication:.3f} | "
-        f"normal {t.remote_normal_exchange:.3f} | delegate {t.remote_delegate_reduce:.3f}]"
+        f"{result.iterations} iterations, modeled {result.timing.elapsed_ms:.3f} ms "
+        f"{_timing_breakdown(result.timing)}"
+    ]
+
+
+def _sssp_arguments(sub: argparse.ArgumentParser, spec) -> None:
+    sub.add_argument(
+        "--bellman-ford",
+        action="store_true",
+        help="run the plain Bellman-Ford program instead of the bucketed driver "
+        "(the workload baseline; identical distances)",
     )
-    if validated:
-        print("labels validated against serial union-find")
-    return 0
 
 
-def _parse_delta(text: str):
-    """Parse a ``--delta`` value; returns ``(delta, error-or-None)``."""
-    import math
-
-    if text == "auto":
-        return "auto", None
-    if text in ("inf", "infinity"):
-        return math.inf, None
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0 or math.isnan(value):
-        return None, f"--delta must be a positive number, 'auto' or 'inf', got {text!r}"
-    return value, None
+def _sssp_report(args: argparse.Namespace, result) -> list[str]:
+    return [
+        f"  source {result.source:>9}: {result.num_reached:,} reached, "
+        f"{result.phases} phases, {result.total_edges_examined:,} relaxations, "
+        f"modeled {result.timing.elapsed_ms:.3f} ms"
+    ]
 
 
-def _require_weighted_graph(graph) -> int | None:
-    """Exit-2 path for weighted programs on an unweighted graph."""
-    if graph.is_weighted:
-        return None
-    print(
-        "error: this graph carries no edge weights; generate one with "
-        "--weights SEED (or `repro generate --weights`) first",
-        file=sys.stderr,
-    )
-    return 2
+def _pagerank_arguments(sub: argparse.ArgumentParser, spec) -> None:
+    sub.add_argument("--top", type=int, default=5, help="highest-ranked vertices to print")
 
 
-def _cmd_sssp(args: argparse.Namespace) -> int:
-    from repro.baselines.weighted import dijkstra_sssp
+def _pagerank_report(args: argparse.Namespace, result) -> list[str]:
+    return [
+        f"  pagerank ({args.mode}, damping {args.damping}): "
+        f"{result.iterations} sweeps, {result.total_edges_examined:,} edge "
+        f"contributions, modeled {result.timing.elapsed_ms:.3f} ms",
+        *(
+            f"    #{rank}: vertex {int(vertex)} rank {result.ranks_float[vertex]:.6f}"
+            for rank, vertex in enumerate(result.top_vertices(args.top), 1)
+        ),
+    ]
+
+
+def _pagerank_json(args: argparse.Namespace, results: list) -> dict:
+    (result,) = results
+    return {
+        "top": [
+            {"vertex": int(v), "rank": float(result.ranks_float[v])}
+            for v in result.top_vertices(args.top)
+        ]
+    }
+
+
+def _validated_footer(spec, results: list, oracle: str | None) -> list[str]:
+    return [f"{spec.subject} validated against {oracle}"] if oracle else []
+
+
+@dataclass(frozen=True)
+class _ProgramCommand:
+    """What genuinely differs between the program commands.
+
+    Everything else — the shared argument block, the flags generated from the
+    program table's parameter declarations, the run/validate/report skeleton,
+    the JSON envelope — is :func:`_add_program_command` and
+    :func:`_cmd_program`.
+    """
+
+    name: str
+    help: str
+    validate_help: str
+    #: Program-table rows the command can run.
+    rows: tuple[str, ...]
+    #: Text lines reporting one result.
+    report: Callable
+    #: What the ``--validate`` footer says was validated.
+    subject: str = "all runs"
+    #: ``args -> row name`` (default: the only row).
+    select: Callable | None = None
+    #: Default of ``--sources`` for single-source programs.
+    sources: int = 0
+    #: Adds the command's own flags.
+    arguments: Callable | None = None
+    #: ``args -> BFSOptions`` (default: the engine's defaults).
+    options: Callable | None = None
+    #: ``args -> dict`` of header fields (also JSON keys) ahead of backend/kernels.
+    labels: Callable | None = None
+    #: ``(args, results) -> dict`` of extra JSON keys.
+    json: Callable | None = None
+    #: ``(spec, results, oracle) -> lines`` closing the text report.
+    footer: Callable = _validated_footer
+
+
+_PROGRAM_COMMANDS = (
+    _ProgramCommand(
+        "bfs",
+        help="partition a graph and run (DO)BFS",
+        validate_help="check against a serial oracle",
+        rows=("levels", "parents"),
+        select=lambda args: args.algorithm,
+        sources=5,
+        arguments=_bfs_arguments,
+        options=_bfs_options,
+        labels=lambda args: {
+            "options": _bfs_options(args).label(),
+            "algorithm": args.algorithm,
+        },
+        report=_bfs_report,
+        json=_bfs_json,
+        footer=_bfs_footer,
+    ),
+    _ProgramCommand(
+        "components",
+        help="distributed connected components (label propagation)",
+        validate_help="check against union-find",
+        rows=("components",),
+        report=_components_report,
+        subject="labels",
+    ),
+    _ProgramCommand(
+        "sssp",
+        help="weighted single-source shortest paths (delta-stepping)",
+        validate_help="check against a serial Dijkstra oracle",
+        rows=("sssp", "bellman-ford"),
+        select=lambda args: "bellman-ford" if args.bellman_ford else "sssp",
+        sources=3,
+        arguments=_sssp_arguments,
+        labels=lambda args: {
+            "schedule": "bellman-ford" if args.bellman_ford else "delta-stepping",
+            "delta": str(args.delta),
+        },
+        report=_sssp_report,
+    ),
+    _ProgramCommand(
+        "pagerank",
+        help="PageRank over the delegate-partitioned engine",
+        validate_help="check against the serial reference (exact in fixed mode, "
+        "float power iteration in push mode)",
+        rows=("pagerank",),
+        arguments=_pagerank_arguments,
+        report=_pagerank_report,
+        json=_pagerank_json,
+        subject="ranks",
+    ),
+)
+
+
+def _add_program_command(sub, spec: _ProgramCommand) -> None:
+    """Generate one program command's sub-parser: the shared block, the flags
+    its rows' parameters declare, then the command's own."""
+    from repro.core.programs import PROGRAM_TABLE
+
+    parser = sub.add_parser(spec.name, help=spec.help)
+    _add_graph_args(parser, store=True)
+    _add_cluster_args(parser)
+    _add_backend_arg(parser)
+    _add_kernels_arg(parser)
+    _add_storage_arg(parser)
+    _add_trace_arg(parser)
+    rows = [PROGRAM_TABLE[name] for name in spec.rows]
+    if rows[0].takes_source:
+        parser.add_argument(
+            "--sources", type=int, default=spec.sources, help="number of random sources"
+        )
+        parser.add_argument("--source", type=int, default=None, help="explicit source vertex")
+    for param in dict.fromkeys(p for row in rows for p in row.params):
+        parser.add_argument(
+            "--" + param.name.replace("_", "-"),
+            type=param.type,
+            default=param.default,
+            choices=param.choices,
+            help=param.help,
+        )
+    if spec.arguments is not None:
+        spec.arguments(parser, spec)
+    parser.add_argument("--validate", action="store_true", help=spec.validate_help)
+    parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    parser.set_defaults(func=_cmd_program, spec=spec)
+
+
+def _cmd_program(args: argparse.Namespace) -> int:
+    """The body of every program command (``bfs``/``components``/``sssp``/
+    ``pagerank``): check arguments, obtain the graph, run the selected row's
+    program per source, validate against the row's oracle, report."""
     from repro.core.engine import TraversalEngine
-    from repro.utils.rng import random_sources
-    from repro.weighted import BellmanFordSSSP, DeltaSteppingSSSP
+    from repro.core.programs import PROGRAM_TABLE, make_program
 
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
-    delta, error = _parse_delta(args.delta)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.validate and getattr(args, "store", None) is not None:
-        print(
-            "error: --validate needs the raw edge list, which a graph store "
-            "does not keep; validate against --npz/--scale instead",
-            file=sys.stderr,
+    spec: _ProgramCommand = args.spec
+    _check_exec_args(args)
+    row = PROGRAM_TABLE[spec.select(args) if spec.select else spec.rows[0]]
+    with _usage_errors():
+        # Every flag the command takes is checked, selected row or not; the
+        # program constructors own the ranges.
+        for name in spec.rows:
+            make_program(name, 0, **PROGRAM_TABLE[name].pick(**vars(args)))
+    if args.validate and args.store is not None:
+        raise _UsageError(
+            "--validate needs the raw edge list, which a graph store "
+            "does not keep; validate against --npz/--scale instead"
         )
-        return 2
     edges, graph = _obtain_graph(args)
-    invalid = _require_weighted_graph(graph)
-    if invalid is not None:
-        return invalid
-    layout, threshold = graph.layout, graph.separation.threshold
-
-    if args.source is not None:
-        sources = np.asarray([args.source], dtype=np.int64)
-    else:
-        from repro.graph.degree import out_degrees
-
-        degrees = out_degrees(edges) if edges is not None else graph.separation.degrees
-        sources = random_sources(
-            graph.num_vertices, args.sources, rng=args.seed + 1, degrees=degrees
+    if row.cls.needs_weights and not graph.is_weighted:
+        raise _UsageError(
+            "this graph carries no edge weights; generate one with "
+            "--weights SEED (or `repro generate --weights`) first"
         )
+    sources = (
+        [int(s) for s in _pick_sources(args, args.sources, graph.separation.degrees)]
+        if row.takes_source
+        else [None]
+    )
 
-    engine = TraversalEngine(graph, backend=args.backend, kernels=args.kernels)
-    schedule = "bellman-ford" if args.bellman_ford else "delta-stepping"
+    engine = TraversalEngine(
+        graph,
+        options=spec.options(args) if spec.options else None,
+        backend=args.backend,
+        kernels=args.kernels,
+    )
+    labels = {
+        **(spec.labels(args) if spec.labels else {}),
+        "backend": engine.backend_name,
+        "kernels": engine.provider_name,
+    }
     if not args.json:
         print(
             f"graph: {graph.num_vertices:,} vertices, {graph.num_directed_edges:,} "
-            f"weighted edges | cluster {layout.notation()} | TH={threshold} | "
-            f"delegates {graph.num_delegates:,} | schedule {schedule} | "
-            f"delta {args.delta} | backend {engine.backend_name} | "
-            f"kernels {engine.provider_name} | "
-            f"storage {getattr(graph, 'storage', 'memory')}"
+            f"{'weighted ' if row.cls.needs_weights else ''}edges | "
+            f"cluster {graph.layout.notation()} | TH={graph.separation.threshold} | "
+            f"delegates {graph.num_delegates:,} | "
+            + "".join(f"{key} {value} | " for key, value in labels.items())
+            + f"storage {getattr(graph, 'storage', 'memory')}"
         )
 
-    runs: list[dict] = []
+    check = row.oracle(edges) if args.validate else None
+    params = row.pick(**vars(args))
+    results: list = []
+    oracle = None
     try:
         for source in sources:
-            source = int(source)
-            if args.bellman_ford:
-                program = BellmanFordSSSP(source)
-            else:
-                program = DeltaSteppingSSSP(source, delta=delta)
+            program = make_program(row.name, source, **params)
             result = engine.run(program)
-            if args.validate:
-                reference = dijkstra_sssp(
-                    edges.src, edges.dst, edges.weights, edges.num_vertices, source
-                )
-                if not np.array_equal(result.distances, reference):
-                    mismatches = int(
-                        np.count_nonzero(result.distances != reference)
-                    )
-                    raise AssertionError(
-                        f"sssp distances disagree with Dijkstra on "
-                        f"{mismatches} vertices (source {source})"
-                    )
-            runs.append(result.summary())
+            if check is not None:
+                oracle = check(program, result)
             if not args.json:
-                t = result.timing
-                print(
-                    f"  source {source:>9}: {result.num_reached:,} reached, "
-                    f"{result.phases} phases, "
-                    f"{result.total_edges_examined:,} relaxations, "
-                    f"modeled {t.elapsed_ms:.3f} ms"
-                )
-        backend_name = engine.backend_name
-        kernels_name = engine.provider_name
+                print("\n".join(spec.report(args, result)))
+            results.append(result)
     finally:
         engine.close()
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_info(graph),
-                    "schedule": schedule,
-                    "delta": args.delta,
-                    "backend": backend_name,
-                    "kernels": kernels_name,
-                    "runs": runs,
-                    "validated": bool(args.validate),
-                },
-                indent=2,
-            )
-        )
+        summaries = [result.summary() for result in results]
+        payload = {
+            "graph": _graph_info(graph),
+            **labels,
+            **({"runs": summaries} if row.takes_source else {"result": summaries[0]}),
+            **(spec.json(args, results) if spec.json else {}),
+            "validated": bool(args.validate),
+        }
+        print(json.dumps(payload, indent=2))
         return 0
-    if args.validate:
-        print("all runs validated against serial Dijkstra")
+    for line in spec.footer(spec, results, oracle):
+        print(line)
     return 0
-
-
-def _cmd_pagerank(args: argparse.Namespace) -> int:
-    from repro.core.engine import TraversalEngine
-    from repro.weighted import PageRank
-
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
-    if not 0.0 < args.damping < 1.0:
-        print(f"error: --damping must be in (0, 1), got {args.damping}", file=sys.stderr)
-        return 2
-    if args.iterations < 1:
-        print(f"error: --iterations must be >= 1, got {args.iterations}", file=sys.stderr)
-        return 2
-    if not args.eps > 0:
-        print(f"error: --eps must be positive, got {args.eps}", file=sys.stderr)
-        return 2
-    if args.validate and getattr(args, "store", None) is not None:
-        print(
-            "error: --validate needs the raw edge list, which a graph store "
-            "does not keep; validate against --npz/--scale instead",
-            file=sys.stderr,
-        )
-        return 2
-    edges, graph = _obtain_graph(args)
-    layout, threshold = graph.layout, graph.separation.threshold
-    engine = TraversalEngine(graph, backend=args.backend, kernels=args.kernels)
-    try:
-        result = engine.run(
-            PageRank(
-                damping=args.damping,
-                mode=args.mode,
-                iterations=args.iterations,
-                eps=args.eps,
-            )
-        )
-        backend_name = engine.backend_name
-        kernels_name = engine.provider_name
-    finally:
-        engine.close()
-
-    validated = False
-    if args.validate:
-        if args.mode == "fixed":
-            from repro.baselines.weighted import pagerank_reference_fixed
-
-            reference = pagerank_reference_fixed(
-                edges.src, edges.dst, edges.num_vertices, args.damping, args.iterations
-            )
-            if not np.array_equal(result.ranks, reference):
-                mismatches = int(np.count_nonzero(result.ranks != reference))
-                raise AssertionError(
-                    f"fixed-point ranks disagree with the serial reference on "
-                    f"{mismatches} vertices"
-                )
-        else:
-            from repro.baselines.weighted import pagerank_power
-
-            reference = pagerank_power(
-                edges.src, edges.dst, edges.num_vertices, args.damping, iterations=100
-            )
-            drift = float(np.abs(result.ranks_float - reference).max())
-            if drift > 1e-3:
-                raise AssertionError(
-                    f"push-mode ranks drift {drift:.2e} from the float power "
-                    "iteration (tolerance 1e-3)"
-                )
-        validated = True
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_info(graph),
-                    "backend": backend_name,
-                    "kernels": kernels_name,
-                    "result": result.summary(),
-                    "top": [
-                        {"vertex": int(v), "rank": float(result.ranks_float[v])}
-                        for v in result.top_vertices(args.top)
-                    ],
-                    "validated": validated,
-                },
-                indent=2,
-            )
-        )
-        return 0
-
-    t = result.timing
-    print(
-        f"graph: {graph.num_vertices:,} vertices, {graph.num_directed_edges:,} edges | "
-        f"cluster {layout.notation()} | TH={threshold} | "
-        f"delegates {graph.num_delegates:,} | backend {backend_name} | "
-        f"kernels {kernels_name} | storage {getattr(graph, 'storage', 'memory')}"
-    )
-    print(
-        f"  pagerank ({args.mode}, damping {args.damping}): "
-        f"{result.iterations} sweeps, {result.total_edges_examined:,} edge "
-        f"contributions, modeled {t.elapsed_ms:.3f} ms"
-    )
-    for rank, vertex in enumerate(result.top_vertices(args.top), 1):
-        print(f"    #{rank}: vertex {int(vertex)} rank {result.ranks_float[vertex]:.6f}")
-    if validated:
-        oracle = "serial fixed-point reference" if args.mode == "fixed" else "float power iteration"
-        print(f"ranks validated against the {oracle}")
-    return 0
-
 
 def _cmd_census(args: argparse.Namespace) -> int:
     from repro.graph.degree import out_degrees
@@ -1323,52 +1157,28 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
-    from repro.dynamic import (
-        DynamicEngine,
-        DynamicGraph,
-        MaintainedComponents,
-        MaintainedLevels,
-        MaintainedSSSP,
-        update_stream,
-    )
+    from repro.core.programs import PROGRAM_TABLE
+    from repro.dynamic import DynamicEngine, DynamicGraph, update_stream
     from repro.graph.degree import out_degrees
     from repro.partition.layout import ClusterLayout
-    from repro.utils.rng import random_sources
 
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
+    _check_exec_args(args)
+    row = PROGRAM_TABLE[args.program]
     edges = _load_graph(args)
-    if args.program == "sssp" and edges.weights is None:
-        print(
-            "error: mutate --program sssp needs a weighted graph; pass "
-            "--weights SEED (or an npz generated with `repro generate --weights`)",
-            file=sys.stderr,
+    if row.cls.needs_weights and edges.weights is None:
+        raise _UsageError(
+            f"mutate --program {args.program} needs a weighted graph; pass "
+            "--weights SEED (or an npz generated with `repro generate --weights`)"
         )
-        return 2
+    source = (
+        int(_pick_sources(args, 1, out_degrees(edges))[0]) if row.takes_source else None
+    )
     layout = ClusterLayout.from_notation(args.layout)
     dynamic = DynamicGraph(
         edges, layout, args.threshold, weights_seed=getattr(args, "weights", None) or 0
     )
     engine = DynamicEngine(dynamic, backend=args.backend, kernels=args.kernels)
-
-    if args.program in ("levels", "sssp"):
-        source = (
-            args.source
-            if args.source is not None
-            else int(
-                random_sources(
-                    edges.num_vertices, 1, rng=args.seed + 1, degrees=out_degrees(edges)
-                )[0]
-            )
-        )
-        if args.program == "levels":
-            maintained = MaintainedLevels(engine, source)
-        else:
-            maintained = MaintainedSSSP(engine, source)
-    else:
-        source = None
-        maintained = MaintainedComponents(engine)
+    maintained = row.maintain(engine, source)
 
     stream = update_stream(
         edges,
@@ -1479,16 +1289,6 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "list":
-        return _cmd_bench_list(args)
-    if args.bench_command == "run":
-        return _cmd_bench_run(args)
-    if args.bench_command == "compare":
-        return _cmd_bench_compare(args)
-    raise AssertionError(f"unhandled bench command {args.bench_command!r}")  # pragma: no cover
-
-
 def _cmd_bench_list(args: argparse.Namespace) -> int:
     from repro.bench import quick_scenarios, registry
 
@@ -1544,9 +1344,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         run_suite,
     )
 
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
+    _check_exec_args(args)
     if args.scenario:
         specs = find_scenarios(args.scenario)
         if args.quick:
@@ -1707,12 +1505,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.serve_command == "bench":
-        return _cmd_serve_bench(args)
-    raise AssertionError(f"unhandled serve command {args.serve_command!r}")  # pragma: no cover
-
-
 def _serve_bench_validate(args: argparse.Namespace) -> str | None:
     """Reject nonsensical serve-bench knob combinations with a clear message."""
     if args.arrivals == "closed":
@@ -1757,7 +1549,7 @@ def _serve_bench_validate(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _cmd_serve_bench_cluster(args: argparse.Namespace) -> int:
+def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
     from repro.graph.degree import out_degrees
     from repro.serve.cluster import (
         ClusterConfig,
@@ -1766,7 +1558,6 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace) -> int:
         ReplicaPool,
         make_arrivals,
     )
-    from repro.serve.workload import ZipfWorkload
 
     replicas = 2 if args.replicas is None else args.replicas
     rate = 500.0 if args.rate is None else args.rate
@@ -1781,14 +1572,7 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace) -> int:
     graph, layout, threshold = _partition(args, edges)
     num_updates = int(round(args.update_rate * args.queries)) if args.update_rate > 0 else 0
     workload = OpenLoopWorkload(
-        queries=ZipfWorkload(
-            num_queries=args.queries,
-            skew=args.skew,
-            pool=args.pool,
-            seed=args.seed + 2,
-            program=args.program,
-            max_hops=args.max_hops if args.program == "khop" else None,
-        ),
+        queries=queries,
         arrivals=make_arrivals(args.arrivals, rate, seed=args.seed + 4),
         num_updates=num_updates,
         edges_per_update=args.update_edges,
@@ -1893,32 +1677,31 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.core.engine import TraversalEngine
+    from repro.core.programs import PROGRAM_TABLE
     from repro.graph.degree import out_degrees
     from repro.serve import MixedWorkload, QueryService, ZipfWorkload
 
-    invalid = _check_exec_args(args)
-    if invalid is not None:
-        return invalid
+    _check_exec_args(args)
     error = _serve_bench_validate(args)
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(error)
+    with _usage_errors():
+        workload = ZipfWorkload(
+            num_queries=args.queries,
+            skew=args.skew,
+            pool=args.pool,
+            seed=args.seed + 2,
+            program=args.program,
+            **PROGRAM_TABLE[args.program].pick(max_hops=args.max_hops),
+        )
     if args.arrivals != "closed":
-        return _cmd_serve_bench_cluster(args)
+        return _cmd_serve_bench_cluster(args, workload)
 
     edges = _load_graph(args)
     graph, layout, threshold = _partition(args, edges)
     mixed = args.update_rate > 0
     engine = (
         None if mixed else TraversalEngine(graph, backend=args.backend, kernels=args.kernels)
-    )
-    workload = ZipfWorkload(
-        num_queries=args.queries,
-        skew=args.skew,
-        pool=args.pool,
-        seed=args.seed + 2,
-        program=args.program,
-        max_hops=args.max_hops if args.program == "khop" else None,
     )
     degrees = out_degrees(edges)
     if mixed:
@@ -2069,12 +1852,6 @@ def _write_prometheus(snapshot: dict, path: Path) -> None:
     print(f"prometheus: wrote {path}", file=sys.stderr)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "summarize":
-        return _cmd_trace_summarize(args)
-    raise AssertionError(f"unhandled trace command {args.trace_command!r}")  # pragma: no cover
-
-
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     from repro.obs import load_trace, summarize_events, summary_lines
 
@@ -2093,42 +1870,16 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    """Route a parsed namespace to its command handler."""
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "build":
-        return _cmd_build(args)
-    if args.command == "bfs":
-        return _cmd_bfs(args)
-    if args.command == "components":
-        return _cmd_components(args)
-    if args.command == "sssp":
-        return _cmd_sssp(args)
-    if args.command == "pagerank":
-        return _cmd_pagerank(args)
-    if args.command == "census":
-        return _cmd_census(args)
-    if args.command == "mutate":
-        return _cmd_mutate(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command != "generate":
-        invalid = _check_weights_arg(args)
-        if invalid is not None:
-            return invalid
-    with _tracing(args):
-        return _dispatch(args)
+    try:
+        _check_weights_arg(args)
+        with _tracing(args):
+            return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -76,12 +76,8 @@ from repro.core.direction import DirectionState
 from repro.core.frontier import BatchState, frontier_for, global_ids
 from repro.core.options import BFSOptions
 from repro.core.programs.base import FrontierProgram
-from repro.core.programs.batched import (
-    BatchedBFSLevels,
-    BatchedFrontierProgram,
-    BatchedReachability,
-)
-from repro.core.programs.bfs_levels import BFSLevels
+from repro.core.programs.batched import BatchedFrontierProgram
+from repro.core.programs.table import batched_factory, dedup_key, make_program
 from repro.core.results import BatchResult, BFSResult, IterationRecord, TraversalResult
 from repro.core.state import TraversalState
 from repro.exec.backend import ExecutionBackend, resolve_backend
@@ -108,50 +104,6 @@ def _plan_pulls(plan) -> int:
     return sum(
         1 for gp in plan.gpu_plans for spec in gp.visits if spec.backward
     )
-
-
-def _program_dedup_key(program) -> tuple | None:
-    """A hashable identity for programs whose re-run would be a pure waste.
-
-    ``None`` marks programs this engine cannot prove deduplicable (custom
-    subclasses may carry extra state, so only exact shipped types match).
-    """
-    from repro.core.programs.bfs_parents import BFSParents
-    from repro.core.programs.components import ConnectedComponents
-    from repro.core.programs.khop import KHopReachability
-
-    t = type(program)
-    if t is BFSLevels:
-        return ("levels", program.source)
-    if t is KHopReachability:
-        return ("khop", program.source, program.max_levels)
-    if t is BFSParents:
-        return ("parents", program.source)
-    if t is ConnectedComponents:
-        return ("components",)
-    return None
-
-
-def _batched_equivalent(programs: list, batch_size: int):
-    """A factory building batched sweeps for a homogeneous program list.
-
-    Returns ``None`` when the list is not batchable (mixed types, payload
-    programs, or differing hop caps); otherwise a callable mapping a list of
-    sources to the batched program covering them.
-    """
-    from repro.core.programs.khop import KHopReachability
-
-    if batch_size < 2 or len(programs) < 2:
-        return None
-    types = {type(p) for p in programs}
-    if types == {BFSLevels}:
-        return lambda sources: BatchedBFSLevels(sources)
-    if types == {KHopReachability}:
-        caps = {p.max_levels for p in programs}
-        if len(caps) == 1:
-            cap = caps.pop()
-            return lambda sources: BatchedReachability(sources, max_hops=cap)
-    return None
 
 
 class TraversalEngine:
@@ -425,7 +377,7 @@ class TraversalEngine:
         fan: list[int] = []
         index_of: dict[tuple, int] = {}
         for program in programs:
-            key = _program_dedup_key(program)
+            key = dedup_key(program)
             if key is not None and key in index_of:
                 fan.append(index_of[key])
                 continue
@@ -437,7 +389,9 @@ class TraversalEngine:
         saved = len(programs) - len(unique_programs)
 
         batch_factory = (
-            _batched_equivalent(unique_programs, batch_size) if batch_size else None
+            batched_factory(unique_programs)
+            if batch_size and len(unique_programs) > 1
+            else None
         )
         if batch_factory is not None:
             unique_results: list = []
@@ -921,7 +875,7 @@ class DistributedBFS:
 
     def run(self, source: int) -> BFSResult:
         """Run one BFS from ``source`` and return distances plus metrics."""
-        return self.engine.run(BFSLevels(source=int(source)))
+        return self.engine.run(make_program("levels", int(source)))
 
     def run_many(
         self, sources: np.ndarray | list[int], batch_size: int | None = None
@@ -937,7 +891,7 @@ class DistributedBFS:
         """
         return self.engine.run_many(
             [
-                BFSLevels(source=int(s))
+                make_program("levels", int(s))
                 for s in np.asarray(sources, dtype=np.int64).ravel()
             ],
             batch_size=batch_size,

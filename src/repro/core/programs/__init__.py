@@ -24,6 +24,11 @@ Shipped programs
     answers bit-identical to the sequential programs (the serving path's
     workhorse; see :mod:`repro.core.programs.batched`).
 
+What every *layer* knows about a shipped program — its name, parameters,
+batched and maintained forms, serial oracle — is one row of
+:data:`repro.core.programs.table.PROGRAM_TABLE`; :func:`make_program` is the
+only name -> instance path.
+
 Writing your own program means subclassing :class:`FrontierProgram` and
 implementing ``init_state`` / ``visit_value`` / ``make_result`` (plus
 ``accept`` / ``merge_remote`` when the defaults don't fit); see
@@ -40,6 +45,7 @@ from repro.core.programs.bfs_levels import BFSLevels
 from repro.core.programs.bfs_parents import BFSParents
 from repro.core.programs.components import ConnectedComponents
 from repro.core.programs.khop import KHopReachability
+from repro.core.programs.table import PROGRAM_TABLE, make_program
 
 __all__ = [
     "FrontierProgram",
@@ -52,4 +58,6 @@ __all__ = [
     "BatchedFrontierProgram",
     "BatchedBFSLevels",
     "BatchedReachability",
+    "PROGRAM_TABLE",
+    "make_program",
 ]

@@ -31,12 +31,12 @@ class KHopReachability(BFSLevels):
         super().__init__(source)
         if max_hops < 0:
             raise ValueError(f"max_hops must be >= 0, got {max_hops}")
-        self.max_levels = int(max_hops)
+        self.max_hops = self.max_levels = int(max_hops)
 
     def make_result(self, values: np.ndarray, base: dict) -> ReachabilityResult:
         return ReachabilityResult(
             source=self.source,
-            max_hops=self.max_levels,
+            max_hops=self.max_hops,
             distances=values,
             **base,
         )

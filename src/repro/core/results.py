@@ -73,6 +73,9 @@ class TraversalResult:
 
     #: Short algorithm name, set by each concrete result class.
     algorithm: ClassVar[str] = "traversal"
+    #: Names of the per-vertex int64 array(s) that *are* the answer (what the
+    #: bench checksum covers), set by each concrete result class.
+    answer_fields: ClassVar[tuple[str, ...]] = ()
 
     iterations: int
     records: list[IterationRecord]
@@ -151,6 +154,7 @@ class BFSResult(TraversalResult):
     """Full outcome of one BFS-levels run (the paper's algorithm)."""
 
     algorithm: ClassVar[str] = "bfs"
+    answer_fields: ClassVar[tuple[str, ...]] = ("distances",)
 
     source: int = 0
     distances: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -191,6 +195,7 @@ class ParentTreeResult(TraversalResult):
     """
 
     algorithm: ClassVar[str] = "bfs-parents"
+    answer_fields: ClassVar[tuple[str, ...]] = ("parents",)
 
     source: int = 0
     parents: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -218,6 +223,7 @@ class ComponentsResult(TraversalResult):
     ``v``'s component (isolated vertices label themselves)."""
 
     algorithm: ClassVar[str] = "components"
+    answer_fields: ClassVar[tuple[str, ...]] = ("labels",)
 
     labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
@@ -340,6 +346,7 @@ class ReachabilityResult(TraversalResult):
     """K-hop reachability: distances capped at ``max_hops`` from the source."""
 
     algorithm: ClassVar[str] = "k-hop"
+    answer_fields: ClassVar[tuple[str, ...]] = ("distances",)
 
     source: int = 0
     max_hops: int = 0

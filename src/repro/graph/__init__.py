@@ -26,11 +26,13 @@ partitioning layer:
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.degree import degree_histogram, out_degrees
+from repro.graph.degree import degree_histogram, out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import (
     clique_edges,
     friendster_like,
+    generate_edge_chunks,
+    generate_graph,
     grid_edges,
     path_edges,
     random_bipartite,
@@ -47,6 +49,8 @@ __all__ = [
     "CSRGraph",
     "RMATParameters",
     "generate_rmat",
+    "generate_graph",
+    "generate_edge_chunks",
     "friendster_like",
     "wdc_like",
     "uniform_random_graph",
@@ -56,6 +60,7 @@ __all__ = [
     "star_edges",
     "clique_edges",
     "out_degrees",
+    "resolve_sources",
     "degree_histogram",
     "apply_vertex_permutation",
     "GraphProperties",

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
+from repro.utils.rng import random_sources
 
-__all__ = ["out_degrees", "in_degrees", "degree_histogram", "DegreeSummary", "degree_summary"]
+__all__ = [
+    "out_degrees",
+    "in_degrees",
+    "resolve_sources",
+    "degree_histogram",
+    "DegreeSummary",
+    "degree_summary",
+]
 
 
 def out_degrees(edges: EdgeList) -> np.ndarray:
@@ -26,6 +34,16 @@ def out_degrees(edges: EdgeList) -> np.ndarray:
 def in_degrees(edges: EdgeList) -> np.ndarray:
     """In-degree of every vertex (length ``num_vertices``)."""
     return np.bincount(edges.dst, minlength=edges.num_vertices).astype(np.int64)
+
+
+def resolve_sources(sources, degrees: np.ndarray, rng) -> np.ndarray:
+    """Explicit source vertices pass through; an ``int`` means that many
+    random sources drawn (with replacement, seeded by ``rng``) from the
+    vertices of non-zero degree — the Graph500 convention every campaign,
+    CLI command and bench scenario shares."""
+    if isinstance(sources, (int, np.integer)):
+        return random_sources(len(degrees), int(sources), rng=rng, degrees=degrees)
+    return np.asarray(sources, dtype=np.int64).ravel()
 
 
 def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

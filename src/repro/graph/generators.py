@@ -26,9 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
+from repro.graph.rmat import generate_rmat, generate_rmat_edge_chunks
 from repro.utils.rng import make_rng
 
 __all__ = [
+    "GRAPH_KINDS",
+    "CHUNKED_GRAPH_KINDS",
+    "generate_graph",
+    "generate_edge_chunks",
     "friendster_like",
     "wdc_like",
     "wdc_like_edge_chunks",
@@ -42,6 +47,50 @@ __all__ = [
     "clique_edges",
     "binary_tree_edges",
 ]
+
+
+# --------------------------------------------------------------------------- #
+# Graph kind -> generator (the one home of the names the CLI, the session
+# facade and the bench scenarios use)
+# --------------------------------------------------------------------------- #
+#: Kinds :func:`generate_graph` knows.
+GRAPH_KINDS = ("rmat", "friendster", "wdc", "uniform")
+#: Kinds with a bounded-memory chunked generator (:func:`generate_edge_chunks`).
+CHUNKED_GRAPH_KINDS = ("rmat", "wdc")
+
+
+def generate_graph(
+    kind: str, scale: int, seed: int = 11, weights_seed: int | None = None
+) -> EdgeList:
+    """A *prepared* ``2**scale``-vertex graph of the named kind.
+
+    ``uniform`` draws ``8 * 2**scale`` edges (the bench scenarios' density).
+    """
+    n = 1 << scale
+    if kind == "rmat":
+        return generate_rmat(scale, rng=seed, weights_seed=weights_seed)
+    if kind == "friendster":
+        raw = friendster_like(num_vertices=n, rng=seed, weights_seed=weights_seed)
+    elif kind == "wdc":
+        raw = wdc_like(num_vertices=n, rng=seed, weights_seed=weights_seed)
+    elif kind == "uniform":
+        raw = uniform_random_graph(n, num_edges=8 * n, rng=seed, weights_seed=weights_seed)
+    else:
+        raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
+    return raw.prepared()
+
+
+def generate_edge_chunks(kind: str, scale: int, seed: int = 11, chunk_edges: int = 1 << 20):
+    """The raw (unprepared) bounded edge-chunk stream of the named kind."""
+    if kind == "rmat":
+        return generate_rmat_edge_chunks(scale, seed=seed, chunk_edges=chunk_edges)
+    if kind == "wdc":
+        return wdc_like_edge_chunks(
+            num_vertices=1 << scale, seed=seed, chunk_edges=chunk_edges
+        )
+    raise ValueError(
+        f"unknown chunked graph kind {kind!r}; expected one of {CHUNKED_GRAPH_KINDS}"
+    )
 
 
 # --------------------------------------------------------------------------- #

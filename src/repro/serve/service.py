@@ -39,12 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.programs import (
-    BatchedBFSLevels,
-    BatchedReachability,
-    BFSLevels,
-    KHopReachability,
-)
 from repro.obs.tracer import get_tracer
 from repro.serve.cache import LRUCache, graph_token
 from repro.serve.workload import Query
@@ -185,7 +179,7 @@ class QueryService:
         its source, which is normalised to 0 here so every equivalent
         ranking query coalesces onto one cache entry.
         """
-        source = 0 if query.program == "pagerank" else int(query.source)
+        source = int(query.source) if query.row.takes_source else 0
         return (
             self.graph_identity(),
             self._options_label,
@@ -243,10 +237,9 @@ class QueryService:
                 if tracer.enabled:
                     tracer.event("cache-miss", cat="serve", source=int(query.source))
 
-        for family, queries in self._group_misses(miss_queries).items():
+        for queries in self._group_misses(miss_queries).values():
             for start in range(0, len(queries), self.batch_size):
-                chunk = queries[start:start + self.batch_size]
-                self._run_chunk(family, chunk, answers)
+                self._run_chunk(queries[start:start + self.batch_size], answers)
 
         results = [answers[key] for _, key in pending]
         self.stats.queries += len(pending)
@@ -394,42 +387,30 @@ class QueryService:
             families.setdefault((query.program, *query.params), []).append(query)
         return families
 
-    def _run_chunk(self, family: tuple, chunk: list[Query], answers: dict) -> None:
+    def _run_chunk(self, chunk: list[Query], answers: dict) -> None:
         """Traverse one chunk of a family and record/cache its results.
 
-        ``levels``/``khop`` misses go through the fused MS-BFS path when
-        batching is on.  The weighted programs carry per-vertex *values*
-        (distance bit patterns, fixed-point ranks) that the lane-bitset
-        batching cannot fuse, so ``sssp`` misses run sequentially; a
-        ``pagerank`` chunk is source-independent and collapses to a single
-        engine run shared by every member.
+        The family's row of the program table decides the route: a
+        source-free program (``pagerank``) collapses to a single engine run
+        shared by every member; a row with a batched equivalent
+        (``levels``/``khop``) goes through the fused MS-BFS path when
+        batching is on; everything else (``sssp`` — per-vertex *values* the
+        lane-bitset batching cannot fuse) runs sequentially.
         """
-        program = family[0]
-        max_hops = family[1]
-        sources = [query.source for query in chunk]
-        if program == "pagerank":
+        row = chunk[0].row
+        if not row.takes_source:
             produced = [self.engine.run(chunk[0].make_program())] * len(chunk)
             self.stats.sequential_sources += 1
-        elif program == "sssp":
-            produced = [self.engine.run(query.make_program()) for query in chunk]
-            self.stats.sequential_sources += len(chunk)
-        elif self.batched and len(chunk) > 1:
-            if program == "khop":
-                batch = self.engine.run_batch(BatchedReachability(sources, max_hops))
-            else:
-                batch = self.engine.run_batch(BatchedBFSLevels(sources))
+        elif row.batched and self.batched and len(chunk) > 1:
+            sources = [query.source for query in chunk]
+            batch = self.engine.run_batch(
+                row.make_batched(sources, **chunk[0].program_params())
+            )
             produced = batch.per_source_results()
             self.stats.batches += 1
             self.stats.batched_sources += len(chunk)
         else:
-            produced = []
-            for source in sources:
-                if program == "khop":
-                    produced.append(
-                        self.engine.run(KHopReachability(source=source, max_hops=max_hops))
-                    )
-                else:
-                    produced.append(self.engine.run(BFSLevels(source=source)))
+            produced = [self.engine.run(query.make_program()) for query in chunk]
             self.stats.sequential_sources += len(chunk)
         for query, result in zip(chunk, produced):
             key = self.key_of(query)

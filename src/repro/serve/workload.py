@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.programs.table import PROGRAM_TABLE, make_program, names_where
 from repro.utils.rng import hash64, make_rng
 
 __all__ = [
@@ -31,8 +32,12 @@ __all__ = [
 ]
 
 
-#: Program names a query may request.
-QUERY_PROGRAMS = ("levels", "khop", "sssp", "pagerank")
+#: Program names a query may request: the table's servable rows.
+QUERY_PROGRAMS = names_where("servable")
+
+
+#: The :class:`Query` fields that are program parameters, in ``params`` order.
+_PARAM_FIELDS = ("max_hops", "delta", "damping", "iterations")
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class Query:
     answer).  The per-program parameters (``max_hops``, ``delta``,
     ``damping``, ``iterations``) are part of the service's cache key:
     two queries that differ only in a parameter are different requests.
+    A parameter is legal exactly when the program's row in
+    :data:`repro.core.programs.PROGRAM_TABLE` declares it; its range is
+    checked by the program constructor.
     """
 
     #: Which program to run: one of :data:`QUERY_PROGRAMS`.
@@ -64,17 +72,7 @@ class Query:
     def __post_init__(self) -> None:
         if self.program not in QUERY_PROGRAMS:
             raise ValueError(f"unknown query program {self.program!r}")
-        if self.program == "khop" and (self.max_hops is None or self.max_hops < 0):
-            raise ValueError("khop queries need max_hops >= 0")
-        if self.delta is not None and self.program != "sssp":
-            raise ValueError(f"delta only applies to sssp queries, not {self.program!r}")
-        if self.program != "pagerank":
-            if self.damping is not None or self.iterations is not None:
-                raise ValueError(
-                    f"damping/iterations only apply to pagerank queries, not {self.program!r}"
-                )
-        elif self.iterations is not None and self.iterations < 1:
-            raise ValueError(f"pagerank queries need iterations >= 1, got {self.iterations}")
+        self.make_program()  # raises on a stray, missing or out-of-range parameter
 
     @property
     def params(self) -> tuple:
@@ -82,25 +80,18 @@ class Query:
         changes the answer besides ``(program, source)``."""
         return (self.max_hops, self.delta, self.damping, self.iterations)
 
+    @property
+    def row(self):
+        """This query's row of the program table."""
+        return PROGRAM_TABLE[self.program]
+
+    def program_params(self) -> dict:
+        """The parameters this query sets, by constructor keyword."""
+        return {name: v for name, v in zip(_PARAM_FIELDS, self.params) if v is not None}
+
     def make_program(self):
         """The engine program answering this query (single-source form)."""
-        from repro.core.programs import BFSLevels, KHopReachability
-
-        if self.program == "khop":
-            return KHopReachability(source=self.source, max_hops=self.max_hops)
-        if self.program == "sssp":
-            from repro.weighted import DeltaSteppingSSSP
-
-            delta = "auto" if self.delta is None else self.delta
-            return DeltaSteppingSSSP(self.source, delta=delta)
-        if self.program == "pagerank":
-            from repro.weighted import PageRank
-
-            return PageRank(
-                damping=0.85 if self.damping is None else self.damping,
-                iterations=20 if self.iterations is None else self.iterations,
-            )
-        return BFSLevels(source=self.source)
+        return make_program(self.program, self.source, **self.program_params())
 
 
 #: Normalised Zipf weight vectors keyed by ``(pool, skew)``.  Building one is
@@ -175,10 +166,7 @@ class ZipfWorkload:
             raise ValueError(f"pool must be >= 1, got {self.pool}")
         if self.skew < 0:
             raise ValueError(f"skew must be non-negative, got {self.skew}")
-        if self.program not in QUERY_PROGRAMS:
-            raise ValueError(f"unknown query program {self.program!r}")
-        if self.program == "khop" and (self.max_hops is None or self.max_hops < 0):
-            raise ValueError("khop workloads need max_hops >= 0")
+        Query(program=self.program, source=0, max_hops=self.max_hops)
 
     def sources(self, num_vertices: int, degrees: np.ndarray | None = None) -> np.ndarray:
         """The stream's source vertices, in request order.

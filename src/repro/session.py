@@ -35,14 +35,19 @@ from repro.core.campaign import Campaign, run_campaign
 from repro.core.engine import TraversalEngine
 from repro.core.options import BFSOptions
 from repro.core.programs import (
+    PROGRAM_TABLE,
     BFSLevels,
     BFSParents,
     ConnectedComponents,
     FrontierProgram,
     KHopReachability,
+    make_program,
 )
+from repro.core.programs.table import names_where
 from repro.core.results import TraversalResult
+from repro.graph.degree import out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
+from repro.graph.generators import generate_graph
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import PartitionedGraph, build_partitions
@@ -172,25 +177,7 @@ class Session:
         ``weights`` seeds deterministic edge-keyed ``float64`` weights for
         the weighted program zoo (``None`` = unweighted).
         """
-        if kind == "rmat":
-            from repro.graph.rmat import generate_rmat
-
-            edges = generate_rmat(scale, rng=seed, weights_seed=weights)
-        elif kind == "friendster":
-            from repro.graph.generators import friendster_like
-
-            edges = friendster_like(
-                num_vertices=1 << scale, rng=seed, weights_seed=weights
-            ).prepared()
-        elif kind == "wdc":
-            from repro.graph.generators import wdc_like
-
-            edges = wdc_like(
-                num_vertices=1 << scale, rng=seed, weights_seed=weights
-            ).prepared()
-        else:
-            raise ValueError(f"unknown graph kind {kind!r}")
-        self._edges = edges
+        self._edges = generate_graph(kind, scale, seed, weights_seed=weights)
         self._built = None
         return self
 
@@ -650,19 +637,9 @@ class GraphSession:
         drawn degree-weighted (the Graph500 convention of sampling sources
         with at least one edge).
         """
-        if isinstance(sources, (int, np.integer)):
-            from repro.graph.degree import out_degrees
-            from repro.utils.rng import random_sources
-
-            sources = random_sources(
-                self.edges.num_vertices,
-                int(sources),
-                rng=seed,
-                degrees=out_degrees(self.edges),
-            )
         return run_campaign(
             self.engine,
-            sources,
+            resolve_sources(sources, out_degrees(self.edges), rng=seed),
             program_factory=program_factory,
             validate=validate,
             on_result=on_result,
@@ -687,25 +664,16 @@ class GraphSession:
         ``sources`` may be explicit vertices or a count of random sources
         (drawn as in :meth:`campaign`).
         """
-        if isinstance(sources, (int, np.integer)):
-            from repro.graph.degree import out_degrees
-            from repro.utils.rng import random_sources
-
-            sources = random_sources(
-                self.edges.num_vertices,
-                int(sources),
-                rng=seed,
-                degrees=out_degrees(self.edges),
-            )
-        sources = [int(s) for s in np.asarray(sources, dtype=np.int64).ravel()]
-        if program == "levels":
-            programs = [BFSLevels(source=s) for s in sources]
-        elif program == "khop":
-            programs = [KHopReachability(source=s, max_hops=max_hops) for s in sources]
-        else:
+        row = PROGRAM_TABLE.get(program)
+        if row is None or row.batched is None:
             raise ValueError(
-                f"unknown program {program!r}; run_many batches 'levels' or 'khop'"
+                f"unknown program {program!r}; run_many batches {names_where('batched')}"
             )
+        params = row.pick(max_hops=max_hops)
+        programs = [
+            make_program(program, int(s), **params)
+            for s in resolve_sources(sources, out_degrees(self.edges), rng=seed)
+        ]
         if batch_size == "auto":
             from repro.core.engine import DEFAULT_BATCH_SIZE
 

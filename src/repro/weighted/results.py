@@ -46,6 +46,9 @@ class SSSPResult(TraversalResult):
     """
 
     algorithm: ClassVar[str] = "sssp"
+    # The int64 bit view is the exact value the engine's minimum-folds
+    # operated on; the float ``distances`` view carries inf and cannot coerce.
+    answer_fields: ClassVar[tuple[str, ...]] = ("dist_bits",)
 
     source: int = 0
     #: Bucket width used by the delta-stepping driver; ``inf`` means the
@@ -91,6 +94,7 @@ class PageRankResult(TraversalResult):
     """
 
     algorithm: ClassVar[str] = "pagerank"
+    answer_fields: ClassVar[tuple[str, ...]] = ("ranks",)
 
     damping: float = 0.85
     #: ``"fixed"`` (fixed sweep count) or ``"push"`` (residual push).
@@ -144,6 +148,7 @@ class TriangleCountResult(TraversalResult):
     """Global and per-vertex triangle counts of the undirected graph."""
 
     algorithm: ClassVar[str] = "triangles"
+    answer_fields: ClassVar[tuple[str, ...]] = ("per_vertex",)
 
     #: Total number of distinct triangles.
     triangles: int = 0

@@ -146,7 +146,47 @@ class TestNewSubcommandsAndJson:
         assert all("threshold" in row for row in payload["rows"])
 
 
+class TestUsageErrors:
+    """Bad user input ends in one ``error:`` line and exit code 2 — never a
+    traceback.  The ranges themselves live in the program constructors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bfs", "--source", "99999"],
+            ["sssp", "--weights", "3", "--source", "99999"],
+            ["sssp", "--weights", "3", "--delta", "nan"],
+            ["sssp", "--weights", "3", "--delta", "-1"],
+            ["pagerank", "--damping", "1.5"],
+            ["pagerank", "--iterations", "0"],
+            ["pagerank", "--eps", "0"],
+            ["serve", "bench", "--program", "khop", "--max-hops", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_input_exits_2_with_one_error_line(self, argv, capsys):
+        cut = 2 if argv[0] == "serve" else 1
+        code = main([*argv[:cut], "--scale", "9", "--layout", "1x1x2", *argv[cut:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestTracing:
+    def test_components_accepts_trace(self, tmp_path, capsys):
+        """Every program command takes the shared block, ``--trace`` included."""
+        from repro.obs import load_trace
+
+        path = tmp_path / "components.trace.json"
+        code = main(
+            ["components", "--scale", "9", "--layout", "1x1x2", "--trace", str(path)]
+        )
+        assert code == 0
+        assert "components:" in capsys.readouterr().out
+        assert ("engine", "traversal") in {(e["cat"], e["name"]) for e in load_trace(path)}
+
     def test_bfs_trace_writes_chrome_trace(self, tmp_path, capsys):
         import json
 

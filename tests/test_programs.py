@@ -10,12 +10,15 @@ from repro.baselines.union_find import serial_components, union_find_components
 from repro.core.engine import DistributedBFS, TraversalEngine
 from repro.core.options import BFSOptions
 from repro.core.programs import (
+    PROGRAM_TABLE,
     BFSLevels,
     BFSParents,
     ConnectedComponents,
     FrontierProgram,
     KHopReachability,
+    make_program,
 )
+from repro.core.programs.table import REQUIRED, batched_factory, dedup_key
 from repro.core.results import (
     BFSResult,
     ComponentsResult,
@@ -282,3 +285,94 @@ class TestUnionFindOracle:
         for label in np.unique(labels):
             members = np.flatnonzero(labels == label)
             assert members.min() == label
+
+
+# --------------------------------------------------------------------------- #
+# The program table: one row per shipped program, every row against its oracle
+# --------------------------------------------------------------------------- #
+def _table_params(row) -> dict:
+    """Values for the parameters a row requires (the rest keep their defaults)."""
+    return {p.name: 2 for p in row.params if p.default is REQUIRED}
+
+
+@pytest.fixture(scope="module")
+def table_edges():
+    return {seed: generate_rmat(8, rng=21, weights_seed=seed) for seed in (None, 5)}
+
+
+class TestProgramTable:
+    @pytest.mark.parametrize("layout", ["1x1x2", "2x1x2"])
+    @pytest.mark.parametrize(
+        "name,weights",
+        [
+            (name, seed)
+            for name, row in PROGRAM_TABLE.items()
+            for seed in (None, 5)
+            if seed is not None or not row.cls.needs_weights
+        ],
+    )
+    def test_every_row_matches_its_own_oracle(self, name, weights, layout, table_edges):
+        row, table_edges = PROGRAM_TABLE[name], table_edges[weights]
+        graph = build_partitions(table_edges, ClusterLayout.from_notation(layout), 8)
+        check = row.oracle(table_edges)
+        source = int(np.flatnonzero(out_degrees(table_edges) > 0)[3])
+        with TraversalEngine(graph) as engine:
+            program = make_program(name, source, **_table_params(row))
+            assert type(program) is row.cls
+            assert isinstance(check(program, engine.run(program)), str)
+
+    def test_every_exported_program_has_exactly_one_row(self):
+        import repro.core.programs as core_programs
+        import repro.weighted as weighted
+
+        exported = {
+            obj
+            for module in (core_programs, weighted)
+            for obj in (getattr(module, name) for name in module.__all__)
+            if isinstance(obj, type)
+            and obj is not FrontierProgram
+            and (issubclass(obj, FrontierProgram) or hasattr(obj, "drive"))
+        }
+        assert exported == {row.cls for row in PROGRAM_TABLE.values()}
+        assert len(PROGRAM_TABLE) == len(exported)  # no class under two names
+
+    def test_serve_and_bench_names_derive_from_the_table(self):
+        from repro.bench.scenarios import PROGRAMS, SOURCE_FREE, STREAM_KINDS
+        from repro.serve.workload import QUERY_PROGRAMS
+
+        assert set(QUERY_PROGRAMS) <= set(PROGRAM_TABLE)
+        assert set(PROGRAMS) - set(STREAM_KINDS) <= set(PROGRAM_TABLE)
+        assert set(SOURCE_FREE) == {n for n, r in PROGRAM_TABLE.items() if not r.takes_source}
+
+    @pytest.mark.parametrize(
+        "name", [name for name, row in PROGRAM_TABLE.items() if row.batched]
+    )
+    def test_batched_equivalent_matches_sequential_lanes(self, name, rmat_small, small_layout):
+        row = PROGRAM_TABLE[name]
+        graph = build_partitions(rmat_small, small_layout, 32)
+        sources = [0, 7, 1234]
+        programs = [make_program(name, s, **_table_params(row)) for s in sources]
+        engine = TraversalEngine(graph)
+        batch = engine.run_batch(batched_factory(programs)(sources))
+        for lane, program in zip(batch.per_source_results(), programs):
+            np.testing.assert_array_equal(lane.distances, engine.run(program).distances)
+
+    def test_make_program_rejects_stray_missing_and_unknown(self):
+        with pytest.raises(ValueError, match="unknown program"):
+            make_program("dijkstra", 0)
+        with pytest.raises(ValueError, match="delta"):
+            make_program("levels", 0, delta=0.5)
+        with pytest.raises(ValueError, match="max_hops"):
+            make_program("khop", 0)
+        with pytest.raises(ValueError, match="source"):
+            make_program("levels")
+
+    def test_subclasses_opt_out_of_dedup_and_batching(self):
+        class Custom(BFSLevels):
+            pass
+
+        assert dedup_key(BFSLevels(3)) == dedup_key(BFSLevels(3)) != dedup_key(BFSLevels(4))
+        assert dedup_key(Custom(3)) is None
+        assert batched_factory([Custom(1), Custom(2)]) is None
+        assert batched_factory([BFSLevels(1), KHopReachability(2, 2)]) is None
+        assert batched_factory([KHopReachability(1, 1), KHopReachability(2, 2)]) is None
