@@ -23,6 +23,7 @@ from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.partition.partition_1d import OneDPartition
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["OneDBFSResult", "OneDBFS"]
 
@@ -125,7 +126,7 @@ class OneDBFS:
 
             for g in range(p):
                 if inboxes[g]:
-                    received = np.unique(np.concatenate(inboxes[g]))
+                    received = sorted_unique(np.concatenate(inboxes[g]))
                     slots = layout.local_index_of(received)
                     fresh = slots[levels[g][slots] == -1]
                     levels[g][fresh] = level

@@ -32,6 +32,7 @@ import numpy as np
 from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import NetworkModel
 from repro.partition.partition_2d import TwoDPartition
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["TwoDBFSResult", "TwoDBFS"]
 
@@ -139,7 +140,7 @@ class TwoDBFS:
             comp_s += float(per_block_comp.max()) if per_block_comp.size else 0.0
 
             if discovered_parts:
-                discovered = np.unique(np.concatenate(discovered_parts))
+                discovered = sorted_unique(np.concatenate(discovered_parts))
                 fresh = discovered[distances[discovered] == -1]
                 distances[fresh] = level
                 frontier = fresh

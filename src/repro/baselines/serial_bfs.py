@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["serial_bfs", "serial_bfs_edge_workload", "bfs_from_edgelist"]
 
@@ -34,7 +35,7 @@ def serial_bfs(csr: CSRGraph, source: int) -> np.ndarray:
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if neighbors.size == 0:
             break
-        neighbors = np.unique(neighbors)
+        neighbors = sorted_unique(neighbors)
         fresh = neighbors[distances[neighbors] == -1]
         distances[fresh] = level
         frontier = fresh

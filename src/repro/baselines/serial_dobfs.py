@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.kernels import backward_visit, forward_visit
 from repro.graph.csr import CSRGraph
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["DOBFSResult", "serial_dobfs"]
 
@@ -96,7 +97,7 @@ def serial_dobfs(
             fresh = out.discovered
         else:
             out = forward_visit(csr, frontier)
-            neighbors = np.unique(out.discovered)
+            neighbors = sorted_unique(out.discovered)
             fresh = neighbors[distances[neighbors] == -1]
         edges_examined += out.edges_examined
         distances[fresh] = level

@@ -20,6 +20,8 @@ import heapq
 
 import numpy as np
 
+from repro.utils.sorting import sorted_unique
+
 __all__ = [
     "dijkstra_sssp",
     "pagerank_power",
@@ -156,7 +158,7 @@ def triangle_count_serial(
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi
-    packed = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    packed = sorted_unique(lo[keep] * np.int64(n) + hi[keep])
     lo = packed // n
     hi = packed - lo * n
     neighbors: list[set] = [set() for _ in range(n)]

@@ -40,6 +40,7 @@ import numpy as np
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.utils.bitmask import BatchBitmask, Bitmask
+from repro.utils.sorting import sorted_unique
 
 __all__ = [
     "CommStats",
@@ -617,7 +618,7 @@ class Communicator:
                             payload_combine.at(preduced, inverse, pmerged)
                             merged, pmerged = unique, preduced
                         else:
-                            merged = np.unique(merged)
+                            merged = sorted_unique(merged)
                         removed = before - merged.size
                         self.stats.normal_vertices_deduplicated += int(removed)
                         local_phase_time[staging_gpu] += self.netmodel.filter_time(before)

@@ -85,6 +85,7 @@ from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
 from repro.exec.providers import resolve_provider
 from repro.partition.subgraphs import PartitionedGraph
 from repro.obs.tracer import get_tracer
+from repro.utils.sorting import sorted_unique
 from repro.utils.timing import TimingBreakdown, now_s
 
 __all__ = ["TraversalEngine", "DistributedBFS"]
@@ -585,7 +586,7 @@ class TraversalEngine:
         if n_targets.size:
             owners = graph.layout.flat_gpu_of(n_targets)
             slots = graph.layout.local_index_of(n_targets)
-            for g in np.unique(owners):
+            for g in sorted_unique(owners):
                 mask = owners == g
                 record.discovered += rep.merge_proposals(
                     int(g), slots[mask], n_proposals[mask]

@@ -48,6 +48,7 @@ from repro.core.programs.base import VisitContext
 from repro.core.state import UNVISITED, TraversalState
 from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import BatchBitmask, Bitmask
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["BatchState", "FlagFrontier", "LaneFrontier", "frontier_for", "global_ids"]
 
@@ -224,7 +225,7 @@ class FlagFrontier:
             slots, values = program.merge_remote(found, values)
             self._fresh_dn[g] = state.update_normals(g, slots, values, program.accept)
         elif self._mask_channel:
-            found = np.unique(found)
+            found = sorted_unique(found)
             # Drop delegates that are already visited (their status is
             # replicated, so this local filter needs no communication and
             # avoids pointless mask reductions).

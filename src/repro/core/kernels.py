@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.utils.sorting import sorted_unique
 
 __all__ = [
     "KernelOutput",
@@ -108,10 +109,11 @@ def filter_frontier(frontier: np.ndarray, out_degrees: np.ndarray) -> np.ndarray
     form the queues of vertices to be visited by the visit kernels".
 
     Dense frontiers deduplicate through a scatter into a boolean flag array
-    (one linear pass, like the GPU previsit bitmap) instead of sorting/hashing
-    with ``np.unique``; tiny frontiers keep the ``np.unique`` path, where the
-    flag array's O(num_rows) cost would dominate.  Both return the same
-    sorted, unique, positive-degree queue.
+    (one linear pass, like the GPU previsit bitmap); frontiers under a
+    sixteenth of the row count sort and compare neighbours
+    (:func:`repro.utils.sorted_unique`), where the flag array's O(num_rows)
+    cost would dominate.  Both return the same sorted, unique,
+    positive-degree queue.
     """
     frontier = np.asarray(frontier, dtype=np.int64).ravel()
     if frontier.size == 0:
@@ -121,7 +123,7 @@ def filter_frontier(frontier: np.ndarray, out_degrees: np.ndarray) -> np.ndarray
         flags[frontier] = True
         flags &= out_degrees > 0
         return np.flatnonzero(flags)
-    unique = np.unique(frontier)
+    unique = sorted_unique(frontier)
     return unique[out_degrees[unique] > 0]
 
 

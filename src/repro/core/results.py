@@ -25,6 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.cluster.comm import CommStats
+from repro.utils.sorting import sorted_unique
 from repro.utils.timing import TimingBreakdown
 
 __all__ = [
@@ -230,7 +231,7 @@ class ComponentsResult(TraversalResult):
     @property
     def num_components(self) -> int:
         """Number of connected components (isolated vertices count as one each)."""
-        return int(np.unique(self.labels).size)
+        return int(sorted_unique(self.labels).size)
 
     @property
     def largest_component_size(self) -> int:

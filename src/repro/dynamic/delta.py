@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graph.edgelist import EdgeList
 from repro.utils.rng import make_rng
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["EdgeDelta", "AppliedDelta", "UPDATE_STYLES", "update_stream"]
 
@@ -211,7 +212,7 @@ def update_stream(
     degrees = np.bincount(edges.src, minlength=n).astype(np.int64)
     lo = np.minimum(edges.src, edges.dst)
     hi = np.maximum(edges.src, edges.dst)
-    pool = np.unique(lo * np.int64(n) + hi)
+    pool = sorted_unique(lo * np.int64(n) + hi)
 
     deletes_per_batch = int(round(delete_fraction * edges_per_batch))
     inserts_per_batch = edges_per_batch - deletes_per_batch

@@ -38,6 +38,7 @@ from repro.graph.edgelist import EdgeList
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import PartitionedGraph, build_partitions
+from repro.utils.sorting import sorted_unique
 
 __all__ = ["OverlayBuffer", "DynamicGraph", "DynamicEngine"]
 
@@ -389,9 +390,9 @@ class DynamicGraph:
         if ins_w is not None:
             ins_w = ins_w[keep]
 
-        ins_keys = np.unique(ins_s * np.int64(n) + ins_d)
+        ins_keys = sorted_unique(ins_s * np.int64(n) + ins_d)
         ins_keys = ins_keys[~self._in_sorted(self._keys, ins_keys)]
-        del_keys = np.unique(del_s * np.int64(n) + del_d)
+        del_keys = sorted_unique(del_s * np.int64(n) + del_d)
         del_keys = del_keys[self._in_sorted(self._keys, del_keys)]
 
         overlay_keys = self.overlay.keys(n)

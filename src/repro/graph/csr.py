@@ -42,8 +42,8 @@ class CSRGraph:
     edge_weights:
         Optional ``float64`` array parallel to ``column_indices`` carrying
         per-edge weights (``None`` for unweighted graphs).  Weights ride the
-        same lexsort order as the columns, so ``edge_weights[i]`` belongs to
-        the edge stored at ``column_indices[i]``.
+        same stable (row, column) order as the columns, so ``edge_weights[i]``
+        belongs to the edge stored at ``column_indices[i]``.
     """
 
     row_offsets: np.ndarray
@@ -120,26 +120,48 @@ class CSRGraph:
         dst = np.asarray(dst, dtype=np.int64).ravel()
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same length")
+        num_rows, num_cols = int(num_rows), int(num_cols)
         if src.size:
             if src.min() < 0 or src.max() >= num_rows:
                 raise ValueError("source vertex out of row range")
             if dst.min() < 0 or dst.max() >= num_cols:
                 raise ValueError("destination vertex out of column range")
+        w = None
+        if weights is not None:
+            from repro.graph.weights import validate_weights
+
+            w = validate_weights(weights, src.size)
         counts = np.bincount(src, minlength=num_rows) if num_rows else np.zeros(0, dtype=np.int64)
         row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=row_offsets[1:])
-        if sort_columns:
+
+        # One value sort of the packed (row, column) key; (src, dst) lexsort
+        # only when the two fields do not fit a non-negative int64.
+        col_bits = max(num_cols - 1, 0).bit_length()
+        order = None
+        if not sort_columns:
+            order = np.argsort(src, kind="stable")
+        elif max(num_rows - 1, 0).bit_length() + col_bits > 63:
             order = np.lexsort((dst, src))
         else:
-            order = np.argsort(src, kind="stable")
-        columns = dst[order].astype(column_dtype)
-        w = None
-        if weights is not None:
-            w = np.asarray(weights, dtype=np.float64).ravel()
-            if w.size != src.size:
-                raise ValueError("weights must be parallel to src/dst")
-            w = w[order]
-        return cls(row_offsets, columns, num_rows, num_cols, edge_weights=w)
+            key = (src << col_bits) | dst
+            if w is None:
+                key.sort()
+                dst = key & ((1 << col_bits) - 1)
+            else:
+                order = np.argsort(key, kind="stable")
+        if order is not None:
+            dst = dst[order]
+            if w is not None:
+                w = w[order]
+        column_dtype = np.dtype(column_dtype)
+        if column_dtype not in (np.dtype(np.int32), np.dtype(np.int64)):
+            column_dtype = np.dtype(np.int64)
+        # src/dst were range-checked above and the offsets come from a
+        # bincount, so the result skips __post_init__'s second O(edges) scan.
+        return cls.unchecked(
+            row_offsets, dst.astype(column_dtype, copy=False), num_rows, num_cols, w
+        )
 
     @classmethod
     def from_edgelist(cls, edges: EdgeList, column_dtype: np.dtype | type = np.int64) -> "CSRGraph":

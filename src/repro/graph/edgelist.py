@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.sorting import sorted_unique
+
 __all__ = ["EdgeList"]
 
 
@@ -144,17 +146,16 @@ class EdgeList:
             return EdgeList(s[keep], d[keep], self.num_vertices, weights=w)
         keys = self.src * np.int64(self.num_vertices) + self.dst
         if self.weights is None:
-            uniq = np.unique(keys)
-            return EdgeList(uniq // self.num_vertices, uniq % self.num_vertices, self.num_vertices)
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        keep = np.ones(sk.size, dtype=bool)
-        keep[1:] = sk[1:] != sk[:-1]
-        uniq = sk[keep]
-        w = np.minimum.reduceat(self.weights[order], np.flatnonzero(keep))
-        return EdgeList(
-            uniq // self.num_vertices, uniq % self.num_vertices, self.num_vertices, weights=w
-        )
+            uniq, w = sorted_unique(keys), None
+        else:
+            order = np.argsort(keys, kind="stable")
+            sk = keys[order]
+            keep = np.ones(sk.size, dtype=bool)
+            keep[1:] = sk[1:] != sk[:-1]
+            uniq = sk[keep]
+            w = np.minimum.reduceat(self.weights[order], np.flatnonzero(keep))
+        s = uniq // self.num_vertices
+        return EdgeList(s, uniq - s * self.num_vertices, self.num_vertices, weights=w)
 
     def without_self_loops(self) -> "EdgeList":
         """Remove ``u -> u`` edges."""

@@ -108,28 +108,18 @@ def distribute_edges(
     deg = separation.degrees
     src_is_d = separation.is_delegate[src]
     dst_is_d = separation.is_delegate[dst]
-
-    category = np.empty(edges.num_edges, dtype=np.int8)
-    category[~src_is_d & ~dst_is_d] = EDGE_CATEGORIES["nn"]
-    category[~src_is_d & dst_is_d] = EDGE_CATEGORIES["nd"]
-    category[src_is_d & ~dst_is_d] = EDGE_CATEGORIES["dn"]
-    category[src_is_d & dst_is_d] = EDGE_CATEGORIES["dd"]
+    # EDGE_CATEGORIES as arithmetic: a delegate source adds 2, a delegate
+    # destination 1 (nn=0, nd=1, dn=2, dd=3).
+    category = src_is_d * np.int8(2) + dst_is_d
 
     # Decide, per edge, which endpoint's hash location hosts the edge.
     # Rule 1/2: normal source wins; otherwise normal destination.
     # Rule 3 (dd): endpoint with the smaller out-degree; ties -> smaller id.
-    use_src = ~src_is_d
-    both_d = src_is_d & dst_is_d
-    if np.any(both_d):
-        du = deg[src[both_d]]
-        dv = deg[dst[both_d]]
-        u = src[both_d]
-        v = dst[both_d]
-        pick_src = (du < dv) | ((du == dv) & (u <= v))
-        use_src_dd = np.zeros(edges.num_edges, dtype=bool)
-        use_src_dd[np.flatnonzero(both_d)[pick_src]] = True
-        use_src = use_src | use_src_dd
+    du, dv = deg[src], deg[dst]
+    use_src = ~src_is_d | (dst_is_d & ((du < dv) | ((du == dv) & (src <= dst))))
 
-    anchor = np.where(use_src, src, dst)
-    owner = layout.flat_gpu_of(anchor)
-    return EdgeAssignment(owner=owner.astype(np.int64), category=category, layout=layout)
+    # Ownership is a per-vertex property: evaluate P/G once per vertex and
+    # gather, instead of an int64 % and // per edge.
+    owner_of = layout.flat_gpu_of(np.arange(edges.num_vertices, dtype=np.int64))
+    owner = owner_of[np.where(use_src, src, dst)]
+    return EdgeAssignment(owner=owner, category=category, layout=layout)

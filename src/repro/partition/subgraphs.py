@@ -182,69 +182,84 @@ class PartitionedGraph:
         return np.asarray([g.num_edges for g in self.gpus], dtype=np.int64)
 
 
+def _quadrant_shape(key: str, num_vertices: int, num_delegates: int, num_local: int):
+    """``(num_rows, num_cols, column dtype)`` of one GPU's ``key`` subgraph."""
+    rows = num_local if key[0] == "n" else num_delegates
+    if key == "nn":
+        return rows, num_vertices, np.dtype(np.int64)
+    return rows, (num_local if key[1] == "n" else num_delegates), np.dtype(np.int32)
+
+
+def _quadrant_ids(
+    key: str,
+    src: np.ndarray,
+    dst: np.ndarray,
+    local_index: np.ndarray,
+    delegate_id_of: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column ids of ``key`` edges given by global endpoints.
+
+    ``local_index`` and ``delegate_id_of`` are per-vertex tables: a normal
+    endpoint maps to its local slot ``v // p``, a delegate endpoint to its
+    delegate id; nn columns stay global.  Every map is monotone, which is what
+    lets the streaming build (:mod:`repro.storage.extsort`) append sorted keys
+    straight into CSR order.
+    """
+    rows = (local_index if key[0] == "n" else delegate_id_of)[src]
+    if key == "nn":
+        return rows, dst
+    return rows, (local_index if key[1] == "n" else delegate_id_of)[dst]
+
+
+def _quadrant_groups(assignment: EdgeAssignment) -> dict[tuple[int, str], np.ndarray]:
+    """Edge positions of every ``(gpu, category key)`` group, in input order.
+
+    One stable sort of the small integer code ``owner * 4 + category`` (a
+    radix sort for up to 16 k GPUs) replaces a boolean mask over all edges
+    per group.
+    """
+    num_groups = 4 * assignment.layout.num_gpus
+    code_dtype = np.min_scalar_type(num_groups)
+    code = assignment.owner.astype(code_dtype) * 4 + assignment.category.astype(code_dtype)
+    order = np.argsort(code, kind="stable")
+    bounds = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code, minlength=num_groups), out=bounds[1:])
+    return {
+        (g, key): order[bounds[4 * g + c] : bounds[4 * g + c + 1]]
+        for g in range(assignment.layout.num_gpus)
+        for key, c in EDGE_CATEGORIES.items()
+    }
+
+
 def _build_gpu_partition(
     flat_gpu: int,
     layout: ClusterLayout,
     edges: EdgeList,
     separation: DegreeSeparation,
-    assignment: EdgeAssignment,
+    groups: dict[tuple[int, str], np.ndarray],
+    local_index: np.ndarray,
 ) -> GPUPartition:
-    """Construct the four subgraphs for one GPU from the global assignment."""
+    """Construct the four subgraphs for one GPU from the grouped assignment."""
     n = edges.num_vertices
     d = separation.num_delegates
     num_local = layout.num_local_vertices(flat_gpu, n)
     owned_globals = layout.owned_vertices(flat_gpu, n)
     local_is_normal = ~separation.is_delegate[owned_globals] if num_local else np.zeros(0, dtype=bool)
 
-    mine = assignment.owner == flat_gpu
-    cat = assignment.category
-    src, dst, wts = edges.src, edges.dst, edges.weights
-    p = layout.num_gpus
-
-    def pick(code: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        sel = mine & (cat == code)
-        return src[sel], dst[sel], (wts[sel] if wts is not None else None)
-
-    # nn: local slot -> global normal id
-    nn_s, nn_d, nn_w = pick(EDGE_CATEGORIES["nn"])
-    nn = CSRGraph.from_edges(
-        nn_s // p, nn_d, num_rows=num_local, num_cols=n, column_dtype=np.int64,
-        weights=nn_w,
-    )
-    # nd: local slot -> delegate id
-    nd_s, nd_d, nd_w = pick(EDGE_CATEGORIES["nd"])
-    nd = CSRGraph.from_edges(
-        nd_s // p,
-        separation.delegate_id_of[nd_d],
-        num_rows=num_local,
-        num_cols=max(d, 1) if d else 0,
-        column_dtype=np.int32,
-        weights=nd_w,
-    ) if d else CSRGraph.empty(num_local, 0, column_dtype=np.int32)
-    # dn: delegate id -> local slot
-    dn_s, dn_d, dn_w = pick(EDGE_CATEGORIES["dn"])
-    dn = CSRGraph.from_edges(
-        separation.delegate_id_of[dn_s],
-        dn_d // p,
-        num_rows=d,
-        num_cols=max(num_local, 1) if num_local else 0,
-        column_dtype=np.int32,
-        weights=dn_w,
-    ) if d else CSRGraph.empty(0, num_local, column_dtype=np.int32)
-    # dd: delegate id -> delegate id
-    dd_s, dd_d, dd_w = pick(EDGE_CATEGORIES["dd"])
-    dd = CSRGraph.from_edges(
-        separation.delegate_id_of[dd_s],
-        separation.delegate_id_of[dd_d],
-        num_rows=d,
-        num_cols=max(d, 1) if d else 0,
-        column_dtype=np.int32,
-        weights=dd_w,
-    ) if d else CSRGraph.empty(0, 0, column_dtype=np.int32)
-
-    nd_source_list = np.flatnonzero(nd.out_degrees() > 0).astype(np.int64)
-    dn_source_mask = (dn.out_degrees() > 0) if d else np.zeros(0, dtype=bool)
-    dd_source_mask = (dd.out_degrees() > 0) if d else np.zeros(0, dtype=bool)
+    csrs = {}
+    for key in EDGE_CATEGORIES:
+        picked = groups[flat_gpu, key]
+        num_rows, num_cols, dtype = _quadrant_shape(key, n, d, num_local)
+        if key != "nn" and not d:
+            csrs[key] = CSRGraph.empty(num_rows, num_cols, column_dtype=dtype)
+            continue
+        rows, cols = _quadrant_ids(
+            key, edges.src[picked], edges.dst[picked], local_index, separation.delegate_id_of
+        )
+        csrs[key] = CSRGraph.from_edges(
+            rows, cols, num_rows=num_rows, num_cols=num_cols, column_dtype=dtype,
+            weights=edges.weights[picked] if edges.weights is not None else None,
+        )
 
     return GPUPartition(
         flat_gpu=flat_gpu,
@@ -252,13 +267,10 @@ def _build_gpu_partition(
         num_local=num_local,
         num_delegates=d,
         local_is_normal=local_is_normal,
-        nn=nn,
-        nd=nd,
-        dn=dn,
-        dd=dd,
-        nd_source_list=nd_source_list,
-        dn_source_mask=dn_source_mask,
-        dd_source_mask=dd_source_mask,
+        **csrs,
+        nd_source_list=np.flatnonzero(csrs["nd"].out_degrees() > 0).astype(np.int64),
+        dn_source_mask=csrs["dn"].out_degrees() > 0,
+        dd_source_mask=csrs["dd"].out_degrees() > 0,
     )
 
 
@@ -296,8 +308,10 @@ def build_partitions(
         )
     assignment = distribute_edges(edges, separation, layout)
     census = census_edge_categories(edges, separation)
+    groups = _quadrant_groups(assignment)
+    local_index = layout.local_index_of(np.arange(edges.num_vertices, dtype=np.int64))
     gpus = [
-        _build_gpu_partition(g, layout, edges, separation, assignment)
+        _build_gpu_partition(g, layout, edges, separation, groups, local_index)
         for g in range(layout.num_gpus)
     ]
     return PartitionedGraph(

@@ -28,6 +28,7 @@ import numpy as np
 from repro.exec.providers import KernelProvider
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import get_tracer
+from repro.utils.sorting import sorted_unique
 from repro.utils.timing import now_s
 
 __all__ = [
@@ -160,7 +161,7 @@ class CompressedCSR:
         frontier or candidate rows they are handed — see bit-identical
         adjacency, degrees and ``edges_examined`` accounting.
         """
-        rows = np.unique(np.asarray(rows, dtype=np.int64).ravel())
+        rows = sorted_unique(np.asarray(rows, dtype=np.int64).ravel())
         empty_w = (
             np.zeros(0, dtype=np.float64) if self.edge_weights is not None else None
         )

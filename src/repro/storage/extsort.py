@@ -7,18 +7,23 @@ resident.  The passes:
 
 1. **ingest** — per chunk: apply the deterministic vertex-hash permutation,
    drop self loops, emit both edge directions as packed ``src * n + dst``
-   keys, sort + dedup the chunk, write it as a sorted *run* file.
-2. **merge** — vectorized k-way merge of all runs with global dedup,
-   producing one sorted duplicate-free key file and the exact out-degree
-   array (the same ``bincount`` in-memory preparation computes).
+   keys, value-sort the chunk and drop equal neighbours
+   (:func:`repro.utils.sorted_unique`), write it as a sorted *run* file.
+2. **merge** — k-way merge of all runs with global dedup: per round, every
+   run's buffered keys up to the smallest buffered tail are concatenated and
+   passed through the same sort + neighbour compare, producing one sorted
+   duplicate-free key file and the exact out-degree array (the same
+   ``bincount`` in-memory preparation computes).
 3. **threshold** *(only when ``TH`` is not given)* — one more streamed pass
    replicating :func:`repro.partition.delegates.suggest_threshold` candidate
    for candidate, so the streaming build picks the identical ``TH``.
 4. **distribute** — per sorted block: run the unmodified Algorithm 1
-   distributor and append each edge's column id to its ``(gpu, category)``
-   bucket file.  Because the key stream is globally sorted and every
-   row/column transform in the partition layer is monotone, each bucket file
-   arrives exactly in final CSR order — no second sort exists anywhere.
+   distributor, group the block by ``(gpu, category)`` with one stable sort
+   and append each edge's column id to its bucket file, using the partition
+   layer's own grouping and row/column id maps
+   (:mod:`repro.partition.subgraphs`).  Because the key stream is globally
+   sorted and every one of those maps is monotone, each bucket file arrives
+   exactly in final CSR order — no second sort exists anywhere.
 5. **assemble** — write the store segment: row offsets from the accumulated
    per-row degree counts, column streams copied (or delta+varint encoded, for
    compressed stores) block-by-block from the bucket files.
@@ -46,10 +51,12 @@ from repro.partition.delegates import (
 )
 from repro.partition.distributor import EDGE_CATEGORIES, distribute_edges
 from repro.partition.layout import ClusterLayout
+from repro.partition.subgraphs import _quadrant_groups, _quadrant_ids, _quadrant_shape
 from repro.obs.tracer import get_tracer
 from repro.storage.codec import varint_encode, varint_sizes
 from repro.storage.segments import SegmentWriter, _census_metadata
 from repro.utils.rng import deterministic_hash_permutation
+from repro.utils.sorting import sorted_unique
 from repro.utils.timing import now_s
 
 __all__ = ["external_build", "DEFAULT_BLOCK_EDGES"]
@@ -277,7 +284,7 @@ def external_build(
         src, dst = src[keep], dst[keep]
         if src.size == 0:
             continue
-        keys = np.unique(np.concatenate([src * n64 + dst, dst * n64 + src]))
+        keys = sorted_unique(np.concatenate([src * n64 + dst, dst * n64 + src]))
         path = scratch / f"run_{len(runs):05d}.bin"
         with open(path, "wb") as fh:
             fh.write(keys.tobytes())
@@ -297,7 +304,7 @@ def external_build(
         readers = [r for r in readers if not r.exhausted]
         while readers:
             bound = min(int(r.buffer[-1]) for r in readers)
-            merged = np.unique(np.concatenate([r.take_upto(bound) for r in readers]))
+            merged = sorted_unique(np.concatenate([r.take_upto(bound) for r in readers]))
             degrees += np.bincount(merged // n64, minlength=n)
             out_fh.write(merged.tobytes())
             num_edges += merged.size
@@ -337,44 +344,32 @@ def external_build(
     # file is already in final CSR order as it lands on disk.
     t0 = now_s()
     num_local = {g: layout.num_local_vertices(g, n) for g in range(p)}
-    bucket_rows = {
-        (g, key): np.zeros(num_local[g] if key in ("nn", "nd") else d, dtype=np.int64)
-        for g in range(p)
-        for key in _CSR_KEYS
+    shapes = {
+        (g, key): _quadrant_shape(key, n, d, num_local[g]) for g in range(p) for key in _CSR_KEYS
     }
-    bucket_dtype = {key: np.int64 if key == "nn" else np.int32 for key in _CSR_KEYS}
+    bucket_rows = {bk: np.zeros(shape[0], dtype=np.int64) for bk, shape in shapes.items()}
     bucket_paths = {
         (g, key): scratch / f"bucket_g{g}_{key}.bin" for g in range(p) for key in _CSR_KEYS
     }
     bucket_fh = {bk: open(path, "wb") for bk, path in bucket_paths.items()}
     cat_totals = np.zeros(4, dtype=np.int64)
+    local_index = layout.local_index_of(np.arange(n, dtype=np.int64))
     try:
         for keys in _iter_blocks(keys_path, np.int64, block_edges):
             src = keys // n64
-            dst = keys % n64
+            dst = keys - src * n64
             assignment = distribute_edges(EdgeList(src, dst, n), separation, layout)
             cat_totals += np.bincount(assignment.category, minlength=4)
-            for g in range(p):
-                mine = assignment.owner == g
-                for key, code in EDGE_CATEGORIES.items():
-                    sel = mine & (assignment.category == code)
-                    if not np.any(sel):
-                        continue
-                    s, t = src[sel], dst[sel]
-                    if key == "nn":
-                        rows, cols = s // p, t
-                    elif key == "nd":
-                        rows, cols = s // p, delegate_id_of[t]
-                    elif key == "dn":
-                        rows, cols = delegate_id_of[s], t // p
-                    else:
-                        rows, cols = delegate_id_of[s], delegate_id_of[t]
-                    bucket_rows[g, key] += np.bincount(
-                        rows, minlength=bucket_rows[g, key].size
-                    )
-                    bucket_fh[g, key].write(
-                        np.ascontiguousarray(cols, dtype=bucket_dtype[key]).tobytes()
-                    )
+            for (g, key), picked in _quadrant_groups(assignment).items():
+                if picked.size == 0:
+                    continue
+                rows, cols = _quadrant_ids(
+                    key, src[picked], dst[picked], local_index, delegate_id_of
+                )
+                bucket_rows[g, key] += np.bincount(rows, minlength=bucket_rows[g, key].size)
+                bucket_fh[g, key].write(
+                    np.ascontiguousarray(cols, dtype=shapes[g, key][2]).tobytes()
+                )
     finally:
         for fh in bucket_fh.values():
             fh.close()
@@ -406,12 +401,9 @@ def external_build(
     for g in range(p):
         csr_meta: dict[str, dict] = {}
         for key in _CSR_KEYS:
-            rows_arr = bucket_rows[g, key]
-            nrows = rows_arr.size
-            ncols = _bucket_num_cols(key, n, d, num_local[g])
+            nrows, ncols, dtype = shapes[g, key]
             ro = np.zeros(nrows + 1, dtype=np.int64)
-            np.cumsum(rows_arr, out=ro[1:])
-            dtype = np.dtype(bucket_dtype[key])
+            np.cumsum(bucket_rows[g, key], out=ro[1:])
             kind = "compressed" if storage == "compressed" and key in _COMPRESSIBLE else "raw"
             csr_meta[key] = {
                 "num_rows": int(nrows),
@@ -480,15 +472,6 @@ def external_build(
         "census": census.as_dict(),
     }
     return out, report
-
-
-def _bucket_num_cols(key: str, n: int, d: int, num_local: int) -> int:
-    """Column-universe size per subgraph, mirroring ``_build_gpu_partition``."""
-    if key == "nn":
-        return n
-    if key == "dn":
-        return num_local
-    return d  # nd / dd: delegate ids (0 when there are no delegates)
 
 
 def _assemble_compressed(

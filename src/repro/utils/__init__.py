@@ -13,6 +13,9 @@ Public modules
 ``rng``
     Deterministic random-number and hashing helpers (the paper randomises
     vertex numbers with a deterministic hash after edge generation).
+``sorting``
+    :func:`sorted_unique`, the sort + neighbour-compare replacement for plain
+    ``numpy.unique`` that every layer uses on integer arrays.
 ``stats``
     Statistics helpers, most importantly the geometric mean used by the paper
     for reporting traversal rates across 140 random sources.
@@ -23,6 +26,7 @@ Public modules
 
 from repro.utils.bitmask import Bitmask
 from repro.utils.rng import deterministic_hash_permutation, make_rng, splitmix64
+from repro.utils.sorting import sorted_unique
 from repro.utils.stats import geometric_mean, harmonic_mean, summarize
 from repro.utils.timing import SimClock, Timer, TimingBreakdown
 
@@ -31,6 +35,7 @@ __all__ = [
     "deterministic_hash_permutation",
     "make_rng",
     "splitmix64",
+    "sorted_unique",
     "geometric_mean",
     "harmonic_mean",
     "summarize",

@@ -132,3 +132,113 @@ class TestReverseAndScipy:
         mat = csr.to_scipy()
         assert mat.shape == (2, 3)
         assert mat.nnz == 3
+
+
+def reference_csr(
+    src, dst, num_rows, num_cols, column_dtype=np.int64, sort_columns=True, weights=None
+):
+    """The ``lexsort`` construction ``from_edges`` used before the packed-key sort.
+
+    Kept as the oracle: ``(row_offsets, column_indices, edge_weights)``.
+    """
+    src = np.asarray(src, dtype=np.int64).ravel()
+    dst = np.asarray(dst, dtype=np.int64).ravel()
+    row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    if num_rows:
+        np.cumsum(np.bincount(src, minlength=num_rows), out=row_offsets[1:])
+    order = np.lexsort((dst, src)) if sort_columns else np.argsort(src, kind="stable")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64).ravel()[order]
+    return row_offsets, dst[order].astype(column_dtype), w
+
+
+def assert_csr_identical(csr: CSRGraph, reference, num_rows, num_cols) -> None:
+    row_offsets, columns, weights = reference
+    assert (csr.num_rows, csr.num_cols) == (num_rows, num_cols)
+    for got, want in ((csr.row_offsets, row_offsets), (csr.column_indices, columns)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    if weights is None:
+        assert csr.edge_weights is None
+    else:
+        assert csr.edge_weights.dtype == np.float64
+        np.testing.assert_array_equal(csr.edge_weights, weights)
+
+
+class TestPackedKeySortIdentity:
+    """``from_edges`` sorts one packed key; the arrays must equal the lexsort's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        num_rows=st.integers(0, 9),
+        num_cols=st.integers(1, 9),
+        column_dtype=st.sampled_from([np.int32, np.int64]),
+        weighted=st.booleans(),
+        sort_columns=st.booleans(),
+    )
+    def test_random_inputs(self, data, num_rows, num_cols, column_dtype, weighted, sort_columns):
+        # Small universes and up to 60 edges: duplicate (row, column) pairs
+        # with different weights are the rule, so stability is exercised.
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, num_rows - 1), st.integers(0, num_cols - 1)), max_size=60
+            )
+            if num_rows
+            else st.just([])
+        )
+        src = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        weights = np.arange(src.size, dtype=np.float64)[::-1] / 4 if weighted else None
+        kwargs = dict(column_dtype=column_dtype, sort_columns=sort_columns, weights=weights)
+        csr = CSRGraph.from_edges(src, dst, num_rows, num_cols, **kwargs)
+        assert_csr_identical(
+            csr, reference_csr(src, dst, num_rows, num_cols, **kwargs), num_rows, num_cols
+        )
+
+    def test_duplicate_weighted_edges_keep_input_order(self):
+        src, dst = [1, 0, 1, 1, 0, 1], [2, 3, 2, 0, 3, 2]
+        weights = [0.5, 0.25, 0.125, 1.0, 0.75, 0.0625]
+        csr = CSRGraph.from_edges(src, dst, 2, 4, weights=weights)
+        np.testing.assert_array_equal(csr.column_indices, [3, 3, 0, 2, 2, 2])
+        np.testing.assert_array_equal(csr.edge_weights, [0.25, 0.75, 1.0, 0.5, 0.125, 0.0625])
+        assert_csr_identical(csr, reference_csr(src, dst, 2, 4, weights=weights), 2, 4)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_empty_input_and_zero_rows(self, weighted):
+        weights = np.zeros(0) if weighted else None
+        for num_rows, num_cols in ((0, 0), (0, 5), (3, 0), (3, 5)):
+            csr = CSRGraph.from_edges([], [], num_rows, num_cols, np.int32, weights=weights)
+            assert_csr_identical(
+                csr, reference_csr([], [], num_rows, num_cols, np.int32, weights=weights),
+                num_rows, num_cols,
+            )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_wide_universe_takes_the_lexsort_fallback(self, weighted):
+        """2**62 columns x 5 rows needs 65 key bits: no packed key exists."""
+        num_rows, num_cols = 5, 2**62
+        rng = np.random.default_rng(7)
+        src = rng.integers(0, num_rows, size=200)
+        dst = rng.integers(0, num_cols, size=200)
+        dst[:50] = dst[50:100]  # duplicate columns, some in the same row
+        src[:25] = src[50:75]
+        weights = rng.random(200) if weighted else None
+        csr = CSRGraph.from_edges(src, dst, num_rows, num_cols, weights=weights)
+        assert_csr_identical(
+            csr, reference_csr(src, dst, num_rows, num_cols, weights=weights), num_rows, num_cols
+        )
+        # One bit fewer fits (1 row bit + 62 column bits) and must agree too.
+        csr = CSRGraph.from_edges(src % 2, dst, 2, num_cols, weights=weights)
+        assert_csr_identical(
+            csr, reference_csr(src % 2, dst, 2, num_cols, weights=weights), 2, num_cols
+        )
+
+    def test_result_is_validated_input_not_aliased(self):
+        dst = np.asarray([2, 1, 0], dtype=np.int64)
+        csr = CSRGraph.from_edges([0, 0, 0], dst, 1, 3, sort_columns=False)
+        csr.column_indices[:] = 0
+        np.testing.assert_array_equal(dst, [2, 1, 0])
+        with pytest.raises(ValueError):
+            CSRGraph.from_edges([0], [1], 1, 2, weights=[-1.0])
+        with pytest.raises(ValueError):
+            CSRGraph.from_edges([0], [1], 1, 2, weights=[1.0, 2.0])

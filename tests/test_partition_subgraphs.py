@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graph.edgelist import EdgeList
 from repro.graph.rmat import generate_rmat
+from repro.partition.delegates import separate_by_degree
+from repro.partition.distributor import EDGE_CATEGORIES, distribute_edges
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
+
+from test_graph_csr import assert_csr_identical, reference_csr
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +176,66 @@ class TestEdgeCasesAndErrors:
             partitioned.delegate_id_of_vertex(partitioned.delegate_vertices),
             np.arange(partitioned.num_delegates),
         )
+
+
+class TestGroupedBuildIdentity:
+    """``build_partitions`` groups edges with one sort and reads per-vertex
+    tables; every array must equal the mask-per-quadrant construction."""
+
+    @staticmethod
+    def reference_quadrants(edges, layout, separation, assignment, g):
+        """One GPU's four CSRs from boolean masks, per-edge ``//`` and lexsort."""
+        n, d, p = edges.num_vertices, separation.num_delegates, layout.num_gpus
+        num_local = layout.num_local_vertices(g, n)
+        did = separation.delegate_id_of
+        shapes = {"nn": (num_local, n), "nd": (num_local, d), "dn": (d, num_local), "dd": (d, d)}
+        out = {}
+        for key, code in EDGE_CATEGORIES.items():
+            dtype = np.int64 if key == "nn" else np.int32
+            if key != "nn" and d == 0:  # such subgraphs are CSRGraph.empty: no weights
+                out[key] = (np.zeros(shapes[key][0] + 1, dtype=np.int64), np.zeros(0, dtype), None)
+                continue
+            sel = (assignment.owner == g) & (assignment.category == code)
+            s, t = edges.src[sel], edges.dst[sel]
+            rows = s // p if key[0] == "n" else did[s]
+            cols = t if key == "nn" else (t // p if key[1] == "n" else did[t])
+            weights = edges.weights[sel] if edges.weights is not None else None
+            out[key] = reference_csr(rows, cols, *shapes[key], dtype, weights=weights)
+        return shapes, out
+
+    @pytest.mark.parametrize("layout_text", ["1x1x1", "2x1x2", "2x2x2"])
+    @pytest.mark.parametrize("threshold", [1, 4, None])
+    @pytest.mark.parametrize("weights_seed", [None, 5])
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_arrays_equal_the_masked_reference(self, layout_text, threshold, weights_seed, tiny):
+        if tiny:  # 4 undirected edges on 5 vertices: half of 2x2x2's GPUs own no edge
+            src, dst = np.asarray([0, 1, 2, 0]), np.asarray([1, 2, 3, 2])
+            weights = None if weights_seed is None else np.asarray([0.5, 0.25, 2.0, 1.0])
+            edges = EdgeList(src, dst, 5, weights=weights).prepared(hash_seed=None)
+        else:
+            edges = generate_rmat(9, rng=3, weights_seed=weights_seed)
+        layout = ClusterLayout.from_notation(layout_text)
+        if threshold is None:  # above the maximum degree: no delegates at all
+            threshold = int(np.bincount(edges.src, minlength=1).max()) + 1
+        graph = build_partitions(edges, layout, threshold)
+        separation = separate_by_degree(edges, threshold)
+        assignment = distribute_edges(edges, separation, layout)
+        assert (separation.num_delegates == 0) == (threshold > 4 or (tiny and threshold > 1))
+        for g, gpu in enumerate(graph.gpus):
+            shapes, reference = self.reference_quadrants(edges, layout, separation, assignment, g)
+            for key in EDGE_CATEGORIES:
+                assert_csr_identical(getattr(gpu, key), reference[key], *shapes[key])
+            nd_ro, dn_ro, dd_ro = (reference[key][0] for key in ("nd", "dn", "dd"))
+            for got, want in (
+                (gpu.nd_source_list, np.flatnonzero(np.diff(nd_ro) > 0).astype(np.int64)),
+                (gpu.dn_source_mask, np.diff(dn_ro) > 0),
+                (gpu.dd_source_mask, np.diff(dd_ro) > 0),
+                (
+                    gpu.local_is_normal,
+                    ~separation.is_delegate[layout.owned_vertices(g, edges.num_vertices)],
+                ),
+            ):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        if tiny and layout.num_gpus == 8:
+            assert sum(gpu.num_edges == 0 for gpu in graph.gpus) >= 4
