@@ -373,10 +373,11 @@ class Communicator:
         p = layout.num_gpus
         if len(outboxes) != p or len(outbox_words) != p:
             raise ValueError(f"expected {p} outboxes and word arrays")
-
         binned: list[list[np.ndarray]] = []
         binned_words: list[list[np.ndarray]] = []
         per_gpu_filter_time = np.zeros(p, dtype=np.float64)
+        no_slots = np.zeros(0, dtype=np.int32)
+        idle = True
         nwords = 1
         for src_gpu, out in enumerate(outboxes):
             out = np.asarray(out, dtype=np.int64).ravel()
@@ -389,6 +390,13 @@ class Communicator:
                     f"expected {out.size}"
                 )
             per_gpu_filter_time[src_gpu] += self.netmodel.filter_time(out.size)
+            if out.size == 0:
+                # An idle sender still runs its binning kernel (charged above)
+                # but has nothing to bin.
+                binned.append([no_slots] * p)
+                binned_words.append([words] * p)
+                continue
+            idle = False
             dest_owner = layout.flat_gpu_of(out)
             local_slot = layout.local_index_of(out).astype(np.int32)
             order = np.argsort(dest_owner, kind="stable")
@@ -415,6 +423,17 @@ class Communicator:
                 wbuckets.append(wchunk)
             binned.append(buckets)
             binned_words.append(wbuckets)
+        if idle:
+            # No GPU sends anything: the routing below would move no byte and
+            # no statistic, and hand every GPU an empty inbox.
+            return BatchExchangeResult(
+                inboxes=[np.zeros(0, dtype=np.int64)] * p,
+                word_inboxes=[np.zeros((0, nwords), dtype=np.uint64)] * p,
+                local_time_s=float(per_gpu_filter_time.max()) if p else 0.0,
+                remote_time_s=0.0,
+                remote_bytes=0,
+                local_bytes=0,
+            )
 
         inbox_parts: list[list[np.ndarray]] = [[] for _ in range(p)]
         word_parts: list[list[np.ndarray]] = [[] for _ in range(p)]
@@ -523,7 +542,6 @@ class Communicator:
             raise ValueError(f"expected {p} payload arrays, got {len(payloads)}")
         if payload_identity is None:
             payload_identity = np.iinfo(np.int64).max
-
         pgpu = layout.gpus_per_rank
         empty_payload = np.zeros(0, dtype=np.int64)
         # Phase 1: per source GPU, bin by destination owner and convert the
@@ -531,6 +549,8 @@ class Communicator:
         binned: list[list[np.ndarray]] = []
         binned_payloads: list[list[np.ndarray]] = []
         per_gpu_filter_time = np.zeros(p, dtype=np.float64)
+        no_slots = np.zeros(0, dtype=np.int32)
+        idle = True
         for src_gpu, out in enumerate(outboxes):
             out = np.asarray(out, dtype=np.int64).ravel()
             if has_payload:
@@ -541,6 +561,13 @@ class Communicator:
                         f"expected {out.size}"
                     )
             per_gpu_filter_time[src_gpu] += self.netmodel.filter_time(out.size)
+            if out.size == 0:
+                # An idle sender still runs its binning kernel (charged above)
+                # but has nothing to bin.
+                binned.append([no_slots] * p)
+                binned_payloads.append([empty_payload] * p if has_payload else [])
+                continue
+            idle = False
             dest_owner = layout.flat_gpu_of(out)
             local_slot = layout.local_index_of(out).astype(np.int32)
             # Bucket by destination owner with one stable counting sort and a
@@ -559,6 +586,17 @@ class Communicator:
                 pbuckets = [sorted_payload[bounds[g]:bounds[g + 1]] for g in range(p)]
             binned.append(buckets)
             binned_payloads.append(pbuckets)
+        if idle:
+            # No GPU sends anything: phases 2-4 would move no byte and no
+            # statistic, and hand every GPU an empty inbox.
+            return ExchangeResult(
+                inboxes=[np.zeros(0, dtype=np.int64)] * p,
+                local_time_s=float(per_gpu_filter_time.max()) if p else 0.0,
+                remote_time_s=0.0,
+                remote_bytes=0,
+                local_bytes=0,
+                payload_inboxes=[empty_payload] * p if has_payload else None,
+            )
 
         local_bytes = 0
         staging_payload_bytes = 0

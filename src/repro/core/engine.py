@@ -37,9 +37,17 @@ program: each super-step is described as a declarative
 exchange, delegate reduction and program folds behind the plan's
 ``finalize``) and handed to an :class:`repro.exec.ExecutionBackend` —
 ``"inline"`` for the classic in-process simulator, ``"process"`` for a
-persistent worker pool over shared-memory CSR buffers.  Results, workload
-counters and modeled times are backend-independent; only the measured
-``wall_s`` phases change.
+persistent worker pool over shared-memory CSR buffers, ``"thread"`` for a
+thread pool over the coordinator's own arrays.  Results, workload counters
+and modeled times are backend-independent; only the measured ``wall_s``
+phases change.
+
+A super-step costs what its frontier costs.  The plan lists a kernel only
+where it pulls or has a non-empty filtered queue — an absent output *means*
+"idle forward kernel", which the serial half still charges its launch
+overhead — pull candidate sets are counted, and materialised only for a
+kernel that pulls, and fold, exchange and reduce touch only the GPUs and
+delegates that saw a discovery.
 
 That super-step is written once.  :meth:`TraversalEngine.step_loop` is the
 only level loop, :meth:`~TraversalEngine._plan_super_step` the only plan walk
@@ -73,7 +81,7 @@ from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.direction import DirectionState
-from repro.core.frontier import BatchState, frontier_for, global_ids
+from repro.core.frontier import NORMAL_SOURCED, BatchState, frontier_for, global_ids
 from repro.core.options import BFSOptions
 from repro.core.programs.base import FrontierProgram
 from repro.core.programs.batched import BatchedFrontierProgram
@@ -93,6 +101,10 @@ __all__ = ["TraversalEngine", "DistributedBFS"]
 #: Default lane count per batched sweep when ``run_many`` routes through the
 #: batched path; wider batches amortize better but grow the lane words.
 DEFAULT_BATCH_SIZE = 32
+
+#: The subgraph whose CSR holds each direction-optimised kernel's reverse
+#: edges (what its backward pull scans); dd is locally symmetric.
+_REVERSE = {"nd": "dn", "dn": "nd", "dd": "dd"}
 
 
 def _plan_pulls(plan) -> int:
@@ -190,6 +202,15 @@ class TraversalEngine:
             }
             for gpu in graph.gpus
         ]
+        # Which delegates have an edge in which (GPU, delegate-sourced
+        # kernel): row 2g is GPU g's dn subgraph, row 2g + 1 its dd subgraph.
+        # One column gather per super-step tells the plan walk where the
+        # replicated delegate frontier has work at all.
+        self._delegate_has_edges = (
+            np.stack([deg[kernel] > 0 for deg in self._degrees for kernel in ("dn", "dd")])
+            if graph.num_delegates
+            else None
+        )
 
     # ------------------------------------------------------------------ #
     # Execution backend
@@ -447,7 +468,8 @@ class TraversalEngine:
 
         ``select()``
             Called before every step in place of the frontier-empty test:
-            install the step's input frontier into ``state`` and return
+            install the step's input frontier into ``state`` (sorted and
+            duplicate-free, as every frontier of the state is) and return
             ``True``, or return ``False`` to end the run.
         ``settle()``
             Called after every step, once ``state`` holds the step's output
@@ -476,8 +498,14 @@ class TraversalEngine:
         total_edges = 0
         level = 0
         # Wall-clock accounting of the simulation itself (not modeled time):
-        # per-phase seconds the bench harness reads off the result.
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
+        # per-phase seconds the bench harness reads off the result.  The
+        # backend adds its kernel stage to ``kernels``; ``plan``, ``fold`` and
+        # ``overlay`` are the coordinator's own share of a step and are
+        # folded into ``kernels`` once the loop ends.
+        wall = {
+            "kernels": 0.0, "plan": 0.0, "fold": 0.0, "overlay": 0.0,
+            "exchange": 0.0, "delegate_reduce": 0.0,
+        }
         backend = self.backend
         overlay_live = overlay is not None and not overlay.empty
         tracer = get_tracer()
@@ -499,7 +527,7 @@ class TraversalEngine:
             plan_started = now_s()
             plan = self._plan_super_step(rep, communicator, dir_states, level, wall)
             plan_done = now_s()
-            wall["kernels"] += plan_done - plan_started
+            wall["plan"] += plan_done - plan_started
             if tracer.enabled:
                 tracer.record_span(
                     "plan+direction", cat="engine", start=plan_started,
@@ -511,7 +539,7 @@ class TraversalEngine:
                 relax_started = now_s()
                 self._overlay_relax(rep, overlay, pre_frontier, record)
                 relax_done = now_s()
-                wall["kernels"] += relax_done - relax_started
+                wall["overlay"] += relax_done - relax_started
                 if tracer.enabled:
                     tracer.record_span(
                         "overlay-relax", cat="engine", start=relax_started,
@@ -529,6 +557,7 @@ class TraversalEngine:
             total_edges += record.total_edges_examined()
             timing.add(record)
 
+        wall["kernels"] += wall["plan"] + wall["fold"] + wall["overlay"]
         timing.iterations = len(records)
         wall["traversal"] = now_s() - run_started
         if tracer.enabled:
@@ -606,90 +635,88 @@ class TraversalEngine:
         """Describe one super-step as a backend-executable plan.
 
         The planning pass reproduces the seed engine's pre-kernel work in
-        the same order — previsit filtering, backward-candidate construction
-        and the (stateful) per-subgraph direction decisions — and emits one
-        :class:`repro.exec.GPUPlan` of pure-data kernel tasks per GPU.  The
+        the same order — previsit filtering and the (stateful)
+        per-subgraph direction decisions — but emits a
+        :class:`repro.exec.VisitSpec` only for a kernel that pulls or whose
+        filtered queue is non-empty, and a :class:`repro.exec.GPUPlan` only
+        for a GPU with such a kernel: a kernel the plan does not list is an
+        idle forward kernel, and :meth:`_finalize_super_step` charges it as
+        one.  Every direction decision is still taken, in the same order and
+        on the same two workloads, because the hysteresis is stateful.  The
         walk is the same for every frontier representation; ``rep`` supplies
-        the dense buffers, the filtered queues, which rows are still open to
-        a pull, the backward-workload estimate and each task's payload.  The
-        plan's ``finalize`` closure is the post-kernel half
-        (:meth:`_finalize_super_step`), always run on the coordinating
+        the dense buffers, the filtered queues, the backward-workload
+        estimate, the rows still open to a pull (built only for a kernel
+        that does pull) and each task's payload.  The plan's ``finalize``
+        closure is the post-kernel half, always run on the coordinating
         process, so results, counters and modeled times are identical under
         every backend.
         """
-        graph = self.graph
-        p = graph.num_gpus
-        d = graph.num_delegates
-        pull_ok = rep.pull_ok
-        empty = np.zeros(0, dtype=np.int64)
+        p = self.graph.num_gpus
+        netmodel = self.netmodel
 
         rep.begin_step()
-        open_delegates = rep.open_delegates
         delegate_size = rep.delegate_size()
+        # Where the replicated delegate frontier has work: one gather over
+        # the has-edges table instead of a previsit filter per (GPU, kernel).
+        delegate_work = (
+            self._delegate_has_edges[:, rep.delegate_rows()].any(axis=1).tolist()
+            if delegate_size
+            else None
+        )
         normal_frontier_total = 0
         directions = {"nd": 0, "dn": 0, "dd": 0}
-        base_comp = np.zeros(p, dtype=np.float64)
+        base_comp: list[float] = []
         gpu_plans: list[GPUPlan] = []
 
         for g in range(p):
-            part = graph.gpus[g]
             deg = self._degrees[g]
             normal_size = rep.normal_size(g)
             normal_frontier_total += normal_size
-            comp = self.netmodel.iteration_overhead()
-            comp += self.netmodel.filter_time(2 * normal_size + 2 * delegate_size)
-            base_comp[g] = comp
-
-            # ---- shared backward candidate sets --------------------------- #
-            if d and pull_ok:
-                cand_nd = open_delegates[part.dn_source_mask[open_delegates]]
-                cand_dd = open_delegates[part.dd_source_mask[open_delegates]]
-            else:
-                cand_nd = cand_dd = empty
-            if pull_ok and part.nd_source_list.size:
-                cand_dn = part.nd_source_list[rep.open_locals(g, part.nd_source_list)]
-            else:
-                cand_dn = empty
-            # kernel -> (reverse CSR a pull scans, its candidates, the
-            # still-unvisited forward sources, the input frontier's length)
-            pulls = {
-                "nd": ("dn", cand_nd, cand_dn, normal_size),
-                "dn": ("nd", cand_dn, cand_nd, delegate_size),
-                "dd": ("dd", cand_dd, cand_dd, delegate_size),
-            }
-
+            base_comp.append(
+                netmodel.iteration_overhead()
+                + netmodel.filter_time(2 * normal_size + 2 * delegate_size)
+            )
             visits = []
             dense_local = None
             for kernel in self._kernels[g]:
-                spec = VisitSpec(
-                    kernel, kernel, backward=False, **rep.push_payload(kernel, g, deg[kernel])
-                )
-                # nn is always forward; nd/dn/dd each follow their own
+                # The kernel's input frontier: this GPU's normal slots for
+                # nn/nd, the delegates for dn/dd.  A forward task exists only
+                # if some frontier row has an edge in the kernel's subgraph.
+                if kernel in NORMAL_SOURCED:
+                    frontier_size = has_work = normal_size
+                else:
+                    frontier_size = delegate_size
+                    has_work = delegate_work and delegate_work[2 * g + (kernel == "dd")]
+                fields = rep.push_payload(kernel, g, deg[kernel]) if has_work else None
+                # nn is always forward; nd/dd/dn each follow their own
                 # direction state (forward workload vs backward workload).
                 if kernel != "nn":
-                    reverse, candidates, unvisited_sources, frontier_size = pulls[kernel]
-                    queue = spec.queue
-                    forward = int(deg[kernel][queue].sum()) if queue.size else 0
-                    backward = rep.backward_workload(
-                        candidates, frontier_size, unvisited_sources, deg[reverse]
-                    )
+                    # A pull scans the reverse edges: the dn CSR for nd and
+                    # vice versa; dd is locally symmetric.
+                    reverse = _REVERSE[kernel]
+                    forward = int(deg[kernel][fields["queue"]].sum()) if fields else 0
+                    backward = rep.backward_workload(kernel, g, frontier_size, deg[reverse])
                     if dir_states[kernel][g].decide(forward, backward):
                         directions[kernel] += 1
                         if kernel == "nd":
-                            # A backward nd pull scans the reverse edges (the
-                            # dn CSR) against this GPU's dense normal frontier;
-                            # dn/dd pulls test the replicated delegate buffer.
+                            # A backward nd pull tests parents against this
+                            # GPU's dense normal frontier; dn/dd pulls test
+                            # the replicated delegate buffer.
                             dense_local = rep.dense_local(g)
-                        spec = VisitSpec(
-                            kernel,
-                            reverse,
-                            backward=True,
-                            candidates=candidates,
-                            parents="normal" if kernel == "nd" else "delegate",
-                            **rep.pull_payload(kernel, g, candidates),
+                        visits.append(
+                            VisitSpec(
+                                kernel,
+                                reverse,
+                                backward=True,
+                                parents="normal" if kernel == "nd" else "delegate",
+                                **rep.pull_payload(kernel, g),
+                            )
                         )
-                visits.append(spec)
-            gpu_plans.append(GPUPlan(gpu=g, visits=visits, dense_local=dense_local))
+                        continue
+                if fields:
+                    visits.append(VisitSpec(kernel, kernel, backward=False, **fields))
+            if visits:
+                gpu_plans.append(GPUPlan(gpu=g, visits=visits, dense_local=dense_local))
 
         def finalize(outputs: list) -> IterationRecord:
             return self._finalize_super_step(
@@ -720,16 +747,24 @@ class TraversalEngine:
         communicator: Communicator,
         level: int,
         wall: dict,
-        base_comp: np.ndarray,
+        base_comp: list,
         directions: dict,
         normal_frontier_total: int,
         delegate_frontier_size: int,
     ) -> IterationRecord:
-        """Fold kernel outputs, exchange, reduce: the serial half of a step."""
+        """Fold kernel outputs, exchange, reduce: the serial half of a step.
+
+        ``outputs[g]`` holds the outputs of the kernels the plan listed for
+        GPU ``g``.  A kernel without an output was an idle forward kernel:
+        it still costs its launch overhead (``traversal_time(0)``), added in
+        the same nn → nd → dn → dd order as a kernel that ran, and
+        contributes nothing to fold.
+        """
         opts = self.options
         p = self.graph.num_gpus
         traversal_time = self.netmodel.traversal_time
-        per_gpu_comp = np.zeros(p, dtype=np.float64)
+        idle_s = traversal_time(0)
+        per_gpu_comp: list[float] = []
         edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
         tracer = get_tracer()
         fold_started = now_s()
@@ -739,17 +774,20 @@ class TraversalEngine:
             outs = outputs[g]
             comp = base_comp[g]
             for kernel in self._kernels[g]:
-                out = outs[kernel]
+                out = outs.get(kernel)
+                if out is None:
+                    comp += idle_s
+                    continue
                 comp += traversal_time(out.edges_examined, backward=out.backward)
                 edges_examined[kernel] += out.edges_examined
                 rep.fold(g, kernel, out)
-            per_gpu_comp[g] = comp
+            per_gpu_comp.append(comp)
 
         # ------------------------------------------------------------------ #
         # Communication stage
         # ------------------------------------------------------------------ #
         exchange_started = now_s()
-        wall["kernels"] += exchange_started - fold_started
+        wall["fold"] += exchange_started - fold_started
         if tracer.enabled:
             tracer.record_span(
                 "fold", cat="engine", start=fold_started,
@@ -782,7 +820,7 @@ class TraversalEngine:
         # ------------------------------------------------------------------ #
         # Modeled timing for this super-step
         # ------------------------------------------------------------------ #
-        computation_s = float(per_gpu_comp.max()) if p else 0.0
+        computation_s = float(max(per_gpu_comp)) if p else 0.0
         local_comm_s = exchange.local_time_s + reduce_local_s
         remote_normal_s = exchange.remote_time_s
         remote_delegate_s = reduce_global_s

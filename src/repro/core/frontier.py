@@ -15,16 +15,21 @@ state                      ``TraversalState``: int64       ``BatchState``: per-v
                            value per vertex + id-array     lane-word rows (``BatchBitmask``)
                            frontiers                       + (rows, words) frontiers
 dense frontier buffers     ``bool`` flags                  ``uint64`` lane words
-previsit filter / payload  dedup + zero-degree drop;       zero-degree drop; lane words
-of a forward task          ``keep_sources`` / ``weighted`` parallel to the queue
-open (pull-capable) rows   value still ``UNVISITED``       some lane still unvisited
+previsit filter / payload  zero-degree drop (frontiers     zero-degree drop; lane words
+of a forward task          are installed sorted-unique);   parallel to the queue
+                           ``keep_sources`` / ``weighted``
+open (pull-capable) rows   value still ``UNVISITED``:      some lane still unvisited:
+                           counted per GPU, listed only    listed when a workload is
+                           for a kernel that pulls         asked for
 backward workload          expected first hit              exact parent-degree sum (a
                            ``|U|(q+s)/q`` (paper §IV)      batched pull has no early exit)
 folding a discovery        program ``visit_value`` /       ``& wanted`` lanes, ``record``
                            ``accept`` / ``merge_remote``
                            / ``combine``
 nn exchange                ``exchange_normals`` (+payload) ``exchange_batch``
-delegate reduce            1-bit masks or 64-bit values    one ``d x B``-bit reduction
+delegate reduce            1-bit masks or 64-bit values,   one ``d x B``-bit reduction,
+                           built only on GPUs that         built only on GPUs that
+                           proposed an update              proposed an update
 overlay proposals          program values                  OR-propagated lane words
 =========================  ==============================  ==============================
 
@@ -50,13 +55,20 @@ from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import BatchBitmask, Bitmask
 from repro.utils.sorting import sorted_unique
 
-__all__ = ["BatchState", "FlagFrontier", "LaneFrontier", "frontier_for", "global_ids"]
+__all__ = [
+    "NORMAL_SOURCED",
+    "BatchState",
+    "FlagFrontier",
+    "LaneFrontier",
+    "frontier_for",
+    "global_ids",
+]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 #: Kernels whose frontier rows (forward sources) are local normal slots; the
 #: other two (dn, dd) expand the replicated delegate frontier.
-_NORMAL_SOURCED = ("nn", "nd")
+NORMAL_SOURCED = ("nn", "nd")
 
 
 def global_ids(graph: PartitionedGraph, g: int | None, rows: np.ndarray) -> np.ndarray:
@@ -74,6 +86,11 @@ class FlagFrontier:
     every fold goes through its ``visit_value`` / ``accept`` /
     ``merge_remote`` / ``combine`` hooks, in the same order the seed engine
     called them.
+
+    The frontiers of the state are sorted and duplicate-free: the engine's
+    own installs are by construction, :meth:`TraversalState.from_init`
+    normalises a seeded one, and a driver's ``select`` hook must install
+    them so.  Previsit filtering is therefore only the zero-degree drop.
     """
 
     def __init__(self, graph, options, provider, program, state: TraversalState) -> None:
@@ -96,6 +113,39 @@ class FlagFrontier:
             "dn": program.payload_exchange or program.delegate_channel == "values",
             "dd": not self._mask_channel,
         }
+        # What a GPU that proposed no delegate update contributes to a
+        # reduction: one shared, read-only all-zero mask / all-identity array.
+        d = graph.num_delegates
+        if self._mask_channel:
+            self._no_update = Bitmask(d)
+            self._no_update.buffer.setflags(write=False)
+        else:
+            self._no_update = np.full(d, program.combine_identity, dtype=np.int64)
+            self._no_update.setflags(write=False)
+        # The rows still open to a pull, as flags and as running counts: the
+        # direction decision needs only the sizes |U| and s of the paper's
+        # estimate, so the id arrays are built only for a kernel that pulls.
+        # Row 2g of the source table marks the delegates with an edge in GPU
+        # g's dn subgraph (the candidates of an nd pull, while open), row
+        # 2g + 1 the same for dd; the slot flags of GPU g are "open and a
+        # source of its nd subgraph" (the candidates of a dn pull).  Counted
+        # from the state — a seeded run starts with vertices already closed.
+        self._open_delegates = self._open_slots = None
+        if self.pull_ok and d:
+            self._delegate_sources = np.stack(
+                [mask for gpu in graph.gpus for mask in (gpu.dn_source_mask, gpu.dd_source_mask)]
+            )
+            self._open_delegates = state.delegate_values == UNVISITED
+            self._open_delegate_counts = (
+                (self._delegate_sources & self._open_delegates).sum(axis=1).tolist()
+            )
+            self._open_slots = []
+            for gpu, values in zip(graph.gpus, state.normal_values):
+                flags = np.zeros(gpu.num_local, dtype=bool)
+                flags[gpu.nd_source_list] = True
+                flags &= values == UNVISITED
+                self._open_slots.append(flags)
+            self._open_slot_counts = [int(flags.sum()) for flags in self._open_slots]
 
     # ------------------------------------------------------------------ #
     # Loop
@@ -109,21 +159,49 @@ class FlagFrontier:
     def delegate_size(self) -> int:
         return int(self.state.delegate_frontier.size)
 
+    def delegate_rows(self) -> np.ndarray:
+        """The delegate ids of the step's input frontier."""
+        return self.state.delegate_frontier
+
+    # ------------------------------------------------------------------ #
+    # State updates (every write to the values goes through these two)
+    # ------------------------------------------------------------------ #
+    def _update_normals(self, g: int, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Apply accepted proposals to GPU ``g``'s slots; returns the fresh
+        ones and closes them to future pulls."""
+        fresh = self.state.update_normals(g, slots, values, self.program.accept)
+        if fresh.size and self._open_slots is not None:
+            flags = self._open_slots[g]
+            closed = int(np.count_nonzero(flags[fresh]))
+            if closed:
+                flags[fresh] = False
+                self._open_slot_counts[g] -= closed
+        return fresh
+
+    def _update_delegates(self, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Apply accepted proposals to the replicated delegates; returns the
+        fresh ones and closes them to future pulls on every GPU."""
+        fresh = self.state.update_delegates(ids, values, self.program.accept)
+        if fresh.size and self._open_delegates is not None:
+            closing = fresh[self._open_delegates[fresh]]
+            if closing.size:
+                self._open_delegates[closing] = False
+                counts = self._open_delegate_counts
+                closed = self._delegate_sources[:, closing].sum(axis=1).tolist()
+                for row, count in enumerate(closed):
+                    counts[row] -= count
+        return fresh
+
     # ------------------------------------------------------------------ #
     # Plan
     # ------------------------------------------------------------------ #
     def begin_step(self) -> None:
-        """Build the step's shared inputs: the dense delegate frontier and
-        the delegates still open to a pull."""
-        d = self.graph.num_delegates
+        """Build the step's shared input: the dense delegate frontier."""
+        flags = np.zeros(self.graph.num_delegates, dtype=bool)
         frontier_d = self.state.delegate_frontier
-        flags = np.zeros(d, dtype=bool)
         if frontier_d.size:
             flags[frontier_d] = True
         self.dense_delegate = flags
-        self.open_delegates = (
-            self.state.unvisited_delegates() if self.pull_ok and d else _EMPTY_I64
-        )
 
     def dense_local(self, g: int) -> np.ndarray:
         """GPU ``g``'s dense normal frontier (what a backward nd pull scans)."""
@@ -133,58 +211,73 @@ class FlagFrontier:
             flags[frontier] = True
         return flags
 
-    def open_locals(self, g: int, slots: np.ndarray) -> np.ndarray:
-        """Mask of ``slots`` on GPU ``g`` that could still gain from a pull."""
-        return self.state.normal_values[g][slots] == UNVISITED
-
-    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
-        """Previsit-filter the kernel's input frontier into forward-task fields."""
+    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict | None:
+        """Previsit-filter the kernel's input frontier into forward-task
+        fields, or ``None`` when no frontier row has an edge to push along."""
         state = self.state
         frontier = (
-            state.normal_frontiers[g] if kernel in _NORMAL_SOURCED else state.delegate_frontier
+            state.normal_frontiers[g] if kernel in NORMAL_SOURCED else state.delegate_frontier
         )
+        queue = frontier[out_degrees[frontier] > 0]
+        if queue.size == 0:
+            return None
         return {
-            "queue": self.provider.filter_frontier(frontier, out_degrees),
+            "queue": queue,
             "keep_sources": self._keep_sources[kernel],
             # Weighted programs gather edge weights on every forward visit
             # (they never pull: needs_weights implies no direction switch).
             "weighted": self.program.needs_weights,
         }
 
-    def pull_payload(self, kernel: str, g: int, candidates: np.ndarray) -> dict:
-        return {"keep_sources": self._keep_sources[kernel]}
+    def pull_payload(self, kernel: str, g: int) -> dict:
+        """The rows that pull — the still-open sources of the kernel's
+        reverse subgraph on GPU ``g`` — built here, for a kernel that pulls."""
+        open_rows = (
+            self._open_slots[g]
+            if kernel == "dn"
+            else self._delegate_sources[2 * g + (kernel == "dd")] & self._open_delegates
+        )
+        return {
+            "candidates": np.flatnonzero(open_rows),
+            "keep_sources": self._keep_sources[kernel],
+        }
 
     def backward_workload(
-        self, candidates, frontier_size: int, unvisited_sources, reverse_degrees
+        self, kernel: str, g: int, frontier_size: int, reverse_degrees: np.ndarray
     ) -> float:
-        """The paper's expected-first-hit estimate ``|U| (q + s) / q``."""
-        return estimate_backward_workload(
-            candidates.size, q=frontier_size, s=int(unvisited_sources.size)
-        )
+        """The paper's expected-first-hit estimate ``|U| (q + s) / q`` from
+        the counted open rows: ``U`` pulls, ``s`` are the unvisited forward
+        sources (for dd the two coincide)."""
+        if self._open_delegates is None:
+            return estimate_backward_workload(0, q=frontier_size, s=0)
+        delegates = self._open_delegate_counts[2 * g + (kernel == "dd")]
+        if kernel == "dd":
+            pulling = sources = delegates
+        elif kernel == "nd":
+            pulling, sources = delegates, self._open_slot_counts[g]
+        else:
+            pulling, sources = self._open_slot_counts[g], delegates
+        return estimate_backward_workload(pulling, q=frontier_size, s=sources)
 
     # ------------------------------------------------------------------ #
     # Fold → exchange → delegate reduce
     # ------------------------------------------------------------------ #
     def begin_fold(self) -> None:
         p = self.graph.num_gpus
-        d = self.graph.num_delegates
-        self._outboxes: list[np.ndarray] = []
-        self._payloads: list[np.ndarray] = []
+        self._outboxes: list[np.ndarray] = [_EMPTY_I64] * p
+        self._payloads: list[np.ndarray] = [_EMPTY_I64] * p
         self._fresh_dn: list[np.ndarray] = [_EMPTY_I64] * p
-        if self._mask_channel:
-            self._out_masks = [Bitmask(d) for _ in range(p)]
-        else:
-            self._proposals = [
-                np.full(d, self.program.combine_identity, dtype=np.int64) for _ in range(p)
-            ]
-            self._proposals_any = False
+        # Per GPU, the delegate update it proposes — a visited mask or a
+        # dense value array — built on its first proposal (``None`` until
+        # then: a GPU that found nothing owns no O(d) buffer).
+        self._updates: list = [None] * p
 
     def _kernel_values(self, g: int, kernel: str, out, discovered, with_sources: bool):
         """The program's proposed values for one kernel's discoveries."""
         src_ids = src_vals = None
         if with_sources:
             src = out.sources
-            if kernel in _NORMAL_SOURCED:
+            if kernel in NORMAL_SOURCED:
                 # nn/nd edges originate at local normal vertices; forward rows
                 # and backward-pull hit parents are both local slots.
                 ids = self.graph.gpus[g].global_ids_of_locals(src)
@@ -215,15 +308,15 @@ class FlagFrontier:
         state = self.state
         found = out.discovered
         if kernel == "nn":
-            self._outboxes.append(found)
+            self._outboxes[g] = found
             if program.payload_exchange:
-                self._payloads.append(self._kernel_values(g, "nn", out, found, True))
+                self._payloads[g] = self._kernel_values(g, "nn", out, found, True)
         elif found.size == 0:
             return
         elif kernel == "dn":
             values = self._kernel_values(g, "dn", out, found, self._keep_sources["dn"])
             slots, values = program.merge_remote(found, values)
-            self._fresh_dn[g] = state.update_normals(g, slots, values, program.accept)
+            self._fresh_dn[g] = self._update_normals(g, slots, values)
         elif self._mask_channel:
             found = sorted_unique(found)
             # Drop delegates that are already visited (their status is
@@ -231,7 +324,9 @@ class FlagFrontier:
             # avoids pointless mask reductions).
             found = found[~self.provider.bitmask_test_many(state.delegate_visited, found)]
             if found.size:
-                self.provider.bitmask_set_many(self._out_masks[g], found)
+                if self._updates[g] is None:
+                    self._updates[g] = Bitmask(self.graph.num_delegates)
+                self.provider.bitmask_set_many(self._updates[g], found)
         else:
             # Values channel: propose program values, keep only proposals the
             # (replicated) current values would accept, and combine them into
@@ -241,8 +336,9 @@ class FlagFrontier:
             keep = program.accept(state.delegate_values[ids], vals)
             ids, vals = ids[keep], vals[keep]
             if ids.size:
-                program.combine.at(self._proposals[g], ids, vals)
-                self._proposals_any = True
+                if self._updates[g] is None:
+                    self._updates[g] = self._no_update.copy()
+                program.combine.at(self._updates[g], ids, vals)
 
     def exchange(self, communicator):
         program = self.program
@@ -260,47 +356,51 @@ class FlagFrontier:
         """Fold GPU ``g``'s inbox; install and size its next normal frontier."""
         program = self.program
         inbox = exchange.inboxes[g]
-        if program.payload_exchange:
-            values = exchange.payload_inboxes[g]
-        else:
-            values = program.visit_value(
-                VisitContext(
-                    kernel="recv", gpu=g, level=self.level, backward=False, discovered=inbox
+        frontier = self._fresh_dn[g]
+        if inbox.size:
+            if program.payload_exchange:
+                values = exchange.payload_inboxes[g]
+            else:
+                values = program.visit_value(
+                    VisitContext(
+                        kernel="recv", gpu=g, level=self.level, backward=False, discovered=inbox
+                    )
                 )
-            )
-        slots, values = program.merge_remote(inbox, values)
-        fresh_recv = self.state.update_normals(g, slots, values, program.accept)
-        fresh_dn = self._fresh_dn[g]
-        if fresh_dn.size or fresh_recv.size:
-            frontier = np.union1d(fresh_dn, fresh_recv)
-        else:
-            frontier = np.zeros(0, dtype=np.int64)
+            fresh_recv = self._update_normals(g, *program.merge_remote(inbox, values))
+            if fresh_recv.size:
+                frontier = np.union1d(frontier, fresh_recv) if frontier.size else fresh_recv
         self.state.normal_frontiers[g] = frontier
         return int(frontier.size)
 
     def reduce_delegates(self, communicator):
         """All-reduce the per-GPU delegate updates if any GPU produced one;
         installs the next delegate frontier.  Returns the reduce result, or
-        ``None`` when no reduction was needed."""
+        ``None`` when no reduction was needed.
+
+        The updates were filtered against the replicated delegate state when
+        they were folded, and that state does not change between fold and
+        reduce: every set bit (non-identity entry) of the merged result is a
+        proposal for a delegate the state would accept, so the merged result
+        is read as it stands, without masking out the visited delegates.
+        """
         program = self.program
         state = self.state
+        state.delegate_frontier = _EMPTY_I64
+        if all(update is None for update in self._updates):
+            return None
         blocking = self.options.blocking_reduce
-        state.delegate_frontier = np.zeros(0, dtype=np.int64)
+        updates = [self._no_update if update is None else update for update in self._updates]
         if self._mask_channel:
-            if not any(mask.any() for mask in self._out_masks):
-                return None
-            reduce = communicator.allreduce_delegate_masks(self._out_masks, blocking=blocking)
-            ids = reduce.merged.and_not(state.delegate_visited).to_indices()
+            reduce = communicator.allreduce_delegate_masks(updates, blocking=blocking)
+            ids = reduce.merged.to_indices()
             values = np.full(ids.size, program.level_value(self.level), dtype=np.int64)
         else:
-            if not self._proposals_any:
-                return None
             reduce = communicator.allreduce_delegate_values(
-                self._proposals, combine=program.combine, blocking=blocking
+                updates, combine=program.combine, blocking=blocking
             )
             ids = np.flatnonzero(reduce.merged != program.combine_identity)
             values = reduce.merged[ids]
-        state.delegate_frontier = state.update_delegates(ids, values, program.accept)
+        state.delegate_frontier = self._update_delegates(ids, values)
         return reduce
 
     # ------------------------------------------------------------------ #
@@ -356,11 +456,11 @@ class FlagFrontier:
         delegates) and merge them into the next frontier; returns how many."""
         state = self.state
         if g is None:
-            fresh = state.update_delegates(rows, values, self.program.accept)
+            fresh = self._update_delegates(rows, values)
             if fresh.size:
                 state.delegate_frontier = np.union1d(state.delegate_frontier, fresh)
         else:
-            fresh = state.update_normals(g, rows, values, self.program.accept)
+            fresh = self._update_normals(g, rows, values)
             if fresh.size:
                 state.normal_frontiers[g] = np.union1d(state.normal_frontiers[g], fresh)
         return int(fresh.size)
@@ -489,6 +589,11 @@ class LaneFrontier:
         tail = state.width & 63
         if tail:
             self._full[-1] = np.uint64((1 << tail) - 1)
+        self._no_words = np.zeros((0, nwords), dtype=np.uint64)
+        # What a GPU that proposed no delegate contributes to a reduction:
+        # one shared, read-only all-zero update mask.
+        self._no_update = BatchBitmask(graph.num_delegates, state.width)
+        self._no_update.words.setflags(write=False)
 
     def _wanted(self, visited: BatchBitmask, rows) -> np.ndarray:
         """The valid lanes each of ``rows`` has not been visited by yet."""
@@ -518,19 +623,21 @@ class LaneFrontier:
     def delegate_size(self) -> int:
         return int(self.state.frontier_d_rows.size)
 
+    def delegate_rows(self) -> np.ndarray:
+        """The delegate ids of the step's input frontier."""
+        return self.state.frontier_d_rows
+
     # ------------------------------------------------------------------ #
     # Plan
     # ------------------------------------------------------------------ #
     def begin_step(self) -> None:
-        state = self.state
-        d = self.graph.num_delegates
-        self.dense_delegate = self._dense(None, d)
-        self._wanted_d = self._wanted(state.visited_d, slice(None))
-        self.open_delegates = (
-            np.flatnonzero(self._wanted_d.any(axis=1)).astype(np.int64)
-            if self.pull_ok and d
-            else _EMPTY_I64
-        )
+        self.dense_delegate = self._dense(None, self.graph.num_delegates)
+        # Per (kernel, GPU), the rows still open to a pull this step.  Built
+        # when the walk asks for a backward workload — which, unlike the
+        # one-bit estimate, is a sum over the rows themselves — and reused
+        # if that kernel then pulls.
+        self._candidates: dict = {}
+        self._open_delegates = None
 
     def _dense(self, g: int | None, num_rows: int) -> np.ndarray:
         dense = np.zeros((num_rows, self.nwords), dtype=np.uint64)
@@ -542,46 +649,64 @@ class LaneFrontier:
     def dense_local(self, g: int) -> np.ndarray:
         return self._dense(g, self.graph.gpus[g].num_local)
 
-    def open_locals(self, g: int, slots: np.ndarray) -> np.ndarray:
-        return self._wanted(self.state.visited_n[g], slots).any(axis=1)
-
-    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
+    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict | None:
         rows, words = self.provider.batched_filter_frontier(
-            *self.state.frontier(g if kernel in _NORMAL_SOURCED else None), out_degrees
+            *self.state.frontier(g if kernel in NORMAL_SOURCED else None), out_degrees
         )
-        return {"queue": rows, "words": words}
+        return {"queue": rows, "words": words} if rows.size else None
 
-    def pull_payload(self, kernel: str, g: int, candidates: np.ndarray) -> dict:
-        """The lanes each pulling candidate still wants (dn candidates are
-        GPU ``g``'s local slots, nd/dd candidates are delegates)."""
-        if kernel == "dn":
-            return {"words": self._wanted(self.state.visited_n[g], candidates)}
-        return {"words": self._wanted_d[candidates]}
+    def _pull_rows(self, kernel: str, g: int) -> np.ndarray:
+        """The still-open sources of the kernel's reverse subgraph on GPU
+        ``g``: local slots for dn, delegates for nd/dd."""
+        rows = self._candidates.get((kernel, g))
+        if rows is None:
+            part = self.graph.gpus[g]
+            if not self.pull_ok:
+                rows = _EMPTY_I64
+            elif kernel == "dn":
+                slots = part.nd_source_list
+                rows = slots[self._wanted(self.state.visited_n[g], slots).any(axis=1)]
+            else:
+                if self._open_delegates is None:
+                    wanted = self._wanted(self.state.visited_d, slice(None))
+                    self._open_delegates = np.flatnonzero(wanted.any(axis=1)).astype(np.int64)
+                is_source = part.dn_source_mask if kernel == "nd" else part.dd_source_mask
+                rows = self._open_delegates[is_source[self._open_delegates]]
+            self._candidates[kernel, g] = rows
+        return rows
+
+    def pull_payload(self, kernel: str, g: int) -> dict:
+        """The rows that pull and the lanes each of them still wants."""
+        rows = self._pull_rows(kernel, g)
+        visited = self.state.visited_n[g] if kernel == "dn" else self.state.visited_d
+        return {"candidates": rows, "words": self._wanted(visited, rows)}
 
     def backward_workload(
-        self, candidates, frontier_size: int, unvisited_sources, reverse_degrees
+        self, kernel: str, g: int, frontier_size: int, reverse_degrees: np.ndarray
     ) -> int:
         """A batched pull has no early exit, so its workload is not the
         paper's expected-first-hit estimate but the exact full parent lists
-        of the candidates — computable from the reverse CSR."""
-        return int(reverse_degrees[candidates].sum()) if candidates.size else 0
+        of the rows that would pull — computable from the reverse CSR."""
+        rows = self._pull_rows(kernel, g)
+        return int(reverse_degrees[rows].sum()) if rows.size else 0
 
     # ------------------------------------------------------------------ #
     # Fold → exchange → delegate reduce
     # ------------------------------------------------------------------ #
     def begin_fold(self) -> None:
         p = self.graph.num_gpus
-        d = self.graph.num_delegates
-        self._outboxes: list[np.ndarray] = []
-        self._outbox_words: list[np.ndarray] = []
-        self._fresh_dn = [(_EMPTY_I64, np.zeros((0, self.nwords), dtype=np.uint64))] * p
-        self._updates = [BatchBitmask(d, self.state.width) for _ in range(p)]
+        self._outboxes: list[np.ndarray] = [_EMPTY_I64] * p
+        self._outbox_words: list[np.ndarray] = [self._no_words] * p
+        self._fresh_dn = [(_EMPTY_I64, self._no_words)] * p
+        # Per GPU, its delegate update mask, built on the first delegate it
+        # proposes (``None`` until then).
+        self._updates: list = [None] * p
 
     def fold(self, g: int, kernel: str, out) -> None:
         found = out.discovered
         if kernel == "nn":
-            self._outboxes.append(found)
-            self._outbox_words.append(out.words)
+            self._outboxes[g] = found
+            self._outbox_words[g] = out.words
         elif found.size == 0:
             return
         elif kernel == "dn":
@@ -589,45 +714,48 @@ class LaneFrontier:
         else:
             # Delegate proposals: drop lanes already visited (the free
             # replicated-status filter, as the one-bit mask channel does).
-            words = out.words & self._wanted_d[found]
+            words = out.words & self._wanted(self.state.visited_d, found)
             keep = words.any(axis=1)
             if keep.any():
+                if self._updates[g] is None:
+                    self._updates[g] = BatchBitmask(self.graph.num_delegates, self.state.width)
                 self._updates[g].or_rows(found[keep], words[keep])
 
     def exchange(self, communicator):
         return communicator.exchange_batch(self._outboxes, self._outbox_words)
 
     def receive(self, g: int, exchange) -> int:
-        nwords = self.nwords
-        received = self._visit(
-            g, *_or_rows(exchange.inboxes[g], exchange.word_inboxes[g], nwords)
-        )
-        fresh = self._fresh_dn[g]
-        rows, words = _or_rows(
-            np.concatenate([fresh[0], received[0]]),
-            np.concatenate([fresh[1], received[1]]),
-            nwords,
-        )
+        rows, words = self._fresh_dn[g]
+        inbox = exchange.inboxes[g]
+        if inbox.size:
+            nwords = self.nwords
+            received = self._visit(g, *_or_rows(inbox, exchange.word_inboxes[g], nwords))
+            rows, words = _or_rows(
+                np.concatenate([rows, received[0]]),
+                np.concatenate([words, received[1]]),
+                nwords,
+            )
         self.state.set_frontier(g, rows, words)
         return int(rows.size)
 
     def reduce_delegates(self, communicator):
+        """One ``d x B``-bit reduction if any GPU proposed a delegate.  The
+        updates were filtered against the replicated visited lanes when they
+        were folded (and those do not change between fold and reduce), so
+        the merged mask holds only new lanes and is read as it stands."""
         state = self.state
-        if not any(mask.any() for mask in self._updates):
-            state.set_frontier(
-                None, np.zeros(0, dtype=np.int64), np.zeros((0, self.nwords), dtype=np.uint64)
-            )
+        if all(mask is None for mask in self._updates):
+            state.set_frontier(None, _EMPTY_I64, self._no_words)
             return None
         reduce = communicator.allreduce_delegate_batch(
-            self._updates, blocking=self.options.blocking_reduce
+            [self._no_update if mask is None else mask for mask in self._updates],
+            blocking=self.options.blocking_reduce,
         )
-        new_bits = reduce.merged.and_not(state.visited_d)
-        rows = new_bits.nonzero_rows()
-        words = new_bits.words[rows]
-        state.visited_d.or_with(new_bits)
+        rows = reduce.merged.nonzero_rows()
+        words = reduce.merged.words[rows]
+        state.visited_d.words[rows] |= words
         state.set_frontier(None, rows, words)
-        if rows.size:
-            self.program.record(self.graph.delegate_vertices[rows], words, self.level)
+        self.program.record(self.graph.delegate_vertices[rows], words, self.level)
         return reduce
 
     # ------------------------------------------------------------------ #

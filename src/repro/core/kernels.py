@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.utils.sorting import sorted_unique
 
 __all__ = [
     "KernelOutput",
@@ -42,7 +41,6 @@ __all__ = [
     "contrib_visit",
     "backward_visit",
     "frontier_workload",
-    "filter_frontier",
     "batched_filter_frontier",
     "batched_forward_visit",
     "batched_backward_visit",
@@ -101,32 +99,6 @@ def frontier_workload(csr: CSRGraph, frontier: np.ndarray) -> int:
     return csr.frontier_workload(frontier)
 
 
-def filter_frontier(frontier: np.ndarray, out_degrees: np.ndarray) -> np.ndarray:
-    """Previsit filtering: deduplicate and drop zero-out-degree vertices.
-
-    This mirrors the paper's previsit kernels, which "mark level labels for
-    input vertices, filter out duplicates and zero-out-degree vertices, and
-    form the queues of vertices to be visited by the visit kernels".
-
-    Dense frontiers deduplicate through a scatter into a boolean flag array
-    (one linear pass, like the GPU previsit bitmap); frontiers under a
-    sixteenth of the row count sort and compare neighbours
-    (:func:`repro.utils.sorted_unique`), where the flag array's O(num_rows)
-    cost would dominate.  Both return the same sorted, unique,
-    positive-degree queue.
-    """
-    frontier = np.asarray(frontier, dtype=np.int64).ravel()
-    if frontier.size == 0:
-        return frontier
-    if frontier.size * 16 >= out_degrees.size:
-        flags = np.zeros(out_degrees.size, dtype=bool)
-        flags[frontier] = True
-        flags &= out_degrees > 0
-        return np.flatnonzero(flags)
-    unique = sorted_unique(frontier)
-    return unique[out_degrees[unique] > 0]
-
-
 def forward_visit(csr: CSRGraph, frontier: np.ndarray) -> KernelOutput:
     """Forward-push visit: gather all neighbours of the frontier rows.
 
@@ -135,7 +107,8 @@ def forward_visit(csr: CSRGraph, frontier: np.ndarray) -> KernelOutput:
     csr:
         The subgraph to traverse (rows = frontier id space).
     frontier:
-        Row ids to expand (assumed pre-filtered by :func:`filter_frontier`).
+        Row ids to expand (sorted, unique, positive out-degree: the previsit
+        filter of :mod:`repro.core.frontier` has run).
 
     Returns
     -------
@@ -332,9 +305,9 @@ def batched_filter_frontier(
     """Previsit filtering for a batched frontier: drop zero-out-degree rows.
 
     ``rows`` are already unique (they come from
-    :meth:`repro.utils.bitmask.BatchBitmask.nonzero_rows`), so unlike the
-    single-source :func:`filter_frontier` no deduplication is needed — only
-    the zero-degree drop, applied to the rows and their lane words in step.
+    :meth:`repro.utils.bitmask.BatchBitmask.nonzero_rows`), so no
+    deduplication is needed — only the zero-degree drop, applied to the rows
+    and their lane words in step.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     words = np.asarray(words, dtype=np.uint64)

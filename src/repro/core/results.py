@@ -87,10 +87,12 @@ class TraversalResult:
     total_edges_examined: int
     #: Directed edges of the input graph (for default TEPS accounting).
     num_directed_edges: int
-    #: Wall-clock seconds the *simulation itself* spent, per engine phase
-    #: (``kernels``, ``exchange``, ``delegate_reduce``, ``traversal``).  This
-    #: is real time of the Python reproduction — the quantity the bench
-    #: harness tracks — not the modeled cluster time above.
+    #: Wall-clock seconds the *simulation itself* spent, per engine phase:
+    #: ``traversal`` (the whole run), ``exchange``, ``delegate_reduce`` and
+    #: ``kernels`` — the backend's kernel stage plus the coordinator's
+    #: ``plan``, ``fold`` and ``overlay`` shares, which are also listed on
+    #: their own.  This is real time of the Python reproduction — the
+    #: quantity the bench harness tracks — not the modeled cluster time above.
     wall_s: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
@@ -100,6 +102,17 @@ class TraversalResult:
     def elapsed_ms(self) -> float:
         """Modeled end-to-end elapsed time in milliseconds."""
         return self.timing.elapsed_ms
+
+    @property
+    def us_per_step(self) -> float:
+        """Wall-clock microseconds the simulation spent per super-step."""
+        return self.wall_s.get("traversal", 0.0) / self.iterations * 1e6 if self.iterations else 0.0
+
+    @property
+    def ns_per_edge(self) -> float:
+        """Wall-clock nanoseconds the simulation spent per examined edge."""
+        edges = self.total_edges_examined
+        return self.wall_s.get("traversal", 0.0) / edges * 1e9 if edges else 0.0
 
     def teps(self, counted_edges: int | None = None) -> float:
         """Traversal rate in edges per second.

@@ -41,6 +41,11 @@ def _visit_once(current: np.ndarray, proposed: np.ndarray) -> np.ndarray:
     return current == UNVISITED
 
 
+def _sorted_unique_ids(frontier: np.ndarray) -> np.ndarray:
+    frontier = np.asarray(frontier, dtype=np.int64).ravel()
+    return sorted_unique(frontier) if frontier.size > 1 else frontier
+
+
 @dataclass
 class TraversalState:
     """All mutable data of one traversal run (program-agnostic)."""
@@ -71,7 +76,13 @@ class TraversalState:
     def from_init(cls, graph: PartitionedGraph, init) -> "TraversalState":
         """The state a run starts from: a program's (or a repair's pre-seeded)
         :class:`repro.core.programs.ProgramInit`, with the delegate visited
-        mask derived from the delegate values."""
+        mask derived from the delegate values.
+
+        Frontiers are sorted and duplicate-free from here on — the one
+        de-duplication of a run: every frontier the engine installs later is
+        sorted-unique by construction, so the per-step previsit only drops
+        zero-degree rows.
+        """
         d = graph.num_delegates
         return cls(
             graph=graph,
@@ -82,8 +93,8 @@ class TraversalState:
             )
             if d
             else Bitmask(0),
-            normal_frontiers=init.normal_frontiers,
-            delegate_frontier=init.delegate_frontier,
+            normal_frontiers=[_sorted_unique_ids(f) for f in init.normal_frontiers],
+            delegate_frontier=_sorted_unique_ids(init.delegate_frontier),
         )
 
     # ------------------------------------------------------------------ #

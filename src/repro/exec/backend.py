@@ -7,7 +7,9 @@ for one partitioned graph.  The contract is deliberately small:
     Execute the plan's per-GPU kernel tasks *somehow* (that is the whole
     point of the abstraction), account the elapsed seconds under
     ``plan.wall["kernels"]`` and hand the outputs — one ``{kernel: output}``
-    dictionary per GPU, in GPU order — to ``plan.finalize``, returning its
+    dictionary per GPU of the graph, in GPU order, holding only the kernels
+    the plan listed (none for a GPU it did not mention) — to
+    ``plan.finalize``, returning its
     :class:`~repro.core.results.IterationRecord`.
 ``close()``
     Release whatever the backend holds (worker pools, shared memory);
@@ -44,6 +46,27 @@ BACKEND_NAMES = ("inline", "process", "thread")
 #: Environment variable supplying the default backend name.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
+#: A plan with fewer queue + candidate rows than this runs in the coordinator
+#: even under a backend that dispatches (thread, process).
+#:
+#: Shipping a step costs a fixed amount whatever it holds; running it in place
+#: costs by the kernel and by the row.  Measured on the reference 2-vCPU host
+#: (rmat14 ``2x1x2`` and rmat16 ``2x2x2``, every step of three roots timed all
+#: three ways, two sessions; tables in ``benchmarks/results/pr19/README.md``):
+#: in place a step of <= 5 rows takes 20-150 us, one of 235-299 rows
+#: 410-660 us, and from a few thousand rows on 0.2-0.4 us per row; a dispatch
+#: adds 30-350 us on the thread pool and, on the process pool, 0.4-0.8 ms
+#: when one or two GPUs have work and 1.1-2.7 ms when four to eight do.  A
+#: pool of ``W`` workers can win back at most ``1 - 1/W`` of the in-place
+#: time: at 256 rows and ``W = 2`` that is 200-330 us, what a thread dispatch
+#: costs — the thread pool's break-even; the process pool first tied the
+#: in-place time near 90,000 rows.  The cutoff is the lower of the two: below
+#: it no backend can win the step back, and a long-tail traversal (thousands
+#: of steps of one or two rows) would spend its whole wall in dispatch.
+#: Kernels are pure functions of their spec, so where a step runs changes no
+#: output, counter or modeled time.
+SMALL_PLAN_ROWS = 256
+
 
 def default_backend_name() -> str:
     """The backend used when none is requested (``REPRO_BACKEND`` or inline)."""
@@ -57,30 +80,64 @@ def default_backend_name() -> str:
 
 
 class ExecutionBackend(abc.ABC):
-    """Runs the super-step plans of one graph; see the module docstring."""
+    """Runs the super-step plans of one graph; see the module docstring.
+
+    The base class can run any plan where it stands (that is all
+    :class:`InlineBackend` does); a backend with somewhere else to run
+    kernels sets :attr:`dispatches` and implements :meth:`_dispatch`.
+    """
 
     #: Registry name of this backend (recorded in results and artifacts).
     name: str = "?"
+    #: Whether :meth:`_dispatch` ships GPU plans out of the calling thread.
+    dispatches: bool = False
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        #: Super-steps whose kernels ran in the coordinator / were dispatched.
+        self.local_steps = 0
+        self.dispatched_steps = 0
 
     def run_super_step(self, plan: SuperStepPlan):
         """Execute one plan: kernels (timed), then the serial finalize.
 
-        With tracing enabled the kernel stage is wrapped in an ``exec``
-        span, the plan is asked to collect per-kernel worker timings, and
-        those ride back under each GPU's reserved ``"_spans"`` output key —
-        drained here (per-GPU tracks, ``tid = gpu + 1``) before the fold
-        ever sees the outputs.  Wall accounting is identical either way.
+        Only GPU plans that hold a visit are executed, and a plan too small
+        to amortise a dispatch (:data:`SMALL_PLAN_ROWS`) runs right here
+        whatever the backend.  With tracing enabled the kernel stage is
+        wrapped in an ``exec`` span, the plan is asked to collect per-kernel
+        worker timings, and those ride back under each GPU's reserved
+        ``"_spans"`` output key — drained here (per-GPU tracks,
+        ``tid = gpu + 1``) before the fold ever sees the outputs.  Wall
+        accounting is identical either way.
         """
         tracer = get_tracer()
         plan.collect_spans = tracer.enabled
+        work = [gp for gp in plan.gpu_plans if gp.visits]
+        dispatched = self.dispatches and (
+            sum(
+                len(spec.candidates if spec.backward else spec.queue)
+                for gp in work
+                for spec in gp.visits
+            )
+            >= SMALL_PLAN_ROWS
+        )
         started = now_s()
-        outputs = self._execute_kernels(plan)
+        outputs: list = [{} for _ in self.graph.gpus]
+        for gpu, outs in self._dispatch(plan, work) if dispatched else self._run_here(plan, work):
+            outputs[gpu] = outs
         ended = now_s()
         plan.wall["kernels"] += ended - started
+        if dispatched:
+            self.dispatched_steps += 1
+        else:
+            self.local_steps += 1
         if tracer.enabled:
             tracer.record_span(
                 "kernels", cat="exec", start=started, dur=ended - started,
-                args={"level": plan.level, "backend": self.name},
+                args={
+                    "level": plan.level, "backend": self.name,
+                    "dispatched": dispatched, "gpus": len(work),
+                },
             )
             self._drain_worker_spans(tracer, outputs, started, ended)
         return plan.finalize(outputs)
@@ -120,9 +177,27 @@ class ExecutionBackend(abc.ABC):
                     "tid": tid,
                 })
 
-    @abc.abstractmethod
-    def _execute_kernels(self, plan: SuperStepPlan) -> list:
-        """Run every GPU's kernel tasks; outputs in GPU order."""
+    def _resolve_csr(self, gpu: int, name: str):
+        return getattr(self.graph.gpus[gpu], name)
+
+    def _run_here(self, plan: SuperStepPlan, work: list) -> list:
+        """Run the GPU plans of ``work`` in the calling thread, one after
+        another, over the in-process CSRs; ``(gpu, outputs)`` pairs."""
+        return [
+            (
+                gp.gpu,
+                execute_gpu_plan(
+                    gp, self._resolve_csr, plan.dense_delegate, provider=plan.provider,
+                    collect_spans=plan.collect_spans,
+                ),
+            )
+            for gp in work
+        ]
+
+    def _dispatch(self, plan: SuperStepPlan, work: list) -> list:
+        """Run the GPU plans of ``work`` wherever this backend runs kernels;
+        ``(gpu, outputs)`` pairs in any order."""
+        raise NotImplementedError(f"{type(self).__name__} does not dispatch")
 
     def close(self) -> None:
         """Release backend resources (idempotent; default: nothing held)."""
@@ -148,21 +223,6 @@ class InlineBackend(ExecutionBackend):
     """
 
     name = "inline"
-
-    def __init__(self, graph) -> None:
-        self.graph = graph
-
-    def _resolve_csr(self, gpu: int, name: str):
-        return getattr(self.graph.gpus[gpu], name)
-
-    def _execute_kernels(self, plan: SuperStepPlan) -> list:
-        return [
-            execute_gpu_plan(
-                gp, self._resolve_csr, plan.dense_delegate, provider=plan.provider,
-                collect_spans=plan.collect_spans,
-            )
-            for gp in plan.gpu_plans
-        ]
 
 
 def resolve_backend(spec, graph) -> tuple:

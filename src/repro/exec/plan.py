@@ -9,6 +9,13 @@ subgraph CSR to traverse, in which direction, over which queue or candidate
 set) — so an execution backend can ship it anywhere: run it inline, fan it
 out over a process pool, or (in principle) dispatch it to real devices.
 
+A plan lists work, not emptiness.  The engine emits a :class:`VisitSpec`
+only for a kernel that pulls or whose filtered queue is non-empty, and a
+:class:`GPUPlan` only for a GPU with such a kernel; a kernel the plan does
+not list is an idle forward kernel, produces no output, and is charged its
+launch overhead by ``finalize``.  Backends execute only the GPU plans that
+hold a visit.
+
 There is one plan vocabulary for every frontier representation.  A frontier
 is either one bit per vertex (sequential programs) or one lane word row per
 vertex (batched MS-BFS programs); the difference shows up here only as data:
@@ -132,14 +139,15 @@ class GPUPlan:
 class SuperStepPlan:
     """One super-step, ready for an execution backend.
 
-    ``gpu_plans`` is the parallel stage (pure data, one entry per GPU);
-    ``finalize`` is the serial stage: called once with the per-GPU output
-    dictionaries (kernel name → output, in GPU order), it folds the
-    discoveries through the frontier program, runs the exchange and the
-    delegate reduction, accounts modeled time and returns the
-    :class:`~repro.core.results.IterationRecord`.  ``wall`` is the run's
-    wall-clock phase accumulator; backends add their kernel-stage seconds
-    to ``wall["kernels"]``.
+    ``gpu_plans`` is the parallel stage (pure data, one entry per GPU that
+    has a kernel to run; a GPU may be missing or hold no visit);
+    ``finalize`` is the serial stage: called once with one output dictionary
+    per GPU of the graph (kernel name → output for the kernels the plan
+    listed, in GPU order), it folds the discoveries through the frontier
+    program, runs the exchange and the delegate reduction, accounts modeled
+    time and returns the :class:`~repro.core.results.IterationRecord`.
+    ``wall`` is the run's wall-clock phase accumulator; backends add their
+    kernel-stage seconds to ``wall["kernels"]``.
     """
 
     level: int

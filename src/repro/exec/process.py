@@ -199,13 +199,14 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
+    dispatches = True
 
     def __init__(
         self, graph, workers: int | None = None, start_method: str | None = None
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.graph = graph
+        super().__init__(graph)
         cpu = os.cpu_count() or 1
         self.workers = (
             int(workers)
@@ -220,14 +221,18 @@ class ProcessBackend(ExecutionBackend):
         # segments when the backend is garbage collected.
         self._finalizer = weakref.finalize(self, self.store.close)
 
-    def _execute_kernels(self, plan: SuperStepPlan) -> list:
+    def run_super_step(self, plan: SuperStepPlan):
         if self._closed:
             raise RuntimeError("ProcessBackend is closed")
+        return super().run_super_step(plan)
+
+    def _dispatch(self, plan: SuperStepPlan, work: list) -> list:
         store = self.store
         provider_name = plan.provider.name if plan.provider is not None else "numpy"
-        dense = store.publish_dense(
-            plan.dense_delegate, [gp.dense_local for gp in plan.gpu_plans]
-        )
+        dense_local: list = [None] * len(self.graph.gpus)
+        for gp in work:
+            dense_local[gp.gpu] = gp.dense_local
+        dense = store.publish_dense(plan.dense_delegate, dense_local)
         tasks = [
             _Task(
                 gpu=gp.gpu,
@@ -238,12 +243,12 @@ class ProcessBackend(ExecutionBackend):
                 provider=provider_name,
                 collect_spans=plan.collect_spans,
             )
-            for gp in plan.gpu_plans
+            for gp in work
         ]
         # chunksize=1: per-GPU work is heterogeneous (delegate-heavy GPUs do
-        # more), so let idle workers steal instead of pre-binning.
-        results = self._pool.map(_run_task, tasks, chunksize=1)
-        return [outputs for _, outputs in results]
+        # more), so let idle workers steal instead of pre-binning.  Each
+        # result names its GPU, so placement never relies on task order.
+        return self._pool.map(_run_task, tasks, chunksize=1)
 
     def close(self) -> None:
         """Unlink this backend's shared memory (the pool is shared, kept)."""

@@ -90,10 +90,6 @@ class KernelProvider(abc.ABC):
 
     # -- sequential kernels -------------------------------------------- #
     @abc.abstractmethod
-    def filter_frontier(self, frontier: np.ndarray, out_degrees: np.ndarray) -> np.ndarray:
-        """Previsit filter: sorted unique frontier rows with out-degree > 0."""
-
-    @abc.abstractmethod
     def forward_visit(self, csr, frontier: np.ndarray) -> KernelOutput:
         """Forward-push visit over a pre-filtered frontier."""
 
@@ -162,9 +158,6 @@ class NumpyProvider(KernelProvider):
 
     name = "numpy"
 
-    def filter_frontier(self, frontier, out_degrees):
-        return _kernels.filter_frontier(frontier, out_degrees)
-
     def forward_visit(self, csr, frontier):
         return _kernels.forward_visit(csr, frontier)
 
@@ -194,7 +187,7 @@ class NumbaProvider(NumpyProvider):
 
     Overrides the hot kernels with the compiled twins from
     :mod:`repro.exec._numba_kernels`; everything not worth compiling (the
-    previsit filters, whose flag-scatter is already one vectorized pass, and
+    batched previsit filter, one vectorized gather and mask, and
     ``bitmask_test_many``) inherits the NumPy path.  Constructing this class
     raises :class:`ImportError` on hosts without Numba — callers go through
     :func:`resolve_provider`, which turns that into a warn-once NumPy

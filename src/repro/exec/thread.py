@@ -74,19 +74,17 @@ class ThreadBackend(ExecutionBackend):
     """
 
     name = "thread"
+    dispatches = True
 
     def __init__(self, graph, workers: int | None = None) -> None:
-        self.graph = graph
+        super().__init__(graph)
         if workers is None:
             cpu = os.cpu_count() or 1
             workers = max(1, min(graph.num_gpus or 1, cpu, MAX_WORKERS))
         self.workers = int(workers)
         self._executor = _get_executor(self.workers)
 
-    def _resolve_csr(self, gpu: int, name: str):
-        return getattr(self.graph.gpus[gpu], name)
-
-    def _execute_kernels(self, plan: SuperStepPlan) -> list:
+    def _dispatch(self, plan: SuperStepPlan, work: list) -> list:
         futures = [
             self._executor.submit(
                 execute_gpu_plan,
@@ -97,9 +95,9 @@ class ThreadBackend(ExecutionBackend):
                 plan.provider,
                 plan.collect_spans,
             )
-            for gp in plan.gpu_plans
+            for gp in work
         ]
-        return [f.result() for f in futures]
+        return [(gp.gpu, future.result()) for gp, future in zip(work, futures)]
 
     def close(self) -> None:
         """No-op: the thread pool is process-global and shared (see module docstring)."""

@@ -277,10 +277,6 @@ class DecodingProvider(KernelProvider):
         )
         return dense
 
-    def filter_frontier(self, frontier, out_degrees):
-        """Delegate (degree arrays are stored raw in every storage mode)."""
-        return self._base.filter_frontier(frontier, out_degrees)
-
     def forward_visit(self, csr, frontier):
         """Decode the frontier rows, then run the base forward push."""
         return self._base.forward_visit(self._dense(csr, frontier), frontier)

@@ -226,7 +226,9 @@ class Bitmask:
         if self._size == 0:
             return np.zeros(0, dtype=np.int64)
         flags = np.unpackbits(self._bits, count=self._size, bitorder="little")
-        return np.flatnonzero(flags).astype(np.int64)
+        # The unpacked bytes are 0/1: scanned as booleans (an order of
+        # magnitude faster than the generic non-zero test of ``uint8``).
+        return np.flatnonzero(flags.view(np.bool_)).astype(np.int64)
 
     def to_bool_array(self) -> np.ndarray:
         """Return the mask as a boolean array of length ``size``."""

@@ -5,8 +5,10 @@ across refactors) is enforced in CI by ``bench compare --fail-on counters``
 against ``benchmarks/baseline.json``; this test reads the same file so a
 counter drift fails ``pytest`` locally, before any CI leg runs.  One scenario
 per engine code path: sequential with payload exchange + value reduce,
-batched lanes, overlay relaxation under both frontier representations, and a
-hand-built (PageRank) plan.
+batched lanes, overlay relaxation under both frontier representations, a
+hand-built (PageRank) plan, and a long tail — 9,572 super-steps over
+frontiers of a few vertices, the regime where a plan lists almost no kernel
+and the idle-kernel charges carry the modeled time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ SCENARIOS = (
     "serve-rmat14-b32-zipf1.0",
     "dyn-rmat14-uniform-levels",
     "pagerank-rmat14-fixed",
+    "wdc14-levels-do-br",
 )
 
 

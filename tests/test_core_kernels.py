@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import backward_visit, filter_frontier, forward_visit
+from repro.core.kernels import backward_visit, forward_visit
 from repro.graph.csr import CSRGraph
 
 
@@ -20,16 +20,6 @@ def small_csr():
     return CSRGraph.from_edges(
         [0, 0, 1, 3, 3, 3], [1, 2, 2, 0, 1, 2], num_rows=4, num_cols=4
     )
-
-
-class TestFilterFrontier:
-    def test_removes_duplicates_and_zero_degree(self, small_csr):
-        deg = small_csr.out_degrees()
-        out = filter_frontier(np.asarray([0, 0, 2, 3]), deg)
-        np.testing.assert_array_equal(out, [0, 3])
-
-    def test_empty_input(self, small_csr):
-        assert filter_frontier(np.zeros(0, dtype=np.int64), small_csr.out_degrees()).size == 0
 
 
 class TestForwardVisit:
