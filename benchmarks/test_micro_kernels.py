@@ -17,6 +17,7 @@ from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.kernels import backward_visit, forward_visit
 from repro.graph.csr import CSRGraph
+from repro.graph.rmat import generate_rmat
 from repro.partition.delegates import separate_by_degree
 from repro.partition.distributor import distribute_edges
 from repro.partition.layout import ClusterLayout
@@ -32,16 +33,46 @@ def test_micro_forward_visit(benchmark, rmat_bench_graphs):
     assert out.edges_examined == csr.frontier_workload(frontier)
 
 
-def test_micro_backward_visit(benchmark, rmat_bench_graphs):
-    edges = rmat_bench_graphs(14)
+def _scalar_backward_visit(csr, candidates, in_frontier):
+    """The serial early-exit scan the vectorized pull must reproduce."""
+    discovered, sources, examined = [], [], 0
+    for candidate in candidates.tolist():
+        for parent in csr.neighbors(candidate).tolist():
+            examined += 1
+            if in_frontier[parent]:
+                discovered.append(candidate)
+                sources.append(parent)
+                break
+    return discovered, sources, examined
+
+
+def _pull_and_compare(benchmark, edges, hubs_in_frontier):
     csr = CSRGraph.from_edgelist(edges)
     rng = np.random.default_rng(4)
     frontier_flags = np.zeros(csr.num_rows, dtype=bool)
     frontier_flags[rng.integers(0, csr.num_rows, size=2048)] = True
+    frontier_flags[:hubs_in_frontier] = True
     candidates = np.flatnonzero(~frontier_flags)
     out = benchmark(backward_visit, csr, candidates, frontier_flags)
+    discovered, sources, examined = _scalar_backward_visit(csr, candidates, frontier_flags)
     assert out.backward
-    assert out.edges_examined > 0
+    assert out.edges_examined == examined > 0
+    np.testing.assert_array_equal(out.discovered, discovered)
+    np.testing.assert_array_equal(out.sources, sources)
+    benchmark.extra_info["edges_held"] = csr.frontier_workload(candidates)
+    benchmark.extra_info["edges_examined"] = examined
+
+
+def test_micro_backward_visit(benchmark, rmat_bench_graphs):
+    """Hashed ids: a frontier parent sits anywhere in a sorted parent list."""
+    _pull_and_compare(benchmark, rmat_bench_graphs(14), hubs_in_frontier=0)
+
+
+def test_micro_backward_visit_hub_first(benchmark):
+    """The generator's own ids (the Graph500 workload's): the hubs are the
+    lowest ids and head every sorted parent list, so with them in the
+    frontier most candidates exit at their first parent."""
+    _pull_and_compare(benchmark, generate_rmat(14, rng=11, hash_seed=None), hubs_in_frontier=64)
 
 
 def test_micro_edge_distributor(benchmark, rmat_bench_graphs):

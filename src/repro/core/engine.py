@@ -4,10 +4,11 @@
 :class:`repro.core.programs.FrontierProgram` over a degree-separated
 :class:`repro.partition.PartitionedGraph`:
 
-1. **Local computation** on every virtual GPU (Fig. 3): previsit kernels
-   filter the input frontiers and compute forward workloads; then one visit
-   kernel per subgraph runs in the direction chosen by its own
-   direction-optimization state —
+1. **Local computation** on every virtual GPU (Fig. 3): the forward
+   workloads are the input frontiers' degree sums; one visit kernel per
+   subgraph then runs in the direction chosen by its own
+   direction-optimization state (a previsit filter builds the queue of a
+   kernel that pushes) —
 
    * nn (normal→normal): always forward; its discoveries are *remote* normal
      updates that enter the exchange stage,
@@ -43,11 +44,12 @@ and modeled times are backend-independent; only the measured ``wall_s``
 phases change.
 
 A super-step costs what its frontier costs.  The plan lists a kernel only
-where it pulls or has a non-empty filtered queue — an absent output *means*
+where it pulls or has an edge to push along — an absent output *means*
 "idle forward kernel", which the serial half still charges its launch
-overhead — pull candidate sets are counted, and materialised only for a
-kernel that pulls, and fold, exchange and reduce touch only the GPUs and
-delegates that saw a discovery.
+overhead — directions are decided on counts (degree sums forward, counted
+pull sets backward), queues and candidate sets are materialised only for the
+kernel that then pushes or pulls, and fold, exchange and reduce touch only
+the GPUs and delegates that saw a discovery.
 
 That super-step is written once.  :meth:`TraversalEngine.step_loop` is the
 only level loop, :meth:`~TraversalEngine._plan_super_step` the only plan walk
@@ -191,7 +193,7 @@ class TraversalEngine:
             for gpu in graph.gpus
         ]
         # Cache per-GPU out-degree arrays of every subgraph; they are needed
-        # for previsit filtering and forward-workload computation each
+        # for the forward workloads and the previsit filter of each
         # super-step and never change.
         self._degrees = [
             {
@@ -202,15 +204,17 @@ class TraversalEngine:
             }
             for gpu in graph.gpus
         ]
-        # Which delegates have an edge in which (GPU, delegate-sourced
+        # The degree of every delegate in every (GPU, delegate-sourced
         # kernel): row 2g is GPU g's dn subgraph, row 2g + 1 its dd subgraph.
-        # One column gather per super-step tells the plan walk where the
-        # replicated delegate frontier has work at all.
-        self._delegate_has_edges = (
-            np.stack([deg[kernel] > 0 for deg in self._degrees for kernel in ("dn", "dd")])
-            if graph.num_delegates
-            else None
-        )
+        # One column gather per super-step sums the forward workload of the
+        # replicated delegate frontier for all of them at once (32-bit
+        # entries halve what the gather moves; the sums are 64-bit).
+        self._delegate_degrees = None
+        if graph.num_delegates:
+            table = np.stack([deg[kernel] for deg in self._degrees for kernel in ("dn", "dd")])
+            if table.max() <= np.iinfo(np.int32).max:
+                table = table.astype(np.int32)
+            self._delegate_degrees = table
 
     # ------------------------------------------------------------------ #
     # Execution backend
@@ -634,34 +638,37 @@ class TraversalEngine:
     ) -> SuperStepPlan:
         """Describe one super-step as a backend-executable plan.
 
-        The planning pass reproduces the seed engine's pre-kernel work in
-        the same order — previsit filtering and the (stateful)
-        per-subgraph direction decisions — but emits a
-        :class:`repro.exec.VisitSpec` only for a kernel that pulls or whose
-        filtered queue is non-empty, and a :class:`repro.exec.GPUPlan` only
-        for a GPU with such a kernel: a kernel the plan does not list is an
-        idle forward kernel, and :meth:`_finalize_super_step` charges it as
-        one.  Every direction decision is still taken, in the same order and
-        on the same two workloads, because the hysteresis is stateful.  The
-        walk is the same for every frontier representation; ``rep`` supplies
-        the dense buffers, the filtered queues, the backward-workload
-        estimate, the rows still open to a pull (built only for a kernel
-        that does pull) and each task's payload.  The plan's ``finalize``
-        closure is the post-kernel half, always run on the coordinating
-        process, so results, counters and modeled times are identical under
-        every backend.
+        The planning pass takes the seed engine's (stateful) per-subgraph
+        direction decisions in the same order and on the same two workloads
+        — the hysteresis depends on every one of them — but on counts: a
+        kernel's forward workload is its input frontier's degree sum in the
+        kernel's subgraph (for the delegate-sourced kernels, one gather over
+        the per-engine degree table), which needs no queue, and its backward
+        workload comes from the representation's counted pull sets.  A
+        :class:`repro.exec.VisitSpec` is emitted only for a kernel that
+        pulls or whose degree sum is positive, and a
+        :class:`repro.exec.GPUPlan` only for a GPU with such a kernel: a
+        kernel the plan does not list is an idle forward kernel, and
+        :meth:`_finalize_super_step` charges it as one.  The walk is the
+        same for every frontier representation; ``rep`` supplies the
+        frontier rows, the dense buffers, the backward-workload estimate,
+        and — only for the kernel that then pushes or pulls — the previsit-
+        filtered queue or the rows still open to a pull, with the task's
+        payload.  The plan's ``finalize`` closure is the post-kernel half,
+        always run on the coordinating process, so results, counters and
+        modeled times are identical under every backend.
         """
         p = self.graph.num_gpus
         netmodel = self.netmodel
 
         rep.begin_step()
         delegate_size = rep.delegate_size()
-        # Where the replicated delegate frontier has work: one gather over
-        # the has-edges table instead of a previsit filter per (GPU, kernel).
-        delegate_work = (
-            self._delegate_has_edges[:, rep.delegate_rows()].any(axis=1).tolist()
+        # The forward workload of the replicated delegate frontier in every
+        # (GPU, kernel) it feeds: one gather over the degree table.
+        delegate_forward = (
+            self._delegate_degrees.take(rep.delegate_rows(), axis=1).sum(axis=1).tolist()
             if delegate_size
-            else None
+            else [0] * (2 * p)
         )
         normal_frontier_total = 0
         directions = {"nd": 0, "dn": 0, "dd": 0}
@@ -670,7 +677,8 @@ class TraversalEngine:
 
         for g in range(p):
             deg = self._degrees[g]
-            normal_size = rep.normal_size(g)
+            normal_rows = rep.normal_rows(g)
+            normal_size = int(normal_rows.size)
             normal_frontier_total += normal_size
             base_comp.append(
                 netmodel.iteration_overhead()
@@ -679,22 +687,22 @@ class TraversalEngine:
             visits = []
             dense_local = None
             for kernel in self._kernels[g]:
-                # The kernel's input frontier: this GPU's normal slots for
-                # nn/nd, the delegates for dn/dd.  A forward task exists only
-                # if some frontier row has an edge in the kernel's subgraph.
+                # The kernel's input frontier — this GPU's normal slots for
+                # nn/nd, the delegates for dn/dd — and its forward workload:
+                # the frontier's degree sum in the kernel's subgraph, the same
+                # number with or without the zero-degree rows.
                 if kernel in NORMAL_SOURCED:
-                    frontier_size = has_work = normal_size
+                    frontier_size = normal_size
+                    forward = int(deg[kernel].take(normal_rows).sum()) if normal_size else 0
                 else:
                     frontier_size = delegate_size
-                    has_work = delegate_work and delegate_work[2 * g + (kernel == "dd")]
-                fields = rep.push_payload(kernel, g, deg[kernel]) if has_work else None
+                    forward = delegate_forward[2 * g + (kernel == "dd")]
                 # nn is always forward; nd/dd/dn each follow their own
                 # direction state (forward workload vs backward workload).
                 if kernel != "nn":
                     # A pull scans the reverse edges: the dn CSR for nd and
                     # vice versa; dd is locally symmetric.
                     reverse = _REVERSE[kernel]
-                    forward = int(deg[kernel][fields["queue"]].sum()) if fields else 0
                     backward = rep.backward_workload(kernel, g, frontier_size, deg[reverse])
                     if dir_states[kernel][g].decide(forward, backward):
                         directions[kernel] += 1
@@ -713,8 +721,15 @@ class TraversalEngine:
                             )
                         )
                         continue
-                if fields:
-                    visits.append(VisitSpec(kernel, kernel, backward=False, **fields))
+                # A forward task exists only if some frontier row has an edge
+                # to push along, and only then is its queue built.
+                if forward:
+                    visits.append(
+                        VisitSpec(
+                            kernel, kernel, backward=False,
+                            **rep.push_payload(kernel, g, deg[kernel]),
+                        )
+                    )
             if visits:
                 gpu_plans.append(GPUPlan(gpu=g, visits=visits, dense_local=dense_local))
 

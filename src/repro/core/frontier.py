@@ -16,8 +16,8 @@ state                      ``TraversalState``: int64       ``BatchState``: per-v
                            frontiers                       + (rows, words) frontiers
 dense frontier buffers     ``bool`` flags                  ``uint64`` lane words
 previsit filter / payload  zero-degree drop (frontiers     zero-degree drop; lane words
-of a forward task          are installed sorted-unique);   parallel to the queue
-                           ``keep_sources`` / ``weighted``
+of a forward task (built   are installed sorted-unique);   parallel to the queue
+for a kernel that pushes)  ``keep_sources`` / ``weighted``
 open (pull-capable) rows   value still ``UNVISITED``:      some lane still unvisited:
                            counted per GPU, listed only    listed when a workload is
                            for a kernel that pulls         asked for
@@ -153,8 +153,9 @@ class FlagFrontier:
     def frontier_empty(self) -> bool:
         return self.state.frontier_empty()
 
-    def normal_size(self, g: int) -> int:
-        return int(self.state.normal_frontiers[g].size)
+    def normal_rows(self, g: int) -> np.ndarray:
+        """GPU ``g``'s local slots of the step's input frontier."""
+        return self.state.normal_frontiers[g]
 
     def delegate_size(self) -> int:
         return int(self.state.delegate_frontier.size)
@@ -211,18 +212,13 @@ class FlagFrontier:
             flags[frontier] = True
         return flags
 
-    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict | None:
+    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
         """Previsit-filter the kernel's input frontier into forward-task
-        fields, or ``None`` when no frontier row has an edge to push along."""
-        state = self.state
-        frontier = (
-            state.normal_frontiers[g] if kernel in NORMAL_SOURCED else state.delegate_frontier
-        )
-        queue = frontier[out_degrees[frontier] > 0]
-        if queue.size == 0:
-            return None
+        fields.  Built only for a kernel that pushes: the walk decides
+        directions on degree sums, which need no queue."""
+        frontier = self.normal_rows(g) if kernel in NORMAL_SOURCED else self.delegate_rows()
         return {
-            "queue": queue,
+            "queue": frontier[out_degrees[frontier] > 0],
             "keep_sources": self._keep_sources[kernel],
             # Weighted programs gather edge weights on every forward visit
             # (they never pull: needs_weights implies no direction switch).
@@ -368,7 +364,11 @@ class FlagFrontier:
                 )
             fresh_recv = self._update_normals(g, *program.merge_remote(inbox, values))
             if fresh_recv.size:
-                frontier = np.union1d(frontier, fresh_recv) if frontier.size else fresh_recv
+                frontier = (
+                    sorted_unique(np.concatenate([frontier, fresh_recv]))
+                    if frontier.size
+                    else fresh_recv
+                )
         self.state.normal_frontiers[g] = frontier
         return int(frontier.size)
 
@@ -458,11 +458,15 @@ class FlagFrontier:
         if g is None:
             fresh = self._update_delegates(rows, values)
             if fresh.size:
-                state.delegate_frontier = np.union1d(state.delegate_frontier, fresh)
+                state.delegate_frontier = sorted_unique(
+                    np.concatenate([state.delegate_frontier, fresh])
+                )
         else:
             fresh = self._update_normals(g, rows, values)
             if fresh.size:
-                state.normal_frontiers[g] = np.union1d(state.normal_frontiers[g], fresh)
+                state.normal_frontiers[g] = sorted_unique(
+                    np.concatenate([state.normal_frontiers[g], fresh])
+                )
         return int(fresh.size)
 
 
@@ -617,8 +621,9 @@ class LaneFrontier:
     def frontier_empty(self) -> bool:
         return self.state.frontier_empty()
 
-    def normal_size(self, g: int) -> int:
-        return int(self.state.frontier_n_rows[g].size)
+    def normal_rows(self, g: int) -> np.ndarray:
+        """GPU ``g``'s local slots of the step's input frontier."""
+        return self.state.frontier_n_rows[g]
 
     def delegate_size(self) -> int:
         return int(self.state.frontier_d_rows.size)
@@ -649,11 +654,11 @@ class LaneFrontier:
     def dense_local(self, g: int) -> np.ndarray:
         return self._dense(g, self.graph.gpus[g].num_local)
 
-    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict | None:
+    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
         rows, words = self.provider.batched_filter_frontier(
             *self.state.frontier(g if kernel in NORMAL_SOURCED else None), out_degrees
         )
-        return {"queue": rows, "words": words} if rows.size else None
+        return {"queue": rows, "words": words}
 
     def _pull_rows(self, kernel: str, g: int) -> np.ndarray:
         """The still-open sources of the kernel's reverse subgraph on GPU

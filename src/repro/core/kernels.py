@@ -13,7 +13,14 @@ Forward-push kernels gather the full neighbour lists of the frontier
 the parent list of each unvisited candidate only until the first parent in the
 frontier is found (workload = edges examined before the first hit, or the full
 list when there is none) — this early exit is the whole point of
-direction-optimized BFS.
+direction-optimized BFS.  The vectorized pull exits early too, by rounds: it
+*lists* (gathers and tests) each candidate's first parent, then the next four
+of the candidates still open, then the rest of the lists that are still open,
+so what it lists stays close to what the serial scan *examines* (1.24x on the
+Graph500 workload, where whole lists are 4.2x); ``edges_examined`` is the
+serial scan's count either way.  Every kernel that lists edges builds its
+index through :meth:`repro.graph.csr.CSRGraph._gather_index` /
+:func:`repro.graph.csr.span_index`.
 
 The ``batched_*`` variants are the MS-BFS-style kernels of the batched engine
 path: the per-vertex frontier membership is a B-wide lane bitset
@@ -31,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, span_index
 
 __all__ = [
+    "PULL_ONE_PASS_EDGES",
     "KernelOutput",
     "BatchKernelOutput",
     "forward_visit",
@@ -45,6 +53,16 @@ __all__ = [
     "batched_forward_visit",
     "batched_backward_visit",
 ]
+
+
+#: A backward pull whose candidates hold fewer parent edges than this lists
+#: every list whole, in one pass; from here on it goes by rounds.  A round
+#: costs a dozen array operations whatever it lists, which a small call never
+#: wins back.  Measured break-even on the 2,283 pulls of one ``rmat16-g500``
+#: pass (``benchmarks/results/pr20/pull_rounds.py``, best of 5 per call, rounds
+#: over one pass, three sessions): 1.2-1.8x below 2 k edges, 1.0-1.3x at
+#: 2-3 k, 0.96-0.99x at 3-4 k, 0.80-0.92x at 4-6 k, 0.3-0.7x from 8 k on.
+PULL_ONE_PASS_EDGES = 4096
 
 
 @dataclass
@@ -171,19 +189,17 @@ def contrib_visit(csr: CSRGraph, rows: np.ndarray, row_values: np.ndarray) -> Ke
         raise ValueError("row_values must be parallel to rows")
     if rows.size == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=False)
-    srcs, destinations = csr.gather_neighbors(rows)
-    if destinations.size == 0:
+    # Edges are listed grouped by row in input order, so the per-edge value is
+    # the row's value repeated over its out-degree, like the row id itself.
+    lengths, edge_idx = csr._gather_index(rows)
+    if edge_idx.size == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=False)
-    # gather_neighbors emits edges grouped by row in input order, so the
-    # per-edge value is the row's value repeated over its out-degree.
-    lengths = csr.row_offsets[rows + 1] - csr.row_offsets[rows]
-    values = np.repeat(row_values, lengths)
     return KernelOutput(
-        discovered=np.asarray(destinations, dtype=np.int64),
-        edges_examined=int(destinations.size),
+        discovered=np.asarray(csr.column_indices[edge_idx], dtype=np.int64),
+        edges_examined=int(edge_idx.size),
         backward=False,
-        sources=np.asarray(srcs, dtype=np.int64),
-        values=values,
+        sources=np.repeat(rows, lengths),
+        values=np.repeat(row_values, lengths),
     )
 
 
@@ -194,6 +210,16 @@ def backward_visit(
 ) -> KernelOutput:
     """Backward-pull visit with early exit and exact workload counting.
 
+    The early exit is taken by rounds.  Round one tests every candidate's
+    first parent with one plain gather; round two lists the next four parents
+    of the candidates still open and finds each one's first hit with a
+    segmented scan; the last round does the same over whatever is left of
+    the lists still open.  A candidate leaves at its first hit or at the end
+    of its list, so a round lists only what the serial scan would also read,
+    plus at most the rest of that round's window.  A call whose candidates
+    hold fewer than :data:`PULL_ONE_PASS_EDGES` parent edges skips the fixed-
+    width rounds: its one round is the last one, over the whole lists.
+
     Parameters
     ----------
     reverse_csr:
@@ -202,7 +228,8 @@ def backward_visit(
         traversed; for the locally-symmetric dd subgraph it is the subgraph
         itself).
     candidates:
-        Row ids of unvisited vertices to test.
+        Row ids of unvisited vertices to test, in any order; a repeated row
+        is tested (and counted) once per occurrence.
     parent_in_frontier:
         Boolean array over the column id space: ``True`` where the potential
         parent was newly visited in the previous super-step.
@@ -210,55 +237,84 @@ def backward_visit(
     Returns
     -------
     KernelOutput
-        ``discovered`` lists the candidate rows that found a parent in the
-        frontier (each exactly once); ``edges_examined`` counts, per
-        candidate, the parents scanned up to and including the first hit (or
-        the whole list when no parent is in the frontier), which is the exact
-        workload of a serial early-exit scan — the quantity the paper's BV
-        formula estimates.
+        ``discovered`` lists, in candidate order, the candidate rows that
+        found a parent in the frontier and ``sources`` the first such parent
+        of each; ``edges_examined`` counts, per candidate, the parents
+        scanned up to and including the first hit (or the whole list when no
+        parent is in the frontier), which is the exact workload of a serial
+        early-exit scan — the quantity the paper's BV formula estimates —
+        however many edges the rounds listed to find it.
     """
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     parent_in_frontier = np.asarray(parent_in_frontier, dtype=bool)
     if candidates.size == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=True)
-
-    rows, parents = reverse_csr.gather_neighbors(candidates)
-    if parents.size == 0:
+    columns = reverse_csr.column_indices
+    starts, lengths = reverse_csr._row_spans(candidates)
+    total = int(lengths.sum())
+    if total == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=True)
 
-    hits = parent_in_frontier[np.asarray(parents, dtype=np.int64)]
+    # Per candidate, the position in ``columns`` of its first frontier parent
+    # (-1 while none is known).  ``open_rows`` are the candidates still
+    # scanning, ``position`` their next unread parent, ``left`` how many
+    # parents they have not read yet.  Index arrays, not masks: a boolean
+    # selection costs several times a ``take``.
+    hit_edge = np.full(candidates.size, -1, dtype=np.int64)
+    open_rows = np.flatnonzero(lengths)
+    position, left = starts.take(open_rows), lengths.take(open_rows)
+    for width in (1, 4) if total >= PULL_ONE_PASS_EDGES else ():
+        if width == 1:
+            first_hit = position
+            found = parent_in_frontier.take(columns.take(position))
+        else:
+            first_hit = _first_hits(
+                columns, parent_in_frontier, position, np.minimum(left, width)
+            )
+            found = first_hit >= 0
+        hits = np.flatnonzero(found)
+        hit_edge[open_rows.take(hits)] = first_hit.take(hits)
+        still = np.flatnonzero(~found & (left > width))
+        open_rows = open_rows.take(still)
+        position, left = position.take(still) + width, left.take(still) - width
+    # The last round reads whatever is left of the lists still open — all of
+    # every list when the call stayed one pass.
+    first_hit = _first_hits(columns, parent_in_frontier, position, left)
+    hits = np.flatnonzero(first_hit >= 0)
+    hit_edge[open_rows.take(hits)] = first_hit.take(hits)
 
-    # Segment bookkeeping: edges are emitted grouped by candidate (gather
-    # preserves row order).  For each candidate segment we need (a) whether a
-    # hit exists and (b) the position of the first hit, to count the
-    # early-exit workload.
-    all_lengths = reverse_csr.row_offsets[candidates + 1] - reverse_csr.row_offsets[candidates]
-    nonzero_mask = all_lengths > 0
-    seg_lengths = all_lengths[nonzero_mask]
-    seg_candidates = candidates[nonzero_mask]
-    seg_starts = np.zeros(seg_lengths.size, dtype=np.int64)
-    np.cumsum(seg_lengths[:-1], out=seg_starts[1:])
-
-    # First-hit position per segment: a segmented minimum over the within-
-    # segment offsets of hit edges, with non-hits masked to a sentinel larger
-    # than any offset.  One reduceat pass over the edges — no per-hit sort.
-    no_hit = np.iinfo(np.int64).max
-    within = np.arange(hits.size, dtype=np.int64) - np.repeat(seg_starts, seg_lengths)
-    first_hit = np.minimum.reduceat(np.where(hits, within, no_hit), seg_starts)
-
-    found = first_hit != no_hit
-    examined = np.where(found, first_hit, seg_lengths - 1) + 1
-    discovered = seg_candidates[found]
-    # The early-exit scan stops at the first frontier parent; that parent is
-    # the discovering source of the candidate (the edge at offset first_hit
-    # within the candidate's segment).
-    hit_parents = np.asarray(parents, dtype=np.int64)[seg_starts[found] + first_hit[found]]
+    # An early-exit scan reads up to and including the first frontier parent,
+    # which is the candidate's discovering source; a candidate without one
+    # reads its whole list.
+    found = np.flatnonzero(hit_edge >= 0)
+    hit = hit_edge.take(found)
+    unread = lengths.take(found) - (hit - starts.take(found) + 1)
     return KernelOutput(
-        discovered=discovered.astype(np.int64),
-        edges_examined=int(examined.sum()),
+        discovered=candidates.take(found),
+        edges_examined=total - int(unread.sum()),
         backward=True,
-        sources=hit_parents,
+        sources=np.asarray(columns.take(hit), dtype=np.int64),
     )
+
+
+def _first_hits(
+    columns: np.ndarray, in_frontier: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Per non-empty span ``columns[starts[i] : starts[i] + lengths[i]]``, the
+    position of its first entry that is in the frontier, or -1.
+
+    A segmented minimum over the positions of the hit edges, one ``reduceat``
+    pass over the listed edges and no per-hit sort.  A miss is masked to -1
+    (hit flag minus one is 0 at a hit and all ones at a miss; OR-ing it in is
+    a third of the cost of ``np.where``), which read as unsigned is above any
+    position, so the minimum of a span is -1 exactly when nothing in it hit.
+    """
+    edge_idx = span_index(starts, lengths)
+    hit_positions = in_frontier.take(columns.take(edge_idx)).astype(np.int64)
+    hit_positions -= 1
+    hit_positions |= edge_idx
+    first = np.minimum.reduceat(hit_positions.view(np.uint64), np.cumsum(lengths) - lengths)
+    return first.view(np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -403,22 +459,17 @@ def batched_backward_visit(
     nwords = parent_words.shape[1] if parent_words.ndim == 2 else 1
     if candidates.size == 0:
         return _empty_batch_output(nwords, backward=True)
-    rows, parents = reverse_csr.gather_neighbors(candidates)
-    if parents.size == 0:
+    all_lengths, edge_idx = reverse_csr._gather_index(candidates)
+    if edge_idx.size == 0:
         return _empty_batch_output(nwords, backward=True)
+    parents = reverse_csr.column_indices[edge_idx]
 
-    all_lengths = (
-        reverse_csr.row_offsets[candidates + 1] - reverse_csr.row_offsets[candidates]
-    )
     nonzero_mask = all_lengths > 0
     seg_lengths = all_lengths[nonzero_mask]
     seg_candidates = candidates[nonzero_mask]
-    seg_starts = np.zeros(seg_lengths.size, dtype=np.int64)
-    np.cumsum(seg_lengths[:-1], out=seg_starts[1:])
+    seg_starts = np.cumsum(seg_lengths) - seg_lengths
 
-    pulled = np.bitwise_or.reduceat(
-        parent_words[np.asarray(parents, dtype=np.int64)], seg_starts, axis=0
-    )
+    pulled = np.bitwise_or.reduceat(parent_words[parents], seg_starts, axis=0)
     gained = pulled & wanted_words[nonzero_mask]
     found = gained.any(axis=1)
     return BatchKernelOutput(

@@ -189,7 +189,10 @@ class FrontierProgram(ABC):
         """
         ids = np.asarray(ids, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.int64).ravel()
-        if ids.size == 0:
+        # Strictly increasing ids (a backward pull's discoveries, a uniquified
+        # inbox, a single proposal, none at all) are their own answer: one
+        # compare pass instead of a sort, an inverse and an argsort.
+        if (ids[1:] > ids[:-1]).all():
             return ids, values
         unique, inverse = np.unique(ids, return_inverse=True)
         if unique.size == ids.size:

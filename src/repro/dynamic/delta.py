@@ -232,7 +232,9 @@ def update_stream(
             dst[loops] = (dst[loops] + 1) % n
             np.add.at(degrees, src, 1)
             np.add.at(degrees, dst, 1)
-            pool = np.union1d(pool, np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst))
+            pool = sorted_unique(
+                np.concatenate([pool, np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst)])
+            )
         else:
             src = dst = np.zeros(0, dtype=np.int64)
         if deletes_per_batch and pool.size:

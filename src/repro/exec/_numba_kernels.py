@@ -17,8 +17,8 @@ producing bit-identical outputs:
   frontier-then-CSR edge order for pushes, sorted-unique destinations for the
   batched push),
 * the exact same ``edges_examined`` accounting — in particular the backward
-  pull's *true* early exit, which the NumPy twin can only reconstruct after
-  gathering every edge (the whole reason this provider is faster),
+  pull's edge-by-edge early exit, which the NumPy twin approximates by rounds
+  (it lists a window of parents per round and keeps the first hit),
 * the same uint64 lane-word OR combinations (associative, so loop order
   cannot change the result).
 

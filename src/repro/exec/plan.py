@@ -10,7 +10,7 @@ set) — so an execution backend can ship it anywhere: run it inline, fan it
 out over a process pool, or (in principle) dispatch it to real devices.
 
 A plan lists work, not emptiness.  The engine emits a :class:`VisitSpec`
-only for a kernel that pulls or whose filtered queue is non-empty, and a
+only for a kernel that pulls or whose frontier has an edge to push along, and a
 :class:`GPUPlan` only for a GPU with such a kernel; a kernel the plan does
 not list is an idle forward kernel, produces no output, and is charged its
 launch overhead by ``finalize``.  Backends execute only the GPU plans that
@@ -80,7 +80,9 @@ class VisitSpec:
     backward:
         ``True`` = backward-pull, ``False`` = forward-push.
     queue:
-        Forward tasks: the pre-filtered frontier rows to expand.
+        Forward tasks: the pre-filtered frontier rows to expand.  Built only
+        for a kernel that pushes: the plan walk takes its direction decisions
+        on degree sums, so a kernel that pulls (or idles) never has one.
     candidates:
         Backward tasks: the unvisited rows that pull.
     parents:

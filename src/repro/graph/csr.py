@@ -20,7 +20,19 @@ import numpy as np
 
 from repro.graph.edgelist import EdgeList
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "span_index"]
+
+
+def span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions of the concatenated spans ``[starts[i], starts[i] + lengths[i])``.
+
+    One ``np.repeat`` and one add: span ``i`` occupies the output from
+    ``lengths[:i].sum()`` on, so every position in it is the output position
+    plus the constant ``starts[i] - lengths[:i].sum()``.
+    """
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
 
 
 @dataclass
@@ -251,6 +263,27 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # Bulk traversal helpers (used by the visit kernels)
     # ------------------------------------------------------------------ #
+    def _row_spans(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the neighbour lists of ``rows`` in
+        ``column_indices``, after the bounds check every bulk helper shares."""
+        if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
+            raise IndexError(f"row index out of range [0, {self.num_rows})")
+        starts = self.row_offsets[rows]
+        return starts, self.row_offsets[rows + 1] - starts
+
+    def _gather_index(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lengths, edge_idx)`` of the concatenated neighbour lists of ``rows``.
+
+        ``lengths[i]`` is the neighbour count of ``rows[i]`` and ``edge_idx``
+        the positions in ``column_indices`` (and ``edge_weights``) of every
+        edge out of ``rows``, grouped by row in input order.  The one index
+        construction under both public gathers; the visit kernels of
+        :mod:`repro.core.kernels` that need the per-row lengths beside the
+        edges call it directly.
+        """
+        starts, lengths = self._row_spans(rows)
+        return lengths, span_index(starts, lengths)
+
     def gather_neighbors(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather the concatenated neighbour lists of ``rows``.
 
@@ -263,25 +296,8 @@ class CSRGraph:
             frontier; it is the single hottest helper in the library.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=self.column_dtype)
-        if rows.min() < 0 or rows.max() >= self.num_rows:
-            raise IndexError("row index out of range in gather_neighbors")
-        starts = self.row_offsets[rows]
-        ends = self.row_offsets[rows + 1]
-        lengths = ends - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=self.column_dtype)
-        # Build a single index array covering all the per-row slices without a
-        # Python loop: offsets within the output, then add per-row start.
-        out_starts = np.zeros(rows.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=out_starts[1:])
-        idx = np.arange(total, dtype=np.int64)
-        row_of_edge = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
-        within = idx - out_starts[row_of_edge]
-        edge_idx = starts[row_of_edge] + within
-        return rows[row_of_edge], self.column_indices[edge_idx]
+        lengths, edge_idx = self._gather_index(rows)
+        return np.repeat(rows, lengths), self.column_indices[edge_idx]
 
     def gather_neighbors_with_weights(
         self, rows: np.ndarray
@@ -299,32 +315,9 @@ class CSRGraph:
                 "--weights on the generators) before running a weighted program"
             )
         rows = np.asarray(rows, dtype=np.int64).ravel()
-        if rows.size == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=self.column_dtype),
-                np.zeros(0, dtype=np.float64),
-            )
-        if rows.min() < 0 or rows.max() >= self.num_rows:
-            raise IndexError("row index out of range in gather_neighbors_with_weights")
-        starts = self.row_offsets[rows]
-        ends = self.row_offsets[rows + 1]
-        lengths = ends - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=self.column_dtype),
-                np.zeros(0, dtype=np.float64),
-            )
-        out_starts = np.zeros(rows.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=out_starts[1:])
-        idx = np.arange(total, dtype=np.int64)
-        row_of_edge = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
-        within = idx - out_starts[row_of_edge]
-        edge_idx = starts[row_of_edge] + within
+        lengths, edge_idx = self._gather_index(rows)
         return (
-            rows[row_of_edge],
+            np.repeat(rows, lengths),
             self.column_indices[edge_idx],
             self.edge_weights[edge_idx],
         )

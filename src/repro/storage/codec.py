@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exec.providers import KernelProvider
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, span_index
 from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
 from repro.utils.timing import now_s
@@ -181,16 +181,8 @@ class CompressedCSR:
                 masked, np.zeros(0, dtype=self.column_dtype), self.num_rows, self.num_cols,
                 edge_weights=empty_w,
             )
-        byte_counts = self.byte_offsets[rows_nz + 1] - self.byte_offsets[rows_nz]
-        total_bytes = int(byte_counts.sum())
-        out_starts = np.zeros(rows_nz.size, dtype=np.int64)
-        np.cumsum(byte_counts[:-1], out=out_starts[1:])
-        span = np.repeat(np.arange(rows_nz.size, dtype=np.int64), byte_counts)
-        idx = (
-            np.arange(total_bytes, dtype=np.int64)
-            - out_starts[span]
-            + self.byte_offsets[rows_nz][span]
-        )
+        byte_starts = self.byte_offsets[rows_nz]
+        idx = span_index(byte_starts, self.byte_offsets[rows_nz + 1] - byte_starts)
         values = _varint_decode(np.asarray(self.payload)[idx])
         # Segmented prefix sum turns (first, gap, gap, ...) back into columns.
         cum = np.cumsum(values)
@@ -202,11 +194,7 @@ class CompressedCSR:
         if self.edge_weights is not None:
             # Weights are stored raw in the same per-row order the columns
             # encode, so a positional gather aligns them with the decode.
-            raw_pos = (
-                np.arange(columns.size, dtype=np.int64)
-                - np.repeat(seg_start, counts_nz)
-                + np.repeat(self.row_offsets[rows_nz], counts_nz)
-            )
+            raw_pos = span_index(self.row_offsets[rows_nz], counts_nz)
             weights = np.asarray(self.edge_weights)[raw_pos]
         return CSRGraph.unchecked(
             masked, columns, self.num_rows, self.num_cols, edge_weights=weights

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.kernels import backward_visit, forward_visit
 from repro.graph.csr import CSRGraph
 
@@ -106,3 +109,120 @@ class TestBackwardVisit:
         np.testing.assert_array_equal(np.sort(backward.discovered), expected)
         # Early-exit workload can never exceed the full parent-list scan.
         assert backward.edges_examined <= csr.frontier_workload(candidates)
+
+
+# --------------------------------------------------------------------------- #
+# The pull by rounds is the scalar early-exit loop, on both sides of the cutoff
+# --------------------------------------------------------------------------- #
+def scalar_backward_visit(csr: CSRGraph, candidates, in_frontier):
+    """The serial early-exit scan ``backward_visit`` must reproduce: each
+    candidate, in the order given, reads its parents until the first one in
+    the frontier."""
+    discovered, sources, examined = [], [], 0
+    for candidate in candidates:
+        for parent in csr.neighbors(int(candidate)):
+            examined += 1
+            if in_frontier[parent]:
+                discovered.append(int(candidate))
+                sources.append(int(parent))
+                break
+    return (
+        np.asarray(discovered, dtype=np.int64), np.asarray(sources, dtype=np.int64), examined
+    )
+
+
+def assert_pull_is_the_scalar_scan(csr, candidates, in_frontier, cutoff):
+    with mock.patch.object(kernels, "PULL_ONE_PASS_EDGES", cutoff):
+        out = backward_visit(csr, candidates, in_frontier)
+    discovered, sources, examined = scalar_backward_visit(csr, candidates, in_frontier)
+    assert out.backward
+    np.testing.assert_array_equal(out.discovered, discovered)
+    np.testing.assert_array_equal(out.sources, sources)
+    assert out.discovered.dtype == np.int64 and out.sources.dtype == np.int64
+    assert out.edges_examined == examined and type(out.edges_examined) is int
+
+
+#: Both sides of the one-pass cutoff without building a big graph: every call
+#: goes by rounds (0), calls of a handful of edges stay one pass (12, 60),
+#: every call stays one pass (the shipped value, far above these graphs).
+CUTOFFS = (0, 12, 60, kernels.PULL_ONE_PASS_EDGES)
+
+
+def skewed_csr(rng, num_rows, num_cols, num_edges, column_dtype, hashed):
+    """A random rectangular CSR with a few hub columns.  Unhashed, the hubs
+    are the lowest ids, so they head every sorted parent list (the Graph500
+    workload's shape: most hits at offset 0); hashed, they sit anywhere.
+    Every seventh row stays empty."""
+    rows = rng.integers(0, num_rows, size=num_edges)
+    cols = (num_cols * rng.random(num_edges) ** 3).astype(np.int64)
+    if hashed:
+        cols = rng.permutation(num_cols)[cols]
+    keep = rows % 7 != 3
+    return CSRGraph.from_edges(
+        rows[keep], cols[keep], num_rows, num_cols, column_dtype=column_dtype
+    )
+
+
+class TestBackwardVisitIsTheScalarScan:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_rows=st.integers(1, 40),
+        num_cols=st.integers(1, 40),
+        num_edges=st.integers(0, 300),
+        column_dtype=st.sampled_from([np.int32, np.int64]),
+        hashed=st.booleans(),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        cutoff=st.sampled_from(CUTOFFS),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_rounds_equal_scalar_loop(
+        self, seed, num_rows, num_cols, num_edges, column_dtype, hashed, density, cutoff, data
+    ):
+        rng = np.random.default_rng(seed)
+        csr = skewed_csr(rng, num_rows, num_cols, num_edges, column_dtype, hashed)
+        # Unsorted, duplicated, possibly empty; zero-length rows included.
+        candidates = np.asarray(
+            data.draw(st.lists(st.integers(0, num_rows - 1), max_size=60)), dtype=np.int64
+        )
+        in_frontier = rng.random(num_cols) < density
+        assert_pull_is_the_scalar_scan(csr, candidates, in_frontier, cutoff)
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    @pytest.mark.parametrize("hashed", [False, True])
+    @pytest.mark.parametrize("column_dtype", [np.int32, np.int64])
+    def test_every_candidate_of_a_hub_heavy_graph(self, cutoff, hashed, column_dtype):
+        """Long lists (hits beyond the fixed-width rounds), all rows as
+        candidates, sorted and reversed, sparse and dense frontiers."""
+        rng = np.random.default_rng(20)
+        csr = skewed_csr(rng, 120, 90, 4000, column_dtype, hashed)
+        assert csr.out_degrees().max() > 40 and (csr.out_degrees() == 0).any()
+        for density in (0.02, 0.5):
+            in_frontier = rng.random(90) < density
+            for candidates in (np.arange(120), np.arange(120)[::-1], rng.integers(0, 120, 300)):
+                assert_pull_is_the_scalar_scan(csr, candidates, in_frontier, cutoff)
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    def test_nobody_hits_and_everybody_hits_at_once(self, cutoff):
+        rng = np.random.default_rng(21)
+        csr = skewed_csr(rng, 50, 50, 600, np.int32, hashed=False)
+        candidates = np.arange(50)
+        held = csr.frontier_workload(candidates)
+        with mock.patch.object(kernels, "PULL_ONE_PASS_EDGES", cutoff):
+            nobody = backward_visit(csr, candidates, np.zeros(50, dtype=bool))
+            everybody = backward_visit(csr, candidates, np.ones(50, dtype=bool))
+        assert nobody.discovered.size == 0 and nobody.sources.size == 0
+        assert nobody.sources.dtype == np.int64 and nobody.edges_examined == held
+        has_parents = np.flatnonzero(csr.out_degrees())
+        np.testing.assert_array_equal(everybody.discovered, has_parents)
+        np.testing.assert_array_equal(
+            everybody.sources, [csr.neighbors(int(row))[0] for row in has_parents]
+        )
+        assert everybody.edges_examined == has_parents.size
+
+    @pytest.mark.parametrize("cutoff", [0, kernels.PULL_ONE_PASS_EDGES])
+    @pytest.mark.parametrize("bad", [-1, 4, 1 << 40])
+    def test_out_of_range_candidates_raise(self, small_csr, cutoff, bad):
+        with mock.patch.object(kernels, "PULL_ONE_PASS_EDGES", cutoff):
+            with pytest.raises(IndexError):
+                backward_visit(small_csr, np.asarray([0, bad, 3]), np.ones(4, dtype=bool))

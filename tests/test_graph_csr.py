@@ -88,6 +88,12 @@ class TestGatherNeighbors:
         csr = CSRGraph.empty(2, 2)
         with pytest.raises(IndexError):
             csr.gather_neighbors(np.asarray([5]))
+        weighted = CSRGraph.from_edges([0], [1], 2, 2, weights=[1.0])
+        for bad in ([0, 2], [-1, 1]):
+            with pytest.raises(IndexError, match="out of range"):
+                weighted.gather_neighbors_with_weights(np.asarray(bad))
+            with pytest.raises(IndexError, match="out of range"):
+                weighted.gather_neighbors(np.asarray(bad))
 
     def test_frontier_workload(self):
         csr = CSRGraph.from_edges([0, 0, 1], [1, 2, 2], 3, 3)
@@ -106,7 +112,10 @@ class TestGatherNeighbors:
         )
         src = np.asarray([p[0] for p in pairs], dtype=np.int64)
         dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        csr = CSRGraph.from_edges(src, dst, n, n)
+        column_dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+        weights = np.arange(src.size, dtype=np.float64) + 0.5
+        csr = CSRGraph.from_edges(src, dst, n, n, column_dtype=column_dtype, weights=weights)
+        # Unsorted, with repeats: every occurrence of a row lists it again.
         frontier = data.draw(
             st.lists(st.integers(0, n - 1), max_size=10).map(np.asarray)
         )
@@ -115,8 +124,19 @@ class TestGatherNeighbors:
         expected_cols = np.concatenate(
             [csr.neighbors(int(r)) for r in frontier]
         ) if frontier.size else np.zeros(0, dtype=np.int64)
+        expected_rows = np.repeat(frontier, csr.out_degrees()[frontier])
+        expected_weights = np.concatenate(
+            [csr.edge_weights[csr.row_offsets[r] : csr.row_offsets[r + 1]] for r in frontier]
+        ) if frontier.size else np.zeros(0)
         np.testing.assert_array_equal(np.asarray(cols, dtype=np.int64), expected_cols)
-        assert rows.size == cols.size
+        np.testing.assert_array_equal(rows, expected_rows)
+        assert rows.dtype == np.int64 and cols.dtype == column_dtype
+        # The weighted gather is the same listing with the weights beside it.
+        w_rows, w_cols, w = csr.gather_neighbors_with_weights(frontier)
+        np.testing.assert_array_equal(w_rows, rows)
+        np.testing.assert_array_equal(w_cols, cols)
+        np.testing.assert_array_equal(w, expected_weights)
+        assert w_cols.dtype == column_dtype and w.dtype == np.float64
 
 
 class TestReverseAndScipy:

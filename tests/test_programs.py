@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.serial_bfs import serial_bfs
 from repro.baselines.union_find import serial_components, union_find_components
@@ -376,3 +380,63 @@ class TestProgramTable:
         assert batched_factory([Custom(1), Custom(2)]) is None
         assert batched_factory([BFSLevels(1), KHopReachability(2, 2)]) is None
         assert batched_factory([KHopReachability(1, 1), KHopReachability(2, 2)]) is None
+
+
+# --------------------------------------------------------------------------- #
+# merge_remote: strictly increasing ids are returned as they are
+# --------------------------------------------------------------------------- #
+def _sort_based_merge_remote(combine, identity, ids, values):
+    """``FrontierProgram.merge_remote`` as it stood before the strictly-
+    increasing shortcut: always a sort, an inverse and (without duplicates) a
+    stable argsort.  The reference the shortcut must equal element for element."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    values = np.asarray(values, dtype=np.int64).ravel()
+    if ids.size == 0:
+        return ids, values
+    unique, inverse = np.unique(ids, return_inverse=True)
+    if unique.size == ids.size:
+        return unique, values[np.argsort(ids, kind="stable")]
+    merged = np.full(unique.size, identity, dtype=np.int64)
+    combine.at(merged, inverse, values)
+    return unique, merged
+
+
+#: Every (combine, identity) a table program folds duplicate proposals with
+#: (driver rows without the hook fold nothing through it).
+TABLE_COMBINES = sorted(
+    {
+        (row.cls.combine, int(row.cls.combine_identity))
+        for row in PROGRAM_TABLE.values()
+        if hasattr(row.cls, "merge_remote")
+    },
+    key=repr,
+)
+
+
+class TestMergeRemote:
+    @pytest.mark.parametrize(
+        "combine,identity", TABLE_COMBINES, ids=[c.__name__ for c, _ in TABLE_COMBINES]
+    )
+    @given(
+        proposals=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(-(2**40), 2**40)), max_size=40
+        ),
+        shape=st.sampled_from(["as drawn", "sorted", "sorted unique"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_sort_based_merge(self, combine, identity, proposals, shape):
+        if shape == "sorted":
+            proposals = sorted(proposals)
+        elif shape == "sorted unique":
+            proposals = sorted(dict(proposals).items())
+        ids = np.asarray([p[0] for p in proposals], dtype=np.int64)
+        values = np.asarray([p[1] for p in proposals], dtype=np.int64)
+        program = SimpleNamespace(combine=combine, combine_identity=np.int64(identity))
+        got_ids, got_values = FrontierProgram.merge_remote(program, ids.copy(), values.copy())
+        want_ids, want_values = _sort_based_merge_remote(combine, identity, ids, values)
+        np.testing.assert_array_equal(got_ids, want_ids)
+        np.testing.assert_array_equal(got_values, want_values)
+        assert got_ids.dtype == np.int64 and got_values.dtype == np.int64
+
+    def test_the_table_folds_with_something(self):
+        assert TABLE_COMBINES and all(callable(combine.at) for combine, _ in TABLE_COMBINES)
