@@ -94,7 +94,7 @@ def test_micro_delegate_mask_reduce(benchmark):
 
     def reduce_once():
         comm = Communicator(topology, NetworkModel())
-        return comm.allreduce_delegate_masks(masks)
+        return comm.allreduce(masks)
 
     result = benchmark(reduce_once)
     assert result.merged.count() > 0
@@ -108,7 +108,7 @@ def test_micro_normal_exchange(benchmark):
 
     def exchange_once():
         comm = Communicator(topology, NetworkModel())
-        return comm.exchange_normals(outboxes, local_all2all=True, uniquify=True)
+        return comm.exchange(outboxes, local_all2all=True, uniquify=True)
 
     result = benchmark(exchange_once)
     assert sum(box.size for box in result.inboxes) > 0

@@ -104,29 +104,21 @@ class OneDBFS:
                 outboxes.append(neighbors)
 
             # Exchange: every discovered vertex travels to its owner as a
-            # 64-bit id (no degree separation, no 32-bit conversion).
-            per_gpu_send = np.zeros(p, dtype=np.float64)
-            inboxes: list[list[np.ndarray]] = [[] for _ in range(p)]
-            for g in range(p):
-                out = outboxes[g]
-                if out.size == 0:
-                    continue
-                owners = layout.flat_gpu_of(out)
-                for dst in range(p):
-                    chunk = out[owners == dst]
-                    if chunk.size == 0:
-                        continue
-                    if dst != g:
-                        nbytes = chunk.size * 8
-                        remote_bytes += nbytes
-                        per_gpu_send[g] += self.netmodel.p2p_time(
-                            nbytes, bool(self.topology.same_rank(g, dst))
-                        )
-                    inboxes[dst].append(chunk)
+            # 64-bit id (no degree separation, no 32-bit conversion), one
+            # message per (sender, owner) pair priced like the 2D exchange.
+            targets = np.concatenate(outboxes)
+            owners = layout.flat_gpu_of(targets)
+            senders = np.repeat(np.arange(p), [out.size for out in outboxes])
+            sent = np.bincount(senders * p + owners, minlength=p * p).reshape(p, p)
+            np.fill_diagonal(sent, 0)
+            remote_bytes += int(sent.sum()) * 8
+            per_gpu_send = self.netmodel.send_times(sent * 8, self.topology.same_rank_table)
+            order = np.argsort(owners, kind="stable")
+            inboxes = np.split(targets[order], np.cumsum(np.bincount(owners, minlength=p))[:-1])
 
             for g in range(p):
-                if inboxes[g]:
-                    received = sorted_unique(np.concatenate(inboxes[g]))
+                if inboxes[g].size:
+                    received = sorted_unique(inboxes[g])
                     slots = layout.local_index_of(received)
                     fresh = slots[levels[g][slots] == -1]
                     levels[g][fresh] = level
@@ -135,7 +127,7 @@ class OneDBFS:
                     frontiers[g] = np.zeros(0, dtype=np.int64)
 
             comp_s += float(per_gpu_comp.max())
-            comm_s += float(per_gpu_send.max()) if p else 0.0
+            comm_s += max(per_gpu_send)
 
         distances = np.full(n, -1, dtype=np.int64)
         for g in range(p):

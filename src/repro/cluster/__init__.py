@@ -17,17 +17,12 @@ nodes.  This package provides the stand-in for that machine:
     derived from a :class:`repro.partition.layout.ClusterLayout`.
 ``comm``
     :class:`Communicator` — moves real NumPy buffers between virtual GPUs
-    (all-to-all exchange and delegate-mask OR-reduction), while accounting
-    communication volume and modeled time per phase.
+    over the paper's two channels — the point-to-point exchange of normal
+    vertices and the delegate all-reduce — while accounting communication
+    volume and modeled time per phase.
 """
 
-from repro.cluster.comm import (
-    CommStats,
-    Communicator,
-    ExchangeResult,
-    ReduceResult,
-    ValueReduceResult,
-)
+from repro.cluster.comm import CommStats, Communicator, ExchangeResult, ReduceResult
 from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
@@ -40,5 +35,4 @@ __all__ = [
     "CommStats",
     "ExchangeResult",
     "ReduceResult",
-    "ValueReduceResult",
 ]

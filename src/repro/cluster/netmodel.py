@@ -137,39 +137,28 @@ class NetworkModel:
             total *= self.hardware.allreduce_software_factor
         return total
 
-    def alltoall_time(
-        self,
-        per_pair_bytes: np.ndarray,
-        same_rank_pairs: np.ndarray,
-    ) -> float:
-        """Time for a personalised all-to-all exchange.
+    def send_times(self, nbytes: np.ndarray, same_rank: np.ndarray) -> list[float]:
+        """Serial send time of every GPU in a personalised all-to-all.
 
-        Parameters
-        ----------
-        per_pair_bytes:
-            1D array of message sizes (one entry per communicating pair).
-        same_rank_pairs:
-            Boolean array of the same length; ``True`` where the pair shares a
-            rank (NVLink), ``False`` for inter-node pairs.
-
-        Notes
-        -----
-        Messages to different destinations leave a GPU serially through the
-        same NIC, but different *sources* proceed in parallel; we therefore
-        charge the maximum over sources of the per-source serial time, which
-        the caller encodes by passing per-source groups (see
-        :meth:`Communicator.exchange_normals`).  This method only handles a
-        flat list: it sums inter-node messages (NIC serialisation) and takes
-        NVLink messages at full parallel rate, which is the per-source model.
+        ``nbytes[s, d]`` is the size of the message GPU ``s`` sends to GPU
+        ``d`` (0 = no message) and ``same_rank[s, d]`` says whether it
+        travels over NVLink.  A GPU's messages leave one after another and
+        different GPUs send in parallel, so the result is, per sender, the
+        sum of its messages' :meth:`p2p_time` — added left to right in
+        ascending destination order.  Only messages actually sent are
+        priced, each by the scalar formula: a vectorised
+        ``message_efficiency`` would move the last bit of modeled times
+        (``np.exp`` and ``math.exp`` disagree on a few percent of sizes).
         """
-        per_pair_bytes = np.asarray(per_pair_bytes, dtype=np.float64)
-        same_rank_pairs = np.asarray(same_rank_pairs, dtype=bool)
-        if per_pair_bytes.size == 0:
-            return 0.0
-        total = 0.0
-        for nbytes, local in zip(per_pair_bytes, same_rank_pairs):
-            total += self.p2p_time(float(nbytes), bool(local))
-        return total
+        senders, receivers = np.nonzero(nbytes)
+        totals = [0.0] * len(nbytes)
+        for s, size, near in zip(
+            senders.tolist(),
+            nbytes[senders, receivers].tolist(),
+            same_rank[senders, receivers].tolist(),
+        ):
+            totals[s] += self.p2p_time(size, near)
+        return totals
 
     # ------------------------------------------------------------------ #
     # Compute-side kernels

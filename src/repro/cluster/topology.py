@@ -1,20 +1,17 @@
-"""Cluster topology: which virtual GPUs share an MPI rank and a node.
+"""Cluster topology: which virtual GPUs share an MPI rank.
 
-The communication model distinguishes three locality classes:
-
-* the same MPI rank (GPUs connected by NVLink through the same CPU socket),
-* the same node but different ranks (the ``*x2x2`` configurations), and
-* different nodes (InfiniBand).
-
-For simplicity the cost model folds the second class into the inter-node path
-(the paper's ``*x2x2`` runs likewise route inter-rank traffic through MPI even
-when the ranks share a node), but the topology object exposes all three
-relations so experiments can differentiate them when needed.
+The cost model distinguishes two locality classes: the same MPI rank (GPUs
+connected by NVLink through the same CPU socket) and everything else, which
+goes through MPI over the network — including ranks that share a node, as the
+paper's ``*x2x2`` runs route it.  The point-to-point exchange reads both
+relations, and the local-all2all staging GPU, from p × p tables computed once
+per topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,37 +35,26 @@ class ClusterTopology:
         """MPI rank of each flat GPU index."""
         return np.asarray(flat_gpu, dtype=np.int64) // self.layout.gpus_per_rank
 
-    def node_of_gpu(self, flat_gpu: int | np.ndarray) -> np.ndarray:
-        """Node index of each flat GPU index."""
-        ranks = self.rank_of_gpu(flat_gpu)
-        return ranks // self.layout.ranks_per_node
-
     def same_rank(self, gpu_a: int | np.ndarray, gpu_b: int | np.ndarray) -> np.ndarray:
         """Whether two GPUs share an MPI rank (NVLink path)."""
         return self.rank_of_gpu(gpu_a) == self.rank_of_gpu(gpu_b)
 
-    def same_node(self, gpu_a: int | np.ndarray, gpu_b: int | np.ndarray) -> np.ndarray:
-        """Whether two GPUs share a physical node."""
-        return self.node_of_gpu(gpu_a) == self.node_of_gpu(gpu_b)
+    @cached_property
+    def same_rank_table(self) -> np.ndarray:
+        """``[a, b]``: whether GPUs ``a`` and ``b`` share an MPI rank."""
+        gpus = np.arange(self.num_gpus)
+        return _read_only(self.same_rank(gpus[:, None], gpus[None, :]))
 
-    def gpus_in_rank(self, rank: int) -> np.ndarray:
-        """Flat GPU indices belonging to one MPI rank."""
-        if not 0 <= rank < self.layout.num_ranks:
-            raise ValueError(f"rank {rank} out of range [0, {self.layout.num_ranks})")
-        start = rank * self.layout.gpus_per_rank
-        return np.arange(start, start + self.layout.gpus_per_rank, dtype=np.int64)
+    @cached_property
+    def staging_table(self) -> np.ndarray:
+        """``[src, dst]``: the GPU of ``src``'s rank with ``dst``'s within-rank
+        index — where the local-all2all option stages ``src``'s traffic for
+        ``dst``, so remote traffic flows only among GPU0s, among GPU1s, etc."""
+        pgpu = self.layout.gpus_per_rank
+        gpus = np.arange(self.num_gpus)
+        return _read_only((gpus // pgpu * pgpu)[:, None] + (gpus % pgpu)[None, :])
 
-    def root_gpu_of_rank(self, rank: int) -> int:
-        """GPU0 of a rank — the GPU that participates in global reductions."""
-        return int(self.gpus_in_rank(rank)[0])
 
-    def peer_group_of_gpu(self, flat_gpu: int) -> np.ndarray:
-        """GPUs with the same within-rank index across all ranks.
-
-        Used by the local-all2all optimization: after the local exchange,
-        normal-vertex traffic only flows among GPU0s, among GPU1s, etc.
-        """
-        within = flat_gpu % self.layout.gpus_per_rank
-        return np.arange(
-            within, self.num_gpus, self.layout.gpus_per_rank, dtype=np.int64
-        )
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table

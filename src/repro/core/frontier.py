@@ -26,7 +26,8 @@ backward workload          expected first hit              exact parent-degree s
 folding a discovery        program ``visit_value`` /       ``& wanted`` lanes, ``record``
                            ``accept`` / ``merge_remote``
                            / ``combine``
-nn exchange                ``exchange_normals`` (+payload) ``exchange_batch``
+nn exchange                ``exchange``: int64 payload     ``exchange``: lane-word payload
+                           for payload programs, L / U     rows, never L / U
 delegate reduce            1-bit masks or 64-bit values,   one ``d x B``-bit reduction,
                            built only on GPUs that         built only on GPUs that
                            proposed an update              proposed an update
@@ -339,7 +340,7 @@ class FlagFrontier:
     def exchange(self, communicator):
         program = self.program
         opts = self.options
-        return communicator.exchange_normals(
+        return communicator.exchange(
             self._outboxes,
             local_all2all=opts.local_all2all,
             uniquify=opts.uniquify,
@@ -390,14 +391,11 @@ class FlagFrontier:
             return None
         blocking = self.options.blocking_reduce
         updates = [self._no_update if update is None else update for update in self._updates]
+        reduce = communicator.allreduce(updates, blocking=blocking, combine=program.combine)
         if self._mask_channel:
-            reduce = communicator.allreduce_delegate_masks(updates, blocking=blocking)
             ids = reduce.merged.to_indices()
             values = np.full(ids.size, program.level_value(self.level), dtype=np.int64)
         else:
-            reduce = communicator.allreduce_delegate_values(
-                updates, combine=program.combine, blocking=blocking
-            )
             ids = np.flatnonzero(reduce.merged != program.combine_identity)
             values = reduce.merged[ids]
         state.delegate_frontier = self._update_delegates(ids, values)
@@ -727,14 +725,17 @@ class LaneFrontier:
                 self._updates[g].or_rows(found[keep], words[keep])
 
     def exchange(self, communicator):
-        return communicator.exchange_batch(self._outboxes, self._outbox_words)
+        # The lane words ride as the payload.  Rows are unique per sender (the
+        # batched nn kernel emits one per destination), and batched traffic
+        # has always gone without the L / U steps.
+        return communicator.exchange(self._outboxes, payloads=self._outbox_words)
 
     def receive(self, g: int, exchange) -> int:
         rows, words = self._fresh_dn[g]
         inbox = exchange.inboxes[g]
         if inbox.size:
             nwords = self.nwords
-            received = self._visit(g, *_or_rows(inbox, exchange.word_inboxes[g], nwords))
+            received = self._visit(g, *_or_rows(inbox, exchange.payload_inboxes[g], nwords))
             rows, words = _or_rows(
                 np.concatenate([rows, received[0]]),
                 np.concatenate([words, received[1]]),
@@ -752,7 +753,7 @@ class LaneFrontier:
         if all(mask is None for mask in self._updates):
             state.set_frontier(None, _EMPTY_I64, self._no_words)
             return None
-        reduce = communicator.allreduce_delegate_batch(
+        reduce = communicator.allreduce(
             [self._no_update if mask is None else mask for mask in self._updates],
             blocking=self.options.blocking_reduce,
         )

@@ -406,7 +406,7 @@ class PageRank:
                 "fold", cat="engine", start=fold_started,
                 dur=exchange_started - fold_started, args={"level": level},
             )
-        exchange = communicator.exchange_normals(
+        exchange = communicator.exchange(
             nn_outboxes,
             local_all2all=opts.local_all2all,
             uniquify=opts.uniquify,
@@ -431,8 +431,8 @@ class PageRank:
         merged = None
         delegate_reduce_needed = d > 0 and any(a.any() for a in delegate_accum)
         if delegate_reduce_needed:
-            vreduce = communicator.allreduce_delegate_values(
-                delegate_accum, combine=np.add, blocking=opts.blocking_reduce
+            vreduce = communicator.allreduce(
+                delegate_accum, blocking=opts.blocking_reduce, combine=np.add
             )
             merged = vreduce.merged
             reduce_local_s = vreduce.local_time_s

@@ -6,9 +6,11 @@ against ``benchmarks/baseline.json``; this test reads the same file so a
 counter drift fails ``pytest`` locally, before any CI leg runs.  One scenario
 per engine code path: sequential with payload exchange + value reduce,
 batched lanes, overlay relaxation under both frontier representations, a
-hand-built (PageRank) plan, and a long tail — 9,572 super-steps over
-frontiers of a few vertices, the regime where a plan lists almost no kernel
-and the idle-kernel charges carry the modeled time.
+hand-built (PageRank) plan, a long tail — 9,572 super-steps over frontiers
+of a few vertices, the regime where a plan lists almost no kernel and the
+idle-kernel charges carry the modeled time — and the only quick scenario that
+stages its exchange through local all2all + uniquify (it sends 204 vertices
+and deduplicates none, so ``tests/golden/comm`` covers that path in depth).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
 
 SCENARIOS = (
     "rmat14-parents-do-br",
+    "rmat14-levels-do-lu-br",
     "serve-rmat14-b32-zipf1.0",
     "dyn-rmat14-uniform-levels",
     "pagerank-rmat14-fixed",

@@ -136,10 +136,15 @@ class TestCollectivesAndKernels:
         model = NetworkModel()
         assert model.traversal_time(0) == pytest.approx(model.hardware.kernel_overhead_s)
 
-    def test_alltoall_sums_pairs(self):
+    def test_send_times_sum_each_senders_messages(self):
         import numpy as np
 
         model = NetworkModel()
-        t = model.alltoall_time(np.asarray([1000.0, 1000.0]), np.asarray([True, False]))
-        expected = model.intra_node_time(1000.0) + model.inter_node_time(1000.0)
-        assert t == pytest.approx(expected)
+        nbytes = np.array([[0, 1000, 3000], [0, 0, 0], [7, 0, 0]])
+        near = np.array([[True, True, False], [True, True, False], [False, False, True]])
+        times = model.send_times(nbytes, near)
+        assert times == [
+            model.intra_node_time(1000) + model.inter_node_time(3000),
+            0.0,
+            model.inter_node_time(7),
+        ]

@@ -67,17 +67,24 @@ class TestEmptyExchange:
 
     EMPTY = np.zeros(0, dtype=np.int64)
 
-    @pytest.mark.parametrize("payload", [False, True])
-    @pytest.mark.parametrize("uniquify", [False, True])
-    @pytest.mark.parametrize("local_all2all", [False, True])
-    def test_exchange_normals(self, local_all2all, uniquify, payload):
+    @pytest.mark.parametrize("payload", [None, "values", 1, 2])
+    @pytest.mark.parametrize(
+        "local_all2all, uniquify", [(False, False), (True, False), (True, True)]
+    )
+    def test_exchange(self, local_all2all, uniquify, payload):
         p = LAYOUT.num_gpus
         comm = _communicator()
-        result = comm.exchange_normals(
+        if payload is None:
+            payloads = None
+        elif payload == "values":
+            payloads = [self.EMPTY] * p
+        else:
+            payloads = [np.zeros((0, payload), dtype=np.uint64)] * p
+        result = comm.exchange(
             [self.EMPTY] * p,
             local_all2all=local_all2all,
             uniquify=uniquify,
-            payloads=[self.EMPTY] * p if payload else None,
+            payloads=payloads,
         )
         assert comm.stats.as_dict() == _communicator().stats.as_dict()
         assert result.local_time_s == comm.netmodel.filter_time(0) > 0.0
@@ -85,29 +92,12 @@ class TestEmptyExchange:
         assert (result.remote_bytes, result.local_bytes) == (0, 0)
         assert len(result.inboxes) == p
         assert all(box.dtype == np.int64 and box.shape == (0,) for box in result.inboxes)
-        if payload:
-            assert len(result.payload_inboxes) == p
-            assert all(
-                box.dtype == np.int64 and box.shape == (0,) for box in result.payload_inboxes
-            )
-        else:
+        if payload is None:
             assert result.payload_inboxes is None
-
-    @pytest.mark.parametrize("nwords", [1, 2])
-    def test_exchange_batch(self, nwords):
-        p = LAYOUT.num_gpus
-        comm = _communicator()
-        words = np.zeros((0, nwords), dtype=np.uint64)
-        result = comm.exchange_batch([self.EMPTY] * p, [words] * p)
-        assert comm.stats.as_dict() == _communicator().stats.as_dict()
-        assert result.local_time_s == comm.netmodel.filter_time(0) > 0.0
-        assert result.remote_time_s == 0.0
-        assert (result.remote_bytes, result.local_bytes) == (0, 0)
-        assert all(box.dtype == np.int64 and box.shape == (0,) for box in result.inboxes)
-        assert len(result.word_inboxes) == p
-        assert all(
-            box.dtype == np.uint64 and box.shape == (0, nwords) for box in result.word_inboxes
-        )
+        else:
+            want = (np.int64, (0,)) if payload == "values" else (np.uint64, (0, payload))
+            assert len(result.payload_inboxes) == p
+            assert all((box.dtype, box.shape) == want for box in result.payload_inboxes)
 
     def test_idle_senders_beside_a_busy_one(self):
         """An idle sender is charged its (empty) binning kernel and skipped;
@@ -115,7 +105,7 @@ class TestEmptyExchange:
         comm = _communicator()
         owners = LAYOUT.flat_gpu_of(np.arange(64))
         sent = np.concatenate([np.flatnonzero(owners == 1)[:3], np.flatnonzero(owners == 2)[:2]])
-        result = comm.exchange_normals([self.EMPTY, self.EMPTY, self.EMPTY, sent])
+        result = comm.exchange([self.EMPTY, self.EMPTY, self.EMPTY, sent])
         assert [box.size for box in result.inboxes] == [0, 3, 2, 0]
         np.testing.assert_array_equal(
             result.inboxes[1], LAYOUT.local_index_of(sent[:3]).astype(np.int64)
@@ -127,17 +117,29 @@ class TestEmptyExchange:
         p = LAYOUT.num_gpus
         comm = _communicator()
         with pytest.raises(ValueError, match="expected 4 outboxes"):
-            comm.exchange_normals([self.EMPTY] * (p - 1))
+            comm.exchange([self.EMPTY] * (p - 1))
         with pytest.raises(ValueError, match="payload arrays"):
-            comm.exchange_normals([self.EMPTY] * p, payloads=[self.EMPTY])
+            comm.exchange([self.EMPTY] * p, payloads=[self.EMPTY])
         with pytest.raises(ValueError, match="payload of GPU 2"):
             payloads = [self.EMPTY, self.EMPTY, np.ones(3, dtype=np.int64), self.EMPTY]
-            comm.exchange_normals([self.EMPTY] * p, payloads=payloads)
-        with pytest.raises(ValueError, match="words of GPU 1"):
+            comm.exchange([self.EMPTY] * p, payloads=payloads)
+        with pytest.raises(ValueError, match="payload of GPU 1"):
             words = np.zeros((0, 1), dtype=np.uint64)
-            comm.exchange_batch(
-                [self.EMPTY] * p, [words, np.ones((2, 1), dtype=np.uint64), words, words]
+            comm.exchange(
+                [self.EMPTY] * p,
+                payloads=[words, np.ones((2, 1), dtype=np.uint64), words, words],
             )
+
+    def test_uniquify_requires_local_all2all(self):
+        """The communicator refuses U without L, as ``BFSOptions`` does,
+        instead of silently sending the duplicates."""
+        comm = _communicator()
+        outboxes = [np.array([1, 1, 5])] + [self.EMPTY] * (LAYOUT.num_gpus - 1)
+        with pytest.raises(ValueError, match="uniquify=True requires local_all2all=True"):
+            comm.exchange(outboxes, uniquify=True)
+        assert comm.stats.as_dict() == _communicator().stats.as_dict()
+        with pytest.raises(ValueError, match="uniquify=True requires local_all2all=True"):
+            BFSOptions(uniquify=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -256,14 +258,14 @@ class TestSparseReduce:
                 rep.fold(g, kernel, KernelOutput(found, int(found.size), backward=False))
         comm = _communicator()
         merged = []
-        reduce_masks = comm.allreduce_delegate_masks
+        allreduce = comm.allreduce
 
-        def spy(masks, blocking=True):
-            result = reduce_masks(masks, blocking=blocking)
+        def spy(updates, **kwargs):
+            result = allreduce(updates, **kwargs)
             merged.append(result.merged)
             return result
 
-        monkeypatch.setattr(comm, "allreduce_delegate_masks", spy)
+        monkeypatch.setattr(comm, "allreduce", spy)
         assert rep.reduce_delegates(comm) is not None
         want = merged[0].and_not(visited_before).to_indices()
         np.testing.assert_array_equal(state.delegate_frontier, want)
