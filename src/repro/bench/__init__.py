@@ -33,7 +33,6 @@ from repro.bench.compare import CompareReport, ScenarioDelta, compare_artifacts
 from repro.bench.runner import (
     BenchDeterminismError,
     run_scenario,
-    run_serve_scenario,
     run_suite,
     time_program,
     values_checksum,
@@ -61,7 +60,6 @@ __all__ = [
     "quick_scenarios",
     "registry",
     "run_scenario",
-    "run_serve_scenario",
     "run_suite",
     "save_artifact",
     "time_program",

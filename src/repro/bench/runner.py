@@ -25,7 +25,7 @@ meaningless.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -35,6 +35,7 @@ from repro.bench.artifact import new_artifact, save_artifact
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
 from repro.core.programs.table import PROGRAM_TABLE, make_program
+from repro.exec.config import ExecConfig
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
@@ -47,26 +48,23 @@ __all__ = [
     "values_checksum",
     "time_program",
     "run_scenario",
-    "run_build_scenario",
-    "run_serve_scenario",
-    "run_serve_cluster_scenario",
-    "run_dynamic_scenario",
     "run_suite",
 ]
 
 
-def _resolve_storage(storage: str | None, spec: Scenario) -> str:
-    """The storage mode a scenario actually runs on.
+def _axes(config: ExecConfig) -> dict:
+    """The record's ``backend`` / ``kernels`` / ``storage`` keys: what ran."""
+    return {
+        "backend": config.backend_name,
+        "kernels": config.kernels_name,
+        "storage": config.storage,
+    }
 
-    Precedence mirrors the backend axis: explicit run-time override, then
-    the scenario's own pin, then the environment default.  Scenarios that
-    mutate their graph (dynamic, serve/cluster with updates) are pinned to
-    memory by their runners regardless — stores are immutable — and the
-    record's ``storage`` key always says what really ran.
-    """
-    from repro.storage import default_storage_name
 
-    return storage or spec.storage or default_storage_name()
+def _engine(graph, spec: Scenario, config: ExecConfig) -> TraversalEngine:
+    return TraversalEngine(
+        graph, options=spec.options, backend=config.backend, kernels=config.kernels
+    )
 
 
 @dataclass
@@ -77,8 +75,6 @@ class _Prepared:
     layout: ClusterLayout
     threshold: int
     graph: object
-    #: The storage mode that actually ran (the record's ``storage`` key).
-    storage: str
     #: Wall seconds of ``graph_build``, ``partition`` and, store-backed only,
     #: ``storage`` — in pipeline order, so ``sum`` of the completed dict is
     #: the record's ``total``.
@@ -95,13 +91,10 @@ class _Prepared:
             self._store_dir.cleanup()
 
 
-def _prepare_graph(spec: Scenario, storage: str | None, mutating: bool = False) -> _Prepared:
+def _prepare_graph(spec: Scenario, config: ExecConfig) -> _Prepared:
     """The shared preamble of the traversal and serving runners: build edges
-    -> threshold -> partition -> attach storage into a temporary store.
-
-    ``mutating`` scenarios replay updates into their graph; stores are
-    immutable, so they pin memory and the record says so truthfully.
-    """
+    -> threshold -> partition -> attach ``config.storage`` into a temporary
+    store."""
     with Timer() as build_timer:
         edges = spec.build_edges()
     rss = {"graph_build": max_rss_mb()}
@@ -116,17 +109,16 @@ def _prepare_graph(spec: Scenario, storage: str | None, mutating: bool = False) 
     rss["partition"] = max_rss_mb()
     wall = {"graph_build": build_timer.elapsed, "partition": partition_timer.elapsed}
 
-    effective_storage = "memory" if mutating else _resolve_storage(storage, spec)
     store_dir = None
-    if effective_storage != "memory":
+    if config.storage != "memory":
         from repro.storage import apply_storage
 
         store_dir = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
         with Timer() as storage_timer:
-            graph = apply_storage(graph, effective_storage, path=store_dir.name)
+            graph = apply_storage(graph, config.storage, path=store_dir.name)
         wall["storage"] = storage_timer.elapsed
         rss["storage"] = max_rss_mb()
-    return _Prepared(edges, layout, threshold, graph, effective_storage, wall, rss, store_dir)
+    return _Prepared(edges, layout, threshold, graph, wall, rss, store_dir)
 
 
 class BenchDeterminismError(AssertionError):
@@ -255,14 +247,12 @@ def _time_sources(
     return wall, modeled, per_source_counters
 
 
-def run_serve_scenario(
+def _run_serve(
     spec: Scenario,
-    repeats: int = 2,
-    check_determinism: bool = True,
-    serve_batched: bool = True,
-    backend: str | None = None,
-    kernels: str | None = None,
-    storage: str | None = None,
+    config: ExecConfig,
+    repeats: int,
+    check_determinism: bool,
+    serve_batched: bool,
 ) -> dict:
     """Execute one serving scenario: replay its query stream, measure qps.
 
@@ -279,11 +269,9 @@ def run_serve_scenario(
     """
     from repro.serve.service import QueryService
 
-    prepared = _prepare_graph(spec, storage)
+    prepared = _prepare_graph(spec, config)
     edges, rss = prepared.edges, prepared.rss
-    engine = TraversalEngine(
-        prepared.graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
-    )
+    engine = _engine(prepared.graph, spec, config)
 
     from repro.graph.degree import out_degrees
 
@@ -295,8 +283,6 @@ def run_serve_scenario(
     modeled_ms = 0.0
     throughput: dict | None = None
     try:
-        backend_name = engine.backend_name
-        kernels_name = engine.provider_name
         for _ in range(repeats):
             service = QueryService(
                 engine,
@@ -352,9 +338,7 @@ def run_serve_scenario(
     return {
         "spec": spec.describe(),
         "repeats": repeats,
-        "backend": backend_name,
-        "kernels": kernels_name,
-        "storage": prepared.storage,
+        **_axes(config),
         "threshold_used": int(prepared.threshold),
         "workload": workload.describe(),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
@@ -365,14 +349,12 @@ def run_serve_scenario(
     }
 
 
-def run_serve_cluster_scenario(
+def _run_serve_cluster(
     spec: Scenario,
-    repeats: int = 2,
-    check_determinism: bool = True,
-    cluster_hedging: bool = True,
-    backend: str | None = None,
-    kernels: str | None = None,
-    storage: str | None = None,
+    config: ExecConfig,
+    repeats: int,
+    check_determinism: bool,
+    cluster_hedging: bool,
 ) -> dict:
     """Execute one cluster scenario: replay its open-loop stream, measure tails.
 
@@ -386,7 +368,8 @@ def run_serve_cluster_scenario(
 
     ``cluster_hedging=False`` (the ``--cluster-no-hedge`` flag) records the
     unhedged half of a before/after pair; scenarios with one replica never
-    hedge regardless.
+    hedge regardless.  A scenario that replays updates mutates its graph
+    and stores are immutable, so it runs (and records) memory storage.
     """
     from repro.graph.degree import out_degrees
     from repro.serve.cluster.dispatcher import ClusterDispatcher
@@ -394,19 +377,19 @@ def run_serve_cluster_scenario(
 
     workload = spec.workload()
     mutating = spec.cluster_updates > 0
-    prepared = _prepare_graph(spec, storage, mutating=mutating)
+    if mutating:
+        config = replace(config, storage="memory")
+    prepared = _prepare_graph(spec, config)
     edges, graph, rss = prepared.edges, prepared.graph, prepared.rss
     stream = workload.generate(
         edges.num_vertices,
         degrees=out_degrees(edges),
         edges=edges if mutating else None,
     )
-    config = spec.cluster_config(hedge=cluster_hedging)
+    cluster_config = spec.cluster_config(hedge=cluster_hedging)
 
     walls: list[float] = []
     snapshot: dict | None = None
-    backend_name = ""
-    kernels_name = ""
     for _ in range(repeats):
         if mutating:
             # Updates mutate the graph: every repeat serves its own mutable
@@ -422,15 +405,13 @@ def run_serve_cluster_scenario(
             served,
             spec.num_replicas,
             options=spec.options,
-            backend=backend or spec.backend,
-            kernels=kernels,
+            backend=config.backend,
+            kernels=config.kernels,
             batch_size=spec.batch_size,
             cache_size=spec.cache_size,
         )
         try:
-            backend_name = pool.backend_name
-            kernels_name = pool.kernels_name
-            dispatcher = ClusterDispatcher(pool, config)
+            dispatcher = ClusterDispatcher(pool, cluster_config)
             with Timer() as replay_timer:
                 current = dispatcher.run(stream)
         finally:
@@ -451,9 +432,7 @@ def run_serve_cluster_scenario(
     return {
         "spec": spec.describe(),
         "repeats": repeats,
-        "backend": backend_name,
-        "kernels": kernels_name,
-        "storage": prepared.storage,
+        **_axes(config),
         "threshold_used": int(prepared.threshold),
         "workload": workload.describe(),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
@@ -464,13 +443,12 @@ def run_serve_cluster_scenario(
     }
 
 
-def run_dynamic_scenario(
+def _run_dynamic(
     spec: Scenario,
-    repeats: int = 2,
-    check_determinism: bool = True,
-    dyn_incremental: bool = True,
-    backend: str | None = None,
-    kernels: str | None = None,
+    config: ExecConfig,
+    repeats: int,
+    check_determinism: bool,
+    dyn_incremental: bool,
 ) -> dict:
     """Execute one dynamic scenario: replay its update stream, measure repair.
 
@@ -483,9 +461,12 @@ def run_dynamic_scenario(
     answer checksums — are independent of ``dyn_incremental``; the flag only
     decides which path's wall time lands in the gated ``traversal`` phase,
     so a ``--dyn-recompute`` artifact and a default artifact of the same
-    scenario differ purely in maintenance strategy.
+    scenario differ purely in maintenance strategy.  The graph mutates and
+    stores are immutable, so the scenario runs (and records) memory storage.
     """
     from repro.dynamic.graph import DynamicEngine, DynamicGraph
+
+    config = replace(config, storage="memory")
 
     with Timer() as build_timer:
         edges = spec.build_edges()
@@ -503,18 +484,14 @@ def run_dynamic_scenario(
     counters: dict | None = None
     modeled_measured = 0.0
     partition_s = float("inf")
-    backend_name = ""
-    kernels_name = ""
     for _ in range(repeats):
         with Timer() as partition_timer:
             dyn = DynamicGraph(edges, layout, threshold)
         partition_s = min(partition_s, partition_timer.elapsed)
         engine = DynamicEngine(
-            dyn, options=spec.options, backend=backend or spec.backend, kernels=kernels
+            dyn, options=spec.options, backend=config.backend, kernels=config.kernels
         )
         try:
-            backend_name = engine.backend_name
-            kernels_name = engine.provider_name
             maintained = row.maintain(engine, source)
             initial = maintained.result
             initial_wall = float(initial.wall_s["traversal"])
@@ -621,11 +598,7 @@ def run_dynamic_scenario(
     return {
         "spec": spec.describe(),
         "repeats": repeats,
-        "backend": backend_name,
-        "kernels": kernels_name,
-        # Dynamic scenarios mutate their graph; stores are immutable, so the
-        # storage axis is pinned to memory regardless of any override.
-        "storage": "memory",
+        **_axes(config),
         "threshold_used": int(threshold),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
         "modeled_ms": {"elapsed_ms": modeled_measured},
@@ -668,78 +641,62 @@ def run_scenario(
         For dynamic scenarios only: attribute the gated traversal wall to
         incremental repair (the default) or to the full-recompute baseline.
         Counters are identical either way (both paths always run).
-    backend:
-        Execution backend override; ``None`` runs the scenario's own
-        (``spec.backend``).  The resolved name is recorded in the record's
-        ``backend`` key — never in the spec, which identifies the workload.
-    kernels:
-        Kernel-provider spec (``"numpy"``/``"numba"``/``"auto"``); ``None``
-        defers to ``$REPRO_KERNELS`` / ``auto``.  Like ``backend``, the
-        resolved provider name lands in the record's ``kernels`` key and
-        never in the spec: providers change wall-clock, not the workload.
-    storage:
-        Adjacency-storage override (``"memory"``/``"mmap"``/``"compressed"``);
-        ``None`` defers to the scenario's pin or ``$REPRO_STORAGE``.  A third
-        record-level axis: the storage that actually ran lands in the
-        record's ``storage`` key, never in the spec.  Mutating scenarios
-        (dynamic, serve/cluster with updates) pin memory and record that.
+    backend, kernels, storage:
+        The run-time axes, resolved once into a
+        :class:`repro.exec.ExecConfig`: an explicit value here, else the
+        scenario's pin (``spec.backend`` / ``spec.storage``), else
+        ``$REPRO_BACKEND`` / ``$REPRO_KERNELS`` / ``$REPRO_STORAGE``, else
+        inline / auto / memory.  What ran lands in the record's
+        ``backend`` / ``kernels`` / ``storage`` keys — never in the spec,
+        which identifies the workload.  Mutating scenarios (dynamic,
+        serve/cluster with updates) run on memory storage and record that.
     """
+    config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
+    return _run(
+        spec, config, repeats, check_determinism, serve_batched, cluster_hedging, dyn_incremental
+    )
+
+
+def _run(
+    spec: Scenario,
+    config: ExecConfig,
+    repeats: int = 2,
+    check_determinism: bool | None = None,
+    serve_batched: bool = True,
+    cluster_hedging: bool = True,
+    dyn_incremental: bool = True,
+) -> dict:
+    """:func:`run_scenario` below its entry: apply the scenario's pins to
+    ``config`` and dispatch on the scenario's kind."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if check_determinism is None:
         check_determinism = repeats >= 2
     if check_determinism and repeats < 2:
         raise ValueError("determinism checking needs at least two repeats")
+    config = config.pinned(**spec.pins)
     if spec.program == "serve":
-        return run_serve_scenario(
-            spec,
-            repeats=repeats,
-            check_determinism=check_determinism,
-            serve_batched=serve_batched,
-            backend=backend,
-            kernels=kernels,
-            storage=storage,
-        )
+        return _run_serve(spec, config, repeats, check_determinism, serve_batched)
     if spec.program == "serve_cluster":
-        return run_serve_cluster_scenario(
-            spec,
-            repeats=repeats,
-            check_determinism=check_determinism,
-            cluster_hedging=cluster_hedging,
-            backend=backend,
-            kernels=kernels,
-            storage=storage,
-        )
+        return _run_serve_cluster(spec, config, repeats, check_determinism, cluster_hedging)
     if spec.program == "dynamic":
-        return run_dynamic_scenario(
-            spec,
-            repeats=repeats,
-            check_determinism=check_determinism,
-            dyn_incremental=dyn_incremental,
-            backend=backend,
-            kernels=kernels,
-        )
+        return _run_dynamic(spec, config, repeats, check_determinism, dyn_incremental)
     if spec.program == "build":
-        return run_build_scenario(
-            spec,
-            repeats=repeats,
-            check_determinism=check_determinism,
-            backend=backend,
-            kernels=kernels,
-            storage=storage,
-        )
+        return _run_build(spec, config, repeats, check_determinism)
+    return _run_traversal(spec, config, repeats, check_determinism)
 
-    prepared = _prepare_graph(spec, storage)
+
+def _run_traversal(
+    spec: Scenario, config: ExecConfig, repeats: int, check_determinism: bool
+) -> dict:
+    """Execute one traversal scenario: run its program from every source."""
+    prepared = _prepare_graph(spec, config)
     rss = prepared.rss
-    engine = TraversalEngine(
-        prepared.graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
-    )
+    engine = _engine(prepared.graph, spec, config)
 
     sources = spec.pick_sources(prepared.edges)
     sssp_section: dict | None = None
     try:
-        backend_name = engine.backend_name
-        kernels_name = engine.provider_name
         wall, modeled, per_source_counters = _time_sources(
             engine, sources, spec.make_program, repeats, check_determinism
         )
@@ -790,9 +747,7 @@ def run_scenario(
     record = {
         "spec": spec.describe(),
         "repeats": repeats,
-        "backend": backend_name,
-        "kernels": kernels_name,
-        "storage": prepared.storage,
+        **_axes(config),
         "sources": sources,
         "threshold_used": int(prepared.threshold),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
@@ -807,13 +762,8 @@ def run_scenario(
     return record
 
 
-def run_build_scenario(
-    spec: Scenario,
-    repeats: int = 2,
-    check_determinism: bool = True,
-    backend: str | None = None,
-    kernels: str | None = None,
-    storage: str | None = None,
+def _run_build(
+    spec: Scenario, config: ExecConfig, repeats: int, check_determinism: bool
 ) -> dict:
     """Execute one out-of-core build scenario; gate on the build wall.
 
@@ -832,11 +782,8 @@ def run_build_scenario(
     from repro.storage import load_graph_store
     from repro.storage.extsort import external_build
 
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    effective_storage = _resolve_storage(storage, spec)
-    if effective_storage == "memory":
-        effective_storage = "mmap"
+    if config.storage == "memory":
+        config = replace(config, storage="mmap")
     layout = ClusterLayout.from_notation(spec.layout)
 
     store_dir = tempfile.TemporaryDirectory(prefix="repro-bench-build-")
@@ -849,7 +796,7 @@ def run_build_scenario(
                 layout,
                 Path(store_dir.name) / "store",
                 threshold=spec.threshold,
-                storage=effective_storage,
+                storage=config.storage,
                 block_edges=spec.block_edges,
             )
         rss["graph_build"] = max_rss_mb()
@@ -857,9 +804,7 @@ def run_build_scenario(
             graph = load_graph_store(store_path)
         rss["partition"] = max_rss_mb()
 
-        engine = TraversalEngine(
-            graph, options=spec.options, backend=backend or spec.backend, kernels=kernels
-        )
+        engine = _engine(graph, spec, config)
         sources = [
             int(s)
             for s in resolve_sources(
@@ -867,8 +812,6 @@ def run_build_scenario(
             )
         ]
         try:
-            backend_name = engine.backend_name
-            kernels_name = engine.provider_name
             wall, modeled, per_source_counters = _time_sources(
                 engine,
                 sources,
@@ -890,9 +833,7 @@ def run_build_scenario(
     return {
         "spec": spec.describe(),
         "repeats": repeats,
-        "backend": backend_name,
-        "kernels": kernels_name,
-        "storage": effective_storage,
+        **_axes(config),
         "gate_phase": "graph_build",
         "sources": sources,
         "threshold_used": int(report["threshold"]),
@@ -949,19 +890,39 @@ def run_suite(
     dyn_incremental:
         Dynamic scenarios only: time incremental repair (default) or the
         full-recompute baseline (the "before" half of a pair).
-    backend:
-        Execution-backend override applied to every scenario (``None`` =
-        each scenario's own); recorded per record, never in the spec.
-    kernels:
-        Kernel-provider spec applied to every scenario (``None`` defers to
-        ``$REPRO_KERNELS`` / ``auto``); the resolved name is recorded per
-        record, never in the spec.
-    storage:
-        Adjacency-storage override applied to every scenario (``None``
-        defers to each scenario's pin / ``$REPRO_STORAGE``); the storage
-        that actually ran is recorded per record, never in the spec.
-        Mutating scenarios pin memory regardless.
+    backend, kernels, storage:
+        The run-time axes applied to every scenario, resolved once, here,
+        as :func:`run_scenario` resolves them (an explicit value beats each
+        scenario's pin, a pin beats the environment); what ran is recorded
+        per record, never in the spec.
     """
+    return _run_suite(
+        specs,
+        ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage),
+        label=label,
+        quick=quick,
+        repeats=repeats,
+        out_path=out_path,
+        on_record=on_record,
+        serve_batched=serve_batched,
+        cluster_hedging=cluster_hedging,
+        dyn_incremental=dyn_incremental,
+    )
+
+
+def _run_suite(
+    specs: Iterable[Scenario] | Sequence[Scenario],
+    config: ExecConfig,
+    label: str = "",
+    quick: bool = False,
+    repeats: int = 2,
+    out_path=None,
+    on_record: Callable[[str, dict], None] | None = None,
+    serve_batched: bool = True,
+    cluster_hedging: bool = True,
+    dyn_incremental: bool = True,
+) -> dict:
+    """:func:`run_suite` below its entry, on one resolved ``config``."""
     from repro.obs.summary import summarize_events
     from repro.obs.tracer import get_tracer
 
@@ -969,15 +930,13 @@ def run_suite(
     records: dict[str, dict] = {}
     for spec in specs:
         mark = len(tracer.events) if tracer.enabled else 0
-        record = run_scenario(
+        record = _run(
             spec,
+            config,
             repeats=repeats,
             serve_batched=serve_batched,
             cluster_hedging=cluster_hedging,
             dyn_incremental=dyn_incremental,
-            backend=backend,
-            kernels=kernels,
-            storage=storage,
         )
         if tracer.enabled:
             # The trace section is diagnostic, never gated: bench compare

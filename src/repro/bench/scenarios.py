@@ -24,12 +24,14 @@ The registry spans the axes the paper's evaluation varies:
 Scenarios flagged ``quick`` form the CI smoke subset (small scales, a couple
 of seconds each); the rest only run in full sweeps.
 
-Since the engine's execution layer became pluggable, scenarios also carry a
-**backend** axis (``inline`` vs ``process``): the registry pins process-pool
-twins of the large RMAT sweeps, and ``repro bench run --backend`` can force
-any subset onto either backend.  The backend is not part of the scenario
-*spec* — counters are backend-invariant, so cross-backend artifacts must
-compare cleanly — and is recorded per artifact record instead.
+Since the engine's execution layer became pluggable, scenarios may also
+**pin** a backend: the registry pins process-pool twins of the large RMAT
+sweeps, every other scenario is unpinned and runs on ``$REPRO_BACKEND`` (or
+inline), and ``repro bench run --backend`` forces any subset onto one
+backend — :class:`repro.exec.ExecConfig` applies that precedence.  The
+backend is not part of the scenario *spec* — counters are backend-invariant,
+so cross-backend artifacts must compare cleanly — and is recorded per
+artifact record instead.
 
 Beyond the traversal scenarios, the registry carries **serving** scenarios
 (``program="serve"``): a deterministic Zipf-skewed query stream replayed
@@ -52,9 +54,9 @@ answer checksum — are independent of whether request hedging is enabled
 before/after pair) and of the execution backend, because the virtual
 timeline is driven purely by modeled service times.
 
-Since the storage subsystem (:mod:`repro.storage`) landed, scenarios also
-carry a **storage** axis (``memory`` / ``mmap`` / ``compressed``), handled
-exactly like the backend axis: not part of the spec (counters are
+Since the storage subsystem (:mod:`repro.storage`) landed, scenarios may
+also pin a **storage** mode (``memory`` / ``mmap`` / ``compressed``),
+handled exactly like the backend pin: not part of the spec (counters are
 storage-invariant), recorded per artifact record, overridable with ``repro
 bench run --storage``.  **Build** scenarios (``program="build"``) measure
 the out-of-core pipeline itself: a chunked generator streams bounded edge
@@ -81,7 +83,7 @@ from dataclasses import dataclass, field
 
 from repro.core.options import BFSOptions
 from repro.core.programs.table import PROGRAM_TABLE, make_program, names_where
-from repro.exec.backend import BACKEND_NAMES
+from repro.exec.config import axis_name
 from repro.graph.degree import out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import (
@@ -146,22 +148,18 @@ class Scenario:
     max_hops: int = 3
     #: Whether this scenario belongs to the CI smoke subset.
     quick: bool = False
-    #: Execution backend the engine runs super-steps on (``inline`` or
-    #: ``process``).  Deliberately *not* part of :meth:`describe`: the spec
-    #: identifies the workload, and workload counters are backend-invariant
-    #: by construction, so artifacts recorded on different backends stay
-    #: comparable (the comparator flags any drift as a correctness finding).
-    #: The resolved backend is recorded at the artifact-record level instead.
-    backend: str = "inline"
-    #: Adjacency storage the scenario runs on (``memory``, ``mmap`` or
-    #: ``compressed``); ``None`` defers to the run-time default
-    #: (``bench run --storage`` / ``$REPRO_STORAGE`` / memory).  Like
-    #: ``backend`` this is *not* part of :meth:`describe` — counters are
-    #: storage-invariant by construction, so a memory artifact and an
-    #: mmap/compressed artifact of the same scenarios must compare cleanly;
-    #: the storage that actually ran is recorded per artifact record.
-    #: Scenarios that mutate their graph (dynamic, serve with updates) pin
-    #: memory regardless, because stores are immutable.
+    #: Execution backend pin (``inline``, ``process`` or ``thread``), or
+    #: ``None``: unpinned, the scenario runs on ``$REPRO_BACKEND`` / inline,
+    #: and ``bench run --backend`` overrides either.  Deliberately *not* part
+    #: of :meth:`describe`: counters are backend-invariant by construction,
+    #: so artifacts recorded on different backends stay comparable (the
+    #: comparator flags any drift as a correctness finding); the backend that
+    #: ran is recorded per artifact record instead.
+    backend: str | None = None
+    #: Adjacency storage pin (``memory``, ``mmap`` or ``compressed``),
+    #: handled exactly like ``backend``.  Scenarios that mutate their graph
+    #: (dynamic, serve with updates) run on memory regardless: stores are
+    #: immutable.
     storage: str | None = None
     # --- serving scenarios only (program == "serve") ------------------- #
     #: Lanes per fused MS-BFS sweep.
@@ -292,17 +290,15 @@ class Scenario:
                 )
             # The constructors own every parameter range check.
             make_program(row.name, 0, **self._program_params(row))
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
-            )
-        if self.storage is not None:
-            from repro.storage import STORAGE_NAMES
+        for axis, pin in self.pins.items():
+            if pin is not None:
+                object.__setattr__(self, axis, axis_name(axis, pin))
 
-            if self.storage not in STORAGE_NAMES:
-                raise ValueError(
-                    f"unknown storage {self.storage!r}; expected one of {STORAGE_NAMES}"
-                )
+    @property
+    def pins(self) -> dict:
+        """The run-time axes this scenario pins (``None`` = unpinned), as
+        :meth:`repro.exec.ExecConfig.pinned` takes them."""
+        return {"backend": self.backend, "storage": self.storage}
 
     # ------------------------------------------------------------------ #
     # Materialisation

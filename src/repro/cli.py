@@ -81,8 +81,12 @@ few of their own (``bfs``: ``--algorithm`` and the option flags; ``sssp``:
 in one place, the program constructors; bad input ends in one ``error:``
 line and exit code 2.
 
-The three run-time axes change wall-clock (and memory) only — results,
-workload counters and modeled times are identical across every combination:
+The run-time axes change wall-clock (and memory) only — results, workload
+counters and modeled times are identical across every combination.
+:func:`main` resolves a command's flags (a flag beats a ``bench run``
+scenario's pin), the environment and the defaults into the one
+:class:`repro.exec.ExecConfig` its body takes; a bad environment value ends
+in one ``error:`` line and exit code 2:
 
 ``--backend inline|process|thread`` (program commands, ``mutate``, ``bench
 run``, ``serve bench``; default ``$REPRO_BACKEND`` or inline)
@@ -97,6 +101,9 @@ run``, ``serve bench``; default ``$REPRO_BACKEND`` or inline)
 default ``$REPRO_STORAGE`` or memory)
     *where the adjacency lives* — process heap, memory-mapped store segments,
     or delta+varint compressed segments.
+``--trace PATH`` (program commands, ``bench run``, ``serve bench``; default
+``$REPRO_TRACE``, which also traces every other command)
+    where a trace of the run is written.
 """
 
 from __future__ import annotations
@@ -104,7 +111,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_graph_args(mut)
     _add_cluster_args(mut)
-    _add_backend_arg(mut)
-    _add_kernels_arg(mut)
+    _add_exec_args(mut, "backend", "kernels")
     mut.add_argument(
         "--program",
         choices=names_where("maintained"),
@@ -291,36 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of incremental repair (the 'before' half of a before/after pair; "
         "counters stay identical because both paths always run and agree)",
     )
-    from repro.exec.backend import BACKEND_NAMES
-    from repro.exec.providers import PROVIDER_NAMES
-
-    b_run.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="force every scenario onto this execution backend "
-        "(default: each scenario's own, normally inline)",
-    )
-    b_run.add_argument(
-        "--kernels",
-        choices=list(PROVIDER_NAMES),
-        default=None,
-        help="kernel provider for every scenario; the resolved provider is "
-        "recorded per artifact record, never in the scenario spec "
-        "(default: $REPRO_KERNELS or auto)",
-    )
-    from repro.storage import STORAGE_NAMES
-
-    b_run.add_argument(
-        "--storage",
-        choices=list(STORAGE_NAMES),
-        default=None,
-        help="adjacency storage for every scenario; like --kernels this is a "
-        "run-time axis recorded per artifact record, never in the scenario "
-        "spec (default: $REPRO_STORAGE or memory; dynamic/serve-with-update "
-        "scenarios pin memory and record what actually ran)",
-    )
-    _add_trace_arg(b_run)
+    _add_exec_args(b_run, "backend", "kernels", "storage", "trace")
     b_run.set_defaults(func=_cmd_bench_run)
 
     b_cmp = bench_sub.add_parser("compare", help="diff two BENCH artifacts (perf gate)")
@@ -364,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_graph_args(s_bench)
     _add_cluster_args(s_bench)
-    _add_backend_arg(s_bench)
-    _add_kernels_arg(s_bench)
+    _add_exec_args(s_bench, "backend", "kernels", "trace")
     s_bench.add_argument("--queries", type=int, default=256, help="query stream length")
     s_bench.add_argument(
         "--skew", type=float, default=1.0, help="Zipf exponent of source popularity"
@@ -458,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency objective in ms for the SLO-violation counter "
         "(open-loop only; default off)",
     )
-    _add_trace_arg(s_bench)
     s_bench.add_argument(
         "--prom",
         type=Path,
@@ -508,71 +482,56 @@ def _add_cluster_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threshold", type=int, default=None, help="degree threshold TH")
 
 
-def _add_backend_arg(sub: argparse.ArgumentParser) -> None:
-    from repro.exec.backend import BACKEND_NAMES
+def _add_exec_args(sub: argparse.ArgumentParser, *axes: str) -> None:
+    """Add the flags of the run-time ``axes`` to a command; :func:`main`
+    resolves them, with the environment and the defaults, into the one
+    :class:`repro.exec.ExecConfig` the command body takes."""
+    from repro.exec.config import BACKEND_NAMES, PROVIDER_NAMES, STORAGE_NAMES
 
-    sub.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="execution backend for super-steps "
-        "(default: $REPRO_BACKEND or inline)",
-    )
-
-
-def _add_kernels_arg(sub: argparse.ArgumentParser) -> None:
-    from repro.exec.providers import PROVIDER_NAMES
-
-    sub.add_argument(
-        "--kernels",
-        choices=list(PROVIDER_NAMES),
-        default=None,
-        help="kernel provider for the visit kernels; identical results, "
-        "different wall-clock (default: $REPRO_KERNELS or auto = Numba "
-        "when importable, NumPy otherwise)",
-    )
-
-
-def _add_storage_arg(sub: argparse.ArgumentParser) -> None:
-    from repro.storage import STORAGE_NAMES
-
-    sub.add_argument(
-        "--storage",
-        choices=list(STORAGE_NAMES),
-        default=None,
-        help="adjacency storage: in-memory arrays, a memory-mapped store, or "
-        "a compressed store with lazy row decode; identical results "
-        "(default: $REPRO_STORAGE or memory)",
-    )
-
-
-def _add_trace_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record a trace of the run: a .jsonl suffix writes line-delimited "
-        "events, anything else Chrome trace_event JSON (Perfetto-loadable); "
-        "results and gated counters are unchanged "
-        "(default: $REPRO_TRACE when set)",
-    )
+    flags = {
+        "backend": dict(
+            choices=BACKEND_NAMES,
+            help="execution backend for super-steps; identical results, "
+            "different wall-clock (default: a bench scenario's pin, else "
+            "$REPRO_BACKEND, else inline)",
+        ),
+        "kernels": dict(
+            choices=PROVIDER_NAMES,
+            help="kernel provider for the visit kernels; identical results, "
+            "different wall-clock (default: $REPRO_KERNELS or auto = Numba "
+            "when importable, NumPy otherwise)",
+        ),
+        "storage": dict(
+            choices=STORAGE_NAMES,
+            help="adjacency storage: in-memory arrays, a memory-mapped store, "
+            "or a compressed store with lazy row decode; identical results "
+            "(default: a bench scenario's pin, else $REPRO_STORAGE, else "
+            "memory; a graph that mutates stays in memory)",
+        ),
+        "trace": dict(
+            type=Path,
+            metavar="PATH",
+            help="record a trace of the run: a .jsonl suffix writes "
+            "line-delimited events, anything else Chrome trace_event JSON "
+            "(Perfetto-loadable); results and gated counters are unchanged "
+            "(default: $REPRO_TRACE when set)",
+        ),
+    }
+    for axis in axes:
+        sub.add_argument("--" + axis, default=None, **flags[axis])
+    sub.set_defaults(exec_axes=axes)
 
 
 @contextlib.contextmanager
-def _tracing(args: argparse.Namespace):
-    """Install a process-wide tracer for the command when one was requested.
+def _tracing(config):
+    """Install a process-wide tracer for the command when ``config.trace``
+    names a file (``--trace PATH``, else ``$REPRO_TRACE``).
 
-    ``--trace PATH`` wins; ``$REPRO_TRACE`` is the ambient fallback so CI and
-    wrappers can trace without threading a flag through.  On exit the trace
-    is exported (format by suffix) and the previous tracer restored; with
-    neither source set this is a no-op and the null tracer stays installed.
+    On exit the trace is exported (format by suffix) and the previous tracer
+    restored; without a trace path this is a no-op and the null tracer
+    stays installed.
     """
-    path = getattr(args, "trace", None)
-    if path is None:
-        env = os.environ.get("REPRO_TRACE", "")
-        path = Path(env) if env else None
-    if path is None:
+    if config.trace is None:
         yield
         return
     from repro.obs import Tracer, set_tracer, write_trace
@@ -583,7 +542,7 @@ def _tracing(args: argparse.Namespace):
         yield
     finally:
         set_tracer(previous)
-        out = write_trace(tracer, path)
+        out = write_trace(tracer, config.trace)
         print(f"trace: {len(tracer.events)} events -> {out}", file=sys.stderr)
 
 
@@ -662,9 +621,9 @@ def _partition(args: argparse.Namespace, edges):
     return build_partitions(edges, layout, threshold), layout, threshold
 
 
-def _obtain_graph(args: argparse.Namespace):
-    """Resolve ``--store`` / ``--npz`` / ``--scale`` (+ ``--storage``) into a
-    partitioned graph.
+def _obtain_graph(args: argparse.Namespace, config):
+    """Resolve ``--store`` / ``--npz`` / ``--scale`` (+ ``config.storage``)
+    into a partitioned graph.
 
     Returns ``(edges, graph)``; ``edges`` is ``None`` for store-backed loads
     (a store holds only the partitioned CSRs, not the raw edge list).
@@ -676,11 +635,10 @@ def _obtain_graph(args: argparse.Namespace):
         return None, load_graph_store(store)
     edges = _load_graph(args)
     graph, _, _ = _partition(args, edges)
-    from repro.storage import apply_storage, default_storage_name
+    if config.storage != "memory":
+        from repro.storage import apply_storage
 
-    storage = getattr(args, "storage", None) or default_storage_name()
-    if storage != "memory":
-        graph = apply_storage(graph, storage)
+        graph = apply_storage(graph, config.storage)
     return edges, graph
 
 
@@ -695,7 +653,7 @@ def _graph_info(graph) -> dict:
     }
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace, config) -> int:
     from repro.graph.generators import generate_graph
     from repro.graph.io import save_npz
 
@@ -709,7 +667,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace, config) -> int:
     from repro.partition.layout import ClusterLayout
     from repro.storage import external_build
     from repro.utils.rss import max_rss_mb
@@ -999,10 +957,7 @@ def _add_program_command(sub, spec: _ProgramCommand) -> None:
     parser = sub.add_parser(spec.name, help=spec.help)
     _add_graph_args(parser, store=True)
     _add_cluster_args(parser)
-    _add_backend_arg(parser)
-    _add_kernels_arg(parser)
-    _add_storage_arg(parser)
-    _add_trace_arg(parser)
+    _add_exec_args(parser, "backend", "kernels", "storage", "trace")
     rows = [PROGRAM_TABLE[name] for name in spec.rows]
     if rows[0].takes_source:
         parser.add_argument(
@@ -1024,7 +979,7 @@ def _add_program_command(sub, spec: _ProgramCommand) -> None:
     parser.set_defaults(func=_cmd_program, spec=spec)
 
 
-def _cmd_program(args: argparse.Namespace) -> int:
+def _cmd_program(args: argparse.Namespace, config) -> int:
     """The body of every program command (``bfs``/``components``/``sssp``/
     ``pagerank``): check arguments, obtain the graph, run the selected row's
     program per source, validate against the row's oracle, report."""
@@ -1032,7 +987,6 @@ def _cmd_program(args: argparse.Namespace) -> int:
     from repro.core.programs import PROGRAM_TABLE, make_program
 
     spec: _ProgramCommand = args.spec
-    _check_exec_args(args)
     row = PROGRAM_TABLE[spec.select(args) if spec.select else spec.rows[0]]
     with _usage_errors():
         # Every flag the command takes is checked, selected row or not; the
@@ -1044,7 +998,7 @@ def _cmd_program(args: argparse.Namespace) -> int:
             "--validate needs the raw edge list, which a graph store "
             "does not keep; validate against --npz/--scale instead"
         )
-    edges, graph = _obtain_graph(args)
+    edges, graph = _obtain_graph(args, config)
     if row.cls.needs_weights and not graph.is_weighted:
         raise _UsageError(
             "this graph carries no edge weights; generate one with "
@@ -1059,13 +1013,13 @@ def _cmd_program(args: argparse.Namespace) -> int:
     engine = TraversalEngine(
         graph,
         options=spec.options(args) if spec.options else None,
-        backend=args.backend,
-        kernels=args.kernels,
+        backend=config.backend,
+        kernels=config.kernels,
     )
     labels = {
         **(spec.labels(args) if spec.labels else {}),
-        "backend": engine.backend_name,
-        "kernels": engine.provider_name,
+        "backend": config.backend_name,
+        "kernels": config.kernels_name,
     }
     if not args.json:
         print(
@@ -1108,7 +1062,7 @@ def _cmd_program(args: argparse.Namespace) -> int:
         print(line)
     return 0
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: argparse.Namespace, config) -> int:
     from repro.graph.degree import out_degrees
     from repro.partition.delegates import (
         census_for_thresholds,
@@ -1156,13 +1110,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mutate(args: argparse.Namespace) -> int:
+def _cmd_mutate(args: argparse.Namespace, config) -> int:
     from repro.core.programs import PROGRAM_TABLE
     from repro.dynamic import DynamicEngine, DynamicGraph, update_stream
     from repro.graph.degree import out_degrees
     from repro.partition.layout import ClusterLayout
 
-    _check_exec_args(args)
     row = PROGRAM_TABLE[args.program]
     edges = _load_graph(args)
     if row.cls.needs_weights and edges.weights is None:
@@ -1177,7 +1130,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     dynamic = DynamicGraph(
         edges, layout, args.threshold, weights_seed=getattr(args, "weights", None) or 0
     )
-    engine = DynamicEngine(dynamic, backend=args.backend, kernels=args.kernels)
+    engine = DynamicEngine(dynamic, backend=config.backend, kernels=config.kernels)
     maintained = row.maintain(engine, source)
 
     stream = update_stream(
@@ -1194,7 +1147,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             f"cluster {layout.notation()} | TH={dynamic.threshold} | "
             f"maintained {args.program}"
             + (f" from {source}" if source is not None else "")
-            + f" | backend {engine.backend_name} | kernels {engine.provider_name}"
+            + f" | backend {config.backend_name} | kernels {config.kernels_name}"
         )
         print(
             f"stream: {args.batches} x {args.edges_per_batch} {args.style} updates, "
@@ -1289,10 +1242,12 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_list(args: argparse.Namespace) -> int:
+def _cmd_bench_list(args: argparse.Namespace, config) -> int:
     from repro.bench import quick_scenarios, registry
 
     specs = quick_scenarios() if args.quick else registry()
+    # A scenario's pin, else the backend an unpinned scenario would run on.
+    backends = {s.name: config.pinned(**s.pins).backend_name for s in specs}
     if args.json:
         # The stable tooling contract: every entry carries at least
         # (name, family, program, backend) so scripts can slice the registry
@@ -1306,7 +1261,7 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
                         "name": s.name,
                         "family": s.kind,
                         "quick": s.quick,
-                        "backend": s.backend,
+                        "backend": backends[s.name],
                         **s.describe(),
                     }
                     for s in specs
@@ -1324,7 +1279,7 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
         print(
             f"{s.name:<28} {'yes' if s.quick else 'no':>5}  "
             f"{s.kind + str(s.scale):<12} {s.program:<10} {s.options.label():<10} "
-            f"{s.backend:<8} {th}"
+            f"{backends[s.name]:<8} {th}"
         )
     print(f"{len(specs)} scenario(s)")
     print(
@@ -1335,16 +1290,10 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        default_artifact_path,
-        find_scenarios,
-        quick_scenarios,
-        registry,
-        run_suite,
-    )
+def _cmd_bench_run(args: argparse.Namespace, config) -> int:
+    from repro.bench import default_artifact_path, find_scenarios, quick_scenarios, registry
+    from repro.bench.runner import _run_suite
 
-    _check_exec_args(args)
     if args.scenario:
         specs = find_scenarios(args.scenario)
         if args.quick:
@@ -1416,12 +1365,16 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         )
 
     if not args.json:
-        forced = f", backend={args.backend}" if args.backend else ""
-        forced += f", kernels={args.kernels}" if args.kernels else ""
-        forced += f", storage={args.storage}" if args.storage else ""
-        print(f"running {len(specs)} scenario(s), repeats={args.repeats}{forced}")
-    artifact = run_suite(
+        # What an unpinned scenario runs on; a pin shows in `bench list` and
+        # in each record.
+        print(
+            f"running {len(specs)} scenario(s), repeats={args.repeats}, "
+            f"backend={config.backend_name}, kernels={config.kernels_name}, "
+            f"storage={config.storage}"
+        )
+    artifact = _run_suite(
         specs,
+        config,
         label=args.label,
         quick=bool(args.quick),
         repeats=args.repeats,
@@ -1430,9 +1383,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         serve_batched=not args.serve_sequential,
         cluster_hedging=not args.cluster_no_hedge,
         dyn_incremental=not args.dyn_recompute,
-        backend=args.backend,
-        kernels=args.kernels,
-        storage=args.storage,
     )
     if args.json:
         print(json.dumps(artifact, indent=2))
@@ -1474,7 +1424,7 @@ def _resolve_artifact_selector(text: str) -> Path:
     return Path(text)
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
+def _cmd_bench_compare(args: argparse.Namespace, config) -> int:
     from repro.bench import BenchArtifactError, compare_artifacts, load_artifact
 
     try:
@@ -1549,7 +1499,7 @@ def _serve_bench_validate(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
+def _cmd_serve_bench_cluster(args: argparse.Namespace, config, queries) -> int:
     from repro.graph.degree import out_degrees
     from repro.serve.cluster import (
         ClusterConfig,
@@ -1561,7 +1511,7 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
 
     replicas = 2 if args.replicas is None else args.replicas
     rate = 500.0 if args.rate is None else args.rate
-    config = ClusterConfig(
+    cluster_config = ClusterConfig(
         queue_limit=64 if args.queue_limit is None else args.queue_limit,
         hedge=not args.no_hedge and replicas >= 2,
         hedge_quantile=0.95 if args.hedge_quantile is None else args.hedge_quantile,
@@ -1596,15 +1546,13 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
     pool = ReplicaPool(
         served,
         replicas,
-        backend=args.backend,
-        kernels=args.kernels,
+        backend=config.backend,
+        kernels=config.kernels,
         batch_size=args.batch_size,
         cache_size=args.cache_size,
     )
-    dispatcher = ClusterDispatcher(pool, config)
+    dispatcher = ClusterDispatcher(pool, cluster_config)
     try:
-        backend_name = pool.backend_name
-        kernels_name = pool.kernels_name
         snap = dispatcher.run(stream)
         replica_snapshots = [r.service.stats_snapshot() for r in pool]
     finally:
@@ -1620,8 +1568,8 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
                 {
                     "graph": _graph_info(graph),
                     "workload": workload.describe(),
-                    "backend": backend_name,
-                    "kernels": kernels_name,
+                    "backend": config.backend_name,
+                    "kernels": config.kernels_name,
                     "replicas": replicas,
                     "batch_size": args.batch_size,
                     "cache_size": args.cache_size,
@@ -1637,7 +1585,8 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
     print(
         f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
         f"cluster {layout.notation()} | TH={threshold} | "
-        f"{replicas} replica(s) | backend {backend_name} | kernels {kernels_name}"
+        f"{replicas} replica(s) | backend {config.backend_name} | "
+        f"kernels {config.kernels_name}"
     )
     print(
         f"workload: {args.queries} {args.program} ops, zipf skew {args.skew}, "
@@ -1659,7 +1608,7 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
             else ""
         )
     )
-    if config.hedge:
+    if cluster_config.hedge:
         print(
             f"  hedging: {cluster['hedges_issued']} issued, {cluster['hedges_won']} won, "
             f"{cluster['hedges_cancelled']} cancelled, "
@@ -1675,13 +1624,12 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, queries) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
+def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
     from repro.core.engine import TraversalEngine
     from repro.core.programs import PROGRAM_TABLE
     from repro.graph.degree import out_degrees
     from repro.serve import MixedWorkload, QueryService, ZipfWorkload
 
-    _check_exec_args(args)
     error = _serve_bench_validate(args)
     if error is not None:
         raise _UsageError(error)
@@ -1695,13 +1643,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             **PROGRAM_TABLE[args.program].pick(max_hops=args.max_hops),
         )
     if args.arrivals != "closed":
-        return _cmd_serve_bench_cluster(args, workload)
+        return _cmd_serve_bench_cluster(args, config, workload)
 
     edges = _load_graph(args)
     graph, layout, threshold = _partition(args, edges)
     mixed = args.update_rate > 0
     engine = (
-        None if mixed else TraversalEngine(graph, backend=args.backend, kernels=args.kernels)
+        None
+        if mixed
+        else TraversalEngine(graph, backend=config.backend, kernels=config.kernels)
     )
     degrees = out_degrees(edges)
     if mixed:
@@ -1717,24 +1667,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         stream = workload.generate(edges.num_vertices, degrees=degrees)
 
     if not args.json:
-        from repro.exec.backend import default_backend_name
-        from repro.exec.providers import resolve_provider
-
-        backend_label = (
-            engine.backend_name
-            if engine is not None
-            else (args.backend or default_backend_name())
-        )
-        kernels_label = (
-            engine.provider_name
-            if engine is not None
-            else resolve_provider(args.kernels).name
-        )
         print(
             f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
             f"cluster {layout.notation()} | TH={threshold} | "
-            f"delegates {graph.num_delegates:,} | backend {backend_label} | "
-            f"kernels {kernels_label}"
+            f"delegates {graph.num_delegates:,} | backend {config.backend_name} | "
+            f"kernels {config.kernels_name}"
         )
         line = (
             f"workload: {args.queries} {args.program} ops, "
@@ -1758,8 +1695,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
             replay_engine = DynamicEngine(
                 DynamicGraph(edges, layout, threshold, partitioned=graph),
-                backend=args.backend,
-                kernels=args.kernels,
+                backend=config.backend,
+                kernels=config.kernels,
             )
         else:
             replay_engine = engine
@@ -1782,15 +1719,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     try:
         batched = replay(batched=True)
         sequential = None if args.no_baseline else replay(batched=False)
-        backend_name = (
-            engine.backend_name if engine is not None else batched.stats_snapshot()["backend"]
-        )
-        if engine is not None:
-            kernels_name = engine.provider_name
-        else:
-            from repro.exec.providers import resolve_provider
-
-            kernels_name = resolve_provider(args.kernels).name
     finally:
         if engine is not None:
             engine.close()
@@ -1802,8 +1730,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         out = {
             "graph": _graph_info(graph),
             "workload": mixed_workload.describe() if mixed else workload.describe(),
-            "backend": backend_name,
-            "kernels": kernels_name,
+            "backend": config.backend_name,
+            "kernels": config.kernels_name,
             "batch_size": args.batch_size,
             "cache_size": args.cache_size,
             "batched": batched.stats_snapshot(),
@@ -1852,7 +1780,7 @@ def _write_prometheus(snapshot: dict, path: Path) -> None:
     print(f"prometheus: wrote {path}", file=sys.stderr)
 
 
-def _cmd_trace_summarize(args: argparse.Namespace) -> int:
+def _cmd_trace_summarize(args: argparse.Namespace, config) -> int:
     from repro.obs import load_trace, summarize_events, summary_lines
 
     try:
@@ -1872,11 +1800,18 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from repro.exec.config import ExecConfig
+
     args = build_parser().parse_args(argv)
     try:
         _check_weights_arg(args)
-        with _tracing(args):
-            return args.func(args)
+        _check_exec_args(args)
+        with _usage_errors():
+            config = ExecConfig.resolve(
+                **{axis: getattr(args, axis) for axis in getattr(args, "exec_axes", ())}
+            )
+        with _tracing(config):
+            return args.func(args, config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

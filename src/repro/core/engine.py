@@ -90,9 +90,10 @@ from repro.core.programs.batched import BatchedFrontierProgram
 from repro.core.programs.table import batched_factory, dedup_key, make_program
 from repro.core.results import BatchResult, BFSResult, IterationRecord, TraversalResult
 from repro.core.state import TraversalState
-from repro.exec.backend import ExecutionBackend, resolve_backend
+from repro.exec.backend import resolve_backend
+from repro.exec.config import ExecConfig
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
-from repro.exec.providers import resolve_provider
+from repro.exec.providers import KernelProvider, get_provider
 from repro.partition.subgraphs import PartitionedGraph
 from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
@@ -150,6 +151,9 @@ class TraversalEngine:
         importable, NumPy otherwise).  Providers are stateless and shared;
         results and counters are provider-invariant.
 
+    Both are resolved once, here, into :attr:`config` (an
+    :class:`repro.exec.ExecConfig`); a bad name raises :class:`ValueError`.
+
     Examples
     --------
     >>> from repro.core.programs import BFSLevels, ConnectedComponents
@@ -178,10 +182,10 @@ class TraversalEngine:
         self.hardware = hardware if hardware is not None else HardwareSpec()
         self.netmodel = NetworkModel(self.hardware)
         self.topology = ClusterTopology(graph.layout)
-        self._backend_spec = backend
+        #: The resolved run configuration (backend and kernels are used here).
+        self.config = ExecConfig.resolve(backend=backend, kernels=kernels)
         self._backend = None
         self._owns_backend = False
-        self._kernels_spec = kernels
         self._provider = None
         # Which visit kernels run on each GPU, in fold order: without
         # delegates only nn exists, and a GPU owning no normal vertex has no
@@ -224,26 +228,14 @@ class TraversalEngine:
         """The live execution backend (resolved lazily on first use)."""
         if self._backend is None:
             self._backend, self._owns_backend = resolve_backend(
-                self._backend_spec, self.graph
+                self.config.backend, self.graph
             )
         return self._backend
 
     @property
     def backend_name(self) -> str:
-        """Registry name of the backend in effect, without forcing creation.
-
-        Reading the name must stay side-effect free (monitoring reads it on
-        idle engines), so an unresolved spec is answered from the spec
-        itself; validation still happens at resolution time.
-        """
-        if self._backend is not None:
-            return self._backend.name
-        spec = self._backend_spec
-        if isinstance(spec, ExecutionBackend):
-            return spec.name
-        from repro.exec.backend import default_backend_name
-
-        return default_backend_name() if spec is None else str(spec).strip().lower()
+        """Registry name of the backend in effect, without forcing creation."""
+        return self.config.backend_name
 
     def use_backend(self, backend) -> "TraversalEngine":
         """Switch execution backends (name, instance or ``None`` for default).
@@ -256,20 +248,15 @@ class TraversalEngine:
         """
         if backend is not None and backend is self._backend:
             return self
-        if (
-            isinstance(backend, str)
-            and self._backend is not None
-            and backend.strip().lower() == self._backend.name
-        ):
-            self._backend_spec = backend
-            return self
-        self.close()
-        self._backend_spec = backend
+        config = self.config.override(backend=backend)
+        if self._backend is None or config.backend != self._backend.name:
+            self.close()
+        self.config = config
         return self
 
     def close(self) -> None:
         """Release the engine-owned backend (idempotent; engine stays usable —
-        the next run resolves a fresh backend from the current spec)."""
+        the next run resolves a fresh backend from :attr:`config`)."""
         if self._backend is not None and self._owns_backend:
             self._backend.close()
         self._backend = None
@@ -288,7 +275,8 @@ class TraversalEngine:
         storage detail, invisible to counters, results and the provider name.
         """
         if self._provider is None:
-            provider = resolve_provider(self._kernels_spec)
+            kernels = self.config.kernels
+            provider = kernels if isinstance(kernels, KernelProvider) else get_provider(kernels)
             if getattr(self.graph, "storage", "memory") == "compressed":
                 from repro.storage.codec import DecodingProvider
 
@@ -298,14 +286,8 @@ class TraversalEngine:
 
     @property
     def provider_name(self) -> str:
-        """Resolved registry name of the kernel provider in effect.
-
-        Unlike :attr:`backend_name` this *does* resolve the spec (``auto``
-        and fallbacks only settle at resolution), but resolution is cheap —
-        providers are stateless process-wide singletons, no pools or shared
-        memory — so the read is still safe on idle engines.
-        """
-        return self.provider.name
+        """Resolved registry name of the kernel provider in effect."""
+        return self.config.kernels_name
 
     def use_kernels(self, kernels) -> "TraversalEngine":
         """Switch kernel providers (name, instance or ``None`` for default).
@@ -314,7 +296,7 @@ class TraversalEngine:
         there is nothing to close — the next super-step simply plans with
         the newly resolved provider.
         """
-        self._kernels_spec = kernels
+        self.config = self.config.override(kernels=kernels)
         self._provider = None
         return self
 

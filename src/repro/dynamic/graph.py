@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.engine import TraversalEngine
 from repro.dynamic.delta import AppliedDelta, EdgeDelta
+from repro.exec.config import ExecConfig
 from repro.graph.edgelist import EdgeList
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
@@ -505,6 +506,8 @@ class DynamicEngine:
     transparently rebinding to the freshly-partitioned CSR after a
     compaction — including re-resolving the execution backend, whose
     shared-memory export of the old CSR would otherwise go stale.
+    ``backend`` / ``kernels`` are resolved once, on entry, into
+    :attr:`config` (an adopted ``engine`` brings its own).
     """
 
     def __init__(
@@ -519,8 +522,6 @@ class DynamicEngine:
         self.dynamic = dynamic
         self._options = options
         self._hardware = hardware
-        self._backend_spec = self._check_backend_spec(backend)
-        self._kernels_spec = kernels
         self._engine: TraversalEngine | None = None
         self._engine_epoch = -1
         if engine is not None:
@@ -530,28 +531,29 @@ class DynamicEngine:
             self._engine_epoch = dynamic.partition_epoch
             self._options = engine.options
             self._hardware = engine.hardware
-            self._backend_spec = self._check_backend_spec(engine._backend_spec)
-            self._kernels_spec = engine._kernels_spec
+            config = engine.config
+        else:
+            config = ExecConfig.resolve(backend=backend, kernels=kernels)
+        #: The resolved run configuration every rebuilt engine runs on.
+        self.config = self._checked(config)
 
     @staticmethod
-    def _check_backend_spec(backend):
+    def _checked(config: ExecConfig) -> ExecConfig:
         """Reject live backend instances: they cannot follow a compaction.
 
         A backend object is bound to the CSR it was built over (the process
         backend's shared-memory export, the inline backend's graph
         reference); after a compaction it would silently keep traversing the
-        *old* graph.  Name specs (``"inline"`` / ``"process"`` / ``None``)
-        re-resolve against the fresh CSR, so only those are accepted.
+        *old* graph.  Backend names re-resolve against the fresh CSR, so
+        only those are accepted.
         """
-        from repro.exec.backend import ExecutionBackend
-
-        if isinstance(backend, ExecutionBackend):
+        if not isinstance(config.backend, str):
             raise ValueError(
                 "DynamicEngine cannot use a live backend instance — it stays "
                 "bound to the pre-compaction graph; pass the backend name "
-                f"({backend.name!r}) instead"
+                f"({config.backend.name!r}) instead"
             )
-        return backend
+        return config
 
     # ------------------------------------------------------------------ #
     # Engine plumbing
@@ -564,8 +566,8 @@ class DynamicEngine:
                 self.dynamic.partitioned,
                 options=self._options,
                 hardware=self._hardware,
-                backend=self._backend_spec,
-                kernels=self._kernels_spec,
+                backend=self.config.backend,
+                kernels=self.config.kernels,
             )
             self._engine_epoch = self.dynamic.partition_epoch
         return self._engine
@@ -595,23 +597,24 @@ class DynamicEngine:
 
     @property
     def backend_name(self) -> str:
-        return self._resolve().backend_name
+        return self.config.backend_name
 
     def use_backend(self, backend) -> "DynamicEngine":
-        backend = self._check_backend_spec(backend)
-        self._resolve().use_backend(backend)
-        self._backend_spec = backend
+        self.config = self._checked(self.config.override(backend=backend))
+        if self._engine is not None:
+            self._engine.use_backend(self.config.backend)
         return self
 
     @property
     def provider_name(self) -> str:
-        return self._resolve().provider_name
+        return self.config.kernels_name
 
     def use_kernels(self, kernels) -> "DynamicEngine":
         """Switch kernel providers (providers are stateless, so unlike
         backends a live instance is fine — it follows compaction trivially)."""
-        self._resolve().use_kernels(kernels)
-        self._kernels_spec = kernels
+        self.config = self.config.override(kernels=kernels)
+        if self._engine is not None:
+            self._engine.use_kernels(self.config.kernels)
         return self
 
     def close(self) -> None:

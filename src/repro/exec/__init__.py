@@ -32,30 +32,28 @@ and all folding happens on the coordinating process); only the measured
 ``wall_s`` phases depend on either axis.
 
 Backends are selected by name — ``TraversalEngine(graph, backend="thread")``,
-``Session.backend("process")``, the ``--backend`` CLI flag — with the
-``REPRO_BACKEND`` environment variable supplying the default; providers
-likewise via ``kernels="numba"`` / ``Session.kernels(...)`` / ``--kernels``
-and ``REPRO_KERNELS`` (default ``auto``: Numba when importable).
+``Session.backend("process")``, the ``--backend`` CLI flag — and providers
+likewise via ``kernels="numba"`` / ``Session.kernels(...)`` / ``--kernels``;
+:class:`~repro.exec.config.ExecConfig` resolves both (with the storage mode
+and the trace path) from arguments, ``REPRO_*`` environment variables and
+defaults, in one place.
 """
 
 from repro.exec.backend import (
     BACKEND_NAMES,
     ExecutionBackend,
     InlineBackend,
-    default_backend_name,
     resolve_backend,
 )
+from repro.exec.config import ExecConfig
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan
 from repro.exec.providers import (
-    KERNELS_ENV_VAR,
     PROVIDER_NAMES,
     KernelProvider,
     NumbaProvider,
     NumpyProvider,
-    default_kernels_name,
     get_provider,
     numba_available,
-    resolve_provider,
 )
 
 __all__ = [
@@ -64,17 +62,14 @@ __all__ = [
     "InlineBackend",
     "ProcessBackend",
     "ThreadBackend",
-    "default_backend_name",
     "resolve_backend",
+    "ExecConfig",
     "PROVIDER_NAMES",
-    "KERNELS_ENV_VAR",
     "KernelProvider",
     "NumpyProvider",
     "NumbaProvider",
-    "default_kernels_name",
     "numba_available",
     "get_provider",
-    "resolve_provider",
     "SuperStepPlan",
     "GPUPlan",
     "VisitSpec",

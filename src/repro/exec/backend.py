@@ -16,35 +16,26 @@ for one partitioned graph.  The contract is deliberately small:
     idempotent.  Backends are context managers.
 
 Backends are addressed by name.  :data:`BACKEND_NAMES` lists the shipped
-ones; :func:`resolve_backend` turns a name / instance / ``None`` into a
-live backend for a graph, with the ``REPRO_BACKEND`` environment variable
-supplying the process-wide default (so e.g. a CI leg can run the whole test
-suite over the process pool without touching any call site).
+ones; :func:`resolve_backend` turns a name resolved by
+:class:`~repro.exec.config.ExecConfig` (which also reads the
+``REPRO_BACKEND`` default) or a live instance into a backend for a graph.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 
+from repro.exec.config import BACKEND_NAMES
 from repro.exec.plan import SuperStepPlan, execute_gpu_plan, worker_spans
 from repro.obs.tracer import get_tracer
 from repro.utils.timing import now_s
 
 __all__ = [
     "BACKEND_NAMES",
-    "BACKEND_ENV_VAR",
     "ExecutionBackend",
     "InlineBackend",
-    "default_backend_name",
     "resolve_backend",
 ]
-
-#: Names accepted wherever a backend can be chosen (engine, session, CLI).
-BACKEND_NAMES = ("inline", "process", "thread")
-
-#: Environment variable supplying the default backend name.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: A plan with fewer queue + candidate rows than this runs in the coordinator
 #: even under a backend that dispatches (thread, process).
@@ -66,17 +57,6 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: Kernels are pure functions of their spec, so where a step runs changes no
 #: output, counter or modeled time.
 SMALL_PLAN_ROWS = 256
-
-
-def default_backend_name() -> str:
-    """The backend used when none is requested (``REPRO_BACKEND`` or inline)."""
-    name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "inline"
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"{BACKEND_ENV_VAR}={name!r} is not a known execution backend; "
-            f"expected one of {BACKEND_NAMES}"
-        )
-    return name
 
 
 class ExecutionBackend(abc.ABC):
@@ -231,9 +211,9 @@ def resolve_backend(spec, graph) -> tuple:
     Parameters
     ----------
     spec:
-        ``None`` (use :func:`default_backend_name`), a registry name, or a
-        live :class:`ExecutionBackend` instance (shared — e.g. one process
-        pool serving several engines over the same graph).
+        A registry name of :data:`BACKEND_NAMES`, or a live
+        :class:`ExecutionBackend` instance (shared — e.g. one process pool
+        serving several engines over the same graph).
     graph:
         The partitioned graph the backend will execute plans for.
 
@@ -245,14 +225,13 @@ def resolve_backend(spec, graph) -> tuple:
     """
     if isinstance(spec, ExecutionBackend):
         return spec, False
-    name = default_backend_name() if spec is None else str(spec).strip().lower()
-    if name == "inline":
+    if spec == "inline":
         return InlineBackend(graph), True
-    if name == "process":
+    if spec == "process":
         from repro.exec.process import ProcessBackend
 
         return ProcessBackend(graph), True
-    if name == "thread":
+    if spec == "thread":
         from repro.exec.thread import ThreadBackend
 
         return ThreadBackend(graph), True

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from repro.exec.backend import ExecutionBackend
 from repro.exec.plan import GPUPlan, SuperStepPlan, execute_gpu_plan
-from repro.exec.providers import resolve_provider
+from repro.exec.providers import get_provider
 from repro.exec.shm import (
     SegmentCache,
     SharedGraphStore,
@@ -133,7 +133,7 @@ def _run_task(task: _Task):
     csrs = csrs_from_descriptor(cache, task.graph)
     # Providers cross the process boundary by name; each worker resolves (and
     # for Numba, loads the on-disk JIT cache) once via the singleton registry.
-    provider = resolve_provider(task.provider)
+    provider = get_provider(task.provider)
     if task.graph.get("compressed"):
         # Compressed-store graphs: decode frontier/candidate rows lazily
         # before each visit so the kernels see raw adjacency.

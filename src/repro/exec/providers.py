@@ -17,54 +17,31 @@ wall-clock changes.  The CI counter gate compares artifacts across providers
 to enforce this, just as it does across backends.
 
 Providers are addressed by name — ``"numpy"``, ``"numba"``, or ``"auto"``
-(Numba when importable, NumPy otherwise) — via :func:`resolve_provider`,
-with the ``REPRO_KERNELS`` environment variable supplying the process-wide
-default.  A request for ``"numba"`` on a host without Numba warns once and
-falls back to NumPy rather than failing: the compiled tier is an
-acceleration, never a requirement.
+(Numba when importable, NumPy otherwise).  :class:`~repro.exec.config.ExecConfig`
+settles the name (argument, ``REPRO_KERNELS``, ``auto``; a request for
+``"numba"`` on a host without Numba warns once and falls back to NumPy —
+the compiled tier is an acceleration, never a requirement) and
+:func:`get_provider` hands out the provider for it.
 """
 
 from __future__ import annotations
 
 import abc
-import os
-import warnings
 
 import numpy as np
 
 from repro.core import kernels as _kernels
 from repro.core.kernels import BatchKernelOutput, KernelOutput
+from repro.exec.config import PROVIDER_NAMES
 
 __all__ = [
     "PROVIDER_NAMES",
-    "KERNELS_ENV_VAR",
     "KernelProvider",
     "NumpyProvider",
     "NumbaProvider",
-    "default_kernels_name",
     "numba_available",
     "get_provider",
-    "resolve_provider",
 ]
-
-#: Names accepted wherever a kernel provider can be chosen (engine, session,
-#: CLI ``--kernels``, ``REPRO_KERNELS``).  ``"auto"`` resolves at first use.
-PROVIDER_NAMES = ("numpy", "numba", "auto")
-
-#: Environment variable supplying the default provider name.
-KERNELS_ENV_VAR = "REPRO_KERNELS"
-
-
-def default_kernels_name() -> str:
-    """The provider used when none is requested (``REPRO_KERNELS`` or auto)."""
-    name = os.environ.get(KERNELS_ENV_VAR, "").strip().lower() or "auto"
-    if name not in PROVIDER_NAMES:
-        raise ValueError(
-            f"{KERNELS_ENV_VAR}={name!r} is not a known kernel provider; "
-            f"expected one of {PROVIDER_NAMES}"
-        )
-    return name
-
 
 def numba_available() -> bool:
     """Whether the Numba-compiled provider can be constructed on this host."""
@@ -190,8 +167,8 @@ class NumbaProvider(NumpyProvider):
     batched previsit filter, one vectorized gather and mask, and
     ``bitmask_test_many``) inherits the NumPy path.  Constructing this class
     raises :class:`ImportError` on hosts without Numba — callers go through
-    :func:`resolve_provider`, which turns that into a warn-once NumPy
-    fallback.
+    :class:`~repro.exec.config.ExecConfig`, which turns that into a
+    warn-once NumPy fallback.
 
     The compiled backward pull is the headline win: it early-exits each
     candidate's parent scan edge by edge, where the NumPy twin exits by rounds
@@ -325,9 +302,9 @@ def get_provider(name: str) -> KernelProvider:
     Providers are stateless, so one instance per process suffices; worker
     processes resolve providers from the name carried in their task tuples
     through this same cache (each worker compiles — or loads the on-disk
-    Numba cache — once).  Unlike :func:`resolve_provider` this raises on an
-    unavailable ``"numba"`` rather than falling back; it is the internal
-    constructor, not the user-facing resolver.
+    Numba cache — once).  This raises on an unavailable ``"numba"`` rather
+    than falling back: the fallback is :class:`~repro.exec.config.ExecConfig`'s,
+    which never hands out that name on such a host.
     """
     provider = _SINGLETONS.get(name)
     if provider is None:
@@ -341,38 +318,3 @@ def get_provider(name: str) -> KernelProvider:
             )
         _SINGLETONS[name] = provider
     return provider
-
-
-def resolve_provider(spec) -> KernelProvider:
-    """Turn a kernel-provider request into a live provider.
-
-    Parameters
-    ----------
-    spec:
-        ``None`` (use :func:`default_kernels_name`), one of
-        :data:`PROVIDER_NAMES`, or a live :class:`KernelProvider` instance.
-
-    ``"auto"`` resolves to Numba when importable and NumPy otherwise, with no
-    warning either way.  An explicit ``"numba"`` on a host without Numba
-    warns once and falls back to NumPy — counters are provider-invariant, so
-    the fallback changes nothing but speed.
-    """
-    if isinstance(spec, KernelProvider):
-        return spec
-    name = default_kernels_name() if spec is None else str(spec).strip().lower()
-    if name not in PROVIDER_NAMES:
-        raise ValueError(
-            f"unknown kernel provider {spec!r}; expected one of {PROVIDER_NAMES} "
-            "or a KernelProvider instance"
-        )
-    if name == "auto":
-        name = "numba" if numba_available() else "numpy"
-    elif name == "numba" and not numba_available():
-        warnings.warn(
-            "kernel provider 'numba' requested but Numba is not importable; "
-            "falling back to the NumPy provider (identical results, slower kernels)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        name = "numpy"
-    return get_provider(name)

@@ -35,6 +35,7 @@ SLO violations) are bit-identical across hosts and execution backends.
 from __future__ import annotations
 
 from repro.core.engine import TraversalEngine
+from repro.exec.config import ExecConfig
 from repro.serve.service import QueryService
 from repro.serve.workload import Query
 
@@ -130,6 +131,8 @@ class ReplicaPool:
             raise ValueError(f"cache_hit_ms must be non-negative, got {cache_hit_ms}")
         self.graph = graph
         self.is_dynamic = isinstance(graph, DynamicGraph)
+        #: The resolved run configuration shared by every replica.
+        self.config = ExecConfig.resolve(backend=backend, kernels=kernels)
         self._shared_backend = None
         self._owns_backend = False
         engines: list = []
@@ -141,14 +144,14 @@ class ReplicaPool:
                         graph,
                         options=options,
                         hardware=hardware,
-                        backend=backend,
-                        kernels=kernels,
+                        backend=self.config.backend,
+                        kernels=self.config.kernels,
                     )
                 )
         else:
             from repro.exec.backend import resolve_backend
 
-            shared, owns = resolve_backend(backend, graph)
+            shared, owns = resolve_backend(self.config.backend, graph)
             self._shared_backend = shared
             self._owns_backend = owns
             for _ in range(num_replicas):
@@ -158,7 +161,7 @@ class ReplicaPool:
                         options=options,
                         hardware=hardware,
                         backend=shared,
-                        kernels=kernels,
+                        kernels=self.config.kernels,
                     )
                 )
         self.replicas = [
@@ -181,13 +184,13 @@ class ReplicaPool:
 
     @property
     def backend_name(self) -> str:
-        """Registry name of the execution backend in effect (replica 0's)."""
-        return self.replicas[0].service.engine.backend_name
+        """Registry name of the execution backend every replica runs on."""
+        return self.config.backend_name
 
     @property
     def kernels_name(self) -> str:
-        """Resolved kernel-provider name in effect (replica 0's)."""
-        return self.replicas[0].service.engine.provider_name
+        """Resolved kernel-provider name every replica runs."""
+        return self.config.kernels_name
 
     def apply_delta(self, delta):
         """Apply one update batch to the shared graph; fan out invalidation.

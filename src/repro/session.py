@@ -45,6 +45,7 @@ from repro.core.programs import (
 )
 from repro.core.programs.table import names_where
 from repro.core.results import TraversalResult
+from repro.exec.config import ExecConfig
 from repro.graph.degree import out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import generate_graph
@@ -112,6 +113,9 @@ def session(
         default; can also be set fluently via :meth:`Session.storage`.
         Results and counters are storage-invariant; only memory and
         wall-clock change.
+
+    All three are resolved once, here, into one
+    :class:`repro.exec.ExecConfig`; a bad name raises :class:`ValueError`.
     """
     return Session(
         layout=layout,
@@ -140,9 +144,7 @@ class Session:
         )
         self._options = options
         self._hardware = hardware
-        self._backend = backend
-        self._kernels = kernels
-        self._storage = storage
+        self._config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
         self._storage_path: Path | None = None
         self._edges: EdgeList | None = None
         self._threshold: int | _Auto = auto
@@ -219,9 +221,9 @@ class Session:
         >>> import repro  # doctest: +SKIP
         >>> repro.session().generate(scale=16).backend("process").bfs(0)
         """
-        self._backend = backend
+        self._config = self._config.override(backend=backend)
         if self._built is not None:
-            self._built.backend(backend)
+            self._built.backend(self._config.backend)
         return self
 
     def kernels(self, kernels) -> "Session":
@@ -235,9 +237,9 @@ class Session:
         >>> import repro  # doctest: +SKIP
         >>> repro.session().generate(scale=16).kernels("numba").bfs(0)
         """
-        self._kernels = kernels
+        self._config = self._config.override(kernels=kernels)
         if self._built is not None:
-            self._built.kernels(kernels)
+            self._built.kernels(self._config.kernels)
         return self
 
     def storage(self, storage: str | None, path: str | Path | None = None) -> "Session":
@@ -252,13 +254,7 @@ class Session:
         >>> import repro  # doctest: +SKIP
         >>> repro.session().generate(scale=16).storage("compressed").bfs(0)
         """
-        from repro.storage import STORAGE_NAMES
-
-        if storage is not None and storage not in STORAGE_NAMES:
-            raise ValueError(
-                f"storage must be one of {', '.join(STORAGE_NAMES)}, got {storage!r}"
-            )
-        self._storage = storage
+        self._config = self._config.override(storage=storage)
         self._storage_path = Path(path) if path is not None else None
         self._built = None
         return self
@@ -321,21 +317,16 @@ class Session:
         if isinstance(threshold, _Auto):
             threshold = suggest_threshold(self._edges, self._layout.num_gpus)
         graph = build_partitions(self._edges, self._layout, threshold)
-        storage = self._storage
-        if storage is None:
-            from repro.storage import default_storage_name
-
-            storage = default_storage_name()
-        if storage != "memory":
+        if self._config.storage != "memory":
             from repro.storage import apply_storage
 
-            graph = apply_storage(graph, storage, path=self._storage_path)
+            graph = apply_storage(graph, self._config.storage, path=self._storage_path)
         engine = TraversalEngine(
             graph,
             options=self._options,
             hardware=self._hardware,
-            backend=self._backend,
-            kernels=self._kernels,
+            backend=self._config.backend,
+            kernels=self._config.kernels,
         )
         self._built = GraphSession(edges=self._edges, graph=graph, engine=engine)
         return self._built

@@ -21,10 +21,10 @@ traversal counters are bit-identical across all three modes by construction.
 
 from __future__ import annotations
 
-import os
 import tempfile
 from pathlib import Path
 
+from repro.exec.config import STORAGE_NAMES, axis_name
 from repro.partition.subgraphs import PartitionedGraph
 from repro.storage.codec import (
     CompressedCSR,
@@ -51,8 +51,6 @@ from repro.storage.segments import (
 
 __all__ = [
     "STORAGE_NAMES",
-    "STORAGE_ENV_VAR",
-    "default_storage_name",
     "apply_storage",
     "CompressedCSR",
     "DecodingProvider",
@@ -72,25 +70,6 @@ __all__ = [
     "store_graph_descriptor",
 ]
 
-#: Valid values of the storage axis, in documentation order.
-STORAGE_NAMES = ("memory", "mmap", "compressed")
-
-#: Environment variable consulted when no explicit storage is requested.
-STORAGE_ENV_VAR = "REPRO_STORAGE"
-
-
-def default_storage_name() -> str:
-    """Resolve the ambient storage mode: ``$REPRO_STORAGE`` or ``memory``."""
-    name = os.environ.get(STORAGE_ENV_VAR, "").strip().lower()
-    if not name:
-        return "memory"
-    if name not in STORAGE_NAMES:
-        raise ValueError(
-            f"{STORAGE_ENV_VAR}={name!r} is not one of {', '.join(STORAGE_NAMES)}"
-        )
-    return name
-
-
 def apply_storage(
     graph: PartitionedGraph, storage: str, path: str | Path | None = None
 ) -> PartitionedGraph:
@@ -102,8 +81,7 @@ def apply_storage(
     Non-memory graphs cannot be re-converted — reload from their store or
     rebuild instead.
     """
-    if storage not in STORAGE_NAMES:
-        raise ValueError(f"storage must be one of {', '.join(STORAGE_NAMES)}, got {storage!r}")
+    storage = axis_name("storage", storage)
     if storage == "memory":
         if getattr(graph, "storage", "memory") != "memory":
             raise ValueError(

@@ -9,7 +9,8 @@ extremes (1 = almost everything is a delegate, auto, effectively-infinite =
 no delegates) over all four shipped programs plus the batched MS-BFS path,
 on both non-inline backends.
 
-Also covered: backend selection (engine / session / environment / CLI),
+Also covered: backend selection (engine / session / CLI; the precedence of
+arguments, scenario pins and the environment is tests/test_exec_config.py's),
 engine-owned backend lifecycle, and the ``run_many`` batch-routing edge
 cases (1-lane batches must never be built).
 """
@@ -36,10 +37,8 @@ from repro.exec import (
     InlineBackend,
     ProcessBackend,
     ThreadBackend,
-    default_backend_name,
     resolve_backend,
 )
-from repro.exec.backend import BACKEND_ENV_VAR
 from repro.graph.rmat import generate_rmat
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
@@ -204,17 +203,6 @@ class TestBackendEquivalence:
 class TestBackendSelection:
     def test_registry_names(self):
         assert BACKEND_NAMES == ("inline", "process", "thread")
-
-    def test_default_is_inline(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == "inline"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert default_backend_name() == "process"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "teleport")
-        with pytest.raises(ValueError, match="teleport"):
-            default_backend_name()
 
     def test_resolve_backend_ownership(self, graphs):
         graph = graphs["auto"]
@@ -385,10 +373,11 @@ class TestBackendIntegration:
         np.testing.assert_array_equal(results[1].distances, reference.distances)
         assert service.stats_snapshot()["backend"] == "process"
 
-    def test_run_scenario_records_backend_outside_spec(self):
+    def test_run_scenario_records_backend_outside_spec(self, monkeypatch):
         from repro.bench.runner import run_scenario
         from repro.bench.scenarios import Scenario
 
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         spec = Scenario("tiny-process", "rmat", 9, "levels", sources=1, backend="process")
         record = run_scenario(spec, repeats=2)
         assert record["backend"] == "process"

@@ -8,8 +8,8 @@ then NumPy), so spec-level equivalence still holds; the JIT-vs-NumPy
 bit-exactness tests proper are skipped locally and run on the CI leg that
 installs Numba.
 
-Also covered: resolution precedence (argument > ``$REPRO_KERNELS`` >
-``auto``), the singleton registry, session/engine/dynamic threading, the
+Also covered: name resolution (the precedence of arguments and
+``$REPRO_KERNELS`` is tests/test_exec_config.py's), the singleton registry, session/engine/dynamic threading, the
 process-boundary name handoff, bench-record placement (``kernels`` in the
 record, never the spec) and the CLI round-trips including the rejected
 ``--backend process --kernels numba`` combination.
@@ -24,15 +24,12 @@ import pytest
 
 from repro.core.engine import TraversalEngine
 from repro.core.programs import BatchedBFSLevels, BFSLevels, ConnectedComponents
+from repro.exec.config import ExecConfig
 from repro.exec.providers import (
-    KERNELS_ENV_VAR,
     PROVIDER_NAMES,
-    KernelProvider,
     NumpyProvider,
-    default_kernels_name,
     get_provider,
     numba_available,
-    resolve_provider,
 )
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
@@ -62,17 +59,6 @@ class TestResolution:
     def test_registry_names(self):
         assert PROVIDER_NAMES == ("numpy", "numba", "auto")
 
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        assert default_kernels_name() == "auto"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "numpy")
-        assert default_kernels_name() == "numpy"
-        monkeypatch.setenv(KERNELS_ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="fortran"):
-            default_kernels_name()
-
     def test_get_provider_is_singleton(self):
         a = get_provider("numpy")
         assert isinstance(a, NumpyProvider)
@@ -80,26 +66,32 @@ class TestResolution:
         with pytest.raises(ValueError, match="auto"):
             get_provider("auto")  # auto is a spec, not a provider
 
-    def test_resolve_passes_instances_through(self):
+    def test_resolve_passes_instances_through(self, graph):
         provider = get_provider("numpy")
-        assert resolve_provider(provider) is provider
+        assert ExecConfig.resolve(kernels=provider).kernels is provider
+        engine = TraversalEngine(graph, kernels=provider)
+        assert engine.provider is provider and engine.provider_name == "numpy"
 
     def test_resolve_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="fortran"):
-            resolve_provider("fortran")
+            ExecConfig.resolve(kernels="fortran")
 
     def test_auto_resolves_silently(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        provider = resolve_provider("auto")
-        assert isinstance(provider, KernelProvider)
-        assert provider.name == ("numba" if numba_available() else "numpy")
-        assert resolve_provider(None).name == provider.name
+        import warnings
+
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            name = ExecConfig.resolve(kernels="auto").kernels
+        assert name == ("numba" if numba_available() else "numpy")
+        assert ExecConfig.resolve().kernels == name
 
     @pytest.mark.skipif(numba_available(), reason="needs a numba-free host")
     def test_explicit_numba_without_numba_warns_and_falls_back(self):
         with pytest.warns(RuntimeWarning, match="[Nn]umba"):
-            provider = resolve_provider("numba")
-        assert provider.name == "numpy"
+            config = ExecConfig.resolve(kernels="numba")
+        assert config.kernels == "numpy"
+        assert get_provider(config.kernels).name == "numpy"
 
 
 # --------------------------------------------------------------------------- #
@@ -147,8 +139,8 @@ class TestProviderEquivalence:
 @needs_numba
 class TestNumbaKernelsBitExact:
     def test_provider_resolves_to_numba(self):
-        assert resolve_provider("numba").name == "numba"
-        assert resolve_provider("auto").name == "numba"
+        assert ExecConfig.resolve(kernels="numba").kernels == "numba"
+        assert ExecConfig.resolve(kernels="auto").kernels == "numba"
 
     def test_forward_and_backward_visits_match(self, graph):
         from repro.core.state import BFSState  # noqa: F401  (import sanity)

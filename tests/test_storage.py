@@ -38,7 +38,6 @@ from repro.storage import (
     apply_storage,
     chunks_from_edgelist,
     compress_csr,
-    default_storage_name,
     external_build,
     iter_edge_chunks,
     load_graph_store,
@@ -412,12 +411,8 @@ class TestSessionStorage:
 
     def test_env_var_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORAGE", "mmap")
-        assert default_storage_name() == "mmap"
         gs = repro.session().generate(scale=8).build()
         assert gs.storage_name == "mmap"
-        monkeypatch.setenv("REPRO_STORAGE", "floppy")
-        with pytest.raises(ValueError, match="REPRO_STORAGE"):
-            default_storage_name()
 
     def test_invalid_storage_rejected(self):
         with pytest.raises(ValueError, match="storage must be one of"):
