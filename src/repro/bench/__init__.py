@@ -6,6 +6,8 @@ reproduction a machine-readable performance trajectory:
 * :mod:`repro.bench.scenarios` — a registry of fully-pinned benchmark
   scenarios spanning graph families, frontier programs and the BFS option
   grid;
+* :mod:`repro.bench.streams` — the stream-kind table and the replays the
+  runner and the CLI share;
 * :mod:`repro.bench.runner` — a timed runner recording wall-clock per phase
   alongside the modeled cluster times and the deterministic workload
   counters (with a determinism guard across repeats);

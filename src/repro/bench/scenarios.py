@@ -33,76 +33,34 @@ backend is not part of the scenario *spec* — counters are backend-invariant,
 so cross-backend artifacts must compare cleanly — and is recorded per
 artifact record instead.
 
-Beyond the traversal scenarios, the registry carries **serving** scenarios
-(``program="serve"``): a deterministic Zipf-skewed query stream replayed
-through :class:`repro.serve.QueryService` over the scenario's graph, swept
-across batch sizes and skews.  Their headline metric is queries/second
-(recorded in the artifact's ``throughput`` section); their counters — query,
-coalescing and cache statistics plus an answer checksum — are independent of
-whether the service batches, so a sequential-baseline artifact and a batched
-artifact of the same scenario differ only in wall time.
+Scenarios may also pin a **storage** mode (``memory`` / ``mmap`` /
+``compressed``), handled exactly like the backend pin: not part of the spec
+(counters are storage-invariant), recorded per artifact record, overridable
+with ``repro bench run --storage``.
 
-**Cluster serving** scenarios (``program="serve_cluster"``, the
-``serve-cluster-*`` names) replay a timed *open-loop* stream — Poisson,
-bursty or diurnal arrivals over the same Zipf query machinery — through N
-:class:`repro.serve.QueryService` replicas on a deterministic virtual clock
-(:mod:`repro.serve.cluster`).  Their headline metric is tail latency
-(p50/p95/p99 and SLO violations in the artifact's ``cluster`` section);
-their gated counters — arrivals, admissions, sheds, cache traffic, an
-answer checksum — are independent of whether request hedging is enabled
-(``repro bench run --cluster-no-hedge`` records the unhedged half of a
-before/after pair) and of the execution backend, because the virtual
-timeline is driven purely by modeled service times.
-
-Since the storage subsystem (:mod:`repro.storage`) landed, scenarios may
-also pin a **storage** mode (``memory`` / ``mmap`` / ``compressed``),
-handled exactly like the backend pin: not part of the spec (counters are
-storage-invariant), recorded per artifact record, overridable with ``repro
-bench run --storage``.  **Build** scenarios (``program="build"``) measure
-the out-of-core pipeline itself: a chunked generator streams bounded edge
-chunks through the external sort/merge into an on-disk store, the build
-wall is the gated phase (``gate_phase = "graph_build"``), and a traversal
-over the loaded store verifies it.
-
-**Dynamic** scenarios (``program="dynamic"``, the ``dyn-*`` names) replay a
-pinned :func:`repro.dynamic.update_stream` against a mutable graph while a
-maintained answer (BFS levels or connected components) is repaired
-incrementally.  Every batch *always* runs both the bounded repair and the
-full recompute — the recompute doubles as the bit-identical verification —
-so the counters (update totals, both paths' examined edges and modeled
-times, answer checksums) are identical whichever path the run *times*;
-``repro bench run --dyn-recompute`` attributes the gated ``traversal`` wall
-to the recompute path instead of the repair path, giving a cleanly
-comparable before/after artifact pair whose only difference is the
-maintenance strategy.
+Beyond the traversal scenarios, the registry carries the **stream kinds** —
+``serve``, ``serve_cluster``, ``dynamic`` and ``build`` — each one row of
+:data:`repro.bench.streams.STREAM_TABLE`, which says what the kind replays,
+which fields identify it, how its fields are checked and what its baseline
+mode (``repro bench run --baseline``) replays instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.streams import STREAM_TABLE, TRAVERSAL
 from repro.core.options import BFSOptions
-from repro.core.programs.table import PROGRAM_TABLE, make_program, names_where
+from repro.core.programs.table import PROGRAM_TABLE, make_program
 from repro.exec.config import axis_name
 from repro.graph.degree import out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
-from repro.graph.generators import (
-    CHUNKED_GRAPH_KINDS,
-    GRAPH_KINDS,
-    generate_edge_chunks,
-    generate_graph,
-)
+from repro.graph.generators import GRAPH_KINDS, generate_edge_chunks, generate_graph
 
 __all__ = ["Scenario", "REGISTRY", "registry", "quick_scenarios", "find_scenarios"]
 
-#: The stream kinds: ``serve`` scenarios replay a query stream through the
-#: serving layer; ``serve_cluster`` scenarios replay a timed open-loop stream
-#: through the replicated cluster tier on a virtual clock; ``dynamic``
-#: scenarios replay an update stream with incremental maintenance; ``build``
-#: scenarios stream edge chunks through the out-of-core build
-#: (:mod:`repro.storage`) — their gated phase is the build wall itself, and
-#: the traversal they also run is the correctness verification.
-STREAM_KINDS = ("serve", "serve_cluster", "dynamic", "build")
+#: The stream kinds, in :data:`repro.bench.streams.STREAM_TABLE` order.
+STREAM_KINDS = tuple(STREAM_TABLE)
 
 #: What a scenario may run: every row of the program table (single-source
 #: programs receive the scenario's sources, the :data:`SOURCE_FREE` ones run
@@ -241,47 +199,7 @@ class Scenario:
             )
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
-        if self.program in ("serve", "serve_cluster") and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.program == "serve_cluster":
-            from repro.serve.cluster.openloop import ARRIVAL_KINDS
-
-            if self.arrivals not in ARRIVAL_KINDS:
-                raise ValueError(
-                    f"unknown arrival kind {self.arrivals!r}; "
-                    f"expected one of {ARRIVAL_KINDS}"
-                )
-            if not self.arrival_rate_qps > 0:
-                raise ValueError(
-                    f"arrival_rate_qps must be positive, got {self.arrival_rate_qps}"
-                )
-            if self.num_replicas < 1:
-                raise ValueError(
-                    f"num_replicas must be >= 1, got {self.num_replicas}"
-                )
-            if self.cluster_updates < 0:
-                raise ValueError(
-                    f"cluster_updates must be >= 0, got {self.cluster_updates}"
-                )
-        if self.program == "dynamic":
-            row = PROGRAM_TABLE.get(self.maintained)
-            if row is None or row.maintained is None:
-                raise ValueError(
-                    f"unknown maintained program {self.maintained!r}; "
-                    f"dynamic scenarios maintain one of {names_where('maintained')}"
-                )
-            if self.update_batches < 1:
-                raise ValueError(
-                    f"update_batches must be >= 1, got {self.update_batches}"
-                )
-        if self.program == "build":
-            if self.kind not in CHUNKED_GRAPH_KINDS:
-                raise ValueError(
-                    "build scenarios stream a chunked generator; only "
-                    f"{CHUNKED_GRAPH_KINDS} have one, got {self.kind!r}"
-                )
-            if self.chunk_edges < 1 or self.block_edges < 1:
-                raise ValueError("chunk_edges and block_edges must be >= 1")
+        STREAM_TABLE.get(self.program, TRAVERSAL).probe(self)
         row = self._traversed_row()
         if row is not None:
             if row.cls.needs_weights and self.weights is None:
@@ -391,21 +309,17 @@ class Scenario:
             update_seed=self.seed + 4,
         )
 
-    def cluster_config(self, hedge: bool = True):
-        """The cluster-tier configuration of a ``serve_cluster`` scenario.
-
-        ``hedge`` is a *run mode*, not spec identity — like the serving
-        scenarios' batched/sequential switch, the gated counters are
-        identical either way, so a hedged and an unhedged artifact of the
-        same scenario compare cleanly.
-        """
+    def cluster_config(self):
+        """The cluster-tier configuration of a ``serve_cluster`` scenario:
+        hedging whenever there is a second replica to hedge to (the replay's
+        baseline mode turns it off — a run mode, not spec identity)."""
         if self.program != "serve_cluster":
             raise ValueError(f"scenario {self.name!r} is not a cluster scenario")
         from repro.serve.cluster.dispatcher import ClusterConfig
 
         return ClusterConfig(
             queue_limit=self.queue_limit,
-            hedge=hedge and self.num_replicas >= 2,
+            hedge=self.num_replicas >= 2,
             hedge_quantile=self.hedge_quantile,
             hedge_min_samples=self.hedge_min_samples,
             slo_ms=self.slo_ms,
@@ -435,54 +349,9 @@ class Scenario:
             for param in row.params:
                 if param.name in values:
                     base[_PARAM_FIELDS[param.name]] = param.type(values[param.name])
-        if self.program in ("serve", "serve_cluster"):
-            base.update(
-                {
-                    "batch_size": self.batch_size,
-                    "zipf_skew": self.zipf_skew,
-                    "num_queries": self.num_queries,
-                    "pool": self.pool,
-                    "cache_size": self.cache_size,
-                }
-            )
-        if self.program == "serve_cluster":
-            base.update(
-                {
-                    "arrivals": self.arrivals,
-                    "arrival_rate_qps": self.arrival_rate_qps,
-                    "num_replicas": self.num_replicas,
-                    "queue_limit": self.queue_limit,
-                    "hedge_quantile": self.hedge_quantile,
-                    "hedge_min_samples": self.hedge_min_samples,
-                    "slo_ms": self.slo_ms,
-                    "router": self.router,
-                    "burst_period_ms": self.burst_period_ms,
-                    "burst_duty": self.burst_duty,
-                    "cluster_updates": self.cluster_updates,
-                }
-            )
-            if self.cluster_updates:
-                base.update(
-                    {
-                        "update_style": self.update_style,
-                        "update_edges": self.update_edges,
-                    }
-                )
-        if self.program == "dynamic":
-            base.update(
-                {
-                    "maintained": self.maintained,
-                    "update_style": self.update_style,
-                    "update_batches": self.update_batches,
-                    "update_edges": self.update_edges,
-                    "delete_fraction": self.delete_fraction,
-                }
-            )
-        if self.program == "build":
-            # chunk_edges is identity (a different chunking draws a different
-            # graph); block_edges is not (the store is block-size-invariant)
-            # and storage is a run-time axis, so neither appears here.
-            base["chunk_edges"] = self.chunk_edges
+        kind = STREAM_TABLE.get(self.program, TRAVERSAL)
+        names = kind.fields + (kind.update_fields if kind.mutates(self) else ())
+        base.update({name: getattr(self, name) for name in names})
         return base
 
 

@@ -38,14 +38,16 @@ downstream user needs without writing Python:
 ``python -m repro.cli bench``
     The benchmark & perf-regression harness: ``bench list`` names the
     registered scenarios, ``bench run`` times them and writes a
-    ``BENCH_<timestamp>.json`` artifact, ``bench compare`` diffs two
-    artifacts and exits non-zero on regressions or counter drift (the CI
-    perf gate; ``--fail-on counters`` keys the exit code on drift alone,
-    the blocking half of the gate).
+    ``BENCH_<timestamp>.json`` artifact (``--baseline``: every stream
+    scenario in its kind's baseline mode, the "before" half of a pair with
+    the same counters), ``bench compare`` diffs two artifacts and exits
+    non-zero on regressions or counter drift (the CI perf gate; ``--fail-on
+    counters`` keys the exit code on drift alone, the blocking half).
 ``python -m repro.cli serve``
     The query-serving subsystem: ``serve bench`` replays a deterministic
     Zipf-skewed query stream through the batched :class:`QueryService` and
-    the sequential baseline, reporting queries/second for both; with
+    the sequential baseline — the ``bench run`` replays of
+    :mod:`repro.bench.streams` — reporting queries/second for both; with
     ``--update-rate`` the stream mixes in edge-update batches served through
     a mutable graph with epoch-bump cache invalidation.
 ``python -m repro.cli trace``
@@ -124,6 +126,7 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI."""
     import repro
+    from repro.bench.streams import STREAM_TABLE
     from repro.core.programs.table import names_where
 
     parser = argparse.ArgumentParser(
@@ -277,24 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     b_run.add_argument("--label", default="", help="free-form snapshot label")
     b_run.add_argument("--json", action="store_true", help="print the artifact to stdout")
     b_run.add_argument(
-        "--serve-sequential",
+        "--baseline",
         action="store_true",
-        help="run serving scenarios through the sequential baseline instead of "
-        "the batched service (the 'before' half of a before/after pair)",
-    )
-    b_run.add_argument(
-        "--cluster-no-hedge",
-        action="store_true",
-        help="run cluster serving scenarios without request hedging (the "
-        "'before' half of a tail-latency before/after pair; gated counters "
-        "stay identical because the primary timeline is hedge-independent)",
-    )
-    b_run.add_argument(
-        "--dyn-recompute",
-        action="store_true",
-        help="time dynamic scenarios' maintained path as full recompute instead "
-        "of incremental repair (the 'before' half of a before/after pair; "
-        "counters stay identical because both paths always run and agree)",
+        help="replay every stream scenario in its baseline mode ("
+        + ", ".join(f"{k.name} {k.baseline}" for k in STREAM_TABLE.values() if k.baseline)
+        + "): the 'before' half of a before/after pair; gated counters are "
+        "identical in both modes",
     )
     _add_exec_args(b_run, "backend", "kernels", "storage", "trace")
     b_run.set_defaults(func=_cmd_bench_run)
@@ -608,17 +599,23 @@ def _check_weights_arg(args: argparse.Namespace) -> None:
         )
 
 
-def _partition(args: argparse.Namespace, edges):
-    """Shared partitioning step of the traversal subcommands."""
-    from repro.partition.delegates import suggest_threshold
-    from repro.partition.layout import ClusterLayout
-    from repro.partition.subgraphs import build_partitions
+def _prepare(args: argparse.Namespace, config, edges):
+    """``edges`` partitioned by ``--layout`` / ``--threshold``, ready for the
+    stream replays of :mod:`repro.bench.streams`."""
+    from repro.bench.streams import Prepared
 
-    layout = ClusterLayout.from_notation(args.layout)
-    threshold = (
-        args.threshold if args.threshold is not None else suggest_threshold(edges, layout.num_gpus)
+    return Prepared.partition(edges, args.layout, args.threshold, config)
+
+
+def _stream_header(prepared, what: str) -> str:
+    """The first line the stream commands print: graph, cluster, ``what``,
+    and the run configuration."""
+    edges, config = prepared.edges, prepared.config
+    return (
+        f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
+        f"cluster {prepared.layout.notation()} | TH={prepared.threshold} | {what} | "
+        f"backend {config.backend_name} | kernels {config.kernels_name}"
     )
-    return build_partitions(edges, layout, threshold), layout, threshold
 
 
 def _obtain_graph(args: argparse.Namespace, config):
@@ -634,7 +631,7 @@ def _obtain_graph(args: argparse.Namespace, config):
 
         return None, load_graph_store(store)
     edges = _load_graph(args)
-    graph, _, _ = _partition(args, edges)
+    graph = _prepare(args, config, edges).graph
     if config.storage != "memory":
         from repro.storage import apply_storage
 
@@ -1111,10 +1108,10 @@ def _cmd_census(args: argparse.Namespace, config) -> int:
 
 
 def _cmd_mutate(args: argparse.Namespace, config) -> int:
+    from repro.bench.streams import maintain
     from repro.core.programs import PROGRAM_TABLE
-    from repro.dynamic import DynamicEngine, DynamicGraph, update_stream
+    from repro.dynamic import update_stream
     from repro.graph.degree import out_degrees
-    from repro.partition.layout import ClusterLayout
 
     row = PROGRAM_TABLE[args.program]
     edges = _load_graph(args)
@@ -1126,80 +1123,27 @@ def _cmd_mutate(args: argparse.Namespace, config) -> int:
     source = (
         int(_pick_sources(args, 1, out_degrees(edges))[0]) if row.takes_source else None
     )
-    layout = ClusterLayout.from_notation(args.layout)
-    dynamic = DynamicGraph(
-        edges, layout, args.threshold, weights_seed=getattr(args, "weights", None) or 0
-    )
-    engine = DynamicEngine(dynamic, backend=config.backend, kernels=config.kernels)
-    maintained = row.maintain(engine, source)
-
-    stream = update_stream(
-        edges,
-        num_batches=args.batches,
-        edges_per_batch=args.edges_per_batch,
-        style=args.style,
-        delete_fraction=args.delete_fraction,
-        seed=args.seed + 3,
-    )
-    if not args.json:
-        print(
-            f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
-            f"cluster {layout.notation()} | TH={dynamic.threshold} | "
-            f"maintained {args.program}"
-            + (f" from {source}" if source is not None else "")
-            + f" | backend {config.backend_name} | kernels {config.kernels_name}"
+    prepared = _prepare(args, config, edges)
+    prepared.weights_seed = args.weights or 0
+    with _usage_errors():
+        stream = update_stream(
+            edges,
+            num_batches=args.batches,
+            edges_per_batch=args.edges_per_batch,
+            style=args.style,
+            delete_fraction=args.delete_fraction,
+            seed=args.seed + 3,
         )
+    if not args.json:
+        origin = f" from {source}" if source is not None else ""
+        print(_stream_header(prepared, f"maintained {args.program}{origin}"))
         print(
             f"stream: {args.batches} x {args.edges_per_batch} {args.style} updates, "
             f"delete fraction {args.delete_fraction}"
         )
 
-    batches: list[dict] = []
-    try:
-        for i, delta in enumerate(stream):
-            applied = engine.apply_delta(delta)
-            before = maintained.stats.as_dict()
-            result = maintained.update(applied)
-            after = maintained.stats.as_dict()
-            repaired = after["repairs"] > before["repairs"]
-            entry = {
-                "batch": i,
-                "inserted": applied.num_inserts,
-                "deleted": applied.num_deletes,
-                "version": applied.version,
-                "compacted": applied.compacted,
-                "compact_reason": applied.compact_reason,
-                "path": "repair" if repaired else (
-                    "recompute" if after["recomputes"] > before["recomputes"] else "skip"
-                ),
-                "iterations": int(result.iterations),
-                "edges_examined": int(result.total_edges_examined),
-                "modeled_ms": float(result.timing.elapsed_ms),
-            }
-            if not args.no_verify:
-                fresh = maintained.verify()
-                entry["verified"] = True
-                entry["recompute_modeled_ms"] = float(fresh.timing.elapsed_ms)
-                entry["recompute_edges_examined"] = int(fresh.total_edges_examined)
-            batches.append(entry)
-            if not args.json:
-                line = (
-                    f"  batch {i}: +{entry['inserted']}/-{entry['deleted']} edges "
-                    f"-> {entry['path']} ({entry['iterations']} iters, "
-                    f"{entry['edges_examined']:,} edges, {entry['modeled_ms']:.3f} ms modeled)"
-                )
-                if entry["compacted"]:
-                    line += f" [compacted: {entry['compact_reason']}]"
-                if "recompute_modeled_ms" in entry and entry["modeled_ms"] > 0:
-                    line += (
-                        f" vs recompute {entry['recompute_modeled_ms']:.3f} ms "
-                        f"({entry['recompute_modeled_ms'] / entry['modeled_ms']:.1f}x)"
-                    )
-                print(line)
-    finally:
-        engine.close()
-
-    stats = maintained.stats.as_dict()
+    run = maintain(prepared, stream, args.program, source, verify=not args.no_verify)
+    batches, stats, dynamic = (run.detail[key] for key in ("batches", "stats", "graph"))
     if args.json:
         print(
             json.dumps(
@@ -1207,7 +1151,7 @@ def _cmd_mutate(args: argparse.Namespace, config) -> int:
                     "graph": {
                         "vertices": int(edges.num_vertices),
                         "directed_edges": int(dynamic.num_directed_edges),
-                        "layout": layout.notation(),
+                        "layout": prepared.layout.notation(),
                         "threshold": int(dynamic.threshold),
                     },
                     "program": args.program,
@@ -1228,6 +1172,20 @@ def _cmd_mutate(args: argparse.Namespace, config) -> int:
         )
         return 0
 
+    for entry in batches:
+        line = (
+            f"  batch {entry['batch']}: +{entry['inserted']}/-{entry['deleted']} edges "
+            f"-> {entry['path']} ({entry['iterations']} iters, "
+            f"{entry['edges_examined']:,} edges, {entry['modeled_ms']:.3f} ms modeled)"
+        )
+        if entry["compacted"]:
+            line += f" [compacted: {entry['compact_reason']}]"
+        if "recompute_modeled_ms" in entry and entry["modeled_ms"] > 0:
+            line += (
+                f" vs recompute {entry['recompute_modeled_ms']:.3f} ms "
+                f"({entry['recompute_modeled_ms'] / entry['modeled_ms']:.1f}x)"
+            )
+        print(line)
     print(
         f"maintenance: {stats['repairs']} repairs, {stats['recomputes']} recomputes, "
         f"{stats['skipped']} skipped | repair examined {stats['repair_edges']:,} edges "
@@ -1370,7 +1328,7 @@ def _cmd_bench_run(args: argparse.Namespace, config) -> int:
         print(
             f"running {len(specs)} scenario(s), repeats={args.repeats}, "
             f"backend={config.backend_name}, kernels={config.kernels_name}, "
-            f"storage={config.storage}"
+            f"storage={config.storage}" + (", baseline mode" if args.baseline else "")
         )
     artifact = _run_suite(
         specs,
@@ -1380,9 +1338,7 @@ def _cmd_bench_run(args: argparse.Namespace, config) -> int:
         repeats=args.repeats,
         out_path=out_path,
         on_record=progress,
-        serve_batched=not args.serve_sequential,
-        cluster_hedging=not args.cluster_no_hedge,
-        dyn_incremental=not args.dyn_recompute,
+        baseline=args.baseline,
     )
     if args.json:
         print(json.dumps(artifact, indent=2))
@@ -1499,27 +1455,45 @@ def _serve_bench_validate(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _cmd_serve_bench_cluster(args: argparse.Namespace, config, queries) -> int:
+def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
+    from repro.core.programs import PROGRAM_TABLE
+    from repro.serve import ZipfWorkload
+
+    error = _serve_bench_validate(args)
+    if error is not None:
+        raise _UsageError(error)
+    with _usage_errors():
+        queries = ZipfWorkload(
+            num_queries=args.queries,
+            skew=args.skew,
+            pool=args.pool,
+            seed=args.seed + 2,
+            program=args.program,
+            **PROGRAM_TABLE[args.program].pick(max_hops=args.max_hops),
+        )
+    prepared = _prepare(args, config, _load_graph(args))
+    try:
+        if args.arrivals == "closed":
+            return _serve_bench_closed(args, prepared, queries)
+        return _serve_bench_open(args, prepared, queries)
+    finally:
+        prepared.close()
+
+
+def _serve_bench_open(args: argparse.Namespace, prepared, queries) -> int:
+    from repro.bench.streams import serve_open
     from repro.graph.degree import out_degrees
-    from repro.serve.cluster import (
-        ClusterConfig,
-        ClusterDispatcher,
-        OpenLoopWorkload,
-        ReplicaPool,
-        make_arrivals,
-    )
+    from repro.serve.cluster import ClusterConfig, OpenLoopWorkload, make_arrivals
 
     replicas = 2 if args.replicas is None else args.replicas
     rate = 500.0 if args.rate is None else args.rate
     cluster_config = ClusterConfig(
         queue_limit=64 if args.queue_limit is None else args.queue_limit,
-        hedge=not args.no_hedge and replicas >= 2,
+        hedge=replicas >= 2,
         hedge_quantile=0.95 if args.hedge_quantile is None else args.hedge_quantile,
         slo_ms=args.slo_ms,
     )
-
-    edges = _load_graph(args)
-    graph, layout, threshold = _partition(args, edges)
+    edges, config = prepared.edges, prepared.config
     num_updates = int(round(args.update_rate * args.queries)) if args.update_rate > 0 else 0
     workload = OpenLoopWorkload(
         queries=queries,
@@ -1529,44 +1503,24 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, config, queries) -> int:
         update_style=args.update_style,
         update_seed=args.seed + 4,
     )
-    stream = workload.generate(
-        edges.num_vertices,
-        degrees=out_degrees(edges),
-        edges=edges if num_updates else None,
-    )
-
-    if num_updates:
-        # Updates mutate the graph: serve a mutable view adopting the
-        # already-built partitioning, so the delta fanout path runs for real.
-        from repro.dynamic import DynamicGraph
-
-        served = DynamicGraph(edges, layout, threshold, partitioned=graph)
-    else:
-        served = graph
-    pool = ReplicaPool(
-        served,
-        replicas,
-        backend=config.backend,
-        kernels=config.kernels,
+    stream = workload.generate(edges.num_vertices, degrees=out_degrees(edges), edges=edges)
+    run = serve_open(
+        prepared,
+        stream,
+        cluster_config,
+        replicas=replicas,
         batch_size=args.batch_size,
         cache_size=args.cache_size,
+        baseline=args.no_hedge,
     )
-    dispatcher = ClusterDispatcher(pool, cluster_config)
-    try:
-        snap = dispatcher.run(stream)
-        replica_snapshots = [r.service.stats_snapshot() for r in pool]
-    finally:
-        pool.close()
-
+    counters, cluster = run.counters, run.section
     if args.prom is not None:
-        _write_prometheus(snap, args.prom)
-
-    counters, cluster = snap["counters"], snap["cluster"]
+        _write_prometheus({"counters": counters, "cluster": cluster}, args.prom)
     if args.json:
         print(
             json.dumps(
                 {
-                    "graph": _graph_info(graph),
+                    "graph": _graph_info(prepared.graph),
                     "workload": workload.describe(),
                     "backend": config.backend_name,
                     "kernels": config.kernels_name,
@@ -1575,19 +1529,14 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, config, queries) -> int:
                     "cache_size": args.cache_size,
                     "counters": counters,
                     "cluster": cluster,
-                    "replica_snapshots": replica_snapshots,
+                    "replica_snapshots": run.detail,
                 },
                 indent=2,
             )
         )
         return 0
 
-    print(
-        f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
-        f"cluster {layout.notation()} | TH={threshold} | "
-        f"{replicas} replica(s) | backend {config.backend_name} | "
-        f"kernels {config.kernels_name}"
-    )
+    print(_stream_header(prepared, f"{replicas} replica(s)"))
     print(
         f"workload: {args.queries} {args.program} ops, zipf skew {args.skew}, "
         f"{args.arrivals} arrivals at {rate:,.0f} q/s offered"
@@ -1608,7 +1557,7 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, config, queries) -> int:
             else ""
         )
     )
-    if cluster_config.hedge:
+    if cluster["config"]["hedge"]:
         print(
             f"  hedging: {cluster['hedges_issued']} issued, {cluster['hedges_won']} won, "
             f"{cluster['hedges_cancelled']} cancelled, "
@@ -1624,58 +1573,33 @@ def _cmd_serve_bench_cluster(args: argparse.Namespace, config, queries) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
-    from repro.core.engine import TraversalEngine
-    from repro.core.programs import PROGRAM_TABLE
+def _serve_bench_closed(args: argparse.Namespace, prepared, queries) -> int:
+    from repro.bench.streams import serve_closed
     from repro.graph.degree import out_degrees
-    from repro.serve import MixedWorkload, QueryService, ZipfWorkload
+    from repro.serve import MixedWorkload
 
-    error = _serve_bench_validate(args)
-    if error is not None:
-        raise _UsageError(error)
-    with _usage_errors():
-        workload = ZipfWorkload(
-            num_queries=args.queries,
-            skew=args.skew,
-            pool=args.pool,
-            seed=args.seed + 2,
-            program=args.program,
-            **PROGRAM_TABLE[args.program].pick(max_hops=args.max_hops),
-        )
-    if args.arrivals != "closed":
-        return _cmd_serve_bench_cluster(args, config, workload)
-
-    edges = _load_graph(args)
-    graph, layout, threshold = _partition(args, edges)
-    mixed = args.update_rate > 0
-    engine = (
-        None
-        if mixed
-        else TraversalEngine(graph, backend=config.backend, kernels=config.kernels)
-    )
+    edges, config = prepared.edges, prepared.config
     degrees = out_degrees(edges)
+    mixed = args.update_rate > 0
     if mixed:
-        mixed_workload = MixedWorkload(
-            queries=workload,
-            update_rate=args.update_rate,
-            edges_per_update=args.update_edges,
-            update_style=args.update_style,
-            update_seed=args.seed + 4,
-        )
-        stream = mixed_workload.generate(edges, degrees=degrees)
+        with _usage_errors():
+            workload = MixedWorkload(
+                queries=queries,
+                update_rate=args.update_rate,
+                edges_per_update=args.update_edges,
+                update_style=args.update_style,
+                update_seed=args.seed + 4,
+            )
+        stream = workload.generate(edges, degrees=degrees)
     else:
-        stream = workload.generate(edges.num_vertices, degrees=degrees)
+        workload = queries
+        stream = queries.generate(edges.num_vertices, degrees=degrees)
 
     if not args.json:
-        print(
-            f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
-            f"cluster {layout.notation()} | TH={threshold} | "
-            f"delegates {graph.num_delegates:,} | backend {config.backend_name} | "
-            f"kernels {config.kernels_name}"
-        )
+        print(_stream_header(prepared, f"delegates {prepared.graph.num_delegates:,}"))
         line = (
             f"workload: {args.queries} {args.program} ops, "
-            f"zipf skew {args.skew}, pool {workload.pool}, "
+            f"zipf skew {args.skew}, pool {queries.pool}, "
             f"batch {args.batch_size}, cache {args.cache_size}"
         )
         if mixed:
@@ -1685,51 +1609,18 @@ def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
             )
         print(line)
 
-    def replay(batched: bool) -> QueryService:
-        if mixed:
-            # Updates mutate the graph, so every replay gets its own mutable
-            # view — each adopts the already-built partitioning (read-only;
-            # compaction replaces rather than mutates it) and applies the
-            # identical pinned stream.
-            from repro.dynamic import DynamicEngine, DynamicGraph
-
-            replay_engine = DynamicEngine(
-                DynamicGraph(edges, layout, threshold, partitioned=graph),
-                backend=config.backend,
-                kernels=config.kernels,
-            )
-        else:
-            replay_engine = engine
-        service = QueryService(
-            replay_engine,
-            batch_size=args.batch_size,
-            cache_size=args.cache_size,
-            batched=batched,
-        )
-        try:
-            if mixed:
-                service.run_mixed(stream)
-            else:
-                service.serve(stream)
-        finally:
-            if mixed:
-                replay_engine.close()
-        return service
-
-    try:
-        batched = replay(batched=True)
-        sequential = None if args.no_baseline else replay(batched=False)
-    finally:
-        if engine is not None:
-            engine.close()
-
+    knobs = {"batch_size": args.batch_size, "cache_size": args.cache_size}
+    batched = serve_closed(prepared, stream, **knobs).detail
+    sequential = (
+        None if args.no_baseline else serve_closed(prepared, stream, baseline=True, **knobs).detail
+    )
     if args.prom is not None:
         _write_prometheus(batched.stats_snapshot(), args.prom)
 
     if args.json:
         out = {
-            "graph": _graph_info(graph),
-            "workload": mixed_workload.describe() if mixed else workload.describe(),
+            "graph": _graph_info(prepared.graph),
+            "workload": workload.describe(),
             "backend": config.backend_name,
             "kernels": config.kernels_name,
             "batch_size": args.batch_size,
@@ -1746,7 +1637,7 @@ def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
         print(json.dumps(out, indent=2))
         return 0
 
-    def report(tag: str, service: QueryService) -> None:
+    def report(tag: str, service) -> None:
         s, c = service.stats, service.cache.stats
         line = (
             f"  {tag:<10} {s.queries_per_sec:10,.0f} q/s  "

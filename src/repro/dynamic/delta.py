@@ -30,7 +30,7 @@ from repro.graph.edgelist import EdgeList
 from repro.utils.rng import make_rng
 from repro.utils.sorting import sorted_unique
 
-__all__ = ["EdgeDelta", "AppliedDelta", "UPDATE_STYLES", "update_stream"]
+__all__ = ["EdgeDelta", "AppliedDelta", "UPDATE_STYLES", "check_update_stream", "update_stream"]
 
 #: Styles :func:`update_stream` understands.
 UPDATE_STYLES = ("uniform", "pa")
@@ -157,6 +157,20 @@ class AppliedDelta:
         return int(self.delete_src.size)
 
 
+def check_update_stream(
+    num_batches: int, edges_per_batch: int, style: str, delete_fraction: float
+) -> None:
+    """Raise ``ValueError`` unless :func:`update_stream` accepts these values."""
+    if style not in UPDATE_STYLES:
+        raise ValueError(f"unknown update style {style!r}; expected one of {UPDATE_STYLES}")
+    if num_batches < 0:
+        raise ValueError(f"num_batches must be non-negative, got {num_batches}")
+    if edges_per_batch < 1:
+        raise ValueError(f"edges_per_batch must be >= 1, got {edges_per_batch}")
+    if not 0.0 <= delete_fraction <= 1.0:
+        raise ValueError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
+
+
 def update_stream(
     edges: EdgeList,
     num_batches: int,
@@ -189,14 +203,7 @@ def update_stream(
     seed:
         Drives every draw through :func:`repro.utils.rng.make_rng`.
     """
-    if style not in UPDATE_STYLES:
-        raise ValueError(f"unknown update style {style!r}; expected one of {UPDATE_STYLES}")
-    if num_batches < 0:
-        raise ValueError(f"num_batches must be non-negative, got {num_batches}")
-    if edges_per_batch < 1:
-        raise ValueError(f"edges_per_batch must be >= 1, got {edges_per_batch}")
-    if not 0.0 <= delete_fraction <= 1.0:
-        raise ValueError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
+    check_update_stream(num_batches, edges_per_batch, style, delete_fraction)
     n = edges.num_vertices
     if n < 2:
         raise ValueError("update streams need at least two vertices")

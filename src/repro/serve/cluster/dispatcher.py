@@ -416,10 +416,10 @@ class ClusterDispatcher:
     # Accounting
     # ------------------------------------------------------------------ #
     def _fold_answer(self, index: int, result) -> None:
-        from repro.bench.runner import values_checksum
+        from repro.bench.streams import fold_checksum, values_checksum
 
-        self._answers_checksum ^= int(
-            hash64(np.uint64(values_checksum(result)), seed=index + 1)
+        self._answers_checksum = fold_checksum(
+            self._answers_checksum, index, values_checksum(result)
         )
 
     def gated_counters(self) -> dict:

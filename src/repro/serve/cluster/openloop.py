@@ -251,11 +251,17 @@ class OpenLoopWorkload:
     update_seed: int = 23
 
     def __post_init__(self) -> None:
+        from repro.dynamic.delta import UPDATE_STYLES
+
         if self.num_updates < 0:
             raise ValueError(f"num_updates must be >= 0, got {self.num_updates}")
         if self.edges_per_update < 1:
             raise ValueError(
                 f"edges_per_update must be >= 1, got {self.edges_per_update}"
+            )
+        if self.update_style not in UPDATE_STYLES:
+            raise ValueError(
+                f"unknown update style {self.update_style!r}; expected one of {UPDATE_STYLES}"
             )
 
     def generate(

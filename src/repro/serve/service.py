@@ -264,19 +264,10 @@ class QueryService:
 
         ``wave_size`` (default: ``batch_size``) models clients whose next
         request waits for the previous wave — the standard closed-loop
-        harness.  Returns all results in stream order.
+        harness.  Returns all results in stream order.  A read-only
+        :meth:`run_mixed`.
         """
-        if wave_size is None:
-            wave_size = self.batch_size
-        if wave_size < 1:
-            raise ValueError(f"wave_size must be >= 1, got {wave_size}")
-        queries = list(queries)
-        results: list = []
-        for start in range(0, len(queries), wave_size):
-            for query in queries[start:start + wave_size]:
-                self.submit(query)
-            results.extend(self.flush())
-        return results
+        return self.run_mixed(queries, wave_size)
 
     def query(self, query: Query):
         """Answer one query immediately (submit + flush).

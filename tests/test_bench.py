@@ -273,6 +273,27 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown graph kind"):
             tiny_scenario(kind="hypercube")
 
+    @pytest.mark.parametrize(
+        "program, bad",
+        [
+            ("dynamic", {"update_style": "bogus"}),
+            ("dynamic", {"delete_fraction": 1.5}),
+            ("serve", {"num_queries": 0}),
+            ("serve", {"cache_size": -1}),
+            ("serve", {"zipf_skew": -1.0}),
+            ("serve_cluster", {"router": "bogus"}),
+            ("serve_cluster", {"hedge_min_samples": 0}),
+            ("serve_cluster", {"arrivals": "bursty", "burst_duty": 2.0}),
+            ("serve_cluster", {"cluster_updates": 1, "update_style": "bogus"}),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value)),
+    )
+    def test_bad_stream_scenario_rejected_at_construction(self, program, bad):
+        # Each of these used to be accepted and fail only inside run_scenario,
+        # after the graph was generated and partitioned.
+        with pytest.raises(ValueError):
+            tiny_scenario(program=program, **bad)
+
     def test_describe_is_json_stable(self):
         spec = tiny_scenario()
         assert json.loads(json.dumps(spec.describe())) == spec.describe()
@@ -343,7 +364,7 @@ class TestRunner:
     def test_duplicate_source_checksums_do_not_cancel(self):
         # Sources are drawn with replacement; two identical per-source
         # checksums must not XOR away the answer-integrity signal.
-        from repro.bench.runner import _merge_counters
+        from repro.bench.streams import _merge_counters
 
         counters = {
             "iterations": 1,

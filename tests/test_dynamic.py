@@ -509,8 +509,8 @@ class TestDynamicBench:
 
     def test_mode_changes_timing_not_counters(self):
         spec = tiny_dynamic_scenario()
-        incremental = run_scenario(spec, repeats=2, dyn_incremental=True)
-        recompute = run_scenario(spec, repeats=2, dyn_incremental=False)
+        incremental = run_scenario(spec, repeats=2)
+        recompute = run_scenario(spec, repeats=2, baseline=True)
         assert incremental["counters"] == recompute["counters"]
         assert incremental["dynamic"]["mode"] == "incremental"
         assert recompute["dynamic"]["mode"] == "recompute"

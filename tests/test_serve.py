@@ -409,8 +409,8 @@ class TestServeScenarios:
         assert json.loads(json.dumps(record)) == record
 
     def test_counters_mode_independent(self):
-        batched = run_scenario(tiny_serve_scenario(), repeats=1, serve_batched=True)
-        sequential = run_scenario(tiny_serve_scenario(), repeats=1, serve_batched=False)
+        batched = run_scenario(tiny_serve_scenario(), repeats=1)
+        sequential = run_scenario(tiny_serve_scenario(), repeats=1, baseline=True)
         assert batched["counters"] == sequential["counters"]
         assert batched["throughput"]["batched"] is True
         assert sequential["throughput"]["batched"] is False

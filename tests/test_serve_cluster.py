@@ -493,9 +493,7 @@ class TestClusterScenarios:
 
     def test_counters_mode_independent_and_spec_identical(self):
         hedged = run_scenario(tiny_cluster_scenario(), repeats=1)
-        unhedged = run_scenario(
-            tiny_cluster_scenario(), repeats=1, cluster_hedging=False
-        )
+        unhedged = run_scenario(tiny_cluster_scenario(), repeats=1, baseline=True)
         assert hedged["counters"] == unhedged["counters"]
         assert hedged["spec"] == unhedged["spec"]
         assert unhedged["cluster"]["hedges_issued"] == 0
@@ -517,11 +515,11 @@ class TestClusterScenarios:
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="arrival kind"):
             tiny_cluster_scenario(arrivals="steady")
-        with pytest.raises(ValueError, match="arrival_rate_qps"):
+        with pytest.raises(ValueError, match="arrival rate must be positive"):
             tiny_cluster_scenario(arrival_rate_qps=0.0)
         with pytest.raises(ValueError, match="num_replicas"):
             tiny_cluster_scenario(num_replicas=0)
-        with pytest.raises(ValueError, match="cluster_updates"):
+        with pytest.raises(ValueError, match="num_updates"):
             tiny_cluster_scenario(cluster_updates=-1)
         with pytest.raises(ValueError, match="not a cluster scenario"):
             Scenario("x", "rmat", 8, "levels").cluster_config()
