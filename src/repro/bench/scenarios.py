@@ -416,7 +416,7 @@ def _build_registry() -> tuple[Scenario, ...]:
         # wall and counters land in the record's "sssp" section, and the two
         # answers are asserted bit-identical — so every artifact carries the
         # delta-vs-BF pair the paper-style evaluation needs.  The quick pair
-        # (sssp + pagerank) rides inside every CI backend/storage/provider
+        # (sssp + pagerank) rides inside every CI backend/storage
         # counter gate.
         # delta pins the measured sweet spot on these graphs: "auto" buckets
         # (~1/avg-degree) run too many phases for the per-step overhead and

@@ -29,8 +29,8 @@ downstream user needs without writing Python:
     against a serial Dijkstra oracle.
 ``python -m repro.cli pagerank``
     PageRank over the engine's value-sweep path: ``--mode fixed`` runs a
-    deterministic integer fixed-point sweep (bit-identical across backends,
-    providers and storage tiers), ``--mode push`` the residual-push variant
+    deterministic integer fixed-point sweep (bit-identical across backends
+    and storage tiers), ``--mode push`` the residual-push variant
     that converges to ``--eps``.  Works on weighted and unweighted graphs.
 ``python -m repro.cli census``
     Print the Figure-5 style edge-category census for a sweep of degree
@@ -93,12 +93,10 @@ in one ``error:`` line and exit code 2:
 ``--backend inline|process|thread`` (program commands, ``mutate``, ``bench
 run``, ``serve bench``; default ``$REPRO_BACKEND`` or inline)
     *where* super-steps execute.
-``--kernels numpy|numba|auto`` (same commands; default ``$REPRO_KERNELS`` or
-``auto`` = Numba when importable, NumPy otherwise)
-    *how* the visit kernels run.  The one rejected combination is an explicit
-    ``--backend process --kernels numba``: forked workers each redo the JIT
-    warm-up, so the pairing is refused with exit code 2 rather than silently
-    serving worst-of-both performance.
+``--kernels numpy|auto`` (same commands; default ``$REPRO_KERNELS`` or
+``auto``)
+    the label of the visit kernels' one implementation: both names resolve
+    to ``numpy``, which the header and ``--json`` report.
 ``--storage memory|mmap|compressed`` (program commands and ``bench run``;
 default ``$REPRO_STORAGE`` or memory)
     *where the adjacency lives* — process heap, memory-mapped store segments,
@@ -488,9 +486,8 @@ def _add_exec_args(sub: argparse.ArgumentParser, *axes: str) -> None:
         ),
         "kernels": dict(
             choices=PROVIDER_NAMES,
-            help="kernel provider for the visit kernels; identical results, "
-            "different wall-clock (default: $REPRO_KERNELS or auto = Numba "
-            "when importable, NumPy otherwise)",
+            help="the visit kernels' label; both names resolve to numpy, the "
+            "one implementation (default: $REPRO_KERNELS, else auto)",
         ),
         "storage": dict(
             choices=STORAGE_NAMES,
@@ -550,23 +547,6 @@ def _usage_errors():
         yield
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-
-def _check_exec_args(args: argparse.Namespace) -> None:
-    """Reject the one backend/provider pairing that can only hurt.
-
-    ``--backend process --kernels numba`` makes every forked worker redo the
-    Numba JIT warm-up (the on-disk cache still costs a per-process load, and
-    compiler state inherited mid-fork is not fork-safe), so the explicit
-    pairing is refused.  ``auto`` stays allowed: it resolves per process and
-    is the deliberate escape hatch for hosts where the pairing measures well.
-    """
-    if getattr(args, "backend", None) == "process" and getattr(args, "kernels", None) == "numba":
-        raise _UsageError(
-            "--backend process --kernels numba pays the Numba JIT warm-up in "
-            "every forked worker; use --backend thread (JIT kernels release "
-            "the GIL) or drop --kernels and let auto decide per process"
-        )
 
 
 def _load_graph(args: argparse.Namespace):
@@ -1209,9 +1189,9 @@ def _cmd_bench_list(args: argparse.Namespace, config) -> int:
     if args.json:
         # The stable tooling contract: every entry carries at least
         # (name, family, program, backend) so scripts can slice the registry
-        # without parsing the text table.  Kernel providers are deliberately
-        # absent — the provider is a run-time axis (`bench run --kernels`),
-        # recorded per artifact record, never part of a scenario's identity.
+        # without parsing the text table.  The run-time axes other than the
+        # backend are absent: each is recorded per artifact record, never
+        # part of a scenario's identity.
         print(
             json.dumps(
                 [
@@ -1242,7 +1222,7 @@ def _cmd_bench_list(args: argparse.Namespace, config) -> int:
     print(f"{len(specs)} scenario(s)")
     print(
         "axes at run time: --backend inline|process|thread, "
-        "--kernels numpy|numba|auto (provider recorded per record, "
+        "--storage memory|mmap|compressed (recorded per record, "
         "not part of the scenario)"
     )
     return 0
@@ -1696,7 +1676,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_weights_arg(args)
-        _check_exec_args(args)
         with _usage_errors():
             config = ExecConfig.resolve(
                 **{axis: getattr(args, axis) for axis in getattr(args, "exec_axes", ())}

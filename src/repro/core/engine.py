@@ -93,7 +93,6 @@ from repro.core.state import TraversalState
 from repro.exec.backend import resolve_backend
 from repro.exec.config import ExecConfig
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
-from repro.exec.providers import KernelProvider, get_provider
 from repro.partition.subgraphs import PartitionedGraph
 from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
@@ -144,12 +143,9 @@ class TraversalEngine:
         owned (closed) by the engine; passed-in instances are shared and stay
         caller-owned.
     kernels:
-        How the visit kernels compute: a
-        :class:`repro.exec.KernelProvider` instance, a provider name
-        (``"numpy"`` / ``"numba"`` / ``"auto"``), or ``None`` to use the
-        ``REPRO_KERNELS`` environment default (``auto`` — Numba when
-        importable, NumPy otherwise).  Providers are stateless and shared;
-        results and counters are provider-invariant.
+        The kernels label: ``"numpy"``, ``"auto"`` (both name the one
+        implementation, :mod:`repro.core.kernels`) or ``None`` for the
+        ``REPRO_KERNELS`` environment default.
 
     Both are resolved once, here, into :attr:`config` (an
     :class:`repro.exec.ExecConfig`); a bad name raises :class:`ValueError`.
@@ -182,11 +178,10 @@ class TraversalEngine:
         self.hardware = hardware if hardware is not None else HardwareSpec()
         self.netmodel = NetworkModel(self.hardware)
         self.topology = ClusterTopology(graph.layout)
-        #: The resolved run configuration (backend and kernels are used here).
+        #: The resolved run configuration (the backend is used here).
         self.config = ExecConfig.resolve(backend=backend, kernels=kernels)
         self._backend = None
         self._owns_backend = False
-        self._provider = None
         # Which visit kernels run on each GPU, in fold order: without
         # delegates only nn exists, and a GPU owning no normal vertex has no
         # dn destinations.  Planning and folding both walk this list.
@@ -261,44 +256,6 @@ class TraversalEngine:
             self._backend.close()
         self._backend = None
         self._owns_backend = False
-
-    # ------------------------------------------------------------------ #
-    # Kernel provider
-    # ------------------------------------------------------------------ #
-    @property
-    def provider(self):
-        """The live kernel provider (resolved lazily on first use).
-
-        Graphs on compressed storage get the resolved provider wrapped in a
-        :class:`repro.storage.codec.DecodingProvider`, which decodes exactly
-        the frontier/candidate rows of each visit before delegating — a
-        storage detail, invisible to counters, results and the provider name.
-        """
-        if self._provider is None:
-            kernels = self.config.kernels
-            provider = kernels if isinstance(kernels, KernelProvider) else get_provider(kernels)
-            if getattr(self.graph, "storage", "memory") == "compressed":
-                from repro.storage.codec import DecodingProvider
-
-                provider = DecodingProvider(provider)
-            self._provider = provider
-        return self._provider
-
-    @property
-    def provider_name(self) -> str:
-        """Resolved registry name of the kernel provider in effect."""
-        return self.config.kernels_name
-
-    def use_kernels(self, kernels) -> "TraversalEngine":
-        """Switch kernel providers (name, instance or ``None`` for default).
-
-        Providers are stateless singletons, so unlike :meth:`use_backend`
-        there is nothing to close — the next super-step simply plans with
-        the newly resolved provider.
-        """
-        self.config = self.config.override(kernels=kernels)
-        self._provider = None
-        return self
 
     def __enter__(self) -> "TraversalEngine":
         return self
@@ -468,7 +425,7 @@ class TraversalEngine:
         opts = self.options
         graph = self.graph
         p = graph.num_gpus
-        rep = frontier_for(graph, opts, self.provider, program, state)
+        rep = frontier_for(graph, opts, program, state)
         communicator = Communicator(self.topology, self.netmodel)
         dir_states = {
             kernel: [DirectionState(factors, enabled=rep.pull_ok) for _ in range(p)]
@@ -734,7 +691,6 @@ class TraversalEngine:
             finalize=finalize,
             wall=wall,
             dense_delegate=rep.dense_delegate,
-            provider=rep.provider,
         )
 
     def _finalize_super_step(

@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.direction import estimate_backward_workload
+from repro.core.kernels import batched_filter_frontier
 from repro.core.programs.base import VisitContext
 from repro.core.state import UNVISITED, TraversalState
 from repro.partition.subgraphs import PartitionedGraph
@@ -94,10 +95,9 @@ class FlagFrontier:
     them so.  Previsit filtering is therefore only the zero-degree drop.
     """
 
-    def __init__(self, graph, options, provider, program, state: TraversalState) -> None:
+    def __init__(self, graph, options, program, state: TraversalState) -> None:
         self.graph = graph
         self.options = options
-        self.provider = provider
         self.program = program
         self.state = state
         self.level = 0
@@ -319,11 +319,11 @@ class FlagFrontier:
             # Drop delegates that are already visited (their status is
             # replicated, so this local filter needs no communication and
             # avoids pointless mask reductions).
-            found = found[~self.provider.bitmask_test_many(state.delegate_visited, found)]
+            found = found[~state.delegate_visited.test_many(found)]
             if found.size:
                 if self._updates[g] is None:
                     self._updates[g] = Bitmask(self.graph.num_delegates)
-                self.provider.bitmask_set_many(self._updates[g], found)
+                self._updates[g].set_many(found)
         else:
             # Values channel: propose program values, keep only proposals the
             # (replicated) current values would accept, and combine them into
@@ -575,10 +575,9 @@ class LaneFrontier:
     set them, tell the program" (:meth:`_visit`).
     """
 
-    def __init__(self, graph, options, provider, program, state: BatchState) -> None:
+    def __init__(self, graph, options, program, state: BatchState) -> None:
         self.graph = graph
         self.options = options
-        self.provider = provider
         self.program = program
         self.state = state
         self.level = 0
@@ -653,7 +652,7 @@ class LaneFrontier:
         return self._dense(g, self.graph.gpus[g].num_local)
 
     def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
-        rows, words = self.provider.batched_filter_frontier(
+        rows, words = batched_filter_frontier(
             *self.state.frontier(g if kernel in NORMAL_SOURCED else None), out_degrees
         )
         return {"queue": rows, "words": words}
@@ -794,7 +793,7 @@ class LaneFrontier:
         return int(rows.size)
 
 
-def frontier_for(graph, options, provider, program, state):
+def frontier_for(graph, options, program, state):
     """The representation matching the state an entry point built."""
     kind = LaneFrontier if isinstance(state, BatchState) else FlagFrontier
-    return kind(graph, options, provider, program, state)
+    return kind(graph, options, program, state)

@@ -173,8 +173,8 @@ def contrib_visit(csr: CSRGraph, rows: np.ndarray, row_values: np.ndarray) -> Ke
     The PageRank work-horse: every active row ``rows[i]`` sends
     ``row_values[i]`` along each of its out-edges.  The receiver folds the
     per-edge values with an order-free integer add, so the result is
-    bit-identical regardless of which backend, provider, or storage mode ran
-    the scatter.
+    bit-identical regardless of which backend or storage mode ran the
+    scatter.
 
     Returns
     -------

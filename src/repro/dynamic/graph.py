@@ -605,18 +605,6 @@ class DynamicEngine:
             self._engine.use_backend(self.config.backend)
         return self
 
-    @property
-    def provider_name(self) -> str:
-        return self.config.kernels_name
-
-    def use_kernels(self, kernels) -> "DynamicEngine":
-        """Switch kernel providers (providers are stateless, so unlike
-        backends a live instance is fine — it follows compaction trivially)."""
-        self.config = self.config.override(kernels=kernels)
-        if self._engine is not None:
-            self._engine.use_kernels(self.config.kernels)
-        return self
-
     def close(self) -> None:
         if self._engine is not None:
             self._engine.close()

@@ -1,12 +1,10 @@
-"""Pluggable execution backends and kernel providers for the traversal engine.
+"""Pluggable execution backends for the traversal engine.
 
 The engine (:mod:`repro.core.engine`) describes each level-synchronous
 super-step as a declarative :class:`~repro.exec.plan.SuperStepPlan` — the
 per-GPU visit-kernel tasks, then the (vertex, payload) exchange and the
-delegate reduction folded behind the plan's ``finalize`` hook — and two
-orthogonal axes decide how it runs:
-
-**Where** — an :class:`~repro.exec.backend.ExecutionBackend`:
+delegate reduction folded behind the plan's ``finalize`` hook — and an
+:class:`~repro.exec.backend.ExecutionBackend` decides *where* it runs:
 
 * :class:`~repro.exec.backend.InlineBackend` executes every kernel task in
   the calling process, reproducing the classic single-process simulator
@@ -15,28 +13,21 @@ orthogonal axes decide how it runs:
   tasks in a persistent :mod:`multiprocessing` worker pool over
   shared-memory CSR and frontier-bitmask buffers;
 * :class:`~repro.exec.thread.ThreadBackend` executes them on a shared
-  thread pool over the coordinator's own arrays — zero IPC, zero pickling;
-  it scales on multi-core hosts when paired with a GIL-releasing provider.
+  thread pool over the coordinator's own arrays — zero IPC, zero pickling.
 
-**How** — a :class:`~repro.exec.providers.KernelProvider`:
-
-* :class:`~repro.exec.providers.NumpyProvider` is the vectorized NumPy
-  kernel suite (the historical code path, zero dependencies);
-* :class:`~repro.exec.providers.NumbaProvider` is its Numba-compiled twin
-  (``nopython, nogil, cache=True``), falling back to NumPy with a warning
-  on hosts without Numba.
-
-Modeled times and workload counters are backend- **and** provider-
-independent by construction (the kernels are pure functions of their inputs
-and all folding happens on the coordinating process); only the measured
-``wall_s`` phases depend on either axis.
+Every task runs the one set of visit kernels, :mod:`repro.core.kernels`,
+through :func:`~repro.exec.plan.execute_gpu_plan`, which also decodes the
+rows a visit reads from compressed storage.  Modeled times and workload
+counters are backend- and storage-independent by construction (the kernels
+are pure functions of their inputs and all folding happens on the
+coordinating process); only the measured ``wall_s`` phases depend on
+either.
 
 Backends are selected by name — ``TraversalEngine(graph, backend="thread")``,
-``Session.backend("process")``, the ``--backend`` CLI flag — and providers
-likewise via ``kernels="numba"`` / ``Session.kernels(...)`` / ``--kernels``;
-:class:`~repro.exec.config.ExecConfig` resolves both (with the storage mode
-and the trace path) from arguments, ``REPRO_*`` environment variables and
-defaults, in one place.
+``Session.backend("process")``, the ``--backend`` CLI flag;
+:class:`~repro.exec.config.ExecConfig` resolves the backend, the kernels
+name, the storage mode and the trace path from arguments, ``REPRO_*``
+environment variables and defaults, in one place.
 """
 
 from repro.exec.backend import (
@@ -45,16 +36,8 @@ from repro.exec.backend import (
     InlineBackend,
     resolve_backend,
 )
-from repro.exec.config import ExecConfig
+from repro.exec.config import PROVIDER_NAMES, ExecConfig
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan
-from repro.exec.providers import (
-    PROVIDER_NAMES,
-    KernelProvider,
-    NumbaProvider,
-    NumpyProvider,
-    get_provider,
-    numba_available,
-)
 
 __all__ = [
     "BACKEND_NAMES",
@@ -65,16 +48,20 @@ __all__ = [
     "resolve_backend",
     "ExecConfig",
     "PROVIDER_NAMES",
-    "KernelProvider",
-    "NumpyProvider",
-    "NumbaProvider",
     "numba_available",
-    "get_provider",
     "SuperStepPlan",
     "GPUPlan",
     "VisitSpec",
     "execute_gpu_plan",
 ]
+
+
+def numba_available() -> bool:
+    """Whether the JIT compiler package is importable: a host fact for
+    benchmark records; no kernel uses it."""
+    from importlib.util import find_spec
+
+    return find_spec("numba") is not None
 
 
 def __getattr__(name):

@@ -146,10 +146,10 @@ class ExecutionBackend(abc.ABC):
             # worker tuples, so events are appended pre-normalized (the
             # documented ``Tracer.events`` shape) instead of going through
             # ``record_span``.  The GPU is encoded by the track (tid - 1).
-            for name, rel_start, dur in collected["spans"]:
+            for cat, name, rel_start, dur in collected["spans"]:
                 append({
                     "name": name,
-                    "cat": "worker",
+                    "cat": cat,
                     "ph": "X",
                     "ts": (base + rel_start) * 1e6,
                     "dur": dur * 1e6 if dur > 0.0 else 0.0,
@@ -167,7 +167,7 @@ class ExecutionBackend(abc.ABC):
             (
                 gp.gpu,
                 execute_gpu_plan(
-                    gp, self._resolve_csr, plan.dense_delegate, provider=plan.provider,
+                    gp, self._resolve_csr, plan.dense_delegate,
                     collect_spans=plan.collect_spans,
                 ),
             )

@@ -1,22 +1,25 @@
 """One run configuration: the run-time axes, resolved once, in one place.
 
-``backend`` (where super-steps run), ``kernels`` (how the visit kernels
-compute), ``storage`` (what backs the CSR arrays) and ``trace`` (where the
-CLI writes a trace) change wall-clock and memory, never an answer, a counter
-or a modeled time.  :meth:`ExecConfig.resolve` is the only code that reads
-``$REPRO_BACKEND``, ``$REPRO_KERNELS``, ``$REPRO_STORAGE`` and
-``$REPRO_TRACE``, checks an axis name and settles ``auto``.  Every axis
-takes an explicit argument, else a bench scenario's pin
-(:meth:`ExecConfig.pinned`), else its environment variable, else the default
-(``inline`` / ``auto`` / ``memory`` / no trace).  Public entry points
-resolve their keywords once, on entry; the code below them takes the one
-frozen :class:`ExecConfig`.
+``backend`` (where super-steps run), ``kernels`` (the name of the visit
+kernels' implementation), ``storage`` (what backs the CSR arrays) and
+``trace`` (where the CLI writes a trace) change wall-clock and memory,
+never an answer, a counter or a modeled time.  :meth:`ExecConfig.resolve`
+is the only code that reads ``$REPRO_BACKEND``, ``$REPRO_KERNELS``,
+``$REPRO_STORAGE`` and ``$REPRO_TRACE``, checks an axis name and settles
+``auto``.  Every axis takes an explicit argument, else a bench scenario's
+pin (:meth:`ExecConfig.pinned`), else its environment variable, else the
+default (``inline`` / ``auto`` / ``memory`` / no trace).  Public entry
+points resolve their keywords once, on entry; the code below them takes the
+one frozen :class:`ExecConfig`.
+
+The visit kernels have one implementation, :mod:`repro.core.kernels`, so
+the kernels axis has one value: ``numpy`` and ``auto`` both resolve to
+``numpy``, which labels bench records and ``--json`` output.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,8 +27,8 @@ __all__ = ["BACKEND_NAMES", "PROVIDER_NAMES", "STORAGE_NAMES", "ExecConfig", "ax
 
 #: Execution backends: *where* the per-GPU kernel tasks of a super-step run.
 BACKEND_NAMES = ("inline", "process", "thread")
-#: Kernel providers: *how* each visit kernel computes (``auto`` resolves).
-PROVIDER_NAMES = ("numpy", "numba", "auto")
+#: Kernel names: both resolve to ``numpy``, the one implementation.
+PROVIDER_NAMES = ("numpy", "auto")
 #: Storage modes: *what* backs the partitioned CSR arrays.
 STORAGE_NAMES = ("memory", "mmap", "compressed")
 
@@ -51,40 +54,19 @@ def axis_name(axis: str, value, source: str = "") -> str:
     return name
 
 
-def _is_live(axis: str, value) -> bool:
-    """Whether ``value`` is a backend / provider instance (imported lazily:
-    both modules import their names from this one)."""
-    if axis == "storage":
-        return False
+def _is_backend(value) -> bool:
+    """Whether ``value`` is a live backend (imported lazily: the backend
+    module imports its names from this one)."""
     from repro.exec.backend import ExecutionBackend
-    from repro.exec.providers import KernelProvider
 
-    return isinstance(value, ExecutionBackend if axis == "backend" else KernelProvider)
-
-
-def _provider_name(name: str) -> str:
-    """Settle ``auto`` and the Numba fallback: ``numpy`` or ``numba``."""
-    if name == "numpy":
-        return name
-    from repro.exec.providers import numba_available
-
-    if numba_available():
-        return "numba"
-    if name == "numba":
-        warnings.warn(
-            "kernel provider 'numba' requested but Numba is not importable; "
-            "falling back to the NumPy provider (identical results, slower kernels)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "numpy"
+    return isinstance(value, ExecutionBackend)
 
 
 def _resolve(axis: str, value):
     """One axis: ``value`` if given, else its environment variable, else the
     default.  Names are stripped and lower-cased (a trace path is only
-    stripped), ``auto`` kernels are ``numba`` when Numba is importable, else
-    ``numpy``, and live backend / provider instances pass through."""
+    stripped), kernels resolve to ``numpy``, and live backend instances pass
+    through."""
     source = ""
     if value is None:
         source = "$" + _ENV[axis]
@@ -94,11 +76,11 @@ def _resolve(axis: str, value):
         return Path(path) if path else None
     if value is None:
         value = _DEFAULTS[axis]
-    elif _is_live(axis, value):
+    elif axis == "backend" and _is_backend(value):
         return value
     else:
         value = axis_name(axis, value, source)
-    return _provider_name(value) if axis == "kernels" else value
+    return "numpy" if axis == "kernels" else value
 
 
 @dataclass(frozen=True)
@@ -106,15 +88,14 @@ class ExecConfig:
     """The resolved run-time axes of one run; build it with :meth:`resolve`.
 
     ``backend`` is a name of :data:`BACKEND_NAMES` or a live (caller-owned)
-    :class:`~repro.exec.backend.ExecutionBackend`; ``kernels`` is ``numpy``
-    or ``numba`` or a live :class:`~repro.exec.providers.KernelProvider`;
+    :class:`~repro.exec.backend.ExecutionBackend`; ``kernels`` is ``numpy``;
     ``storage`` is a name of :data:`STORAGE_NAMES`; ``trace`` is a path or
     ``None``.  ``explicit`` names the axes an explicit argument set, which
     :meth:`pinned` leaves alone.
     """
 
     backend: object
-    kernels: object
+    kernels: str
     storage: str
     trace: Path | None
     explicit: frozenset = field(default=frozenset(), compare=False, repr=False)
@@ -158,5 +139,5 @@ class ExecConfig:
 
     @property
     def kernels_name(self) -> str:
-        """Resolved provider name (a live instance's own name)."""
-        return self.kernels if isinstance(self.kernels, str) else self.kernels.name
+        """The kernels label bench records and ``--json`` output carry."""
+        return self.kernels

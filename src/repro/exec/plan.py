@@ -35,12 +35,13 @@ program folds, routes the exchange through the :class:`Communicator`,
 performs the delegate reduction and returns the super-step's
 :class:`~repro.core.results.IterationRecord`.
 
-Because the visit kernels are pure functions of their spec (and the shared
-dense frontier buffers), every backend — and every
-:class:`~repro.exec.providers.KernelProvider` implementation of the kernels
-— produces bit-identical outputs; and since all folding runs on the
-coordinating process, results, workload counters and modeled times are
-backend- and provider-independent by construction.
+Because the visit kernels (:mod:`repro.core.kernels`) are pure functions of
+their spec (and the shared dense frontier buffers), every backend produces
+bit-identical outputs; and since all folding runs on the coordinating
+process, results, workload counters and modeled times are
+backend-independent by construction.  :func:`execute_gpu_plan` is also the
+one place a task's CSR is resolved, so it is where compressed storage
+decodes the rows a visit reads: storage, too, changes no output.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.exec.providers import get_provider
+from repro.core import kernels
+from repro.graph.csr import CSRGraph
 from repro.utils.timing import now_s
 
 __all__ = [
@@ -109,8 +111,8 @@ class VisitSpec:
     row_values:
         Contribution tasks (PageRank): one ``int64`` value per ``queue``
         entry to push along the row's out-edges.  When set, the task runs
-        :meth:`~repro.exec.providers.KernelProvider.contrib_visit` instead of
-        a plain forward visit.
+        :func:`~repro.core.kernels.contrib_visit` instead of a plain forward
+        visit.
     """
 
     kernel: str
@@ -159,10 +161,6 @@ class SuperStepPlan:
     #: Replicated dense delegate frontier: ``bool`` flags of size ``d``, or
     #: ``(d, nwords)`` ``uint64`` lane words on lane-word plans.
     dense_delegate: np.ndarray
-    #: The :class:`~repro.exec.providers.KernelProvider` computing the visit
-    #: kernels (``None`` = NumPy).  In-process backends use it directly;
-    #: remote backends ship its ``name`` and re-resolve in the worker.
-    provider: object | None = None
     #: When ``True`` (set by the backend iff tracing is enabled) every
     #: per-GPU execution records its kernel timings under the reserved
     #: ``"_spans"`` output key, which the backend pops and replays into the
@@ -176,7 +174,6 @@ def execute_gpu_plan(
     resolve_csr: Callable[[int, str], object],
     dense_delegate: np.ndarray,
     strip_sources: bool = False,
-    provider=None,
     collect_spans: bool = False,
 ) -> dict:
     """Run every visit task of one GPU; outputs keyed by kernel.
@@ -184,46 +181,51 @@ def execute_gpu_plan(
     ``resolve_csr(gpu, name)`` maps a task's subgraph reference to a CSR —
     the in-process partition for :class:`~repro.exec.backend.InlineBackend`,
     a shared-memory view inside a :class:`~repro.exec.process.ProcessBackend`
-    worker.  ``provider`` picks the kernel implementation
-    (:mod:`repro.exec.providers`; ``None`` = NumPy); *which* kernel runs
+    worker.  A CSR that is not a raw :class:`~repro.graph.csr.CSRGraph` is a
+    :class:`~repro.storage.codec.CompressedCSR`: exactly the rows the visit
+    reads (its queue, or its candidates for a pull) are decoded into a
+    masked raw CSR first.  *Which* kernel of :mod:`repro.core.kernels` runs
     follows from the spec's own fields (``backward``, ``words``,
     ``row_values``, ``weighted``).  With ``strip_sources`` the ``sources``
     arrays of tasks that declared ``keep_sources=False`` are dropped (they
     can be as large as the examined edge set, and the fold never reads
-    them).  With ``collect_spans`` the per-kernel wall timings ride back
-    under the reserved ``"_spans"`` output key (see :func:`worker_spans`);
-    when ``False`` — the default, and always when tracing is off — the
-    kernel loop performs no timing work at all.
+    them).  With ``collect_spans`` the per-kernel wall timings — and one
+    ``lazy-decode`` timing per decoded visit — ride back under the reserved
+    ``"_spans"`` output key (see :func:`worker_spans`); when ``False`` — the
+    default, and always when tracing is off — the loop performs no timing
+    work at all.
     """
-    if provider is None:
-        provider = get_provider("numpy")
     outputs: dict = {}
     spans = [] if collect_spans else None
     base = now_s() if collect_spans else 0.0
     for spec in gpu_plan.visits:
         started = now_s() if collect_spans else 0.0
         csr = resolve_csr(gpu_plan.gpu, spec.csr)
+        if not isinstance(csr, CSRGraph):
+            csr = csr.decode_rows(spec.candidates if spec.backward else spec.queue)
+            if collect_spans:
+                spans.append(("storage", "lazy-decode", started - base, now_s() - started))
         if spec.backward:
             dense = gpu_plan.dense_local if spec.parents == "normal" else dense_delegate
             if spec.words is not None:
-                out = provider.batched_backward_visit(csr, spec.candidates, dense, spec.words)
+                out = kernels.batched_backward_visit(csr, spec.candidates, dense, spec.words)
             else:
-                out = provider.backward_visit(csr, spec.candidates, dense)
+                out = kernels.backward_visit(csr, spec.candidates, dense)
         elif spec.words is not None:
-            out = provider.batched_forward_visit(csr, spec.queue, spec.words)
+            out = kernels.batched_forward_visit(csr, spec.queue, spec.words)
         elif spec.row_values is not None:
-            out = provider.contrib_visit(csr, spec.queue, spec.row_values)
+            out = kernels.contrib_visit(csr, spec.queue, spec.row_values)
         elif spec.weighted:
-            out = provider.weighted_forward_visit(csr, spec.queue)
+            out = kernels.weighted_forward_visit(csr, spec.queue)
         else:
-            out = provider.forward_visit(csr, spec.queue)
+            out = kernels.forward_visit(csr, spec.queue)
         if strip_sources and not spec.keep_sources:
             out.sources = _EMPTY_I64
         outputs[spec.kernel] = out
         if collect_spans:
             ended = now_s()
             kind = "pull" if spec.backward else "push"
-            spans.append((f"{spec.kernel}:{kind}", started - base, ended - started))
+            spans.append(("worker", f"{spec.kernel}:{kind}", started - base, ended - started))
     if collect_spans:
         outputs["_spans"] = {"base": base, "spans": spans}
     return outputs
@@ -232,7 +234,7 @@ def execute_gpu_plan(
 def worker_spans(outputs: dict) -> dict | None:
     """Pop the reserved ``"_spans"`` entry from one GPU's kernel outputs.
 
-    Returns ``{"base": <worker clock at loop start>, "spans": [(name,
+    Returns ``{"base": <worker clock at loop start>, "spans": [(cat, name,
     rel_start_s, dur_s), ...]}`` or ``None`` when the execution did not
     collect spans.  Backends call this before handing outputs to
     ``finalize`` so the fold never sees the reserved key.

@@ -43,7 +43,6 @@ from typing import NamedTuple
 
 from repro.exec.backend import ExecutionBackend
 from repro.exec.plan import GPUPlan, SuperStepPlan, execute_gpu_plan
-from repro.exec.providers import get_provider
 from repro.exec.shm import (
     SegmentCache,
     SharedGraphStore,
@@ -123,7 +122,6 @@ class _Task(NamedTuple):
     graph: dict  #: SharedGraphStore.graph_descriptor
     dense: tuple  #: SharedGraphStore.publish_dense(...) descriptor
     has_local: bool  #: whether this GPU's own dense buffer was published
-    provider: str
     collect_spans: bool
 
 
@@ -131,15 +129,6 @@ def _run_task(task: _Task):
     """Execute one GPU's kernel tasks inside a worker; returns (gpu, outputs)."""
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else SegmentCache()
     csrs = csrs_from_descriptor(cache, task.graph)
-    # Providers cross the process boundary by name; each worker resolves (and
-    # for Numba, loads the on-disk JIT cache) once via the singleton registry.
-    provider = get_provider(task.provider)
-    if task.graph.get("compressed"):
-        # Compressed-store graphs: decode frontier/candidate rows lazily
-        # before each visit so the kernels see raw adjacency.
-        from repro.storage.codec import DecodingProvider
-
-        provider = DecodingProvider(provider)
 
     def resolve_csr(g: int, name: str):
         return csrs[(g, name)]
@@ -152,7 +141,6 @@ def _run_task(task: _Task):
         resolve_csr,
         dense_delegate,
         strip_sources=True,
-        provider=provider,
         collect_spans=task.collect_spans,
     )
 
@@ -228,7 +216,6 @@ class ProcessBackend(ExecutionBackend):
 
     def _dispatch(self, plan: SuperStepPlan, work: list) -> list:
         store = self.store
-        provider_name = plan.provider.name if plan.provider is not None else "numpy"
         dense_local: list = [None] * len(self.graph.gpus)
         for gp in work:
             dense_local[gp.gpu] = gp.dense_local
@@ -240,7 +227,6 @@ class ProcessBackend(ExecutionBackend):
                 graph=store.graph_descriptor,
                 dense=dense,
                 has_local=gp.dense_local is not None,
-                provider=provider_name,
                 collect_spans=plan.collect_spans,
             )
             for gp in work

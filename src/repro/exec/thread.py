@@ -8,15 +8,12 @@ place — zero pickling, zero shared-memory export, zero per-task IPC — which
 makes this backend strictly cheaper to enter than the
 :class:`~repro.exec.process.ProcessBackend` and its fork+shm machinery.
 
-Whether it *scales* depends on the kernel provider: the NumPy kernels hold
-the GIL for most of their work, so threads serialize and this backend
-behaves like :class:`~repro.exec.backend.InlineBackend` with a small
-scheduling overhead.  The Numba provider's kernels are compiled with
-``nogil=True``, so per-GPU tasks genuinely overlap on multi-core hosts —
-the pairing this backend exists for (ROADMAP item 1: JIT + threads beats
-fork + shm IPC).  Either way the outputs are bit-identical: the provider
-contract guarantees results, counters and modeled times do not depend on
-where or how the kernels ran.
+The visit kernels are vectorized NumPy, which holds the GIL for most of
+its work, so the threads mostly serialize and this backend behaves like
+:class:`~repro.exec.backend.InlineBackend` with a small scheduling
+overhead; only the kernels' GIL-free stretches overlap.
+Either way the outputs are bit-identical: results, counters and modeled
+times do not depend on where the kernels ran.
 
 Like the process pool, the executor is process-global and keyed by width, so
 engine churn (serve replicas, dynamic-graph rebuilds) reuses threads instead
@@ -92,7 +89,6 @@ class ThreadBackend(ExecutionBackend):
                 self._resolve_csr,
                 plan.dense_delegate,
                 False,
-                plan.provider,
                 plan.collect_spans,
             )
             for gp in work

@@ -3,7 +3,9 @@
 These are not on the BFS hot path; they use :mod:`scipy.sparse.csgraph` where
 convenient and exist so that examples and experiment logs can report the same
 graph characteristics the paper quotes (number of vertices/edges, isolated
-vertices, number of components, approximate diameter / BFS depth).
+vertices, number of components, approximate diameter / BFS depth).  SciPy is
+optional (the ``dev`` extra): it is imported inside the two functions, so
+``import repro`` never loads it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.graph.degree import out_degrees
 from repro.graph.edgelist import EdgeList
@@ -47,7 +47,9 @@ class GraphProperties:
         }
 
 
-def _to_scipy(edges: EdgeList) -> csr_matrix:
+def _to_scipy(edges: EdgeList):
+    from scipy.sparse import csr_matrix
+
     data = np.ones(edges.num_edges, dtype=np.int8)
     return csr_matrix(
         (data, (edges.src, edges.dst)), shape=(edges.num_vertices, edges.num_vertices)
@@ -84,6 +86,8 @@ def analyze_graph(edges: EdgeList) -> GraphProperties:
     deg = out_degrees(edges)
     if edges.num_vertices == 0:
         return GraphProperties(0, 0, 0, 0, 0, 0, 0.0, 0)
+    from scipy.sparse.csgraph import connected_components
+
     mat = _to_scipy(edges)
     n_comp, labels = connected_components(mat, directed=True, connection="weak")
     sizes = np.bincount(labels)

@@ -99,10 +99,8 @@ class ReplicaPool:
         instance is accepted only for frozen graphs (and is then shared,
         caller-owned).
     kernels:
-        Kernel provider spec (``"numpy"``/``"numba"``/``"auto"`` or a
-        :class:`~repro.exec.providers.KernelProvider`), identical across
-        replicas.  Providers are stateless, so sharing a spec is always
-        safe — it never affects answers, only kernel wall time.
+        The kernels label (``"numpy"``/``"auto"``), identical across
+        replicas.
     batch_size, cache_size, batched:
         Per-replica :class:`QueryService` knobs.
     cache_hit_ms:
@@ -186,11 +184,6 @@ class ReplicaPool:
     def backend_name(self) -> str:
         """Registry name of the execution backend every replica runs on."""
         return self.config.backend_name
-
-    @property
-    def kernels_name(self) -> str:
-        """Resolved kernel-provider name every replica runs."""
-        return self.config.kernels_name
 
     def apply_delta(self, delta):
         """Apply one update batch to the shared graph; fan out invalidation.

@@ -101,11 +101,8 @@ def session(
         :class:`repro.exec.ExecutionBackend`; can also be set fluently via
         :meth:`Session.backend`.
     kernels:
-        Kernel provider for the visit kernels: ``"numpy"``, ``"numba"``,
-        ``"auto"`` (default — Numba when importable) or a live
-        :class:`repro.exec.KernelProvider`; can also be set fluently via
-        :meth:`Session.kernels`.  Results and counters are
-        provider-invariant; only wall-clock changes.
+        The kernels label: ``"numpy"`` or ``"auto"`` (default; both name
+        the one implementation, :mod:`repro.core.kernels`).
     storage:
         Graph storage mode: ``"memory"`` (default), ``"mmap"`` for a
         memory-mapped store, ``"compressed"`` for a store with delta+varint
@@ -224,22 +221,6 @@ class Session:
         self._config = self._config.override(backend=backend)
         if self._built is not None:
             self._built.backend(self._config.backend)
-        return self
-
-    def kernels(self, kernels) -> "Session":
-        """Choose how the visit kernels compute (``"numpy"`` / ``"numba"`` /
-        ``"auto"``).
-
-        Accepts a provider name, a live :class:`repro.exec.KernelProvider`
-        instance, or ``None`` for the ``REPRO_KERNELS`` environment default.
-        An already-built graph session switches in place.
-
-        >>> import repro  # doctest: +SKIP
-        >>> repro.session().generate(scale=16).kernels("numba").bfs(0)
-        """
-        self._config = self._config.override(kernels=kernels)
-        if self._built is not None:
-            self._built.kernels(self._config.kernels)
         return self
 
     def storage(self, storage: str | None, path: str | Path | None = None) -> "Session":
@@ -426,16 +407,6 @@ class GraphSession:
         """Registry name of the execution backend in effect."""
         return self.engine.backend_name
 
-    def kernels(self, kernels) -> "GraphSession":
-        """Switch kernel providers on the live engine (nothing to rebuild).
-
-        ``kernels`` is a provider name (``"numpy"`` / ``"numba"`` /
-        ``"auto"``), a live :class:`repro.exec.KernelProvider`, or ``None``
-        for the environment default.
-        """
-        self.engine.use_kernels(kernels)
-        return self
-
     def trace(self, path: str | Path | None = None) -> "GraphSession":
         """Enable tracing on the built graph; see :meth:`Session.trace`."""
         from repro.obs import Tracer, set_tracer
@@ -462,11 +433,6 @@ class GraphSession:
         if target is None:
             raise RuntimeError("no trace path: pass one here or to .trace(path)")
         return write_trace(self._tracer, target)
-
-    @property
-    def kernels_name(self) -> str:
-        """Resolved registry name of the kernel provider in effect."""
-        return self.engine.provider_name
 
     @property
     def storage_name(self) -> str:

@@ -28,7 +28,6 @@ from repro.exec.config import STORAGE_NAMES, axis_name
 from repro.partition.subgraphs import PartitionedGraph
 from repro.storage.codec import (
     CompressedCSR,
-    DecodingProvider,
     compress_csr,
     varint_encode,
     varint_sizes,
@@ -53,7 +52,6 @@ __all__ = [
     "STORAGE_NAMES",
     "apply_storage",
     "CompressedCSR",
-    "DecodingProvider",
     "compress_csr",
     "varint_encode",
     "varint_sizes",

@@ -13,10 +13,11 @@ already compact.
 Decoding is vectorized and *lazy*: a traversal super-step only touches the
 rows in its frontier (forward) or candidate set (backward), so
 :meth:`CompressedCSR.decode_rows` materializes a masked
-:class:`~repro.graph.csr.CSRGraph` with only those rows populated and hands it
-to the unmodified visit kernels via :class:`DecodingProvider` — a
-:class:`~repro.exec.providers.KernelProvider` wrapper, so every backend and
-provider (NumPy or Numba) runs bit-identically over compressed storage.
+:class:`~repro.graph.csr.CSRGraph` with only those rows populated.
+:func:`repro.exec.plan.execute_gpu_plan` — the one place a visit task's CSR
+is resolved, on every backend — decodes each visit's rows that way and hands
+the result to the unmodified visit kernels, so traversals run bit-identically
+over compressed storage.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exec.providers import KernelProvider
 from repro.graph.csr import CSRGraph, span_index
-from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
-from repro.utils.timing import now_s
 
 __all__ = [
     "CompressedCSR",
-    "DecodingProvider",
     "compress_csr",
     "varint_encode",
     "varint_sizes",
@@ -233,76 +230,3 @@ def compress_csr(csr: CSRGraph) -> CompressedCSR:
         edge_weights=csr.edge_weights,
     )
 
-
-class DecodingProvider(KernelProvider):
-    """Kernel provider wrapper that decodes compressed rows before each visit.
-
-    Wraps any base provider; visit calls whose CSR is a
-    :class:`CompressedCSR` first decode exactly the rows the kernel will read
-    (the frontier for forward pushes, the candidate set for backward pulls)
-    into a masked raw CSR, then delegate.  Every other call passes straight
-    through, so raw subgraphs (dn/dd) and all bitmask/filter operations pay
-    nothing.  ``name`` mirrors the base provider: the wrapper is a storage
-    detail, not a kernels axis — counters and results are identical.
-    """
-
-    def __init__(self, base: KernelProvider) -> None:
-        self._base = base
-        self.name = base.name
-
-    @staticmethod
-    def _dense(csr, rows):
-        if not isinstance(csr, CompressedCSR):
-            return csr
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return csr.decode_rows(rows)
-        started = now_s()
-        dense = csr.decode_rows(rows)
-        tracer.record_span(
-            "lazy-decode", cat="storage", start=started, dur=now_s() - started,
-            args={"rows": int(len(rows))},
-        )
-        return dense
-
-    def forward_visit(self, csr, frontier):
-        """Decode the frontier rows, then run the base forward push."""
-        return self._base.forward_visit(self._dense(csr, frontier), frontier)
-
-    def weighted_forward_visit(self, csr, frontier):
-        """Decode the frontier rows (weights ride along), then delegate."""
-        return self._base.weighted_forward_visit(self._dense(csr, frontier), frontier)
-
-    def contrib_visit(self, csr, rows, row_values):
-        """Decode the active rows, then run the base contribution scatter."""
-        return self._base.contrib_visit(self._dense(csr, rows), rows, row_values)
-
-    def backward_visit(self, reverse_csr, candidates, parent_in_frontier):
-        """Decode the candidate rows, then run the base backward pull."""
-        return self._base.backward_visit(
-            self._dense(reverse_csr, candidates), candidates, parent_in_frontier
-        )
-
-    def batched_filter_frontier(self, rows, words, out_degrees):
-        """Delegate; no adjacency is touched."""
-        return self._base.batched_filter_frontier(rows, words, out_degrees)
-
-    def batched_forward_visit(self, csr, frontier_rows, frontier_words):
-        """Decode the frontier rows, then run the base batched push."""
-        return self._base.batched_forward_visit(
-            self._dense(csr, frontier_rows), frontier_rows, frontier_words
-        )
-
-    def batched_backward_visit(self, reverse_csr, candidates, parent_words, wanted_words):
-        """Decode the candidate rows, then run the base batched pull."""
-        return self._base.batched_backward_visit(
-            self._dense(reverse_csr, candidates), candidates, parent_words, wanted_words
-        )
-
-    def bitmask_set_many(self, mask, indices):
-        """Delegate; bitmasks are storage-independent."""
-        return self._base.bitmask_set_many(mask, indices)
-
-    def bitmask_test_many(self, mask, indices):
-        """Delegate; bitmasks are storage-independent."""
-        return self._base.bitmask_test_many(mask, indices)

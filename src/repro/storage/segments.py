@@ -389,7 +389,6 @@ def store_graph_descriptor(directory: str | Path) -> dict:
     """
     handle = open_store(directory)
     entries: dict = {}
-    compressed = False
     for g, meta in enumerate(handle.manifest["gpus"]):
         for key in CSR_KEYS:
             cmeta = meta["csrs"][key]
@@ -401,7 +400,6 @@ def store_graph_descriptor(directory: str | Path) -> dict:
                 (handle.array_offset(f"{prefix}.w"),) if cmeta.get("weighted") else ()
             )
             if cmeta["kind"] == "compressed":
-                compressed = True
                 entries[(g, key)] = (
                     "z",
                     ro_off,
@@ -425,5 +423,4 @@ def store_graph_descriptor(directory: str | Path) -> dict:
     return {
         "segment": f"file://{handle.segment_path}",
         "csrs": entries,
-        "compressed": compressed,
     }

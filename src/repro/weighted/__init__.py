@@ -1,7 +1,7 @@
 """repro.weighted — weighted traversals and the expanded program zoo.
 
 Programs over the weighted CSR path (per-edge float64 weights threaded
-through generators, partitioning, storage and the kernel providers):
+through generators, partitioning, storage and the visit kernels):
 
 * :class:`BellmanFordSSSP` / :class:`DeltaSteppingSSSP` — single-source
   shortest paths; the former is the per-edge relaxation baseline, the
@@ -13,7 +13,7 @@ through generators, partitioning, storage and the kernel providers):
 
 All programs run through ``engine.run(program)`` like the BFS family;
 answers and workload counters are bit-identical across execution
-backends, kernel providers and storage tiers.
+backends and storage tiers.
 """
 
 from repro.weighted.pagerank import PageRank

@@ -4,8 +4,8 @@ Rank mass travels as ``int64`` fixed-point integers (one rank unit =
 ``SCALE``), and every fold along the way — the per-edge contribution
 scatter, the exchange payload combine, the delegate all-reduce — is an
 integer add.  Integer addition is associative and commutative, so the
-answer is bit-identical regardless of which backend, kernel provider or
-storage tier ran the sweep, and regardless of arrival order.  The
+answer is bit-identical regardless of which backend or storage tier
+ran the sweep, and regardless of arrival order.  The
 damping multiply is exact too: :func:`damped` splits the operand with a
 ``divmod`` so no intermediate exceeds ``2**54``.
 
@@ -321,7 +321,6 @@ class PageRank:
             wall=wall,
             # Contribution sweeps never pull; the buffer is only published.
             dense_delegate=np.zeros(d, dtype=bool),
-            provider=engine.provider,
         )
         wall["kernels"] += now_s() - plan_started
         record = engine.backend.run_super_step(plan)

@@ -8,7 +8,7 @@ answer-specific payloads:
   order-preserving ``int64`` bit patterns the engine folded (see
   :mod:`repro.weighted.sssp`), with a float view for consumers;
 * :class:`PageRankResult` — fixed-point integer ranks, bit-identical
-  across backends, providers and storage tiers, with a float view;
+  across backends and storage tiers, with a float view;
 * :class:`HookingResult` — component labels from the hooking driver
   (same answer vocabulary as :class:`ComponentsResult`);
 * :class:`TriangleCountResult` — global and per-vertex triangle counts.
@@ -41,7 +41,7 @@ class SSSPResult(TraversalResult):
     :data:`~repro.core.state.UNVISITED` (``-1``) marking unreached
     vertices.  Non-negative finite doubles order identically under their
     int64 bit view, so this array is what the minimum-folds operated on
-    and is bit-comparable across every backend/provider/storage
+    and is bit-comparable across every backend/storage
     combination.  :attr:`distances` is the human-facing float view.
     """
 

@@ -19,7 +19,7 @@ payload combine) is int64.  The IEEE-754 bit patterns of non-negative
 finite doubles order identically to their int64 bit views, so distances
 travel as ``float64(...).view(int64)`` and every int64 minimum *is* the
 exact float minimum — no epsilon, no rounding, bit-identical across
-backends, providers and storage tiers.  ``UNVISITED`` (-1, the all-ones
+backends and storage tiers.  ``UNVISITED`` (-1, the all-ones
 pattern) compares below every valid pattern, so acceptance must check it
 explicitly; see :meth:`BellmanFordSSSP.accept`.
 """

@@ -28,7 +28,7 @@ class TestSerialBFS:
         np.testing.assert_array_equal(dist, [0, 1, -1, -1])
 
     def test_against_scipy(self, rmat_small, rmat_small_csr):
-        from scipy.sparse.csgraph import shortest_path
+        shortest_path = pytest.importorskip("scipy.sparse.csgraph").shortest_path
 
         dist = serial_bfs(rmat_small_csr, 11)
         sp = shortest_path(rmat_small_csr.to_scipy(), method="D", unweighted=True, indices=11)

@@ -6,6 +6,8 @@ explicit argument beats a bench scenario's pin, a pin beats the environment
 variable, the environment beats the default, names are stripped and
 lower-cased, and a bad name — explicit or from the environment — raises at
 construction with the axis, the value and the valid choices in the message.
+The kernels axis has one implementation: ``numpy`` and ``auto`` resolve to
+``numpy``, and ``numba`` or a kernel object is a bad name like any other.
 
 Each row of :data:`ROWS` is ``(entry point, axis, source)``.  :data:`CASES`
 says, per axis and source, what the row passes explicitly, what the scenario
@@ -23,7 +25,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
@@ -36,16 +37,12 @@ from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
 from repro.dynamic import DynamicEngine, DynamicGraph
 from repro.exec.config import ExecConfig
-from repro.exec.providers import numba_available
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 
 AXES = ("backend", "kernels", "storage", "trace")
 ENV = {axis: f"REPRO_{axis.upper()}" for axis in AXES}
-AUTO = "numba" if numba_available() else "numpy"
-#: On a host without Numba, ``numba`` from the environment warns and falls back.
-ENV_NUMBA_WARNS = not numba_available()
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
@@ -55,13 +52,18 @@ class Case(NamedTuple):
     env: object = None
     #: The resolved value, or (for a bad name) a regex of the ValueError.
     expect: object = None
-    warns: bool = False
+
+
+class _NamedKernels:
+    """What a kernel-provider object looked like: a named kernel set."""
+
+    name = "numpy"
 
 
 def _error(axis: str, value: str, source: str = "") -> str:
     choices = {
         "backend": "inline, process, thread",
-        "kernels": "numpy, numba, auto",
+        "kernels": "numpy, auto",
         "storage": "memory, mmap, compressed",
     }[axis]
     prefix = rf"\$REPRO_{axis.upper()}: " if source == "env" else ""
@@ -80,12 +82,18 @@ CASES = {
         "bad explicit": Case(explicit="Teleport", expect=_error("backend", "Teleport")),
     },
     "kernels": {
-        "explicit": Case(explicit=" NumPy", env="numba", expect="numpy"),
-        "environment": Case(env="numba", expect="numba" if numba_available() else "numpy",
-                            warns=ENV_NUMBA_WARNS),
-        "default": Case(expect=AUTO),
+        # The environment would raise if read: only the explicit level wins.
+        "explicit": Case(explicit=" Auto", env="numba", expect="numpy"),
+        "environment": Case(env=" NumPy", expect="numpy"),
+        "default": Case(expect="numpy"),
         "bad environment": Case(env="fortran", expect=_error("kernels", "fortran", "env")),
         "bad explicit": Case(explicit="Fortran", expect=_error("kernels", "Fortran")),
+        "numba environment": Case(env="numba", expect=_error("kernels", "numba", "env")),
+        "numba explicit": Case(explicit="numba", expect=_error("kernels", "numba")),
+        "object explicit": Case(
+            explicit=_NamedKernels(),
+            expect=r"kernels must be one of numpy, auto, got <.*_NamedKernels object at",
+        ),
     },
     "storage": {
         "explicit": Case(explicit=" MMAP ", pin="compressed", env="compressed", expect="mmap"),
@@ -102,6 +110,7 @@ CASES = {
     },
 }
 
+CLI = "repro bfs --json"
 #: entry point -> the axes it takes.
 ENTRY_AXES = {
     "ExecConfig": AXES,
@@ -109,21 +118,26 @@ ENTRY_AXES = {
     "DynamicEngine": ("backend", "kernels"),
     "session": ("backend", "kernels", "storage"),
     "run_scenario": ("backend", "kernels", "storage"),
-    "repro bfs --json": AXES,
+    CLI: AXES,
 }
 #: Entry points with a scenario, hence a pin level.
 PINNED = {"ExecConfig", "run_scenario"}
+#: Sources a command line cannot express.
+IN_PROCESS_ONLY = {"object explicit"}
 
 ROWS = [
     pytest.param(entry, axis, source, id=f"{entry}-{axis}-{source}")
     for entry, axes in ENTRY_AXES.items()
     for axis in axes
     for source in CASES[axis]
-    if source != "pin" or entry in PINNED
+    if (source != "pin" or entry in PINNED)
+    and (source not in IN_PROCESS_ONLY or entry != CLI)
 ]
 
 #: The three valid sources a CLI run sets on every axis at once.
 GOOD = ("explicit", "environment", "default")
+#: Every source that resolves a value; the rest are bad names.
+VALID = GOOD + ("pin",)
 
 
 def _value(axis: str, value, trace_dir: Path):
@@ -177,7 +191,7 @@ def _traversal_engine(explicit, pins, graph, trace_dir):
 
     def probe():
         with engine:
-            return {"backend": engine.backend.name, "kernels": engine.provider.name}
+            return {"backend": engine.backend.name, "kernels": engine.config.kernels_name}
 
     return probe
 
@@ -188,7 +202,7 @@ def _dynamic_engine(explicit, pins, graph, trace_dir):
     def probe():
         with engine:
             engine.run(repro.BFSLevels(source=1))
-            return {"backend": engine.backend_name, "kernels": engine.provider_name}
+            return {"backend": engine.backend_name, "kernels": engine.config.kernels_name}
 
     return probe
 
@@ -200,7 +214,7 @@ def _session(explicit, pins, graph, trace_dir):
         with builder.generate(scale=6, seed=1).threshold(4).build() as built:
             return {
                 "backend": built.engine.backend.name,
-                "kernels": built.kernels_name,
+                "kernels": built.engine.config.kernels_name,
                 "storage": built.storage_name,
             }
 
@@ -247,7 +261,8 @@ def cli_runs(trace_dir) -> dict:
     keys = [(source,) for source in GOOD] + [
         (source, axis)
         for axis in ("backend", "kernels", "storage")
-        for source in ("bad environment", "bad explicit")
+        for source in CASES[axis]
+        if source not in VALID and source not in IN_PROCESS_ONLY
     ]
 
     def run(key):
@@ -268,13 +283,12 @@ def _cli(axis: str, source: str, cli_runs: dict):
     if code != 0:
         raise ValueError(err)
     payload = json.loads(out)
-    resolved = {
+    return {
         "backend": payload["backend"],
         "kernels": payload["kernels"],
         "storage": payload["graph"]["storage"],
         "trace": traces[0] if traces else None,
     }
-    return resolved, "Numba is not importable" in err
 
 
 # --------------------------------------------------------------------------- #
@@ -283,10 +297,10 @@ def _cli(axis: str, source: str, cli_runs: dict):
 @pytest.mark.parametrize("entry, axis, source", ROWS)
 def test_precedence(entry, axis, source, graph, trace_dir, request, monkeypatch):
     case = CASES[axis][source]
-    bad = source.startswith("bad")
-    if entry == "repro bfs --json":
+    bad = source not in VALID
+    if entry == CLI:
         cli_runs = request.getfixturevalue("cli_runs")
-        if bad and source == "bad explicit":
+        if bad and source.endswith("explicit"):
             # argparse owns the CLI's explicit values: exit 2, value and choices.
             expect = rf"--{axis}: invalid choice: '{case.explicit}'"
         else:
@@ -295,10 +309,7 @@ def test_precedence(entry, axis, source, graph, trace_dir, request, monkeypatch)
             with pytest.raises(ValueError, match=expect):
                 _cli(axis, source, cli_runs)
             return
-        resolved, warned = _cli(axis, source, cli_runs)
-        assert resolved[axis] == expect
-        if axis == "kernels":
-            assert warned == case.warns
+        assert _cli(axis, source, cli_runs)[axis] == expect
         return
 
     explicit, pins, env = _setup((axis,), source, trace_dir)
@@ -314,18 +325,14 @@ def test_precedence(entry, axis, source, graph, trace_dir, request, monkeypatch)
         with pytest.raises(ValueError, match=case.expect):
             construct(explicit, pins, graph, trace_dir)
         return
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = construct(explicit, pins, graph, trace_dir)()
-    warned = any("Numba is not importable" in str(w.message) for w in caught)
-    assert resolved[axis] == case.expect
-    assert warned == case.warns
+    assert construct(explicit, pins, graph, trace_dir)()[axis] == case.expect
 
 
 def test_table_covers_every_source_of_every_axis():
     sources = {source for axis in AXES for source in CASES[axis]}
     assert sources == {
-        "explicit", "pin", "environment", "default", "bad environment", "bad explicit"
+        "explicit", "pin", "environment", "default", "bad environment", "bad explicit",
+        "numba environment", "numba explicit", "object explicit",
     }
     for entry, axes in ENTRY_AXES.items():
         covered = {(a, s) for e, a, s in (row.values for row in ROWS) if e == entry}
@@ -349,7 +356,7 @@ def test_bench_run_follows_repro_backend(thread_env, tmp_path, capsys):
     name = "rmat14-levels-do-br"
     assert main(["bench", "run", "--scenario", name, "--repeats", "1", "--output", str(out)]) == 0
     header = capsys.readouterr().out.splitlines()[0]
-    assert header.endswith(f"backend=thread, kernels={AUTO}, storage=memory")
+    assert header.endswith("backend=thread, kernels=numpy, storage=memory")
     assert json.loads(out.read_text())["scenarios"][name]["backend"] == "thread"
 
 

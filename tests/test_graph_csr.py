@@ -148,6 +148,7 @@ class TestReverseAndScipy:
         np.testing.assert_array_equal(rev.neighbors(0), [1])
 
     def test_to_scipy_shape_and_count(self):
+        pytest.importorskip("scipy")
         csr = CSRGraph.from_edges([0, 1, 1], [1, 0, 2], 2, 3)
         mat = csr.to_scipy()
         assert mat.shape == (2, 3)

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.graph.degree import degree_histogram, degree_summary, in_degrees, out_degrees
 from repro.graph.edgelist import EdgeList
@@ -52,10 +59,12 @@ class TestDegrees:
 
 class TestProperties:
     def test_path_diameter_estimate(self):
+        pytest.importorskip("scipy")
         e = path_edges(30).prepared(hash_seed=None)
         assert bfs_depth_estimate(e, source=0) == 29
 
     def test_analyze_counts_components(self):
+        pytest.importorskip("scipy")
         # Two disjoint edges -> 2 components + 1 isolated vertex = 3 weak comps.
         e = EdgeList([0, 2], [1, 3], 5).prepared(hash_seed=None)
         props = analyze_graph(e)
@@ -67,6 +76,17 @@ class TestProperties:
         props = analyze_graph(EdgeList([], [], 0))
         assert props.num_vertices == 0
         assert props.num_components == 0
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        """SciPy is an optional dependency: only the two statistics helpers
+        import it, on call."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        probe = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestPermute:

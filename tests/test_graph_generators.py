@@ -119,6 +119,7 @@ class TestDatasetSubstitutes:
     def test_wdc_like_has_long_tail(self):
         # The WDC substitute must have a much larger BFS depth than an RMAT
         # graph of comparable size — that is the property §VI-D relies on.
+        pytest.importorskip("scipy")
         wdc = wdc_like(num_vertices=4096, rng=3).prepared()
         depth = bfs_depth_estimate(wdc)
         assert depth > 30
@@ -135,6 +136,7 @@ class TestDatasetSubstitutes:
             wdc_like(num_vertices=100, chain_fraction=1.0)
 
     def test_analyze_graph_reports_isolated_and_components(self):
+        pytest.importorskip("scipy")
         e = friendster_like(num_vertices=2048, rng=5).prepared()
         props = analyze_graph(e)
         assert props.num_vertices == 2048

@@ -27,7 +27,6 @@ from repro.core.state import UNVISITED, TraversalState
 from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta
 from repro.dynamic.incremental import MaintainedLevels
 from repro.exec import ProcessBackend, ThreadBackend
-from repro.exec.providers import get_provider
 from repro.graph.generators import wdc_like
 from repro.graph.rmat import generate_rmat
 from repro.obs import Tracer, set_tracer
@@ -246,7 +245,7 @@ class TestSparseReduce:
         visited = rng.choice(d, size=d // 3, replace=False)
         state.update_delegates(np.sort(visited), np.zeros(visited.size, dtype=np.int64))
         visited_before = state.delegate_visited.copy()
-        rep = FlagFrontier(graph, BFSOptions(), get_provider("numpy"), program, state)
+        rep = FlagFrontier(graph, BFSOptions(), program, state)
         rep.level = 3
         rep.begin_fold()
         shared = rng.choice(d, size=5, replace=False)  # found by every GPU
@@ -276,7 +275,7 @@ class TestSparseReduce:
         graph = build_partitions(rmat10, LAYOUT, 4)
         program = BFSLevels(0)
         state = TraversalState.from_init(graph, program.init_state(graph))
-        rep = FlagFrontier(graph, BFSOptions(), get_provider("numpy"), program, state)
+        rep = FlagFrontier(graph, BFSOptions(), program, state)
         rep.begin_fold()
         already = np.flatnonzero(state.delegate_values != UNVISITED)
         rep.fold(0, "dd", KernelOutput(already, int(already.size), backward=False))
@@ -352,7 +351,7 @@ class TestPrevisit:
         graph = build_partitions(rmat10, LAYOUT, 8)
         program = BFSLevels(0)
         state = TraversalState.from_init(graph, program.init_state(graph))
-        rep = FlagFrontier(graph, BFSOptions(), get_provider("numpy"), program, state)
+        rep = FlagFrontier(graph, BFSOptions(), program, state)
         g = next(i for i, gpu in enumerate(graph.gpus) if gpu.nn.num_edges)
         degrees = graph.gpus[g].nn.out_degrees()
         state.normal_frontiers[g] = np.arange(degrees.size, dtype=np.int64)

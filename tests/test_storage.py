@@ -27,10 +27,12 @@ from repro.core.programs import (
     ConnectedComponents,
     KHopReachability,
 )
+from repro.exec import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan, resolve_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import wdc_like_edge_chunks
 from repro.graph.rmat import generate_rmat, generate_rmat_edge_chunks, generate_rmat_edges
+from repro.obs import Tracer, set_tracer
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.storage import (
@@ -172,7 +174,7 @@ class TestGraphStore:
         save_graph_store(graph, tmp_path / "s", storage="mmap")
         desc = store_graph_descriptor(tmp_path / "s")
         assert desc["segment"].startswith("file://")
-        assert not desc["compressed"]
+        assert not any(entry[0] == "z" for entry in desc["csrs"].values())
         assert set(desc["csrs"]) == {
             (g, key) for g in range(2) for key in ("nn", "nd", "dn", "dd")
         }
@@ -212,6 +214,104 @@ class TestApplyStorage:
             apply_storage(mapped, "compressed")
         with pytest.raises(ValueError, match="cannot convert"):
             apply_storage(mapped, "memory")
+
+
+# --------------------------------------------------------------------------- #
+# Compressed rows decode at the plan boundary, on every backend
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def zgraphs(tmp_path_factory):
+    """A weighted graph in memory and as a compressed store; GPU 0 has more
+    normal rows than a backend runs in place, so the pools really dispatch."""
+    edges = generate_rmat(10, rng=3, weights_seed=5)
+    raw = build_partitions(edges, ClusterLayout.from_notation("1x1x2"), 64)
+    path = tmp_path_factory.mktemp("zstore") / "s"
+    return raw, apply_storage(raw, "compressed", path=path)
+
+
+def _visit_plans(raw):
+    """One single-visit GPU plan per visit kind, each over a compressed CSR
+    (nn pushes; backward pulls scan nd), with its dense delegate buffer."""
+    gpu = raw.gpus[0]
+    d = raw.num_delegates
+    rows = np.flatnonzero(gpu.nn.out_degrees() > 0)
+    candidates = np.arange(gpu.num_local, dtype=np.int64)
+    words = np.arange(1, rows.size + 1, dtype=np.uint64).reshape(-1, 1)
+    flags = np.zeros(d, dtype=bool)
+    flags[::3] = True
+    lanes = (np.arange(d, dtype=np.uint64) % np.uint64(5)).reshape(-1, 1)
+    wanted = np.full((candidates.size, 1), 7, dtype=np.uint64)
+    push = dict(kernel="nn", csr="nn", backward=False, queue=rows)
+    pull = dict(kernel="dn", csr="nd", backward=True, candidates=candidates, parents="delegate")
+    kinds = {
+        "forward": (VisitSpec(**push), flags),
+        "weighted": (VisitSpec(**push, weighted=True), flags),
+        "contrib": (VisitSpec(**push, row_values=rows * 3 + 1), flags),
+        "backward": (VisitSpec(**pull), flags),
+        "batched forward": (VisitSpec(**push, words=words), lanes),
+        "batched backward": (VisitSpec(**pull, words=wanted), lanes),
+    }
+    return {kind: (GPUPlan(0, [spec]), dense) for kind, (spec, dense) in kinds.items()}
+
+
+def _assert_outputs_equal(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for key in a:
+        fields_a, fields_b = vars(a[key]), vars(b[key])
+        assert fields_a.keys() == fields_b.keys()
+        for name, value in fields_a.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(value, fields_b[name])
+            else:
+                assert value == fields_b[name], name
+
+
+class TestDecodeAtPlanBoundary:
+    KINDS = ["forward", "weighted", "contrib", "backward", "batched forward", "batched backward"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_compressed_outputs_equal_raw(self, zgraphs, kind):
+        raw, compressed = zgraphs
+        gpu_plan, dense = _visit_plans(raw)[kind]
+        assert not isinstance(compressed.gpus[0].nn, CSRGraph)
+        outputs = [
+            execute_gpu_plan(gpu_plan, lambda g, name: getattr(graph.gpus[g], name), dense)
+            for graph in (raw, compressed)
+        ]
+        (out,) = outputs[0].values()
+        assert out.edges_examined > 0
+        _assert_outputs_equal(*outputs)
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    def test_one_lazy_decode_span_per_decoded_visit(self, zgraphs, backend):
+        raw, compressed = zgraphs
+        engine_backend, _ = resolve_backend(backend, compressed)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            for kind, (gpu_plan, dense) in _visit_plans(raw).items():
+                expected = execute_gpu_plan(
+                    gpu_plan, lambda g, name: getattr(raw.gpus[g], name), dense
+                )
+                before = len(tracer.events)
+                plan = SuperStepPlan(
+                    level=0, gpu_plans=[gpu_plan], finalize=lambda outputs: outputs,
+                    wall={"kernels": 0.0}, dense_delegate=dense,
+                )
+                outputs = engine_backend.run_super_step(plan)
+                _assert_outputs_equal(expected, outputs[0])
+                decodes = [
+                    e for e in tracer.events[before:] if e["name"] == "lazy-decode"
+                ]
+                assert [e["cat"] for e in decodes] == ["storage"], kind
+                assert decodes[0]["tid"] == 1  # GPU 0's track
+        finally:
+            set_tracer(previous)
+            engine_backend.close()
+        if backend == "inline":
+            assert engine_backend.local_steps == 6
+        else:
+            assert engine_backend.dispatched_steps == 6
 
 
 # --------------------------------------------------------------------------- #

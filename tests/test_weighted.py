@@ -1,8 +1,8 @@
 """Tests for the weighted program zoo (repro.weighted) and its integrations.
 
 Covers the oracle property sweeps (delta-stepping vs Dijkstra, fixed-point
-PageRank vs its serial replica), the cross-backend / cross-provider /
-cross-storage invariance of every weighted answer, weight validation at the
+PageRank vs its serial replica), the cross-backend / cross-storage
+invariance of every weighted answer, weight validation at the
 data layer and the CLI, the weighted (v2) store manifest with its
 backward-compatibility guarantees, incremental SSSP maintenance over
 dynamic graphs, and the weighted bench scenarios.
@@ -45,18 +45,6 @@ from repro.weighted import (
 )
 
 
-def _has_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-PROVIDERS = ["numpy"] + (["numba"] if _has_numba() else [])
-
-
 @pytest.fixture(scope="module")
 def wedges() -> EdgeList:
     """A prepared scale-11 RMAT graph carrying deterministic edge weights."""
@@ -97,7 +85,7 @@ class TestSSSPOracle:
         assert delta.total_edges_examined < bf.total_edges_examined
 
     @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    @pytest.mark.parametrize("kernels", PROVIDERS)
+    @pytest.mark.parametrize("kernels", ["numpy"])
     def test_bits_invariant_across_backends_and_providers(
         self, wgraph, backend, kernels
     ):
@@ -150,7 +138,7 @@ class TestPageRankOracle:
         assert result.ranks_float.sum() == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    @pytest.mark.parametrize("kernels", PROVIDERS)
+    @pytest.mark.parametrize("kernels", ["numpy"])
     def test_ranks_invariant_across_backends_and_providers(
         self, wgraph, backend, kernels
     ):
