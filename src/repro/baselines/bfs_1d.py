@@ -142,12 +142,3 @@ class OneDBFS:
             modeled_comm_s=comm_s,
             modeled_comp_s=comp_s,
         )
-
-    def dobfs_broadcast_bytes(self) -> int:
-        """Analytic volume a direction-optimized 1D BFS would communicate.
-
-        The paper's §II-B: backward-pull on a 1D partition requires
-        broadcasting newly visited vertices to every peer holding their
-        neighbours, which in practice means ``8m`` bytes over a full run.
-        """
-        return 8 * self.partition.num_directed_edges

@@ -35,12 +35,6 @@ class DOBFSResult:
     iterations: int
     bottom_up_iterations: int
 
-    @property
-    def depth(self) -> int:
-        """Largest hop distance reached."""
-        reached = self.distances[self.distances >= 0]
-        return int(reached.max()) if reached.size else 0
-
 
 def serial_dobfs(
     csr: CSRGraph,

@@ -5,7 +5,8 @@ downstream user needs without writing Python:
 
 ``python -m repro.cli generate``
     Generate a prepared Graph500 RMAT graph (or a synthetic Friendster/WDC
-    substitute) and save it as an ``.npz`` edge list.
+    substitute, or a uniform random graph) and save it as an ``.npz`` edge
+    list.
 ``python -m repro.cli build``
     Build an on-disk graph store *out of core*: edges are streamed in bounded
     chunks through the external-memory sort/merge pipeline
@@ -126,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     import repro
     from repro.bench.streams import STREAM_TABLE
     from repro.core.programs.table import names_where
+    from repro.graph.generators import CHUNKED_GRAPH_KINDS, GRAPH_KINDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a prepared graph and save it as .npz")
-    gen.add_argument("--kind", choices=["rmat", "friendster", "wdc"], default="rmat")
+    gen.add_argument("--kind", choices=GRAPH_KINDS, default="rmat")
     gen.add_argument("--scale", type=int, default=16, help="log2 of the vertex count")
     gen.add_argument("--seed", type=int, default=11)
     gen.add_argument(
@@ -169,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "--kind",
-        choices=["rmat", "wdc"],
+        choices=CHUNKED_GRAPH_KINDS,
         default="rmat",
-        help="generator for --scale builds (chunked RMAT or chunked WDC-like)",
+        help="chunked generator for --scale builds",
     )
     build.add_argument("--seed", type=int, default=11)
     _add_cluster_args(build)
@@ -609,7 +611,8 @@ def _obtain_graph(args: argparse.Namespace, config):
     if store is not None:
         from repro.storage import load_graph_store
 
-        return None, load_graph_store(store)
+        with _usage_errors():  # a truncated or foreign store
+            return None, load_graph_store(store)
     edges = _load_graph(args)
     graph = _prepare(args, config, edges).graph
     if config.storage != "memory":

@@ -62,15 +62,6 @@ class CommStats:
     #: Extra bytes the normal-vertex exchange spent on per-vertex payloads.
     normal_payload_bytes: int = 0
 
-    def total_bytes(self) -> int:
-        """All bytes that crossed a link (local or remote)."""
-        return (
-            self.normal_bytes_remote
-            + self.normal_bytes_local
-            + self.delegate_mask_bytes
-            + self.delegate_value_bytes
-        )
-
     def as_dict(self) -> dict:
         """Flat dictionary for reporting."""
         return {

@@ -22,7 +22,8 @@ Modules
     estimates (FV / BV) and the factor-based switching rule of §IV-B.
 ``state``
     Per-GPU and replicated traversal state (normal values, delegate values,
-    masks, frontiers); :class:`BFSState` keeps the level-array vocabulary.
+    masks, frontiers) of one run: :class:`TraversalState`, started from a
+    program's initial values.
 ``programs``
     The frontier-program protocol and the shipped algorithms: BFS levels,
     Graph500 parent trees, connected components, k-hop reachability.

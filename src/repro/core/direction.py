@@ -90,9 +90,3 @@ class DirectionState:
             self.switches += 1
         self.history.append(self.backward)
         return self.backward
-
-    def reset(self) -> None:
-        """Return to the initial forward direction (used between BFS runs)."""
-        self.backward = False
-        self.switches = 0
-        self.history.clear()

@@ -841,29 +841,9 @@ class DistributedBFS:
             graph, options=options, hardware=hardware, backend=backend, kernels=kernels
         )
 
-    @property
-    def graph(self) -> PartitionedGraph:
-        return self.engine.graph
-
     def close(self) -> None:
         """Release the engine's execution backend (idempotent)."""
         self.engine.close()
-
-    @property
-    def options(self) -> BFSOptions:
-        return self.engine.options
-
-    @property
-    def hardware(self) -> HardwareSpec:
-        return self.engine.hardware
-
-    @property
-    def netmodel(self) -> NetworkModel:
-        return self.engine.netmodel
-
-    @property
-    def topology(self) -> ClusterTopology:
-        return self.engine.topology
 
     def run(self, source: int) -> BFSResult:
         """Run one BFS from ``source`` and return distances plus metrics."""

@@ -48,7 +48,6 @@ __all__ = [
     "weighted_forward_visit",
     "contrib_visit",
     "backward_visit",
-    "frontier_workload",
     "batched_filter_frontier",
     "batched_forward_visit",
     "batched_backward_visit",
@@ -110,11 +109,6 @@ class KernelOutput:
     def __post_init__(self) -> None:
         if self.sources is None:
             self.sources = np.zeros(0, dtype=np.int64)
-
-
-def frontier_workload(csr: CSRGraph, frontier: np.ndarray) -> int:
-    """Forward workload FV: total out-degree of the frontier in this subgraph."""
-    return csr.frontier_workload(frontier)
 
 
 def forward_visit(csr: CSRGraph, frontier: np.ndarray) -> KernelOutput:

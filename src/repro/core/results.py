@@ -338,22 +338,6 @@ class BatchResult(TraversalResult):
         """One per-lane view per source, in lane order."""
         return [self.result_for_lane(lane) for lane in range(self.width)]
 
-    @property
-    def num_visited(self) -> int:
-        """Total (vertex, lane) pairs reached across the batch."""
-        return int(np.count_nonzero(self.distances >= 0))
-
-    def summary(self) -> dict:
-        base = super().summary()
-        base.update(
-            {
-                "batch_width": self.width,
-                "visited": self.num_visited,
-                "max_hops": self.max_hops,
-            }
-        )
-        return base
-
 
 @dataclass
 class ReachabilityResult(TraversalResult):

@@ -13,9 +13,8 @@ The state mirrors what the real implementation keeps resident on the GPUs:
   newly-updated delegate ids (shared).
 
 :class:`TraversalState` is the algorithm-agnostic container used by
-:class:`repro.core.engine.TraversalEngine`; :class:`BFSState` specializes it
-with the level-array vocabulary of plain BFS (and keeps the seed API:
-``normal_levels``, ``mark_normals``, ``gather_distances``, …).
+:class:`repro.core.engine.TraversalEngine`; a run starts from a program's
+:class:`repro.core.programs.ProgramInit` (:meth:`TraversalState.from_init`).
 """
 
 from __future__ import annotations
@@ -29,16 +28,12 @@ from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import Bitmask
 from repro.utils.sorting import sorted_unique
 
-__all__ = ["UNVISITED", "TraversalState", "BFSState"]
+__all__ = ["UNVISITED", "TraversalState"]
 
 UNVISITED = np.int64(-1)
 
 #: accept(current_values, proposed_values) -> bool mask of updates to apply.
 AcceptFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _visit_once(current: np.ndarray, proposed: np.ndarray) -> np.ndarray:
-    return current == UNVISITED
 
 
 def _sorted_unique_ids(frontier: np.ndarray) -> np.ndarray:
@@ -56,21 +51,6 @@ class TraversalState:
     delegate_visited: Bitmask = field(default_factory=lambda: Bitmask(0))
     normal_frontiers: list[np.ndarray] = field(default_factory=list)
     delegate_frontier: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    @classmethod
-    def empty(cls, graph: PartitionedGraph) -> "TraversalState":
-        """A state with every vertex unset and empty frontiers."""
-        d = graph.num_delegates
-        return cls(
-            graph=graph,
-            normal_values=[
-                np.full(gpu.num_local, UNVISITED, dtype=np.int64) for gpu in graph.gpus
-            ],
-            delegate_values=np.full(d, UNVISITED, dtype=np.int64),
-            delegate_visited=Bitmask(d),
-            normal_frontiers=[np.zeros(0, dtype=np.int64) for _ in graph.gpus],
-            delegate_frontier=np.zeros(0, dtype=np.int64),
-        )
 
     @classmethod
     def from_init(cls, graph: PartitionedGraph, init) -> "TraversalState":
@@ -105,7 +85,7 @@ class TraversalState:
         gpu: int,
         slots: np.ndarray,
         values: np.ndarray,
-        accept: AcceptFn = _visit_once,
+        accept: AcceptFn,
     ) -> np.ndarray:
         """Apply accepted value updates to local slots on ``gpu``.
 
@@ -127,7 +107,7 @@ class TraversalState:
         self,
         delegate_ids: np.ndarray,
         values: np.ndarray,
-        accept: AcceptFn = _visit_once,
+        accept: AcceptFn,
     ) -> np.ndarray:
         """Apply accepted value updates to the replicated delegates.
 
@@ -143,10 +123,6 @@ class TraversalState:
         if fresh.size:
             self.delegate_visited.set_many(fresh)
         return fresh
-
-    def unvisited_delegates(self) -> np.ndarray:
-        """Delegate ids that never received a value."""
-        return np.flatnonzero(self.delegate_values == UNVISITED).astype(np.int64)
 
     def frontier_empty(self) -> bool:
         """Whether both the normal and delegate frontiers are empty everywhere."""
@@ -171,74 +147,3 @@ class TraversalState:
             has_value_d = self.delegate_values != UNVISITED
             out[graph.delegate_vertices[has_value_d]] = self.delegate_values[has_value_d]
         return out
-
-    def visited_count(self) -> int:
-        """Total number of vertices holding a value so far."""
-        total = int(np.count_nonzero(self.delegate_values != UNVISITED))
-        for values in self.normal_values:
-            total += int(np.count_nonzero(values != UNVISITED))
-        return total
-
-
-class BFSState(TraversalState):
-    """Traversal state with the level-array vocabulary of plain BFS."""
-
-    @classmethod
-    def initialize(cls, graph: PartitionedGraph, source: int) -> "BFSState":
-        """Create the state for a BFS from ``source`` (level 0)."""
-        if not 0 <= source < graph.num_vertices:
-            raise ValueError(
-                f"source {source} out of range [0, {graph.num_vertices})"
-            )
-        state = cls.empty(graph)
-        delegate_id = int(graph.separation.delegate_id_of[source])
-        if delegate_id >= 0:
-            state.delegate_values[delegate_id] = 0
-            state.delegate_visited.set(delegate_id)
-            state.delegate_frontier = np.asarray([delegate_id], dtype=np.int64)
-        else:
-            owner = int(graph.layout.flat_gpu_of(source))
-            slot = int(graph.layout.local_index_of(source))
-            state.normal_values[owner][slot] = 0
-            state.normal_frontiers[owner] = np.asarray([slot], dtype=np.int64)
-        return state
-
-    # Level-flavoured aliases over the generic value arrays.
-    @property
-    def normal_levels(self) -> list[np.ndarray]:
-        """Per-GPU hop levels of the local normal slots (``-1`` = unvisited)."""
-        return self.normal_values
-
-    @property
-    def delegate_levels(self) -> np.ndarray:
-        """Replicated hop levels of the delegates (``-1`` = unvisited)."""
-        return self.delegate_values
-
-    def mark_normals(self, gpu: int, slots: np.ndarray, level: int) -> np.ndarray:
-        """Mark unvisited local slots on ``gpu`` with ``level``.
-
-        Returns the slots that were actually new (already-visited ones are
-        dropped, which is what the destination-side filtering on a real GPU
-        does via atomic label updates).
-        """
-        slots = np.asarray(slots, dtype=np.int64).ravel()
-        if slots.size == 0:
-            return slots
-        slots = sorted_unique(slots)
-        return self.update_normals(
-            gpu, slots, np.full(slots.size, level, dtype=np.int64)
-        )
-
-    def mark_delegates(self, delegate_ids: np.ndarray, level: int) -> np.ndarray:
-        """Mark unvisited delegates with ``level`` and return the new ones."""
-        delegate_ids = np.asarray(delegate_ids, dtype=np.int64).ravel()
-        if delegate_ids.size == 0:
-            return delegate_ids
-        delegate_ids = sorted_unique(delegate_ids)
-        return self.update_delegates(
-            delegate_ids, np.full(delegate_ids.size, level, dtype=np.int64)
-        )
-
-    def gather_distances(self) -> np.ndarray:
-        """Assemble the global hop-distance array (``-1`` = unreachable)."""
-        return self.gather_values()

@@ -592,10 +592,6 @@ class DynamicEngine:
         return self._resolve().options
 
     @property
-    def hardware(self):
-        return self._resolve().hardware
-
-    @property
     def backend_name(self) -> str:
         return self.config.backend_name
 

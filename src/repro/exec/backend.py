@@ -188,9 +188,6 @@ class ExecutionBackend(abc.ABC):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
 
 class InlineBackend(ExecutionBackend):
     """Run every kernel task in the calling process, one GPU after another.

@@ -156,12 +156,6 @@ class SegmentCache:
         view = np.frombuffer(segment.buf, dtype=dtype, count=count, offset=offset)
         return view.reshape(shape)
 
-    def close(self) -> None:
-        for segment in self._segments.values():
-            segment.close()
-        self._segments.clear()
-        self.derived.clear()
-
 
 def csrs_from_descriptor(cache: SegmentCache, descriptor: dict) -> dict:
     """Materialise ``{(gpu, key): CSRGraph}`` views from a graph descriptor."""

@@ -13,34 +13,28 @@ partitioning layer:
 ``generators``
     Additional synthetic graphs: scale-free configuration-model graphs that
     stand in for the Friendster social network and the WDC 2012 hyperlink
-    graph, plus small deterministic graphs (paths, grids, stars, cliques)
-    used heavily in the test suite.
+    graph, a uniform random graph, and the one kind -> generator table.
 ``csr``
     Compressed Sparse Row adjacency used by every traversal kernel.
 ``degree``
-    Degree computation and degree-distribution summaries.
+    Out-degrees and random source selection.
 ``properties``
     Graph statistics (connected components, approximate diameter, etc.).
 ``io``
-    Simple binary/text edge-list persistence.
+    Edge-list persistence: ``.npz`` archives and the streamable raw binary
+    format.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.degree import degree_histogram, out_degrees, resolve_sources
+from repro.graph.degree import out_degrees, resolve_sources
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import (
-    clique_edges,
     friendster_like,
     generate_edge_chunks,
     generate_graph,
-    grid_edges,
-    path_edges,
-    random_bipartite,
-    star_edges,
     uniform_random_graph,
     wdc_like,
 )
-from repro.graph.permute import apply_vertex_permutation
 from repro.graph.properties import GraphProperties, analyze_graph
 from repro.graph.rmat import RMATParameters, generate_rmat
 
@@ -54,15 +48,8 @@ __all__ = [
     "friendster_like",
     "wdc_like",
     "uniform_random_graph",
-    "random_bipartite",
-    "path_edges",
-    "grid_edges",
-    "star_edges",
-    "clique_edges",
     "out_degrees",
     "resolve_sources",
-    "degree_histogram",
-    "apply_vertex_permutation",
     "GraphProperties",
     "analyze_graph",
 ]

@@ -330,24 +330,6 @@ class CSRGraph:
         lengths = self.row_offsets[rows + 1] - self.row_offsets[rows]
         return int(lengths.sum())
 
-    def reversed(self) -> "CSRGraph":
-        """Return the transpose (reverse) CSR: an edge r->c becomes c->r."""
-        if self.edge_weights is not None:
-            src, dst, w = self.gather_neighbors_with_weights(
-                np.arange(self.num_rows, dtype=np.int64)
-            )
-        else:
-            src, dst = self.gather_neighbors(np.arange(self.num_rows, dtype=np.int64))
-            w = None
-        return CSRGraph.from_edges(
-            np.asarray(dst, dtype=np.int64),
-            src,
-            num_rows=self.num_cols,
-            num_cols=self.num_rows,
-            column_dtype=np.int32 if self.num_rows <= np.iinfo(np.int32).max else np.int64,
-            weights=w,
-        )
-
     def to_scipy(self):
         """Convert to a ``scipy.sparse.csr_matrix`` of ones (for validation)."""
         from scipy.sparse import csr_matrix

@@ -87,14 +87,6 @@ class EdgeList:
         """``True`` when a per-edge weight array is attached."""
         return self.weights is not None
 
-    def nbytes_edge_list(self) -> int:
-        """Memory footprint of the conventional 64-bit edge-list format.
-
-        This is the ``16m`` bytes baseline the paper compares its partitioned
-        representation against in §III-C.
-        """
-        return 16 * self.num_edges
-
     def copy(self) -> "EdgeList":
         """Deep copy."""
         w = self.weights.copy() if self.weights is not None else None

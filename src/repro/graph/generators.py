@@ -16,9 +16,6 @@ characteristics (skewed degrees + isolated vertices for Friendster; skewed
 degrees + a long chain-like component for WDC) so that the corresponding
 experiments (Figures 12 and 13, and the long-tail discussion) exercise the
 same code paths.
-
-The module also contains small deterministic generators (paths, stars, grids,
-cliques, bipartite graphs) used throughout the unit and property tests.
 """
 
 from __future__ import annotations
@@ -39,13 +36,6 @@ __all__ = [
     "wdc_like_edge_chunks",
     "uniform_random_graph",
     "power_law_configuration",
-    "random_bipartite",
-    "path_edges",
-    "cycle_edges",
-    "star_edges",
-    "grid_edges",
-    "clique_edges",
-    "binary_tree_edges",
 ]
 
 
@@ -374,90 +364,3 @@ def uniform_random_graph(
 
         w = edge_keyed_weights(src, dst, num_vertices, seed=weights_seed)
     return EdgeList(src, dst, num_vertices, weights=w)
-
-
-def random_bipartite(
-    left: int,
-    right: int,
-    num_edges: int,
-    rng: np.random.Generator | int | None = None,
-) -> EdgeList:
-    """Random bipartite graph with left vertices ``[0, left)`` and right
-    vertices ``[left, left+right)``."""
-    if left <= 0 or right <= 0:
-        raise ValueError("both sides of the bipartite graph must be non-empty")
-    gen = make_rng(rng)
-    src = gen.integers(0, left, size=num_edges).astype(np.int64)
-    dst = (left + gen.integers(0, right, size=num_edges)).astype(np.int64)
-    return EdgeList(src, dst, left + right)
-
-
-# --------------------------------------------------------------------------- #
-# Small deterministic generators (mostly for tests)
-# --------------------------------------------------------------------------- #
-def path_edges(num_vertices: int) -> EdgeList:
-    """Directed path 0 -> 1 -> ... -> n-1."""
-    if num_vertices < 1:
-        raise ValueError("path needs at least one vertex")
-    src = np.arange(num_vertices - 1, dtype=np.int64)
-    return EdgeList(src, src + 1, num_vertices)
-
-
-def cycle_edges(num_vertices: int) -> EdgeList:
-    """Directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
-    if num_vertices < 1:
-        raise ValueError("cycle needs at least one vertex")
-    src = np.arange(num_vertices, dtype=np.int64)
-    dst = (src + 1) % num_vertices
-    return EdgeList(src, dst, num_vertices)
-
-
-def star_edges(num_leaves: int) -> EdgeList:
-    """Star: vertex 0 points to vertices 1..num_leaves.
-
-    The hub has out-degree ``num_leaves``; with any threshold below that the
-    hub becomes a delegate, which makes stars the smallest interesting test
-    case for degree separation.
-    """
-    if num_leaves < 0:
-        raise ValueError("num_leaves must be non-negative")
-    src = np.zeros(num_leaves, dtype=np.int64)
-    dst = np.arange(1, num_leaves + 1, dtype=np.int64)
-    return EdgeList(src, dst, num_leaves + 1)
-
-
-def grid_edges(rows: int, cols: int) -> EdgeList:
-    """4-neighbour grid graph (directed edges in +row and +col directions)."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be positive")
-    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    right_src = ids[:, :-1].ravel()
-    right_dst = ids[:, 1:].ravel()
-    down_src = ids[:-1, :].ravel()
-    down_dst = ids[1:, :].ravel()
-    src = np.concatenate([right_src, down_src])
-    dst = np.concatenate([right_dst, down_dst])
-    return EdgeList(src, dst, rows * cols)
-
-
-def clique_edges(num_vertices: int) -> EdgeList:
-    """Complete directed graph (no self loops)."""
-    if num_vertices < 1:
-        raise ValueError("clique needs at least one vertex")
-    src, dst = np.meshgrid(
-        np.arange(num_vertices, dtype=np.int64),
-        np.arange(num_vertices, dtype=np.int64),
-        indexing="ij",
-    )
-    keep = src != dst
-    return EdgeList(src[keep].ravel(), dst[keep].ravel(), num_vertices)
-
-
-def binary_tree_edges(depth: int) -> EdgeList:
-    """Complete binary tree of the given depth, edges from parent to child."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    n = (1 << (depth + 1)) - 1
-    child = np.arange(1, n, dtype=np.int64)
-    parent = (child - 1) // 2
-    return EdgeList(parent, child, n)

@@ -2,21 +2,19 @@
 
 The paper's implementation is "a component of a complex workflow with many
 components that use standard formats for passing data between them"; we keep
-the same spirit by supporting two simple interchange formats:
+the same spirit with two simple interchange formats:
 
-* a **binary** ``.npz`` container (fast, exact, compressed),
-* a **text** format with one ``src dst`` pair per line (interoperable with
-  practically every graph tool, including the SNAP-format distribution of the
-  real Friendster dataset), and
+* a **binary** ``.npz`` container (fast, exact, compressed) — what ``repro
+  generate`` writes and ``--npz`` reads, and
 * a **raw binary** single-file format (fixed header + interleaved little-endian
   ``int64`` pairs) that can be read back in bounded chunks, which is what the
-  out-of-core build path (:mod:`repro.storage`) streams from.
+  out-of-core build path (:mod:`repro.storage`, ``repro build --binary``)
+  streams from.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 from pathlib import Path
 from typing import Iterator
 
@@ -27,13 +25,9 @@ from repro.graph.edgelist import EdgeList
 __all__ = [
     "save_npz",
     "load_npz",
-    "save_text",
-    "load_text",
     "save_binary",
-    "load_binary",
     "iter_binary",
     "binary_edge_count",
-    "binary_is_weighted",
 ]
 
 #: Magic + version for the raw binary edge format ("repro edge list v1"); v2
@@ -69,52 +63,6 @@ def load_npz(path: str | Path) -> EdgeList:
             raise ValueError(f"{path} is not an edge-list archive (missing {sorted(missing)})")
         weights = data["weights"] if "weights" in data.files else None
         return EdgeList(data["src"], data["dst"], int(data["num_vertices"]), weights=weights)
-
-
-def save_text(path: str | Path, edges: EdgeList, header: bool = True) -> None:
-    """Save an edge list as whitespace-separated ``src dst`` lines."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# vertices {edges.num_vertices} edges {edges.num_edges}\n")
-        np.savetxt(fh, np.column_stack([edges.src, edges.dst]), fmt="%d")
-
-
-def load_text(path: str | Path, num_vertices: int | None = None) -> EdgeList:
-    """Load a text edge list.
-
-    Parameters
-    ----------
-    path:
-        File with one ``src dst`` pair per line; ``#`` lines are comments.
-        If the header written by :func:`save_text` is present, the vertex
-        count is taken from it.
-    num_vertices:
-        Override / supply the vertex count when the file has no header.
-    """
-    path = Path(path)
-    n_from_header: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("#") and "vertices" in first:
-            try:
-                n_from_header = int(first.split()[2])
-            except (IndexError, ValueError):
-                n_from_header = None
-    with warnings.catch_warnings():
-        # An empty edge file is legitimate (a graph of isolated vertices);
-        # suppress NumPy's "no data" warning for that case.
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
-    if data.size == 0:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    else:
-        src, dst = data[:, 0], data[:, 1]
-    n = num_vertices if num_vertices is not None else n_from_header
-    if n is None:
-        n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1) if src.size else 0
-    return EdgeList(src, dst, n)
 
 
 def save_binary(path: str | Path, edges: EdgeList) -> None:
@@ -157,43 +105,6 @@ def _read_binary_header(fh, path: Path) -> tuple[int, int, bool]:
     if num_vertices < 0 or num_edges < 0:
         raise ValueError(f"{path} header is corrupt: {num_vertices=} {num_edges=}")
     return num_vertices, num_edges, magic == _BINARY_MAGIC_V2
-
-
-def load_binary(path: str | Path) -> EdgeList:
-    """Load an edge list previously written by :func:`save_binary`.
-
-    ``REPROEL2`` (weighted) files load back weighted, with the weights
-    re-validated — negative or non-finite values in the payload are rejected
-    with a clear error rather than poisoning downstream programs.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        num_vertices, num_edges, weighted = _read_binary_header(fh, path)
-        if weighted:
-            records = np.fromfile(fh, dtype=_WEIGHTED_RECORD, count=num_edges)
-            if records.size != num_edges:
-                raise ValueError(
-                    f"{path} is truncated: header says {num_edges} edges, "
-                    f"payload holds {records.size}"
-                )
-            return EdgeList(
-                np.ascontiguousarray(records["src"]),
-                np.ascontiguousarray(records["dst"]),
-                num_vertices,
-                weights=np.ascontiguousarray(records["w"]),
-            )
-        flat = np.fromfile(fh, dtype="<i8", count=2 * num_edges)
-    if flat.size != 2 * num_edges:
-        raise ValueError(
-            f"{path} is truncated: header says {num_edges} edges, "
-            f"payload holds {flat.size / 2:g}"
-        )
-    pairs = flat.reshape(-1, 2)
-    return EdgeList(
-        np.ascontiguousarray(pairs[:, 0]),
-        np.ascontiguousarray(pairs[:, 1]),
-        num_vertices,
-    )
 
 
 def iter_binary(
@@ -240,10 +151,3 @@ def binary_edge_count(path: str | Path) -> tuple[int, int]:
     with path.open("rb") as fh:
         num_vertices, num_edges, _ = _read_binary_header(fh, path)
         return num_vertices, num_edges
-
-
-def binary_is_weighted(path: str | Path) -> bool:
-    """``True`` when a binary edge list carries per-edge weights (REPROEL2)."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        return _read_binary_header(fh, path)[2]

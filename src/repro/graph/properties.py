@@ -33,19 +33,6 @@ class GraphProperties:
     mean_out_degree: float
     approx_diameter: int
 
-    def as_dict(self) -> dict:
-        """Return the properties as a plain dictionary."""
-        return {
-            "num_vertices": self.num_vertices,
-            "num_directed_edges": self.num_directed_edges,
-            "num_isolated": self.num_isolated,
-            "num_components": self.num_components,
-            "largest_component_size": self.largest_component_size,
-            "max_out_degree": self.max_out_degree,
-            "mean_out_degree": self.mean_out_degree,
-            "approx_diameter": self.approx_diameter,
-        }
-
 
 def _to_scipy(edges: EdgeList):
     from scipy.sparse import csr_matrix

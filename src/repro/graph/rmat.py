@@ -228,15 +228,3 @@ def generate_rmat(
     if deduplicate:
         edges = edges.deduplicated()
     return edges
-
-
-def graph500_edge_count(scale: int, edge_factor: int = 16) -> int:
-    """Number of edges used for TEPS accounting at a given scale.
-
-    Graph500 (and the paper, §VI-A3) computes the traversal rate using
-    ``m/2 = 2^N * 16`` even though the symmetrized graph stores twice that
-    many directed edges.
-    """
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
-    return (1 << scale) * edge_factor

@@ -4,8 +4,8 @@ The tracer is the one clock-bearing object of :mod:`repro.obs`.  Every
 instrumented layer (engine super-steps, backend kernel batches, storage
 attaches, the serving tier) asks :func:`get_tracer` for the process-wide
 tracer and records into it; when tracing is disabled — the default — that
-call returns :data:`NULL_TRACER`, whose ``span``/``event`` methods are
-allocation-free no-ops returning one shared singleton.  Hot paths therefore
+call returns :data:`NULL_TRACER`, whose recording methods are
+allocation-free no-ops (``span`` returns one shared singleton).  Hot paths therefore
 guard per-item work behind ``tracer.enabled`` (a plain attribute read) and
 pay nothing when tracing is off.
 
@@ -59,9 +59,6 @@ class _NullSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
-    def event(self, name: str, **args) -> None:
-        """Discard an instant event."""
-
     def annotate(self, **args) -> None:
         """Discard span arguments."""
 
@@ -98,10 +95,6 @@ class _Span:
             args=self._args,
         )
         return False
-
-    def event(self, name: str, **args) -> None:
-        """Record an instant event inside this span (same category/track)."""
-        self._tracer.event(name, cat=self._cat, tid=self._tid, **args)
 
     def annotate(self, **args) -> None:
         """Attach arguments to the span (merged into the completed event)."""
@@ -274,7 +267,7 @@ class Tracer:
     # Maintenance
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every recorded event (the bench runner snapshots between scenarios)."""
+        """Drop every recorded event."""
         self.events.clear()
 
 

@@ -18,7 +18,7 @@ threshold ``TH``: vertices with out-degree **greater than** ``TH`` become
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,15 +71,6 @@ class DegreeSeparation:
     def num_delegates(self) -> int:
         """Number of delegates ``d``."""
         return int(self.delegate_vertices.size)
-
-    @property
-    def delegate_fraction(self) -> float:
-        """``d / n`` (0 for the empty graph)."""
-        return self.num_delegates / self.num_vertices if self.num_vertices else 0.0
-
-    def delegate_degrees(self) -> np.ndarray:
-        """Out-degrees of the delegates, indexed by delegate id."""
-        return self.degrees[self.delegate_vertices]
 
 
 def separate_by_degree(edges: EdgeList, threshold: int) -> DegreeSeparation:
@@ -206,22 +197,27 @@ def threshold_candidates(max_degree: int) -> np.ndarray:
     return (2 ** np.arange(0, top + 1)).astype(np.int64)
 
 
+#: The ``4`` in the tuning rule's ``d <= 4 n/p``.
+MAX_DELEGATE_FACTOR = 4.0
+#: The tuning rule's upper bound on the fraction of nn edges.
+MAX_NN_FRACTION = 0.10
+
+
 def suggest_threshold(
     edges: EdgeList,
     num_gpus: int,
-    max_delegate_factor: float = 4.0,
-    max_nn_fraction: float = 0.10,
     candidates: Sequence[int] | None = None,
 ) -> int:
     """Suggest a degree threshold following the paper's tuning rule (§VI-B).
 
     The paper's guidance: keep the number of delegates ``d`` on the order of
-    the per-GPU vertex count ``n/p`` (under ``4 n/p`` in practice) and keep
-    the nn-edge percentage small (under ~10%).  Among all candidate
-    thresholds satisfying both constraints we return the smallest (more
-    delegates means less nn communication, which the paper prefers as long as
-    the delegate masks stay cheap); if no candidate satisfies both, the one
-    with the smallest constraint violation is returned.
+    the per-GPU vertex count ``n/p`` (under ``4 n/p`` in practice,
+    :data:`MAX_DELEGATE_FACTOR`) and keep the nn-edge percentage small (under
+    ~10%, :data:`MAX_NN_FRACTION`).  Among all candidate thresholds
+    satisfying both constraints we return the smallest (more delegates means
+    less nn communication, which the paper prefers as long as the delegate
+    masks stay cheap); if no candidate satisfies both, the one with the
+    smallest constraint violation is returned.
 
     Parameters
     ----------
@@ -229,16 +225,10 @@ def suggest_threshold(
         Prepared (symmetric) edge list.
     num_gpus:
         ``p``, the number of GPUs the graph will be partitioned over.
-    max_delegate_factor:
-        The ``4`` in ``d <= 4 n/p``.
-    max_nn_fraction:
-        Upper bound on the fraction of nn edges (0.10 in the paper).
     candidates:
         Candidate thresholds to consider; defaults to powers of two up to the
         maximum degree.
     """
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
     degrees = out_degrees(edges)
     max_deg = int(degrees.max()) if degrees.size else 0
     cands = (
@@ -246,23 +236,41 @@ def suggest_threshold(
         if candidates is not None
         else threshold_candidates(max_deg)
     )
-    n = edges.num_vertices
-    m = edges.num_edges
-    delegate_budget = max_delegate_factor * n / num_gpus
 
+    def nn_edges(index: int) -> int:
+        normal = degrees <= cands[index]
+        return int(np.count_nonzero(normal[edges.src] & normal[edges.dst]))
+
+    return _select_threshold(cands, degrees, nn_edges, edges.num_edges, num_gpus)
+
+
+def _select_threshold(
+    candidates: np.ndarray,
+    degrees: np.ndarray,
+    nn_edges: Callable[[int], int],
+    num_edges: int,
+    num_gpus: int,
+) -> int:
+    """The tuning rule of :func:`suggest_threshold` over ascending
+    ``candidates``: ``nn_edges(i)`` is the nn-edge count at ``candidates[i]``,
+    asked for only until a candidate passes.
+
+    Both the in-memory suggestion and the streamed build
+    (:mod:`repro.storage.extsort`) select through this one function, so they
+    pick the same ``TH`` from the same degrees and counts.
+    """
+    if num_gpus < 1:
+        raise ValueError("num_gpus must be >= 1")
+    delegate_budget = MAX_DELEGATE_FACTOR * degrees.size / num_gpus
     best_th: int | None = None
     best_violation = np.inf
-    for th in cands:
-        sep_mask = degrees > th
-        d = int(np.count_nonzero(sep_mask))
-        nn = int(np.count_nonzero(~sep_mask[edges.src] & ~sep_mask[edges.dst])) if m else 0
-        nn_frac = nn / m if m else 0.0
-        ok_d = d <= delegate_budget
-        ok_nn = nn_frac <= max_nn_fraction
-        if ok_d and ok_nn:
+    for index, th in enumerate(candidates):
+        d = int(np.count_nonzero(degrees > th))
+        nn_frac = nn_edges(index) / num_edges if num_edges else 0.0
+        if d <= delegate_budget and nn_frac <= MAX_NN_FRACTION:
             return int(th)
         violation = max(0.0, (d - delegate_budget) / max(delegate_budget, 1.0)) + max(
-            0.0, (nn_frac - max_nn_fraction) / max(max_nn_fraction, 1e-12)
+            0.0, (nn_frac - MAX_NN_FRACTION) / max(MAX_NN_FRACTION, 1e-12)
         )
         if violation < best_violation:
             best_violation = violation

@@ -60,19 +60,6 @@ class EdgeAssignment:
         """Number of edges assigned to each GPU (length ``p``)."""
         return np.bincount(self.owner, minlength=self.layout.num_gpus).astype(np.int64)
 
-    def category_counts(self) -> dict[str, int]:
-        """Total number of edges in each category across all GPUs."""
-        counts = np.bincount(self.category, minlength=4)
-        return {name: int(counts[code]) for name, code in EDGE_CATEGORIES.items()}
-
-    def imbalance(self) -> float:
-        """Max-over-mean edge-count imbalance across GPUs (1.0 = perfectly balanced)."""
-        per_gpu = self.edges_per_gpu()
-        mean = per_gpu.mean() if per_gpu.size else 0.0
-        if mean == 0:
-            return 1.0
-        return float(per_gpu.max() / mean)
-
 
 def distribute_edges(
     edges: EdgeList,

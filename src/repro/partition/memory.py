@@ -57,25 +57,6 @@ class MemoryModel:
         """Partitioned size as a fraction of an undistributed 64-bit CSR."""
         return self.partitioned_bytes / self.plain_csr_bytes if self.plain_csr_bytes else 0.0
 
-    @property
-    def per_gpu_bytes(self) -> float:
-        """Average partitioned bytes per GPU."""
-        return self.partitioned_bytes / self.num_gpus if self.num_gpus else 0.0
-
-    def as_dict(self) -> dict:
-        """Flat dictionary for tabular reporting."""
-        return {
-            "num_vertices": self.num_vertices,
-            "num_directed_edges": self.num_directed_edges,
-            "num_delegates": self.num_delegates,
-            "num_gpus": self.num_gpus,
-            "partitioned_bytes": self.partitioned_bytes,
-            "edge_list_bytes": self.edge_list_bytes,
-            "plain_csr_bytes": self.plain_csr_bytes,
-            "vs_edge_list": self.vs_edge_list,
-            "vs_plain_csr": self.vs_plain_csr,
-        }
-
 
 def analytic_memory_model(census: EdgeCategoryCensus, num_gpus: int) -> MemoryModel:
     """Evaluate Table I's formulas from an edge-category census.

@@ -47,19 +47,6 @@ class OneDPartition:
     num_directed_edges: int
     adjacency: list[CSRGraph]
 
-    @property
-    def num_gpus(self) -> int:
-        """Number of GPUs."""
-        return self.layout.num_gpus
-
-    def edges_per_gpu(self) -> np.ndarray:
-        """Stored edge count per GPU."""
-        return np.asarray([csr.num_edges for csr in self.adjacency], dtype=np.int64)
-
-    def total_nbytes(self) -> int:
-        """Total storage (64-bit CSR on every GPU)."""
-        return int(sum(csr.nbytes() for csr in self.adjacency))
-
 
 def partition_1d(edges: EdgeList, layout: ClusterLayout) -> OneDPartition:
     """Partition a prepared edge list 1D by source-vertex owner."""

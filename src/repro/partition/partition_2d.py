@@ -71,55 +71,13 @@ class TwoDPartition:
     num_directed_edges: int
     blocks: list[list[CSRGraph]]
 
-    @property
-    def num_gpus(self) -> int:
-        """Total number of grid positions (= GPUs)."""
-        return self.grid_rows * self.grid_cols
-
     def row_block_of(self, vertices: np.ndarray | int) -> np.ndarray:
         """Row-block index of each vertex (``v mod grid_rows``)."""
         return np.asarray(vertices, dtype=np.int64) % self.grid_rows
 
-    def col_block_of(self, vertices: np.ndarray | int) -> np.ndarray:
-        """Column-block index of each vertex (``v mod grid_cols``)."""
-        return np.asarray(vertices, dtype=np.int64) % self.grid_cols
-
     def row_local_of(self, vertices: np.ndarray | int) -> np.ndarray:
         """Local index of each vertex within its row block."""
         return np.asarray(vertices, dtype=np.int64) // self.grid_rows
-
-    def col_local_of(self, vertices: np.ndarray | int) -> np.ndarray:
-        """Local index of each vertex within its column block."""
-        return np.asarray(vertices, dtype=np.int64) // self.grid_cols
-
-    def num_row_local(self, row_block: int) -> int:
-        """Number of vertices in a given row block."""
-        if row_block >= self.num_vertices:
-            return 0
-        return (self.num_vertices - row_block + self.grid_rows - 1) // self.grid_rows
-
-    def num_col_local(self, col_block: int) -> int:
-        """Number of vertices in a given column block."""
-        if col_block >= self.num_vertices:
-            return 0
-        return (self.num_vertices - col_block + self.grid_cols - 1) // self.grid_cols
-
-    def edges_per_gpu(self) -> np.ndarray:
-        """Stored edge count per grid position (flattened row-major)."""
-        return np.asarray(
-            [self.blocks[i][j].num_edges for i in range(self.grid_rows) for j in range(self.grid_cols)],
-            dtype=np.int64,
-        )
-
-    def total_nbytes(self) -> int:
-        """Total storage across all blocks."""
-        return int(
-            sum(
-                self.blocks[i][j].nbytes()
-                for i in range(self.grid_rows)
-                for j in range(self.grid_cols)
-            )
-        )
 
 
 def partition_2d(edges: EdgeList, layout: ClusterLayout) -> TwoDPartition:

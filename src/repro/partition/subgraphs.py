@@ -165,14 +165,6 @@ class PartitionedGraph:
         """Delegate id of each given global vertex (-1 for normal vertices)."""
         return self.separation.delegate_id_of[np.asarray(vertices, dtype=np.int64)]
 
-    def owner_of_vertex(self, vertices: np.ndarray | int) -> np.ndarray:
-        """Flat GPU index owning each given global vertex id."""
-        return self.layout.flat_gpu_of(vertices)
-
-    def total_stored_edges(self) -> int:
-        """Sum of edges stored across all GPUs (equals the input edge count)."""
-        return int(sum(g.num_edges for g in self.gpus))
-
     def total_nbytes(self) -> int:
         """Total graph storage across the cluster in bytes."""
         return int(sum(g.nbytes() for g in self.gpus))

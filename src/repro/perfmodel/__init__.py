@@ -5,7 +5,7 @@
     partitioning) and §V (the paper's delegate + normal model), used for the
     model-scaling figures and to cross-check the simulation's counters.
 ``teps``
-    TEPS/GTEPS accounting helpers following the Graph500 convention.
+    The Graph500 counted-edge convention for RMAT rates.
 ``scaling``
     Weak- and strong-scaling experiment drivers that sweep the simulated
     cluster size and aggregate per-source results (Figures 9–11).
@@ -23,7 +23,6 @@ from repro.perfmodel.costs import (
     weak_scaling_growth,
 )
 from repro.perfmodel.scaling import ScalingPoint, strong_scaling_sweep, weak_scaling_sweep
-from repro.perfmodel.teps import gteps, teps
 
 __all__ = [
     "CommunicationCosts",
@@ -31,8 +30,6 @@ __all__ = [
     "two_d_volume_bytes",
     "paper_model_volume_bytes",
     "weak_scaling_growth",
-    "teps",
-    "gteps",
     "ScalingPoint",
     "weak_scaling_sweep",
     "strong_scaling_sweep",

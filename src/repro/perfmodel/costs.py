@@ -43,15 +43,6 @@ class CommunicationCosts:
     volume_bytes: float
     time_seconds: float
 
-    def as_dict(self) -> dict:
-        """Flat dictionary for tabular output."""
-        return {
-            "scheme": self.scheme,
-            "num_gpus": self.num_gpus,
-            "volume_bytes": self.volume_bytes,
-            "time_seconds": self.time_seconds,
-        }
-
 
 def one_d_dobfs_volume_bytes(num_edges: int) -> float:
     """§II-B: 1D-partitioned DOBFS broadcasts newly visited vertices — ``8 m`` bytes."""

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.hardware import HardwareSpec
-from repro.core.engine import DistributedBFS
+from repro.core.campaign import run_campaign
+from repro.core.engine import TraversalEngine
 from repro.core.options import BFSOptions
 from repro.graph.degree import out_degrees
 from repro.graph.rmat import generate_rmat
@@ -24,7 +25,6 @@ from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.perfmodel.teps import rmat_counted_edges
 from repro.utils.rng import random_sources
-from repro.utils.stats import geometric_mean
 from repro.utils.timing import TimingBreakdown
 
 __all__ = ["ScalingPoint", "run_configuration", "weak_scaling_sweep", "strong_scaling_sweep"]
@@ -44,22 +44,6 @@ class ScalingPoint:
     breakdown: TimingBreakdown
     num_sources: int
     per_source_gteps: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        """Flat dictionary row for tabular reporting."""
-        return {
-            "scale": self.scale,
-            "layout": self.layout_notation,
-            "num_gpus": self.num_gpus,
-            "threshold": self.threshold,
-            "DO": self.direction_optimized,
-            "gteps": self.gteps_geo_mean,
-            "elapsed_ms": self.elapsed_ms_geo_mean,
-            "computation_ms": self.breakdown.computation,
-            "local_comm_ms": self.breakdown.local_communication,
-            "remote_normal_ms": self.breakdown.remote_normal_exchange,
-            "remote_delegate_ms": self.breakdown.remote_delegate_reduce,
-        }
 
 
 def run_configuration(
@@ -87,7 +71,7 @@ def run_configuration(
         Hardware model (defaults to Ray).
     num_sources:
         Number of random BFS sources; only runs with more than one iteration
-        are counted, like the paper's reporting.
+        are counted, like the paper's reporting (:class:`Campaign`).
     seed:
         Seed controlling graph generation and source selection.
     """
@@ -96,41 +80,34 @@ def run_configuration(
     if threshold is None:
         threshold = suggest_threshold(edges, layout.num_gpus)
     graph = build_partitions(edges, layout, threshold)
-    engine = DistributedBFS(graph, options=options, hardware=hardware)
-
-    degrees = out_degrees(edges)
-    sources = random_sources(edges.num_vertices, num_sources, rng=seed + 1, degrees=degrees)
-    counted = rmat_counted_edges(scale)
-
-    rates: list[float] = []
-    elapsed: list[float] = []
-    breakdown = TimingBreakdown()
-    kept = 0
-    for source in sources:
-        result = engine.run(int(source))
-        if not result.traversed_more_than_one_iteration():
-            continue
-        kept += 1
-        rates.append(result.gteps(counted))
-        elapsed.append(result.timing.elapsed_ms)
-        breakdown = breakdown + result.timing
-    if kept == 0:
+    sources = random_sources(
+        edges.num_vertices, num_sources, rng=seed + 1, degrees=out_degrees(edges)
+    )
+    engine = TraversalEngine(graph, options=options, hardware=hardware)
+    try:
+        campaign = run_campaign(engine, sources)
+    finally:
+        engine.close()
+    if not campaign.reported:
         raise RuntimeError(
             "no BFS run traversed more than one iteration; "
             "increase num_sources or check the graph"
         )
-    breakdown = breakdown.scaled(1.0 / kept)
+    counted = rmat_counted_edges(scale)
+    breakdown = TimingBreakdown()
+    for result in campaign.reported:
+        breakdown = breakdown + result.timing
     return ScalingPoint(
         scale=scale,
         layout_notation=layout.notation(),
         num_gpus=layout.num_gpus,
         threshold=int(threshold),
         direction_optimized=options.direction_optimized,
-        gteps_geo_mean=geometric_mean(rates),
-        elapsed_ms_geo_mean=geometric_mean(elapsed),
-        breakdown=breakdown,
-        num_sources=kept,
-        per_source_gteps=rates,
+        gteps_geo_mean=campaign.geo_mean_gteps(counted),
+        elapsed_ms_geo_mean=campaign.geo_mean_elapsed_ms(),
+        breakdown=breakdown.scaled(1.0 / len(campaign.reported)),
+        num_sources=len(campaign.reported),
+        per_source_gteps=campaign.rates(counted),
     )
 
 

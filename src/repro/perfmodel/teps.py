@@ -3,15 +3,14 @@
 The paper computes traversal rates with the *nominal* Graph500 edge count:
 for a scale-``N`` RMAT graph with edge factor 16, the counted edges are
 ``m/2 = 2^N * 16`` regardless of duplicate removal or the number of edges the
-run actually touched.  These helpers centralise that convention so every
-benchmark and example reports rates the same way.
+run actually touched.  :func:`rmat_counted_edges` states that convention once;
+the rate itself is :meth:`repro.core.results.TraversalResult.gteps` and the
+paper's aggregate :meth:`repro.core.campaign.Campaign.geo_mean_gteps`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["teps", "gteps", "rmat_counted_edges"]
+__all__ = ["rmat_counted_edges"]
 
 
 def rmat_counted_edges(scale: int, edge_factor: int = 16) -> int:
@@ -21,26 +20,3 @@ def rmat_counted_edges(scale: int, edge_factor: int = 16) -> int:
     if edge_factor <= 0:
         raise ValueError("edge_factor must be positive")
     return (1 << scale) * edge_factor
-
-
-def teps(counted_edges: int, elapsed_seconds: float) -> float:
-    """Traversed edges per second."""
-    if counted_edges < 0:
-        raise ValueError("counted_edges must be non-negative")
-    if elapsed_seconds <= 0:
-        raise ValueError("elapsed time must be positive")
-    return counted_edges / elapsed_seconds
-
-
-def gteps(counted_edges: int, elapsed_seconds: float) -> float:
-    """Traversed edges per second, in units of 10^9."""
-    return teps(counted_edges, elapsed_seconds) / 1e9
-
-
-def geometric_mean_gteps(counted_edges: int, elapsed_seconds: np.ndarray) -> float:
-    """Geometric-mean GTEPS over several runs (the paper's reporting rule)."""
-    from repro.utils.stats import geometric_mean
-
-    elapsed_seconds = np.asarray(elapsed_seconds, dtype=float)
-    rates = np.asarray([gteps(counted_edges, float(t)) for t in elapsed_seconds])
-    return geometric_mean(rates)

@@ -99,17 +99,6 @@ class LRUCache:
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self.stats = CacheStats(capacity=self._capacity)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        """Membership test without touching recency or the hit/miss counters."""
-        return key in self._entries
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def get(self, key: Hashable, default=None):
         """Look up ``key``, counting a hit (and refreshing recency) or a miss."""
         value = self._entries.get(key, _MISSING)

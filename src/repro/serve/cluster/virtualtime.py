@@ -31,7 +31,7 @@ import asyncio
 import heapq
 import selectors
 
-__all__ = ["VirtualClockEventLoop", "run_on_virtual_clock", "virtual_sleep"]
+__all__ = ["VirtualClockEventLoop", "run_on_virtual_clock"]
 
 
 class VirtualClockEventLoop(asyncio.SelectorEventLoop):
@@ -92,8 +92,3 @@ def run_on_virtual_clock(coro):
         return loop.run_until_complete(coro)
     finally:
         loop.close()
-
-
-async def virtual_sleep(delay_ms: float) -> None:
-    """Sleep ``delay_ms`` of virtual time (non-negative; 0 yields one tick)."""
-    await asyncio.sleep(max(0.0, float(delay_ms)))

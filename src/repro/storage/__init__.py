@@ -32,14 +32,7 @@ from repro.storage.codec import (
     varint_encode,
     varint_sizes,
 )
-from repro.storage.edgestream import (
-    EdgeChunkWriter,
-    chunks_from_edgelist,
-    iter_edge_chunks,
-    read_chunk_meta,
-    write_edge_chunks,
-)
-from repro.storage.extsort import external_build
+from repro.storage.extsort import chunks_from_edgelist, external_build
 from repro.storage.segments import (
     StoreHandle,
     load_graph_store,
@@ -55,11 +48,7 @@ __all__ = [
     "compress_csr",
     "varint_encode",
     "varint_sizes",
-    "EdgeChunkWriter",
     "chunks_from_edgelist",
-    "iter_edge_chunks",
-    "read_chunk_meta",
-    "write_edge_chunks",
     "external_build",
     "StoreHandle",
     "load_graph_store",

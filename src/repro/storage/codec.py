@@ -144,11 +144,6 @@ class CompressedCSR:
             total += int(self.edge_weights.nbytes)
         return total
 
-    def compression_ratio(self) -> float:
-        """Raw column bytes divided by payload bytes (1.0 for empty rows)."""
-        raw = self.num_edges * np.dtype(self.column_dtype).itemsize
-        return raw / self.payload.nbytes if self.payload.nbytes else 1.0
-
     def decode_rows(self, rows: np.ndarray) -> CSRGraph:
         """Materialize a masked CSR holding only the requested rows.
 

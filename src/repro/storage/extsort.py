@@ -15,8 +15,10 @@ resident.  The passes:
    duplicate-free key file and the exact out-degree array (the same
    ``bincount`` in-memory preparation computes).
 3. **threshold** *(only when ``TH`` is not given)* — one more streamed pass
-   replicating :func:`repro.partition.delegates.suggest_threshold` candidate
-   for candidate, so the streaming build picks the identical ``TH``.
+   counting every candidate's nn edges, then the selection
+   :func:`repro.partition.delegates.suggest_threshold` makes
+   (``repro.partition.delegates._select_threshold``), so the streaming
+   build picks the identical ``TH``.
 4. **distribute** — per sorted block: run the unmodified Algorithm 1
    distributor, group the block by ``(gpu, category)`` with one stable sort
    and append each edge's column id to its bucket file, using the partition
@@ -47,6 +49,7 @@ from repro.graph.edgelist import EdgeList
 from repro.partition.delegates import (
     DegreeSeparation,
     EdgeCategoryCensus,
+    _select_threshold,
     threshold_candidates,
 )
 from repro.partition.distributor import EDGE_CATEGORIES, distribute_edges
@@ -59,13 +62,30 @@ from repro.utils.rng import deterministic_hash_permutation
 from repro.utils.sorting import sorted_unique
 from repro.utils.timing import now_s
 
-__all__ = ["external_build", "DEFAULT_BLOCK_EDGES"]
+__all__ = ["external_build", "chunks_from_edgelist", "DEFAULT_BLOCK_EDGES"]
 
 #: Default number of edges processed per block (= peak resident edge count).
 DEFAULT_BLOCK_EDGES = 1 << 20
 
 _CSR_KEYS = ("nn", "nd", "dn", "dd")
 _COMPRESSIBLE = ("nn", "nd")
+
+
+def chunks_from_edgelist(
+    edges: EdgeList, chunk_edges: int = 1 << 20
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Slice an in-memory edge list into the chunk stream :func:`external_build`
+    takes.
+
+    The concatenation of the yielded chunks is exactly ``edges`` — how
+    ``repro build --npz`` streams an archive, and the bridge the tests use to
+    prove the streaming build bit-identical to the in-memory one.
+    """
+    if chunk_edges < 1:
+        raise ValueError("chunk_edges must be >= 1")
+    for start in range(0, edges.num_edges, chunk_edges):
+        stop = min(start + chunk_edges, edges.num_edges)
+        yield edges.src[start:stop], edges.dst[start:stop]
 
 
 # --------------------------------------------------------------------------- #
@@ -114,44 +134,24 @@ def _iter_blocks(path: Path, dtype, block_elems: int) -> Iterator[np.ndarray]:
 
 
 # --------------------------------------------------------------------------- #
-# Streamed threshold suggestion (mirrors suggest_threshold exactly)
+# Streamed threshold suggestion
 # --------------------------------------------------------------------------- #
 def _stream_suggest_threshold(
-    keys_path: Path,
-    degrees: np.ndarray,
-    num_vertices: int,
-    num_edges: int,
-    num_gpus: int,
-    block_edges: int,
-    max_delegate_factor: float = 4.0,
-    max_nn_fraction: float = 0.10,
+    keys_path: Path, degrees: np.ndarray, num_edges: int, num_gpus: int, block_edges: int
 ) -> int:
-    max_deg = int(degrees.max()) if degrees.size else 0
-    cands = threshold_candidates(max_deg)
+    """:func:`repro.partition.delegates.suggest_threshold` over the sorted key
+    file: every candidate's nn-edge count in one streamed pass, then the same
+    selection."""
+    cands = threshold_candidates(int(degrees.max()) if degrees.size else 0)
     nn_counts = np.zeros(cands.size, dtype=np.int64)
-    n = np.int64(num_vertices)
+    n = np.int64(degrees.size)
     if num_edges:
         for keys in _iter_blocks(keys_path, np.int64, block_edges):
             deg_src = degrees[keys // n]
             deg_dst = degrees[keys % n]
             for ci, th in enumerate(cands):
                 nn_counts[ci] += int(np.count_nonzero((deg_src <= th) & (deg_dst <= th)))
-    delegate_budget = max_delegate_factor * num_vertices / num_gpus
-    best_th: int | None = None
-    best_violation = np.inf
-    for ci, th in enumerate(cands):
-        d = int(np.count_nonzero(degrees > th))
-        nn_frac = nn_counts[ci] / num_edges if num_edges else 0.0
-        if d <= delegate_budget and nn_frac <= max_nn_fraction:
-            return int(th)
-        violation = max(0.0, (d - delegate_budget) / max(delegate_budget, 1.0)) + max(
-            0.0, (nn_frac - max_nn_fraction) / max(max_nn_fraction, 1e-12)
-        )
-        if violation < best_violation:
-            best_violation = violation
-            best_th = int(th)
-    assert best_th is not None
-    return best_th
+    return _select_threshold(cands, degrees, lambda i: int(nn_counts[i]), num_edges, num_gpus)
 
 
 # --------------------------------------------------------------------------- #
@@ -318,7 +318,7 @@ def external_build(
     t0 = now_s()
     if threshold is None:
         threshold = _stream_suggest_threshold(
-            keys_path, degrees, n, num_edges, layout.num_gpus, block_edges
+            keys_path, degrees, num_edges, layout.num_gpus, block_edges
         )
     walls["threshold"] = now_s() - t0
     get_tracer().record_span(

@@ -163,6 +163,21 @@ class StoreHandle:
             self.segment_path = self.directory / SEGMENT_NAME
             self._file = open(self.segment_path, "rb")
             size = os.fstat(self._file.fileno()).st_size
+            expected = max(
+                (
+                    entry["offset"]
+                    + int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+                    for entry in self.manifest["arrays"].values()
+                ),
+                default=0,
+            )
+            if size != expected:
+                self._file.close()
+                state = "truncated" if size < expected else "damaged"
+                raise ValueError(
+                    f"graph store {self.directory} is {state}: its manifest expects "
+                    f"{expected:,} bytes of {SEGMENT_NAME}, the file holds {size:,}"
+                )
             self._mm = (
                 mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ) if size else None
             )
@@ -182,16 +197,6 @@ class StoreHandle:
     def array_offset(self, name: str) -> int:
         """Byte offset of a named array within ``graph.bin``."""
         return int(self.manifest["arrays"][name]["offset"])
-
-    def close(self) -> None:
-        """Release the mapping (views created earlier keep it alive)."""
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:
-                pass
-            self._mm = None
-        self._file.close()
 
 
 #: Attached stores by resolved path: loads of the same store share one mmap,

@@ -17,18 +17,18 @@ Public modules
     :func:`sorted_unique`, the sort + neighbour-compare replacement for plain
     ``numpy.unique`` that every layer uses on integer arrays.
 ``stats``
-    Statistics helpers, most importantly the geometric mean used by the paper
-    for reporting traversal rates across 140 random sources.
+    The geometric mean used by the paper for reporting traversal rates across
+    140 random sources.
 ``timing``
-    Lightweight timers and a simulated-clock accumulator for the modeled
-    runtime breakdowns.
+    The wall clock, a context-manager timer and the modeled runtime
+    breakdown.
 """
 
 from repro.utils.bitmask import Bitmask
 from repro.utils.rng import deterministic_hash_permutation, make_rng, splitmix64
 from repro.utils.sorting import sorted_unique
-from repro.utils.stats import geometric_mean, harmonic_mean, summarize
-from repro.utils.timing import SimClock, Timer, TimingBreakdown
+from repro.utils.stats import geometric_mean
+from repro.utils.timing import Timer, TimingBreakdown
 
 __all__ = [
     "Bitmask",
@@ -37,9 +37,6 @@ __all__ = [
     "splitmix64",
     "sorted_unique",
     "geometric_mean",
-    "harmonic_mean",
-    "summarize",
-    "SimClock",
     "Timer",
     "TimingBreakdown",
 ]

@@ -9,7 +9,7 @@ an index list.
 :class:`Bitmask` wraps a ``numpy.uint8`` array in packed (``numpy.packbits``)
 layout and exposes the handful of operations the BFS engine needs:
 
-* set / test individual bits and vectors of bit positions,
+* set / test vectors of bit positions,
 * bitwise OR merge (the reduction operator used for mask all-reduce),
 * difference (``new & ~old``) to find newly visited delegates,
 * conversion to/from index arrays,
@@ -75,15 +75,6 @@ class Bitmask:
         mask.set_many(np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices))
         return mask
 
-    @classmethod
-    def from_bool_array(cls, flags: np.ndarray) -> "Bitmask":
-        """Build a mask from a boolean array (one element per bit)."""
-        flags = np.asarray(flags, dtype=bool)
-        mask = cls(flags.size)
-        if flags.size:
-            mask._bits[:] = np.packbits(flags, bitorder="little")
-        return mask
-
     def copy(self) -> "Bitmask":
         """Return a deep copy."""
         return Bitmask(self._size, self._bits.copy())
@@ -91,11 +82,6 @@ class Bitmask:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def size(self) -> int:
-        """Number of addressable bits."""
-        return self._size
-
     @property
     def nbytes(self) -> int:
         """Length of the packed backing buffer in bytes."""
@@ -112,24 +98,6 @@ class Bitmask:
             return 0
         return int(np.unpackbits(self._bits, count=self._size, bitorder="little").sum())
 
-    def any(self) -> bool:
-        """``True`` if at least one bit is set."""
-        return bool(self._bits.any())
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Bitmask(size={self._size}, set={self.count()})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bitmask):
-            return NotImplemented
-        return self._size == other._size and bool(np.array_equal(self._bits, other._bits))
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("Bitmask is mutable and unhashable")
-
     # ------------------------------------------------------------------ #
     # Bit access
     # ------------------------------------------------------------------ #
@@ -139,22 +107,6 @@ class Bitmask:
                 f"bit index out of range [0, {self._size}): "
                 f"min={idx.min() if idx.size else None}, max={idx.max() if idx.size else None}"
             )
-
-    def set(self, index: int) -> None:
-        """Set a single bit."""
-        self.set_many(np.asarray([index], dtype=np.int64))
-
-    def clear(self, index: int) -> None:
-        """Clear a single bit."""
-        idx = np.asarray([index], dtype=np.int64)
-        self._check_bounds(idx)
-        self._bits[index >> 3] &= np.uint8(~(1 << (index & 7)) & 0xFF)
-
-    def test(self, index: int) -> bool:
-        """Test a single bit."""
-        idx = np.asarray([index], dtype=np.int64)
-        self._check_bounds(idx)
-        return bool(self._bits[index >> 3] & np.uint8(1 << (index & 7)))
 
     def set_many(self, indices: np.ndarray) -> None:
         """Set many bit positions at once (vectorized).
@@ -200,26 +152,12 @@ class Bitmask:
         np.bitwise_or(self._bits, other._bits, out=self._bits)
         return self
 
-    def or_buffer(self, packed: np.ndarray) -> "Bitmask":
-        """In-place bitwise OR with a raw packed buffer."""
-        packed = np.asarray(packed, dtype=np.uint8)
-        if packed.shape != self._bits.shape:
-            raise ValueError(
-                f"packed buffer shape {packed.shape} != mask buffer shape {self._bits.shape}"
-            )
-        np.bitwise_or(self._bits, packed, out=self._bits)
-        return self
-
     def and_not(self, other: "Bitmask") -> "Bitmask":
         """Return a new mask with ``self & ~other`` (bits set here but not there)."""
         self._require_same_size(other)
         out = Bitmask(self._size, np.bitwise_and(self._bits, np.bitwise_not(other._bits)))
         out._mask_tail()
         return out
-
-    def difference_indices(self, other: "Bitmask") -> np.ndarray:
-        """Indices of bits set in ``self`` but not in ``other``."""
-        return self.and_not(other).to_indices()
 
     def to_indices(self) -> np.ndarray:
         """Return the sorted ``int64`` array of set bit positions."""
@@ -229,21 +167,6 @@ class Bitmask:
         # The unpacked bytes are 0/1: scanned as booleans (an order of
         # magnitude faster than the generic non-zero test of ``uint8``).
         return np.flatnonzero(flags.view(np.bool_)).astype(np.int64)
-
-    def to_bool_array(self) -> np.ndarray:
-        """Return the mask as a boolean array of length ``size``."""
-        if self._size == 0:
-            return np.zeros(0, dtype=bool)
-        return np.unpackbits(self._bits, count=self._size, bitorder="little").astype(bool)
-
-    def clear_all(self) -> None:
-        """Clear every bit."""
-        self._bits[:] = 0
-
-    def fill_all(self) -> None:
-        """Set every bit (only within ``size``; padding bits stay clear)."""
-        self._bits[:] = 0xFF
-        self._mask_tail()
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -306,15 +229,6 @@ class BatchBitmask:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_lane_sets(
-        cls, rows: int, width: int, row_ids: np.ndarray, lanes: np.ndarray
-    ) -> "BatchBitmask":
-        """Build a mask with bit ``lanes[i]`` of row ``row_ids[i]`` set."""
-        mask = cls(rows, width)
-        mask.set_lanes(np.asarray(row_ids), np.asarray(lanes))
-        return mask
-
     def copy(self) -> "BatchBitmask":
         """Return a deep copy."""
         return BatchBitmask(self._rows, self._width, self._words.copy())
@@ -322,16 +236,6 @@ class BatchBitmask:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def rows(self) -> int:
-        """Number of addressable rows."""
-        return self._rows
-
-    @property
-    def width(self) -> int:
-        """Number of lanes (batch width B)."""
-        return self._width
-
     @property
     def nwords(self) -> int:
         """``uint64`` words per row."""
@@ -351,31 +255,6 @@ class BatchBitmask:
         accounting for 1-bit masks.
         """
         return (self._rows * self._width + 7) // 8
-
-    def count(self) -> int:
-        """Total number of set bits across all rows."""
-        if self._rows == 0:
-            return 0
-        return int(np.unpackbits(self._words.view(np.uint8)).sum())
-
-    def any(self) -> bool:
-        """``True`` if at least one bit is set anywhere."""
-        return bool(self._words.any())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"BatchBitmask(rows={self._rows}, width={self._width}, set={self.count()})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BatchBitmask):
-            return NotImplemented
-        return (
-            self._rows == other._rows
-            and self._width == other._width
-            and bool(np.array_equal(self._words, other._words))
-        )
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("BatchBitmask is mutable and unhashable")
 
     # ------------------------------------------------------------------ #
     # Row access
@@ -424,13 +303,6 @@ class BatchBitmask:
         """Sorted ``int64`` ids of rows with at least one bit set."""
         return np.flatnonzero(self.rows_any()).astype(np.int64)
 
-    def lane_rows(self, lane: int) -> np.ndarray:
-        """Sorted ``int64`` ids of rows whose bit ``lane`` is set."""
-        if not 0 <= lane < self._width:
-            raise IndexError(f"lane index out of range [0, {self._width})")
-        bit = (self._words[:, lane >> 6] >> np.uint64(lane & 63)) & np.uint64(1)
-        return np.flatnonzero(bit).astype(np.int64)
-
     # ------------------------------------------------------------------ #
     # Whole-mask operations
     # ------------------------------------------------------------------ #
@@ -446,16 +318,3 @@ class BatchBitmask:
         self._require_same_shape(other)
         np.bitwise_or(self._words, other._words, out=self._words)
         return self
-
-    def and_not(self, other: "BatchBitmask") -> "BatchBitmask":
-        """Return a new mask with ``self & ~other`` (bits set here but not there)."""
-        self._require_same_shape(other)
-        return BatchBitmask(
-            self._rows,
-            self._width,
-            np.bitwise_and(self._words, np.bitwise_not(other._words)),
-        )
-
-    def clear_all(self) -> None:
-        """Clear every bit."""
-        self._words[:] = 0

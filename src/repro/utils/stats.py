@@ -1,19 +1,18 @@
-"""Statistics helpers for reporting experiment results.
+"""The geometric mean the paper reports results with.
 
 The paper reports the *geometric mean* of traversal rates (GTEPS) or elapsed
-times over 140 BFS runs from random sources (§VI-A3).  The helpers here are
-used by the benchmark harness and the examples to aggregate per-source results
-the same way.
+times over 140 BFS runs from random sources (§VI-A3);
+:class:`repro.core.campaign.Campaign` aggregates per-source results through
+:func:`geometric_mean`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["geometric_mean", "harmonic_mean", "summarize", "SummaryStats"]
+__all__ = ["geometric_mean"]
 
 
 def geometric_mean(values: Iterable[float] | np.ndarray) -> float:
@@ -32,51 +31,3 @@ def geometric_mean(values: Iterable[float] | np.ndarray) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric_mean requires strictly positive values")
     return float(np.exp(np.mean(np.log(arr))))
-
-
-def harmonic_mean(values: Iterable[float] | np.ndarray) -> float:
-    """Harmonic mean of strictly positive values."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("harmonic_mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("harmonic_mean requires strictly positive values")
-    return float(arr.size / np.sum(1.0 / arr))
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Aggregate statistics over a set of per-source measurements."""
-
-    count: int
-    geo_mean: float
-    mean: float
-    minimum: float
-    maximum: float
-    std: float
-
-    def as_dict(self) -> Mapping[str, float]:
-        """Return the summary as a plain dictionary (for tabular output)."""
-        return {
-            "count": self.count,
-            "geo_mean": self.geo_mean,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "std": self.std,
-        }
-
-
-def summarize(values: Iterable[float] | np.ndarray) -> SummaryStats:
-    """Summarize a set of positive measurements (rates or times)."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("summarize of empty sequence")
-    return SummaryStats(
-        count=int(arr.size),
-        geo_mean=geometric_mean(arr),
-        mean=float(arr.mean()),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        std=float(arr.std()),
-    )

@@ -3,25 +3,23 @@
 Two kinds of time exist in this reproduction:
 
 * **wall-clock time** of the Python simulation itself (useful for
-  pytest-benchmark and for profiling the reproduction), measured by
-  :class:`Timer`; and
-* **modeled time** of the simulated GPU cluster, accumulated by
-  :class:`SimClock` from the analytic hardware model.  This is the quantity
-  reported as "elapsed time" / GTEPS in the experiment harness, matching the
-  paper's runtime-breakdown figures (Fig. 8 and Fig. 10).
-
-:class:`TimingBreakdown` holds the per-phase modeled times of one BFS run in
-exactly the categories the paper plots: local computation, local
-communication, remote normal exchange and remote delegate reduction.
+  pytest-benchmark and for profiling the reproduction), read from
+  :data:`now_s` and measured by :class:`Timer`; and
+* **modeled time** of the simulated GPU cluster, from the analytic hardware
+  model.  :class:`TimingBreakdown` accumulates it per super-step in exactly
+  the categories the paper plots (local computation, local communication,
+  remote normal exchange, remote delegate reduction); its elapsed time is
+  what the harness reports as "elapsed time" / GTEPS, matching the paper's
+  runtime-breakdown figures (Fig. 8 and Fig. 10).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict
 
-__all__ = ["now_s", "Timer", "SimClock", "TimingBreakdown", "PHASES"]
+__all__ = ["now_s", "Timer", "TimingBreakdown", "PHASES"]
 
 #: The canonical span/wall clock of the whole repo: monotonic seconds.
 #:
@@ -66,39 +64,6 @@ class Timer:
     def __exit__(self, *exc: object) -> None:
         assert self._start is not None
         self.elapsed = now_s() - self._start
-
-
-class SimClock:
-    """Accumulator of modeled (simulated) time, in seconds, per category."""
-
-    def __init__(self) -> None:
-        self._times: Dict[str, float] = {}
-
-    def add(self, category: str, seconds: float) -> None:
-        """Charge ``seconds`` of modeled time to ``category``."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time {seconds} to {category!r}")
-        self._times[category] = self._times.get(category, 0.0) + float(seconds)
-
-    def get(self, category: str) -> float:
-        """Modeled time charged so far to ``category`` (0.0 if never charged)."""
-        return self._times.get(category, 0.0)
-
-    def total(self) -> float:
-        """Sum of all categories (ignores any overlap)."""
-        return float(sum(self._times.values()))
-
-    def categories(self) -> Iterator[str]:
-        """Iterate over category names in insertion order."""
-        return iter(self._times)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Copy of the accumulated times."""
-        return dict(self._times)
-
-    def reset(self) -> None:
-        """Zero all categories."""
-        self._times.clear()
 
 
 @dataclass

@@ -12,7 +12,6 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
-from repro.graph.generators import grid_edges, path_edges, star_edges
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 
@@ -38,19 +37,22 @@ def rmat_small_csr(rmat_small: EdgeList) -> CSRGraph:
 @pytest.fixture(scope="session")
 def star_graph() -> EdgeList:
     """A symmetric star with one obvious delegate (hub degree 40)."""
-    return star_edges(40).prepared(hash_seed=None)
+    return EdgeList(np.zeros(40, dtype=np.int64), np.arange(1, 41), 41).prepared(hash_seed=None)
 
 
 @pytest.fixture(scope="session")
 def path_graph() -> EdgeList:
     """A symmetric 50-vertex path (long diameter, no delegates at TH >= 2)."""
-    return path_edges(50).prepared(hash_seed=None)
+    return EdgeList(np.arange(49), np.arange(1, 50), 50).prepared(hash_seed=None)
 
 
 @pytest.fixture(scope="session")
 def grid_graph() -> EdgeList:
-    """A symmetric 10x8 grid."""
-    return grid_edges(10, 8).prepared(hash_seed=None)
+    """A symmetric 10x8 grid (4-neighbour)."""
+    ids = np.arange(80).reshape(10, 8)
+    src = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    dst = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return EdgeList(src, dst, 80).prepared(hash_seed=None)
 
 
 @pytest.fixture(

@@ -10,7 +10,7 @@ from repro.baselines.bfs_2d import TwoDBFS
 from repro.baselines.serial_bfs import bfs_from_edgelist, serial_bfs, serial_bfs_edge_workload
 from repro.baselines.serial_dobfs import serial_dobfs
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import path_edges
+from repro.graph.edgelist import EdgeList
 from repro.partition.layout import ClusterLayout
 from repro.partition.partition_1d import partition_1d
 from repro.partition.partition_2d import partition_2d
@@ -18,7 +18,7 @@ from repro.partition.partition_2d import partition_2d
 
 class TestSerialBFS:
     def test_path_distances(self):
-        edges = path_edges(6).prepared(hash_seed=None)
+        edges = EdgeList(np.arange(5), np.arange(1, 6), 6).prepared(hash_seed=None)
         dist = bfs_from_edgelist(edges, 0)
         np.testing.assert_array_equal(dist, [0, 1, 2, 3, 4, 5])
 
@@ -68,11 +68,11 @@ class TestSerialDOBFS:
         # A path has no dense core: the heuristic may flip briefly near the
         # tail (where few unexplored edges remain) but must spend most of the
         # traversal in top-down mode and still produce exact distances.
-        edges = path_edges(40).prepared(hash_seed=None)
+        edges = EdgeList(np.arange(39), np.arange(1, 40), 40).prepared(hash_seed=None)
         csr = CSRGraph.from_edgelist(edges)
         do = serial_dobfs(csr, 0)
         assert do.bottom_up_iterations < do.iterations / 2
-        assert do.depth == 39
+        assert do.distances.max() == 39
         np.testing.assert_array_equal(do.distances, serial_bfs(csr, 0))
 
     def test_invalid_parameters(self, rmat_small_csr):
@@ -103,10 +103,6 @@ class TestOneDBFS:
         assert result.remote_bytes > 0
         assert result.modeled_comm_s > 0
         assert result.elapsed_s > result.modeled_comp_s
-
-    def test_dobfs_broadcast_volume_formula(self, setup):
-        edges, bfs = setup
-        assert bfs.dobfs_broadcast_bytes() == 8 * edges.num_edges
 
     def test_1d_communicates_more_than_degree_separated(self, rmat_small):
         """The motivation for degree separation: 1D sends every discovery as

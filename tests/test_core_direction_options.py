@@ -72,14 +72,6 @@ class TestDirectionState:
         with pytest.raises(ValueError):
             state.decide(-1, 1)
 
-    def test_reset(self):
-        state = DirectionState(DirectionFactors(0.5, 0.01))
-        state.decide(100, 10)
-        state.reset()
-        assert not state.backward
-        assert state.switches == 0
-        assert state.history == []
-
 
 class TestBFSOptions:
     def test_defaults_match_paper_configuration(self):

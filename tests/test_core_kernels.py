@@ -46,8 +46,10 @@ class TestForwardVisit:
 class TestBackwardVisit:
     def test_discovers_candidates_with_frontier_parent(self, small_csr):
         # Parents of 2 are {0, 1, 3}; frontier = {1}: candidate 2 is found by
-        # pulling through the reverse graph.
-        reverse = small_csr.reversed()
+        # pulling through the reverse graph (small_csr's edges, transposed).
+        reverse = CSRGraph.from_edges(
+            [1, 2, 2, 0, 1, 2], [0, 0, 1, 3, 3, 3], num_rows=4, num_cols=4
+        )
         frontier_flags = np.zeros(4, dtype=bool)
         frontier_flags[1] = True
         out = backward_visit(reverse, np.asarray([2, 3]), frontier_flags)

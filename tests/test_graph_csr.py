@@ -139,14 +139,7 @@ class TestGatherNeighbors:
         assert w_cols.dtype == column_dtype and w.dtype == np.float64
 
 
-class TestReverseAndScipy:
-    def test_reversed_transposes(self):
-        csr = CSRGraph.from_edges([0, 1], [2, 0], 3, 3)
-        rev = csr.reversed()
-        assert rev.num_edges == 2
-        np.testing.assert_array_equal(rev.neighbors(2), [0])
-        np.testing.assert_array_equal(rev.neighbors(0), [1])
-
+class TestScipy:
     def test_to_scipy_shape_and_count(self):
         pytest.importorskip("scipy")
         csr = CSRGraph.from_edges([0, 1, 1], [1, 0, 2], 2, 3)

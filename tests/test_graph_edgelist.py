@@ -32,7 +32,6 @@ class TestConstruction:
         e = EdgeList([0, 1], [1, 2], 3)
         assert e.num_edges == 2
         assert e.num_vertices == 3
-        assert e.nbytes_edge_list() == 32
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,71 +1,18 @@
-"""Tests for the synthetic graph generators (dataset substitutes and toys)."""
+"""Tests for the synthetic graph generators (the dataset substitutes)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.graph.degree import degree_summary, out_degrees
+from repro.graph.degree import out_degrees
 from repro.graph.generators import (
-    binary_tree_edges,
-    clique_edges,
-    cycle_edges,
     friendster_like,
-    grid_edges,
-    path_edges,
     power_law_configuration,
-    random_bipartite,
-    star_edges,
     uniform_random_graph,
     wdc_like,
 )
 from repro.graph.properties import analyze_graph, bfs_depth_estimate
-
-
-class TestDeterministicGenerators:
-    def test_path(self):
-        e = path_edges(5)
-        assert e.num_vertices == 5 and e.num_edges == 4
-        np.testing.assert_array_equal(e.src, [0, 1, 2, 3])
-
-    def test_cycle(self):
-        e = cycle_edges(4)
-        assert e.num_edges == 4
-        assert (e.src[-1], e.dst[-1]) == (3, 0)
-
-    def test_star_hub_degree(self):
-        e = star_edges(10)
-        deg = out_degrees(e)
-        assert deg[0] == 10
-        assert deg[1:].sum() == 0
-
-    def test_grid_edge_count(self):
-        e = grid_edges(3, 4)
-        # 3*3 horizontal + 2*4 vertical = 9 + 8
-        assert e.num_edges == 17
-        assert e.num_vertices == 12
-
-    def test_clique(self):
-        e = clique_edges(5)
-        assert e.num_edges == 20
-        assert np.all(e.src != e.dst)
-
-    def test_binary_tree(self):
-        e = binary_tree_edges(3)
-        assert e.num_vertices == 15
-        assert e.num_edges == 14
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            path_edges(0)
-        with pytest.raises(ValueError):
-            grid_edges(0, 3)
-        with pytest.raises(ValueError):
-            clique_edges(0)
-        with pytest.raises(ValueError):
-            binary_tree_edges(-1)
-        with pytest.raises(ValueError):
-            star_edges(-1)
 
 
 class TestRandomGenerators:
@@ -78,21 +25,10 @@ class TestRandomGenerators:
         b = uniform_random_graph(50, 100, rng=3)
         np.testing.assert_array_equal(a.src, b.src)
 
-    def test_bipartite_edges_cross_sides(self):
-        e = random_bipartite(10, 20, 200, rng=1)
-        assert e.num_vertices == 30
-        assert e.src.max() < 10
-        assert e.dst.min() >= 10
-
-    def test_bipartite_rejects_empty_side(self):
-        with pytest.raises(ValueError):
-            random_bipartite(0, 5, 10)
-
     def test_power_law_heavy_tail(self):
-        e = power_law_configuration(4000, mean_degree=10.0, rng=2)
-        summary = degree_summary(e)
-        assert summary.max_degree > 5 * summary.mean_degree
-        assert 4 < summary.mean_degree < 25
+        degrees = out_degrees(power_law_configuration(4000, mean_degree=10.0, rng=2))
+        assert degrees.max() > 5 * degrees.mean()
+        assert 4 < degrees.mean() < 25
 
     def test_power_law_invalid_args(self):
         with pytest.raises(ValueError):
@@ -109,8 +45,9 @@ class TestDatasetSubstitutes:
         assert 0.3 < isolated_fraction < 0.7
 
     def test_friendster_like_is_skewed(self):
-        e = friendster_like(num_vertices=4096, rng=1)
-        assert degree_summary(e).gini > 0.5
+        degrees = np.sort(out_degrees(friendster_like(num_vertices=4096, rng=1)))[::-1]
+        # The top tenth of the vertices holds most of the edges.
+        assert degrees[: degrees.size // 10].sum() > 0.5 * degrees.sum()
 
     def test_friendster_invalid_isolated_fraction(self):
         with pytest.raises(ValueError):

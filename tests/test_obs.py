@@ -74,7 +74,6 @@ class TestTracer:
         assert span_a is span_b  # the one shared singleton
         assert isinstance(span_a, _NullSpan)
         with span_a as s:
-            s.event("e", value=1)
             s.annotate(key="v")
         NULL_TRACER.event("e")
         NULL_TRACER.record_span("s", start=0.0, dur=1.0)

@@ -70,13 +70,6 @@ class TestMeasuredModel:
         assert measured.partitioned_bytes == part.total_nbytes()
         assert measured.partitioned_bytes == sum(g.nbytes() for g in part.gpus)
 
-    def test_as_dict_round_trip(self, graph_and_partition):
-        _, part = graph_and_partition
-        analytic, _ = memory_usage(part)
-        d = analytic.as_dict()
-        assert d["partitioned_bytes"] == analytic.partitioned_bytes
-        assert 0 < d["vs_edge_list"] < 1
-
     def test_memory_shrinks_with_reasonable_threshold(self):
         """Sweep thresholds and confirm a mid-range TH gives the best footprint."""
         edges = generate_rmat(12, rng=3)

@@ -32,7 +32,7 @@ def layout_module():
 
 class TestEdgeConservation:
     def test_every_edge_stored_exactly_once(self, partitioned, rmat_small_module):
-        assert partitioned.total_stored_edges() == rmat_small_module.num_edges
+        assert partitioned.edges_per_gpu().sum() == rmat_small_module.num_edges
 
     def test_subgraph_edge_totals_match_census(self, partitioned):
         census = partitioned.census
@@ -145,7 +145,7 @@ class TestEdgeCasesAndErrors:
             assert gpu.nd.num_edges == 0
             assert gpu.dn.num_edges == 0
             assert gpu.dd.num_edges == 0
-        assert graph.total_stored_edges() == rmat_small_module.num_edges
+        assert graph.edges_per_gpu().sum() == rmat_small_module.num_edges
 
     def test_all_delegates_configuration(self, rmat_small_module, layout_module):
         graph = build_partitions(rmat_small_module, layout_module, threshold=0)
@@ -157,7 +157,7 @@ class TestEdgeCasesAndErrors:
         tiny = generate_rmat(2, rng=1)
         layout = ClusterLayout(num_ranks=4, gpus_per_rank=2)
         graph = build_partitions(tiny, layout, threshold=2)
-        assert graph.total_stored_edges() == tiny.num_edges
+        assert graph.edges_per_gpu().sum() == tiny.num_edges
 
     def test_separation_threshold_mismatch_rejected(self, rmat_small_module, layout_module):
         from repro.partition.delegates import separate_by_degree
@@ -167,11 +167,6 @@ class TestEdgeCasesAndErrors:
             build_partitions(rmat_small_module, layout_module, threshold=16, separation=sep)
 
     def test_owner_and_delegate_lookup_helpers(self, partitioned):
-        layout = partitioned.layout
-        v = np.arange(partitioned.num_vertices)
-        np.testing.assert_array_equal(
-            partitioned.owner_of_vertex(v), layout.flat_gpu_of(v)
-        )
         np.testing.assert_array_equal(
             partitioned.delegate_id_of_vertex(partitioned.delegate_vertices),
             np.arange(partitioned.num_delegates),

@@ -19,8 +19,6 @@ class TestRunConfiguration:
         assert point.elapsed_ms_geo_mean > 0
         assert point.num_sources >= 1
         assert point.threshold == 32
-        row = point.as_dict()
-        assert {"scale", "layout", "gteps", "computation_ms"} <= set(row)
 
     def test_threshold_suggestion_used_when_none(self):
         point = run_configuration(scale=11, layout=ClusterLayout(1, 2), num_sources=3, seed=3)

@@ -35,9 +35,9 @@ class TestLRUCache:
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh "a": "b" is now LRU
         cache.put("c", 3)
-        assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.stats.evictions == 1
         assert cache.stats.size == 2
+        assert cache.get("b") is None and cache.get("a") == 1 and cache.get("c") == 3
 
     def test_put_refreshes_recency_without_eviction(self):
         cache = LRUCache(2)
@@ -45,21 +45,15 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.put("a", 10)  # refresh, not insert
         cache.put("c", 3)
-        assert cache.get("a") == 10 and "b" not in cache
         assert cache.stats.evictions == 1
-
-    def test_contains_does_not_touch_counters(self):
-        cache = LRUCache(1)
-        cache.put("a", 1)
-        assert "a" in cache and "b" not in cache
-        assert cache.stats.lookups == 0
+        assert cache.get("a") == 10 and cache.get("b") is None
 
     def test_clear_keeps_cumulative_counters(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.get("a")
         cache.clear()
-        assert len(cache) == 0 and cache.stats.hits == 1
+        assert cache.stats.size == 0 and cache.stats.hits == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):

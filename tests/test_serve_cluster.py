@@ -30,7 +30,7 @@ from repro.serve.cluster import (
     make_arrivals,
     run_on_virtual_clock,
 )
-from repro.serve.cluster.virtualtime import VirtualClockEventLoop, virtual_sleep
+from repro.serve.cluster.virtualtime import VirtualClockEventLoop
 
 
 # --------------------------------------------------------------------------- #
@@ -94,7 +94,7 @@ class TestVirtualClock:
         async def scenario():
             loop = asyncio.get_running_loop()
             start = loop.time()
-            await virtual_sleep(60_000.0)  # one simulated minute
+            await asyncio.sleep(60_000.0)  # one simulated minute
             return loop.time() - start
 
         assert run_on_virtual_clock(scenario()) == pytest.approx(60_000.0)
@@ -103,7 +103,7 @@ class TestVirtualClock:
         order: list[str] = []
 
         async def tick(name: str, delay: float):
-            await virtual_sleep(delay)
+            await asyncio.sleep(delay)
             order.append(name)
 
         async def scenario():
@@ -122,10 +122,10 @@ class TestVirtualClock:
     def test_cancelled_timer_does_not_steer_the_clock(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            task = loop.create_task(virtual_sleep(5_000.0))
-            await virtual_sleep(1.0)
+            task = loop.create_task(asyncio.sleep(5_000.0))
+            await asyncio.sleep(1.0)
             task.cancel()
-            await virtual_sleep(2.0)
+            await asyncio.sleep(2.0)
             return loop.time()
 
         assert run_on_virtual_clock(scenario()) == pytest.approx(3.0)

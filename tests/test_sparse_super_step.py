@@ -147,7 +147,7 @@ class TestEmptyExchange:
 def _dense_pull_sets(rep: FlagFrontier, g: int) -> dict:
     """The candidate arrays of the dense plan walk, rebuilt from the state."""
     part = rep.graph.gpus[g]
-    open_delegates = rep.state.unvisited_delegates()
+    open_delegates = np.flatnonzero(rep.state.delegate_values == UNVISITED)
     slots = part.nd_source_list
     return {
         "nd": open_delegates[part.dn_source_mask[open_delegates]],
@@ -243,7 +243,9 @@ class TestSparseReduce:
         program = BFSLevels(0)
         state = TraversalState.from_init(graph, program.init_state(graph))
         visited = rng.choice(d, size=d // 3, replace=False)
-        state.update_delegates(np.sort(visited), np.zeros(visited.size, dtype=np.int64))
+        state.update_delegates(
+            np.sort(visited), np.zeros(visited.size, dtype=np.int64), program.accept
+        )
         visited_before = state.delegate_visited.copy()
         rep = FlagFrontier(graph, BFSOptions(), program, state)
         rep.level = 3

@@ -29,7 +29,6 @@ from repro.core.programs import (
 )
 from repro.exec import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan, resolve_backend
 from repro.graph.csr import CSRGraph
-from repro.graph.edgelist import EdgeList
 from repro.graph.generators import wdc_like_edge_chunks
 from repro.graph.rmat import generate_rmat, generate_rmat_edge_chunks, generate_rmat_edges
 from repro.obs import Tracer, set_tracer
@@ -41,14 +40,12 @@ from repro.storage import (
     chunks_from_edgelist,
     compress_csr,
     external_build,
-    iter_edge_chunks,
     load_graph_store,
     open_store,
     save_graph_store,
     store_graph_descriptor,
     varint_encode,
     varint_sizes,
-    write_edge_chunks,
 )
 from repro.storage.codec import _varint_decode
 from repro.utils.rss import max_rss_mb
@@ -102,7 +99,7 @@ class TestCompressedCSR:
         np.testing.assert_array_equal(decoded.row_offsets, csr.row_offsets)
         np.testing.assert_array_equal(decoded.column_indices, csr.column_indices)
         assert packed.num_edges == csr.num_edges
-        assert packed.compression_ratio() > 1.0
+        assert packed.payload.nbytes < csr.column_indices.nbytes  # it compresses
 
     def test_decode_rows_subset(self):
         csr = self._random_csr(seed=5)
@@ -184,14 +181,43 @@ class TestGraphStore:
         graph = build_partitions(rmat_small, layout, 64)
         save_graph_store(graph, tmp_path / "s", storage="mmap")
         handle = open_store(tmp_path / "s")
-        try:
-            np.testing.assert_array_equal(
-                handle.array("sep.degrees"), graph.separation.degrees
-            )
-            with pytest.raises(KeyError):
-                handle.array("no.such.array")
-        finally:
-            handle.close()
+        np.testing.assert_array_equal(handle.array("sep.degrees"), graph.separation.degrees)
+        with pytest.raises(KeyError):
+            handle.array("no.such.array")
+
+
+class TestDamagedStore:
+    """A ``graph.bin`` shorter or longer than its manifest says fails at
+    attach, naming the store and both byte counts."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        graph = build_partitions(generate_rmat(10, rng=3), ClusterLayout.from_notation("2x1x2"), 32)
+        return save_graph_store(graph, tmp_path / "s", storage="mmap")
+
+    @staticmethod
+    def resize(store, delta: int) -> tuple[int, int]:
+        segment = store / "graph.bin"
+        size = segment.stat().st_size
+        os.truncate(segment, size + delta)
+        return size, size + delta
+
+    @pytest.mark.parametrize("delta", [-64, -1, 8])
+    def test_attach_checks_the_segment_length(self, store, delta):
+        expected, actual = self.resize(store, delta)
+        message = f"expects {expected:,} bytes of graph.bin, the file holds {actual:,}"
+        with pytest.raises(ValueError, match=message) as caught:
+            load_graph_store(store)
+        assert str(store) in str(caught.value)
+
+    def test_cli_prints_one_error_line(self, store, capsys):
+        from repro.cli import main
+
+        self.resize(store, -64)
+        assert main(["bfs", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: graph store {store} is truncated")
+        assert err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -318,14 +344,6 @@ class TestDecodeAtPlanBoundary:
 # Edge chunk streams + chunked generators
 # --------------------------------------------------------------------------- #
 class TestEdgeChunks:
-    def test_write_iter_roundtrip(self, tmp_path):
-        e = generate_rmat_edges(8, rng=4)
-        write_edge_chunks(chunks_from_edgelist(e, 1000), tmp_path / "chunks", e.num_vertices)
-        src = np.concatenate([s for s, _ in iter_edge_chunks(tmp_path / "chunks")])
-        dst = np.concatenate([d for _, d in iter_edge_chunks(tmp_path / "chunks")])
-        np.testing.assert_array_equal(src, e.src)
-        np.testing.assert_array_equal(dst, e.dst)
-
     def test_chunks_from_edgelist_is_exact_partition(self):
         e = generate_rmat_edges(7, rng=4)
         chunks = list(chunks_from_edgelist(e, 700))

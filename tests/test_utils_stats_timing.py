@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.stats import geometric_mean, harmonic_mean, summarize
-from repro.utils.timing import PHASES, SimClock, Timer, TimingBreakdown
+from repro.utils.stats import geometric_mean
+from repro.utils.timing import PHASES, Timer, TimingBreakdown
 
 
 class TestGeometricMean:
@@ -40,56 +40,11 @@ class TestGeometricMean:
         assert geometric_mean(values) <= float(np.mean(values)) * (1 + 1e-9)
 
 
-class TestHarmonicMeanAndSummary:
-    def test_harmonic_mean_value(self):
-        assert harmonic_mean([1.0, 1.0]) == pytest.approx(1.0)
-        assert harmonic_mean([2.0, 6.0]) == pytest.approx(3.0)
-
-    def test_harmonic_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([])
-        with pytest.raises(ValueError):
-            harmonic_mean([0.0])
-
-    def test_summary_fields(self):
-        s = summarize([1.0, 2.0, 4.0])
-        assert s.count == 3
-        assert s.minimum == 1.0 and s.maximum == 4.0
-        assert s.geo_mean == pytest.approx(2.0)
-        assert set(s.as_dict()) == {"count", "geo_mean", "mean", "min", "max", "std"}
-
-    def test_summary_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
 class TestTimer:
     def test_timer_measures_nonnegative(self):
         with Timer() as t:
             math.sqrt(12345.0)
         assert t.elapsed >= 0.0
-
-
-class TestSimClock:
-    def test_accumulates_per_category(self):
-        clock = SimClock()
-        clock.add("compute", 1.0)
-        clock.add("compute", 0.5)
-        clock.add("comm", 2.0)
-        assert clock.get("compute") == pytest.approx(1.5)
-        assert clock.get("missing") == 0.0
-        assert clock.total() == pytest.approx(3.5)
-        assert set(clock.categories()) == {"compute", "comm"}
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().add("x", -1.0)
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.add("x", 1.0)
-        clock.reset()
-        assert clock.total() == 0.0
 
 
 class TestTimingBreakdown:

@@ -1,4 +1,4 @@
-"""Tests for the Graph500-style validator and the workload registry."""
+"""Tests for the Graph500-style validator."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import pytest
 
 from repro.baselines.serial_bfs import serial_bfs
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import path_edges
 from repro.validate.graph500 import validate_distances
-from repro.workloads.specs import (
-    EXPERIMENTS,
-    SCALE_OFFSET,
-    WorkloadSpec,
-    build_workload,
-    scaled_down_scale,
-)
 
 
 class TestValidator:
@@ -77,53 +69,3 @@ class TestValidator:
         report = validate_distances(path_graph, 0, dist)
         assert not report.valid
 
-
-class TestWorkloads:
-    def test_scaled_down_scale(self):
-        assert scaled_down_scale(26) == 26 - SCALE_OFFSET
-        assert scaled_down_scale(5) == 10  # floor at 10
-
-    def test_registry_covers_all_paper_experiments(self):
-        expected = {
-            "fig1",
-            "table1",
-            "network",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "table2",
-            "fig12",
-            "fig13",
-            "wdc",
-            "factors",
-            "commmodel",
-        }
-        assert expected == set(EXPERIMENTS)
-        for spec in EXPERIMENTS.values():
-            assert spec.bench_module.startswith("benchmarks/")
-            assert spec.paper_reference
-
-    def test_workload_layouts_parse(self):
-        for spec in EXPERIMENTS.values():
-            for workload in spec.workloads:
-                layout = workload.layout()
-                assert layout.num_gpus >= 1
-
-    def test_build_workload_rmat(self):
-        edges = build_workload(WorkloadSpec("t", "rmat", 10, "1x1x2"))
-        assert edges.num_vertices == 1024
-        assert edges.is_symmetric()
-
-    def test_build_workload_friendster_and_wdc(self):
-        fr = build_workload(WorkloadSpec("t", "friendster", 11, "1x1x2"))
-        assert fr.num_vertices == 2048
-        wdc = build_workload(WorkloadSpec("t", "wdc", 11, "1x1x2"))
-        assert wdc.num_vertices == 2048
-
-    def test_build_workload_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_workload(WorkloadSpec("t", "mystery", 10, "1x1x1"))
