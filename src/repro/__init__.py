@@ -48,9 +48,7 @@ See ``examples/`` for end-to-end scripts and ``benchmarks/`` for the
 per-figure experiment harnesses.
 """
 
-from repro.bench import compare_artifacts, load_artifact, quick_scenarios, run_suite
 from repro.cluster import HardwareSpec, NetworkModel
-from repro.exec import ExecutionBackend, InlineBackend
 from repro.core import (
     BatchedBFSLevels,
     BatchedReachability,
@@ -71,6 +69,7 @@ from repro.core import (
     TraversalResult,
     run_campaign,
 )
+from repro.exec import ExecutionBackend, InlineBackend
 from repro.dynamic import (
     DynamicEngine,
     DynamicGraph,
@@ -170,6 +169,20 @@ __all__ = [
     "compare_artifacts",
     "load_artifact",
 ]
+
+#: Names served from :mod:`repro.bench` on first use (PEP 562), so that
+#: ``import repro`` loads neither the bench harness nor the serving tier's
+#: ``asyncio`` it pulls in.
+_BENCH_NAMES = ("run_suite", "quick_scenarios", "compare_artifacts", "load_artifact")
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        import repro.bench
+
+        return getattr(repro.bench, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 def _detect_version() -> str:
     """The package version, sourced from the project metadata.

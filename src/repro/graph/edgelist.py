@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.sorting import sorted_unique
+from repro.utils.sorting import _run_starts
 
 __all__ = ["EdgeList"]
 
@@ -53,26 +53,14 @@ class EdgeList:
     def __post_init__(self) -> None:
         self.src = np.asarray(self.src, dtype=np.int64).ravel()
         self.dst = np.asarray(self.dst, dtype=np.int64).ravel()
-        if self.src.shape != self.dst.shape:
-            raise ValueError(
-                f"src and dst must have the same length, got {self.src.size} and {self.dst.size}"
-            )
+        self.num_vertices = int(self.num_vertices)
+        if self.num_vertices < 0:
+            raise ValueError("num_vertices must be non-negative")
+        _check_endpoints(self.src, self.dst, self.num_vertices)
         if self.weights is not None:
             from repro.graph.weights import validate_weights
 
             self.weights = validate_weights(self.weights, self.src.size)
-        self.num_vertices = int(self.num_vertices)
-        if self.num_vertices < 0:
-            raise ValueError("num_vertices must be non-negative")
-        if self.src.size:
-            vmax = int(max(self.src.max(), self.dst.max()))
-            vmin = int(min(self.src.min(), self.dst.min()))
-            if vmin < 0:
-                raise ValueError("edge endpoints must be non-negative")
-            if vmax >= self.num_vertices:
-                raise ValueError(
-                    f"edge endpoint {vmax} out of range for num_vertices={self.num_vertices}"
-                )
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -120,34 +108,40 @@ class EdgeList:
         edges, which is both deterministic and the semantically right merge
         for shortest-path programs.
         """
-        if self.num_edges == 0:
-            return self.copy()
-        # num_vertices^2 may overflow int64 for pathological inputs; fall back
-        # to structured sort in that case.
-        overflow = self.num_vertices and self.num_vertices > np.iinfo(np.int64).max // max(
-            self.num_vertices, 1
-        )
-        if overflow:
-            order = np.lexsort((self.dst, self.src))
-            s, d = self.src[order], self.dst[order]
+        return self._unique(symmetrize=False, drop_loops=False)
+
+    def _unique(
+        self,
+        perm: np.ndarray | None = None,
+        symmetrize: bool = True,
+        drop_loops: bool = True,
+    ) -> "EdgeList":
+        """Sorted distinct edges through :func:`_unique_edge_keys`, decoded.
+
+        Relabels by ``perm`` first when given, doubles edges with
+        ``symmetrize`` and drops self loops with ``drop_loops``.  When
+        ``num_vertices ** 2`` overflows a packed int64 key the same steps run
+        one by one over a lexicographic sort of the endpoint pairs.
+        """
+        n = self.num_vertices
+        if n > np.iinfo(np.int64).max // max(n, 1):
+            edges = self.relabeled(perm) if perm is not None else self
+            edges = edges.without_self_loops() if drop_loops else edges
+            edges = edges.symmetrized() if symmetrize else edges
+            order = np.lexsort((edges.dst, edges.src))
+            s, d = edges.src[order], edges.dst[order]
             keep = np.ones(s.size, dtype=bool)
             keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
             w = None
-            if self.weights is not None:
-                w = np.minimum.reduceat(self.weights[order], np.flatnonzero(keep))
-            return EdgeList(s[keep], d[keep], self.num_vertices, weights=w)
-        keys = self.src * np.int64(self.num_vertices) + self.dst
-        if self.weights is None:
-            uniq, w = sorted_unique(keys), None
-        else:
-            order = np.argsort(keys, kind="stable")
-            sk = keys[order]
-            keep = np.ones(sk.size, dtype=bool)
-            keep[1:] = sk[1:] != sk[:-1]
-            uniq = sk[keep]
-            w = np.minimum.reduceat(self.weights[order], np.flatnonzero(keep))
-        s = uniq // self.num_vertices
-        return EdgeList(s, uniq - s * self.num_vertices, self.num_vertices, weights=w)
+            if edges.weights is not None:
+                w = np.minimum.reduceat(edges.weights[order], np.flatnonzero(keep))
+            return EdgeList(s[keep], d[keep], n, weights=w)
+        keys, w = _unique_edge_keys(
+            self.src, self.dst, n, self.weights, perm, symmetrize, drop_loops
+        )
+        src = keys // n
+        np.remainder(keys, n, out=keys)
+        return EdgeList(src, keys, n, weights=w)
 
     def without_self_loops(self) -> "EdgeList":
         """Remove ``u -> u`` edges."""
@@ -191,8 +185,86 @@ class EdgeList:
         """
         from repro.utils.rng import deterministic_hash_permutation
 
-        out = self.without_self_loops().symmetrized().deduplicated()
+        out = self._unique()
         if hash_seed is not None:
             perm = deterministic_hash_permutation(self.num_vertices, seed=hash_seed)
-            out = out.relabeled(perm)
+            _gather_in_place(perm, out.src)
+            _gather_in_place(perm, out.dst)
         return out
+
+
+def _check_endpoints(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> None:
+    """Reject unequal lengths and any endpoint outside ``[0, num_vertices)``."""
+    if src.shape != dst.shape:
+        raise ValueError(
+            f"src and dst must have the same length, got {src.size} and {dst.size}"
+        )
+    if src.size:
+        vmin = int(min(src.min(), dst.min()))
+        vmax = int(max(src.max(), dst.max()))
+        if vmin < 0 or vmax >= num_vertices:
+            raise ValueError(
+                f"edge endpoint {vmin if vmin < 0 else vmax} out of range "
+                f"for num_vertices={num_vertices}"
+            )
+
+
+def _unique_edge_keys(
+    src: np.ndarray,
+    dst: np.ndarray,
+    num_vertices: int,
+    weights: np.ndarray | None = None,
+    perm: np.ndarray | None = None,
+    symmetrize: bool = True,
+    drop_loops: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one packed-key prepare: sorted distinct keys ``src * n + dst``.
+
+    Every preparation of raw edges runs through here — :meth:`EdgeList.prepared`
+    and :meth:`EdgeList.deduplicated`, :func:`repro.graph.rmat.generate_rmat`
+    and the chunk ingest of :func:`repro.storage.extsort.external_build`.  The
+    endpoints are range-checked, relabeled by ``perm`` when given and packed
+    into one buffer: the edges' keys, then (with ``symmetrize``) their
+    reverses'.  With ``drop_loops`` a self loop's keys are set to ``-1``, so
+    after the in-place sort they are a prefix to skip.  The first key of
+    every run of equal keys is kept.  Weighted lists sort with a stable
+    argsort instead and keep each run's minimum weight, gathered through the
+    order with ``mode="wrap"`` (position ``m + i`` is edge ``i`` reversed).
+    ``num_vertices ** 2`` must fit an int64.
+    """
+    src = np.asarray(src, dtype=np.int64).ravel()
+    dst = np.asarray(dst, dtype=np.int64).ravel()
+    _check_endpoints(src, dst, num_vertices)
+    if perm is not None:
+        src, dst = perm[src], perm[dst]
+    m = src.size
+    n = np.int64(num_vertices)
+    keys = np.empty(2 * m if symmetrize else m, dtype=np.int64)
+    for start, (a, b) in zip((0, m), ((src, dst), (dst, src))[: 1 + symmetrize]):
+        np.multiply(a, n, out=keys[start : start + m])
+        keys[start : start + m] += b
+    skip = 0
+    if drop_loops:
+        loops = src == dst
+        keys[:m][loops] = -1
+        if symmetrize:
+            keys[m:][loops] = -1
+        skip = int(np.count_nonzero(loops)) * (1 + symmetrize)
+    if weights is None:
+        keys.sort()
+        keys = keys[skip:]
+        return keys[_run_starts(keys)], None
+    order = np.argsort(keys, kind="stable")[skip:]
+    keys = keys[order]
+    starts = _run_starts(keys)
+    w = np.take(weights, order, mode="wrap")
+    if keys.size:
+        w = np.minimum.reduceat(w, np.flatnonzero(starts))
+    return keys[starts], w
+
+
+def _gather_in_place(table: np.ndarray, ids: np.ndarray, block: int = 1 << 16) -> None:
+    """``ids[:] = table[ids]`` one block at a time, with no full-size temporary."""
+    for start in range(0, ids.size, block):
+        part = ids[start : start + block]
+        part[...] = table[part]

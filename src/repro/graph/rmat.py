@@ -54,6 +54,41 @@ class RMATParameters:
             raise ValueError("edge_factor must be positive")
 
 
+def _rmat_levels(
+    gen: np.random.Generator, count: int, scale: int, params: RMATParameters
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` raw RMAT edges: ``scale`` quadrant choices per edge, one draw each.
+
+    Every level draws one uniform ``r`` per edge and appends a bit to both
+    endpoints: the pair ``(row_bit, col_bit)`` is ``(0,0)`` with probability
+    ``a``, ``(0,1)`` with ``b``, ``(1,0)`` with ``c`` and ``(1,1)`` with
+    ``d``.  The levels reuse one ``r`` buffer and two bit buffers and shift
+    into ``src`` / ``dst`` in place; ``gen.random(out=r)`` consumes the same
+    stream as ``gen.random(count)``.
+    """
+    src = np.zeros(count, dtype=np.int64)
+    dst = np.zeros(count, dtype=np.int64)
+    r = np.empty(count, dtype=np.float64)
+    row_bit = np.empty(count, dtype=bool)
+    col_bit = np.empty(count, dtype=bool)
+    ab = params.a + params.b
+    abc = ab + params.c
+    for _level in range(scale):
+        gen.random(out=r)
+        # col_bit = ((r >= a) & (r < a + b)) | (r >= a + b + c)
+        np.greater_equal(r, params.a, out=col_bit)
+        np.less(r, ab, out=row_bit)
+        col_bit &= row_bit
+        np.greater_equal(r, abc, out=row_bit)
+        col_bit |= row_bit
+        np.greater_equal(r, ab, out=row_bit)
+        np.left_shift(src, 1, out=src)
+        src |= row_bit
+        np.left_shift(dst, 1, out=dst)
+        dst |= col_bit
+    return src, dst
+
+
 def generate_rmat_edges(
     scale: int,
     params: RMATParameters = RMATParameters(),
@@ -98,18 +133,7 @@ def generate_rmat_edges(
     if m < 0:
         raise ValueError("number of edges must be non-negative")
 
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-
-    # Quadrant probabilities: the pair (row_bit, col_bit) is chosen as
-    #   (0,0) with prob a, (0,1) with prob b, (1,0) with prob c, (1,1) with d.
-    p_a, p_b, p_c = params.a, params.b, params.c
-    for level in range(scale):
-        r = gen.random(m)
-        row_bit = (r >= p_a + p_b).astype(np.int64)
-        col_bit = (((r >= p_a) & (r < p_a + p_b)) | (r >= p_a + p_b + p_c)).astype(np.int64)
-        src = (src << 1) | row_bit
-        dst = (dst << 1) | col_bit
+    src, dst = _rmat_levels(gen, m, scale, params)
 
     w = None
     if weights_seed is not None:
@@ -155,20 +179,10 @@ def generate_rmat_edge_chunks(
         raise ValueError("number of edges must be non-negative")
     num_chunks = (m + chunk_edges - 1) // chunk_edges
     children = np.random.SeedSequence(seed).spawn(num_chunks) if num_chunks else []
-    p_a, p_b, p_c = params.a, params.b, params.c
     for index, child in enumerate(children):
         gen = np.random.default_rng(child)
         count = min(chunk_edges, m - index * chunk_edges)
-        src = np.zeros(count, dtype=np.int64)
-        dst = np.zeros(count, dtype=np.int64)
-        for _level in range(scale):
-            r = gen.random(count)
-            row_bit = (r >= p_a + p_b).astype(np.int64)
-            col_bit = (((r >= p_a) & (r < p_a + p_b)) | (r >= p_a + p_b + p_c)).astype(
-                np.int64
-            )
-            src = (src << 1) | row_bit
-            dst = (dst << 1) | col_bit
+        src, dst = _rmat_levels(gen, count, scale, params)
         if weights_seed is not None:
             from repro.graph.weights import edge_keyed_weights
 
@@ -218,13 +232,12 @@ def generate_rmat(
         The prepared (by default symmetric, duplicate-free) edge list.
     """
     edges = generate_rmat_edges(scale, params=params, rng=rng, weights_seed=weights_seed)
+    perm = None
     if hash_seed is not None:
         perm = deterministic_hash_permutation(edges.num_vertices, seed=hash_seed)
+    if deduplicate:
+        # Hashing comes first here, so the output is sorted by hashed ids.
+        return edges._unique(perm=perm, symmetrize=symmetrize, drop_loops=True)
+    if perm is not None:
         edges = edges.relabeled(perm)
-    if deduplicate:
-        edges = edges.without_self_loops()
-    if symmetrize:
-        edges = edges.symmetrized()
-    if deduplicate:
-        edges = edges.deduplicated()
-    return edges
+    return edges.symmetrized() if symmetrize else edges

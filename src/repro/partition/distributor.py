@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.edgelist import EdgeList
+from repro.graph.edgelist import EdgeList, _gather_in_place
 from repro.partition.delegates import DegreeSeparation
 from repro.partition.layout import ClusterLayout
 
@@ -92,21 +92,37 @@ def distribute_edges(
             f"({separation.num_vertices} vertices vs {edges.num_vertices})"
         )
     src, dst = edges.src, edges.dst
-    deg = separation.degrees
-    src_is_d = separation.is_delegate[src]
-    dst_is_d = separation.is_delegate[dst]
+    prio = _host_priority(separation)
+    src_prio = prio[src]
+    dst_prio = prio[dst]
     # EDGE_CATEGORIES as arithmetic: a delegate source adds 2, a delegate
     # destination 1 (nn=0, nd=1, dn=2, dd=3).
-    category = src_is_d * np.int8(2) + dst_is_d
-
-    # Decide, per edge, which endpoint's hash location hosts the edge.
-    # Rule 1/2: normal source wins; otherwise normal destination.
-    # Rule 3 (dd): endpoint with the smaller out-degree; ties -> smaller id.
-    du, dv = deg[src], deg[dst]
-    use_src = ~src_is_d | (dst_is_d & ((du < dv) | ((du == dv) & (src <= dst))))
+    category = (src_prio >= 0).view(np.int8) * np.int8(2)
+    category += dst_prio >= 0
+    # Rules 1-3 in one comparison: the endpoint of lower priority hosts the
+    # edge, the source on a tie (a self loop).
+    use_src = src_prio <= dst_prio
+    del src_prio, dst_prio
 
     # Ownership is a per-vertex property: evaluate P/G once per vertex and
     # gather, instead of an int64 % and // per edge.
-    owner_of = layout.flat_gpu_of(np.arange(edges.num_vertices, dtype=np.int64))
-    owner = owner_of[np.where(use_src, src, dst)]
+    owner = np.where(use_src, src, dst)
+    del use_src
+    _gather_in_place(layout.flat_gpu_of(np.arange(edges.num_vertices, dtype=np.int64)), owner)
     return EdgeAssignment(owner=owner, category=category, layout=layout)
+
+
+def _host_priority(separation: DegreeSeparation) -> np.ndarray:
+    """Per-vertex int32 priority whose smaller end hosts an edge (Algorithm 1).
+
+    Normal vertices get ``-1``; delegates get their rank by ``(out-degree,
+    id)``.  An edge ``u -> v`` goes to ``u``'s owner exactly when
+    ``prio[u] <= prio[v]``: a normal source wins (rule 1), else a normal
+    destination (rule 2), else the delegate of smaller out-degree, ties to
+    the smaller id (rule 3).
+    """
+    prio = np.full(separation.num_vertices, -1, dtype=np.int32)
+    delegates = separation.delegate_vertices  # ascending ids
+    by_degree = np.argsort(separation.degrees[delegates], kind="stable")
+    prio[delegates[by_degree]] = np.arange(delegates.size, dtype=np.int32)
+    return prio

@@ -32,13 +32,6 @@ wall time; ``repro serve bench`` and the ``serve-*`` scenarios in
 """
 
 from repro.serve.cache import CacheStats, LRUCache, graph_token
-from repro.serve.cluster import (
-    ClusterConfig,
-    ClusterDispatcher,
-    OpenLoopWorkload,
-    ReplicaPool,
-    make_arrivals,
-)
 from repro.serve.service import QueryService, ServiceStats
 from repro.serve.workload import MixedWorkload, Query, ZipfWorkload, zipf_ranks, zipf_weights
 
@@ -59,3 +52,21 @@ __all__ = [
     "zipf_ranks",
     "zipf_weights",
 ]
+
+#: Names served from :mod:`repro.serve.cluster` on first use (PEP 562): the
+#: cluster tier imports ``asyncio``, which ``import repro.serve`` should not.
+_CLUSTER_NAMES = (
+    "ClusterConfig",
+    "ClusterDispatcher",
+    "OpenLoopWorkload",
+    "ReplicaPool",
+    "make_arrivals",
+)
+
+
+def __getattr__(name: str):
+    if name in _CLUSTER_NAMES:
+        import repro.serve.cluster
+
+        return getattr(repro.serve.cluster, name)
+    raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")

@@ -5,10 +5,11 @@ complete partitioned graph store (:mod:`repro.storage.segments`) while keeping
 edge-array memory bounded by the block size — the full edge list is never
 resident.  The passes:
 
-1. **ingest** — per chunk: apply the deterministic vertex-hash permutation,
-   drop self loops, emit both edge directions as packed ``src * n + dst``
-   keys, value-sort the chunk and drop equal neighbours
-   (:func:`repro.utils.sorted_unique`), write it as a sorted *run* file.
+1. **ingest** — per chunk: the in-memory preparation's own packed-key step
+   (``repro.graph.edgelist._unique_edge_keys``: range check, vertex-hash
+   permutation, both edge directions as ``src * n + dst`` keys, self loops
+   dropped, sorted, equal neighbours dropped), written as a sorted *run*
+   file.
 2. **merge** — k-way merge of all runs with global dedup: per round, every
    run's buffered keys up to the smallest buffered tail are concatenated and
    passed through the same sort + neighbour compare, producing one sorted
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graph.edgelist import EdgeList
+from repro.graph.edgelist import EdgeList, _unique_edge_keys
 from repro.partition.delegates import (
     DegreeSeparation,
     EdgeCategoryCensus,
@@ -273,18 +274,10 @@ def external_build(
                 "graphs in memory (build_partitions + save_graph_store) or "
                 "drop weights_seed from the generator."
             )
-        src, dst = chunk
         num_chunks += 1
-        src = np.asarray(src, dtype=np.int64).ravel()
-        dst = np.asarray(dst, dtype=np.int64).ravel()
-        if perm is not None:
-            src = perm[src]
-            dst = perm[dst]
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        if src.size == 0:
+        keys, _ = _unique_edge_keys(*chunk, n, perm=perm)
+        if keys.size == 0:
             continue
-        keys = sorted_unique(np.concatenate([src * n64 + dst, dst * n64 + src]))
         path = scratch / f"run_{len(runs):05d}.bin"
         with open(path, "wb") as fh:
             fh.write(keys.tobytes())

@@ -29,7 +29,12 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     if a.dtype.kind not in "iub":
         return np.unique(a)
     s = np.sort(a, axis=None)
+    return s[_run_starts(s)]
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in sorted ``s``."""
     keep = np.empty(s.size, dtype=bool)
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+    return keep

@@ -62,6 +62,30 @@ class TestProperties:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_import_repro_leaves_asyncio_and_bench_unloaded(self):
+        """``repro.bench`` and the cluster tier (which imports ``asyncio``)
+        load on first use of one of their names, not on ``import repro``,
+        nor on the benchmark adapter's imports."""
+        root = Path(repro.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        probe = (
+            "import sys; sys.path.insert(0, 'benchmarks/perf'); import repro, adapter; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('asyncio', 'ssl') "
+            "or m.startswith(('repro.bench', 'repro.serve.cluster')))); "
+            "repro.run_suite, repro.serve.ReplicaPool; "
+            "print('asyncio' in sys.modules, 'repro.bench' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["[]", "True True"]
+
 
 class TestIO:
     def test_npz_roundtrip(self, tmp_path):

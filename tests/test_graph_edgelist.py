@@ -38,9 +38,9 @@ class TestConstruction:
             EdgeList([0, 1], [1], 3)
 
     def test_out_of_range_endpoint_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge endpoint 5 out of range"):
             EdgeList([0], [5], 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge endpoint -1 out of range"):
             EdgeList([-1], [0], 3)
 
     def test_isolated_vertices_allowed(self):

@@ -462,6 +462,22 @@ class TestExternalBuild:
         expected = suggest_threshold(raw.prepared(hash_seed=1), layout.num_gpus)
         assert report["threshold"] == int(expected)
 
+    @pytest.mark.parametrize("hash_seed", [1, None])
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_out_of_range_endpoint_rejected(self, tmp_path, bad, hash_seed):
+        """A chunk endpoint outside ``[0, n)`` is one ``ValueError`` naming it,
+        before the hash permutation could wrap ``-1`` onto a real vertex."""
+        chunks = [(np.array([0, 1, 2]), np.array([1, 2, 3])), (np.array([5]), np.array([bad]))]
+        with pytest.raises(ValueError, match=f"edge endpoint {bad} out of range"):
+            external_build(
+                chunks,
+                64,
+                ClusterLayout.from_notation("1x1x2"),
+                tmp_path / "bad",
+                threshold=4,
+                hash_seed=hash_seed,
+            )
+
 
 # --------------------------------------------------------------------------- #
 # The storage-invariance contract: identical counters on every backend
