@@ -1,7 +1,10 @@
-"""Benchmark & perf-regression subsystem (``repro.bench``).
+"""Benchmark & counter-invariance subsystem (``repro.bench``).
 
 The paper's contribution is performance, so this package gives the
-reproduction a machine-readable performance trajectory:
+reproduction a machine-readable record of every scenario, and holds its
+deterministic counters fixed across backends, storage modes, tracing and
+refactors (wall-clock judgements of paired runs belong to
+``benchmarks/perf/compare.py``):
 
 * :mod:`repro.bench.scenarios` — a registry of fully-pinned benchmark
   scenarios spanning graph families, frontier programs and the BFS option
@@ -13,14 +16,14 @@ reproduction a machine-readable performance trajectory:
   counters (with a determinism guard across repeats);
 * :mod:`repro.bench.artifact` — the versioned ``BENCH_<timestamp>.json``
   artifact schema;
-* :mod:`repro.bench.compare` — the tolerance-gated comparator behind the CI
-  perf gate (``repro bench compare``).
+* :mod:`repro.bench.compare` — the exact counter comparator behind the CI
+  gate (``repro bench compare``).
 
 Typical use::
 
     from repro.bench import quick_scenarios, run_suite, compare_artifacts
     art = run_suite(quick_scenarios(), label="my change", quick=True)
-    report = compare_artifacts(baseline, art, tolerance=0.2)
+    assert compare_artifacts(baseline, art).ok  # no counter drift
 """
 
 from repro.bench.artifact import (

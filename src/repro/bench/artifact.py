@@ -12,11 +12,11 @@ Every invocation of the bench runner produces one JSON document — written to
   volumes, iteration counts, a checksum of the answer) that must be
   bit-identical between runs of the same scenario on any machine.
 
-The split matters for the CI perf gate: wall-clock numbers are only
-comparable on similar hardware and are therefore gated with a *tolerance*,
+The split matters for the CI gate: wall-clock numbers are only comparable
+on one host, in paired runs (``benchmarks/perf/compare.py`` judges those),
 while counters and modeled times are deterministic everywhere and any drift
-in them means the traversal's behaviour changed — a much louder failure than
-a slowdown.
+in them means the traversal's behaviour changed — the failure
+``repro bench compare`` reports.
 
 The schema is versioned; :func:`load_artifact` refuses documents it does not
 understand instead of mis-comparing them.

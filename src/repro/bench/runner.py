@@ -77,6 +77,12 @@ def _repeat(one_pass: Callable[[], tuple], repeats: int, check_determinism: bool
     return {phase: min(w.get(phase, 0.0) for w in walls) for phase in phases}, first
 
 
+def _check_repeats(repeats: int) -> None:
+    """Raise before any set-up when ``repeats`` cannot time anything."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+
 def time_program(
     engine: TraversalEngine,
     program_factory: Callable[[], object],
@@ -90,8 +96,7 @@ def time_program(
     :class:`BenchDeterminismError` if any repeat disagrees on the counters
     (unless ``check_determinism`` is off).
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _check_repeats(repeats)
 
     def one_pass() -> tuple:
         result = engine.run(program_factory())
@@ -152,8 +157,7 @@ def _run(
     ``config``, then run the scenario through its row — of
     :data:`~repro.bench.streams.STREAM_TABLE`, or
     :data:`~repro.bench.streams.TRAVERSAL` for a program."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _check_repeats(repeats)
     if check_determinism is None:
         check_determinism = repeats >= 2
     if check_determinism and repeats < 2:

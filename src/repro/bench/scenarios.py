@@ -613,7 +613,7 @@ def _build_registry() -> tuple[Scenario, ...]:
             storage="mmap",
         ),
         # --- out-of-core build: a graph ~4x larger than any other scenario - #
-        # The gated phase is the streaming build itself (gate_phase =
+        # The measured phase is the streaming build itself (gate_phase =
         # "graph_build" in the record); edge generation, sorting, threshold
         # selection and CSR assembly all run in bounded blocks, so the build
         # works under a memory cap smaller than the graph (the CI leg runs

@@ -596,7 +596,7 @@ def _build_feed(spec, prepared: Prepared) -> tuple[dict, dict]:
     degrees = prepared.graph.separation.degrees
     sources = [int(s) for s in resolve_sources(spec.sources, degrees, rng=spec.seed + 1)]
     feed = {"sources": sources, "factory": functools.partial(make_program, "levels")}
-    # The build *is* the workload: the comparator gates its wall.
+    # The build *is* the workload: the record names its wall as the one to read.
     return feed, {"gate_phase": "graph_build", "sources": sources}
 
 
@@ -646,20 +646,27 @@ def _sssp_section(spec, prepared: Prepared, section, wall: dict) -> dict | None:
     }
 
 
-def _probe_service(spec) -> None:
+def _check_serving(batch_size: int, cache_size: int, replicas: int) -> None:
+    """What the replay's ``QueryService`` / ``ReplicaPool`` would reject,
+    raised before a graph exists (scenarios and ``repro serve bench``)."""
     from repro.serve.cache import LRUCache
 
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    LRUCache(cache_size)
+    if replicas < 1:
+        raise ValueError(f"num_replicas must be >= 1, got {replicas}")
+
+
+def _probe_service(spec) -> None:
     spec.workload()
-    if spec.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {spec.batch_size}")
-    LRUCache(spec.cache_size)
+    _check_serving(spec.batch_size, spec.cache_size, 1)
 
 
 def _probe_cluster(spec) -> None:
-    _probe_service(spec)
+    spec.workload()
     spec.cluster_config()
-    if spec.num_replicas < 1:
-        raise ValueError(f"num_replicas must be >= 1, got {spec.num_replicas}")
+    _check_serving(spec.batch_size, spec.cache_size, spec.num_replicas)
 
 
 def _probe_dynamic(spec) -> None:
@@ -742,7 +749,7 @@ _ROWS = (
         baseline="recompute", mutates=lambda spec: True, finish=_dynamic_section,
     ),
     # Build: a chunked generator streams bounded edge chunks through the
-    # external sort/merge into an on-disk store; the build wall is the gated
+    # external sort/merge into an on-disk store; the build wall is the measured
     # phase (``gate_phase``) and a levels traversal over the loaded store
     # verifies it.  ``chunk_edges`` is identity (a different chunking draws a
     # different graph); ``block_edges`` is not (the store is

@@ -37,13 +37,14 @@ downstream user needs without writing Python:
     Print the Figure-5 style edge-category census for a sweep of degree
     thresholds, plus the suggested threshold for a given GPU count.
 ``python -m repro.cli bench``
-    The benchmark & perf-regression harness: ``bench list`` names the
+    The benchmark harness and counter gate: ``bench list`` names the
     registered scenarios, ``bench run`` times them and writes a
     ``BENCH_<timestamp>.json`` artifact (``--baseline``: every stream
     scenario in its kind's baseline mode, the "before" half of a pair with
-    the same counters), ``bench compare`` diffs two artifacts and exits
-    non-zero on regressions or counter drift (the CI perf gate; ``--fail-on
-    counters`` keys the exit code on drift alone, the blocking half).
+    the same counters), ``bench compare OLD NEW`` diffs two artifacts'
+    deterministic counters and exits 1 on any drift (the CI gate).  Wall
+    clock is recorded, not judged: paired wall-clock runs are judged by
+    ``benchmarks/perf/compare.py``.
 ``python -m repro.cli serve``
     The query-serving subsystem: ``serve bench`` replays a deterministic
     Zipf-skewed query stream through the batched :class:`QueryService` and
@@ -81,8 +82,15 @@ single-source programs, the flags their table rows' parameters declare
 (``--delta``; ``--damping``/``--mode``/``--iterations``/``--eps``) and a
 few of their own (``bfs``: ``--algorithm`` and the option flags; ``sssp``:
 ``--bellman-ford``; ``pagerank``: ``--top``).  Parameter ranges are checked
-in one place, the program constructors; bad input ends in one ``error:``
-line and exit code 2.
+in one place, the program constructors.
+
+Every check is stated once, where its input enters: the constructor that
+takes a value (a program, ``ClusterLayout``, a workload, ``ClusterConfig``)
+raises ``ValueError``, a missing input file ``OSError``, and
+:func:`_usage_errors` turns either into a usage error.  :func:`main` is the
+only place an error is printed: bad input ends in one ``error:`` line on
+stderr, nothing on stdout, and exit code 2.  Only the flag combinations no
+constructor can see are checked in the command bodies.
 
 The run-time axes change wall-clock (and memory) only — results, workload
 counters and modeled times are identical across every combination.
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     mut.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     mut.set_defaults(func=_cmd_mutate)
 
-    bench = sub.add_parser("bench", help="benchmark harness and perf-regression gate")
+    bench = sub.add_parser("bench", help="benchmark harness and counter gate")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
     b_list = bench_sub.add_parser("list", help="list registered benchmark scenarios")
@@ -290,36 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_args(b_run, "backend", "kernels", "storage", "trace")
     b_run.set_defaults(func=_cmd_bench_run)
 
-    b_cmp = bench_sub.add_parser("compare", help="diff two BENCH artifacts (perf gate)")
-    b_cmp.add_argument(
-        "old",
-        help="baseline artifact: a path, a glob (newest match wins), "
-        "'latest' or 'latest~N' over ./BENCH_*.json",
+    b_cmp = bench_sub.add_parser(
+        "compare", help="diff two BENCH artifacts' counters; exit 1 on drift (the CI gate)"
     )
-    b_cmp.add_argument(
-        "new",
-        help="candidate artifact: same selector syntax as the baseline",
-    )
-    b_cmp.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="relative wall-clock noise band (0.2 = ±20%%)",
-    )
-    b_cmp.add_argument(
-        "--min-delta-ms",
-        type=float,
-        default=10.0,
-        help="absolute wall-clock noise floor; smaller deltas are never flagged",
-    )
-    b_cmp.add_argument(
-        "--fail-on",
-        choices=["any", "counters", "none"],
-        default="any",
-        help="what makes the exit code non-zero: any finding (regressions or "
-        "counter drift, the default), counter drift only (the blocking CI "
-        "gate), or nothing (report only)",
-    )
+    b_cmp.add_argument("old", type=Path, help="baseline artifact path")
+    b_cmp.add_argument("new", type=Path, help="candidate artifact path")
     b_cmp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     b_cmp.set_defaults(func=_cmd_bench_compare)
 
@@ -542,24 +525,27 @@ class _UsageError(Exception):
 
 @contextlib.contextmanager
 def _usage_errors():
-    """Turn the ``ValueError`` of a program / workload *constructor* into a
+    """Turn the ``ValueError`` of a *constructor* (program, layout, workload,
+    cluster configuration) or the ``OSError`` of a missing input file into a
     usage error.  Never wrap a traversal in this: a ``ValueError`` from the
     engine is a bug and must keep its traceback."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _load_graph(args: argparse.Namespace):
+    """The ``--npz`` edge list, else an RMAT graph generated at ``--scale``."""
     from repro.graph.io import load_npz
     from repro.graph.rmat import generate_rmat
 
-    if getattr(args, "npz", None):
-        return load_npz(args.npz)
-    return generate_rmat(
-        args.scale, rng=args.seed, weights_seed=getattr(args, "weights", None)
-    )
+    with _usage_errors():
+        if getattr(args, "npz", None):
+            return load_npz(args.npz)
+        return generate_rmat(
+            args.scale, rng=args.seed, weights_seed=getattr(args, "weights", None)
+        )
 
 
 def _check_weights_arg(args: argparse.Namespace) -> None:
@@ -637,7 +623,8 @@ def _cmd_generate(args: argparse.Namespace, config) -> int:
     from repro.graph.generators import generate_graph
     from repro.graph.io import save_npz
 
-    edges = generate_graph(args.kind, args.scale, args.seed, weights_seed=args.weights)
+    with _usage_errors():
+        edges = generate_graph(args.kind, args.scale, args.seed, weights_seed=args.weights)
     save_npz(args.output, edges)
     weighted = ", weighted" if edges.weights is not None else ""
     print(
@@ -648,26 +635,25 @@ def _cmd_generate(args: argparse.Namespace, config) -> int:
 
 
 def _cmd_build(args: argparse.Namespace, config) -> int:
-    from repro.partition.layout import ClusterLayout
     from repro.storage import external_build
     from repro.utils.rss import max_rss_mb
 
     if args.chunk_edges < 1 or args.block_edges < 1:
-        print("error: --chunk-edges and --block-edges must be >= 1", file=sys.stderr)
-        return 2
-    layout = ClusterLayout.from_notation(args.layout)
+        raise _UsageError("--chunk-edges and --block-edges must be >= 1")
     if args.npz is not None:
         from repro.graph.io import load_npz
         from repro.storage import chunks_from_edgelist
 
-        edges = load_npz(args.npz)
+        with _usage_errors():
+            edges = load_npz(args.npz)
         num_vertices = edges.num_vertices
         chunks = chunks_from_edgelist(edges, args.chunk_edges)
         source = f"npz {args.npz}"
     elif args.binary is not None:
         from repro.graph.io import binary_edge_count, iter_binary
 
-        num_vertices, _ = binary_edge_count(args.binary)
+        with _usage_errors():
+            num_vertices, _ = binary_edge_count(args.binary)
         chunks = iter_binary(args.binary, args.chunk_edges)
         source = f"binary {args.binary}"
     else:
@@ -680,7 +666,7 @@ def _cmd_build(args: argparse.Namespace, config) -> int:
     path, report = external_build(
         chunks,
         num_vertices,
-        layout,
+        args.layout,
         args.out,
         threshold=args.threshold,
         storage=args.storage,
@@ -715,7 +701,8 @@ def _pick_sources(args: argparse.Namespace, count: int, degrees: np.ndarray) -> 
     from repro.graph.degree import resolve_sources
 
     if args.source is None:
-        return resolve_sources(count, degrees, rng=args.seed + 1)
+        with _usage_errors():
+            return resolve_sources(count, degrees, rng=args.seed + 1)
     if not 0 <= args.source < len(degrees):
         raise _UsageError(f"--source {args.source} out of range [0, {len(degrees)})")
     return np.asarray([args.source], dtype=np.int64)
@@ -1052,9 +1039,10 @@ def _cmd_census(args: argparse.Namespace, config) -> int:
     from repro.utils.rss import max_rss_mb
 
     edges = _load_graph(args)
+    with _usage_errors():
+        suggestion = suggest_threshold(edges, args.gpus)
     max_degree = int(out_degrees(edges).max()) if edges.num_edges else 0
     censuses = list(census_for_thresholds(edges, threshold_candidates(max_degree)))
-    suggestion = suggest_threshold(edges, args.gpus)
 
     if args.json:
         print(
@@ -1233,19 +1221,22 @@ def _cmd_bench_list(args: argparse.Namespace, config) -> int:
 
 def _cmd_bench_run(args: argparse.Namespace, config) -> int:
     from repro.bench import default_artifact_path, find_scenarios, quick_scenarios, registry
-    from repro.bench.runner import _run_suite
+    from repro.bench.runner import _check_repeats, _run_suite
 
+    with _usage_errors():
+        _check_repeats(args.repeats)
     if args.scenario:
-        specs = find_scenarios(args.scenario)
+        try:
+            specs = find_scenarios(args.scenario)
+        except KeyError as exc:
+            raise _UsageError(exc.args[0]) from None
         if args.quick:
             specs = tuple(s for s in specs if s.quick)
             if not specs:
-                print(
-                    "error: none of the named scenarios belong to the quick subset "
-                    "(drop --quick to run them)",
-                    file=sys.stderr,
+                raise _UsageError(
+                    "none of the named scenarios belong to the quick subset "
+                    "(drop --quick to run them)"
                 )
-                return 2
     elif args.quick:
         specs = quick_scenarios()
     else:
@@ -1330,72 +1321,23 @@ def _cmd_bench_run(args: argparse.Namespace, config) -> int:
     return 0
 
 
-def _resolve_artifact_selector(text: str) -> Path:
-    """Resolve a ``bench compare`` artifact selector to a concrete path.
-
-    Three forms: a literal path, a glob pattern (the lexically newest match
-    wins — ``BENCH_<timestamp>`` names sort chronologically), or
-    ``latest``/``latest~N`` over ``./BENCH_*.json``.
-    """
-    import glob as globmod
-
-    if text == "latest" or text.startswith("latest~"):
-        back = 0
-        if text.startswith("latest~"):
-            try:
-                back = int(text.split("~", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad selector {text!r}: expected latest~<integer>") from None
-            if back < 0:
-                raise ValueError(f"bad selector {text!r}: offset must be >= 0")
-        matches = sorted(str(p) for p in Path.cwd().glob("BENCH_*.json"))
-        if back >= len(matches):
-            raise ValueError(
-                f"selector {text!r} needs {back + 1} BENCH_*.json artifact(s) "
-                f"in {Path.cwd()}, found {len(matches)}"
-            )
-        return Path(matches[-1 - back])
-    if any(ch in text for ch in "*?["):
-        matches = sorted(globmod.glob(text))
-        if not matches:
-            raise ValueError(f"no artifact matches the pattern {text!r}")
-        return Path(matches[-1])
-    return Path(text)
-
-
 def _cmd_bench_compare(args: argparse.Namespace, config) -> int:
-    from repro.bench import BenchArtifactError, compare_artifacts, load_artifact
+    from repro.bench import compare_artifacts, load_artifact
 
-    try:
-        old_path = _resolve_artifact_selector(args.old)
-        new_path = _resolve_artifact_selector(args.new)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        old = load_artifact(old_path)
-        new = load_artifact(new_path)
-        report = compare_artifacts(
-            old, new, tolerance=args.tolerance, min_delta_s=args.min_delta_ms / 1e3
-        )
-    except BenchArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _usage_errors():  # a missing, malformed or foreign artifact
+        report = compare_artifacts(load_artifact(args.old), load_artifact(args.new))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
-        print(f"comparing {old_path} -> {new_path}")
+        print(f"comparing {args.old} -> {args.new}")
         for line in report.summary_lines():
             print(line)
-    if args.fail_on == "none":
-        return 0
-    if args.fail_on == "counters":
-        return 0 if report.counters_ok else 1
     return 0 if report.ok else 1
 
 
-def _serve_bench_validate(args: argparse.Namespace) -> str | None:
-    """Reject nonsensical serve-bench knob combinations with a clear message."""
+def _serve_bench_validate(args: argparse.Namespace) -> None:
+    """Reject the serve-bench flag combinations no constructor sees; every
+    value's own range is its constructor's to check."""
     if args.arrivals == "closed":
         misplaced = [
             flag
@@ -1410,41 +1352,32 @@ def _serve_bench_validate(args: argparse.Namespace) -> str | None:
             if is_set
         ]
         if misplaced:
-            return (
+            raise _UsageError(
                 f"{', '.join(misplaced)} only appl"
                 f"{'ies' if len(misplaced) == 1 else 'y'} to open-loop arrivals; "
                 "pass --arrivals poisson|bursty|diurnal"
             )
-        return None
-    if args.rate is not None and args.rate <= 0:
-        return f"arrival rate must be positive, got {args.rate}"
-    replicas = 2 if args.replicas is None else args.replicas
-    if replicas < 1:
-        return f"--replicas must be >= 1, got {replicas}"
-    if args.queue_limit is not None and args.queue_limit < 0:
-        return f"--queue-limit must be >= 0 (0 = unbounded), got {args.queue_limit}"
-    if args.hedge_quantile is not None:
+    elif args.hedge_quantile is not None:
         if args.no_hedge:
-            return "--hedge-quantile contradicts --no-hedge; pick one"
-        if not 0.0 < args.hedge_quantile < 1.0:
-            return f"--hedge-quantile must be in (0, 1), got {args.hedge_quantile}"
-        if replicas < 2:
-            return (
+            raise _UsageError("--hedge-quantile contradicts --no-hedge; pick one")
+        if args.replicas is not None and args.replicas < 2:
+            raise _UsageError(
                 "request hedging re-issues a straggler to a *second* replica; "
-                f"--hedge-quantile needs --replicas >= 2, got {replicas}"
+                f"--hedge-quantile needs --replicas >= 2, got {args.replicas}"
             )
-    if args.slo_ms is not None and args.slo_ms <= 0:
-        return f"--slo-ms must be positive, got {args.slo_ms}"
-    return None
 
 
 def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
+    """Build every workload object first, so each constructor checks its
+    flags before a graph exists; then replay closed- or open-loop."""
+    from repro.bench.streams import _check_serving
     from repro.core.programs import PROGRAM_TABLE
-    from repro.serve import ZipfWorkload
+    from repro.serve import MixedWorkload, ZipfWorkload
+    from repro.serve.cluster import ClusterConfig, OpenLoopWorkload, make_arrivals
 
-    error = _serve_bench_validate(args)
-    if error is not None:
-        raise _UsageError(error)
+    _serve_bench_validate(args)
+    closed = args.arrivals == "closed"
+    replicas = 2 if args.replicas is None else args.replicas
     with _usage_errors():
         queries = ZipfWorkload(
             num_queries=args.queries,
@@ -1454,38 +1387,50 @@ def _cmd_serve_bench(args: argparse.Namespace, config) -> int:
             program=args.program,
             **PROGRAM_TABLE[args.program].pick(max_hops=args.max_hops),
         )
+        _check_serving(args.batch_size, args.cache_size, 1 if closed else replicas)
+        if closed:
+            workload = queries
+            if args.update_rate > 0:
+                workload = MixedWorkload(
+                    queries=queries,
+                    update_rate=args.update_rate,
+                    edges_per_update=args.update_edges,
+                    update_style=args.update_style,
+                    update_seed=args.seed + 4,
+                )
+        else:
+            workload = OpenLoopWorkload(
+                queries=queries,
+                arrivals=make_arrivals(
+                    args.arrivals, 500.0 if args.rate is None else args.rate, seed=args.seed + 4
+                ),
+                num_updates=round(args.update_rate * args.queries) if args.update_rate > 0 else 0,
+                edges_per_update=args.update_edges,
+                update_style=args.update_style,
+                update_seed=args.seed + 4,
+            )
+            cluster_config = ClusterConfig(
+                queue_limit=64 if args.queue_limit is None else args.queue_limit,
+                hedge=replicas >= 2,
+                hedge_quantile=0.95 if args.hedge_quantile is None else args.hedge_quantile,
+                slo_ms=args.slo_ms,
+            )
     prepared = _prepare(args, config, _load_graph(args))
     try:
-        if args.arrivals == "closed":
-            return _serve_bench_closed(args, prepared, queries)
-        return _serve_bench_open(args, prepared, queries)
+        if closed:
+            return _serve_bench_closed(args, prepared, workload)
+        return _serve_bench_open(args, prepared, workload, cluster_config, replicas)
     finally:
         prepared.close()
 
 
-def _serve_bench_open(args: argparse.Namespace, prepared, queries) -> int:
+def _serve_bench_open(
+    args: argparse.Namespace, prepared, workload, cluster_config, replicas: int
+) -> int:
     from repro.bench.streams import serve_open
     from repro.graph.degree import out_degrees
-    from repro.serve.cluster import ClusterConfig, OpenLoopWorkload, make_arrivals
 
-    replicas = 2 if args.replicas is None else args.replicas
-    rate = 500.0 if args.rate is None else args.rate
-    cluster_config = ClusterConfig(
-        queue_limit=64 if args.queue_limit is None else args.queue_limit,
-        hedge=replicas >= 2,
-        hedge_quantile=0.95 if args.hedge_quantile is None else args.hedge_quantile,
-        slo_ms=args.slo_ms,
-    )
     edges, config = prepared.edges, prepared.config
-    num_updates = int(round(args.update_rate * args.queries)) if args.update_rate > 0 else 0
-    workload = OpenLoopWorkload(
-        queries=queries,
-        arrivals=make_arrivals(args.arrivals, rate, seed=args.seed + 4),
-        num_updates=num_updates,
-        edges_per_update=args.update_edges,
-        update_style=args.update_style,
-        update_seed=args.seed + 4,
-    )
     stream = workload.generate(edges.num_vertices, degrees=out_degrees(edges), edges=edges)
     run = serve_open(
         prepared,
@@ -1522,8 +1467,8 @@ def _serve_bench_open(args: argparse.Namespace, prepared, queries) -> int:
     print(_stream_header(prepared, f"{replicas} replica(s)"))
     print(
         f"workload: {args.queries} {args.program} ops, zipf skew {args.skew}, "
-        f"{args.arrivals} arrivals at {rate:,.0f} q/s offered"
-        + (f", {num_updates} update batches" if num_updates else "")
+        f"{args.arrivals} arrivals at {workload.arrivals.rate_qps:,.0f} q/s offered"
+        + (f", {workload.num_updates} update batches" if workload.num_updates else "")
     )
     lat = cluster["latency"]
     print(
@@ -1556,33 +1501,21 @@ def _serve_bench_open(args: argparse.Namespace, prepared, queries) -> int:
     return 0
 
 
-def _serve_bench_closed(args: argparse.Namespace, prepared, queries) -> int:
+def _serve_bench_closed(args: argparse.Namespace, prepared, workload) -> int:
     from repro.bench.streams import serve_closed
     from repro.graph.degree import out_degrees
-    from repro.serve import MixedWorkload
 
     edges, config = prepared.edges, prepared.config
     degrees = out_degrees(edges)
     mixed = args.update_rate > 0
-    if mixed:
-        with _usage_errors():
-            workload = MixedWorkload(
-                queries=queries,
-                update_rate=args.update_rate,
-                edges_per_update=args.update_edges,
-                update_style=args.update_style,
-                update_seed=args.seed + 4,
-            )
-        stream = workload.generate(edges, degrees=degrees)
-    else:
-        workload = queries
-        stream = queries.generate(edges.num_vertices, degrees=degrees)
+    # A mixed stream draws its updates from the edges, a read stream its sources.
+    stream = workload.generate(edges if mixed else edges.num_vertices, degrees=degrees)
 
     if not args.json:
         print(_stream_header(prepared, f"delegates {prepared.graph.num_delegates:,}"))
         line = (
             f"workload: {args.queries} {args.program} ops, "
-            f"zipf skew {args.skew}, pool {queries.pool}, "
+            f"zipf skew {args.skew}, pool {args.pool}, "
             f"batch {args.batch_size}, cache {args.cache_size}"
         )
         if mixed:
@@ -1657,11 +1590,8 @@ def _write_prometheus(snapshot: dict, path: Path) -> None:
 def _cmd_trace_summarize(args: argparse.Namespace, config) -> int:
     from repro.obs import load_trace, summarize_events, summary_lines
 
-    try:
+    with _usage_errors():  # a missing, unreadable or foreign trace
         events = load_trace(args.path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     summary = summarize_events(events)
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -1673,13 +1603,17 @@ def _cmd_trace_summarize(args: argparse.Namespace, config) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.  The one place an error
+    is printed: a :class:`_UsageError` ends in ``error: <message>`` and 2."""
     from repro.exec.config import ExecConfig
+    from repro.partition.layout import ClusterLayout
 
     args = build_parser().parse_args(argv)
     try:
         _check_weights_arg(args)
         with _usage_errors():
+            if getattr(args, "layout", None) is not None:
+                args.layout = ClusterLayout.from_notation(args.layout)
             config = ExecConfig.resolve(
                 **{axis: getattr(args, axis) for axis in getattr(args, "exec_axes", ())}
             )

@@ -68,7 +68,7 @@ def _resolve(path: str):
     return getattr(import_module(module), name)
 
 
-def bucket_width(value):
+def bucket_width(value) -> float | str:
     """``"auto"`` or a float (``inf`` = the single-bucket schedule)."""
     return value if value == "auto" else float(value)
 

@@ -269,8 +269,7 @@ class DynamicGraph:
         partitioned: PartitionedGraph | None = None,
         weights_seed: int = 0,
     ) -> None:
-        if not isinstance(layout, ClusterLayout):
-            layout = ClusterLayout.from_notation(layout)
+        layout = ClusterLayout.from_notation(layout)
         if not 0.0 < max_overlay_fraction <= 1.0:
             raise ValueError(
                 f"max_overlay_fraction must be in (0, 1], got {max_overlay_fraction}"

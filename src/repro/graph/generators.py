@@ -56,6 +56,8 @@ def generate_graph(
 
     ``uniform`` draws ``8 * 2**scale`` edges (the bench scenarios' density).
     """
+    if scale < 0:
+        raise ValueError(f"scale must be non-negative, got {scale}")
     n = 1 << scale
     if kind == "rmat":
         return generate_rmat(scale, rng=seed, weights_seed=weights_seed)

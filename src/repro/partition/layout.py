@@ -84,8 +84,11 @@ class ClusterLayout:
         return f"{self.nodes}x{self.ranks_per_node}x{self.gpus_per_rank}"
 
     @classmethod
-    def from_notation(cls, text: str) -> "ClusterLayout":
-        """Parse a ``AxBxC`` hardware string (e.g. ``"4x2x2"``)."""
+    def from_notation(cls, text: "str | ClusterLayout") -> "ClusterLayout":
+        """Parse a ``AxBxC`` hardware string (e.g. ``"4x2x2"``); a layout
+        passes through unchanged."""
+        if isinstance(text, cls):
+            return text
         parts = text.lower().replace("×", "x").split("x")
         if len(parts) != 3:
             raise ValueError(f"expected 'nodes x ranks x gpus', got {text!r}")

@@ -32,7 +32,7 @@ query-serving system:
 The service is synchronous and deterministic: the measured wall-clock is the
 saturated closed-loop throughput, and every counter depends only on the
 (graph, options, query stream) triple — never on timing — so serving
-scenarios can sit in the perf-regression harness next to the traversal ones.
+scenarios can sit in the benchmark harness next to the traversal ones.
 """
 
 from __future__ import annotations

@@ -22,28 +22,30 @@ session); :meth:`Session.build` partitions the graph once and returns a
 ``graph.campaign()`` — all running through the same generic
 :class:`repro.core.engine.TraversalEngine`.  Calling an algorithm (or
 ``run``) directly on the :class:`Session` builds implicitly.
+
+The program shorthands are generated from
+:data:`repro.core.programs.PROGRAM_TABLE`: one :class:`GraphSession` method
+per row, its signature the row's source and declared parameters.
+:class:`Session`'s build-then-forward methods are one declaration over
+``_BUILD_THEN``, each with the signature of the method it calls.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cluster.hardware import HardwareSpec
 from repro.core.campaign import Campaign, run_campaign
-from repro.core.engine import TraversalEngine
+from repro.core.engine import DEFAULT_BATCH_SIZE, TraversalEngine
 from repro.core.options import BFSOptions
-from repro.core.programs import (
-    PROGRAM_TABLE,
-    BFSLevels,
-    BFSParents,
-    ConnectedComponents,
-    FrontierProgram,
-    KHopReachability,
-    make_program,
-)
-from repro.core.programs.table import names_where
+from repro.core.programs import PROGRAM_TABLE, BFSLevels, FrontierProgram, make_program
+from repro.core.programs.table import REQUIRED, names_where
 from repro.core.results import TraversalResult
 from repro.exec.config import ExecConfig
 from repro.graph.degree import out_degrees, resolve_sources
@@ -52,6 +54,9 @@ from repro.graph.generators import generate_graph
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import PartitionedGraph, build_partitions
+
+if TYPE_CHECKING:
+    from typing import Self
 
 __all__ = ["auto", "session", "Session", "GraphSession"]
 
@@ -74,173 +79,44 @@ class _Auto:
 auto = _Auto()
 
 
-def session(
-    layout: str | ClusterLayout = "4x1x2",
-    options: BFSOptions | None = None,
-    hardware: HardwareSpec | None = None,
-    backend=None,
-    kernels=None,
-    storage: str | None = None,
-) -> "Session":
+def session(*args, **kwargs) -> "Session":
     """Start a fluent traversal session over a virtual cluster.
 
-    Parameters
-    ----------
+    Takes :class:`Session`'s parameters:
+
     layout:
-        Cluster geometry, either a :class:`repro.partition.ClusterLayout` or
-        the ``"nodes x ranks-per-node x gpus-per-rank"`` notation the CLI
-        uses (e.g. ``"4x1x2"``).
-    options:
-        Engine options; defaults to the paper's main configuration.
-    hardware:
-        Performance-model hardware; defaults to the paper's Ray system.
+        Cluster geometry: a :class:`repro.partition.ClusterLayout` or the
+        CLI's ``"nodes x ranks-per-node x gpus-per-rank"`` notation (``"4x1x2"``).
+    options, hardware:
+        Engine options and performance-model hardware; default to the
+        paper's main configuration and its Ray system.
     backend:
-        Execution backend for the super-steps: ``"inline"`` (default),
-        ``"process"`` for the multiprocessing pool over shared memory,
-        ``"thread"`` for the shared thread pool, or a live
-        :class:`repro.exec.ExecutionBackend`; can also be set fluently via
-        :meth:`Session.backend`.
+        Where super-steps execute: ``"inline"`` (default), ``"process"`` (a
+        multiprocessing pool over shared memory), ``"thread"``, or a live
+        :class:`repro.exec.ExecutionBackend`; also :meth:`Session.backend`.
     kernels:
         The kernels label: ``"numpy"`` or ``"auto"`` (default; both name
         the one implementation, :mod:`repro.core.kernels`).
     storage:
-        Graph storage mode: ``"memory"`` (default), ``"mmap"`` for a
-        memory-mapped store, ``"compressed"`` for a store with delta+varint
-        nn/nd adjacency, or ``None`` for the ``REPRO_STORAGE`` environment
-        default; can also be set fluently via :meth:`Session.storage`.
-        Results and counters are storage-invariant; only memory and
-        wall-clock change.
+        ``"memory"`` (default), ``"mmap"`` (a memory-mapped store),
+        ``"compressed"`` (delta+varint nn/nd adjacency), or ``None`` for
+        ``$REPRO_STORAGE``; also :meth:`Session.storage`.  Results and
+        counters are storage-invariant; only memory and wall-clock change.
 
-    All three are resolved once, here, into one
+    The three run-time axes resolve once, into one
     :class:`repro.exec.ExecConfig`; a bad name raises :class:`ValueError`.
     """
-    return Session(
-        layout=layout,
-        options=options,
-        hardware=hardware,
-        backend=backend,
-        kernels=kernels,
-        storage=storage,
-    )
+    return Session(*args, **kwargs)
 
 
-class Session:
-    """Mutable fluent builder for one partitioned graph + engine."""
+class _Traced:
+    """Tracing, stated once for :class:`Session` and :class:`GraphSession`
+    (each instance owns its own tracer)."""
 
-    def __init__(
-        self,
-        layout: str | ClusterLayout = "4x1x2",
-        options: BFSOptions | None = None,
-        hardware: HardwareSpec | None = None,
-        backend=None,
-        kernels=None,
-        storage: str | None = None,
-    ) -> None:
-        self._layout = (
-            layout if isinstance(layout, ClusterLayout) else ClusterLayout.from_notation(layout)
-        )
-        self._options = options
-        self._hardware = hardware
-        self._config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
-        self._storage_path: Path | None = None
-        self._edges: EdgeList | None = None
-        self._threshold: int | _Auto = auto
-        self._built: GraphSession | None = None
-        self._tracer = None
-        self._trace_path: Path | None = None
+    _tracer = None
+    _trace_path: Path | None = None
 
-    # ------------------------------------------------------------------ #
-    # Configuration (each returns self)
-    # ------------------------------------------------------------------ #
-    def load(self, edges: EdgeList | str | Path) -> "Session":
-        """Use an existing edge list, or load one from a ``.npz`` path."""
-        if isinstance(edges, (str, Path)):
-            from repro.graph.io import load_npz
-
-            edges = load_npz(Path(edges))
-        if not isinstance(edges, EdgeList):
-            raise TypeError(f"expected an EdgeList or a path, got {type(edges).__name__}")
-        self._edges = edges
-        self._built = None
-        return self
-
-    def generate(
-        self,
-        scale: int = 14,
-        kind: str = "rmat",
-        seed: int = 11,
-        weights: int | None = None,
-    ) -> "Session":
-        """Generate a prepared graph (RMAT or a synthetic substitute).
-
-        ``weights`` seeds deterministic edge-keyed ``float64`` weights for
-        the weighted program zoo (``None`` = unweighted).
-        """
-        self._edges = generate_graph(kind, scale, seed, weights_seed=weights)
-        self._built = None
-        return self
-
-    def threshold(self, threshold: int | _Auto) -> "Session":
-        """Set the degree threshold TH (``repro.auto`` = paper's suggestion)."""
-        if not isinstance(threshold, _Auto):
-            threshold = int(threshold)
-            if threshold < 1:
-                raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self._threshold = threshold
-        self._built = None
-        return self
-
-    def options(self, options: BFSOptions | None = None, **kwargs) -> "Session":
-        """Set engine options, either whole or by keyword (e.g. ``uniquify=True``)."""
-        if options is not None and kwargs:
-            raise ValueError("pass either an options object or keywords, not both")
-        if options is None:
-            options = BFSOptions(**kwargs)
-        self._options = options
-        self._built = None
-        return self
-
-    def hardware(self, hardware: HardwareSpec) -> "Session":
-        """Set the performance-model hardware."""
-        self._hardware = hardware
-        self._built = None
-        return self
-
-    def backend(self, backend) -> "Session":
-        """Choose where super-steps execute (``"inline"`` / ``"process"`` /
-        ``"thread"``).
-
-        Accepts a backend registry name, a live
-        :class:`repro.exec.ExecutionBackend` instance, or ``None`` for the
-        ``REPRO_BACKEND`` environment default.  An already-built graph
-        session switches in place (the partitioning is reused).
-
-        >>> import repro  # doctest: +SKIP
-        >>> repro.session().generate(scale=16).backend("process").bfs(0)
-        """
-        self._config = self._config.override(backend=backend)
-        if self._built is not None:
-            self._built.backend(self._config.backend)
-        return self
-
-    def storage(self, storage: str | None, path: str | Path | None = None) -> "Session":
-        """Choose the graph storage mode (``"memory"`` / ``"mmap"`` /
-        ``"compressed"``).
-
-        ``None`` falls back to the ``REPRO_STORAGE`` environment default.
-        For the store-backed modes ``path`` optionally pins the store
-        directory (default: a process-lifetime temporary directory).
-        Traversal results and counters are storage-invariant.
-
-        >>> import repro  # doctest: +SKIP
-        >>> repro.session().generate(scale=16).storage("compressed").bfs(0)
-        """
-        self._config = self._config.override(storage=storage)
-        self._storage_path = Path(path) if path is not None else None
-        self._built = None
-        return self
-
-    def trace(self, path: str | Path | None = None) -> "Session":
+    def trace(self, path: str | Path | None = None) -> Self:
         """Enable tracing: install this session's tracer process-wide.
 
         Every traversal, super-step and serving operation run after this
@@ -283,8 +159,113 @@ class Session:
             raise RuntimeError("no trace path: pass one here or to .trace(path)")
         return write_trace(self._tracer, target)
 
+
+class Session(_Traced):
+    """Mutable fluent builder for one partitioned graph + engine; see
+    :func:`session` for the parameters."""
+
+    def __init__(
+        self,
+        layout: str | ClusterLayout = "4x1x2",
+        options: BFSOptions | None = None,
+        hardware: HardwareSpec | None = None,
+        backend=None,
+        kernels=None,
+        storage: str | None = None,
+    ) -> None:
+        self._layout = ClusterLayout.from_notation(layout)
+        self._options = options
+        self._hardware = hardware
+        self._config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
+        self._storage_path: Path | None = None
+        self._edges: EdgeList | None = None
+        self._threshold: int | _Auto = auto
+        self._built: GraphSession | None = None
+
     # ------------------------------------------------------------------ #
-    # Building and running
+    # Configuration (each returns self)
+    # ------------------------------------------------------------------ #
+    def _reconfigure(self, **fields) -> "Session":
+        """Set the private ``fields``; the next run rebuilds."""
+        for name, value in fields.items():
+            setattr(self, "_" + name, value)
+        self._built = None
+        return self
+
+    def load(self, edges: EdgeList | str | Path) -> "Session":
+        """Use an existing edge list, or load one from a ``.npz`` path."""
+        if isinstance(edges, (str, Path)):
+            from repro.graph.io import load_npz
+
+            edges = load_npz(Path(edges))
+        if not isinstance(edges, EdgeList):
+            raise TypeError(f"expected an EdgeList or a path, got {type(edges).__name__}")
+        return self._reconfigure(edges=edges)
+
+    def generate(
+        self, scale: int = 14, kind: str = "rmat", seed: int = 11, weights: int | None = None
+    ) -> "Session":
+        """Generate a prepared graph (RMAT or a synthetic substitute).
+
+        ``weights`` seeds deterministic edge-keyed ``float64`` weights for
+        the weighted program zoo (``None`` = unweighted).
+        """
+        return self._reconfigure(edges=generate_graph(kind, scale, seed, weights_seed=weights))
+
+    def threshold(self, threshold: int | _Auto) -> "Session":
+        """Set the degree threshold TH (``repro.auto`` = paper's suggestion)."""
+        if not isinstance(threshold, _Auto):
+            threshold = int(threshold)
+            if threshold < 1:
+                raise ValueError(f"threshold must be >= 1, got {threshold}")
+        return self._reconfigure(threshold=threshold)
+
+    def options(self, options: BFSOptions | None = None, **kwargs) -> "Session":
+        """Set engine options, either whole or by keyword (e.g. ``uniquify=True``)."""
+        if options is not None and kwargs:
+            raise ValueError("pass either an options object or keywords, not both")
+        return self._reconfigure(options=BFSOptions(**kwargs) if options is None else options)
+
+    def hardware(self, hardware: HardwareSpec) -> "Session":
+        """Set the performance-model hardware."""
+        return self._reconfigure(hardware=hardware)
+
+    def backend(self, backend) -> "Session":
+        """Choose where super-steps execute (``"inline"`` / ``"process"`` /
+        ``"thread"``).
+
+        Accepts a backend registry name, a live
+        :class:`repro.exec.ExecutionBackend` instance, or ``None`` for the
+        ``REPRO_BACKEND`` environment default.  An already-built graph
+        session switches in place (the partitioning is reused).
+
+        >>> import repro  # doctest: +SKIP
+        >>> repro.session().generate(scale=16).backend("process").bfs(0)
+        """
+        self._config = self._config.override(backend=backend)
+        if self._built is not None:
+            self._built.backend(self._config.backend)
+        return self
+
+    def storage(self, storage: str | None, path: str | Path | None = None) -> "Session":
+        """Choose the graph storage mode (``"memory"`` / ``"mmap"`` /
+        ``"compressed"``).
+
+        ``None`` falls back to the ``REPRO_STORAGE`` environment default.
+        For the store-backed modes ``path`` optionally pins the store
+        directory (default: a process-lifetime temporary directory).
+        Traversal results and counters are storage-invariant.
+
+        >>> import repro  # doctest: +SKIP
+        >>> repro.session().generate(scale=16).storage("compressed").bfs(0)
+        """
+        return self._reconfigure(
+            config=self._config.override(storage=storage),
+            storage_path=Path(path) if path is not None else None,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Building (running is the build-then-forward methods below the classes)
     # ------------------------------------------------------------------ #
     def build(self) -> "GraphSession":
         """Partition the graph and return the runnable handle (cached)."""
@@ -298,82 +279,19 @@ class Session:
         if isinstance(threshold, _Auto):
             threshold = suggest_threshold(self._edges, self._layout.num_gpus)
         graph = build_partitions(self._edges, self._layout, threshold)
-        if self._config.storage != "memory":
+        config = self._config
+        if config.storage != "memory":
             from repro.storage import apply_storage
 
-            graph = apply_storage(graph, self._config.storage, path=self._storage_path)
+            graph = apply_storage(graph, config.storage, path=self._storage_path)
         engine = TraversalEngine(
-            graph,
-            options=self._options,
-            hardware=self._hardware,
-            backend=self._config.backend,
-            kernels=self._config.kernels,
+            graph, self._options, self._hardware, backend=config.backend, kernels=config.kernels
         )
         self._built = GraphSession(edges=self._edges, graph=graph, engine=engine)
         return self._built
 
-    def run(self, program: FrontierProgram) -> TraversalResult:
-        """Build (if needed) and run one frontier program."""
-        return self.build().run(program)
 
-    def bfs(self, source: int) -> TraversalResult:
-        """Build (if needed) and run BFS levels from ``source``."""
-        return self.build().bfs(source)
-
-    def parents(self, source: int) -> TraversalResult:
-        """Build (if needed) and run the BFS parent-tree program."""
-        return self.build().parents(source)
-
-    def components(self) -> TraversalResult:
-        """Build (if needed) and run connected components."""
-        return self.build().components()
-
-    def khop(self, source: int, max_hops: int) -> TraversalResult:
-        """Build (if needed) and run k-hop reachability."""
-        return self.build().khop(source, max_hops)
-
-    def sssp(self, source: int, delta: float | str = "auto") -> TraversalResult:
-        """Build (if needed) and run delta-stepping SSSP."""
-        return self.build().sssp(source, delta=delta)
-
-    def pagerank(self, **kwargs) -> TraversalResult:
-        """Build (if needed) and run PageRank."""
-        return self.build().pagerank(**kwargs)
-
-    def wcc_hook(self) -> TraversalResult:
-        """Build (if needed) and run hooking connected components."""
-        return self.build().wcc_hook()
-
-    def triangles(self) -> TraversalResult:
-        """Build (if needed) and count triangles."""
-        return self.build().triangles()
-
-    def campaign(self, *args, **kwargs) -> Campaign:
-        """Build (if needed) and run a multi-source campaign."""
-        return self.build().campaign(*args, **kwargs)
-
-    def run_many(self, *args, **kwargs) -> Campaign:
-        """Build (if needed) and run many sources; see
-        :meth:`GraphSession.run_many`."""
-        return self.build().run_many(*args, **kwargs)
-
-    def serve(self, *args, **kwargs):
-        """Build (if needed) and start a query service; see
-        :meth:`GraphSession.serve`."""
-        return self.build().serve(*args, **kwargs)
-
-    def serve_cluster(self, *args, **kwargs):
-        """Build (if needed) and start a replicated serving tier; see
-        :meth:`GraphSession.serve_cluster`."""
-        return self.build().serve_cluster(*args, **kwargs)
-
-    def bench(self, *args, **kwargs) -> dict:
-        """Build (if needed) and wall-clock benchmark a program; see
-        :meth:`GraphSession.bench`."""
-        return self.build().bench(*args, **kwargs)
-
-
-class GraphSession:
+class GraphSession(_Traced):
     """A partitioned graph bound to a traversal engine, with shorthands."""
 
     def __init__(self, edges: EdgeList, graph: PartitionedGraph, engine: TraversalEngine) -> None:
@@ -381,8 +299,6 @@ class GraphSession:
         self.graph = graph
         self.engine = engine
         self._dynamic = None
-        self._tracer = None
-        self._trace_path: Path | None = None
 
     # ------------------------------------------------------------------ #
     # Generic execution
@@ -406,33 +322,6 @@ class GraphSession:
     def backend_name(self) -> str:
         """Registry name of the execution backend in effect."""
         return self.engine.backend_name
-
-    def trace(self, path: str | Path | None = None) -> "GraphSession":
-        """Enable tracing on the built graph; see :meth:`Session.trace`."""
-        from repro.obs import Tracer, set_tracer
-
-        if self._tracer is None:
-            self._tracer = Tracer()
-        set_tracer(self._tracer)
-        if path is not None:
-            self._trace_path = Path(path)
-        return self
-
-    @property
-    def tracer(self):
-        """The tracer installed by :meth:`trace` (``None`` until called)."""
-        return self._tracer
-
-    def write_trace(self, path: str | Path | None = None) -> Path:
-        """Export the collected trace; see :meth:`Session.write_trace`."""
-        from repro.obs import write_trace
-
-        if self._tracer is None:
-            raise RuntimeError("tracing is not enabled: call .trace() first")
-        target = Path(path) if path is not None else self._trace_path
-        if target is None:
-            raise RuntimeError("no trace path: pass one here or to .trace(path)")
-        return write_trace(self._tracer, target)
 
     @property
     def storage_name(self) -> str:
@@ -459,12 +348,7 @@ class GraphSession:
         return self._dynamic
 
     def mutate(
-        self,
-        delta=None,
-        *,
-        inserts=None,
-        deletes=None,
-        max_overlay_fraction: float = 0.05,
+        self, delta=None, *, inserts=None, deletes=None, max_overlay_fraction: float = 0.05,
         max_degree_crossings: int | None = None,
     ):
         """Apply one edge-update batch to this session's graph.
@@ -499,22 +383,14 @@ class GraphSession:
             delta = EdgeDelta.inserts(inserts if inserts is not None else [])
             if deletes is not None:
                 dels = EdgeDelta.deletes(deletes)
-                delta = EdgeDelta(
-                    insert_src=delta.insert_src,
-                    insert_dst=delta.insert_dst,
-                    delete_src=dels.delete_src,
-                    delete_dst=dels.delete_dst,
-                )
+                delta = replace(delta, delete_src=dels.delete_src, delete_dst=dels.delete_dst)
         elif inserts is not None or deletes is not None:
             raise ValueError("pass either a delta object or keyword pairs, not both")
         if self._dynamic is None:
             self._dynamic = DynamicGraph(
-                self.edges,
-                self.graph.layout,
-                self.graph.threshold,
+                self.edges, self.graph.layout, self.graph.threshold, partitioned=self.graph,
                 max_overlay_fraction=max_overlay_fraction,
                 max_degree_crossings=max_degree_crossings,
-                partitioned=self.graph,
             )
             self.engine = DynamicEngine(self._dynamic, engine=self.engine)
         applied = self.engine.apply_delta(delta)
@@ -524,69 +400,12 @@ class GraphSession:
         return applied
 
     # ------------------------------------------------------------------ #
-    # Algorithm shorthands
+    # Multi-source, serving and timing shorthands (the one-program
+    # shorthands are generated from the program table below)
     # ------------------------------------------------------------------ #
-    def bfs(self, source: int) -> TraversalResult:
-        """Hop distances from ``source`` (the paper's DOBFS)."""
-        return self.run(BFSLevels(source=source))
-
-    def parents(self, source: int) -> TraversalResult:
-        """Graph500-style BFS parent tree from ``source``."""
-        return self.run(BFSParents(source=source))
-
-    def components(self) -> TraversalResult:
-        """Connected-component labels by min-label propagation."""
-        return self.run(ConnectedComponents())
-
-    def khop(self, source: int, max_hops: int) -> TraversalResult:
-        """Distances from ``source`` capped at ``max_hops`` levels."""
-        return self.run(KHopReachability(source=source, max_hops=max_hops))
-
-    def sssp(self, source: int, delta: float | str = "auto") -> TraversalResult:
-        """Shortest-path distances from ``source`` over edge weights.
-
-        Runs the delta-stepping driver (``delta="auto"`` picks the bucket
-        width from the average degree; ``delta=float("inf")`` degrades to
-        the Bellman-Ford schedule).  Requires a weighted graph — generate
-        with ``weights=<seed>`` or load a weighted edge list.
-        """
-        from repro.weighted import DeltaSteppingSSSP
-
-        return self.run(DeltaSteppingSSSP(source, delta=delta))
-
-    def pagerank(
-        self,
-        damping: float = 0.85,
-        mode: str = "fixed",
-        iterations: int = 20,
-        eps: float = 1e-7,
-    ) -> TraversalResult:
-        """Deterministic fixed-point PageRank (``"fixed"`` or ``"push"``)."""
-        from repro.weighted import PageRank
-
-        return self.run(
-            PageRank(damping=damping, mode=mode, iterations=iterations, eps=eps)
-        )
-
-    def wcc_hook(self) -> TraversalResult:
-        """Connected components by min-label hooking + pointer jumping."""
-        from repro.weighted import ComponentsHooking
-
-        return self.run(ComponentsHooking())
-
-    def triangles(self) -> TraversalResult:
-        """Exact global and per-vertex triangle counts."""
-        from repro.weighted import TriangleCount
-
-        return self.run(TriangleCount())
-
     def campaign(
-        self,
-        sources: np.ndarray | list[int] | int = 5,
-        program_factory=None,
-        seed: int = 11,
-        validate=None,
-        on_result=None,
+        self, sources: np.ndarray | list[int] | int = 5, program_factory=None, seed: int = 11,
+        validate=None, on_result=None,
     ) -> Campaign:
         """Run one program per source and aggregate (the paper's protocol).
 
@@ -594,21 +413,12 @@ class GraphSession:
         drawn degree-weighted (the Graph500 convention of sampling sources
         with at least one edge).
         """
-        return run_campaign(
-            self.engine,
-            resolve_sources(sources, out_degrees(self.edges), rng=seed),
-            program_factory=program_factory,
-            validate=validate,
-            on_result=on_result,
-        )
+        sources = resolve_sources(sources, out_degrees(self.edges), rng=seed)
+        return run_campaign(self.engine, sources, program_factory, validate, on_result)
 
     def run_many(
-        self,
-        sources: np.ndarray | list[int] | int,
-        program: str = "levels",
-        batch_size: int | str | None = "auto",
-        max_hops: int = 3,
-        seed: int = 11,
+        self, sources: np.ndarray | list[int] | int, program: str = "levels",
+        batch_size: int | str | None = "auto", max_hops: int = 3, seed: int = 11,
     ) -> Campaign:
         """Run one single-source program per source, batched when possible.
 
@@ -632,17 +442,11 @@ class GraphSession:
             for s in resolve_sources(sources, out_degrees(self.edges), rng=seed)
         ]
         if batch_size == "auto":
-            from repro.core.engine import DEFAULT_BATCH_SIZE
-
             batch_size = DEFAULT_BATCH_SIZE
         return self.engine.run_many(programs, batch_size=batch_size)
 
     def serve(
-        self,
-        batch_size: int = 32,
-        cache_size: int = 1024,
-        batched: bool = True,
-        backend=None,
+        self, batch_size: int = 32, cache_size: int = 1024, batched: bool = True, backend=None
     ):
         """A :class:`repro.serve.QueryService` bound to this graph.
 
@@ -659,11 +463,7 @@ class GraphSession:
         from repro.serve import QueryService
 
         return QueryService(
-            self.engine,
-            batch_size=batch_size,
-            cache_size=cache_size,
-            batched=batched,
-            backend=backend,
+            self.engine, batch_size, cache_size, batched=batched, backend=backend
         )
 
     def serve_cluster(
@@ -700,11 +500,7 @@ class GraphSession:
         from repro.serve.cluster import ClusterConfig, ClusterDispatcher, ReplicaPool
 
         pool = ReplicaPool(
-            self.graph,
-            num_replicas,
-            backend=backend,
-            batch_size=batch_size,
-            cache_size=cache_size,
+            self.graph, num_replicas, backend=backend, batch_size=batch_size, cache_size=cache_size
         )
         config = ClusterConfig(
             queue_limit=queue_limit,
@@ -716,9 +512,7 @@ class GraphSession:
         return pool, ClusterDispatcher(pool, config)
 
     def bench(
-        self,
-        program: FrontierProgram | None = None,
-        repeats: int = 3,
+        self, program: FrontierProgram | None = None, repeats: int = 3,
         check_determinism: bool = True,
     ) -> dict:
         """Wall-clock benchmark one program on this graph.
@@ -737,9 +531,66 @@ class GraphSession:
 
         if program is None:
             program = BFSLevels(source=0)
-        return time_program(
-            self.engine,
-            lambda: program,
-            repeats=repeats,
-            check_determinism=check_determinism,
-        )
+        return time_program(self.engine, lambda: program, repeats, check_determinism)
+
+
+# ---------------------------------------------------------------------- #
+# The generated methods
+# ---------------------------------------------------------------------- #
+#: Program-table row -> ``GraphSession`` method name where they differ;
+#: ``None``: no method (``sssp`` with ``delta=inf`` is its schedule).
+_RENAMED = {"levels": "bfs", "bellman-ford": None}
+#: ``GraphSession`` program method name -> the program-table row it runs.
+_METHOD_NAMES = {_RENAMED.get(n, n): n for n in PROGRAM_TABLE if _RENAMED.get(n, n)}
+
+#: The ``Session`` methods that build (if needed), then call ``GraphSession``'s.
+_BUILD_THEN = ("run", *_METHOD_NAMES, "campaign", "run_many", "serve", "serve_cluster", "bench")
+
+
+def _program_method(name: str, row):
+    """``GraphSession.<name>``: run ``row``'s program, with the row's source and
+    declared parameters as the signature."""
+    kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    params = [inspect.Parameter("self", kind)]
+    if row.takes_source:
+        params.append(inspect.Parameter("source", kind, annotation="int"))
+    for p in row.params:
+        default = inspect.Parameter.empty if p.default is REQUIRED else p.default
+        # The converter's type name, or a converter function's return annotation.
+        hint = p.type.__name__ if isinstance(p.type, type) else p.type.__annotations__["return"]
+        params.append(inspect.Parameter(p.name, kind, default=default, annotation=hint))
+    signature = inspect.Signature(params, return_annotation="TraversalResult")
+
+    def method(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        params = {name: value for name, value in bound.arguments.items() if name != "self"}
+        return self.run(make_program(row.name, params.pop("source", None), **params))
+
+    method.__name__, method.__qualname__ = name, f"GraphSession.{name}"
+    method.__signature__ = signature
+    method.__doc__ = f"Run the ``{row.name}`` program (``{row.program}``) on this graph."
+    return method
+
+
+def _build_then(name: str):
+    """``Session.<name>``: build (if needed), then ``GraphSession.<name>``."""
+
+    @functools.wraps(getattr(GraphSession, name))
+    def method(self, *args, **kwargs):
+        return getattr(self.build(), name)(*args, **kwargs)
+
+    method.__qualname__ = f"Session.{name}"
+    method.__doc__ = f"Build (if needed) and call :meth:`GraphSession.{name}`."
+    return method
+
+
+for _name, _row in _METHOD_NAMES.items():
+    setattr(GraphSession, _name, _program_method(_name, PROGRAM_TABLE[_row]))
+for _name in _BUILD_THEN:
+    setattr(Session, _name, _build_then(_name))
+del _name, _row
+
+session.__signature__ = inspect.signature(Session).replace(
+    return_annotation=session.__annotations__["return"]
+)

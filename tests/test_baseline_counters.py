@@ -1,7 +1,7 @@
 """Tier-1 counter gate: replay committed quick scenarios against the baseline.
 
 The invariance contract (answers, counters and modeled times bit-identical
-across refactors) is enforced in CI by ``bench compare --fail-on counters``
+across refactors) is enforced in CI by ``bench compare`` (exit 1 on drift)
 against ``benchmarks/baseline.json``; this test reads the same file so a
 counter drift fails ``pytest`` locally, before any CI leg runs.  One scenario
 per engine code path: sequential with payload exchange + value reduce,

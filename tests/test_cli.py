@@ -173,6 +173,34 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bfs", "--layout", "2x0x2"],
+            ["build", "--layout", "2x0x2", "--scale", "8", "--out", "{tmp}/store"],
+            ["mutate", "--layout", "1x1x0", "--scale", "8"],
+            ["census", "--gpus", "0", "--scale", "8"],
+            ["serve", "bench", "--batch-size", "0", "--scale", "8"],
+            ["serve", "bench", "--cache-size", "-1", "--scale", "8"],
+            ["bench", "run", "--scenario", "nope", "--output", "{tmp}/b.json"],
+            ["bench", "run", "--scenario", "rmat14-khop3", "--repeats", "0",
+             "--output", "{tmp}/b.json"],
+            ["bfs", "--sources", "-1", "--scale", "8"],
+            ["generate", "--scale", "-1", "--output", "{tmp}/g.npz"],
+            ["bfs", "--npz", "{tmp}/missing.npz"],
+            ["bfs", "--store", "{tmp}/missingdir"],
+        ],
+        ids=lambda argv: " ".join(argv).replace("{tmp}/", ""),
+    )
+    def test_bad_input_at_entry_exits_2(self, argv, tmp_path, capsys):
+        """Inputs no program constructor sees are checked where they enter."""
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # nothing was written
+
 
 class TestTracing:
     def test_components_accepts_trace(self, tmp_path, capsys):

@@ -380,7 +380,7 @@ class TestBenchIntegration:
         artifact = run_suite([tiny_scenario()], repeats=1)
         assert "trace" not in artifact["scenarios"]["tiny-levels"]
 
-    def test_compare_json_wall_deltas_and_drift_list(self):
+    def test_compare_json_drift_list(self):
         def record(traversal_s: float, checksum: int) -> dict:
             return {
                 "spec": {"kind": "rmat", "scale": 10, "program": "levels"},
@@ -396,17 +396,14 @@ class TestBenchIntegration:
         new = new_artifact(
             {"a": record(0.150, 1), "b": record(0.100, 99)}, label="new"
         )
-        report = compare_artifacts(old, new, tolerance=0.2, min_delta_s=0.01)
-        payload = report.as_dict()
+        payload = compare_artifacts(old, new).as_dict()
         by_name = {s["name"]: s for s in payload["scenarios"]}
-        assert by_name["a"]["wall_delta_s"] == pytest.approx(0.050)
-        assert by_name["a"]["status"] == "regression"
-        assert payload["regression_scenarios"] == ["a"]
+        assert by_name["a"]["status"] == "ok"  # walls are recorded, not judged
         assert payload["counter_drift_scenarios"] == [
             {"name": "b", "note": by_name["b"]["note"]}
         ]
         assert "values_checksum" in payload["counter_drift_scenarios"][0]["note"]
-        assert not payload["counters_ok"]
+        assert not payload["ok"]
         json.dumps(payload)  # must be JSON-serializable as-is
 
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bench.compare import compare_artifacts
 from repro.bench.runner import run_scenario, values_checksum
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
@@ -602,66 +601,6 @@ class TestBenchStorage:
         )
         record = run_scenario(dyn, repeats=1, check_determinism=False, storage="mmap")
         assert record["storage"] == "memory"
-
-    def test_compare_gates_on_declared_phase(self):
-        def artifact(build_wall, traversal_wall):
-            return {
-                "schema": "repro.bench", "schema_version": 1, "scenarios": {
-                    "b": {
-                        "spec": {"name": "b"}, "repeats": 1, "gate_phase": "graph_build",
-                        "wall_s": {"graph_build": build_wall, "traversal": traversal_wall},
-                        "modeled_ms": {"elapsed_ms": 1.0},
-                        "counters": {"total_edges_examined": 10},
-                    }
-                },
-            }
-
-        # Build wall regresses 3x while the verification traversal is flat:
-        # the gate must key on graph_build because the record declares it.
-        report = compare_artifacts(
-            artifact(1.0, 0.5), artifact(3.0, 0.5), tolerance=0.2
-        )
-        assert [d.status for d in report.deltas] == ["regression"]
-        flat = compare_artifacts(artifact(1.0, 0.5), artifact(1.0, 50.0), tolerance=0.2)
-        assert flat.ok
-
-
-class TestArtifactSelectors:
-    def _make(self, tmp_path, names):
-        for name in names:
-            (tmp_path / name).write_text("{}")
-
-    def test_latest_and_offsets(self, tmp_path, monkeypatch):
-        from repro.cli import _resolve_artifact_selector
-
-        names = ["BENCH_20260101-000000.json", "BENCH_20260202-000000.json",
-                 "BENCH_20260303-000000.json"]
-        self._make(tmp_path, names)
-        monkeypatch.chdir(tmp_path)
-        assert _resolve_artifact_selector("latest").name == names[-1]
-        assert _resolve_artifact_selector("latest~1").name == names[-2]
-        assert _resolve_artifact_selector("latest~2").name == names[0]
-        with pytest.raises(ValueError, match="needs 4"):
-            _resolve_artifact_selector("latest~3")
-
-    def test_glob_picks_lexically_newest(self, tmp_path, monkeypatch):
-        from repro.cli import _resolve_artifact_selector
-
-        self._make(tmp_path, ["BENCH_20260101-a.json", "BENCH_20260102-b.json", "other.json"])
-        monkeypatch.chdir(tmp_path)
-        assert _resolve_artifact_selector("BENCH_*.json").name == "BENCH_20260102-b.json"
-        assert _resolve_artifact_selector("other.json").name == "other.json"
-        with pytest.raises(ValueError, match="no artifact matches"):
-            _resolve_artifact_selector("NOPE_*.json")
-
-    def test_bad_selectors(self, tmp_path, monkeypatch):
-        from repro.cli import _resolve_artifact_selector
-
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError):
-            _resolve_artifact_selector("latest~x")
-        with pytest.raises(ValueError, match="needs 1"):
-            _resolve_artifact_selector("latest")
 
 
 # --------------------------------------------------------------------------- #
