@@ -28,6 +28,11 @@ counters are backend-invariant by construction, and keeping the spec
 backend-free lets the comparator diff an inline artifact against a
 process-pool artifact of the same scenarios — any counter difference then
 surfaces as counter drift, i.e. a backend correctness bug.
+
+The ``host`` block names what ran the walls: Python, NumPy, the platform,
+and ``native_kernels`` — the compiler that built the compiled kernels of
+:mod:`repro.core.kernels`, or ``null`` when they did not load and every
+kernel ran its NumPy statement.  Counters do not depend on it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+
+from repro.core import kernels
 
 __all__ = [
     "SCHEMA",
@@ -104,6 +111,7 @@ def new_artifact(
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "platform": platform.platform(),
+            "native_kernels": kernels._COMPILER if kernels._LIB is not None else None,
         },
         "scenarios": dict(records),
     }

@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.direction import estimate_backward_workload
-from repro.core.kernels import batched_filter_frontier
+from repro.core.kernels import batched_filter_frontier, mark_unvisited
 from repro.core.programs.base import VisitContext
 from repro.core.state import UNVISITED, TraversalState
 from repro.partition.subgraphs import PartitionedGraph
@@ -189,7 +189,7 @@ class FlagFrontier:
             if closing.size:
                 self._open_delegates[closing] = False
                 counts = self._open_delegate_counts
-                closed = self._delegate_sources[:, closing].sum(axis=1).tolist()
+                closed = self._delegate_sources.take(closing, axis=1).sum(axis=1).tolist()
                 for row, count in enumerate(closed):
                     counts[row] -= count
         return fresh
@@ -315,15 +315,7 @@ class FlagFrontier:
             slots, values = program.merge_remote(found, values)
             self._fresh_dn[g] = self._update_normals(g, slots, values)
         elif self._mask_channel:
-            found = sorted_unique(found)
-            # Drop delegates that are already visited (their status is
-            # replicated, so this local filter needs no communication and
-            # avoids pointless mask reductions).
-            found = found[~state.delegate_visited.test_many(found)]
-            if found.size:
-                if self._updates[g] is None:
-                    self._updates[g] = Bitmask(self.graph.num_delegates)
-                self._updates[g].set_many(found)
+            self._updates[g] = mark_unvisited(self._updates[g], state.delegate_visited, found)
         else:
             # Values channel: propose program values, keep only proposals the
             # (replicated) current values would accept, and combine them into

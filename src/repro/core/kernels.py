@@ -22,6 +22,20 @@ serial scan's count either way.  Every kernel that lists edges builds its
 index through :meth:`repro.graph.csr.CSRGraph._gather_index` /
 :func:`repro.graph.csr.span_index`.
 
+The hottest bodies have a second, compiled statement in ``_c_kernels.c``:
+the pull (a plain early-exit scan per candidate), the forward and weighted
+gathers, the mask-channel fold (:func:`mark_unvisited`),
+:class:`~repro.utils.bitmask.Bitmask`'s ``set_many`` / ``test_many`` and the
+varint decode of :meth:`repro.storage.codec.CompressedCSR.decode_rows`.  The
+first import compiles it once per source and compiler (``cc -O2 -shared
+-fPIC``) into ``~/.cache/repro/`` — or a private per-uid directory under the
+system temporary directory when home is not writable — and loads it with
+``ctypes``.  Whenever that fails (no compiler, no writable cache, a library
+that will not load) every kernel runs its NumPy statement, silently; there is
+no option to choose.  Both statements return the same arrays, counts and
+errors (``tests/test_c_kernels.py``); which one ran is a fact of the host,
+recorded as ``native_kernels`` in a ``bench run`` artifact.
+
 The ``batched_*`` variants are the MS-BFS-style kernels of the batched engine
 path: the per-vertex frontier membership is a B-wide lane bitset
 (:class:`repro.utils.bitmask.BatchBitmask` rows), and one sweep propagates all
@@ -34,11 +48,20 @@ the single-source case.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, span_index
+from repro.utils import bitmask
+from repro.utils.sorting import sorted_unique
 
 __all__ = [
     "PULL_ONE_PASS_EDGES",
@@ -131,7 +154,10 @@ def forward_visit(csr: CSRGraph, frontier: np.ndarray) -> KernelOutput:
     frontier = np.asarray(frontier, dtype=np.int64).ravel()
     if frontier.size == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=False)
-    rows, destinations = csr.gather_neighbors(frontier)
+    if _LIB is not None:
+        rows, destinations, _ = _c_gather(csr, frontier)
+    else:
+        rows, destinations = csr.gather_neighbors(frontier)
     return KernelOutput(
         discovered=np.asarray(destinations, dtype=np.int64),
         edges_examined=int(destinations.size),
@@ -151,7 +177,10 @@ def weighted_forward_visit(csr: CSRGraph, frontier: np.ndarray) -> KernelOutput:
     frontier = np.asarray(frontier, dtype=np.int64).ravel()
     if frontier.size == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=False)
-    rows, destinations, weights = csr.gather_neighbors_with_weights(frontier)
+    if _LIB is not None and csr.edge_weights is not None:
+        rows, destinations, weights = _c_gather(csr, frontier, weighted=True)
+    else:
+        rows, destinations, weights = csr.gather_neighbors_with_weights(frontier)
     return KernelOutput(
         discovered=np.asarray(destinations, dtype=np.int64),
         edges_examined=int(destinations.size),
@@ -243,6 +272,8 @@ def backward_visit(
     parent_in_frontier = np.asarray(parent_in_frontier, dtype=bool)
     if candidates.size == 0:
         return KernelOutput(np.zeros(0, dtype=np.int64), 0, backward=True)
+    if _LIB is not None:
+        return _c_backward_visit(reverse_csr, candidates, parent_in_frontier)
     columns = reverse_csr.column_indices
     starts, lengths = reverse_csr._row_spans(candidates)
     total = int(lengths.sum())
@@ -472,3 +503,216 @@ def batched_backward_visit(
         edges_examined=int(parents.size),
         backward=True,
     )
+
+
+# --------------------------------------------------------------------------- #
+# The mask-channel fold
+# --------------------------------------------------------------------------- #
+def mark_unvisited(update, visited, ids: np.ndarray):
+    """Set in ``update`` every bit of ``ids`` that ``visited`` has clear.
+
+    The fold of a GPU's nd/dd discoveries into its proposed delegate mask:
+    already visited delegates are dropped locally (their status is
+    replicated, so the filter needs no communication and spares pointless
+    reductions).  ``update`` is a :class:`~repro.utils.bitmask.Bitmask` the
+    size of ``visited``, or ``None`` while the GPU has proposed nothing: it is
+    created at its first bit, so a GPU that finds only visited delegates owns
+    no mask.  Returns the update (still ``None`` if no bit was set).
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    if _LIB is None:
+        fresh = sorted_unique(ids)
+        fresh = fresh[~visited.test_many(fresh)]
+        if fresh.size:
+            if update is None:
+                update = bitmask.Bitmask(visited._size)
+            update.set_many(fresh)
+        return update
+    size, seen = visited._size, visited.buffer.ctypes.data
+    target = None if update is None else update.buffer.ctypes.data
+    stop = _LIB.mark_unvisited(target, seen, size, ids.ctypes.data, ids.size)
+    if stop < 0:
+        visited.test_many(ids)  # an id out of range: the bounds check's IndexError
+    if stop == ids.size:
+        return update
+    # ``ids[stop]`` is the first bit to set and there is no update yet.
+    update = bitmask.Bitmask(size)
+    rest = ids[stop:]
+    _LIB.mark_unvisited(update.buffer.ctypes.data, seen, size, rest.ctypes.data, rest.size)
+    return update
+
+
+# --------------------------------------------------------------------------- #
+# The compiled tier: ``_c_kernels.c``, built once per source and compiler
+# --------------------------------------------------------------------------- #
+_SOURCE = Path(__file__).with_name("_c_kernels.c")
+#: A cached library ends in the sha256 of the bytes before it (``dlopen``
+#: ignores trailing bytes), so a truncated or damaged file is rebuilt rather
+#: than mapped.
+_DIGEST_BYTES = 32
+
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+_PULL = (_I64, [_PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR])
+_GATHER = (None, [_PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR])
+_DECODE = (_I64, [_PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR])
+#: ``(restype, argtypes)`` of every function of the library.
+_SIGNATURES = {
+    "pull_i32": _PULL,
+    "pull_i64": _PULL,
+    "gather_size": (_I64, [_PTR, _I64, _I64, _PTR, _I64]),
+    "gather_i32": _GATHER,
+    "gather_i64": _GATHER,
+    "set_bits": (_I64, [_PTR, _I64, _PTR, _I64]),
+    "test_bits": (_I64, [_PTR, _I64, _PTR, _I64, _PTR]),
+    "mark_unvisited": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
+    "decode_i32": _DECODE,
+    "decode_i64": _DECODE,
+}
+
+#: What a negative status of the pull or the gather means, past a row out of
+#: range (which the NumPy body's own check reports).
+_ROW_ERRORS = {
+    -2: "column index out of range of the frontier flags",
+    -3: "row spans outside the column array",
+}
+
+
+def _cache_dirs():
+    """Where a compiled library may live: the user's cache, else a per-uid
+    directory under the system temporary directory."""
+    home = os.path.expanduser("~")
+    if os.path.isabs(home):
+        yield Path(home, ".cache", "repro")
+    yield Path(tempfile.gettempdir(), f"repro-{os.getuid()}")
+
+
+def _private_dir(directory: Path) -> bool:
+    """Create ``directory`` if needed; whether only this user can write it
+    (a library is loaded from nowhere another user could plant one)."""
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        status = directory.stat()
+    except OSError:
+        return False
+    return status.st_uid == os.getuid() and not status.st_mode & 0o022
+
+
+def _open_library(path: Path):
+    """The library at ``path`` with its signatures declared, or ``None``
+    when it is missing, fails its digest or will not load."""
+    try:
+        blob = path.read_bytes()
+    except OSError:
+        return None
+    body, digest = blob[:-_DIGEST_BYTES], blob[-_DIGEST_BYTES:]
+    if len(blob) <= _DIGEST_BYTES or hashlib.sha256(body).digest() != digest:
+        return None
+    try:
+        lib = ctypes.CDLL(str(path))
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            function = getattr(lib, name)
+            function.restype, function.argtypes = restype, argtypes
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def _load_library():
+    """``(library, compiler id)`` of the compiled kernels, or ``(None,
+    None)`` when any step fails: then every kernel runs its NumPy body.
+
+    A missing or damaged library is compiled into a temporary file beside
+    its place, the digest appended, and renamed over it, so a concurrent
+    importer sees the old file or the whole new one.
+    """
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        return None, None
+    try:
+        version = subprocess.run(
+            [compiler, "--version"], capture_output=True, check=True, timeout=30
+        ).stdout
+        source = _SOURCE.read_bytes()
+    except (OSError, subprocess.SubprocessError):
+        return None, None
+    key = hashlib.sha256(source + b"\0" + version).hexdigest()[:24]
+    for directory in _cache_dirs():
+        if not _private_dir(directory):
+            continue
+        path = directory / f"_c_kernels-{key}.so"
+        lib = _open_library(path)
+        if lib is None:
+            building = None
+            try:
+                fd, building = tempfile.mkstemp(dir=directory, suffix=".so.tmp")
+                os.close(fd)
+                subprocess.run(
+                    [compiler, "-O2", "-shared", "-fPIC", "-o", building, str(_SOURCE)],
+                    capture_output=True, check=True, timeout=120,
+                )
+                body = Path(building).read_bytes()
+                with open(building, "ab") as out:
+                    out.write(hashlib.sha256(body).digest())
+                os.replace(building, path)
+            except (OSError, subprocess.SubprocessError):
+                pass
+            finally:
+                if building is not None and os.path.exists(building):
+                    os.unlink(building)
+            lib = _open_library(path)
+        if lib is not None:
+            return lib, version.decode(errors="replace").splitlines()[0].strip()
+    return None, None
+
+
+def _c_backward_visit(
+    csr: CSRGraph, candidates: np.ndarray, in_frontier: np.ndarray
+) -> KernelOutput:
+    """:func:`backward_visit`'s compiled statement: the scalar scan itself."""
+    columns = np.ascontiguousarray(csr.column_indices)
+    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    in_frontier = np.ascontiguousarray(in_frontier)
+    pull = _LIB.pull_i32 if columns.dtype == np.int32 else _LIB.pull_i64
+    discovered = np.empty(candidates.size, dtype=np.int64)
+    sources = np.empty(candidates.size, dtype=np.int64)
+    examined = np.zeros(1, dtype=np.int64)
+    found = pull(
+        offsets.ctypes.data, csr.num_rows, columns.ctypes.data, columns.size,
+        in_frontier.ctypes.data, in_frontier.size, candidates.ctypes.data, candidates.size,
+        discovered.ctypes.data, sources.ctypes.data, examined.ctypes.data,
+    )
+    if found < 0:
+        csr._row_spans(candidates)  # a row out of range: the NumPy body's IndexError
+        raise IndexError(_ROW_ERRORS[found])
+    return KernelOutput(discovered[:found], int(examined[0]), True, sources[:found])
+
+
+def _c_gather(csr: CSRGraph, rows: np.ndarray, weighted: bool = False) -> tuple:
+    """The forward gather's compiled statement: ``(sources, destinations,
+    weights)`` of every edge out of ``rows``, grouped by row in input order;
+    ``weights`` only when ``weighted``, else ``None``."""
+    columns = np.ascontiguousarray(csr.column_indices)
+    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    total = _LIB.gather_size(
+        offsets.ctypes.data, csr.num_rows, columns.size, rows.ctypes.data, rows.size
+    )
+    if total < 0:
+        csr._row_spans(rows)  # a row out of range: the NumPy body's IndexError
+        raise IndexError(_ROW_ERRORS[total])
+    sources = np.empty(total, dtype=np.int64)
+    destinations = np.empty(total, dtype=np.int64)
+    edge_weights = weights = None
+    if weighted:
+        edge_weights = np.ascontiguousarray(csr.edge_weights, dtype=np.float64)
+        weights = np.empty(total, dtype=np.float64)
+    gather = _LIB.gather_i32 if columns.dtype == np.int32 else _LIB.gather_i64
+    gather(
+        offsets.ctypes.data, columns.ctypes.data,
+        None if edge_weights is None else edge_weights.ctypes.data,
+        rows.ctypes.data, rows.size, sources.ctypes.data, destinations.ctypes.data,
+        None if weights is None else weights.ctypes.data,
+    )
+    return sources, destinations, weights
+
+
+_LIB, _COMPILER = _load_library()

@@ -14,7 +14,12 @@ one frozen :class:`ExecConfig`.
 
 The visit kernels have one implementation, :mod:`repro.core.kernels`, so
 the kernels axis has one value: ``numpy`` and ``auto`` both resolve to
-``numpy``, which labels bench records and ``--json`` output.
+``numpy``, which labels bench records and ``--json`` output.  ``kernels`` is
+a label, never a choice: whether a kernel ran its compiled C statement or
+its NumPy one is a fact of the host (a compiler found, a cache writable),
+decided when :mod:`repro.core.kernels` loads and recorded as
+``native_kernels`` in a bench artifact's host block — and invisible in every
+answer, counter and modeled time.
 """
 
 from __future__ import annotations

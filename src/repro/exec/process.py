@@ -20,6 +20,12 @@ Design notes:
   candidate sets and small descriptors; workers attach lazily and cache
   attachments, so steady-state IPC is the frontier in and the discoveries
   out.
+* **A worker that dies mid-step ends the run in an error, not a hang.**
+  ``multiprocessing.Pool`` replaces a dead worker but loses its task, so a
+  dispatch waits with a liveness poll: when a worker it started with has
+  exited, the pool is terminated and forgotten, the backend's segments are
+  unlinked and one ``RuntimeError`` names the GPUs whose results were lost.
+  There is no retry.
 * **Workers return bit-identical kernel outputs** (the kernels are pure
   functions), so results, workload counters and modeled times match the
   inline backend exactly; only wall-clock changes.  Outputs whose
@@ -58,6 +64,9 @@ MAX_WORKERS = 8
 
 #: Environment override for the multiprocessing start method.
 START_METHOD_ENV = "REPRO_MP_START"
+
+#: Seconds between a waiting dispatch's checks that its workers are alive.
+LIVENESS_POLL_S = 0.1
 
 
 def _default_start_method() -> str:
@@ -202,7 +211,7 @@ class ProcessBackend(ExecutionBackend):
             else max(1, min(graph.num_gpus or 1, cpu, MAX_WORKERS))
         )
         self.start_method = start_method or _default_start_method()
-        self._pool = _get_pool(self.start_method, self.workers)
+        _get_pool(self.start_method, self.workers)
         self.store = SharedGraphStore(graph)
         self._closed = False
         # Safety net for engines that never call close(): unlink the shared
@@ -231,10 +240,29 @@ class ProcessBackend(ExecutionBackend):
             )
             for gp in work
         ]
-        # chunksize=1: per-GPU work is heterogeneous (delegate-heavy GPUs do
-        # more), so let idle workers steal instead of pre-binning.  Each
-        # result names its GPU, so placement never relies on task order.
-        return self._pool.map(_run_task, tasks, chunksize=1)
+        # One task per GPU: per-GPU work is heterogeneous (delegate-heavy
+        # GPUs do more), so let idle workers steal instead of pre-binning.
+        # Each result names its GPU, so placement never relies on task order.
+        pool = _get_pool(self.start_method, self.workers)
+        # The pool's own process list: it replaces a dead worker there, so
+        # the workers this dispatch started with are kept to watch.
+        workers = list(pool._pool)
+        pending = [pool.apply_async(_run_task, (task,)) for task in tasks]
+        for result in pending:
+            while not result.ready():
+                result.wait(LIVENESS_POLL_S)
+                if not result.ready() and any(w.exitcode is not None for w in workers):
+                    lost = [task.gpu for task, r in zip(tasks, pending) if not r.ready()]
+                    # The pool is broken: the next backend gets a new one.
+                    _POOLS.pop((self.start_method, self.workers), None)
+                    pool.terminate()
+                    pool.join()
+                    self.close()
+                    raise RuntimeError(
+                        f"a worker process died during a super-step; the kernels of "
+                        f"GPU {', '.join(map(str, lost))} never returned"
+                    )
+        return [result.get() for result in pending]
 
     def close(self) -> None:
         """Unlink this backend's shared memory (the pool is shared, kept)."""

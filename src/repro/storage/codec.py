@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import kernels
 from repro.graph.csr import CSRGraph, span_index
 from repro.utils.sorting import sorted_unique
 
@@ -95,6 +96,14 @@ def _varint_decode(buf: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib, starts).astype(np.int64)
 
 
+#: The two corruptions both decode statements reject, naming the row.
+_COUNT_ERROR = (
+    "corrupt compressed row {row}: its bytes do not hold exactly the number of columns "
+    "row_offsets gives"
+)
+_COLUMN_ERROR = "corrupt compressed row {row}: column {column} out of range [0, {num_cols})"
+
+
 @dataclass
 class CompressedCSR:
     """A CSR whose column stream is stored delta + varint encoded.
@@ -153,7 +162,12 @@ class CompressedCSR:
         frontier or candidate rows they are handed — see bit-identical
         adjacency, degrees and ``edges_examined`` accounting.
         """
-        rows = sorted_unique(np.asarray(rows, dtype=np.int64).ravel())
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        # A visit hands over sorted distinct rows: check that, sort if not.
+        if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
+            rows = sorted_unique(rows)
+        if rows.size and (rows[0] < 0 or rows[-1] >= self.num_rows):
+            raise IndexError(f"row index out of range [0, {self.num_rows})")
         empty_w = (
             np.zeros(0, dtype=np.float64) if self.edge_weights is not None else None
         )
@@ -173,15 +187,10 @@ class CompressedCSR:
                 masked, np.zeros(0, dtype=self.column_dtype), self.num_rows, self.num_cols,
                 edge_weights=empty_w,
             )
-        byte_starts = self.byte_offsets[rows_nz]
-        idx = span_index(byte_starts, self.byte_offsets[rows_nz + 1] - byte_starts)
-        values = _varint_decode(np.asarray(self.payload)[idx])
-        # Segmented prefix sum turns (first, gap, gap, ...) back into columns.
-        cum = np.cumsum(values)
-        seg_start = np.zeros(rows_nz.size, dtype=np.int64)
-        np.cumsum(counts_nz[:-1], out=seg_start[1:])
-        base = cum[seg_start] - values[seg_start]
-        columns = (cum - np.repeat(base, counts_nz)).astype(self.column_dtype)
+        if kernels._LIB is not None:
+            columns = self._c_decode(rows_nz, int(counts_nz.sum()))
+        else:
+            columns = self._decode(rows_nz, counts_nz)
         weights = None
         if self.edge_weights is not None:
             # Weights are stored raw in the same per-row order the columns
@@ -191,6 +200,67 @@ class CompressedCSR:
         return CSRGraph.unchecked(
             masked, columns, self.num_rows, self.num_cols, edge_weights=weights
         )
+
+    def _decode(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The concatenated columns of ``rows`` (sorted, each with a positive
+        count), checked: each row's bytes must end a value and hold exactly
+        its count of values, and every column must lie in ``[0, num_cols)``;
+        the first row that breaks either raises a ``ValueError`` naming it."""
+        byte_starts = self.byte_offsets[rows]
+        byte_lengths = self.byte_offsets[rows + 1] - byte_starts
+        bad = byte_lengths <= 0
+        if not bad.any():
+            buf = np.asarray(self.payload)[span_index(byte_starts, byte_lengths)]
+            ends = (buf & 0x80) == 0
+            # Values per row's span; a span that does not end a value would
+            # run into the next row's bytes.
+            span_ends = np.cumsum(byte_lengths)
+            held = np.add.reduceat(ends, span_ends - byte_lengths, dtype=np.int64)
+            bad = (held != counts) | ~ends[span_ends - 1]
+        if bad.any():
+            raise ValueError(_COUNT_ERROR.format(row=rows[np.argmax(bad)]))
+        values = _varint_decode(buf)
+        # Segmented prefix sum turns (first, gap, gap, ...) back into columns.
+        cum = np.cumsum(values)
+        seg_start = np.zeros(rows.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=seg_start[1:])
+        base = cum[seg_start] - values[seg_start]
+        columns = cum - np.repeat(base, counts)
+        out = columns.view(np.uint64) >= np.uint64(self.num_cols)
+        if out.any():
+            first = int(np.argmax(out))
+            row = rows[np.searchsorted(seg_start, first, side="right") - 1]
+            column = columns.view(np.uint64)[first]
+            raise ValueError(
+                _COLUMN_ERROR.format(row=row, column=column, num_cols=self.num_cols)
+            )
+        return columns.astype(self.column_dtype)
+
+    def _c_decode(self, rows: np.ndarray, total: int) -> np.ndarray:
+        """:meth:`_decode`'s compiled statement: one pass per row that reads
+        only that row's bytes."""
+        payload = np.ascontiguousarray(self.payload, dtype=np.uint8)
+        byte_offsets = np.ascontiguousarray(self.byte_offsets, dtype=np.int64)
+        row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
+        columns = np.empty(total, dtype=self.column_dtype)
+        err = np.zeros(2, dtype=np.int64)
+        lib = kernels._LIB
+        decode = lib.decode_i32 if columns.dtype == np.int32 else lib.decode_i64
+        status = decode(
+            payload.ctypes.data, payload.size, byte_offsets.ctypes.data,
+            row_offsets.ctypes.data, rows.ctypes.data, rows.size, self.num_cols,
+            columns.ctypes.data, err.ctypes.data,
+        )
+        if status == 1:
+            raise ValueError(_COUNT_ERROR.format(row=err[0]))
+        if status == 2:
+            column = err[1:].view(np.uint64)[0]
+            raise ValueError(
+                _COLUMN_ERROR.format(row=err[0], column=column, num_cols=self.num_cols)
+            )
+        if status < 0:
+            raise IndexError(f"compressed row {int(err[0])}: bytes outside the payload")
+        return columns
 
     def decode(self) -> CSRGraph:
         """Decode the full adjacency (round-trip testing and export)."""

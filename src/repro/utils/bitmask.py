@@ -23,6 +23,9 @@ the per-vertex "which sources reached me" merge the MS-BFS literature calls
 ``visit``/``seen`` bit operations.
 
 Everything is vectorized; no per-bit Python loops appear on hot paths.
+``set_many`` and ``test_many`` run the compiled loops of
+:mod:`repro.core.kernels` when its library loaded (one call, bounds checked
+inside, whatever the input size), and the NumPy statements below otherwise.
 """
 
 from __future__ import annotations
@@ -111,8 +114,9 @@ class Bitmask:
     def set_many(self, indices: np.ndarray) -> None:
         """Set many bit positions at once (vectorized).
 
-        Dense updates (a sizable fraction of the mask) scatter into a boolean
-        flag array and OR the packed bytes in — two linear passes — because
+        With the compiled kernels loaded this is one loop over the indices.
+        Otherwise dense updates (a sizable fraction of the mask) scatter into
+        a boolean flag array and OR the packed bytes in — two linear passes — because
         ``np.bitwise_or.at`` runs an unbuffered per-element inner loop that is
         orders of magnitude slower on large index sets.  Sparse updates keep
         the per-index path, where the flag array's O(size) cost would
@@ -120,6 +124,11 @@ class Bitmask:
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
+            return
+        lib = _compiled(self._bits)
+        if lib is not None:
+            if lib.set_bits(self._bits.ctypes.data, self._size, idx.ctypes.data, idx.size) < 0:
+                self._check_bounds(idx)
             return
         self._check_bounds(idx)
         if idx.size * 64 >= self._size:
@@ -138,6 +147,14 @@ class Bitmask:
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
+        lib = _compiled(self._bits)
+        if lib is not None:
+            out = np.empty(idx.size, dtype=bool)
+            if lib.test_bits(
+                self._bits.ctypes.data, self._size, idx.ctypes.data, idx.size, out.ctypes.data
+            ) < 0:
+                self._check_bounds(idx)
+            return out
         self._check_bounds(idx)
         byte_idx = idx >> 3
         bit_vals = np.left_shift(np.uint8(1), (idx & 7).astype(np.uint8))
@@ -181,6 +198,13 @@ class Bitmask:
         if extra and self._bits.size:
             keep = 8 - extra
             self._bits[-1] &= np.uint8((1 << keep) - 1)
+
+
+def _compiled(bits: np.ndarray):
+    """The compiled kernels, when they loaded and can address ``bits``."""
+    from repro.core import kernels  # not at the top: repro.core imports this module
+
+    return kernels._LIB if bits.flags.c_contiguous else None
 
 
 class BatchBitmask:

@@ -27,6 +27,7 @@ from repro.bench import (
     validate_artifact,
 )
 from repro.cli import main
+from repro.core import kernels
 
 
 # --------------------------------------------------------------------------- #
@@ -142,6 +143,9 @@ class TestArtifact:
     def test_host_provenance_recorded(self):
         artifact = make_art({})
         assert artifact["host"]["numpy"] == np.__version__
+        assert artifact["host"]["native_kernels"] == (
+            kernels._COMPILER if kernels._LIB is not None else None
+        )
         assert artifact["created"].endswith("Z")
 
 

@@ -133,15 +133,24 @@ def scalar_backward_visit(csr: CSRGraph, candidates, in_frontier):
     )
 
 
+def pull_bodies(cutoff):
+    """Patches that select each statement of the pull: the NumPy rounds with
+    ``cutoff``, and the compiled scan when its library loaded."""
+    yield mock.patch.multiple(kernels, PULL_ONE_PASS_EDGES=cutoff, _LIB=None)
+    if kernels._LIB is not None:
+        yield mock.patch.object(kernels, "_LIB", kernels._LIB)
+
+
 def assert_pull_is_the_scalar_scan(csr, candidates, in_frontier, cutoff):
-    with mock.patch.object(kernels, "PULL_ONE_PASS_EDGES", cutoff):
-        out = backward_visit(csr, candidates, in_frontier)
     discovered, sources, examined = scalar_backward_visit(csr, candidates, in_frontier)
-    assert out.backward
-    np.testing.assert_array_equal(out.discovered, discovered)
-    np.testing.assert_array_equal(out.sources, sources)
-    assert out.discovered.dtype == np.int64 and out.sources.dtype == np.int64
-    assert out.edges_examined == examined and type(out.edges_examined) is int
+    for body in pull_bodies(cutoff):
+        with body:
+            out = backward_visit(csr, candidates, in_frontier)
+        assert out.backward
+        np.testing.assert_array_equal(out.discovered, discovered)
+        np.testing.assert_array_equal(out.sources, sources)
+        assert out.discovered.dtype == np.int64 and out.sources.dtype == np.int64
+        assert out.edges_examined == examined and type(out.edges_examined) is int
 
 
 #: Both sides of the one-pass cutoff without building a big graph: every call
@@ -210,21 +219,22 @@ class TestBackwardVisitIsTheScalarScan:
         csr = skewed_csr(rng, 50, 50, 600, np.int32, hashed=False)
         candidates = np.arange(50)
         held = csr.frontier_workload(candidates)
-        with mock.patch.object(kernels, "PULL_ONE_PASS_EDGES", cutoff):
-            nobody = backward_visit(csr, candidates, np.zeros(50, dtype=bool))
-            everybody = backward_visit(csr, candidates, np.ones(50, dtype=bool))
-        assert nobody.discovered.size == 0 and nobody.sources.size == 0
-        assert nobody.sources.dtype == np.int64 and nobody.edges_examined == held
-        has_parents = np.flatnonzero(csr.out_degrees())
-        np.testing.assert_array_equal(everybody.discovered, has_parents)
-        np.testing.assert_array_equal(
-            everybody.sources, [csr.neighbors(int(row))[0] for row in has_parents]
-        )
-        assert everybody.edges_examined == has_parents.size
+        for body in pull_bodies(cutoff):
+            with body:
+                nobody = backward_visit(csr, candidates, np.zeros(50, dtype=bool))
+                everybody = backward_visit(csr, candidates, np.ones(50, dtype=bool))
+            assert nobody.discovered.size == 0 and nobody.sources.size == 0
+            assert nobody.sources.dtype == np.int64 and nobody.edges_examined == held
+            has_parents = np.flatnonzero(csr.out_degrees())
+            np.testing.assert_array_equal(everybody.discovered, has_parents)
+            np.testing.assert_array_equal(
+                everybody.sources, [csr.neighbors(int(row))[0] for row in has_parents]
+            )
+            assert everybody.edges_examined == has_parents.size
 
     @pytest.mark.parametrize("cutoff", [0, kernels.PULL_ONE_PASS_EDGES])
     @pytest.mark.parametrize("bad", [-1, 4, 1 << 40])
     def test_out_of_range_candidates_raise(self, small_csr, cutoff, bad):
-        with mock.patch.object(kernels, "PULL_ONE_PASS_EDGES", cutoff):
-            with pytest.raises(IndexError):
+        for body in pull_bodies(cutoff):
+            with body, pytest.raises(IndexError):
                 backward_visit(small_csr, np.asarray([0, bad, 3]), np.ones(4, dtype=bool))
