@@ -8,6 +8,7 @@
 # Usage: invariance.sh [OUT_DIR]
 set -u
 out=${1:-$(mktemp -d)}
+mkdir -p "$out"
 bare=$(mktemp -d)
 ln -s "$(python -c 'import sys; print(sys.executable)')" "$bare/python"
 declare -A modes=(

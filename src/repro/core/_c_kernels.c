@@ -105,6 +105,78 @@ int64_t gather_size(const int64_t *offsets, int64_t num_rows, int64_t num_edges,
 GATHER(gather_i32, int32_t)
 GATHER(gather_i64, int64_t)
 
+/* Batched (lane-word) pull: per candidate, in the order given, the OR of the
+ * nwords-word lanes of all its parents, kept where it shares a bit with the
+ * candidate's wanted lanes.  Writes those candidates and their gained words,
+ * returns how many (or an error) and stores the parents read in *examined:
+ * a batched pull has no early exit. */
+#define BATCHED_PULL(NAME, COL_T)                                                    \
+    int64_t NAME(const int64_t *offsets, int64_t num_rows, const COL_T *columns,    \
+                 int64_t num_edges, const uint64_t *parent_words, int64_t num_parents, \
+                 int64_t nwords, const int64_t *candidates, const uint64_t *wanted, \
+                 int64_t n, int64_t *discovered, uint64_t *gained, int64_t *examined) \
+    {                                                                                \
+        int64_t status = check_rows(offsets, num_rows, num_edges, candidates, n);   \
+        if (status < 0)                                                              \
+            return status;                                                           \
+        int64_t found = 0, read = 0;                                                 \
+        for (int64_t i = 0; i < n; i++) {                                            \
+            int64_t r = candidates[i];                                               \
+            uint64_t *out = gained + found * nwords;                                 \
+            for (int64_t w = 0; w < nwords; w++)                                     \
+                out[w] = 0;                                                          \
+            for (int64_t k = offsets[r]; k < offsets[r + 1]; k++) {                 \
+                int64_t parent = columns[k];                                         \
+                if ((uint64_t)parent >= (uint64_t)num_parents)                       \
+                    return COLUMN_OUT_OF_RANGE;                                      \
+                for (int64_t w = 0; w < nwords; w++)                                 \
+                    out[w] |= parent_words[parent * nwords + w];                     \
+            }                                                                        \
+            read += offsets[r + 1] - offsets[r];                                     \
+            uint64_t any = 0;                                                        \
+            for (int64_t w = 0; w < nwords; w++)                                     \
+                any |= (out[w] &= wanted[i * nwords + w]);                           \
+            if (any)                                                                 \
+                discovered[found++] = r;                                             \
+        }                                                                            \
+        *examined = read;                                                            \
+        return found;                                                                \
+    }
+
+BATCHED_PULL(batched_pull_i32, int32_t)
+BATCHED_PULL(batched_pull_i64, int64_t)
+
+/* Batched (lane-word) push over rows already checked by gather_size: OR each
+ * row's nwords-word lanes into acc[destination] (acc zeroed, num_cols rows)
+ * and list every destination the first time it is reached (seen zeroed, one
+ * flag per column).  Returns how many distinct destinations were listed, in
+ * first-reached order, or an error. */
+#define BATCHED_PUSH(NAME, COL_T)                                                    \
+    int64_t NAME(const int64_t *offsets, const COL_T *columns, int64_t num_cols,    \
+                 const int64_t *rows, const uint64_t *words, int64_t n,             \
+                 int64_t nwords, uint64_t *acc, uint8_t *seen, int64_t *distinct)   \
+    {                                                                                \
+        int64_t count = 0;                                                           \
+        for (int64_t i = 0; i < n; i++) {                                            \
+            int64_t r = rows[i];                                                     \
+            for (int64_t k = offsets[r]; k < offsets[r + 1]; k++) {                 \
+                int64_t d = columns[k];                                              \
+                if ((uint64_t)d >= (uint64_t)num_cols)                               \
+                    return COLUMN_OUT_OF_RANGE;                                      \
+                if (!seen[d]) {                                                      \
+                    seen[d] = 1;                                                     \
+                    distinct[count++] = d;                                           \
+                }                                                                    \
+                for (int64_t w = 0; w < nwords; w++)                                 \
+                    acc[d * nwords + w] |= words[i * nwords + w];                    \
+            }                                                                        \
+        }                                                                            \
+        return count;                                                                \
+    }
+
+BATCHED_PUSH(batched_push_i32, int32_t)
+BATCHED_PUSH(batched_push_i64, int64_t)
+
 static int64_t check_bits(int64_t size, const int64_t *ids, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)

@@ -24,7 +24,8 @@ index through :meth:`repro.graph.csr.CSRGraph._gather_index` /
 
 The hottest bodies have a second, compiled statement in ``_c_kernels.c``:
 the pull (a plain early-exit scan per candidate), the forward and weighted
-gathers, the mask-channel fold (:func:`mark_unvisited`),
+gathers, the batched pull and push (the latter OR-ing lanes into a dense
+per-column accumulator), the mask-channel fold (:func:`mark_unvisited`),
 :class:`~repro.utils.bitmask.Bitmask`'s ``set_many`` / ``test_many`` and the
 varint decode of :meth:`repro.storage.codec.CompressedCSR.decode_rows`.  The
 first import compiles it once per source and compiler (``cc -O2 -shared
@@ -426,6 +427,9 @@ def batched_forward_visit(
     nwords = frontier_words.shape[1] if frontier_words.ndim == 2 else 1
     if frontier_rows.size == 0:
         return _empty_batch_output(nwords, backward=False)
+    # The compiled loop addresses one row of lane words per frontier row.
+    if _LIB is not None and frontier_words.shape == (frontier_rows.size, nwords):
+        return _c_batched_push(csr, frontier_rows, frontier_words)
     rows, destinations = csr.gather_neighbors(frontier_rows)
     if destinations.size == 0:
         return _empty_batch_output(nwords, backward=False)
@@ -484,6 +488,14 @@ def batched_backward_visit(
     nwords = parent_words.shape[1] if parent_words.ndim == 2 else 1
     if candidates.size == 0:
         return _empty_batch_output(nwords, backward=True)
+    # The compiled loop addresses one row of lane words per parent and per
+    # candidate.
+    if (
+        _LIB is not None
+        and parent_words.ndim == 2
+        and wanted_words.shape == (candidates.size, nwords)
+    ):
+        return _c_batched_pull(reverse_csr, candidates, parent_words, wanted_words)
     all_lengths, edge_idx = reverse_csr._gather_index(candidates)
     if edge_idx.size == 0:
         return _empty_batch_output(nwords, backward=True)
@@ -555,6 +567,10 @@ _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _PULL = (_I64, [_PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR])
 _GATHER = (None, [_PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR])
 _DECODE = (_I64, [_PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR])
+_BATCHED_PULL = (
+    _I64, [_PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR]
+)
+_BATCHED_PUSH = (_I64, [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR])
 #: ``(restype, argtypes)`` of every function of the library.
 _SIGNATURES = {
     "pull_i32": _PULL,
@@ -567,6 +583,10 @@ _SIGNATURES = {
     "mark_unvisited": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
     "decode_i32": _DECODE,
     "decode_i64": _DECODE,
+    "batched_pull_i32": _BATCHED_PULL,
+    "batched_pull_i64": _BATCHED_PULL,
+    "batched_push_i32": _BATCHED_PUSH,
+    "batched_push_i64": _BATCHED_PUSH,
 }
 
 #: What a negative status of the pull or the gather means, past a row out of
@@ -713,6 +733,61 @@ def _c_gather(csr: CSRGraph, rows: np.ndarray, weighted: bool = False) -> tuple:
         None if weights is None else weights.ctypes.data,
     )
     return sources, destinations, weights
+
+
+def _c_batched_pull(
+    csr: CSRGraph, candidates: np.ndarray, parent_words: np.ndarray, wanted: np.ndarray
+) -> BatchKernelOutput:
+    """:func:`batched_backward_visit`'s compiled statement."""
+    columns = np.ascontiguousarray(csr.column_indices)
+    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    parent_words = np.ascontiguousarray(parent_words, dtype=np.uint64)
+    wanted = np.ascontiguousarray(wanted, dtype=np.uint64)
+    nwords = parent_words.shape[1]
+    discovered = np.empty(candidates.size, dtype=np.int64)
+    gained = np.empty((candidates.size, nwords), dtype=np.uint64)
+    examined = np.zeros(1, dtype=np.int64)
+    pull = _LIB.batched_pull_i32 if columns.dtype == np.int32 else _LIB.batched_pull_i64
+    found = pull(
+        offsets.ctypes.data, csr.num_rows, columns.ctypes.data, columns.size,
+        parent_words.ctypes.data, parent_words.shape[0], nwords, candidates.ctypes.data,
+        wanted.ctypes.data, candidates.size, discovered.ctypes.data, gained.ctypes.data,
+        examined.ctypes.data,
+    )
+    if found < 0:
+        csr._row_spans(candidates)  # a row out of range: the NumPy body's IndexError
+        raise IndexError(_ROW_ERRORS[found])
+    return BatchKernelOutput(discovered[:found], gained[:found], int(examined[0]), True)
+
+
+def _c_batched_push(csr: CSRGraph, rows: np.ndarray, words: np.ndarray) -> BatchKernelOutput:
+    """:func:`batched_forward_visit`'s compiled statement: the lanes OR-ed
+    into a dense per-column accumulator, whose reached columns are sorted."""
+    columns = np.ascontiguousarray(csr.column_indices)
+    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    nwords = words.shape[1]
+    total = _LIB.gather_size(
+        offsets.ctypes.data, csr.num_rows, columns.size, rows.ctypes.data, rows.size
+    )
+    if total < 0:
+        csr._row_spans(rows)  # a row out of range: the NumPy body's IndexError
+        raise IndexError(_ROW_ERRORS[total])
+    if total == 0:
+        return _empty_batch_output(nwords, backward=False)
+    acc = np.zeros((csr.num_cols, nwords), dtype=np.uint64)
+    seen = np.zeros(csr.num_cols, dtype=np.uint8)
+    distinct = np.empty(total, dtype=np.int64)
+    push = _LIB.batched_push_i32 if columns.dtype == np.int32 else _LIB.batched_push_i64
+    count = push(
+        offsets.ctypes.data, columns.ctypes.data, csr.num_cols, rows.ctypes.data,
+        words.ctypes.data, rows.size, nwords, acc.ctypes.data, seen.ctypes.data,
+        distinct.ctypes.data,
+    )
+    if count < 0:
+        raise IndexError(_ROW_ERRORS[count])
+    discovered = np.sort(distinct[:count])
+    return BatchKernelOutput(discovered, acc[discovered], int(total), False)
 
 
 _LIB, _COMPILER = _load_library()

@@ -129,6 +129,29 @@ class TestKernelsMatchNumpy:
         if csr.is_weighted:
             assert_same_output(*both(lambda: kernels.weighted_forward_visit(csr, frontier)))
 
+    @given(csr=graphs, nwords=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_pull_and_push(self, csr, nwords, seed, data):
+        rng = np.random.default_rng(seed)
+        # Sorted distinct rows, as the batched frontier hands them over.
+        rows = np.unique(rows_of(data, csr))
+        lanes = rng.integers(0, 2**64, (csr.num_cols, nwords), dtype=np.uint64)
+        lanes[rng.random(csr.num_cols) < 0.5] = 0  # rows not in the frontier
+        wanted = rng.integers(0, 2**64, (rows.size, nwords), dtype=np.uint64)
+        wanted[rng.random(rows.size) < 0.3] = 0  # rows that want nothing more
+        words = rng.integers(0, 2**64, (rows.size, nwords), dtype=np.uint64)
+        for call in (
+            lambda: kernels.batched_backward_visit(csr, rows, lanes, wanted),
+            lambda: kernels.batched_forward_visit(csr, rows, words),
+        ):
+            compiled, numpy = both(call)
+            assert compiled[0] == numpy[0] == "value"
+            c, n = compiled[1], numpy[1]
+            assert (c.edges_examined, c.backward) == (n.edges_examined, n.backward)
+            assert type(c.edges_examined) is int
+            assert_same_arrays(c.discovered, n.discovered)
+            assert_same_arrays(c.words, n.words)
+
     @pytest.mark.parametrize("bad", [-1, 5, 1 << 40])
     def test_out_of_range_rows_raise_the_same_error(self, bad):
         csr = random_csr(1, 5, 5, 20, np.int32, weighted=True)
@@ -137,6 +160,10 @@ class TestKernelsMatchNumpy:
             lambda: kernels.backward_visit(csr, rows, np.ones(5, dtype=bool)),
             lambda: kernels.forward_visit(csr, rows),
             lambda: kernels.weighted_forward_visit(csr, rows),
+            lambda: kernels.batched_backward_visit(
+                csr, rows, np.ones((5, 1), dtype=np.uint64), np.ones((3, 1), dtype=np.uint64)
+            ),
+            lambda: kernels.batched_forward_visit(csr, rows, np.ones((3, 1), dtype=np.uint64)),
         ):
             compiled, numpy = both(call)
             assert compiled[0] is IndexError and compiled == numpy
