@@ -39,7 +39,7 @@ from repro.bench.streams import (
     values_checksum,
 )
 from repro.core.engine import TraversalEngine
-from repro.exec.config import ExecConfig
+from repro.exec.config import KERNELS_LABEL, ExecConfig
 from repro.utils.rss import max_rss_mb
 
 __all__ = [
@@ -112,7 +112,6 @@ def run_scenario(
     check_determinism: bool | None = None,
     baseline: bool = False,
     backend: str | None = None,
-    kernels: str | None = None,
     storage: str | None = None,
 ) -> dict:
     """Execute one scenario end to end; return its artifact record.
@@ -132,17 +131,17 @@ def run_scenario(
         sequentially, the cluster tier without hedging, dynamic maintenance
         timed as full recompute (each row's ``baseline``).  Gated counters
         are identical either way; traversal and build scenarios ignore it.
-    backend, kernels, storage:
+    backend, storage:
         The run-time axes, resolved once into a
         :class:`repro.exec.ExecConfig`: an explicit value here, else the
         scenario's pin (``spec.backend`` / ``spec.storage``), else
-        ``$REPRO_BACKEND`` / ``$REPRO_KERNELS`` / ``$REPRO_STORAGE``, else
-        inline / auto / memory.  What ran lands in the record's
-        ``backend`` / ``kernels`` / ``storage`` keys — never in the spec,
-        which identifies the workload.  Mutating scenarios (dynamic,
+        ``$REPRO_BACKEND`` / ``$REPRO_STORAGE``, else inline / memory.
+        What ran lands in the record's ``backend`` / ``storage`` keys
+        (beside the ``kernels`` label) — never in the spec, which
+        identifies the workload.  Mutating scenarios (dynamic,
         serve/cluster with updates) run on memory storage and record that.
     """
-    config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
+    config = ExecConfig.resolve(backend=backend, storage=storage)
     return _run(spec, config, repeats, check_determinism, baseline)
 
 
@@ -188,7 +187,7 @@ def _run(
         "repeats": repeats,
         # What ran: the run-time axes live in the record, never in the spec.
         "backend": prepared.config.backend_name,
-        "kernels": prepared.config.kernels_name,
+        "kernels": KERNELS_LABEL,
         "storage": prepared.config.storage,
         "threshold_used": int(prepared.threshold),
         "wall_s": {k: float(v) for k, v in sorted(wall.items())},
@@ -208,7 +207,6 @@ def run_suite(
     on_record: Callable[[str, dict], None] | None = None,
     baseline: bool = False,
     backend: str | None = None,
-    kernels: str | None = None,
     storage: str | None = None,
 ) -> dict:
     """Run a set of scenarios and assemble (optionally write) one artifact.
@@ -231,13 +229,13 @@ def run_suite(
         Stream scenarios only: replay each kind's baseline mode (the
         "before" half of a before/after artifact pair), as
         :func:`run_scenario` does.
-    backend, kernels, storage:
+    backend, storage:
         The run-time axes applied to every scenario, resolved once, here,
         as :func:`run_scenario` resolves them (an explicit value beats each
         scenario's pin, a pin beats the environment); what ran is recorded
         per record, never in the spec.
     """
-    config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
+    config = ExecConfig.resolve(backend=backend, storage=storage)
     return _run_suite(specs, config, label, quick, repeats, out_path, on_record, baseline)
 
 

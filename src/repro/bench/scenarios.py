@@ -106,7 +106,7 @@ class Scenario:
     max_hops: int = 3
     #: Whether this scenario belongs to the CI smoke subset.
     quick: bool = False
-    #: Execution backend pin (``inline``, ``process`` or ``thread``), or
+    #: Execution backend pin (``inline`` or ``process``), or
     #: ``None``: unpinned, the scenario runs on ``$REPRO_BACKEND`` / inline,
     #: and ``bench run --backend`` overrides either.  Deliberately *not* part
     #: of :meth:`describe`: counters are backend-invariant by construction,

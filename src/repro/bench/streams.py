@@ -181,10 +181,7 @@ class Prepared:
             from repro.core.engine import TraversalEngine
 
             self._engine = TraversalEngine(
-                self.graph,
-                options=self.options,
-                backend=self.config.backend,
-                kernels=self.config.kernels,
+                self.graph, options=self.options, backend=self.config.backend
             )
         return self._engine
 
@@ -205,12 +202,7 @@ class Prepared:
         """A :class:`~repro.dynamic.DynamicEngine` over :meth:`mutable`."""
         from repro.dynamic import DynamicEngine
 
-        return DynamicEngine(
-            self.mutable(),
-            options=self.options,
-            backend=self.config.backend,
-            kernels=self.config.kernels,
-        )
+        return DynamicEngine(self.mutable(), options=self.options, backend=self.config.backend)
 
     def close(self) -> None:
         """Close the shared engine and drop a temporary store.  Unlinking
@@ -383,7 +375,6 @@ def serve_open(
         replicas,
         options=prepared.options,
         backend=prepared.config.backend,
-        kernels=prepared.config.kernels,
         batch_size=batch_size,
         cache_size=cache_size,
     )

@@ -76,7 +76,7 @@ The four **program commands** — ``bfs``, ``components``, ``sssp``,
 ``pagerank`` — are one body (:func:`_cmd_program`) over the program table
 (:data:`repro.core.programs.PROGRAM_TABLE`) and accept one shared block:
 ``--npz|--scale|--store``, ``--seed``, ``--weights``, ``--layout``,
-``--threshold``, ``--backend``, ``--kernels``, ``--storage``, ``--trace``,
+``--threshold``, ``--backend``, ``--storage``, ``--trace``,
 ``--validate`` and ``--json`` — plus ``--source``/``--sources`` for the
 single-source programs, the flags their table rows' parameters declare
 (``--delta``; ``--damping``/``--mode``/``--iterations``/``--eps``) and a
@@ -99,13 +99,9 @@ scenario's pin), the environment and the defaults into the one
 :class:`repro.exec.ExecConfig` its body takes; a bad environment value ends
 in one ``error:`` line and exit code 2:
 
-``--backend inline|process|thread`` (program commands, ``mutate``, ``bench
-run``, ``serve bench``; default ``$REPRO_BACKEND`` or inline)
+``--backend inline|process`` (program commands, ``mutate``, ``bench run``,
+``serve bench``; default ``$REPRO_BACKEND`` or inline)
     *where* super-steps execute.
-``--kernels numpy|auto`` (same commands; default ``$REPRO_KERNELS`` or
-``auto``)
-    the label of the visit kernels' one implementation: both names resolve
-    to ``numpy``, which the header and ``--json`` report.
 ``--storage memory|mmap|compressed`` (program commands and ``bench run``;
 default ``$REPRO_STORAGE`` or memory)
     *where the adjacency lives* — process heap, memory-mapped store segments,
@@ -126,6 +122,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from repro.exec.config import KERNELS_LABEL
 
 __all__ = ["main", "build_parser"]
 
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_graph_args(mut)
     _add_cluster_args(mut)
-    _add_exec_args(mut, "backend", "kernels")
+    _add_exec_args(mut, "backend")
     mut.add_argument(
         "--program",
         choices=names_where("maintained"),
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         + "): the 'before' half of a before/after pair; gated counters are "
         "identical in both modes",
     )
-    _add_exec_args(b_run, "backend", "kernels", "storage", "trace")
+    _add_exec_args(b_run, "backend", "storage", "trace")
     b_run.set_defaults(func=_cmd_bench_run)
 
     b_cmp = bench_sub.add_parser(
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_graph_args(s_bench)
     _add_cluster_args(s_bench)
-    _add_exec_args(s_bench, "backend", "kernels", "trace")
+    _add_exec_args(s_bench, "backend", "trace")
     s_bench.add_argument("--queries", type=int, default=256, help="query stream length")
     s_bench.add_argument(
         "--skew", type=float, default=1.0, help="Zipf exponent of source popularity"
@@ -460,7 +458,7 @@ def _add_exec_args(sub: argparse.ArgumentParser, *axes: str) -> None:
     """Add the flags of the run-time ``axes`` to a command; :func:`main`
     resolves them, with the environment and the defaults, into the one
     :class:`repro.exec.ExecConfig` the command body takes."""
-    from repro.exec.config import BACKEND_NAMES, PROVIDER_NAMES, STORAGE_NAMES
+    from repro.exec.config import BACKEND_NAMES, STORAGE_NAMES
 
     flags = {
         "backend": dict(
@@ -468,11 +466,6 @@ def _add_exec_args(sub: argparse.ArgumentParser, *axes: str) -> None:
             help="execution backend for super-steps; identical results, "
             "different wall-clock (default: a bench scenario's pin, else "
             "$REPRO_BACKEND, else inline)",
-        ),
-        "kernels": dict(
-            choices=PROVIDER_NAMES,
-            help="the visit kernels' label; both names resolve to numpy, the "
-            "one implementation (default: $REPRO_KERNELS, else auto)",
         ),
         "storage": dict(
             choices=STORAGE_NAMES,
@@ -582,7 +575,7 @@ def _stream_header(prepared, what: str) -> str:
     return (
         f"graph: {edges.num_vertices:,} vertices, {edges.num_edges:,} edges | "
         f"cluster {prepared.layout.notation()} | TH={prepared.threshold} | {what} | "
-        f"backend {config.backend_name} | kernels {config.kernels_name}"
+        f"backend {config.backend_name} | kernels {KERNELS_LABEL}"
     )
 
 
@@ -924,7 +917,7 @@ def _add_program_command(sub, spec: _ProgramCommand) -> None:
     parser = sub.add_parser(spec.name, help=spec.help)
     _add_graph_args(parser, store=True)
     _add_cluster_args(parser)
-    _add_exec_args(parser, "backend", "kernels", "storage", "trace")
+    _add_exec_args(parser, "backend", "storage", "trace")
     rows = [PROGRAM_TABLE[name] for name in spec.rows]
     if rows[0].takes_source:
         parser.add_argument(
@@ -981,12 +974,11 @@ def _cmd_program(args: argparse.Namespace, config) -> int:
         graph,
         options=spec.options(args) if spec.options else None,
         backend=config.backend,
-        kernels=config.kernels,
     )
     labels = {
         **(spec.labels(args) if spec.labels else {}),
         "backend": config.backend_name,
-        "kernels": config.kernels_name,
+        "kernels": KERNELS_LABEL,
     }
     if not args.json:
         print(
@@ -1212,7 +1204,7 @@ def _cmd_bench_list(args: argparse.Namespace, config) -> int:
         )
     print(f"{len(specs)} scenario(s)")
     print(
-        "axes at run time: --backend inline|process|thread, "
+        "axes at run time: --backend inline|process, "
         "--storage memory|mmap|compressed (recorded per record, "
         "not part of the scenario)"
     )
@@ -1301,7 +1293,7 @@ def _cmd_bench_run(args: argparse.Namespace, config) -> int:
         # in each record.
         print(
             f"running {len(specs)} scenario(s), repeats={args.repeats}, "
-            f"backend={config.backend_name}, kernels={config.kernels_name}, "
+            f"backend={config.backend_name}, kernels={KERNELS_LABEL}, "
             f"storage={config.storage}" + (", baseline mode" if args.baseline else "")
         )
     artifact = _run_suite(
@@ -1451,7 +1443,7 @@ def _serve_bench_open(
                     "graph": _graph_info(prepared.graph),
                     "workload": workload.describe(),
                     "backend": config.backend_name,
-                    "kernels": config.kernels_name,
+                    "kernels": KERNELS_LABEL,
                     "replicas": replicas,
                     "batch_size": args.batch_size,
                     "cache_size": args.cache_size,
@@ -1538,7 +1530,7 @@ def _serve_bench_closed(args: argparse.Namespace, prepared, workload) -> int:
             "graph": _graph_info(prepared.graph),
             "workload": workload.describe(),
             "backend": config.backend_name,
-            "kernels": config.kernels_name,
+            "kernels": KERNELS_LABEL,
             "batch_size": args.batch_size,
             "cache_size": args.cache_size,
             "batched": batched.stats_snapshot(),

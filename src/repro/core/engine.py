@@ -38,10 +38,9 @@ program: each super-step is described as a declarative
 exchange, delegate reduction and program folds behind the plan's
 ``finalize``) and handed to an :class:`repro.exec.ExecutionBackend` —
 ``"inline"`` for the classic in-process simulator, ``"process"`` for a
-persistent worker pool over shared-memory CSR buffers, ``"thread"`` for a
-thread pool over the coordinator's own arrays.  Results, workload counters
-and modeled times are backend-independent; only the measured ``wall_s``
-phases change.
+persistent worker pool over shared-memory CSR buffers.  Results, workload
+counters and modeled times are backend-independent; only the measured
+``wall_s`` phases change.
 
 A super-step costs what its frontier costs.  The plan lists a kernel only
 where it pulls or has an edge to push along — an absent output *means*
@@ -91,7 +90,7 @@ from repro.core.programs.table import batched_factory, dedup_key, make_program
 from repro.core.results import BatchResult, BFSResult, IterationRecord, TraversalResult
 from repro.core.state import TraversalState
 from repro.exec.backend import resolve_backend
-from repro.exec.config import ExecConfig
+from repro.exec.config import ExecConfig, check_kernels
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
 from repro.partition.subgraphs import PartitionedGraph
 from repro.obs.tracer import get_tracer
@@ -137,18 +136,15 @@ class TraversalEngine:
         Ray system.
     backend:
         Where super-steps execute: an :class:`repro.exec.ExecutionBackend`
-        instance, a registry name (``"inline"`` / ``"process"`` /
-        ``"thread"``), or ``None`` to use the ``REPRO_BACKEND`` environment
-        default (inline).  Named backends are created lazily on first use and
-        owned (closed) by the engine; passed-in instances are shared and stay
-        caller-owned.
+        instance, a registry name (``"inline"`` / ``"process"``), or ``None``
+        to use the ``REPRO_BACKEND`` environment default (inline).  Named
+        backends are created lazily on first use and owned (closed) by the
+        engine; passed-in instances are shared and stay caller-owned.  It is
+        resolved once, here, into :attr:`config` (an
+        :class:`repro.exec.ExecConfig`); a bad name raises :class:`ValueError`.
     kernels:
-        The kernels label: ``"numpy"``, ``"auto"`` (both name the one
-        implementation, :mod:`repro.core.kernels`) or ``None`` for the
-        ``REPRO_KERNELS`` environment default.
-
-    Both are resolved once, here, into :attr:`config` (an
-    :class:`repro.exec.ExecConfig`); a bad name raises :class:`ValueError`.
+        ``None`` or ``"numpy"``, the one implementation
+        (:mod:`repro.core.kernels`); anything else raises :class:`ValueError`.
 
     Examples
     --------
@@ -173,13 +169,14 @@ class TraversalEngine:
         backend=None,
         kernels=None,
     ) -> None:
+        check_kernels(kernels)
         self.graph = graph
         self.options = options if options is not None else BFSOptions()
         self.hardware = hardware if hardware is not None else HardwareSpec()
         self.netmodel = NetworkModel(self.hardware)
         self.topology = ClusterTopology(graph.layout)
         #: The resolved run configuration (the backend is used here).
-        self.config = ExecConfig.resolve(backend=backend, kernels=kernels)
+        self.config = ExecConfig.resolve(backend=backend)
         self._backend = None
         self._owns_backend = False
         # Which visit kernels run on each GPU, in fold order: without
@@ -835,11 +832,8 @@ class DistributedBFS:
         options: BFSOptions | None = None,
         hardware: HardwareSpec | None = None,
         backend=None,
-        kernels=None,
     ) -> None:
-        self.engine = TraversalEngine(
-            graph, options=options, hardware=hardware, backend=backend, kernels=kernels
-        )
+        self.engine = TraversalEngine(graph, options=options, hardware=hardware, backend=backend)
 
     def close(self) -> None:
         """Release the engine's execution backend (idempotent)."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.engine import TraversalEngine
 from repro.dynamic.delta import AppliedDelta, EdgeDelta
-from repro.exec.config import ExecConfig
+from repro.exec.config import ExecConfig, check_kernels
 from repro.graph.edgelist import EdgeList
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
@@ -505,8 +505,9 @@ class DynamicEngine:
     transparently rebinding to the freshly-partitioned CSR after a
     compaction — including re-resolving the execution backend, whose
     shared-memory export of the old CSR would otherwise go stale.
-    ``backend`` / ``kernels`` are resolved once, on entry, into
-    :attr:`config` (an adopted ``engine`` brings its own).
+    ``backend`` is resolved once, on entry, into :attr:`config` (an
+    adopted ``engine`` brings its own); ``kernels`` is
+    :class:`TraversalEngine`'s one-value keyword.
     """
 
     def __init__(
@@ -518,6 +519,7 @@ class DynamicEngine:
         kernels=None,
         engine: TraversalEngine | None = None,
     ) -> None:
+        check_kernels(kernels)
         self.dynamic = dynamic
         self._options = options
         self._hardware = hardware
@@ -532,7 +534,7 @@ class DynamicEngine:
             self._hardware = engine.hardware
             config = engine.config
         else:
-            config = ExecConfig.resolve(backend=backend, kernels=kernels)
+            config = ExecConfig.resolve(backend=backend)
         #: The resolved run configuration every rebuilt engine runs on.
         self.config = self._checked(config)
 
@@ -566,7 +568,6 @@ class DynamicEngine:
                 options=self._options,
                 hardware=self._hardware,
                 backend=self.config.backend,
-                kernels=self.config.kernels,
             )
             self._engine_epoch = self.dynamic.partition_epoch
         return self._engine

@@ -11,9 +11,7 @@ delegate reduction folded behind the plan's ``finalize`` hook — and an
   bit for bit (same results, same workload counters, same modeled times);
 * :class:`~repro.exec.process.ProcessBackend` executes the per-GPU kernel
   tasks in a persistent :mod:`multiprocessing` worker pool over
-  shared-memory CSR and frontier-bitmask buffers;
-* :class:`~repro.exec.thread.ThreadBackend` executes them on a shared
-  thread pool over the coordinator's own arrays — zero IPC, zero pickling.
+  shared-memory CSR and frontier-bitmask buffers.
 
 Every task runs the one set of visit kernels, :mod:`repro.core.kernels`,
 through :func:`~repro.exec.plan.execute_gpu_plan`, which also decodes the
@@ -23,11 +21,11 @@ are pure functions of their inputs and all folding happens on the
 coordinating process); only the measured ``wall_s`` phases depend on
 either.
 
-Backends are selected by name — ``TraversalEngine(graph, backend="thread")``,
+Backends are selected by name — ``TraversalEngine(graph, backend="process")``,
 ``Session.backend("process")``, the ``--backend`` CLI flag;
-:class:`~repro.exec.config.ExecConfig` resolves the backend, the kernels
-name, the storage mode and the trace path from arguments, ``REPRO_*``
-environment variables and defaults, in one place.
+:class:`~repro.exec.config.ExecConfig` resolves the backend, the storage
+mode and the trace path from arguments, ``REPRO_*`` environment variables
+and defaults, in one place.
 """
 
 from repro.exec.backend import (
@@ -36,7 +34,7 @@ from repro.exec.backend import (
     InlineBackend,
     resolve_backend,
 )
-from repro.exec.config import PROVIDER_NAMES, ExecConfig
+from repro.exec.config import ExecConfig
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan
 
 __all__ = [
@@ -44,10 +42,8 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ProcessBackend",
-    "ThreadBackend",
     "resolve_backend",
     "ExecConfig",
-    "PROVIDER_NAMES",
     "numba_available",
     "SuperStepPlan",
     "GPUPlan",
@@ -65,15 +61,10 @@ def numba_available() -> bool:
 
 
 def __getattr__(name):
-    # ProcessBackend pulls in multiprocessing + shared_memory machinery and
-    # ThreadBackend a thread pool; import them lazily so inline-only users
-    # never pay for either.
+    # ProcessBackend pulls in multiprocessing + shared_memory machinery;
+    # import it lazily so inline-only users never pay for it.
     if name == "ProcessBackend":
         from repro.exec.process import ProcessBackend
 
         return ProcessBackend
-    if name == "ThreadBackend":
-        from repro.exec.thread import ThreadBackend
-
-        return ThreadBackend
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

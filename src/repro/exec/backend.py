@@ -38,22 +38,22 @@ __all__ = [
 ]
 
 #: A plan with fewer queue + candidate rows than this runs in the coordinator
-#: even under a backend that dispatches (thread, process).
+#: even under a backend that dispatches (the process backend).
 #:
 #: Shipping a step costs a fixed amount whatever it holds; running it in place
 #: costs by the kernel and by the row.  Measured on the reference 2-vCPU host
-#: (rmat14 ``2x1x2`` and rmat16 ``2x2x2``, every step of three roots timed all
-#: three ways, two sessions; tables in ``benchmarks/results/pr19/README.md``):
-#: in place a step of <= 5 rows takes 20-150 us, one of 235-299 rows
-#: 410-660 us, and from a few thousand rows on 0.2-0.4 us per row; a dispatch
-#: adds 30-350 us on the thread pool and, on the process pool, 0.4-0.8 ms
-#: when one or two GPUs have work and 1.1-2.7 ms when four to eight do.  A
-#: pool of ``W`` workers can win back at most ``1 - 1/W`` of the in-place
-#: time: at 256 rows and ``W = 2`` that is 200-330 us, what a thread dispatch
-#: costs — the thread pool's break-even; the process pool first tied the
-#: in-place time near 90,000 rows.  The cutoff is the lower of the two: below
-#: it no backend can win the step back, and a long-tail traversal (thousands
-#: of steps of one or two rows) would spend its whole wall in dispatch.
+#: with the compiled kernels loaded (rmat14 ``2x1x2`` and rmat16 ``2x2x2``,
+#: every step of three roots timed both ways, two sessions; tables in
+#: ``benchmarks/results/pr32/README.md``): in place a step of <= 5 rows takes
+#: 7-120 us, one of 150-300 rows 140-320 us and one of ~90,000 rows 2.2-3.2
+#: ms; a process-pool dispatch, liveness poll included, takes 0.25-0.9 ms when
+#: one or two GPUs have work, 0.7-3.6 ms when four to eight do and 7.9-11.3 ms
+#: at ~90,000 rows.  No step of either graph ran faster on the pool, so on
+#: walls alone every step would stay in place.  256 keeps every step of a
+#: long-tail traversal (thousands of steps of one or two rows) in place and
+#: still ships the big-frontier steps, which exercise the pool's isolation and
+#: failure paths.  Raising it moves process-backend walls, so it is a
+#: measured change of its own.
 #: Kernels are pure functions of their spec, so where a step runs changes no
 #: output, counter or modeled time.
 SMALL_PLAN_ROWS = 256
@@ -126,12 +126,12 @@ class ExecutionBackend(abc.ABC):
         """Replay each GPU's collected kernel timings into the tracer.
 
         Worker timestamps are relative to the worker's own clock ``base``.
-        In-process executions (inline/thread) share the coordinator's clock,
-        so ``base`` is used directly; a process-pool worker's clock may not
-        be comparable (``perf_counter`` is only guaranteed per-process), so
-        any ``base`` outside the kernel-stage window is rebased onto the
-        stage start — spans then still nest under the ``kernels`` span even
-        on platforms with per-process clocks.
+        An in-place execution shares the coordinator's clock, so ``base`` is
+        used directly; a process-pool worker's clock may not be comparable
+        (``perf_counter`` is only guaranteed per-process), so any ``base``
+        outside the kernel-stage window is rebased onto the stage start —
+        spans then still nest under the ``kernels`` span even on platforms
+        with per-process clocks.
         """
         append = tracer.events.append
         for gpu, outs in enumerate(outputs):
@@ -228,10 +228,6 @@ def resolve_backend(spec, graph) -> tuple:
         from repro.exec.process import ProcessBackend
 
         return ProcessBackend(graph), True
-    if spec == "thread":
-        from repro.exec.thread import ThreadBackend
-
-        return ThreadBackend(graph), True
     raise ValueError(
         f"unknown execution backend {spec!r}; expected one of {BACKEND_NAMES} "
         "or an ExecutionBackend instance"

@@ -1,23 +1,21 @@
 """One run configuration: the run-time axes, resolved once, in one place.
 
-``backend`` (where super-steps run), ``kernels`` (the name of the visit
-kernels' implementation), ``storage`` (what backs the CSR arrays) and
-``trace`` (where the CLI writes a trace) change wall-clock and memory,
-never an answer, a counter or a modeled time.  :meth:`ExecConfig.resolve`
-is the only code that reads ``$REPRO_BACKEND``, ``$REPRO_KERNELS``,
-``$REPRO_STORAGE`` and ``$REPRO_TRACE``, checks an axis name and settles
-``auto``.  Every axis takes an explicit argument, else a bench scenario's
-pin (:meth:`ExecConfig.pinned`), else its environment variable, else the
-default (``inline`` / ``auto`` / ``memory`` / no trace).  Public entry
-points resolve their keywords once, on entry; the code below them takes the
-one frozen :class:`ExecConfig`.
+``backend`` (where super-steps run), ``storage`` (what backs the CSR
+arrays) and ``trace`` (where the CLI writes a trace) change wall-clock and
+memory, never an answer, a counter or a modeled time.
+:meth:`ExecConfig.resolve` is the only code that reads ``$REPRO_BACKEND``,
+``$REPRO_STORAGE`` and ``$REPRO_TRACE`` and checks an axis name.  Every
+axis takes an explicit argument, else a bench scenario's pin
+(:meth:`ExecConfig.pinned`), else its environment variable, else the
+default (``inline`` / ``memory`` / no trace).  Public entry points resolve
+their keywords once, on entry; the code below them takes the one frozen
+:class:`ExecConfig`.
 
 The visit kernels have one implementation, :mod:`repro.core.kernels`, so
-the kernels axis has one value: ``numpy`` and ``auto`` both resolve to
-``numpy``, which labels bench records and ``--json`` output.  ``kernels`` is
-a label, never a choice: whether a kernel ran its compiled C statement or
-its NumPy one is a fact of the host (a compiler found, a cache writable),
-decided when :mod:`repro.core.kernels` loads and recorded as
+which kernels ran is not an axis: :data:`KERNELS_LABEL` is the label bench
+records and ``--json`` output carry.  Whether a kernel ran its compiled C
+statement or its NumPy one is a fact of the host (a compiler found, a cache
+writable), decided when :mod:`repro.core.kernels` loads and recorded as
 ``native_kernels`` in a bench artifact's host block — and invisible in every
 answer, counter and modeled time.
 """
@@ -28,23 +26,20 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-__all__ = ["BACKEND_NAMES", "PROVIDER_NAMES", "STORAGE_NAMES", "ExecConfig", "axis_name"]
+__all__ = [
+    "BACKEND_NAMES", "KERNELS_LABEL", "STORAGE_NAMES", "ExecConfig", "axis_name", "check_kernels"
+]
 
 #: Execution backends: *where* the per-GPU kernel tasks of a super-step run.
-BACKEND_NAMES = ("inline", "process", "thread")
-#: Kernel names: both resolve to ``numpy``, the one implementation.
-PROVIDER_NAMES = ("numpy", "auto")
+BACKEND_NAMES = ("inline", "process")
 #: Storage modes: *what* backs the partitioned CSR arrays.
 STORAGE_NAMES = ("memory", "mmap", "compressed")
+#: The visit kernels' label in bench records and ``--json`` output.
+KERNELS_LABEL = "numpy"
 
-_NAMES = {"backend": BACKEND_NAMES, "kernels": PROVIDER_NAMES, "storage": STORAGE_NAMES}
-_DEFAULTS = {"backend": "inline", "kernels": "auto", "storage": "memory"}
-_ENV = {
-    "backend": "REPRO_BACKEND",
-    "kernels": "REPRO_KERNELS",
-    "storage": "REPRO_STORAGE",
-    "trace": "REPRO_TRACE",
-}
+_NAMES = {"backend": BACKEND_NAMES, "storage": STORAGE_NAMES}
+_DEFAULTS = {"backend": "inline", "storage": "memory"}
+_ENV = {"backend": "REPRO_BACKEND", "storage": "REPRO_STORAGE", "trace": "REPRO_TRACE"}
 
 
 def axis_name(axis: str, value, source: str = "") -> str:
@@ -67,11 +62,17 @@ def _is_backend(value) -> bool:
     return isinstance(value, ExecutionBackend)
 
 
+def check_kernels(kernels) -> None:
+    """Accept the engines' one-value ``kernels`` keyword: ``None`` or
+    :data:`KERNELS_LABEL`; anything else is a bad name."""
+    if kernels is not None and kernels != KERNELS_LABEL:
+        raise ValueError(f"kernels must be {KERNELS_LABEL!r}, got {kernels!r}")
+
+
 def _resolve(axis: str, value):
     """One axis: ``value`` if given, else its environment variable, else the
     default.  Names are stripped and lower-cased (a trace path is only
-    stripped), kernels resolve to ``numpy``, and live backend instances pass
-    through."""
+    stripped), and live backend instances pass through."""
     source = ""
     if value is None:
         source = "$" + _ENV[axis]
@@ -80,12 +81,10 @@ def _resolve(axis: str, value):
         path = "" if value is None else str(value).strip()
         return Path(path) if path else None
     if value is None:
-        value = _DEFAULTS[axis]
-    elif axis == "backend" and _is_backend(value):
+        return _DEFAULTS[axis]
+    if axis == "backend" and _is_backend(value):
         return value
-    else:
-        value = axis_name(axis, value, source)
-    return "numpy" if axis == "kernels" else value
+    return axis_name(axis, value, source)
 
 
 @dataclass(frozen=True)
@@ -93,23 +92,22 @@ class ExecConfig:
     """The resolved run-time axes of one run; build it with :meth:`resolve`.
 
     ``backend`` is a name of :data:`BACKEND_NAMES` or a live (caller-owned)
-    :class:`~repro.exec.backend.ExecutionBackend`; ``kernels`` is ``numpy``;
-    ``storage`` is a name of :data:`STORAGE_NAMES`; ``trace`` is a path or
-    ``None``.  ``explicit`` names the axes an explicit argument set, which
-    :meth:`pinned` leaves alone.
+    :class:`~repro.exec.backend.ExecutionBackend`; ``storage`` is a name of
+    :data:`STORAGE_NAMES`; ``trace`` is a path or ``None``.  ``explicit``
+    names the axes an explicit argument set, which :meth:`pinned` leaves
+    alone.
     """
 
     backend: object
-    kernels: str
     storage: str
     trace: Path | None
     explicit: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     @classmethod
-    def resolve(cls, backend=None, kernels=None, storage=None, trace=None) -> "ExecConfig":
+    def resolve(cls, backend=None, storage=None, trace=None) -> "ExecConfig":
         """Every axis from its argument, else the environment, else the
         default (``None`` means "not given")."""
-        given = {"backend": backend, "kernels": kernels, "storage": storage, "trace": trace}
+        given = {"backend": backend, "storage": storage, "trace": trace}
         return cls(
             **{axis: _resolve(axis, value) for axis, value in given.items()},
             explicit=frozenset(axis for axis, value in given.items() if value is not None),
@@ -141,8 +139,3 @@ class ExecConfig:
     def backend_name(self) -> str:
         """Registry name of the backend (a live instance's own name)."""
         return self.backend if isinstance(self.backend, str) else self.backend.name
-
-    @property
-    def kernels_name(self) -> str:
-        """The kernels label bench records and ``--json`` output carry."""
-        return self.kernels

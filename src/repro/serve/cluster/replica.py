@@ -94,13 +94,9 @@ class ReplicaPool:
         Engine configuration, identical across replicas (answers must be
         replica-independent for first-response-wins to be sound).
     backend:
-        Execution backend spec.  A name (``"inline"``/``"process"``/
-        ``"thread"``) or ``None`` works for both graph kinds; a live
-        instance is accepted only for frozen graphs (and is then shared,
-        caller-owned).
-    kernels:
-        The kernels label (``"numpy"``/``"auto"``), identical across
-        replicas.
+        Execution backend spec.  A name (``"inline"``/``"process"``) or
+        ``None`` works for both graph kinds; a live instance is accepted only
+        for frozen graphs (and is then shared, caller-owned).
     batch_size, cache_size, batched:
         Per-replica :class:`QueryService` knobs.
     cache_hit_ms:
@@ -115,7 +111,6 @@ class ReplicaPool:
         options=None,
         hardware=None,
         backend=None,
-        kernels=None,
         batch_size: int = 32,
         cache_size: int = 1024,
         batched: bool = True,
@@ -130,7 +125,7 @@ class ReplicaPool:
         self.graph = graph
         self.is_dynamic = isinstance(graph, DynamicGraph)
         #: The resolved run configuration shared by every replica.
-        self.config = ExecConfig.resolve(backend=backend, kernels=kernels)
+        self.config = ExecConfig.resolve(backend=backend)
         self._shared_backend = None
         self._owns_backend = False
         engines: list = []
@@ -139,11 +134,7 @@ class ReplicaPool:
             for _ in range(num_replicas):
                 engines.append(
                     DynamicEngine(
-                        graph,
-                        options=options,
-                        hardware=hardware,
-                        backend=self.config.backend,
-                        kernels=self.config.kernels,
+                        graph, options=options, hardware=hardware, backend=self.config.backend
                     )
                 )
         else:
@@ -154,13 +145,7 @@ class ReplicaPool:
             self._owns_backend = owns
             for _ in range(num_replicas):
                 engines.append(
-                    TraversalEngine(
-                        graph,
-                        options=options,
-                        hardware=hardware,
-                        backend=shared,
-                        kernels=self.config.kernels,
-                    )
+                    TraversalEngine(graph, options=options, hardware=hardware, backend=shared)
                 )
         self.replicas = [
             Replica(

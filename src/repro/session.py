@@ -92,18 +92,15 @@ def session(*args, **kwargs) -> "Session":
         paper's main configuration and its Ray system.
     backend:
         Where super-steps execute: ``"inline"`` (default), ``"process"`` (a
-        multiprocessing pool over shared memory), ``"thread"``, or a live
+        multiprocessing pool over shared memory), or a live
         :class:`repro.exec.ExecutionBackend`; also :meth:`Session.backend`.
-    kernels:
-        The kernels label: ``"numpy"`` or ``"auto"`` (default; both name
-        the one implementation, :mod:`repro.core.kernels`).
     storage:
         ``"memory"`` (default), ``"mmap"`` (a memory-mapped store),
         ``"compressed"`` (delta+varint nn/nd adjacency), or ``None`` for
         ``$REPRO_STORAGE``; also :meth:`Session.storage`.  Results and
         counters are storage-invariant; only memory and wall-clock change.
 
-    The three run-time axes resolve once, into one
+    Both run-time axes resolve once, into one
     :class:`repro.exec.ExecConfig`; a bad name raises :class:`ValueError`.
     """
     return Session(*args, **kwargs)
@@ -170,13 +167,12 @@ class Session(_Traced):
         options: BFSOptions | None = None,
         hardware: HardwareSpec | None = None,
         backend=None,
-        kernels=None,
         storage: str | None = None,
     ) -> None:
         self._layout = ClusterLayout.from_notation(layout)
         self._options = options
         self._hardware = hardware
-        self._config = ExecConfig.resolve(backend=backend, kernels=kernels, storage=storage)
+        self._config = ExecConfig.resolve(backend=backend, storage=storage)
         self._storage_path: Path | None = None
         self._edges: EdgeList | None = None
         self._threshold: int | _Auto = auto
@@ -231,8 +227,7 @@ class Session(_Traced):
         return self._reconfigure(hardware=hardware)
 
     def backend(self, backend) -> "Session":
-        """Choose where super-steps execute (``"inline"`` / ``"process"`` /
-        ``"thread"``).
+        """Choose where super-steps execute (``"inline"`` / ``"process"``).
 
         Accepts a backend registry name, a live
         :class:`repro.exec.ExecutionBackend` instance, or ``None`` for the
@@ -284,9 +279,7 @@ class Session(_Traced):
             from repro.storage import apply_storage
 
             graph = apply_storage(graph, config.storage, path=self._storage_path)
-        engine = TraversalEngine(
-            graph, self._options, self._hardware, backend=config.backend, kernels=config.kernels
-        )
+        engine = TraversalEngine(graph, self._options, self._hardware, backend=config.backend)
         self._built = GraphSession(edges=self._edges, graph=graph, engine=engine)
         return self._built
 
@@ -310,10 +303,9 @@ class GraphSession(_Traced):
     def backend(self, backend) -> "GraphSession":
         """Switch execution backends on the live engine (partition reused).
 
-        ``backend`` is a registry name (``"inline"`` / ``"process"`` /
-        ``"thread"``), a live :class:`repro.exec.ExecutionBackend`, or
-        ``None`` for the environment default; the previously engine-owned
-        backend is closed.
+        ``backend`` is a registry name (``"inline"`` / ``"process"``), a
+        live :class:`repro.exec.ExecutionBackend`, or ``None`` for the
+        environment default; the previously engine-owned backend is closed.
         """
         self.engine.use_backend(backend)
         return self

@@ -8,8 +8,8 @@ offset, dtype and shape alongside the partitioning metadata (layout,
 threshold, census, per-GPU subgraph shapes).
 
 Loading attaches the file once with ``mmap`` and exposes every array as a
-zero-copy :func:`numpy.frombuffer` view, so the Inline and Thread backends
-traverse straight out of the page cache; the Process backend ships the same
+zero-copy :func:`numpy.frombuffer` view, so the inline backend traverses
+straight out of the page cache; the process backend ships the same
 offsets to its workers as a ``file://`` segment descriptor through the
 existing attach/LRU cache in :mod:`repro.exec.shm`.  Compressed stores keep
 the nn/nd column streams as varint payloads (:mod:`repro.storage.codec`);

@@ -151,16 +151,18 @@ def _mode_kwargs(baseline: bool) -> dict:
     }
 
 
+def _axis_kwargs() -> dict:
+    """The run-time axes asked for, with ``kernels`` on the commits whose
+    ``run_scenario`` still took it."""
+    axes = {"backend": "inline", "storage": "memory"}
+    if "kernels" in inspect.signature(run_scenario).parameters:
+        axes["kernels"] = "numpy"
+    return axes
+
+
 def run_case(spec: Scenario, baseline: bool) -> dict:
     """The raw record of one case."""
-    return run_scenario(
-        spec,
-        repeats=2,
-        backend="inline",
-        kernels="numpy",
-        storage="memory",
-        **_mode_kwargs(baseline),
-    )
+    return run_scenario(spec, repeats=2, **_axis_kwargs(), **_mode_kwargs(baseline))
 
 
 def _mask(value):

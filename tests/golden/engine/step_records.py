@@ -71,7 +71,7 @@ FORCED = {
     ("rmat10", "2x2x2", 8, "parents", True),
     ("rmat10", "1x1x1", 1 << 30, "levels", True),
 }
-#: Cases replayed on the thread and process backends as well as inline.
+#: Cases replayed on the process backend as well as inline.
 REMOTE_EVERY = 5
 
 

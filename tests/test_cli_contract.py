@@ -21,7 +21,7 @@ import pytest
 from repro.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
-COMMON = ["--scale", "9", "--layout", "2x1x2", "--backend", "inline", "--kernels", "numpy"]
+COMMON = ["--scale", "9", "--layout", "2x1x2", "--backend", "inline"]
 CASES = {
     "bfs_levels": ["bfs"],
     "bfs_parents_validate": ["bfs", "--algorithm", "parents", "--validate"],
@@ -64,7 +64,7 @@ def _mask_wall(value):
 
 
 def _stdout(argv: list[str], capsys, monkeypatch) -> str:
-    for var in ("REPRO_BACKEND", "REPRO_KERNELS", "REPRO_STORAGE", "REPRO_TRACE"):
+    for var in ("REPRO_BACKEND", "REPRO_STORAGE", "REPRO_TRACE"):
         monkeypatch.delenv(var, raising=False)
     assert main(argv) == 0
     return capsys.readouterr().out

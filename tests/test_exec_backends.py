@@ -1,13 +1,12 @@
 """Tests for the pluggable execution-backend layer (:mod:`repro.exec`).
 
-The load-bearing property is *backend equivalence*: the inline backend, the
-process-pool backend and the thread-pool backend must produce bit-identical
-results, workload counters and modeled times for every program, option set
-and delegate threshold — only wall-clock may differ.  The sweep below runs
-the BFS option grid (DO on/off, BR/IR) across the delegate-threshold
-extremes (1 = almost everything is a delegate, auto, effectively-infinite =
-no delegates) over all four shipped programs plus the batched MS-BFS path,
-on both non-inline backends.
+The load-bearing property is *backend equivalence*: the inline backend and
+the process-pool backend must produce bit-identical results, workload
+counters and modeled times for every program, option set and delegate
+threshold — only wall-clock may differ.  The sweep below runs the BFS option
+grid (DO on/off, BR/IR) across the delegate-threshold extremes (1 = almost
+everything is a delegate, auto, effectively-infinite = no delegates) over all
+four shipped programs plus the batched MS-BFS path, on the process backend.
 
 Also covered: backend selection (engine / session / CLI; the precedence of
 arguments, scenario pins and the environment is tests/test_exec_config.py's),
@@ -36,7 +35,6 @@ from repro.exec import (
     BACKEND_NAMES,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.graph.rmat import generate_rmat
@@ -82,16 +80,10 @@ def process_backends(graphs):
         backend.close()
 
 
-@pytest.fixture(scope="module")
-def thread_backends(graphs):
-    """One shared ThreadBackend per graph (executor is process-global anyway)."""
-    return {key: ThreadBackend(graph, workers=2) for key, graph in graphs.items()}
-
-
-@pytest.fixture(params=["process", "thread"])
-def remote_backends(request, process_backends, thread_backends):
-    """The non-inline backends, so every equivalence case covers both."""
-    return process_backends if request.param == "process" else thread_backends
+@pytest.fixture(params=["process"])
+def remote_backends(request, process_backends):
+    """The non-inline backends, so every equivalence case covers each."""
+    return process_backends
 
 
 def assert_results_identical(a, b) -> None:
@@ -156,9 +148,9 @@ class TestBackendEquivalence:
             assert a.timing.elapsed_ms == b.timing.elapsed_ms
             assert a.workload_by_kernel() == b.workload_by_kernel()
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_multiword_batch_with_pulls_matches_sequential(
-        self, graphs, process_backends, thread_backends, backend
+        self, graphs, process_backends, backend
     ):
         """A 70-lane (two-word) batch whose nd kernels pull — so the dense
         *local* lane-word buffer is published next to the delegate one — with
@@ -168,8 +160,9 @@ class TestBackendEquivalence:
         sources = list(range(70))
         reference = TraversalEngine(graph).run_batch(BatchedBFSLevels(sources))
         assert any(r.directions["nd"] for r in reference.records)
-        shared = {"process": process_backends, "thread": thread_backends}.get(backend)
-        engine = TraversalEngine(graph, backend=shared["auto"] if shared else backend)
+        engine = TraversalEngine(
+            graph, backend=process_backends["auto"] if backend == "process" else backend
+        )
         before = [engine.run(BFSLevels(source=s)).distances for s in sources[:3]]
         batch = engine.run_batch(BatchedBFSLevels(sources))
         after = [engine.run(BFSLevels(source=s)).distances for s in sources[3:]]
@@ -202,7 +195,7 @@ class TestBackendEquivalence:
 # --------------------------------------------------------------------------- #
 class TestBackendSelection:
     def test_registry_names(self):
-        assert BACKEND_NAMES == ("inline", "process", "thread")
+        assert BACKEND_NAMES == ("inline", "process")
 
     def test_resolve_backend_ownership(self, graphs):
         graph = graphs["auto"]
@@ -211,8 +204,9 @@ class TestBackendSelection:
         shared = InlineBackend(graph)
         backend, owned = resolve_backend(shared, graph)
         assert backend is shared and not owned
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("teleport", graph)
+        for name in ("teleport", "thread"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                resolve_backend(name, graph)
 
     def test_engine_owns_named_backend_but_not_instances(self, graphs, process_backends):
         graph = graphs["auto"]
@@ -239,25 +233,6 @@ class TestBackendSelection:
     def test_process_backend_rejects_bad_workers(self, graphs):
         with pytest.raises(ValueError, match="workers"):
             ProcessBackend(graphs["auto"], workers=0)
-
-    def test_resolve_thread_backend_by_name(self, graphs):
-        backend, owned = resolve_backend("thread", graphs["auto"])
-        assert isinstance(backend, ThreadBackend) and owned
-        assert backend.name == "thread"
-
-    def test_thread_backend_survives_close(self, graphs):
-        # close() is deliberately a no-op (the executor is process-global and
-        # shared); a closed-then-reused backend must keep working.
-        backend = ThreadBackend(graphs["auto"], workers=2)
-        engine = TraversalEngine(graphs["auto"], backend=backend)
-        a = engine.run(BFSLevels(source=3))
-        engine.close()
-        b = TraversalEngine(graphs["auto"], backend=backend).run(BFSLevels(source=3))
-        assert_results_identical(a, b)
-
-    def test_thread_backend_rejects_bad_workers(self, graphs):
-        with pytest.raises(ValueError, match="workers"):
-            ThreadBackend(graphs["auto"], workers=0)
 
     def test_closed_process_backend_refuses_work(self, graphs):
         backend = ProcessBackend(graphs["auto"], workers=1)

@@ -1,13 +1,13 @@
-"""One precedence table for the four run-time axes.
+"""One precedence table for the three run-time axes.
 
-Every public entry point resolves ``backend`` / ``kernels`` / ``storage`` /
-``trace`` once, on entry, through :class:`repro.exec.ExecConfig`: an
-explicit argument beats a bench scenario's pin, a pin beats the environment
-variable, the environment beats the default, names are stripped and
-lower-cased, and a bad name — explicit or from the environment — raises at
-construction with the axis, the value and the valid choices in the message.
-The kernels axis has one implementation: ``numpy`` and ``auto`` resolve to
-``numpy``, and ``numba`` or a kernel object is a bad name like any other.
+Every public entry point resolves ``backend`` / ``storage`` / ``trace`` once,
+on entry, through :class:`repro.exec.ExecConfig`: an explicit argument beats
+a bench scenario's pin, a pin beats the environment variable, the
+environment beats the default, names are stripped and lower-cased, and a bad
+name — explicit or from the environment — raises at construction with the
+axis, the value and the valid choices in the message (on the CLI: one
+``error:`` line, nothing on stdout, exit code 2).  ``thread`` is a bad
+backend name like any other.
 
 Each row of :data:`ROWS` is ``(entry point, axis, source)``.  :data:`CASES`
 says, per axis and source, what the row passes explicitly, what the scenario
@@ -16,6 +16,11 @@ puts a *different* value one level down, so a row only passes when its own
 level wins.  The entry points are the resolver itself, ``TraversalEngine``,
 ``DynamicEngine``, ``repro.session``, ``run_scenario`` and a ``repro bfs
 --json`` subprocess.
+
+The visit kernels have one implementation, so ``kernels`` is no axis: the
+engines keep a one-value ``kernels`` keyword (``None`` or ``"numpy"``),
+bench records and ``--json`` output carry the ``"numpy"`` label, and
+``--kernels`` is an unrecognized argument (:class:`TestKernelsLabel`).
 """
 
 from __future__ import annotations
@@ -36,12 +41,13 @@ from repro.bench.runner import run_scenario
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
 from repro.dynamic import DynamicEngine, DynamicGraph
-from repro.exec.config import ExecConfig
+from repro.core.programs import BatchedBFSLevels, ConnectedComponents
+from repro.exec.config import KERNELS_LABEL, ExecConfig
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 
-AXES = ("backend", "kernels", "storage", "trace")
+AXES = ("backend", "storage", "trace")
 ENV = {axis: f"REPRO_{axis.upper()}" for axis in AXES}
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -54,18 +60,8 @@ class Case(NamedTuple):
     expect: object = None
 
 
-class _NamedKernels:
-    """What a kernel-provider object looked like: a named kernel set."""
-
-    name = "numpy"
-
-
 def _error(axis: str, value: str, source: str = "") -> str:
-    choices = {
-        "backend": "inline, process, thread",
-        "kernels": "numpy, auto",
-        "storage": "memory, mmap, compressed",
-    }[axis]
+    choices = {"backend": "inline, process", "storage": "memory, mmap, compressed"}[axis]
     prefix = rf"\$REPRO_{axis.upper()}: " if source == "env" else ""
     return rf"{prefix}{axis} must be one of {choices}, got '{value}'"
 
@@ -74,26 +70,14 @@ def _error(axis: str, value: str, source: str = "") -> str:
 #: directory; ``expect`` names the file that must be the trace.
 CASES = {
     "backend": {
-        "explicit": Case(explicit=" Thread ", pin="process", env="process", expect="thread"),
-        "pin": Case(pin="thread", env="process", expect="thread"),
-        "environment": Case(env="thread", expect="thread"),
+        "explicit": Case(explicit=" Process ", pin="inline", env="inline", expect="process"),
+        "pin": Case(pin="process", env="inline", expect="process"),
+        "environment": Case(env=" Process", expect="process"),
         "default": Case(expect="inline"),
         "bad environment": Case(env="teleport", expect=_error("backend", "teleport", "env")),
         "bad explicit": Case(explicit="Teleport", expect=_error("backend", "Teleport")),
-    },
-    "kernels": {
-        # The environment would raise if read: only the explicit level wins.
-        "explicit": Case(explicit=" Auto", env="numba", expect="numpy"),
-        "environment": Case(env=" NumPy", expect="numpy"),
-        "default": Case(expect="numpy"),
-        "bad environment": Case(env="fortran", expect=_error("kernels", "fortran", "env")),
-        "bad explicit": Case(explicit="Fortran", expect=_error("kernels", "Fortran")),
-        "numba environment": Case(env="numba", expect=_error("kernels", "numba", "env")),
-        "numba explicit": Case(explicit="numba", expect=_error("kernels", "numba")),
-        "object explicit": Case(
-            explicit=_NamedKernels(),
-            expect=r"kernels must be one of numpy, auto, got <.*_NamedKernels object at",
-        ),
+        "thread environment": Case(env="thread", expect=_error("backend", "thread", "env")),
+        "thread explicit": Case(explicit="thread", expect=_error("backend", "thread")),
     },
     "storage": {
         "explicit": Case(explicit=" MMAP ", pin="compressed", env="compressed", expect="mmap"),
@@ -114,24 +98,21 @@ CLI = "repro bfs --json"
 #: entry point -> the axes it takes.
 ENTRY_AXES = {
     "ExecConfig": AXES,
-    "TraversalEngine": ("backend", "kernels"),
-    "DynamicEngine": ("backend", "kernels"),
-    "session": ("backend", "kernels", "storage"),
-    "run_scenario": ("backend", "kernels", "storage"),
+    "TraversalEngine": ("backend",),
+    "DynamicEngine": ("backend",),
+    "session": ("backend", "storage"),
+    "run_scenario": ("backend", "storage"),
     CLI: AXES,
 }
 #: Entry points with a scenario, hence a pin level.
 PINNED = {"ExecConfig", "run_scenario"}
-#: Sources a command line cannot express.
-IN_PROCESS_ONLY = {"object explicit"}
 
 ROWS = [
     pytest.param(entry, axis, source, id=f"{entry}-{axis}-{source}")
     for entry, axes in ENTRY_AXES.items()
     for axis in axes
     for source in CASES[axis]
-    if (source != "pin" or entry in PINNED)
-    and (source not in IN_PROCESS_ONLY or entry != CLI)
+    if source != "pin" or entry in PINNED
 ]
 
 #: The three valid sources a CLI run sets on every axis at once.
@@ -180,7 +161,6 @@ def _resolver(explicit, pins, graph, trace_dir):
     config = ExecConfig.resolve(**explicit).pinned(**pins)
     return lambda: {
         "backend": config.backend,
-        "kernels": config.kernels,
         "storage": config.storage,
         "trace": None if config.trace is None else config.trace.name,
     }
@@ -191,7 +171,7 @@ def _traversal_engine(explicit, pins, graph, trace_dir):
 
     def probe():
         with engine:
-            return {"backend": engine.backend.name, "kernels": engine.config.kernels_name}
+            return {"backend": engine.backend.name}
 
     return probe
 
@@ -202,7 +182,7 @@ def _dynamic_engine(explicit, pins, graph, trace_dir):
     def probe():
         with engine:
             engine.run(repro.BFSLevels(source=1))
-            return {"backend": engine.backend_name, "kernels": engine.config.kernels_name}
+            return {"backend": engine.backend_name}
 
     return probe
 
@@ -212,11 +192,7 @@ def _session(explicit, pins, graph, trace_dir):
 
     def probe():
         with builder.generate(scale=6, seed=1).threshold(4).build() as built:
-            return {
-                "backend": built.engine.backend.name,
-                "kernels": built.engine.config.kernels_name,
-                "storage": built.storage_name,
-            }
+            return {"backend": built.engine.backend.name, "storage": built.storage_name}
 
     return probe
 
@@ -224,7 +200,7 @@ def _session(explicit, pins, graph, trace_dir):
 def _run_scenario(explicit, pins, graph, trace_dir):
     spec = Scenario("t-exec-config", "rmat", 6, "levels", threshold=4, sources=1, **pins)
     record = run_scenario(spec, repeats=1, **explicit)
-    return lambda: {axis: record[axis] for axis in ("backend", "kernels", "storage")}
+    return lambda: {axis: record[axis] for axis in ("backend", "storage")}
 
 
 IN_PROCESS = {
@@ -260,9 +236,9 @@ def cli_runs(trace_dir) -> dict:
     err, trace file names)``, keyed ``(source,)`` or ``(source, axis)``."""
     keys = [(source,) for source in GOOD] + [
         (source, axis)
-        for axis in ("backend", "kernels", "storage")
+        for axis in ("backend", "storage")
         for source in CASES[axis]
-        if source not in VALID and source not in IN_PROCESS_ONLY
+        if source not in VALID
     ]
 
     def run(key):
@@ -281,11 +257,12 @@ def _cli(axis: str, source: str, cli_runs: dict):
     """The CLI row as a probe, raising like the in-process entry points."""
     code, out, err, traces = cli_runs[(source,) if source in GOOD else (source, axis)]
     if code != 0:
+        assert (code, out) == (2, "") and "error: " in err.splitlines()[-1]
         raise ValueError(err)
     payload = json.loads(out)
+    assert payload["kernels"] == KERNELS_LABEL
     return {
         "backend": payload["backend"],
-        "kernels": payload["kernels"],
         "storage": payload["graph"]["storage"],
         "trace": traces[0] if traces else None,
     }
@@ -332,7 +309,7 @@ def test_table_covers_every_source_of_every_axis():
     sources = {source for axis in AXES for source in CASES[axis]}
     assert sources == {
         "explicit", "pin", "environment", "default", "bad environment", "bad explicit",
-        "numba environment", "numba explicit", "object explicit",
+        "thread environment", "thread explicit",
     }
     for entry, axes in ENTRY_AXES.items():
         covered = {(a, s) for e, a, s in (row.values for row in ROWS) if e == entry}
@@ -343,28 +320,100 @@ def test_table_covers_every_source_of_every_axis():
 # bench: an unpinned scenario follows $REPRO_BACKEND, and says so
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
-def thread_env(monkeypatch):
+def clean_env(monkeypatch):
     for variable in ENV.values():
         monkeypatch.delenv(variable, raising=False)
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    return monkeypatch
 
 
-def test_bench_run_follows_repro_backend(thread_env, tmp_path, capsys):
+def test_bench_run_follows_repro_backend(clean_env, tmp_path, capsys):
     from repro.cli import main
 
+    clean_env.setenv("REPRO_BACKEND", "process")
     out = tmp_path / "bench.json"
     name = "rmat14-levels-do-br"
     assert main(["bench", "run", "--scenario", name, "--repeats", "1", "--output", str(out)]) == 0
     header = capsys.readouterr().out.splitlines()[0]
-    assert header.endswith("backend=thread, kernels=numpy, storage=memory")
-    assert json.loads(out.read_text())["scenarios"][name]["backend"] == "thread"
+    assert header.endswith("backend=process, kernels=numpy, storage=memory")
+    record = json.loads(out.read_text())["scenarios"][name]
+    assert record["backend"] == "process"
+    # The kernels label lives in the record, never in the spec.
+    assert record["kernels"] == KERNELS_LABEL and "kernels" not in record["spec"]
 
 
-def test_bench_list_shows_the_pin_or_the_resolved_backend(thread_env, capsys):
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_bench_list_shows_the_pin_or_the_resolved_backend(clean_env, capsys, backend):
     from repro.cli import main
 
+    clean_env.setenv("REPRO_BACKEND", backend)
     assert main(["bench", "list", "--json"]) == 0
     backends = {entry["name"]: entry["backend"] for entry in json.loads(capsys.readouterr().out)}
     assert backends["rmat16-levels-do-br-process"] == "process"  # pinned
-    assert backends["rmat14-levels-do-br"] == "thread"  # unpinned
-    assert set(backends.values()) == {"thread", "process"}
+    assert backends["rmat14-levels-do-br"] == backend  # unpinned
+
+
+def test_bench_list_mentions_the_axes(capsys):
+    from repro.cli import main
+
+    assert main(["bench", "list", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "--backend inline|process," in out
+    assert "--storage memory|mmap|compressed" in out
+
+
+# --------------------------------------------------------------------------- #
+# kernels: a label and the engines' one-value keyword, never an axis
+# --------------------------------------------------------------------------- #
+class TestKernelsLabel:
+    def test_engine_keyword_takes_numpy_and_changes_nothing(self, graph):
+        reference = TraversalEngine(graph)
+        engine = TraversalEngine(graph, kernels="numpy")
+        from tests.test_exec_backends import assert_results_identical
+
+        assert_results_identical(reference.run(repro.BFSLevels(3)), engine.run(repro.BFSLevels(3)))
+        a = engine.run_batch(BatchedBFSLevels(list(range(40))))
+        b = reference.run_batch(BatchedBFSLevels(list(range(40))))
+        assert a.workload_by_kernel() == b.workload_by_kernel()
+        assert a.timing.elapsed_ms == b.timing.elapsed_ms
+        ca, cb = engine.run(ConnectedComponents()), reference.run(ConnectedComponents())
+        assert ca.comm_stats.as_dict() == cb.comm_stats.as_dict()
+
+    def test_dynamic_engine_keyword_takes_numpy(self):
+        with DynamicEngine(
+            DynamicGraph(generate_rmat(6, rng=1), "2x1x2", 4), kernels="numpy"
+        ) as engine:
+            assert engine.run(repro.BFSLevels(source=1)).iterations > 0
+
+    @pytest.mark.parametrize("name", ["numba", "auto", " NumPy"])
+    @pytest.mark.parametrize("entry", ["TraversalEngine", "DynamicEngine"])
+    def test_engine_keyword_rejects_every_other_name(self, graph, entry, name):
+        with pytest.raises(ValueError, match=f"kernels must be 'numpy', got {name!r}"):
+            if entry == "TraversalEngine":
+                TraversalEngine(graph, kernels=name)
+            else:
+                DynamicEngine(DynamicGraph(generate_rmat(6, rng=1), "2x1x2", 4), kernels=name)
+
+    def test_no_other_entry_takes_kernels(self):
+        from repro.serve.cluster.replica import ReplicaPool
+
+        for entry in (ExecConfig.resolve, repro.session, run_scenario, ReplicaPool):
+            with pytest.raises(TypeError, match="kernels"):
+                entry(**({"graph": None, "num_replicas": 1} if entry is ReplicaPool else {}),
+                      kernels="numpy")
+
+    @pytest.mark.parametrize("argv", [
+        ["bfs", "--scale", "9"],
+        ["components", "--scale", "9"],
+        ["mutate", "--scale", "9", "--batches", "1"],
+        ["bench", "run", "--quick"],
+        ["serve", "bench", "--scale", "9"],
+    ])
+    def test_kernels_flag_exits_2_everywhere(self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--kernels", "numpy"])
+        captured = capsys.readouterr()
+        assert exited.value.code == 2
+        assert "error: unrecognized arguments: --kernels numpy" in captured.err
+        assert captured.out == ""  # nothing ran

@@ -87,7 +87,8 @@ PINNED = {
 #: ``Session``'s build-then-forward methods carry the signature of the
 #: ``GraphSession`` method they call, so the five that took ``(*args,
 #: **kwargs)`` and ``pagerank``'s ``(**kwargs)`` now state their parameters;
-#: the tracing methods, stated once for both classes, return ``Self``.
+#: the tracing methods, stated once for both classes, return ``Self``; and
+#: ``session`` / ``Session`` lost ``kernels``, an axis with one value.
 DELIBERATE: dict[str, tuple[str, str]] = {
     **{
         f"Session.{name}": (PINNED[f"Session.{name}"], PINNED[f"GraphSession.{name}"])
@@ -98,6 +99,10 @@ DELIBERATE: dict[str, tuple[str, str]] = {
             PINNED[f"{owner}.trace"], "(self, path: 'str | Path | None' = None) -> 'Self'"
         )
         for owner in ("Session", "GraphSession")
+    },
+    **{
+        name: (PINNED[name], PINNED[name].replace("backend=None, kernels=None, ", "backend=None, "))
+        for name in ("session", "Session.__init__")
     },
 }
 

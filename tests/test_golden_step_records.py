@@ -3,7 +3,7 @@
 The goldens were generated at the commit before the super-step was made
 proportional to its frontier and are never regenerated; see the generator's
 docstring for what a digest covers.  Every case replays on the inline backend,
-every fifth on the thread and process backends as well.
+every fifth on the process backend as well.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def test_inline_replay(fixtures, case):
     assert golden.digest(golden.run_case(fixtures, case)) == EXPECTED[golden.case_id(case)]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 @pytest.mark.parametrize("case", CASES[:: golden.REMOTE_EVERY], ids=golden.case_id)
 def test_remote_replay(fixtures, case, backend):
     result = golden.run_case(fixtures, case, backend=backend)

@@ -186,7 +186,7 @@ def assert_results_identical(a, b) -> None:
 
 
 class TestTraceInvariance:
-    @pytest.mark.parametrize("backend", ["inline", "process", "thread"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize("storage", ["memory", "mmap", "compressed"])
     def test_counters_identical_tracing_on(
         self, inv_graphs, inv_baseline, backend, storage
@@ -205,7 +205,7 @@ class TestTraceInvariance:
         cats = {e["cat"] for e in tracer.events}
         assert {"engine", "exec", "worker"} <= cats
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_worker_spans_nest_inside_kernel_spans(self, inv_graphs, backend):
         """Every worker span sits inside its super-step's kernels span."""
         tracer = Tracer()
@@ -258,7 +258,7 @@ class TestTraceInvariance:
 
     def test_disabled_tracing_records_nothing(self, inv_graphs):
         assert get_tracer() is NULL_TRACER
-        engine = TraversalEngine(inv_graphs["memory"], backend="thread")
+        engine = TraversalEngine(inv_graphs["memory"], backend="process")
         try:
             engine.run(BFSLevels(1))
         finally:

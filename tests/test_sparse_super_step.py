@@ -26,7 +26,7 @@ from repro.core.programs.base import ProgramInit
 from repro.core.state import UNVISITED, TraversalState
 from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta
 from repro.dynamic.incremental import MaintainedLevels
-from repro.exec import ProcessBackend, ThreadBackend
+from repro.exec import ProcessBackend
 from repro.graph.generators import wdc_like
 from repro.graph.rmat import generate_rmat
 from repro.obs import Tracer, set_tracer
@@ -290,7 +290,7 @@ class TestSparseReduce:
 # (d) small plans run in the coordinator, big ones are dispatched
 # --------------------------------------------------------------------------- #
 class TestSmallPlansRunInTheCoordinator:
-    @pytest.mark.parametrize("kind", [ThreadBackend, ProcessBackend])
+    @pytest.mark.parametrize("kind", [ProcessBackend])
     def test_both_kinds_of_step_occur_and_match_inline(self, rmat10, kind):
         graph = build_partitions(rmat10, LAYOUT, 8)
         source = _hub(graph)
@@ -316,7 +316,7 @@ class TestSmallPlansRunInTheCoordinator:
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            with ThreadBackend(graph, workers=2) as backend:
+            with ProcessBackend(graph, workers=2) as backend:
                 TraversalEngine(graph, backend=backend).run(BFSLevels(_hub(graph)))
         finally:
             set_tracer(previous)

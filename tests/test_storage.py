@@ -307,7 +307,7 @@ class TestDecodeAtPlanBoundary:
         assert out.edges_examined > 0
         _assert_outputs_equal(*outputs)
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_one_lazy_decode_span_per_decoded_visit(self, zgraphs, backend):
         raw, compressed = zgraphs
         engine_backend, _ = resolve_backend(backend, compressed)
@@ -505,7 +505,7 @@ def _run_programs(graph, backend):
 
 
 class TestStorageInvariance:
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_counters_identical_across_modes(self, rmat_small, tmp_path, backend):
         layout = ClusterLayout.from_notation("1x2x2")
         base = build_partitions(rmat_small, layout, 32)

@@ -84,12 +84,9 @@ class TestSSSPOracle:
         np.testing.assert_array_equal(delta.dist_bits, bf.dist_bits)
         assert delta.total_edges_examined < bf.total_edges_examined
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    @pytest.mark.parametrize("kernels", ["numpy"])
-    def test_bits_invariant_across_backends_and_providers(
-        self, wgraph, backend, kernels
-    ):
-        engine = TraversalEngine(wgraph, backend=backend, kernels=kernels)
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_bits_invariant_across_backends(self, wgraph, backend):
+        engine = TraversalEngine(wgraph, backend=backend)
         try:
             result = engine.run(DeltaSteppingSSSP(SOURCE, delta="auto"))
         finally:
@@ -137,12 +134,9 @@ class TestPageRankOracle:
         # answer is still exact (integer), just not a true probability sum.
         assert result.ranks_float.sum() == pytest.approx(1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    @pytest.mark.parametrize("kernels", ["numpy"])
-    def test_ranks_invariant_across_backends_and_providers(
-        self, wgraph, backend, kernels
-    ):
-        engine = TraversalEngine(wgraph, backend=backend, kernels=kernels)
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_ranks_invariant_across_backends(self, wgraph, backend):
+        engine = TraversalEngine(wgraph, backend=backend)
         try:
             result = engine.run(PageRank(iterations=8))
         finally:
@@ -201,7 +195,7 @@ def _weighted_fingerprint(graph, backend):
 
 
 class TestWeightedStorageInvariance:
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_zoo_counters_identical_across_storage(
         self, wedges, tmp_path, backend
     ):

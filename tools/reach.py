@@ -181,12 +181,11 @@ def _subcommands(checkout: Path, scratch: Path) -> None:
     _cli("components", "--store", scratch / "s-wdc", "--json")
     _cli("bfs", "--npz", scratch / "friendster.npz", "--layout", "2x1x2", "--validate")
     _cli("components", "--npz", scratch / "wdc.npz", "--layout", "2x1x2", "--json")
-    for axes in (["--storage", "mmap"], ["--storage", "compressed"], ["--backend", "process"],
-                 ["--backend", "thread"], ["--kernels", "auto"]):
+    for axes in (["--storage", "mmap"], ["--storage", "compressed"], ["--backend", "process"]):
         _cli("bfs", *g, *axes, "--sources", "2", "--validate")
     _cli("bfs", *g, "--uniquify", "--nonblocking-reduce", "--no-direction-optimization")
     _cli("pagerank", *g, "--storage", "compressed", "--backend", "process", "--validate")
-    _cli("sssp", *g, "--weights", "3", "--backend", "thread", "--validate", "--json")
+    _cli("sssp", *g, "--weights", "3", "--validate", "--json")
     _cli("bfs", *g, "--trace", scratch / "t.json", "--sources", "2")
     _cli("bfs", *g, "--storage", "mmap", "--trace", scratch / "t-mmap.json", "--sources", "2")
     _cli("components", *g, "--trace", scratch / "t.jsonl")
@@ -202,7 +201,7 @@ def _subcommands(checkout: Path, scratch: Path) -> None:
     _cli("serve", "bench", *serve, "--prom", scratch / "serve.prom")
     _cli("serve", "bench", *serve, "--program", "khop", "--update-rate", "0.1", "--no-baseline")
     _cli("serve", "bench", *serve, "--program", "pagerank", "--backend", "process")
-    _cli("serve", "bench", *serve, "--program", "sssp", "--weights", "3", "--backend", "thread")
+    _cli("serve", "bench", *serve, "--program", "sssp", "--weights", "3")
     _cli("serve", "bench", *serve, "--arrivals", "poisson", "--prom", scratch / "open.prom",
          "--json")
     _cli("serve", "bench", *serve, "--arrivals", "diurnal", "--no-hedge", "--json")
@@ -360,7 +359,7 @@ def _run_suite(name: str, checkout: Path, keys_out: Path) -> int:
     src = checkout / "src"
     sys.path.insert(0, str(src))
     os.environ["PYTHONPATH"] = str(src)
-    for variable in ("REPRO_BACKEND", "REPRO_KERNELS", "REPRO_STORAGE", "REPRO_TRACE"):
+    for variable in ("REPRO_BACKEND", "REPRO_STORAGE", "REPRO_TRACE"):
         os.environ.pop(variable, None)
     os.chdir(checkout)
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
