@@ -45,15 +45,15 @@ __all__ = [
 #: with the compiled kernels loaded (rmat14 ``2x1x2`` and rmat16 ``2x2x2``,
 #: every step of three roots timed both ways, two sessions; tables in
 #: ``benchmarks/results/pr32/README.md``): in place a step of <= 5 rows takes
-#: 7-120 us, one of 150-300 rows 140-320 us and one of ~90,000 rows 2.2-3.2
+#: 7-120 us, one of 150-300 rows 135-320 us and one of ~90,000 rows 2.2-3.2
 #: ms; a process-pool dispatch, liveness poll included, takes 0.25-0.9 ms when
-#: one or two GPUs have work, 0.7-3.6 ms when four to eight do and 7.9-11.3 ms
-#: at ~90,000 rows.  No step of either graph ran faster on the pool, so on
-#: walls alone every step would stay in place.  256 keeps every step of a
-#: long-tail traversal (thousands of steps of one or two rows) in place and
-#: still ships the big-frontier steps, which exercise the pool's isolation and
-#: failure paths.  Raising it moves process-backend walls, so it is a
-#: measured change of its own.
+#: one or two GPUs have work, 0.7-3.6 ms below a thousand rows when four to
+#: eight do, and 7.9-11.3 ms at ~90,000 rows.  No step of either graph ran
+#: faster on the pool, so on walls alone every step would stay in place.  256
+#: keeps every step of a long-tail traversal (thousands of steps of one or two
+#: rows) in place and still ships the big-frontier steps, which exercise the
+#: pool's isolation and failure paths.  Raising it moves process-backend
+#: walls, so it is a measured change of its own.
 #: Kernels are pure functions of their spec, so where a step runs changes no
 #: output, counter or modeled time.
 SMALL_PLAN_ROWS = 256

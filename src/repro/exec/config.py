@@ -26,9 +26,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-__all__ = [
-    "BACKEND_NAMES", "KERNELS_LABEL", "STORAGE_NAMES", "ExecConfig", "axis_name", "check_kernels"
-]
+__all__ = ["BACKEND_NAMES", "KERNELS_LABEL", "STORAGE_NAMES", "ExecConfig", "axis_name"]
 
 #: Execution backends: *where* the per-GPU kernel tasks of a super-step run.
 BACKEND_NAMES = ("inline", "process")

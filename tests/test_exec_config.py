@@ -31,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,12 +41,14 @@ import repro
 from repro.bench.runner import run_scenario
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
-from repro.dynamic import DynamicEngine, DynamicGraph
 from repro.core.programs import BatchedBFSLevels, ConnectedComponents
+from repro.dynamic import DynamicEngine, DynamicGraph
 from repro.exec.config import KERNELS_LABEL, ExecConfig
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
+from repro.serve.cluster.replica import ReplicaPool
+from tests.test_exec_backends import assert_results_identical
 
 AXES = ("backend", "storage", "trace")
 ENV = {axis: f"REPRO_{axis.upper()}" for axis in AXES}
@@ -368,8 +371,6 @@ class TestKernelsLabel:
     def test_engine_keyword_takes_numpy_and_changes_nothing(self, graph):
         reference = TraversalEngine(graph)
         engine = TraversalEngine(graph, kernels="numpy")
-        from tests.test_exec_backends import assert_results_identical
-
         assert_results_identical(reference.run(repro.BFSLevels(3)), engine.run(repro.BFSLevels(3)))
         a = engine.run_batch(BatchedBFSLevels(list(range(40))))
         b = reference.run_batch(BatchedBFSLevels(list(range(40))))
@@ -393,13 +394,13 @@ class TestKernelsLabel:
             else:
                 DynamicEngine(DynamicGraph(generate_rmat(6, rng=1), "2x1x2", 4), kernels=name)
 
-    def test_no_other_entry_takes_kernels(self):
-        from repro.serve.cluster.replica import ReplicaPool
-
-        for entry in (ExecConfig.resolve, repro.session, run_scenario, ReplicaPool):
-            with pytest.raises(TypeError, match="kernels"):
-                entry(**({"graph": None, "num_replicas": 1} if entry is ReplicaPool else {}),
-                      kernels="numpy")
+    @pytest.mark.parametrize("entry", [
+        ExecConfig.resolve, repro.session, partial(run_scenario, None),
+        partial(ReplicaPool, None, 1),
+    ])
+    def test_no_other_entry_takes_kernels(self, entry):
+        with pytest.raises(TypeError, match="kernels"):
+            entry(kernels="numpy")
 
     @pytest.mark.parametrize("argv", [
         ["bfs", "--scale", "9"],
