@@ -9,7 +9,8 @@ the run's ``comm_stats`` and a checksum of the answer.  It was written by
 super-step was made proportional to its frontier and is not regenerated: the
 replay (``tests/test_golden_step_records.py``) is the proof that planning only
 the kernels with work, counting pull candidates and the sparse fold /
-exchange / reduce changed no observable number, on any backend.
+exchange / reduce changed no observable number, on any backend and in any
+storage mode.
 
 The cases are a pruned cross of two scale-10 graphs (a WDC-like long tail and
 an RMAT) x three layouts x three delegate thresholds x nine run kinds x
@@ -42,6 +43,7 @@ from repro.graph.generators import wdc_like
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
+from repro.storage import apply_storage
 from repro.weighted import DeltaSteppingSSSP
 
 GOLDEN = Path(__file__).with_name("step_records.json")
@@ -71,7 +73,8 @@ FORCED = {
     ("rmat10", "2x2x2", 8, "parents", True),
     ("rmat10", "1x1x1", 1 << 30, "levels", True),
 }
-#: Cases replayed on the process backend as well as inline.
+#: Cases replayed on the process backend and from mmap / compressed stores
+#: as well as inline from memory.
 REMOTE_EVERY = 5
 
 
@@ -104,9 +107,12 @@ def _sparse12() -> EdgeList:
 
 
 class Fixtures:
-    """Edge lists and partitioned graphs, built once per (graph, layout, TH)."""
+    """Edge lists and partitioned graphs, built once per (graph, layout, TH,
+    storage); store-backed graphs are saved under ``root`` (default: a fresh
+    temporary directory per store)."""
 
-    def __init__(self) -> None:
+    def __init__(self, root: Path | None = None) -> None:
+        self.root = root
         self._edges: dict = {}
         self._graphs: dict = {}
 
@@ -123,12 +129,21 @@ class Fixtures:
             self._edges[key] = built
         return self._edges[key]
 
-    def graph(self, name: str, layout: str, threshold: int, weighted: bool = False):
-        key = (name, layout, threshold, weighted)
+    def graph(
+        self, name: str, layout: str, threshold: int, weighted: bool = False,
+        storage: str = "memory",
+    ):
+        key = (name, layout, threshold, weighted, storage)
         if key not in self._graphs:
-            self._graphs[key] = build_partitions(
-                self.edges(name, weighted), ClusterLayout.from_notation(layout), threshold
-            )
+            if storage == "memory":
+                self._graphs[key] = build_partitions(
+                    self.edges(name, weighted), ClusterLayout.from_notation(layout), threshold
+                )
+            else:
+                path = None if self.root is None else self.root / "-".join(map(str, key))
+                self._graphs[key] = apply_storage(
+                    self.graph(name, layout, threshold, weighted), storage, path=path
+                )
         return self._graphs[key]
 
 
@@ -147,8 +162,11 @@ def _serial_levels(edges: EdgeList, source: int) -> np.ndarray:
     return bfs_from_edgelist(edges, source)
 
 
-def run_case(fixtures: Fixtures, case: tuple, backend: str = "inline"):
-    """Execute one case and return its traversal result."""
+def run_case(
+    fixtures: Fixtures, case: tuple, backend: str = "inline", storage: str = "memory"
+):
+    """Execute one case and return its traversal result.  An ``overlay`` case
+    builds its own dynamic graph, which lives in memory: it takes no storage."""
     name, layout, threshold, kind, do = case
     options = BFSOptions(direction_optimized=do)
     weighted = kind == "sssp"
@@ -156,6 +174,8 @@ def run_case(fixtures: Fixtures, case: tuple, backend: str = "inline"):
     source = _sources(edges, 1)[0]
     overlay = init = None
     if kind == "overlay":
+        if storage != "memory":
+            raise ValueError(f"an overlay case runs from memory, not {storage}")
         # A fresh dynamic graph per run: the overlay must stay uncompacted.
         dyn = DynamicGraph(
             edges, layout, threshold, max_overlay_fraction=1.0,
@@ -167,7 +187,7 @@ def run_case(fixtures: Fixtures, case: tuple, backend: str = "inline"):
         assert dyn.compactions == 0 and not dyn.overlay.empty
         graph, overlay = dyn.partitioned, dyn.overlay
     else:
-        graph = fixtures.graph(name, layout, threshold, weighted)
+        graph = fixtures.graph(name, layout, threshold, weighted, storage)
     if kind in ("levels", "overlay"):
         program = BFSLevels(source)
     elif kind == "parents":

@@ -1,12 +1,13 @@
 """Tests for the pluggable execution-backend layer (:mod:`repro.exec`).
 
-The load-bearing property is *backend equivalence*: the inline backend and
-the process-pool backend must produce bit-identical results, workload
-counters and modeled times for every program, option set and delegate
-threshold — only wall-clock may differ.  The sweep below runs the BFS option
-grid (DO on/off, BR/IR) across the delegate-threshold extremes (1 = almost
-everything is a delegate, auto, effectively-infinite = no delegates) over all
-four shipped programs plus the batched MS-BFS path, on the process backend.
+The load-bearing property is *configuration equivalence*: every cell of
+the backend (inline / process) x storage (memory / mmap / compressed) matrix
+must produce bit-identical results, workload counters and modeled times for
+every program, option set and delegate threshold — only wall-clock may
+differ.  The sweep below runs the BFS option grid (DO on/off, BR/IR) across
+the delegate-threshold extremes (1 = almost everything is a delegate, auto,
+effectively-infinite = no delegates) over all four shipped programs plus the
+batched MS-BFS path, comparing each cell with inline x memory.
 
 Also covered: backend selection (engine / session / CLI; the precedence of
 arguments, scenario pins and the environment is tests/test_exec_config.py's),
@@ -41,6 +42,7 @@ from repro.graph.rmat import generate_rmat
 from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
+from repro.storage import apply_storage
 
 LAYOUT = ClusterLayout(num_ranks=2, gpus_per_rank=2)
 
@@ -80,10 +82,31 @@ def process_backends(graphs):
         backend.close()
 
 
-@pytest.fixture(params=["process"])
-def remote_backends(request, process_backends):
-    """The non-inline backends, so every equivalence case covers each."""
-    return process_backends
+#: Every backend x storage cell but the reference, inline x memory.
+CELLS = {
+    "process": ("process", "memory"),
+    "mmap": ("inline", "mmap"),
+    "compressed": ("inline", "compressed"),
+    "process-mmap": ("process", "mmap"),
+    "process-compressed": ("process", "compressed"),
+}
+
+
+@pytest.fixture(scope="module", params=list(CELLS))
+def remote(request, graphs, tmp_path_factory):
+    """One cell of :data:`CELLS`: threshold -> ``(graph, backend)``, the graph
+    in the cell's storage and the backend built over it."""
+    backend, storage = CELLS[request.param]
+    root = tmp_path_factory.mktemp(request.param)
+    cell = {}
+    for key, graph in graphs.items():
+        if storage != "memory":
+            graph = apply_storage(graph, storage, path=root / key)
+        cell[key] = (graph, ProcessBackend(graph, workers=2) if backend == "process" else backend)
+    yield cell
+    for _, backend in cell.values():
+        if isinstance(backend, ProcessBackend):
+            backend.close()
 
 
 def assert_results_identical(a, b) -> None:
@@ -106,16 +129,14 @@ def assert_results_identical(a, b) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# The equivalence sweep (satellite: backend-equivalence test coverage)
+# The equivalence sweep over the backend x storage matrix
 # --------------------------------------------------------------------------- #
 class TestBackendEquivalence:
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     @pytest.mark.parametrize("label", sorted(OPTION_GRID))
     @pytest.mark.parametrize("program_name", ["levels", "parents", "components", "khop"])
-    def test_sequential_programs(
-        self, graphs, remote_backends, threshold, label, program_name
-    ):
-        graph = graphs[threshold]
+    def test_sequential_programs(self, graphs, remote, threshold, label, program_name):
+        graph, backend = remote[threshold]
         make = {
             "levels": lambda: BFSLevels(source=3),
             "parents": lambda: BFSParents(source=3),
@@ -123,15 +144,13 @@ class TestBackendEquivalence:
             "khop": lambda: KHopReachability(source=3, max_hops=3),
         }[program_name]
         options = OPTION_GRID[label]
-        inline = TraversalEngine(graph, options=options)
-        remote = TraversalEngine(
-            graph, options=options, backend=remote_backends[threshold]
-        )
-        assert_results_identical(inline.run(make()), remote.run(make()))
+        reference = TraversalEngine(graphs[threshold], options=options)
+        cell = TraversalEngine(graph, options=options, backend=backend)
+        assert_results_identical(reference.run(make()), cell.run(make()))
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
-    def test_batched_sweeps(self, graphs, remote_backends, threshold):
-        graph = graphs[threshold]
+    def test_batched_sweeps(self, graphs, remote, threshold):
+        graph, backend = remote[threshold]
         # 70 lanes forces multi-word lane bitsets through the shared-memory
         # dense scratch; the reachability batch exercises the hop cap.
         factories = (
@@ -139,10 +158,8 @@ class TestBackendEquivalence:
             lambda: BatchedReachability([5, 9, 11], max_hops=2),
         )
         for make in factories:
-            inline = TraversalEngine(graph)
-            remote = TraversalEngine(graph, backend=remote_backends[threshold])
-            a = inline.run_batch(make())
-            b = remote.run_batch(make())
+            a = TraversalEngine(graphs[threshold]).run_batch(make())
+            b = TraversalEngine(graph, backend=backend).run_batch(make())
             np.testing.assert_array_equal(a.distances, b.distances)
             assert a.comm_stats.as_dict() == b.comm_stats.as_dict()
             assert a.timing.elapsed_ms == b.timing.elapsed_ms
@@ -172,15 +189,13 @@ class TestBackendEquivalence:
         for got, want in zip(batch.records, reference.records):
             assert got == want  # every counter and modeled time of the step
 
-    def test_run_many_with_dedup_and_batches(self, graphs, remote_backends):
-        graph = graphs["auto"]
+    def test_run_many_with_dedup_and_batches(self, graphs, remote):
+        graph, backend = remote["auto"]
         programs = [BFSLevels(source=s) for s in [2, 7, 2, 9, 13, 7, 21]]
-        inline = TraversalEngine(graph).run_many(list(programs), batch_size=4)
-        remote = TraversalEngine(
-            graph, backend=remote_backends["auto"]
-        ).run_many(list(programs), batch_size=4)
-        assert inline.saved_traversals == remote.saved_traversals == 2
-        for a, b in zip(inline, remote):
+        reference = TraversalEngine(graphs["auto"]).run_many(list(programs), batch_size=4)
+        cell = TraversalEngine(graph, backend=backend).run_many(list(programs), batch_size=4)
+        assert reference.saved_traversals == cell.saved_traversals == 2
+        for a, b in zip(reference, cell):
             np.testing.assert_array_equal(a.distances, b.distances)
 
     def test_option_label_axis_is_complete(self):

@@ -2,8 +2,10 @@
 
 The goldens were generated at the commit before the super-step was made
 proportional to its frontier and are never regenerated; see the generator's
-docstring for what a digest covers.  Every case replays on the inline backend,
-every fifth on the process backend as well.
+docstring for what a digest covers.  Every case replays on the inline backend
+from memory; every fifth on the process backend, and from an mmap and a
+compressed store, as well (but an ``overlay`` case, whose dynamic graph lives
+in memory, from no store).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ EXPECTED = json.loads(golden.GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
-def fixtures():
-    return golden.Fixtures()
+def fixtures(tmp_path_factory):
+    return golden.Fixtures(root=tmp_path_factory.mktemp("stores"))
 
 
 def test_golden_covers_exactly_the_cases():
@@ -50,4 +52,15 @@ def test_inline_replay(fixtures, case):
 @pytest.mark.parametrize("case", CASES[:: golden.REMOTE_EVERY], ids=golden.case_id)
 def test_remote_replay(fixtures, case, backend):
     result = golden.run_case(fixtures, case, backend=backend)
+    assert golden.digest(result) == EXPECTED[golden.case_id(case)]
+
+
+@pytest.mark.parametrize("storage", ["mmap", "compressed"])
+@pytest.mark.parametrize(
+    "case",
+    [case for case in CASES[:: golden.REMOTE_EVERY] if case[3] != "overlay"],
+    ids=golden.case_id,
+)
+def test_storage_replay(fixtures, case, storage):
+    result = golden.run_case(fixtures, case, storage=storage)
     assert golden.digest(result) == EXPECTED[golden.case_id(case)]
