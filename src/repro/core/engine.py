@@ -33,12 +33,13 @@ paper's four phases (computation/communication overlap is modeled with a
 configurable efficiency as described in §VI-B).
 
 *Where* the kernels run is a third concern, owned by neither engine nor
-program: each super-step is described as a declarative
-:class:`repro.exec.SuperStepPlan` (per-GPU kernel tasks as pure data; the
-exchange, delegate reduction and program folds behind the plan's
-``finalize``) and handed to an :class:`repro.exec.ExecutionBackend` —
+program: each super-step's kernel stage is described as a declarative
+:class:`repro.exec.SuperStepPlan` (per-GPU kernel tasks as pure data) and
+handed to an :class:`repro.exec.ExecutionBackend` —
 ``"inline"`` for the classic in-process simulator, ``"process"`` for a
-persistent worker pool over shared-memory CSR buffers.  Results, workload
+persistent worker pool over shared-memory CSR buffers — whose
+``run_kernels`` returns the outputs; the exchange, the delegate reduction and
+the program folds then run here, on the coordinator.  Results, workload
 counters and modeled times are backend-independent; only the measured
 ``wall_s`` phases change.
 
@@ -54,11 +55,15 @@ That super-step is written once.  :meth:`TraversalEngine.step_loop` is the
 only level loop, :meth:`~TraversalEngine._plan_super_step` the only plan walk
 and :meth:`~TraversalEngine._finalize_super_step` the only serial half;
 sequential programs, batched (MS-BFS) programs and frontier-scheduling
-drivers such as delta-stepping SSSP all run through them.  What differs
-between one source and a batch of them — how the frontier is stored, how a
-discovery folds into state, which exchange and reduction carry it — sits
-behind a frontier representation (:mod:`repro.core.frontier`) chosen from
-the state the entry point built.
+drivers such as delta-stepping SSSP all run through them.  A run's
+accounting is written once too: every program's run — the level loop's and
+each driver's (PageRank, hooking components, triangle counting) — keeps its
+communicator, records, modeled-time totals, wall phases and spans in one
+:class:`RunLedger`, and every modeled super-step ends in
+:func:`step_record`.  What differs between one source and a batch of
+them — how the frontier is stored, how a discovery folds into state, which
+exchange and reduction carry it — sits behind a frontier representation
+(:mod:`repro.core.frontier`) chosen from the state the entry point built.
 
 For mutable graphs (:mod:`repro.dynamic`) the loop accepts two extensions:
 a pre-seeded ``init`` replacing the program's ``init_state`` (the
@@ -97,7 +102,7 @@ from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
 from repro.utils.timing import TimingBreakdown, now_s
 
-__all__ = ["TraversalEngine", "DistributedBFS"]
+__all__ = ["TraversalEngine", "DistributedBFS", "RunLedger", "step_record"]
 
 #: Default lane count per batched sweep when ``run_many`` routes through the
 #: batched path; wider batches amortize better but grow the lane words.
@@ -117,6 +122,137 @@ def _plan_pulls(plan) -> int:
     """
     return sum(
         1 for gp in plan.gpu_plans for spec in gp.visits if spec.backward
+    )
+
+
+class RunLedger:
+    """One program run's accounting, shared by the level loop and the drivers.
+
+    Holds the run's :class:`~repro.cluster.comm.Communicator`, its
+    :class:`~repro.core.results.IterationRecord` list, the modeled
+    :class:`~repro.utils.timing.TimingBreakdown`, the examined-edge total
+    and the wall-clock phases of ``wall_s``.  :meth:`phase` charges one
+    phase and records its span, :meth:`step` books a finished super-step
+    (:meth:`add` books a record without a span), and :meth:`close` records
+    the ``traversal`` span and returns the result ``base`` dictionary.
+    ``plan``, ``fold`` and ``overlay`` are the coordinator's own share of a
+    step; :meth:`close` folds them into ``kernels``, which otherwise holds
+    the engine's timing of the backend's ``run_kernels`` call.
+
+    With tracing off nothing here allocates per step: span arguments are
+    built only when the tracer is enabled.
+    """
+
+    __slots__ = (
+        "program", "communicator", "records", "timing", "total_edges", "wall",
+        "started", "_tracer", "_num_directed_edges",
+    )
+
+    def __init__(self, engine: "TraversalEngine", program: str) -> None:
+        self.program = program
+        self.communicator = Communicator(engine.topology, engine.netmodel)
+        self.records: list[IterationRecord] = []
+        self.timing = TimingBreakdown()
+        self.total_edges = 0
+        self.wall = {
+            "kernels": 0.0, "plan": 0.0, "fold": 0.0, "overlay": 0.0,
+            "exchange": 0.0, "delegate_reduce": 0.0,
+        }
+        self._tracer = get_tracer()
+        self._num_directed_edges = engine.graph.num_directed_edges
+        self.started = now_s()
+
+    def phase(self, key: str, started: float, level: int = 0, span=None, plan=None) -> float:
+        """Charge the seconds since ``started`` to ``wall[key]``; returns now.
+
+        With tracing on and a ``span`` name given, that span is recorded with
+        the step's ``level`` and, given the step's ``plan``, its pull count.
+        """
+        ended = now_s()
+        self.wall[key] += ended - started
+        if span is not None and self._tracer.enabled:
+            args = {"level": level}
+            if plan is not None:
+                args["pulls"] = _plan_pulls(plan)
+            self._tracer.record_span(
+                span, cat="engine", start=started, dur=ended - started, args=args
+            )
+        return ended
+
+    def step(self, started: float, level: int, record: IterationRecord, span_args=None) -> None:
+        """Book one finished super-step that began at ``started``."""
+        if self._tracer.enabled:
+            args = {"level": level, "program": self.program}
+            if span_args:
+                args.update(span_args)
+            self._tracer.record_span(
+                "super-step", cat="engine", start=started, dur=now_s() - started, args=args
+            )
+        self.add(record)
+
+    def add(self, record: IterationRecord) -> None:
+        """Book one record (a driver's step that has no ``super-step`` span)."""
+        self.records.append(record)
+        self.total_edges += record.total_edges_examined()
+        self.timing.add(record)
+
+    def close(self, span_args=None) -> dict:
+        """End the run: the ``traversal`` span and the result ``base`` dict."""
+        wall = self.wall
+        records = self.records
+        wall["kernels"] += wall["plan"] + wall["fold"] + wall["overlay"]
+        self.timing.iterations = len(records)
+        wall["traversal"] = now_s() - self.started
+        if self._tracer.enabled:
+            args = {"program": self.program, "iterations": len(records)}
+            if span_args:
+                args.update(span_args)
+            self._tracer.record_span(
+                "traversal", cat="engine", start=self.started, dur=wall["traversal"], args=args
+            )
+        return {
+            "iterations": len(records),
+            "records": records,
+            "timing": self.timing,
+            "comm_stats": self.communicator.stats,
+            "total_edges_examined": self.total_edges,
+            "num_directed_edges": self._num_directed_edges,
+            "wall_s": wall,
+        }
+
+
+def step_record(
+    level: int, per_gpu_comp, exchange, reduce, overlap_efficiency: float,
+    normal_frontier_size: int, delegate_frontier_size: int, edges_examined: dict,
+    directions: dict, discovered: int,
+) -> IterationRecord:
+    """A super-step's modeled time (paper §VI-B) and its record.
+
+    Computation is the slowest GPU's; communication is the exchange's local
+    and remote time plus the delegate ``reduce``'s (``None`` when the step
+    needed none); an ``overlap_efficiency`` share of the shorter of the two
+    is hidden behind the other.
+    """
+    computation_s = float(max(per_gpu_comp)) if len(per_gpu_comp) else 0.0
+    reduce_local_s = reduce.local_time_s if reduce is not None else 0.0
+    remote_delegate_s = reduce.global_time_s if reduce is not None else 0.0
+    local_comm_s = exchange.local_time_s + reduce_local_s
+    remote_normal_s = exchange.remote_time_s
+    comm_total = local_comm_s + remote_normal_s + remote_delegate_s
+    overlap = overlap_efficiency * min(computation_s, comm_total)
+    return IterationRecord(
+        iteration=level,
+        normal_frontier_size=normal_frontier_size,
+        delegate_frontier_size=delegate_frontier_size,
+        edges_examined=edges_examined,
+        directions=directions,
+        discovered=discovered,
+        delegate_reduce=reduce is not None,
+        computation_s=computation_s,
+        local_communication_s=local_comm_s,
+        remote_normal_exchange_s=remote_normal_s,
+        remote_delegate_reduce_s=remote_delegate_s,
+        elapsed_s=computation_s + comm_total - overlap,
     )
 
 
@@ -399,9 +535,9 @@ class TraversalEngine:
 
         The one level loop of the engine: it owns level counting, the
         ``max_levels`` / ``max_iterations`` guards, overlay capture and
-        relaxation, backend dispatch, the ``plan+direction`` /
-        ``overlay-relax`` / ``super-step`` / ``traversal`` spans, wall-clock
-        accounting and the result ``base`` dictionary it returns.
+        relaxation and the backend call, and keeps the run's spans, wall
+        clock and result ``base`` dictionary (which it returns) in a
+        :class:`RunLedger`.
         :meth:`run` and :meth:`run_batch` build a state and call it; driver
         programs that schedule their own frontiers (delta-stepping SSSP)
         call it with two hooks:
@@ -423,7 +559,7 @@ class TraversalEngine:
         graph = self.graph
         p = graph.num_gpus
         rep = frontier_for(graph, opts, program, state)
-        communicator = Communicator(self.topology, self.netmodel)
+        ledger = RunLedger(self, program.name)
         dir_states = {
             kernel: [DirectionState(factors, enabled=rep.pull_ok) for _ in range(p)]
             for kernel, factors in (
@@ -432,24 +568,9 @@ class TraversalEngine:
                 ("dd", opts.dd_factors),
             )
         }
-
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
         level = 0
-        # Wall-clock accounting of the simulation itself (not modeled time):
-        # per-phase seconds the bench harness reads off the result.  The
-        # backend adds its kernel stage to ``kernels``; ``plan``, ``fold`` and
-        # ``overlay`` are the coordinator's own share of a step and are
-        # folded into ``kernels`` once the loop ends.
-        wall = {
-            "kernels": 0.0, "plan": 0.0, "fold": 0.0, "overlay": 0.0,
-            "exchange": 0.0, "delegate_reduce": 0.0,
-        }
         backend = self.backend
         overlay_live = overlay is not None and not overlay.empty
-        tracer = get_tracer()
-        run_started = now_s()
 
         has_work = select if select is not None else (lambda: not rep.frontier_empty())
         while has_work():
@@ -464,56 +585,20 @@ class TraversalEngine:
             rep.level = level
             if overlay_live:
                 pre_frontier = rep.capture()
-            plan_started = now_s()
-            plan = self._plan_super_step(rep, communicator, dir_states, level, wall)
-            plan_done = now_s()
-            wall["plan"] += plan_done - plan_started
-            if tracer.enabled:
-                tracer.record_span(
-                    "plan+direction", cat="engine", start=plan_started,
-                    dur=plan_done - plan_started,
-                    args={"level": level, "pulls": _plan_pulls(plan)},
-                )
-            record = backend.run_super_step(plan)
+            step_started = now_s()
+            plan, tally = self._plan_super_step(rep, dir_states, level)
+            kernels_started = ledger.phase("plan", step_started, level, "plan+direction", plan)
+            outputs = backend.run_kernels(plan)
+            fold_started = ledger.phase("kernels", kernels_started)
+            record = self._finalize_super_step(outputs, rep, ledger, level, fold_started, *tally)
             if overlay_live:
                 relax_started = now_s()
                 self._overlay_relax(rep, overlay, pre_frontier, record)
-                relax_done = now_s()
-                wall["overlay"] += relax_done - relax_started
-                if tracer.enabled:
-                    tracer.record_span(
-                        "overlay-relax", cat="engine", start=relax_started,
-                        dur=relax_done - relax_started, args={"level": level},
-                    )
-            if tracer.enabled:
-                tracer.record_span(
-                    "super-step", cat="engine", start=plan_started,
-                    dur=now_s() - plan_started,
-                    args={"level": level, "program": program.name, **rep.span_args},
-                )
+                ledger.phase("overlay", relax_started, level, "overlay-relax")
+            ledger.step(step_started, level, record, rep.span_args)
             if settle is not None:
                 settle()
-            records.append(record)
-            total_edges += record.total_edges_examined()
-            timing.add(record)
-
-        wall["kernels"] += wall["plan"] + wall["fold"] + wall["overlay"]
-        timing.iterations = len(records)
-        wall["traversal"] = now_s() - run_started
-        if tracer.enabled:
-            tracer.record_span(
-                "traversal", cat="engine", start=run_started, dur=wall["traversal"],
-                args={"program": program.name, "iterations": len(records), **rep.span_args},
-            )
-        return {
-            "iterations": len(records),
-            "records": records,
-            "timing": timing,
-            "comm_stats": communicator.stats,
-            "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
-            "wall_s": wall,
-        }
+        return ledger.close(rep.span_args)
 
     # ------------------------------------------------------------------ #
     # Overlay relaxation (mutable graphs)
@@ -565,14 +650,9 @@ class TraversalEngine:
     # One super-step
     # ------------------------------------------------------------------ #
     def _plan_super_step(
-        self,
-        rep,
-        communicator: Communicator,
-        dir_states: dict[str, list[DirectionState]],
-        level: int,
-        wall: dict,
-    ) -> SuperStepPlan:
-        """Describe one super-step as a backend-executable plan.
+        self, rep, dir_states: dict[str, list[DirectionState]], level: int
+    ) -> tuple[SuperStepPlan, tuple]:
+        """Describe one super-step's kernels as a backend-executable plan.
 
         The planning pass takes the seed engine's (stateful) per-subgraph
         direction decisions in the same order and on the same two workloads
@@ -590,9 +670,9 @@ class TraversalEngine:
         frontier rows, the dense buffers, the backward-workload estimate,
         and — only for the kernel that then pushes or pulls — the previsit-
         filtered queue or the rows still open to a pull, with the task's
-        payload.  The plan's ``finalize`` closure is the post-kernel half,
-        always run on the coordinating process, so results, counters and
-        modeled times are identical under every backend.
+        payload.  Beside the plan it returns what the walk tallied for
+        :meth:`_finalize_super_step` — the per-GPU base computation, the
+        direction counts and the two frontier sizes.
         """
         p = self.graph.num_gpus
         netmodel = self.netmodel
@@ -669,34 +749,18 @@ class TraversalEngine:
             if visits:
                 gpu_plans.append(GPUPlan(gpu=g, visits=visits, dense_local=dense_local))
 
-        def finalize(outputs: list) -> IterationRecord:
-            return self._finalize_super_step(
-                outputs,
-                rep=rep,
-                communicator=communicator,
-                level=level,
-                wall=wall,
-                base_comp=base_comp,
-                directions=directions,
-                normal_frontier_total=normal_frontier_total,
-                delegate_frontier_size=delegate_size,
-            )
-
-        return SuperStepPlan(
-            level=level,
-            gpu_plans=gpu_plans,
-            finalize=finalize,
-            wall=wall,
-            dense_delegate=rep.dense_delegate,
+        plan = SuperStepPlan(
+            level=level, gpu_plans=gpu_plans, dense_delegate=rep.dense_delegate
         )
+        return plan, (base_comp, directions, normal_frontier_total, delegate_size)
 
     def _finalize_super_step(
         self,
         outputs: list,
         rep,
-        communicator: Communicator,
+        ledger: RunLedger,
         level: int,
-        wall: dict,
+        fold_started: float,
         base_comp: list,
         directions: dict,
         normal_frontier_total: int,
@@ -708,16 +772,15 @@ class TraversalEngine:
         GPU ``g``.  A kernel without an output was an idle forward kernel:
         it still costs its launch overhead (``traversal_time(0)``), added in
         the same nn → nd → dn → dd order as a kernel that ran, and
-        contributes nothing to fold.
+        contributes nothing to fold.  Always run on the coordinating
+        process, so results, counters and modeled times are identical under
+        every backend.
         """
-        opts = self.options
         p = self.graph.num_gpus
         traversal_time = self.netmodel.traversal_time
         idle_s = traversal_time(0)
         per_gpu_comp: list[float] = []
         edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
-        tracer = get_tracer()
-        fold_started = now_s()
 
         rep.begin_fold()
         for g in range(p):
@@ -736,61 +799,21 @@ class TraversalEngine:
         # ------------------------------------------------------------------ #
         # Communication stage
         # ------------------------------------------------------------------ #
-        exchange_started = now_s()
-        wall["fold"] += exchange_started - fold_started
-        if tracer.enabled:
-            tracer.record_span(
-                "fold", cat="engine", start=fold_started,
-                dur=exchange_started - fold_started, args={"level": level},
-            )
-        exchange = rep.exchange(communicator)
+        exchange_started = ledger.phase("fold", fold_started, level, "fold")
+        exchange = rep.exchange(ledger.communicator)
         discovered = 0
         for g in range(p):
             discovered += rep.receive(g, exchange)
 
-        reduce_started = now_s()
-        wall["exchange"] += reduce_started - exchange_started
-        if tracer.enabled:
-            tracer.record_span(
-                "nn-exchange", cat="engine", start=exchange_started,
-                dur=reduce_started - exchange_started, args={"level": level},
-            )
-        reduce = rep.reduce_delegates(communicator)
-        reduce_local_s = reduce.local_time_s if reduce is not None else 0.0
-        reduce_global_s = reduce.global_time_s if reduce is not None else 0.0
+        reduce_started = ledger.phase("exchange", exchange_started, level, "nn-exchange")
+        reduce = rep.reduce_delegates(ledger.communicator)
         discovered += rep.delegate_size()
-        reduce_done = now_s()
-        wall["delegate_reduce"] += reduce_done - reduce_started
-        if tracer.enabled:
-            tracer.record_span(
-                "delegate-reduce", cat="engine", start=reduce_started,
-                dur=reduce_done - reduce_started, args={"level": level},
-            )
+        ledger.phase("delegate_reduce", reduce_started, level, "delegate-reduce")
 
-        # ------------------------------------------------------------------ #
-        # Modeled timing for this super-step
-        # ------------------------------------------------------------------ #
-        computation_s = float(max(per_gpu_comp)) if p else 0.0
-        local_comm_s = exchange.local_time_s + reduce_local_s
-        remote_normal_s = exchange.remote_time_s
-        remote_delegate_s = reduce_global_s
-        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
-        elapsed_s = computation_s + comm_total - overlap
-
-        return IterationRecord(
-            iteration=level,
-            normal_frontier_size=normal_frontier_total,
-            delegate_frontier_size=delegate_frontier_size,
-            edges_examined=edges_examined,
-            directions=directions,
-            discovered=discovered,
-            delegate_reduce=reduce is not None,
-            computation_s=computation_s,
-            local_communication_s=local_comm_s,
-            remote_normal_exchange_s=remote_normal_s,
-            remote_delegate_reduce_s=remote_delegate_s,
-            elapsed_s=elapsed_s,
+        return step_record(
+            level, per_gpu_comp, exchange, reduce, self.options.overlap_efficiency,
+            normal_frontier_total, delegate_frontier_size, edges_examined, directions,
+            discovered,
         )
 
 

@@ -398,7 +398,7 @@ class FlagFrontier:
     # ------------------------------------------------------------------ #
     def capture(self) -> list:
         """Snapshot the step's input frontier as ``(g, rows, carried)``
-        segments (finalize replaces the arrays); ``g`` is ``None`` for the
+        segments (the fold replaces the arrays); ``g`` is ``None`` for the
         delegate segment."""
         state = self.state
         segments = [

@@ -1,10 +1,12 @@
 """Pluggable execution backends for the traversal engine.
 
-The engine (:mod:`repro.core.engine`) describes each level-synchronous
-super-step as a declarative :class:`~repro.exec.plan.SuperStepPlan` — the
-per-GPU visit-kernel tasks, then the (vertex, payload) exchange and the
-delegate reduction folded behind the plan's ``finalize`` hook — and an
-:class:`~repro.exec.backend.ExecutionBackend` decides *where* it runs:
+The engine (:mod:`repro.core.engine`) describes the kernel stage of each
+level-synchronous super-step as a declarative
+:class:`~repro.exec.plan.SuperStepPlan` — the per-GPU visit-kernel tasks —
+and an :class:`~repro.exec.backend.ExecutionBackend` decides *where* it runs
+and returns the kernel outputs (``run_kernels``); the (vertex, payload)
+exchange, the delegate reduction and the program folds stay with the
+engine:
 
 * :class:`~repro.exec.backend.InlineBackend` executes every kernel task in
   the calling process, reproducing the classic single-process simulator

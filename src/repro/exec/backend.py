@@ -3,14 +3,12 @@
 An :class:`ExecutionBackend` runs :class:`~repro.exec.plan.SuperStepPlan`s
 for one partitioned graph.  The contract is deliberately small:
 
-``run_super_step(plan)``
+``run_kernels(plan)``
     Execute the plan's per-GPU kernel tasks *somehow* (that is the whole
-    point of the abstraction), account the elapsed seconds under
-    ``plan.wall["kernels"]`` and hand the outputs — one ``{kernel: output}``
-    dictionary per GPU of the graph, in GPU order, holding only the kernels
-    the plan listed (none for a GPU it did not mention) — to
-    ``plan.finalize``, returning its
-    :class:`~repro.core.results.IterationRecord`.
+    point of the abstraction) and return the outputs: one ``{kernel:
+    output}`` dictionary per GPU of the graph, in GPU order, holding only
+    the kernels the plan listed (none for a GPU it did not mention).  The
+    engine times the call and folds the outputs itself.
 ``close()``
     Release whatever the backend holds (worker pools, shared memory);
     idempotent.  Backends are context managers.
@@ -78,8 +76,8 @@ class ExecutionBackend(abc.ABC):
         self.local_steps = 0
         self.dispatched_steps = 0
 
-    def run_super_step(self, plan: SuperStepPlan):
-        """Execute one plan: kernels (timed), then the serial finalize.
+    def run_kernels(self, plan: SuperStepPlan) -> list:
+        """Execute one plan's kernel tasks; one output dict per GPU.
 
         Only GPU plans that hold a visit are executed, and a plan too small
         to amortise a dispatch (:data:`SMALL_PLAN_ROWS`) runs right here
@@ -87,11 +85,10 @@ class ExecutionBackend(abc.ABC):
         wrapped in an ``exec`` span, the plan is asked to collect per-kernel
         worker timings, and those ride back under each GPU's reserved
         ``"_spans"`` output key — drained here (per-GPU tracks,
-        ``tid = gpu + 1``) before the fold ever sees the outputs.  Wall
-        accounting is identical either way.
+        ``tid = gpu + 1``) before the outputs are returned.
         """
         tracer = get_tracer()
-        plan.collect_spans = tracer.enabled
+        tracing = plan.collect_spans = tracer.enabled
         work = [gp for gp in plan.gpu_plans if gp.visits]
         dispatched = self.dispatches and (
             sum(
@@ -101,17 +98,16 @@ class ExecutionBackend(abc.ABC):
             )
             >= SMALL_PLAN_ROWS
         )
-        started = now_s()
+        started = now_s() if tracing else 0.0
         outputs: list = [{} for _ in self.graph.gpus]
         for gpu, outs in self._dispatch(plan, work) if dispatched else self._run_here(plan, work):
             outputs[gpu] = outs
-        ended = now_s()
-        plan.wall["kernels"] += ended - started
         if dispatched:
             self.dispatched_steps += 1
         else:
             self.local_steps += 1
-        if tracer.enabled:
+        if tracing:
+            ended = now_s()
             tracer.record_span(
                 "kernels", cat="exec", start=started, dur=ended - started,
                 args={
@@ -120,7 +116,7 @@ class ExecutionBackend(abc.ABC):
                 },
             )
             self._drain_worker_spans(tracer, outputs, started, ended)
-        return plan.finalize(outputs)
+        return outputs
 
     def _drain_worker_spans(self, tracer, outputs: list, started: float, ended: float) -> None:
         """Replay each GPU's collected kernel timings into the tracer.

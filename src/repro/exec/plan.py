@@ -13,8 +13,8 @@ A plan lists work, not emptiness.  The engine emits a :class:`VisitSpec`
 only for a kernel that pulls or whose frontier has an edge to push along, and a
 :class:`GPUPlan` only for a GPU with such a kernel; a kernel the plan does
 not list is an idle forward kernel, produces no output, and is charged its
-launch overhead by ``finalize``.  Backends execute only the GPU plans that
-hold a visit.
+launch overhead by the engine's fold.  Backends execute only the GPU plans
+that hold a visit.
 
 There is one plan vocabulary for every frontier representation.  A frontier
 is either one bit per vertex (sequential programs) or one lane word row per
@@ -26,13 +26,12 @@ dense frontier buffers a backward pull tests parents against
 :func:`execute_gpu_plan` picks the kernel from the spec's own fields, so no
 backend ever asks which kind of plan it holds.
 
-The exchange and the reduction are global barriers over the kernel outputs
-and inherently involve the program's fold hooks (``visit_value`` /
-``accept`` / ``merge_remote``), so the plan carries them as one ``finalize``
-callable built by the engine: backends execute the kernel tasks however
-they like, then hand the per-GPU outputs to ``finalize``, which applies the
-program folds, routes the exchange through the :class:`Communicator`,
-performs the delegate reduction and returns the super-step's
+A plan is the parallel half of a step only.  The exchange and the reduction
+are global barriers over the kernel outputs and involve the program's fold
+hooks (``visit_value`` / ``accept`` / ``merge_remote``), so they stay with
+the engine: a backend returns the per-GPU outputs, and the engine folds them,
+routes the exchange through the :class:`Communicator`, performs the delegate
+reduction and accounts the step's
 :class:`~repro.core.results.IterationRecord`.
 
 Because the visit kernels (:mod:`repro.core.kernels`) are pure functions of
@@ -141,30 +140,24 @@ class GPUPlan:
 
 @dataclass
 class SuperStepPlan:
-    """One super-step, ready for an execution backend.
+    """The kernel stage of one super-step, ready for an execution backend.
 
-    ``gpu_plans`` is the parallel stage (pure data, one entry per GPU that
-    has a kernel to run; a GPU may be missing or hold no visit);
-    ``finalize`` is the serial stage: called once with one output dictionary
-    per GPU of the graph (kernel name → output for the kernels the plan
-    listed, in GPU order), it folds the discoveries through the frontier
-    program, runs the exchange and the delegate reduction, accounts modeled
-    time and returns the :class:`~repro.core.results.IterationRecord`.
-    ``wall`` is the run's wall-clock phase accumulator; backends add their
-    kernel-stage seconds to ``wall["kernels"]``.
+    ``gpu_plans`` is pure data, one entry per GPU that has a kernel to run (a
+    GPU may be missing or hold no visit); a backend's
+    :meth:`~repro.exec.backend.ExecutionBackend.run_kernels` returns one
+    output dictionary per GPU of the graph (kernel name → output for the
+    kernels the plan listed, in GPU order).
     """
 
     level: int
     gpu_plans: list
-    finalize: Callable[[list], object]
-    wall: dict
     #: Replicated dense delegate frontier: ``bool`` flags of size ``d``, or
     #: ``(d, nwords)`` ``uint64`` lane words on lane-word plans.
     dense_delegate: np.ndarray
     #: When ``True`` (set by the backend iff tracing is enabled) every
     #: per-GPU execution records its kernel timings under the reserved
     #: ``"_spans"`` output key, which the backend pops and replays into the
-    #: tracer before ``finalize`` runs.  Folding code accesses outputs
+    #: tracer before it returns the outputs.  Folding code accesses outputs
     #: strictly by kernel key, so the extra entry is invisible to it.
     collect_spans: bool = False
 
@@ -236,7 +229,7 @@ def worker_spans(outputs: dict) -> dict | None:
 
     Returns ``{"base": <worker clock at loop start>, "spans": [(cat, name,
     rel_start_s, dur_s), ...]}`` or ``None`` when the execution did not
-    collect spans.  Backends call this before handing outputs to
-    ``finalize`` so the fold never sees the reserved key.
+    collect spans.  Backends call this before returning the outputs, so the
+    fold never sees the reserved key.
     """
     return outputs.pop("_spans", None)

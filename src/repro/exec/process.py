@@ -10,7 +10,7 @@ Design notes:
 * **The pool is persistent and process-global.**  Worker startup is paid
   once per interpreter, not per engine: every :class:`ProcessBackend`
   instance (there can be many — each engine owns one) dispatches into the
-  same pool, keyed by (start method, worker count).  ``atexit`` tears the
+  same pool, keyed by worker count.  ``atexit`` tears the
   pools down.
 * **Graph data crosses the process boundary through shared memory, not
   pickles.**  Each backend exports its graph's CSR subgraphs once into a
@@ -62,26 +62,13 @@ __all__ = ["ProcessBackend", "shutdown_pools"]
 #: and a wider pool only shreds caches.
 MAX_WORKERS = 8
 
-#: Environment override for the multiprocessing start method.
-START_METHOD_ENV = "REPRO_MP_START"
-
 #: Seconds between a waiting dispatch's checks that its workers are alive.
 LIVENESS_POLL_S = 0.1
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    override = os.environ.get(START_METHOD_ENV, "").strip()
-    if override:
-        if override not in methods:
-            raise ValueError(
-                f"{START_METHOD_ENV}={override!r} is not available here; "
-                f"choose one of {methods}"
-            )
-        return override
-    # fork makes worker startup (and spawn-free numpy import) essentially
-    # free on Linux; platforms without it fall back to spawn.
-    return "fork" if "fork" in methods else "spawn"
+#: How pool workers start: fork makes worker startup (and spawn-free numpy
+#: import) essentially free on Linux; platforms without it can only spawn.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 # --------------------------------------------------------------------------- #
@@ -160,13 +147,12 @@ def _run_task(task: _Task):
 _POOLS: dict = {}
 
 
-def _get_pool(method: str, workers: int):
-    key = (method, workers)
-    pool = _POOLS.get(key)
+def _get_pool(workers: int):
+    pool = _POOLS.get(workers)
     if pool is None:
-        context = multiprocessing.get_context(method)
+        context = multiprocessing.get_context(START_METHOD)
         pool = context.Pool(processes=workers, initializer=_init_worker)
-        _POOLS[key] = pool
+        _POOLS[workers] = pool
     return pool
 
 
@@ -190,17 +176,14 @@ class ProcessBackend(ExecutionBackend):
         The partitioned graph whose CSR buffers to export to shared memory.
     workers:
         Pool width; defaults to ``min(num_gpus, cpu_count, 8)``.
-    start_method:
-        Multiprocessing start method; defaults to ``fork`` where available
-        (or the ``REPRO_MP_START`` environment override).
+
+    Workers start with :data:`START_METHOD`.
     """
 
     name = "process"
     dispatches = True
 
-    def __init__(
-        self, graph, workers: int | None = None, start_method: str | None = None
-    ) -> None:
+    def __init__(self, graph, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(graph)
@@ -210,18 +193,17 @@ class ProcessBackend(ExecutionBackend):
             if workers is not None
             else max(1, min(graph.num_gpus or 1, cpu, MAX_WORKERS))
         )
-        self.start_method = start_method or _default_start_method()
-        _get_pool(self.start_method, self.workers)
+        _get_pool(self.workers)
         self.store = SharedGraphStore(graph)
         self._closed = False
         # Safety net for engines that never call close(): unlink the shared
         # segments when the backend is garbage collected.
         self._finalizer = weakref.finalize(self, self.store.close)
 
-    def run_super_step(self, plan: SuperStepPlan):
+    def run_kernels(self, plan: SuperStepPlan) -> list:
         if self._closed:
             raise RuntimeError("ProcessBackend is closed")
-        return super().run_super_step(plan)
+        return super().run_kernels(plan)
 
     def _dispatch(self, plan: SuperStepPlan, work: list) -> list:
         store = self.store
@@ -243,7 +225,7 @@ class ProcessBackend(ExecutionBackend):
         # One task per GPU: per-GPU work is heterogeneous (delegate-heavy
         # GPUs do more), so let idle workers steal instead of pre-binning.
         # Each result names its GPU, so placement never relies on task order.
-        pool = _get_pool(self.start_method, self.workers)
+        pool = _get_pool(self.workers)
         # The pool's own process list: it replaces a dead worker there, so
         # the workers this dispatch started with are kept to watch.
         workers = list(pool._pool)
@@ -254,7 +236,7 @@ class ProcessBackend(ExecutionBackend):
                 if not result.ready() and any(w.exitcode is not None for w in workers):
                     lost = [task.gpu for task, r in zip(tasks, pending) if not r.ready()]
                     # The pool is broken: the next backend gets a new one.
-                    _POOLS.pop((self.start_method, self.workers), None)
+                    _POOLS.pop(self.workers, None)
                     pool.terminate()
                     pool.join()
                     self.close()
@@ -273,7 +255,4 @@ class ProcessBackend(ExecutionBackend):
         self.store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProcessBackend(workers={self.workers}, "
-            f"start_method={self.start_method!r})"
-        )
+        return f"ProcessBackend(workers={self.workers})"

@@ -17,7 +17,7 @@ Two recording styles coexist:
     and exit.
 ``tracer.record_span("request", cat="cluster", start=at_ms, dur=..., unit="ms")``
     Explicit-timestamp spans for call sites that already hold their own
-    timings — the engine's finalize phases reuse the perf counters they
+    timings — the engine's step phases reuse the perf counters they
     charge wall time with, and the virtual-clock serving tier records spans
     in *virtual milliseconds* read from its event loop, keeping cluster
     traces bit-deterministic.

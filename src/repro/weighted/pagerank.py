@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.comm import Communicator
+from repro.core.engine import RunLedger, step_record
 from repro.core.results import IterationRecord
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
-from repro.obs.tracer import get_tracer
-from repro.utils.timing import TimingBreakdown, now_s
+from repro.utils.timing import now_s
 from repro.weighted.results import PageRankResult
 
 __all__ = ["PageRank", "SCALE", "DAMP_DEN", "damped"]
@@ -59,8 +58,19 @@ class PageRank:
 
     The engine dispatches to :meth:`drive`, which owns the outer loop:
     each round it plans one contribution super-step (a ``contrib_visit``
-    task per subgraph kernel), hands it to the engine's backend, folds
-    the received mass with integer adds, and updates the rank vector.
+    task per subgraph kernel), has the engine's backend run its kernels,
+    folds the received mass with integer adds, and updates the rank vector.
+    The run's accounting is the engine's :class:`~repro.core.engine.RunLedger`
+    and each step's modeled time comes from
+    :func:`~repro.core.engine.step_record`.
+
+    The plan walk and its charging rules are PageRank's own, not the
+    engine's: a GPU's base cost is ``filter_time(2 * queued)``, a kernel with
+    nothing queued is not charged, overlay mass is charged to GPU 0's
+    computation and ``discovered`` counts the vertices that received mass.
+    They define PageRank's modeled time, which the ``pagerank_*`` CLI goldens
+    and the ``pagerank-rmat14-fixed`` baseline record pin, so moving PageRank
+    onto the engine's walk would move ``modeled_ms``.
 
     Parameters
     ----------
@@ -140,13 +150,7 @@ class PageRank:
         nz = outdeg > 0
 
         teleport = np.int64((SCALE - int(damped(SCALE, self.damp_num))) // n)
-        communicator = Communicator(engine.topology, engine.netmodel)
-
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
-        run_started = now_s()
+        ledger = RunLedger(engine, self.name)
 
         if self.mode == "fixed":
             r = np.full(n, SCALE // n, dtype=np.int64)
@@ -155,13 +159,8 @@ class PageRank:
                 contrib = np.zeros(n, dtype=np.int64)
                 contrib[nz] = dr[nz] // outdeg[nz]
                 dangling = int(dr[~nz].sum())
-                recv, record = self._sweep(
-                    engine, communicator, sweep, contrib, nz, o_src, o_dst, wall
-                )
+                recv = self._sweep(engine, ledger, sweep, contrib, nz, o_src, o_dst)
                 r = teleport + recv + np.int64(dangling // n)
-                records.append(record)
-                timing.add(record)
-                total_edges += record.total_edges_examined()
         else:
             eps_scaled = max(1, int(round(self.eps * SCALE)))
             r = np.full(n, teleport, dtype=np.int64)
@@ -184,40 +183,17 @@ class PageRank:
                     )
                 contrib = np.where(active, resid, np.int64(0))
                 dangling = int(resid[active_dangling].sum())
-                recv, record = self._sweep(
-                    engine, communicator, sweep, contrib, active, o_src, o_dst, wall
-                )
+                recv = self._sweep(engine, ledger, sweep, contrib, active, o_src, o_dst)
                 pushed[active] = want[active]
                 pushed[active_dangling] = want[active_dangling]
                 r = r + recv + np.int64(dangling // n)
-                records.append(record)
-                timing.add(record)
-                total_edges += record.total_edges_examined()
 
-        timing.iterations = len(records)
-        wall["traversal"] = now_s() - run_started
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.record_span(
-                "traversal", cat="engine", start=run_started,
-                dur=wall["traversal"],
-                args={"program": self.name, "iterations": len(records)},
-            )
-        base = {
-            "iterations": len(records),
-            "records": records,
-            "timing": timing,
-            "comm_stats": communicator.stats,
-            "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
-            "wall_s": wall,
-        }
         return PageRankResult(
             damping=self.damping,
             mode=self.mode,
             scale=SCALE,
             ranks=r,
-            **base,
+            **ledger.close(),
         )
 
     # ------------------------------------------------------------------ #
@@ -226,21 +202,19 @@ class PageRank:
     def _sweep(
         self,
         engine,
-        communicator: Communicator,
+        ledger: RunLedger,
         level: int,
         contrib: np.ndarray,
         active: np.ndarray,
         o_src: np.ndarray,
         o_dst: np.ndarray,
-        wall: dict,
-    ) -> tuple[np.ndarray, IterationRecord]:
+    ) -> np.ndarray:
         """Scatter ``contrib`` along the active vertices' out-edges.
 
-        Returns the per-vertex received mass (an exact integer sum over
-        incoming edges, backend-invariant) and the step's counter record.
+        Books the step in ``ledger`` and returns the per-vertex received
+        mass (an exact integer sum over incoming edges, backend-invariant).
         """
         graph = engine.graph
-        opts = engine.options
         netmodel = engine.netmodel
         p = graph.num_gpus
         d = graph.num_delegates
@@ -296,59 +270,38 @@ class PageRank:
             active_total += queued
             gpu_plans.append(GPUPlan(gpu=g, visits=visits))
 
-        def finalize(outputs: list) -> IterationRecord:
-            return self._finalize_sweep(
-                outputs,
-                engine=engine,
-                communicator=communicator,
-                level=level,
-                contrib=contrib,
-                active=active,
-                o_src=o_src,
-                o_dst=o_dst,
-                wall=wall,
-                base_comp=base_comp,
-                active_total=active_total,
-                active_delegates=active_delegates,
-                holder=holder,
-            )
-
-        holder: dict = {}
         plan = SuperStepPlan(
             level=level,
             gpu_plans=gpu_plans,
-            finalize=finalize,
-            wall=wall,
             # Contribution sweeps never pull; the buffer is only published.
             dense_delegate=np.zeros(d, dtype=bool),
         )
-        wall["kernels"] += now_s() - plan_started
-        record = engine.backend.run_super_step(plan)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.record_span(
-                "super-step", cat="engine", start=plan_started,
-                dur=now_s() - plan_started,
-                args={"level": level, "program": self.name},
-            )
-        return holder["recv"], record
+        kernels_started = ledger.phase("plan", plan_started)
+        outputs = engine.backend.run_kernels(plan)
+        fold_started = ledger.phase("kernels", kernels_started)
+        recv, record = self._finalize_sweep(
+            outputs, engine, ledger, level, fold_started, contrib, active, o_src, o_dst,
+            base_comp, active_total, active_delegates,
+        )
+        ledger.step(plan_started, level, record)
+        return recv
 
     def _finalize_sweep(
         self,
         outputs: list,
         engine,
-        communicator: Communicator,
+        ledger: RunLedger,
         level: int,
+        fold_started: float,
         contrib: np.ndarray,
         active: np.ndarray,
         o_src: np.ndarray,
         o_dst: np.ndarray,
-        wall: dict,
         base_comp: np.ndarray,
         active_total: int,
         active_delegates: int,
-        holder: dict,
-    ) -> IterationRecord:
+    ) -> tuple[np.ndarray, IterationRecord]:
+        """Fold the sweep's outputs, exchange, reduce: received mass and record."""
         graph = engine.graph
         opts = engine.options
         netmodel = engine.netmodel
@@ -365,7 +318,6 @@ class PageRank:
         nn_payloads: list[np.ndarray] = []
         per_gpu_comp = base_comp.copy()
         edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
-        fold_started = now_s()
 
         empty_i64 = np.zeros(0, dtype=np.int64)
         for g in range(p):
@@ -397,15 +349,8 @@ class PageRank:
                     edges_examined[kernel] += out.edges_examined
                     np.add.at(delegate_accum[g], out.discovered, out.values)
 
-        tracer = get_tracer()
-        exchange_started = now_s()
-        wall["kernels"] += exchange_started - fold_started
-        if tracer.enabled:
-            tracer.record_span(
-                "fold", cat="engine", start=fold_started,
-                dur=exchange_started - fold_started, args={"level": level},
-            )
-        exchange = communicator.exchange(
+        exchange_started = ledger.phase("fold", fold_started, level, "fold")
+        exchange = ledger.communicator.exchange(
             nn_outboxes,
             local_all2all=opts.local_all2all,
             uniquify=opts.uniquify,
@@ -418,39 +363,21 @@ class PageRank:
             if inbox.size:
                 np.add.at(local_accum[g], inbox, exchange.payload_inboxes[g])
 
-        reduce_started = now_s()
-        wall["exchange"] += reduce_started - exchange_started
-        if tracer.enabled:
-            tracer.record_span(
-                "nn-exchange", cat="engine", start=exchange_started,
-                dur=reduce_started - exchange_started, args={"level": level},
-            )
-        reduce_local_s = 0.0
-        reduce_global_s = 0.0
-        merged = None
-        delegate_reduce_needed = d > 0 and any(a.any() for a in delegate_accum)
-        if delegate_reduce_needed:
-            vreduce = communicator.allreduce(
+        reduce_started = ledger.phase("exchange", exchange_started, level, "nn-exchange")
+        reduce = None
+        if d > 0 and any(a.any() for a in delegate_accum):
+            reduce = ledger.communicator.allreduce(
                 delegate_accum, blocking=opts.blocking_reduce, combine=np.add
             )
-            merged = vreduce.merged
-            reduce_local_s = vreduce.local_time_s
-            reduce_global_s = vreduce.global_time_s
-        reduce_done = now_s()
-        wall["delegate_reduce"] += reduce_done - reduce_started
-        if tracer.enabled:
-            tracer.record_span(
-                "delegate-reduce", cat="engine", start=reduce_started,
-                dur=reduce_done - reduce_started, args={"level": level},
-            )
+        ledger.phase("delegate_reduce", reduce_started, level, "delegate-reduce")
 
         # Assemble the global received-mass vector.  Ownership is disjoint;
         # mass for delegate vertices arrives only through the nd/dd reduce.
         recv = np.zeros(n, dtype=np.int64)
         for g in range(p):
             recv[graph.gpus[g].owned_global_ids()] = local_accum[g]
-        if merged is not None:
-            recv[dv] += merged
+        if reduce is not None:
+            recv[dv] += reduce.merged
 
         # Overlay edges (not yet compacted into the CSR) relax on the
         # coordinator so every backend sees the union graph.
@@ -464,27 +391,8 @@ class PageRank:
                     overlay_edges, backward=False
                 )
                 edges_examined["overlay"] = overlay_edges
-        holder["recv"] = recv
-
-        computation_s = float(per_gpu_comp.max()) if p else 0.0
-        local_comm_s = exchange.local_time_s + reduce_local_s
-        remote_normal_s = exchange.remote_time_s
-        remote_delegate_s = reduce_global_s
-        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
-        elapsed_s = computation_s + comm_total - overlap
-
-        return IterationRecord(
-            iteration=level,
-            normal_frontier_size=active_total,
-            delegate_frontier_size=active_delegates,
-            edges_examined=edges_examined,
-            directions={"nd": 0, "dn": 0, "dd": 0},
-            discovered=int(np.count_nonzero(recv)),
-            delegate_reduce=delegate_reduce_needed,
-            computation_s=computation_s,
-            local_communication_s=local_comm_s,
-            remote_normal_exchange_s=remote_normal_s,
-            remote_delegate_reduce_s=remote_delegate_s,
-            elapsed_s=elapsed_s,
+        return recv, step_record(
+            level, per_gpu_comp, exchange, reduce, opts.overlap_efficiency,
+            active_total, active_delegates, edges_examined, {"nd": 0, "dn": 0, "dd": 0},
+            int(np.count_nonzero(recv)),
         )

@@ -126,8 +126,10 @@ class DeltaSteppingSSSP(BellmanFordSSSP):
     before each phase it installs the lowest-bucket subset of the pending
     set as the frontier, the engine runs one standard super-step, and
     afterwards the changed vertices return to the pending set.  Counters,
-    modeled time, spans and overlay semantics are exactly the
-    per-super-step engine machinery.
+    modeled time, spans, overlay semantics and the run's accounting (the
+    step loop's :class:`~repro.core.engine.RunLedger`) are exactly the
+    per-super-step engine machinery, so this driver keeps no ledger of
+    its own.
     """
 
     name = "sssp-delta"

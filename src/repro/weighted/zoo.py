@@ -14,20 +14,21 @@ tier) and run dense array passes on the coordinator:
 * :class:`TriangleCount` — exact global and per-vertex triangle counts
   via rank-ordered wedge checks, with bounded-memory chunking.
 
-Both drivers synthesize the standard counter records so bench harnesses
-and result plumbing treat them like any engine traversal, and both fold
-a live overlay (not-yet-compacted insertions) into the edge list so
-mutable graphs see the union graph.
+Both drivers synthesize the standard counter records, kept in the engine's
+:class:`~repro.core.engine.RunLedger`, so bench harnesses, traces and
+result plumbing treat them like any engine traversal, and both fold a live
+overlay (not-yet-compacted insertions) into the edge list so mutable graphs
+see the union graph.  Their whole run is coordinator work, charged to the
+``kernels`` wall phase.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.comm import Communicator
+from repro.core.engine import RunLedger
 from repro.core.results import IterationRecord
 from repro.utils.sorting import sorted_unique
-from repro.utils.timing import TimingBreakdown, now_s
 from repro.weighted.results import HookingResult, TriangleCountResult
 
 __all__ = ["edges_from_partitions", "ComponentsHooking", "TriangleCount"]
@@ -117,15 +118,11 @@ class ComponentsHooking:
         netmodel = engine.netmodel
         opts = engine.options
         n = graph.num_vertices
-        run_started = now_s()
+        ledger = RunLedger(engine, self.name)
         src, dst, _ = edges_from_partitions(graph)
         src, dst, _overlay_edges = _with_overlay(src, dst, overlay)
         m = int(src.size)
 
-        communicator = Communicator(engine.topology, engine.netmodel)
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
         total_jumps = 0
         labels = np.arange(n, dtype=np.int64)
         level = 0
@@ -150,7 +147,7 @@ class ComponentsHooking:
             comp = netmodel.iteration_overhead() + netmodel.traversal_time(
                 examined, backward=False
             )
-            records.append(
+            ledger.add(
                 IterationRecord(
                     iteration=level,
                     normal_frontier_size=changed,
@@ -162,30 +159,13 @@ class ComponentsHooking:
                     elapsed_s=comp,
                 )
             )
-            total_edges += examined
             total_jumps += jumps
-            timing.computation += comp * 1e3
-            timing.elapsed_ms += comp * 1e3
-            timing.per_iteration.append(records[-1])
             if changed == 0:
                 break
             labels = new
 
-        timing.iterations = len(records)
-        wall = {"kernels": now_s() - run_started, "exchange": 0.0,
-                "delegate_reduce": 0.0}
-        wall["traversal"] = wall["kernels"]
-        return HookingResult(
-            labels=labels,
-            jump_passes=total_jumps,
-            iterations=len(records),
-            records=records,
-            timing=timing,
-            comm_stats=communicator.stats,
-            total_edges_examined=total_edges,
-            num_directed_edges=graph.num_directed_edges,
-            wall_s=wall,
-        )
+        ledger.phase("kernels", ledger.started)
+        return HookingResult(labels=labels, jump_passes=total_jumps, **ledger.close())
 
 
 class TriangleCount:
@@ -212,7 +192,7 @@ class TriangleCount:
         graph = engine.graph
         netmodel = engine.netmodel
         n = graph.num_vertices
-        run_started = now_s()
+        ledger = RunLedger(engine, self.name)
         src, dst, _ = edges_from_partitions(graph)
         src, dst, _overlay_edges = _with_overlay(src, dst, overlay)
 
@@ -312,23 +292,8 @@ class TriangleCount:
             computation_s=comp,
             elapsed_s=comp,
         )
-        timing = TimingBreakdown()
-        timing.computation = comp * 1e3
-        timing.elapsed_ms = comp * 1e3
-        timing.iterations = 1
-        timing.per_iteration.append(record)
-        communicator = Communicator(engine.topology, engine.netmodel)
-        wall = {"kernels": now_s() - run_started, "exchange": 0.0,
-                "delegate_reduce": 0.0}
-        wall["traversal"] = wall["kernels"]
+        ledger.add(record)
+        ledger.phase("kernels", ledger.started)
         return TriangleCountResult(
-            triangles=triangles,
-            per_vertex=per_vertex,
-            iterations=1,
-            records=[record],
-            timing=timing,
-            comm_stats=communicator.stats,
-            total_edges_examined=total_pairs,
-            num_directed_edges=graph.num_directed_edges,
-            wall_s=wall,
+            triangles=triangles, per_vertex=per_vertex, **ledger.close()
         )

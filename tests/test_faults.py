@@ -44,7 +44,7 @@ def dying(gpu_plan, *args, **kwargs):
 
 process.execute_gpu_plan = dying  # the fork pool below inherits it
 graph = build_partitions(generate_rmat(8, rng=3), ClusterLayout(num_ranks=2, gpus_per_rank=2), 4)
-backend = process.ProcessBackend(graph, workers=2, start_method="fork")
+backend = process.ProcessBackend(graph, workers=2)  # fork, where offered
 engine = TraversalEngine(graph, backend=backend)
 started = time.perf_counter()
 try:

@@ -27,6 +27,7 @@ from repro.bench.runner import run_suite
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
 from repro.core.programs import BatchedBFSLevels, BFSLevels
+from repro.core.programs.table import PROGRAM_TABLE, make_program
 from repro.graph.rmat import generate_rmat
 from repro.obs import (
     NULL_TRACER,
@@ -255,6 +256,35 @@ class TestTraceInvariance:
             assert plan["args"]["level"] == step["args"]["level"]
             assert step["ts"] <= plan["ts"]
             assert plan["ts"] + plan["dur"] <= step["ts"] + step["dur"]
+
+    @pytest.mark.parametrize("name", list(PROGRAM_TABLE))
+    def test_every_program_accounts_its_run_once(self, name):
+        """Every program's run — the level loop's and each driver's — records
+        one ``traversal`` span and the same seven ``wall_s`` keys, and
+        tracing it changes no counter."""
+        edges = generate_rmat(9, rng=5, weights_seed=3)
+        program = make_program(name, 1, **({"max_hops": 2} if name == "khop" else {}))
+        with TraversalEngine(build_partitions(edges, LAYOUT, 32)) as engine:
+            untraced = engine.run(program)
+            tracer = Tracer()
+            previous = set_tracer(tracer)
+            try:
+                traced = engine.run(program)
+            finally:
+                set_tracer(previous)
+        (span,) = [e for e in tracer.events if e["name"] == "traversal"]
+        assert span["cat"] == "engine"
+        assert span["args"]["program"] == program.name
+        assert span["args"]["iterations"] == traced.iterations
+        keys = {"kernels", "plan", "fold", "overlay", "exchange", "delegate_reduce", "traversal"}
+        assert set(traced.wall_s) == set(untraced.wall_s) == keys
+        assert traced.iterations == untraced.iterations
+        assert traced.total_edges_examined == untraced.total_edges_examined
+        assert traced.workload_by_kernel() == untraced.workload_by_kernel()
+        assert traced.comm_stats.as_dict() == untraced.comm_stats.as_dict()
+        assert traced.timing.elapsed_ms == untraced.timing.elapsed_ms
+        for field in type(traced).answer_fields:
+            np.testing.assert_array_equal(getattr(traced, field), getattr(untraced, field))
 
     def test_disabled_tracing_records_nothing(self, inv_graphs):
         assert get_tracer() is NULL_TRACER

@@ -69,7 +69,7 @@ def test_a_queue_is_built_only_for_a_kernel_that_pushes(fixtures, case):
 
     def checked_plan(self, *args):
         del built[:]
-        plan = plan_super_step(self, *args)
+        plan, tally = plan_super_step(self, *args)
         listed = [
             (spec.kernel, gpu_plan.gpu, spec.backward)
             for gpu_plan in plan.gpu_plans
@@ -84,7 +84,7 @@ def test_a_queue_is_built_only_for_a_kernel_that_pushes(fixtures, case):
         steps["plans"] += 1
         steps["pulls"] += len(pulling)
         steps["pushes"] += len(forward)
-        return plan
+        return plan, tally
 
     with spy_on(FlagFrontier), spy_on(LaneFrontier), mock.patch.object(
         TraversalEngine, "_plan_super_step", checked_plan

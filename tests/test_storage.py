@@ -319,11 +319,8 @@ class TestDecodeAtPlanBoundary:
                     gpu_plan, lambda g, name: getattr(raw.gpus[g], name), dense
                 )
                 before = len(tracer.events)
-                plan = SuperStepPlan(
-                    level=0, gpu_plans=[gpu_plan], finalize=lambda outputs: outputs,
-                    wall={"kernels": 0.0}, dense_delegate=dense,
-                )
-                outputs = engine_backend.run_super_step(plan)
+                plan = SuperStepPlan(level=0, gpu_plans=[gpu_plan], dense_delegate=dense)
+                outputs = engine_backend.run_kernels(plan)
                 _assert_outputs_equal(expected, outputs[0])
                 decodes = [
                     e for e in tracer.events[before:] if e["name"] == "lazy-decode"
