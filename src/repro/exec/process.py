@@ -13,13 +13,16 @@ Design notes:
   same pool, keyed by worker count.  ``atexit`` tears the
   pools down.
 * **Graph data crosses the process boundary through shared memory, not
-  pickles.**  Each backend exports its graph's CSR subgraphs once into a
-  :class:`~repro.exec.shm.SharedGraphStore`; the per-step dense frontier
-  buffers (flags or lane words — the store does not care which) are
-  rewritten in place before each dispatch.  Tasks carry only queues,
-  candidate sets and small descriptors; workers attach lazily and cache
-  attachments, so steady-state IPC is the frontier in and the discoveries
-  out.
+  pickles.**  Each backend hands its graph to a
+  :class:`~repro.exec.shm.SharedGraphStore`, which exports a memory graph's
+  CSR subgraphs once in the store layout (a store-backed graph's stay in
+  its ``graph.bin``) and pickles the graph's descriptor table once into
+  shared memory; the per-step dense frontier buffers (flags or lane words —
+  the store does not care which) are rewritten in place before each
+  dispatch.  Tasks carry only queues, candidate sets, segment names and the
+  table's offset; a worker unpickles the table the first time it sees a
+  graph and caches its views, so steady-state IPC is the frontier in and
+  the discoveries out.
 * **A worker that dies mid-step ends the run in an error, not a hang.**
   ``multiprocessing.Pool`` replaces a dead worker but loses its task, so a
   dispatch waits with a liveness poll: when a worker it started with has
@@ -115,7 +118,7 @@ class _Task(NamedTuple):
 
     gpu: int
     visits: list
-    graph: dict  #: SharedGraphStore.graph_descriptor
+    graph: tuple  #: SharedGraphStore.graph_descriptor
     dense: tuple  #: SharedGraphStore.publish_dense(...) descriptor
     has_local: bool  #: whether this GPU's own dense buffer was published
     collect_spans: bool
@@ -173,7 +176,9 @@ class ProcessBackend(ExecutionBackend):
     Parameters
     ----------
     graph:
-        The partitioned graph whose CSR buffers to export to shared memory.
+        The partitioned graph whose CSR subgraphs the workers read: a memory
+        graph's are exported to shared memory, a store-backed graph's are
+        mapped from its store.
     workers:
         Pool width; defaults to ``min(num_gpus, cpu_count, 8)``.
 

@@ -16,10 +16,15 @@ the very data the pool exists to avoid copying, so
 (:mod:`multiprocessing.shared_memory`): the graph is exported once at
 backend construction, the dense-frontier scratch is rewritten in place by the
 coordinator before each dispatch (the pool barrier orders the writes
-against the reads), and tasks carry only a small descriptor of names and
-offsets.  Workers attach lazily and cache their attachments, so after the
-first task per graph a worker reads everything through plain ``numpy``
-views at memory speed.
+against the reads), and tasks carry only segment names.
+
+The graph goes in the store layout (:mod:`repro.storage.segments`): a
+memory graph's subgraph arrays are packed into one segment, while a
+store-backed graph's stay in its ``graph.bin``, which workers map by its
+``file://`` name.  Either way the graph's descriptor is pickled once, into
+the backend's own segment, and a task names the arrays' segment and where
+that pickled table lies; a worker unpickles it only the first time it sees
+the graph, then reads through plain ``numpy`` views at memory speed.
 
 All offsets are 8-byte aligned so the views are aligned for every dtype
 involved (``int64`` offsets, ``int32``/``int64`` columns, ``uint64`` lane
@@ -29,69 +34,57 @@ words, ``bool`` flags).
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import secrets
 from collections import OrderedDict
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.storage.segments import (
+    CSR_KEYS,
+    FILE_SEGMENT_PREFIX,
+    csr_arrays,
+    file_segment_name,
+    load_csr,
+    pack_arrays,
+)
 
 __all__ = [
     "SharedGraphStore",
     "SegmentCache",
     "csrs_from_descriptor",
     "dense_views_from_descriptor",
-    "csr_view",
 ]
-
-#: Subgraph attributes exported per GPU, in a fixed order.
-CSR_KEYS = ("nn", "nd", "dn", "dd")
 
 
 def _align(offset: int, alignment: int = 8) -> int:
     return (offset + alignment - 1) & ~(alignment - 1)
 
 
-def csr_view(
-    row_offsets: np.ndarray,
-    column_indices: np.ndarray,
-    num_rows: int,
-    num_cols: int,
-    edge_weights: np.ndarray | None = None,
-) -> CSRGraph:
-    """A :class:`CSRGraph` over existing buffers, skipping re-validation.
-
-    The arrays were validated when the partition was built; re-running the
-    O(edges) checks on every worker attach would only burn the memory
-    bandwidth the shared mapping saves.
-    """
-    csr = object.__new__(CSRGraph)
-    csr.row_offsets = row_offsets
-    csr.column_indices = column_indices
-    csr.num_rows = int(num_rows)
-    csr.num_cols = int(num_cols)
-    csr.edge_weights = edge_weights
-    return csr
-
-
 class FileSegment:
     """A memory-mapped file posing as a shared-memory segment.
 
     Graph stores (:mod:`repro.storage.segments`) are addressed with
-    ``file://<path>`` segment names; attaching maps the file read-only and
-    exposes the same ``buf``/``close`` surface
+    ``file://<path>#<identity>`` segment names
+    (:func:`~repro.storage.segments.file_segment_name`); attaching maps the
+    file read-only and exposes the same ``buf``/``close`` surface
     :class:`multiprocessing.shared_memory.SharedMemory` has, so the cache,
-    view building and eviction logic need no storage-specific branches.
+    view building and eviction logic need no storage-specific branches.  A
+    file whose identity no longer matches its name is refused: the store was
+    rebuilt since the graph naming it was loaded.
     """
 
-    def __init__(self, path: str) -> None:
-        import mmap as _mmap
-
+    def __init__(self, name: str) -> None:
+        path = name[len(FILE_SEGMENT_PREFIX) :].rpartition("#")[0]
         self._file = open(path, "rb")
-        import os as _os
-
-        size = _os.fstat(self._file.fileno()).st_size
-        self._mm = _mmap.mmap(self._file.fileno(), size, access=_mmap.ACCESS_READ)
+        stat = os.fstat(self._file.fileno())
+        if file_segment_name(path, stat) != name:
+            self._file.close()
+            raise ValueError(f"graph store file {path} changed since its graph was loaded")
+        self._mm = mmap.mmap(self._file.fileno(), stat.st_size, access=mmap.ACCESS_READ)
         self.buf = memoryview(self._mm)
 
     def close(self) -> None:
@@ -99,9 +92,6 @@ class FileSegment:
         self._mm.close()
         self._file.close()
 
-
-#: Prefix marking a segment name as a file path rather than POSIX shm.
-FILE_SEGMENT_PREFIX = "file://"
 
 
 class SegmentCache:
@@ -127,7 +117,7 @@ class SegmentCache:
             self._segments.move_to_end(name)
             return segment
         if name.startswith(FILE_SEGMENT_PREFIX):
-            segment = FileSegment(name[len(FILE_SEGMENT_PREFIX) :])
+            segment = FileSegment(name)
         else:
             segment = shared_memory.SharedMemory(name=name)
         self._segments[name] = segment
@@ -157,9 +147,15 @@ class SegmentCache:
         return view.reshape(shape)
 
 
-def csrs_from_descriptor(cache: SegmentCache, descriptor: dict) -> dict:
-    """Materialise ``{(gpu, key): CSRGraph}`` views from a graph descriptor."""
-    name = descriptor["segment"]
+def csrs_from_descriptor(cache: SegmentCache, descriptor: tuple) -> dict:
+    """Materialise ``{(gpu, key): CSR}`` views from a task's graph descriptor.
+
+    ``descriptor`` is :attr:`SharedGraphStore.graph_descriptor`: the segment
+    holding the subgraph arrays, then the segment and offset of the pickled
+    ``{"segment", "arrays", "csrs"}`` table.  The views are built once per
+    arrays segment and cached beside it.
+    """
+    name, table_segment, table_offset = descriptor
     built = cache.derived.get(name)
     if built is not None:
         # Mark the backing segment hot: the derived fast path bypasses
@@ -168,39 +164,13 @@ def csrs_from_descriptor(cache: SegmentCache, descriptor: dict) -> dict:
         # while this very task still reads them.
         cache.touch(name)
         return built
-    csrs: dict = {}
-    for (gpu, key), entry in descriptor["csrs"].items():
-        if entry[0] == "z":
-            # Compressed store entry: varint payload + byte offsets in place
-            # of a raw column array (see repro.storage.segments).  Weighted
-            # entries append the raw weight-array offset.
-            from repro.storage.codec import CompressedCSR
-
-            _, ro_off, bo_off, pl_off, pl_len, num_rows, num_edges, col_dtype, num_cols = entry[:9]
-            weights = (
-                cache.array(name, entry[9], np.float64, (num_edges,))
-                if len(entry) > 9
-                else None
-            )
-            csrs[(gpu, key)] = CompressedCSR(
-                payload=cache.array(name, pl_off, np.uint8, (pl_len,)),
-                byte_offsets=cache.array(name, bo_off, np.int64, (num_rows + 1,)),
-                row_offsets=cache.array(name, ro_off, np.int64, (num_rows + 1,)),
-                num_rows=int(num_rows),
-                num_cols=int(num_cols),
-                column_dtype=np.dtype(col_dtype),
-                edge_weights=weights,
-            )
-            continue
-        ro_off, num_rows, ci_off, num_edges, col_dtype, num_cols = entry[:6]
-        row_offsets = cache.array(name, ro_off, np.int64, (num_rows + 1,))
-        columns = cache.array(name, ci_off, np.dtype(col_dtype), (num_edges,))
-        weights = (
-            cache.array(name, entry[6], np.float64, (num_edges,))
-            if len(entry) > 6
-            else None
-        )
-        csrs[(gpu, key)] = csr_view(row_offsets, columns, num_rows, num_cols, weights)
+    table = pickle.loads(cache.get(table_segment).buf[table_offset:])
+    arrays = table["arrays"]
+    csrs = {
+        (g, key): load_csr(lambda n: cache.array(name, **arrays[n]), f"g{g}.{key}", entry)
+        for g, entries in enumerate(table["csrs"])
+        for key, entry in entries.items()
+    }
     cache.derived[name] = csrs
     return csrs
 
@@ -214,65 +184,38 @@ class SharedGraphStore:
         self.num_locals = tuple(int(gpu.num_local) for gpu in graph.gpus)
         self._closed = False
 
-        # ---- static graph segment ------------------------------------- #
-        storage = getattr(graph, "storage", "memory")
-        if storage != "memory" and getattr(graph, "storage_path", None):
-            # Store-backed graph: workers attach the store's graph.bin by
-            # mmap (``file://`` segment) — no shm copy of the graph exists.
-            from repro.storage.segments import store_graph_descriptor
-
-            self._graph_segment = None
-            self._graph_descriptor = store_graph_descriptor(graph.storage_path)
-        else:
-            entries: dict = {}
-            offset = 0
-            arrays: list[tuple[int, np.ndarray]] = []
+        # ---- static graph: a memory graph's arrays, then the pickled table - #
+        name = f"repro_{secrets.token_hex(8)}"  # the table names its own segment
+        handle = getattr(graph, "store", None)
+        named, csrs = [], [{} for _ in graph.gpus]
+        if handle is None:
             for g, gpu in enumerate(graph.gpus):
                 for key in CSR_KEYS:
-                    csr = getattr(gpu, key)
-                    ro = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
-                    ci = np.ascontiguousarray(csr.column_indices)
-                    ro_off = _align(offset)
-                    offset = ro_off + ro.nbytes
-                    ci_off = _align(offset)
-                    offset = ci_off + ci.nbytes
-                    arrays.append((ro_off, ro))
-                    arrays.append((ci_off, ci))
-                    entry = (
-                        ro_off,
-                        csr.num_rows,
-                        ci_off,
-                        csr.num_edges,
-                        ci.dtype.str,
-                        csr.num_cols,
-                    )
-                    if csr.edge_weights is not None:
-                        w = np.ascontiguousarray(csr.edge_weights, dtype=np.float64)
-                        w_off = _align(offset)
-                        offset = w_off + w.nbytes
-                        arrays.append((w_off, w))
-                        entry = entry + (w_off,)
-                    entries[(g, key)] = entry
-            self._graph_segment = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-            buf = self._graph_segment.buf
-            for arr_off, arr in arrays:
-                view = np.frombuffer(buf, dtype=arr.dtype, count=arr.size, offset=arr_off)
-                view[:] = arr
-            self._graph_descriptor = {
-                "segment": self._graph_segment.name,
-                "csrs": entries,
-            }
+                    arrays, csrs[g][key] = csr_arrays(f"g{g}.{key}", getattr(gpu, key))
+                    named += arrays
+        table, size = pack_arrays(named)
+        # A store's arrays stay in its graph.bin, which workers map by name.
+        if handle is not None:
+            descriptor = handle.descriptor()
+        else:
+            descriptor = {"segment": name, "arrays": table, "csrs": csrs}
+        pickled = pickle.dumps(descriptor, pickle.HIGHEST_PROTOCOL)
+        table_offset = _align(size)
+        self._graph_segment = shared_memory.SharedMemory(
+            name=name, create=True, size=table_offset + len(pickled)
+        )
+        buf = self._graph_segment.buf
+        for array_name, arr in named:
+            offset = table[array_name]["offset"]
+            np.frombuffer(buf, dtype=arr.dtype, count=arr.size, offset=offset)[:] = arr
+        buf[table_offset : table_offset + len(pickled)] = pickled
+        #: What every task carries (see :func:`csrs_from_descriptor`).
+        self.graph_descriptor = (descriptor["segment"], self._graph_segment.name, table_offset)
 
         # ---- dense-frontier scratch (rewritten before each dispatch) ---- #
         self._dense_segment: shared_memory.SharedMemory | None = None
         self._dense_row_bytes = 0
         self._dense_offsets: tuple = ()
-        self._ensure_dense_capacity(1)
-
-    @property
-    def graph_descriptor(self) -> dict:
-        """Picklable description of the static graph segment (shipped per task)."""
-        return self._graph_descriptor
 
     # ------------------------------------------------------------------ #
     # Per-step dense frontier buffers (coordinator side)
@@ -335,8 +278,8 @@ class SharedGraphStore:
         if self._closed:
             return
         self._closed = True
-        # The graph segment is None for store-backed graphs (the store file
-        # belongs to the store, never unlinked here).
+        # A store-backed graph's arrays stay in the store's file, which
+        # belongs to the store and is never unlinked here.
         for segment in (self._graph_segment, self._dense_segment):
             if segment is None:
                 continue

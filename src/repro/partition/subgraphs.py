@@ -30,6 +30,7 @@ For direction optimization each GPU also keeps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from repro.partition.delegates import (
 )
 from repro.partition.distributor import EDGE_CATEGORIES, EdgeAssignment, distribute_edges
 from repro.partition.layout import ClusterLayout
+
+if TYPE_CHECKING:
+    from repro.storage.segments import StoreHandle
 
 __all__ = ["GPUPartition", "PartitionedGraph", "build_partitions"]
 
@@ -135,12 +139,19 @@ class PartitionedGraph:
     #: ``"mmap"`` (views into a store's ``graph.bin``) or ``"compressed"``
     #: (mmap views with varint nn/nd columns).  See :mod:`repro.storage`.
     storage: str = "memory"
-    #: Store directory for mmap/compressed graphs, ``None`` for memory.
-    storage_path: str | None = None
+    #: The attached store an mmap/compressed graph was loaded from, ``None``
+    #: for memory.  The graph owns it: the store stays mapped while the graph
+    #: lives, and the process backend takes the store's descriptor from it.
+    store: StoreHandle | None = None
 
     # ------------------------------------------------------------------ #
     # Convenience accessors
     # ------------------------------------------------------------------ #
+    @property
+    def storage_path(self) -> str | None:
+        """Store directory for mmap/compressed graphs, ``None`` for memory."""
+        return None if self.store is None else str(self.store.directory)
+
     @property
     def num_gpus(self) -> int:
         """Number of GPUs the graph is partitioned over."""

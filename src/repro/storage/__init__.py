@@ -7,8 +7,8 @@ Three storage modes cover the paper's memory story end to end:
 ``mmap``
     The partitioned graph lives in a *store* directory (one ``graph.bin``
     segment + ``manifest.json``) and every array is a zero-copy ``mmap`` view;
-    the Process backend attaches the same file through the shared-memory
-    segment cache (:mod:`repro.exec.shm`).
+    the process backend's workers map the same file through their segment
+    cache (:mod:`repro.exec.shm`), under a name carrying the file's identity.
 ``compressed``
     Same store layout, but the normal-source column streams (nn/nd) are
     delta+varint encoded and decoded lazily per super-step
@@ -36,9 +36,7 @@ from repro.storage.extsort import chunks_from_edgelist, external_build
 from repro.storage.segments import (
     StoreHandle,
     load_graph_store,
-    open_store,
     save_graph_store,
-    store_graph_descriptor,
 )
 
 __all__ = [
@@ -52,9 +50,7 @@ __all__ = [
     "external_build",
     "StoreHandle",
     "load_graph_store",
-    "open_store",
     "save_graph_store",
-    "store_graph_descriptor",
 ]
 
 def apply_storage(

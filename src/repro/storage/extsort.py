@@ -40,6 +40,7 @@ counter gates exact rather than approximate.
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,7 +59,13 @@ from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import _quadrant_groups, _quadrant_ids, _quadrant_shape
 from repro.obs.tracer import get_tracer
 from repro.storage.codec import varint_encode, varint_sizes
-from repro.storage.segments import SegmentWriter, _census_metadata
+from repro.storage.segments import (
+    COMPRESSIBLE,
+    CSR_KEYS,
+    SEPARATION_ARRAYS,
+    SegmentWriter,
+    csr_entry,
+)
 from repro.utils.rng import deterministic_hash_permutation
 from repro.utils.sorting import sorted_unique
 from repro.utils.timing import now_s
@@ -67,9 +74,6 @@ __all__ = ["external_build", "chunks_from_edgelist", "DEFAULT_BLOCK_EDGES"]
 
 #: Default number of edges processed per block (= peak resident edge count).
 DEFAULT_BLOCK_EDGES = 1 << 20
-
-_CSR_KEYS = ("nn", "nd", "dn", "dd")
-_COMPRESSIBLE = ("nn", "nd")
 
 
 def chunks_from_edgelist(
@@ -338,11 +342,11 @@ def external_build(
     t0 = now_s()
     num_local = {g: layout.num_local_vertices(g, n) for g in range(p)}
     shapes = {
-        (g, key): _quadrant_shape(key, n, d, num_local[g]) for g in range(p) for key in _CSR_KEYS
+        (g, key): _quadrant_shape(key, n, d, num_local[g]) for g in range(p) for key in CSR_KEYS
     }
     bucket_rows = {bk: np.zeros(shape[0], dtype=np.int64) for bk, shape in shapes.items()}
     bucket_paths = {
-        (g, key): scratch / f"bucket_g{g}_{key}.bin" for g in range(p) for key in _CSR_KEYS
+        (g, key): scratch / f"bucket_g{g}_{key}.bin" for g in range(p) for key in CSR_KEYS
     }
     bucket_fh = {bk: open(path, "wb") for bk, path in bucket_paths.items()}
     cat_totals = np.zeros(4, dtype=np.int64)
@@ -386,29 +390,21 @@ def external_build(
     # in-memory saver (save_graph_store) produces.
     t0 = now_s()
     writer = SegmentWriter(out)
-    writer.add("sep.degrees", degrees)
-    writer.add("sep.is_delegate", is_delegate)
-    writer.add("sep.delegate_vertices", delegate_vertices)
-    writer.add("sep.delegate_id_of", delegate_id_of)
+    for name in SEPARATION_ARRAYS:
+        writer.add(f"sep.{name}", getattr(separation, name))
     gpus_meta: list[dict] = []
     for g in range(p):
         csr_meta: dict[str, dict] = {}
-        for key in _CSR_KEYS:
+        for key in CSR_KEYS:
             nrows, ncols, dtype = shapes[g, key]
             ro = np.zeros(nrows + 1, dtype=np.int64)
             np.cumsum(bucket_rows[g, key], out=ro[1:])
-            kind = "compressed" if storage == "compressed" and key in _COMPRESSIBLE else "raw"
-            csr_meta[key] = {
-                "num_rows": int(nrows),
-                "num_cols": int(ncols),
-                "num_edges": int(ro[-1]),
-                "dtype": dtype.name,
-                "kind": kind,
-            }
+            compressed = storage == "compressed" and key in COMPRESSIBLE
+            csr_meta[key] = csr_entry(nrows, ncols, ro[-1], dtype, compressed)
             prefix = f"g{g}.{key}"
             writer.add(f"{prefix}.ro", ro)
             path = bucket_paths[g, key]
-            if kind == "compressed":
+            if compressed:
                 _assemble_compressed(writer, prefix, path, dtype, ro, block_edges)
             else:
                 writer.append_blocks(
@@ -439,7 +435,7 @@ def external_build(
             "threshold": int(threshold),
             "num_vertices": n,
             "num_directed_edges": int(num_edges),
-            "census": _census_metadata(census),
+            "census": dataclasses.asdict(census),
             "gpus": gpus_meta,
         }
     )

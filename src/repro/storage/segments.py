@@ -1,23 +1,28 @@
-"""Memory-mapped graph stores: one segment file + a JSON manifest.
+"""The flat form of a partitioned graph: one segment file + a JSON manifest.
 
 A *store* is a directory holding the complete partitioned graph as flat
-binary arrays in a single ``graph.bin`` segment (every array 8-byte aligned,
-the same packing discipline :class:`repro.exec.shm.SharedGraphStore` uses for
-its POSIX shared-memory segment) plus a ``manifest.json`` naming each array's
-offset, dtype and shape alongside the partitioning metadata (layout,
-threshold, census, per-GPU subgraph shapes).
+binary arrays in a single ``graph.bin`` segment (every array 8-byte aligned)
+plus a ``manifest.json`` naming each array's offset, dtype and shape
+alongside the partitioning metadata (layout, threshold, census, per-GPU
+subgraph shapes).  This module owns that layout: every writer flattens a
+subgraph with :func:`csr_arrays` (the store savers and the process backend's
+shared-memory export), and every reader rebuilds one with :func:`load_csr`
+(:func:`load_graph_store` and the pool workers).  A *descriptor*,
+``{"segment", "arrays", "csrs"}`` in manifest vocabulary, tells a worker
+where one graph's subgraph arrays lie.
 
-Loading attaches the file once with ``mmap`` and exposes every array as a
-zero-copy :func:`numpy.frombuffer` view, so the inline backend traverses
-straight out of the page cache; the process backend ships the same
-offsets to its workers as a ``file://`` segment descriptor through the
-existing attach/LRU cache in :mod:`repro.exec.shm`.  Compressed stores keep
-the nn/nd column streams as varint payloads (:mod:`repro.storage.codec`);
+Loading attaches ``graph.bin`` once with ``mmap`` and exposes every array as
+a zero-copy :func:`numpy.frombuffer` view.  The loaded graph owns its
+:class:`StoreHandle`, so the mapping lives as long as the graph does, and a
+store rebuilt at the same path loads as the new graph.  Compressed stores
+keep the nn/nd column streams as varint payloads (:mod:`repro.storage.codec`);
 dn/dd and every offset/degree/separation array stay raw in both modes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import mmap
 import os
@@ -41,10 +46,8 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "SegmentWriter",
     "StoreHandle",
-    "open_store",
     "save_graph_store",
     "load_graph_store",
-    "store_graph_descriptor",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -62,12 +65,108 @@ SUPPORTED_VERSIONS = (SCHEMA_VERSION, SCHEMA_VERSION_WEIGHTED)
 CSR_KEYS = ("nn", "nd", "dn", "dd")
 #: Subgraphs with normal-vertex source rows — the only ones ever compressed.
 COMPRESSIBLE = ("nn", "nd")
+#: The degree separation's arrays (``sep.<name>``), in segment order.
+SEPARATION_ARRAYS = ("degrees", "is_delegate", "delegate_vertices", "delegate_id_of")
+#: Each GPU's direction-optimization arrays (``g<g>.<name>``), in segment order.
+GPU_ARRAYS = ("local_is_normal", "nd_source_list", "dn_source_mask", "dd_source_mask")
 
 _ALIGN = 8
+
+#: Prefix marking a segment name as a file path rather than POSIX shm.
+FILE_SEGMENT_PREFIX = "file://"
 
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+@functools.cache
+def _dtype_name(dtype: np.dtype) -> str:
+    """``dtype.name``, which numpy recomputes in Python on every access."""
+    return dtype.name
+
+
+def _array_entry(offset: int, dtype: np.dtype, shape) -> dict:
+    """One array's row of a manifest's ``arrays`` table."""
+    return {"offset": offset, "dtype": _dtype_name(dtype), "shape": list(shape)}
+
+
+def csr_entry(num_rows, num_cols, num_edges, dtype, compressed=False, weighted=False) -> dict:
+    """One subgraph's manifest entry (``manifest["gpus"][g]["csrs"][key]``)."""
+    entry = {
+        "num_rows": int(num_rows),
+        "num_cols": int(num_cols),
+        "num_edges": int(num_edges),
+        "dtype": _dtype_name(np.dtype(dtype)),
+        "kind": "compressed" if compressed else "raw",
+    }
+    if weighted:
+        entry["weighted"] = True
+    return entry
+
+
+def csr_arrays(prefix: str, csr) -> tuple[list[tuple[str, np.ndarray]], dict]:
+    """The flat form of one subgraph: its named arrays and its manifest entry.
+
+    Arrays come in segment order: row offsets (``int64``), then the columns
+    (``ci``) or the varint byte offsets and payload (``bo``, ``pl``) of a
+    :class:`CompressedCSR`, then the ``float64`` weights of a weighted one.
+    """
+    compressed = isinstance(csr, CompressedCSR)
+    weighted = csr.edge_weights is not None
+    entry = csr_entry(
+        csr.num_rows, csr.num_cols, csr.num_edges, csr.column_dtype, compressed, weighted
+    )
+    named = [(f"{prefix}.ro", np.ascontiguousarray(csr.row_offsets, dtype=np.int64))]
+    if compressed:
+        named += [(f"{prefix}.bo", csr.byte_offsets), (f"{prefix}.pl", csr.payload)]
+    else:
+        named.append((f"{prefix}.ci", np.ascontiguousarray(csr.column_indices)))
+    if weighted:
+        named.append((f"{prefix}.w", np.ascontiguousarray(csr.edge_weights, dtype=np.float64)))
+    return named, entry
+
+
+def load_csr(array, prefix: str, entry: dict):
+    """One subgraph from its manifest ``entry``, reading arrays by name through
+    ``array(name)``; no array is copied or re-validated."""
+    ro = array(f"{prefix}.ro")
+    weights = array(f"{prefix}.w") if entry.get("weighted") else None
+    if entry["kind"] == "compressed":
+        return CompressedCSR(
+            payload=array(f"{prefix}.pl"),
+            byte_offsets=array(f"{prefix}.bo"),
+            row_offsets=ro,
+            num_rows=entry["num_rows"],
+            num_cols=entry["num_cols"],
+            column_dtype=np.dtype(entry["dtype"]),
+            edge_weights=weights,
+        )
+    return CSRGraph.unchecked(
+        ro, array(f"{prefix}.ci"), entry["num_rows"], entry["num_cols"], edge_weights=weights
+    )
+
+
+def pack_arrays(named: list[tuple[str, np.ndarray]]) -> tuple[dict, int]:
+    """Lay ``(name, array)`` pairs out back to back, each 8-byte aligned, as
+    a writer appends them; returns the ``arrays`` table and the byte size."""
+    table: dict[str, dict] = {}
+    offset = 0
+    for name, arr in named:
+        offset = _align(offset)
+        table[name] = _array_entry(offset, arr.dtype, arr.shape)
+        offset += arr.nbytes
+    return table, offset
+
+
+def file_segment_name(path: Path, stat: os.stat_result) -> str:
+    """The ``file://`` segment name of a store's ``graph.bin``.
+
+    It carries the file's identity (inode, size, mtime_ns) after a ``#``, so
+    a worker that attached the file under this name never serves a store
+    rebuilt at the same path, and attaching a replaced file fails.
+    """
+    return f"{FILE_SEGMENT_PREFIX}{path}#{stat.st_ino}.{stat.st_size}.{stat.st_mtime_ns}"
 
 
 class SegmentWriter:
@@ -98,14 +197,9 @@ class SegmentWriter:
             raise ValueError(f"array {name!r} already written")
         arr = np.ascontiguousarray(array)
         self._pad()
-        entry = {
-            "offset": self._offset,
-            "dtype": arr.dtype.name,
-            "shape": list(arr.shape),
-        }
+        self.arrays[name] = _array_entry(self._offset, arr.dtype, arr.shape)
         self._fh.write(arr.tobytes())
         self._offset += arr.nbytes
-        self.arrays[name] = entry
 
     def append_blocks(self, name: str, dtype, blocks) -> int:
         """Stream an array from ``blocks`` (an iterable of 1-D chunks).
@@ -124,7 +218,7 @@ class SegmentWriter:
             self._fh.write(arr.tobytes())
             self._offset += arr.nbytes
             count += arr.size
-        self.arrays[name] = {"offset": offset, "dtype": dtype.name, "shape": [count]}
+        self.arrays[name] = _array_entry(offset, dtype, (count,))
         return count
 
     def finish(self, metadata: dict, version: int = SCHEMA_VERSION) -> None:
@@ -143,7 +237,12 @@ class SegmentWriter:
 
 
 class StoreHandle:
-    """An attached store: the manifest plus one long-lived read-only mmap."""
+    """An attached store: the manifest plus one read-only mmap of ``graph.bin``.
+
+    A graph loaded by :func:`load_graph_store` owns its handle (and every
+    array view references the mapping), so the file stays mapped exactly as
+    long as something reads it.
+    """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
@@ -161,26 +260,26 @@ class StoreHandle:
                     f"(this build reads versions {SUPPORTED_VERSIONS})"
                 )
             self.segment_path = self.directory / SEGMENT_NAME
-            self._file = open(self.segment_path, "rb")
-            size = os.fstat(self._file.fileno()).st_size
-            expected = max(
-                (
-                    entry["offset"]
-                    + int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
-                    for entry in self.manifest["arrays"].values()
-                ),
-                default=0,
-            )
-            if size != expected:
-                self._file.close()
-                state = "truncated" if size < expected else "damaged"
-                raise ValueError(
-                    f"graph store {self.directory} is {state}: its manifest expects "
-                    f"{expected:,} bytes of {SEGMENT_NAME}, the file holds {size:,}"
+            with open(self.segment_path, "rb") as fh:
+                stat = os.fstat(fh.fileno())
+                size = stat.st_size
+                expected = max(
+                    (
+                        entry["offset"]
+                        + int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+                        for entry in self.manifest["arrays"].values()
+                    ),
+                    default=0,
                 )
-            self._mm = (
-                mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ) if size else None
-            )
+                if size != expected:
+                    state = "truncated" if size < expected else "damaged"
+                    raise ValueError(
+                        f"graph store {self.directory} is {state}: its manifest expects "
+                        f"{expected:,} bytes of {SEGMENT_NAME}, the file holds {size:,}"
+                    )
+                self._mm = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) if size else None
+            #: The ``file://`` name workers attach ``graph.bin`` under.
+            self.segment = file_segment_name(self.segment_path.resolve(), stat)
             span.annotate(store=str(self.directory), bytes=size)
 
     def array(self, name: str) -> np.ndarray:
@@ -194,50 +293,11 @@ class StoreHandle:
             self._mm, dtype=entry["dtype"], count=count, offset=entry["offset"]
         ).reshape(shape)
 
-    def array_offset(self, name: str) -> int:
-        """Byte offset of a named array within ``graph.bin``."""
-        return int(self.manifest["arrays"][name]["offset"])
-
-
-#: Attached stores by resolved path: loads of the same store share one mmap,
-#: and the handle stays alive as long as the process (views reference it).
-_HANDLES: dict[str, StoreHandle] = {}
-
-
-def open_store(directory: str | Path) -> StoreHandle:
-    """Attach a store directory (cached: one mmap per store per process)."""
-    key = str(Path(directory).resolve())
-    handle = _HANDLES.get(key)
-    if handle is None:
-        handle = StoreHandle(key)
-        _HANDLES[key] = handle
-    return handle
-
-
-def _census_metadata(census: EdgeCategoryCensus) -> dict:
-    return {
-        "threshold": census.threshold,
-        "num_vertices": census.num_vertices,
-        "num_edges": census.num_edges,
-        "num_delegates": census.num_delegates,
-        "nn_edges": census.nn_edges,
-        "nd_edges": census.nd_edges,
-        "dn_edges": census.dn_edges,
-        "dd_edges": census.dd_edges,
-    }
-
-
-def _csr_meta(name: str, csr) -> dict:
-    meta = {
-        "num_rows": int(csr.num_rows),
-        "num_cols": int(csr.num_cols),
-        "num_edges": int(csr.num_edges),
-        "dtype": np.dtype(csr.column_dtype).name,
-        "kind": "compressed" if isinstance(csr, CompressedCSR) else "raw",
-    }
-    if getattr(csr, "edge_weights", None) is not None:
-        meta["weighted"] = True
-    return meta
+    def descriptor(self) -> dict:
+        """The store's descriptor: its ``file://`` segment, its manifest's
+        ``arrays`` table and each GPU's subgraph entries."""
+        csrs = [gpu["csrs"] for gpu in self.manifest["gpus"]]
+        return {"segment": self.segment, "arrays": self.manifest["arrays"], "csrs": csrs}
 
 
 def save_graph_store(
@@ -258,35 +318,21 @@ def save_graph_store(
     directory = Path(directory)
     writer = SegmentWriter(directory)
     sep = graph.separation
-    writer.add("sep.degrees", sep.degrees)
-    writer.add("sep.is_delegate", sep.is_delegate)
-    writer.add("sep.delegate_vertices", sep.delegate_vertices)
-    writer.add("sep.delegate_id_of", sep.delegate_id_of)
+    for name in SEPARATION_ARRAYS:
+        writer.add(f"sep.{name}", getattr(sep, name))
 
     gpus_meta: list[dict] = []
     for g, part in enumerate(graph.gpus):
         csr_meta: dict[str, dict] = {}
         for key in CSR_KEYS:
             csr = getattr(part, key)
-            stored = csr
             if storage == "compressed" and key in COMPRESSIBLE:
-                stored = compress_csr(csr)
-            csr_meta[key] = _csr_meta(key, stored)
-            prefix = f"g{g}.{key}"
-            writer.add(f"{prefix}.ro", np.asarray(stored.row_offsets, dtype=np.int64))
-            if isinstance(stored, CompressedCSR):
-                writer.add(f"{prefix}.bo", stored.byte_offsets)
-                writer.add(f"{prefix}.pl", stored.payload)
-            else:
-                writer.add(f"{prefix}.ci", stored.column_indices)
-            if getattr(stored, "edge_weights", None) is not None:
-                writer.add(
-                    f"{prefix}.w", np.asarray(stored.edge_weights, dtype=np.float64)
-                )
-        writer.add(f"g{g}.local_is_normal", part.local_is_normal)
-        writer.add(f"g{g}.nd_source_list", part.nd_source_list)
-        writer.add(f"g{g}.dn_source_mask", part.dn_source_mask)
-        writer.add(f"g{g}.dd_source_mask", part.dd_source_mask)
+                csr = compress_csr(csr)
+            arrays, csr_meta[key] = csr_arrays(f"g{g}.{key}", csr)
+            for name, arr in arrays:
+                writer.add(name, arr)
+        for name in GPU_ARRAYS:
+            writer.add(f"g{g}.{name}", getattr(part, name))
         gpus_meta.append({"num_local": int(part.num_local), "csrs": csr_meta})
 
     writer.finish(
@@ -296,7 +342,7 @@ def save_graph_store(
             "threshold": int(graph.threshold),
             "num_vertices": int(graph.num_vertices),
             "num_directed_edges": int(graph.num_directed_edges),
-            "census": _census_metadata(graph.census),
+            "census": dataclasses.asdict(graph.census),
             "gpus": gpus_meta,
         },
         version=SCHEMA_VERSION_WEIGHTED if graph.is_weighted else SCHEMA_VERSION,
@@ -304,70 +350,35 @@ def save_graph_store(
     return directory
 
 
-def _load_csr(handle: StoreHandle, g: int, key: str, meta: dict):
-    prefix = f"g{g}.{key}"
-    ro = handle.array(f"{prefix}.ro")
-    weights = handle.array(f"{prefix}.w") if meta.get("weighted") else None
-    if meta["kind"] == "compressed":
-        return CompressedCSR(
-            payload=handle.array(f"{prefix}.pl"),
-            byte_offsets=handle.array(f"{prefix}.bo"),
-            row_offsets=ro,
-            num_rows=meta["num_rows"],
-            num_cols=meta["num_cols"],
-            column_dtype=np.dtype(meta["dtype"]),
-            edge_weights=weights,
-        )
-    return CSRGraph.unchecked(
-        ro,
-        handle.array(f"{prefix}.ci"),
-        meta["num_rows"],
-        meta["num_cols"],
-        edge_weights=weights,
-    )
-
-
 def load_graph_store(directory: str | Path) -> PartitionedGraph:
     """Attach a store and rebuild the :class:`PartitionedGraph` over mmap views.
 
     Every array — subgraph offsets and columns, separation, per-GPU masks —
-    is a read-only view into the shared mapping; nothing is copied.  The
-    returned graph's ``storage`` records the store flavour and
-    ``storage_path`` the directory, which is how the execution layer picks
-    zero-copy descriptors (process backend) and the decode wrapper
-    (compressed stores).
+    is a read-only view into the mapping; nothing is copied.  The returned
+    graph's ``storage`` records the store flavour and ``store`` is its own
+    :class:`StoreHandle`, which the process backend takes the store's
+    descriptor from.  Every call attaches the directory afresh, so a store
+    rebuilt at the same path loads as the new graph.
     """
-    handle = open_store(directory)
+    handle = StoreHandle(directory)
     manifest = handle.manifest
     layout = ClusterLayout.from_notation(manifest["layout"])
     census = EdgeCategoryCensus(**manifest["census"])
     separation = DegreeSeparation(
         threshold=int(manifest["threshold"]),
-        degrees=handle.array("sep.degrees"),
-        is_delegate=handle.array("sep.is_delegate"),
-        delegate_vertices=handle.array("sep.delegate_vertices"),
-        delegate_id_of=handle.array("sep.delegate_id_of"),
+        **{name: handle.array(f"sep.{name}") for name in SEPARATION_ARRAYS},
     )
-    d = separation.num_delegates
-    gpus: list[GPUPartition] = []
-    for g, meta in enumerate(manifest["gpus"]):
-        csrs = {key: _load_csr(handle, g, key, meta["csrs"][key]) for key in CSR_KEYS}
-        gpus.append(
-            GPUPartition(
-                flat_gpu=g,
-                layout=layout,
-                num_local=int(meta["num_local"]),
-                num_delegates=d,
-                local_is_normal=handle.array(f"g{g}.local_is_normal"),
-                nn=csrs["nn"],
-                nd=csrs["nd"],
-                dn=csrs["dn"],
-                dd=csrs["dd"],
-                nd_source_list=handle.array(f"g{g}.nd_source_list"),
-                dn_source_mask=handle.array(f"g{g}.dn_source_mask"),
-                dd_source_mask=handle.array(f"g{g}.dd_source_mask"),
-            )
+    gpus = [
+        GPUPartition(
+            flat_gpu=g,
+            layout=layout,
+            num_local=int(meta["num_local"]),
+            num_delegates=separation.num_delegates,
+            **{key: load_csr(handle.array, f"g{g}.{key}", meta["csrs"][key]) for key in CSR_KEYS},
+            **{name: handle.array(f"g{g}.{name}") for name in GPU_ARRAYS},
         )
+        for g, meta in enumerate(manifest["gpus"])
+    ]
     return PartitionedGraph(
         layout=layout,
         threshold=int(manifest["threshold"]),
@@ -377,55 +388,5 @@ def load_graph_store(directory: str | Path) -> PartitionedGraph:
         census=census,
         gpus=gpus,
         storage=manifest["storage"],
-        storage_path=str(Path(directory)),
+        store=handle,
     )
-
-
-def store_graph_descriptor(directory: str | Path) -> dict:
-    """Build the process-backend graph descriptor for a store.
-
-    Raw subgraphs use the same 6-tuple entries the shared-memory path ships
-    (``(ro_offset, num_rows, ci_offset, num_edges, dtype, num_cols)``);
-    compressed subgraphs use a ``("z", ...)`` tagged entry carrying the
-    payload and byte-offset locations instead of a column array.  The
-    segment name is a ``file://`` URI that
-    :class:`repro.exec.shm.SegmentCache` attaches by mmap rather than by
-    POSIX shared memory — workers reuse the identical LRU/view machinery.
-    """
-    handle = open_store(directory)
-    entries: dict = {}
-    for g, meta in enumerate(handle.manifest["gpus"]):
-        for key in CSR_KEYS:
-            cmeta = meta["csrs"][key]
-            prefix = f"g{g}.{key}"
-            ro_off = handle.array_offset(f"{prefix}.ro")
-            # Weighted subgraphs append the weight-array offset; readers key
-            # off the entry length, so unweighted descriptors are unchanged.
-            w_tail = (
-                (handle.array_offset(f"{prefix}.w"),) if cmeta.get("weighted") else ()
-            )
-            if cmeta["kind"] == "compressed":
-                entries[(g, key)] = (
-                    "z",
-                    ro_off,
-                    handle.array_offset(f"{prefix}.bo"),
-                    handle.array_offset(f"{prefix}.pl"),
-                    int(handle.manifest["arrays"][f"{prefix}.pl"]["shape"][0]),
-                    cmeta["num_rows"],
-                    cmeta["num_edges"],
-                    cmeta["dtype"],
-                    cmeta["num_cols"],
-                ) + w_tail
-            else:
-                entries[(g, key)] = (
-                    ro_off,
-                    cmeta["num_rows"],
-                    handle.array_offset(f"{prefix}.ci"),
-                    cmeta["num_edges"],
-                    cmeta["dtype"],
-                    cmeta["num_cols"],
-                ) + w_tail
-    return {
-        "segment": f"file://{handle.segment_path}",
-        "csrs": entries,
-    }

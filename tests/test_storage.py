@@ -39,10 +39,9 @@ from repro.storage import (
     chunks_from_edgelist,
     compress_csr,
     external_build,
+    StoreHandle,
     load_graph_store,
-    open_store,
     save_graph_store,
-    store_graph_descriptor,
     varint_encode,
     varint_sizes,
 )
@@ -168,18 +167,20 @@ class TestGraphStore:
         layout = ClusterLayout.from_notation("1x1x2")
         graph = build_partitions(rmat_small, layout, 64)
         save_graph_store(graph, tmp_path / "s", storage="mmap")
-        desc = store_graph_descriptor(tmp_path / "s")
+        desc = load_graph_store(tmp_path / "s").store.descriptor()
         assert desc["segment"].startswith("file://")
-        assert not any(entry[0] == "z" for entry in desc["csrs"].values())
-        assert set(desc["csrs"]) == {
-            (g, key) for g in range(2) for key in ("nn", "nd", "dn", "dd")
-        }
+        assert [list(entries) for entries in desc["csrs"]] == [["nn", "nd", "dn", "dd"]] * 2
+        assert all(e["kind"] == "raw" for entries in desc["csrs"] for e in entries.values())
+        assert {
+            f"g{g}.{key}.{part}" for g in range(2) for key in ("nn", "nd", "dn", "dd")
+            for part in ("ro", "ci")
+        } <= set(desc["arrays"])
 
-    def test_open_store_array_access(self, rmat_small, tmp_path):
+    def test_store_handle_array_access(self, rmat_small, tmp_path):
         layout = ClusterLayout.from_notation("1x1x1")
         graph = build_partitions(rmat_small, layout, 64)
         save_graph_store(graph, tmp_path / "s", storage="mmap")
-        handle = open_store(tmp_path / "s")
+        handle = StoreHandle(tmp_path / "s")
         np.testing.assert_array_equal(handle.array("sep.degrees"), graph.separation.degrees)
         with pytest.raises(KeyError):
             handle.array("no.such.array")
@@ -217,6 +218,107 @@ class TestDamagedStore:
         err = capsys.readouterr().err
         assert err.startswith(f"error: graph store {store} is truncated")
         assert err.count("\n") == 1
+
+
+class TestRebuiltStore:
+    """A store rebuilt at the path of one already loaded loads as the new
+    graph, on every backend, and a dropped store-backed graph unmaps its file."""
+
+    LAYOUT = ClusterLayout.from_notation("2x1x2")
+
+    def graphs(self):
+        """Two different graphs; the second is the larger, so a stale mapping
+        of the first never reads past the end of the rewritten file."""
+        return (
+            build_partitions(generate_rmat(10, rng=3), self.LAYOUT, 32),
+            build_partitions(generate_rmat(11, rng=4), self.LAYOUT, 32),
+        )
+
+    @staticmethod
+    def assert_same_graph(loaded, expected) -> None:
+        assert loaded.num_vertices == expected.num_vertices
+        assert loaded.num_directed_edges == expected.num_directed_edges
+        for ours, theirs in zip(loaded.gpus, expected.gpus):
+            for key in ("nn", "nd", "dn", "dd"):
+                a, b = getattr(ours, key), getattr(theirs, key)
+                np.testing.assert_array_equal(a.row_offsets, b.row_offsets)
+                np.testing.assert_array_equal(a.column_indices, b.column_indices)
+
+    def test_rmtree_and_rebuild_loads_the_new_graph(self, tmp_path):
+        import shutil
+
+        first, second = self.graphs()
+        store = save_graph_store(first, tmp_path / "s", storage="mmap")
+        old = load_graph_store(store)
+        shutil.rmtree(store)
+        save_graph_store(second, store, storage="mmap")
+        new = load_graph_store(store)
+        self.assert_same_graph(new, second)
+        assert _run_programs(new, "inline") == _run_programs(second, "inline")
+        self.assert_same_graph(old, first)  # the old graph still reads its own file
+
+    def test_saving_over_the_directory_loads_the_new_graph(self, tmp_path):
+        first, second = self.graphs()
+        store = save_graph_store(first, tmp_path / "s", storage="mmap")
+        load_graph_store(store)
+        save_graph_store(second, store, storage="mmap")
+        self.assert_same_graph(load_graph_store(store), second)
+
+    @pytest.mark.parametrize("storage", ["mmap", "compressed"])
+    def test_process_backend_reads_the_rebuilt_store(self, tmp_path, storage):
+        import shutil
+
+        from repro.exec import ProcessBackend
+
+        first, second = self.graphs()
+        store = save_graph_store(first, tmp_path / "s", storage=storage)
+        for graph in (first, second):
+            if graph is second:
+                shutil.rmtree(store)
+                save_graph_store(second, store, storage=storage)
+            loaded = load_graph_store(store)
+            backend = ProcessBackend(loaded, workers=2)
+            try:
+                answers = _run_programs(loaded, backend)
+                assert backend.dispatched_steps > 0
+            finally:
+                backend.close()
+            assert answers == _run_programs(loaded, "inline") == _run_programs(graph, "inline")
+
+    def test_workers_refuse_a_store_rebuilt_under_its_graph(self, tmp_path):
+        import shutil
+
+        from repro.exec import ProcessBackend
+
+        first, second = self.graphs()
+        store = save_graph_store(first, tmp_path / "s", storage="mmap")
+        stale = load_graph_store(store)
+        shutil.rmtree(store)
+        save_graph_store(second, store, storage="mmap")
+        backend = ProcessBackend(stale, workers=2)
+        try:
+            with pytest.raises(ValueError, match="changed since its graph was loaded"):
+                _run_programs(stale, backend)
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_dropped_graph_unmaps_its_store(self, tmp_path):
+        import gc
+
+        store = save_graph_store(self.graphs()[0], tmp_path / "s", storage="compressed")
+        segment = str((store / "graph.bin").resolve())
+
+        def mapped() -> bool:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                return segment in fh.read()
+
+        graph = load_graph_store(store)
+        _run_programs(graph, "inline")
+        assert mapped()
+        del graph
+        gc.collect()
+        assert not mapped()
 
 
 # --------------------------------------------------------------------------- #
