@@ -79,18 +79,16 @@ class FileSegment:
 
     def __init__(self, name: str) -> None:
         path = name[len(FILE_SEGMENT_PREFIX) :].rpartition("#")[0]
-        self._file = open(path, "rb")
-        stat = os.fstat(self._file.fileno())
-        if file_segment_name(path, stat) != name:
-            self._file.close()
-            raise ValueError(f"graph store file {path} changed since its graph was loaded")
-        self._mm = mmap.mmap(self._file.fileno(), stat.st_size, access=mmap.ACCESS_READ)
+        with open(path, "rb") as fh:
+            stat = os.fstat(fh.fileno())
+            if file_segment_name(path, stat) != name:
+                raise ValueError(f"graph store file {path} changed since its graph was loaded")
+            self._mm = mmap.mmap(fh.fileno(), stat.st_size, access=mmap.ACCESS_READ)
         self.buf = memoryview(self._mm)
 
     def close(self) -> None:
         self.buf.release()
         self._mm.close()
-        self._file.close()
 
 
 
