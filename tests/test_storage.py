@@ -10,8 +10,10 @@ stores to the in-memory save path.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -26,7 +28,14 @@ from repro.core.programs import (
     ConnectedComponents,
     KHopReachability,
 )
-from repro.exec import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan, resolve_backend
+from repro.exec import (
+    GPUPlan,
+    ProcessBackend,
+    SuperStepPlan,
+    VisitSpec,
+    execute_gpu_plan,
+    resolve_backend,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import wdc_like_edge_chunks
 from repro.graph.rmat import generate_rmat, generate_rmat_edge_chunks, generate_rmat_edges
@@ -245,8 +254,6 @@ class TestRebuiltStore:
                 np.testing.assert_array_equal(a.column_indices, b.column_indices)
 
     def test_rmtree_and_rebuild_loads_the_new_graph(self, tmp_path):
-        import shutil
-
         first, second = self.graphs()
         store = save_graph_store(first, tmp_path / "s", storage="mmap")
         old = load_graph_store(store)
@@ -266,10 +273,6 @@ class TestRebuiltStore:
 
     @pytest.mark.parametrize("storage", ["mmap", "compressed"])
     def test_process_backend_reads_the_rebuilt_store(self, tmp_path, storage):
-        import shutil
-
-        from repro.exec import ProcessBackend
-
         first, second = self.graphs()
         store = save_graph_store(first, tmp_path / "s", storage=storage)
         for graph in (first, second):
@@ -286,10 +289,6 @@ class TestRebuiltStore:
             assert answers == _run_programs(loaded, "inline") == _run_programs(graph, "inline")
 
     def test_workers_refuse_a_store_rebuilt_under_its_graph(self, tmp_path):
-        import shutil
-
-        from repro.exec import ProcessBackend
-
         first, second = self.graphs()
         store = save_graph_store(first, tmp_path / "s", storage="mmap")
         stale = load_graph_store(store)
@@ -304,8 +303,6 @@ class TestRebuiltStore:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
     def test_dropped_graph_unmaps_its_store(self, tmp_path):
-        import gc
-
         store = save_graph_store(self.graphs()[0], tmp_path / "s", storage="compressed")
         segment = str((store / "graph.bin").resolve())
 
