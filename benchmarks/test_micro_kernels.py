@@ -13,7 +13,6 @@ import numpy as np
 from conftest import high_degree_source
 
 from repro.cluster.comm import Communicator
-from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.kernels import backward_visit, forward_visit
 from repro.graph.csr import CSRGraph
@@ -93,7 +92,7 @@ def test_micro_delegate_mask_reduce(benchmark):
     ]
 
     def reduce_once():
-        comm = Communicator(topology, NetworkModel())
+        comm = Communicator(topology)
         return comm.allreduce(masks)
 
     result = benchmark(reduce_once)
@@ -107,7 +106,7 @@ def test_micro_normal_exchange(benchmark):
     outboxes = [rng.integers(0, 1 << 18, size=8192).astype(np.int64) for _ in range(8)]
 
     def exchange_once():
-        comm = Communicator(topology, NetworkModel())
+        comm = Communicator(topology)
         return comm.exchange(outboxes, local_all2all=True, uniquify=True)
 
     result = benchmark(exchange_once)

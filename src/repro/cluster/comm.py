@@ -2,7 +2,8 @@
 
 The paper's communication model has two channels, split by vertex degree,
 and the :class:`Communicator` has one method for each.  Both move real
-buffers and account modeled time and volume.
+buffers and account volume, and report what they moved for the step's bill,
+which the run's ledger prices: nothing here computes a second.
 
 **Point-to-point, for normal vertices** (:meth:`Communicator.exchange`)
     Newly visited normal destinations of nn edges travel to their owner GPU
@@ -29,11 +30,11 @@ buffers and account modeled time and volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.cluster.netmodel import NetworkModel
+from repro.cluster.netmodel import ExchangeBill
 from repro.cluster.topology import ClusterTopology
 from repro.utils.bitmask import BatchBitmask, Bitmask
 
@@ -63,18 +64,8 @@ class CommStats:
     normal_payload_bytes: int = 0
 
     def as_dict(self) -> dict:
-        """Flat dictionary for reporting."""
-        return {
-            "normal_bytes_remote": self.normal_bytes_remote,
-            "normal_bytes_local": self.normal_bytes_local,
-            "normal_vertices_sent": self.normal_vertices_sent,
-            "normal_vertices_deduplicated": self.normal_vertices_deduplicated,
-            "normal_messages": self.normal_messages,
-            "delegate_mask_bytes": self.delegate_mask_bytes,
-            "delegate_reductions": self.delegate_reductions,
-            "delegate_value_bytes": self.delegate_value_bytes,
-            "normal_payload_bytes": self.normal_payload_bytes,
-        }
+        """Flat dictionary for reporting, in field order."""
+        return asdict(self)
 
 
 @dataclass
@@ -84,12 +75,8 @@ class ExchangeResult:
     #: Per destination GPU, the received *local slot* ids (int64; repeated
     #: ids stay unless uniquify was on).
     inboxes: list[np.ndarray]
-    #: Modeled time of the on-GPU binning/conversion, the intra-rank local
-    #: all2all and the uniquify filter (max over GPUs), in seconds.
-    local_time_s: float
-    #: Modeled time of the point-to-point network phase (max over sending
-    #: GPUs), in seconds.
-    remote_time_s: float
+    #: What the exchange moved, for the step's bill.
+    bill: ExchangeBill
     #: Bytes sent over inter-rank links.
     remote_bytes: int
     #: Bytes moved over intra-rank (NVLink) links.
@@ -107,10 +94,8 @@ class ReduceResult:
     #: The combined update, shared by every GPU afterwards: a
     #: :class:`Bitmask`, a :class:`BatchBitmask` or an int64 array, as given.
     merged: Bitmask | BatchBitmask | np.ndarray
-    #: Modeled time of the intra-rank push-to-GPU0 + broadcast phases.
-    local_time_s: float
-    #: Modeled time of the inter-rank (I)AllReduce phase.
-    global_time_s: float
+    #: ``(bytes of one update, blocking)``, for the step's bill.
+    bill: tuple[int, bool]
     #: Bytes exchanged between ranks.
     global_bytes: int
 
@@ -130,10 +115,9 @@ def _first_appearances(keys: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Communicator:
-    """Moves buffers between virtual GPUs and accounts for time and volume."""
+    """Moves buffers between virtual GPUs and accounts for their volume."""
 
     topology: ClusterTopology
-    netmodel: NetworkModel
     stats: CommStats = field(default_factory=CommStats)
 
     # ------------------------------------------------------------------ #
@@ -180,25 +164,16 @@ class Communicator:
                 merged.or_with(update)
             nbytes = merged.packed_nbytes if isinstance(merged, BatchBitmask) else merged.nbytes
 
-        netmodel, pgpu, ranks = self.netmodel, layout.gpus_per_rank, layout.num_ranks
-        local_time = netmodel.local_reduce_time(nbytes, pgpu) + netmodel.local_broadcast_time(
-            nbytes, pgpu
-        )
-        global_time = netmodel.global_allreduce_time(nbytes, ranks, blocking=blocking)
         # Reduction + broadcast trees each move one update per participating
         # rank per phase; the paper counts 2 * d * prank / 8 bytes for masks.
+        ranks = layout.num_ranks
         global_bytes = 2 * nbytes * ranks if ranks > 1 else 0
         if values:
             self.stats.delegate_value_bytes += global_bytes
         else:
             self.stats.delegate_mask_bytes += global_bytes
         self.stats.delegate_reductions += 1
-        return ReduceResult(
-            merged=merged,
-            local_time_s=local_time,
-            global_time_s=global_time,
-            global_bytes=global_bytes,
-        )
+        return ReduceResult(merged=merged, bill=(nbytes, blocking), global_bytes=global_bytes)
 
     # ------------------------------------------------------------------ #
     # Point-to-point (normal vertices)
@@ -238,13 +213,12 @@ class Communicator:
             Neutral element of ``payload_combine`` (defaults to the
             ``np.minimum`` identity, ``INT64_MAX``).
 
-        Every sender is charged its binning / 32-bit conversion kernel, busy
-        or not.  Sends from one GPU are serialised and different GPUs proceed
-        in parallel, so each phase's modeled time is the maximum over GPUs of
-        their serial time; message times come from
-        :meth:`NetworkModel.send_times`.
+        Every sender runs its binning / 32-bit conversion kernel, busy or
+        not; the result's ``bill`` records each one's size, the L hops, the
+        U filters and the messages sent, which
+        :meth:`NetworkModel.price` turns into the phases' modeled times.
         """
-        layout, netmodel = self.topology.layout, self.netmodel
+        layout = self.topology.layout
         p = layout.num_gpus
         if len(outboxes) != p:
             raise ValueError(f"expected {p} outboxes, got {len(outboxes)}")
@@ -261,13 +235,11 @@ class Communicator:
                     raise ValueError(
                         f"payload of GPU {g} has {len(payload)} rows, expected {size}"
                     )
-        filter_s = [netmodel.filter_time(size) for size in sizes]
         if not any(sizes):
             # Nothing to route: no byte, no statistic, every inbox empty.
             return ExchangeResult(
                 inboxes=[_EMPTY_I64] * p,
-                local_time_s=max(filter_s),
-                remote_time_s=0.0,
+                bill=ExchangeBill(sizes),
                 remote_bytes=0,
                 local_bytes=0,
                 payload_inboxes=None if payloads is None else [payloads[0][:0]] * p,
@@ -283,8 +255,8 @@ class Communicator:
         payload = None if payloads is None else np.concatenate(payloads)
         payload_row = 0 if payload is None else payload[0].nbytes
         wire = _ID_BYTES + payload_row
-        local_s = [0.0] * p
         local_bytes = payload_bytes = 0
+        hops = held = None
 
         # L: a rank's ids for destination d are staged on its GPU with d's
         # within-rank index; each (sender, owner) chunk that changes GPU is
@@ -294,10 +266,8 @@ class Communicator:
         via = src
         if staged:
             staging = self.topology.staging_table
-            senders = np.arange(p)[:, None]
-            hops = np.where(staging != senders, counts, 0)
             # Chunk (s, d) hops from s to staging[s, d], a GPU of s's rank.
-            local_s = netmodel.send_times(hops * wire, same_rank[senders, staging])
+            hops = np.where(staging != np.arange(p)[:, None], counts, 0)
             hopped = int(hops.sum())
             local_bytes += hopped * wire
             payload_bytes += hopped * payload_row
@@ -307,14 +277,13 @@ class Communicator:
         key = dst * p + via
         if uniquify and staged:
             # U: a staging GPU keeps each destination slot once (ascending,
-            # payloads merged in emission order) and is charged a filter over
-            # what it holds for each destination — in the order it first
+            # payloads merged in emission order) and runs a filter over what
+            # it holds for each destination — billed in the order it first
             # received ids for that destination, which the float sum keeps.
             held_ids = np.bincount(key, minlength=p * p)
             pairs = np.flatnonzero(counts)
             first_seen = _first_appearances(pairs % p * p + staging.ravel()[pairs])
-            for k, held in zip(first_seen.tolist(), held_ids[first_seen].tolist()):
-                local_s[k % p] += netmodel.filter_time(held)
+            held = list(zip((first_seen % p).tolist(), held_ids[first_seen].tolist()))
             order = np.lexsort((slots, key))
             key, slots = key[order], slots[order]
             fresh = np.ones(key.size, dtype=bool)
@@ -339,7 +308,6 @@ class Communicator:
         # diagonal — a GPU's ids for itself never leave it.
         sent = np.bincount(key, minlength=p * p).reshape(p, p).T.copy()
         np.fill_diagonal(sent, 0)
-        send_s = netmodel.send_times(sent * wire, same_rank)
         local_bytes += int(sent[same_rank].sum()) * wire
         remote_bytes = int(sent[~same_rank].sum()) * wire
         self.stats.normal_messages += int(np.count_nonzero(sent))
@@ -351,8 +319,7 @@ class Communicator:
         bounds = np.cumsum(np.bincount(key // p, minlength=p))[:-1]
         return ExchangeResult(
             inboxes=np.split(slots, bounds),
-            local_time_s=max(f + s for f, s in zip(filter_s, local_s)),
-            remote_time_s=max(send_s),
+            bill=ExchangeBill(sizes, wire, hops, held, sent),
             remote_bytes=remote_bytes,
             local_bytes=local_bytes,
             payload_inboxes=None if payload is None else np.split(payload, bounds),

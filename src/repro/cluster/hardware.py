@@ -27,7 +27,7 @@ __all__ = ["HardwareSpec"]
 
 @dataclass(frozen=True)
 class HardwareSpec:
-    """Machine parameters used by :class:`repro.cluster.netmodel.NetworkModel`.
+    """Machine parameters used by :class:`repro.cluster.NetworkModel`.
 
     Attributes
     ----------

@@ -8,6 +8,10 @@ turns those formulas — plus the microbenchmark observations of §VI-A1
 (message-size efficiency peaking around 4 MB, CPU staging because RDMA is
 unavailable) — into a reusable :class:`NetworkModel`.
 
+It is the one place the partitioned engine's modeled seconds are computed:
+a super-step records what it moved in a :class:`StepBill`, and the run's
+ledger prices the bill with :meth:`NetworkModel.price` when it books the step.
+
 The model is deliberately simple and fully documented: every method returns
 seconds and takes explicit byte counts, so the benchmark harness can print the
 same breakdowns the paper plots.
@@ -16,13 +20,62 @@ same breakdowns the paper plots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cluster.hardware import HardwareSpec
 
-__all__ = ["NetworkModel"]
+__all__ = ["NetworkModel", "StepBill", "ExchangeBill", "StepTimes", "IDLE_KERNEL"]
+
+#: The bill term of an idle visit kernel: no edge examined, one launch paid.
+IDLE_KERNEL = (0, False)
+
+
+@dataclass(slots=True)
+class ExchangeBill:
+    """What one point-to-point exchange moved (ids, not bytes or seconds)."""
+
+    #: Per sender, the ids its binning / 32-bit conversion filter scans.
+    sizes: list
+    #: Bytes one id (with its payload row) takes on the wire.
+    wire: int = 0
+    #: ``[s, d]``: ids ``s`` hops over NVLink to its staging GPU for ``d``
+    #: (local all2all), or ``None``.
+    hops: np.ndarray | None = None
+    #: ``(staging GPU, ids held)`` per uniquify filter, in the order the
+    #: staging GPUs first received ids for each destination, or ``None``.
+    held: list | None = None
+    #: ``[s, d]``: ids in the message from ``s`` to ``d``; ``None`` when no
+    #: GPU sent anything.
+    sent: np.ndarray | None = None
+
+
+@dataclass(slots=True)
+class StepBill:
+    """What one super-step moved: the raw quantities, never seconds."""
+
+    #: Per GPU, its visit kernels' ``(edges examined, backward)`` terms in
+    #: launch order (an idle kernel still charged is :data:`IDLE_KERNEL`).
+    kernels: list = field(default_factory=list)
+    #: Per GPU, the elements its previsit filter scans; ``None``: no filter.
+    filters: list | None = None
+    #: Overlay edges relaxed on the coordinator after the step's kernels.
+    overlay_edges: int = 0
+    exchange: ExchangeBill | None = None
+    #: The delegate reduce's ``(update bytes, blocking)``, or ``None``.
+    reduce: tuple | None = None
+
+
+class StepTimes(NamedTuple):
+    """A priced :class:`StepBill`: an ``IterationRecord``'s five times."""
+
+    computation_s: float
+    local_communication_s: float
+    remote_normal_exchange_s: float
+    remote_delegate_reduce_s: float
+    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -181,3 +234,75 @@ class NetworkModel:
     def iteration_overhead(self) -> float:
         """Fixed per-super-step overhead."""
         return self.hardware.iteration_overhead_s
+
+    # ------------------------------------------------------------------ #
+    # One super-step
+    # ------------------------------------------------------------------ #
+    def price(self, bill: StepBill, topology, overlap_efficiency: float) -> StepTimes:
+        """The modeled times of one super-step (paper §VI-B) from its bill.
+
+        A GPU's computation is the iteration overhead, its filter and its
+        kernels, added in that order; the step's is the slowest GPU's.
+        Communication is the exchange's local phase plus the reduce's
+        intra-rank phases, the exchange's remote phase and the reduce's
+        (I)AllReduce; an ``overlap_efficiency`` share of the shorter of
+        computation and communication is hidden behind the other.  Overlay
+        edges, a serial side-structure, are added after the overlap.
+        """
+        hw = self.hardware
+        traversal_time = self.traversal_time
+        idle_s = traversal_time(0)
+        filters = bill.filters
+        per_gpu = []
+        for g, terms in enumerate(bill.kernels):
+            comp = hw.iteration_overhead_s
+            if filters is not None:
+                comp += self.filter_time(filters[g])
+            for edges, backward in terms:
+                # No edge costs the launch overhead in either direction.
+                comp += traversal_time(edges, backward) if edges else idle_s
+            per_gpu.append(comp)
+        computation_s = max(per_gpu) if per_gpu else 0.0
+
+        local_comm_s = remote_normal_s = 0.0
+        if bill.exchange is not None:
+            local_comm_s, remote_normal_s = self._exchange_times(bill.exchange, topology)
+        remote_delegate_s = 0.0
+        if bill.reduce is not None:
+            nbytes, blocking = bill.reduce
+            pgpu, ranks = topology.layout.gpus_per_rank, topology.layout.num_ranks
+            local_comm_s += self.local_reduce_time(nbytes, pgpu) + self.local_broadcast_time(
+                nbytes, pgpu
+            )
+            remote_delegate_s = self.global_allreduce_time(nbytes, ranks, blocking=blocking)
+        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
+        overlap = overlap_efficiency * min(computation_s, comm_total)
+        elapsed_s = computation_s + comm_total - overlap
+        if bill.overlay_edges:
+            extra = traversal_time(bill.overlay_edges)
+            computation_s += extra
+            elapsed_s += extra
+        return StepTimes(
+            computation_s, local_comm_s, remote_normal_s, remote_delegate_s, elapsed_s
+        )
+
+    def _exchange_times(self, bill: ExchangeBill, topology) -> tuple[float, float]:
+        """``(local, remote)`` seconds of one exchange: a GPU's sends are
+        serial and GPUs send in parallel, so each phase costs the slowest
+        GPU's sum (binning filter, hops and uniquify filters locally)."""
+        filter_s = [self.filter_time(size) for size in bill.sizes]
+        if bill.sent is None:
+            return max(filter_s), 0.0
+        p = len(filter_s)
+        same_rank = topology.same_rank_table
+        local_s = [0.0] * p
+        if bill.hops is not None:
+            senders = np.arange(p)[:, None]
+            local_s = self.send_times(
+                bill.hops * bill.wire, same_rank[senders, topology.staging_table]
+            )
+        if bill.held is not None:
+            for gpu, held in bill.held:
+                local_s[gpu] += self.filter_time(held)
+        send_s = self.send_times(bill.sent * bill.wire, same_rank)
+        return max(f + s for f, s in zip(filter_s, local_s)), max(send_s)

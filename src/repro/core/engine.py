@@ -59,11 +59,13 @@ drivers such as delta-stepping SSSP all run through them.  A run's
 accounting is written once too: every program's run — the level loop's and
 each driver's (PageRank, hooking components, triangle counting) — keeps its
 communicator, records, modeled-time totals, wall phases and spans in one
-:class:`RunLedger`, and every modeled super-step ends in
-:func:`step_record`.  What differs between one source and a batch of
-them — how the frontier is stored, how a discovery folds into state, which
-exchange and reduction carry it — sits behind a frontier representation
-(:mod:`repro.core.frontier`) chosen from the state the entry point built.
+:class:`RunLedger`, and every super-step hands the ledger a bill of what it
+moved (a :class:`~repro.cluster.StepBill`), which the ledger prices when it
+books the step: no other code computes a modeled second.  What differs
+between one source and a batch of them — how the frontier is stored, how a
+discovery folds into state, which exchange and reduction carry it — sits
+behind a frontier representation (:mod:`repro.core.frontier`) chosen from
+the state the entry point built.
 
 For mutable graphs (:mod:`repro.dynamic`) the loop accepts two extensions:
 a pre-seeded ``init`` replacing the program's ``init_state`` (the
@@ -84,7 +86,7 @@ import numpy as np
 
 from repro.cluster.comm import Communicator
 from repro.cluster.hardware import HardwareSpec
-from repro.cluster.netmodel import NetworkModel
+from repro.cluster.netmodel import IDLE_KERNEL, NetworkModel, StepBill, StepTimes
 from repro.cluster.topology import ClusterTopology
 from repro.core.direction import DirectionState
 from repro.core.frontier import NORMAL_SOURCED, BatchState, frontier_for, global_ids
@@ -102,7 +104,7 @@ from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
 from repro.utils.timing import TimingBreakdown, now_s
 
-__all__ = ["TraversalEngine", "DistributedBFS", "RunLedger", "step_record"]
+__all__ = ["TraversalEngine", "DistributedBFS", "RunLedger"]
 
 #: Default lane count per batched sweep when ``run_many`` routes through the
 #: batched path; wider batches amortize better but grow the lane words.
@@ -135,6 +137,9 @@ class RunLedger:
     phase and records its span, :meth:`step` books a finished super-step
     (:meth:`add` books a record without a span), and :meth:`close` records
     the ``traversal`` span and returns the result ``base`` dictionary.
+    Booking a record prices its step's bill with the engine's network model
+    — the only place a run's modeled seconds are computed — so every
+    booked record is complete and no bill outlives its step.
     ``plan``, ``fold`` and ``overlay`` are the coordinator's own share of a
     step; :meth:`close` folds them into ``kernels``, which otherwise holds
     the engine's timing of the backend's ``run_kernels`` call.
@@ -145,12 +150,15 @@ class RunLedger:
 
     __slots__ = (
         "program", "communicator", "records", "timing", "total_edges", "wall",
-        "started", "_tracer", "_num_directed_edges",
+        "started", "_tracer", "_num_directed_edges", "_netmodel", "_topology", "_overlap",
     )
 
     def __init__(self, engine: "TraversalEngine", program: str) -> None:
         self.program = program
-        self.communicator = Communicator(engine.topology, engine.netmodel)
+        self.communicator = Communicator(engine.topology)
+        self._netmodel = engine.netmodel
+        self._topology = engine.topology
+        self._overlap = engine.options.overlap_efficiency
         self.records: list[IterationRecord] = []
         self.timing = TimingBreakdown()
         self.total_edges = 0
@@ -179,7 +187,10 @@ class RunLedger:
             )
         return ended
 
-    def step(self, started: float, level: int, record: IterationRecord, span_args=None) -> None:
+    def step(
+        self, started: float, level: int, record: IterationRecord, bill: StepBill,
+        span_args=None,
+    ) -> None:
         """Book one finished super-step that began at ``started``."""
         if self._tracer.enabled:
             args = {"level": level, "program": self.program}
@@ -188,10 +199,14 @@ class RunLedger:
             self._tracer.record_span(
                 "super-step", cat="engine", start=started, dur=now_s() - started, args=args
             )
-        self.add(record)
+        self.add(record, bill)
 
-    def add(self, record: IterationRecord) -> None:
-        """Book one record (a driver's step that has no ``super-step`` span)."""
+    def add(self, record: IterationRecord, bill: StepBill) -> None:
+        """Book one record (a driver's step that has no ``super-step`` span),
+        its five modeled times priced from its step's ``bill``."""
+        times = self._netmodel.price(bill, self._topology, self._overlap)
+        for name, seconds in zip(StepTimes._fields, times):
+            setattr(record, name, seconds)
         self.records.append(record)
         self.total_edges += record.total_edges_examined()
         self.timing.add(record)
@@ -219,41 +234,6 @@ class RunLedger:
             "num_directed_edges": self._num_directed_edges,
             "wall_s": wall,
         }
-
-
-def step_record(
-    level: int, per_gpu_comp, exchange, reduce, overlap_efficiency: float,
-    normal_frontier_size: int, delegate_frontier_size: int, edges_examined: dict,
-    directions: dict, discovered: int,
-) -> IterationRecord:
-    """A super-step's modeled time (paper §VI-B) and its record.
-
-    Computation is the slowest GPU's; communication is the exchange's local
-    and remote time plus the delegate ``reduce``'s (``None`` when the step
-    needed none); an ``overlap_efficiency`` share of the shorter of the two
-    is hidden behind the other.
-    """
-    computation_s = float(max(per_gpu_comp)) if len(per_gpu_comp) else 0.0
-    reduce_local_s = reduce.local_time_s if reduce is not None else 0.0
-    remote_delegate_s = reduce.global_time_s if reduce is not None else 0.0
-    local_comm_s = exchange.local_time_s + reduce_local_s
-    remote_normal_s = exchange.remote_time_s
-    comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-    overlap = overlap_efficiency * min(computation_s, comm_total)
-    return IterationRecord(
-        iteration=level,
-        normal_frontier_size=normal_frontier_size,
-        delegate_frontier_size=delegate_frontier_size,
-        edges_examined=edges_examined,
-        directions=directions,
-        discovered=discovered,
-        delegate_reduce=reduce is not None,
-        computation_s=computation_s,
-        local_communication_s=local_comm_s,
-        remote_normal_exchange_s=remote_normal_s,
-        remote_delegate_reduce_s=remote_delegate_s,
-        elapsed_s=computation_s + comm_total - overlap,
-    )
 
 
 class TraversalEngine:
@@ -586,16 +566,16 @@ class TraversalEngine:
             if overlay_live:
                 pre_frontier = rep.capture()
             step_started = now_s()
-            plan, tally = self._plan_super_step(rep, dir_states, level)
+            plan, (record, bill) = self._plan_super_step(rep, dir_states, level)
             kernels_started = ledger.phase("plan", step_started, level, "plan+direction", plan)
             outputs = backend.run_kernels(plan)
             fold_started = ledger.phase("kernels", kernels_started)
-            record = self._finalize_super_step(outputs, rep, ledger, level, fold_started, *tally)
+            self._finalize_super_step(outputs, rep, ledger, level, fold_started, record, bill)
             if overlay_live:
                 relax_started = now_s()
-                self._overlay_relax(rep, overlay, pre_frontier, record)
+                self._overlay_relax(rep, overlay, pre_frontier, record, bill)
                 ledger.phase("overlay", relax_started, level, "overlay-relax")
-            ledger.step(step_started, level, record, rep.span_args)
+            ledger.step(step_started, level, record, bill, rep.span_args)
             if settle is not None:
                 settle()
         return ledger.close(rep.span_args)
@@ -603,7 +583,9 @@ class TraversalEngine:
     # ------------------------------------------------------------------ #
     # Overlay relaxation (mutable graphs)
     # ------------------------------------------------------------------ #
-    def _overlay_relax(self, rep, overlay, segments: list, record: IterationRecord) -> None:
+    def _overlay_relax(
+        self, rep, overlay, segments: list, record: IterationRecord, bill: StepBill
+    ) -> None:
         """Relax the overlay edges leaving this step's input frontier.
 
         Runs on the coordinator after the planned kernels finish (so it is
@@ -612,8 +594,8 @@ class TraversalEngine:
         across the overlay, the representation turns that into one proposal
         per target exactly like a kernel discovery would, fresh vertices
         merge into the next frontier, and the examined overlay edges are
-        charged to the step's counters and modeled computation (unoverlapped
-        — the overlay is a serial side-structure).
+        added to the step's counters and its bill (which prices them into
+        computation unoverlapped — the overlay is a serial side-structure).
         """
         graph = self.graph
         if not segments:
@@ -626,9 +608,7 @@ class TraversalEngine:
         if edges == 0:
             return
         record.edges_examined["overlay"] = record.edges_examined.get("overlay", 0) + edges
-        extra = self.netmodel.traversal_time(edges, backward=False)
-        record.computation_s += extra
-        record.elapsed_s += extra
+        bill.overlay_edges += edges
 
         delegate_ids = graph.delegate_id_of_vertex(targets)
         is_delegate = delegate_ids >= 0
@@ -651,7 +631,7 @@ class TraversalEngine:
     # ------------------------------------------------------------------ #
     def _plan_super_step(
         self, rep, dir_states: dict[str, list[DirectionState]], level: int
-    ) -> tuple[SuperStepPlan, tuple]:
+    ) -> tuple[SuperStepPlan, tuple[IterationRecord, StepBill]]:
         """Describe one super-step's kernels as a backend-executable plan.
 
         The planning pass takes the seed engine's (stateful) per-subgraph
@@ -665,17 +645,17 @@ class TraversalEngine:
         pulls or whose degree sum is positive, and a
         :class:`repro.exec.GPUPlan` only for a GPU with such a kernel: a
         kernel the plan does not list is an idle forward kernel, and
-        :meth:`_finalize_super_step` charges it as one.  The walk is the
+        :meth:`_finalize_super_step` bills it as one.  The walk is the
         same for every frontier representation; ``rep`` supplies the
         frontier rows, the dense buffers, the backward-workload estimate,
         and — only for the kernel that then pushes or pulls — the previsit-
         filtered queue or the rows still open to a pull, with the task's
-        payload.  Beside the plan it returns what the walk tallied for
-        :meth:`_finalize_super_step` — the per-GPU base computation, the
-        direction counts and the two frontier sizes.
+        payload.  Beside the plan it returns the step's record and bill as
+        far as the walk knows them — the two frontier sizes, the direction
+        counts and the per-GPU previsit filter sizes — for
+        :meth:`_finalize_super_step` to complete.
         """
         p = self.graph.num_gpus
-        netmodel = self.netmodel
 
         rep.begin_step()
         delegate_size = rep.delegate_size()
@@ -688,7 +668,7 @@ class TraversalEngine:
         )
         normal_frontier_total = 0
         directions = {"nd": 0, "dn": 0, "dd": 0}
-        base_comp: list[float] = []
+        filters: list[int] = []
         gpu_plans: list[GPUPlan] = []
 
         for g in range(p):
@@ -696,10 +676,7 @@ class TraversalEngine:
             normal_rows = rep.normal_rows(g)
             normal_size = int(normal_rows.size)
             normal_frontier_total += normal_size
-            base_comp.append(
-                netmodel.iteration_overhead()
-                + netmodel.filter_time(2 * normal_size + 2 * delegate_size)
-            )
+            filters.append(2 * normal_size + 2 * delegate_size)
             visits = []
             dense_local = None
             for kernel in self._kernels[g]:
@@ -752,7 +729,10 @@ class TraversalEngine:
         plan = SuperStepPlan(
             level=level, gpu_plans=gpu_plans, dense_delegate=rep.dense_delegate
         )
-        return plan, (base_comp, directions, normal_frontier_total, delegate_size)
+        record = IterationRecord(
+            level, normal_frontier_total, delegate_size, directions=directions
+        )
+        return plan, (record, StepBill(filters=filters))
 
     def _finalize_super_step(
         self,
@@ -761,40 +741,37 @@ class TraversalEngine:
         ledger: RunLedger,
         level: int,
         fold_started: float,
-        base_comp: list,
-        directions: dict,
-        normal_frontier_total: int,
-        delegate_frontier_size: int,
-    ) -> IterationRecord:
+        record: IterationRecord,
+        bill: StepBill,
+    ) -> None:
         """Fold kernel outputs, exchange, reduce: the serial half of a step.
 
         ``outputs[g]`` holds the outputs of the kernels the plan listed for
         GPU ``g``.  A kernel without an output was an idle forward kernel:
-        it still costs its launch overhead (``traversal_time(0)``), added in
-        the same nn → nd → dn → dd order as a kernel that ran, and
-        contributes nothing to fold.  Always run on the coordinating
-        process, so results, counters and modeled times are identical under
-        every backend.
+        it still pays its launch overhead, so it is billed as
+        ``IDLE_KERNEL`` in the same nn → nd → dn → dd order as a kernel that
+        ran, and contributes nothing to fold.  Completes the step's
+        ``record`` (all but the modeled times, which booking prices) and its
+        ``bill``.  Always run on the coordinating process, so results,
+        counters and bills are identical under every backend.
         """
         p = self.graph.num_gpus
-        traversal_time = self.netmodel.traversal_time
-        idle_s = traversal_time(0)
-        per_gpu_comp: list[float] = []
-        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
+        kernels = bill.kernels
+        edges_examined = record.edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
 
         rep.begin_fold()
         for g in range(p):
             outs = outputs[g]
-            comp = base_comp[g]
+            terms = []
             for kernel in self._kernels[g]:
                 out = outs.get(kernel)
                 if out is None:
-                    comp += idle_s
+                    terms.append(IDLE_KERNEL)
                     continue
-                comp += traversal_time(out.edges_examined, backward=out.backward)
+                terms.append((out.edges_examined, out.backward))
                 edges_examined[kernel] += out.edges_examined
                 rep.fold(g, kernel, out)
-            per_gpu_comp.append(comp)
+            kernels.append(terms)
 
         # ------------------------------------------------------------------ #
         # Communication stage
@@ -810,11 +787,10 @@ class TraversalEngine:
         discovered += rep.delegate_size()
         ledger.phase("delegate_reduce", reduce_started, level, "delegate-reduce")
 
-        return step_record(
-            level, per_gpu_comp, exchange, reduce, self.options.overlap_efficiency,
-            normal_frontier_total, delegate_frontier_size, edges_examined, directions,
-            discovered,
-        )
+        record.discovered = discovered
+        record.delegate_reduce = reduce is not None
+        bill.exchange = exchange.bill
+        bill.reduce = None if reduce is None else reduce.bill
 
 
 class DistributedBFS:

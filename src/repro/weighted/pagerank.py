@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import RunLedger, step_record
+from repro.cluster.netmodel import StepBill
+from repro.core.engine import RunLedger
+from repro.core.frontier import NORMAL_SOURCED
 from repro.core.results import IterationRecord
 from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
 from repro.utils.timing import now_s
@@ -40,6 +42,8 @@ __all__ = ["PageRank", "SCALE", "DAMP_DEN", "damped"]
 SCALE = 1 << 34
 #: Denominator of the damping fraction (damping is rounded to 1/2^20).
 DAMP_DEN = 1 << 20
+#: The order a sweep bills a GPU's kernels in (the float sum keeps it).
+_BILL_ORDER = ("nn", "dn", "nd", "dd")
 
 
 def damped(x, damp_num: int):
@@ -60,17 +64,18 @@ class PageRank:
     each round it plans one contribution super-step (a ``contrib_visit``
     task per subgraph kernel), has the engine's backend run its kernels,
     folds the received mass with integer adds, and updates the rank vector.
-    The run's accounting is the engine's :class:`~repro.core.engine.RunLedger`
-    and each step's modeled time comes from
-    :func:`~repro.core.engine.step_record`.
+    The run's accounting is the engine's :class:`~repro.core.engine.RunLedger`,
+    which prices each step's bill.
 
     The plan walk and its charging rules are PageRank's own, not the
-    engine's: a GPU's base cost is ``filter_time(2 * queued)``, a kernel with
-    nothing queued is not charged, overlay mass is charged to GPU 0's
-    computation and ``discovered`` counts the vertices that received mass.
-    They define PageRank's modeled time, which the ``pagerank_*`` CLI goldens
-    and the ``pagerank-rmat14-fixed`` baseline record pin, so moving PageRank
-    onto the engine's walk would move ``modeled_ms``.
+    engine's, and its bill states them: a GPU's filter is ``2 * queued``
+    elements, its kernel terms run nn, dn, nd, dd and a kernel that
+    discovered nothing has no term, overlay edges are one more kernel term on
+    GPU 0 (inside the slowest-GPU max, not after the overlap) and
+    ``discovered`` counts the vertices that received mass.  They define
+    PageRank's modeled time, which the ``pagerank_*`` CLI goldens and the
+    ``pagerank-rmat14-fixed`` baseline record pin, so moving PageRank onto
+    the engine's walk would move ``modeled_ms``.
 
     Parameters
     ----------
@@ -128,8 +133,7 @@ class PageRank:
         d = graph.num_delegates
         dv = graph.delegate_vertices
 
-        overlay_live = overlay is not None and not overlay.empty
-        if overlay_live:
+        if overlay is not None and not overlay.empty:
             o_src, o_dst, _ = overlay.edges()
         else:
             o_src = o_dst = np.zeros(0, dtype=np.int64)
@@ -200,14 +204,8 @@ class PageRank:
     # One contribution super-step
     # ------------------------------------------------------------------ #
     def _sweep(
-        self,
-        engine,
-        ledger: RunLedger,
-        level: int,
-        contrib: np.ndarray,
-        active: np.ndarray,
-        o_src: np.ndarray,
-        o_dst: np.ndarray,
+        self, engine, ledger: RunLedger, level: int, contrib: np.ndarray, active: np.ndarray,
+        o_src: np.ndarray, o_dst: np.ndarray,
     ) -> np.ndarray:
         """Scatter ``contrib`` along the active vertices' out-edges.
 
@@ -215,14 +213,13 @@ class PageRank:
         mass (an exact integer sum over incoming edges, backend-invariant).
         """
         graph = engine.graph
-        netmodel = engine.netmodel
         p = graph.num_gpus
         d = graph.num_delegates
         dv = graph.delegate_vertices
 
         plan_started = now_s()
         gpu_plans: list[GPUPlan] = []
-        base_comp = np.zeros(p, dtype=np.float64)
+        filters: list[int] = []
         active_total = 0
         active_delegates = int(np.count_nonzero(active[dv])) if d else 0
         for g in range(p):
@@ -231,10 +228,11 @@ class PageRank:
             owned = part.owned_global_ids()
             visits: list[VisitSpec] = []
             queued = 0
-            for kernel in ("nn", "nd"):
-                if kernel == "nd" and not d:
-                    continue
-                rows = np.flatnonzero((deg[kernel] > 0) & active[owned])
+            for kernel in engine._kernels[g]:
+                # nn / nd rows are this GPU's normal slots, dn / dd rows
+                # delegate ids.
+                ids = owned if kernel in NORMAL_SOURCED else dv
+                rows = np.flatnonzero((deg[kernel] > 0) & active[ids])
                 if rows.size:
                     visits.append(
                         VisitSpec(
@@ -243,30 +241,11 @@ class PageRank:
                             backward=False,
                             queue=rows,
                             keep_sources=False,
-                            row_values=contrib[owned[rows]],
+                            row_values=contrib[ids[rows]],
                         )
                     )
                     queued += int(rows.size)
-            if d:
-                for kernel in ("dn", "dd"):
-                    if kernel == "dn" and not part.num_local:
-                        continue
-                    rows = np.flatnonzero((deg[kernel] > 0) & active[dv])
-                    if rows.size:
-                        visits.append(
-                            VisitSpec(
-                                kernel,
-                                kernel,
-                                backward=False,
-                                queue=rows,
-                                keep_sources=False,
-                                row_values=contrib[dv[rows]],
-                            )
-                        )
-                        queued += int(rows.size)
-            base_comp[g] = netmodel.iteration_overhead() + netmodel.filter_time(
-                2 * queued
-            )
+            filters.append(2 * queued)
             active_total += queued
             gpu_plans.append(GPUPlan(gpu=g, visits=visits))
 
@@ -279,32 +258,27 @@ class PageRank:
         kernels_started = ledger.phase("plan", plan_started)
         outputs = engine.backend.run_kernels(plan)
         fold_started = ledger.phase("kernels", kernels_started)
-        recv, record = self._finalize_sweep(
-            outputs, engine, ledger, level, fold_started, contrib, active, o_src, o_dst,
-            base_comp, active_total, active_delegates,
+        # Contribution sweeps take no direction decision.
+        record = IterationRecord(
+            level, active_total, active_delegates, directions={"nd": 0, "dn": 0, "dd": 0}
         )
-        ledger.step(plan_started, level, record)
+        bill = StepBill([[] for _ in range(p)], filters)
+        recv = self._finalize_sweep(
+            outputs, engine, ledger, level, fold_started, contrib, active, o_src, o_dst,
+            record, bill,
+        )
+        ledger.step(plan_started, level, record, bill)
         return recv
 
     def _finalize_sweep(
-        self,
-        outputs: list,
-        engine,
-        ledger: RunLedger,
-        level: int,
-        fold_started: float,
-        contrib: np.ndarray,
-        active: np.ndarray,
-        o_src: np.ndarray,
-        o_dst: np.ndarray,
-        base_comp: np.ndarray,
-        active_total: int,
-        active_delegates: int,
-    ) -> tuple[np.ndarray, IterationRecord]:
-        """Fold the sweep's outputs, exchange, reduce: received mass and record."""
+        self, outputs: list, engine, ledger: RunLedger, level: int, fold_started: float,
+        contrib: np.ndarray, active: np.ndarray, o_src: np.ndarray, o_dst: np.ndarray,
+        record: IterationRecord, bill: StepBill,
+    ) -> np.ndarray:
+        """Fold the sweep's outputs, exchange, reduce: the received mass.
+        Completes the step's ``record`` (but its modeled times) and ``bill``."""
         graph = engine.graph
         opts = engine.options
-        netmodel = engine.netmodel
         n = graph.num_vertices
         p = graph.num_gpus
         d = graph.num_delegates
@@ -314,40 +288,24 @@ class PageRank:
             np.zeros(graph.gpus[g].num_local, dtype=np.int64) for g in range(p)
         ]
         delegate_accum = [np.zeros(d, dtype=np.int64) for g in range(p)]
-        nn_outboxes: list[np.ndarray] = []
-        nn_payloads: list[np.ndarray] = []
-        per_gpu_comp = base_comp.copy()
-        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
-
         empty_i64 = np.zeros(0, dtype=np.int64)
+        nn_outboxes = [empty_i64] * p
+        nn_payloads = [empty_i64] * p
+        kernels = bill.kernels
+        edges_examined = record.edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
+
         for g in range(p):
-            outs = outputs[g]
-            out_nn = outs.get("nn")
-            if out_nn is not None and out_nn.discovered.size:
-                per_gpu_comp[g] += netmodel.traversal_time(
-                    out_nn.edges_examined, backward=False
-                )
-                edges_examined["nn"] += out_nn.edges_examined
-                nn_outboxes.append(out_nn.discovered)
-                nn_payloads.append(out_nn.values)
-            else:
-                nn_outboxes.append(empty_i64)
-                nn_payloads.append(empty_i64)
-            out_dn = outs.get("dn")
-            if out_dn is not None and out_dn.discovered.size:
-                per_gpu_comp[g] += netmodel.traversal_time(
-                    out_dn.edges_examined, backward=False
-                )
-                edges_examined["dn"] += out_dn.edges_examined
-                np.add.at(local_accum[g], out_dn.discovered, out_dn.values)
-            for kernel in ("nd", "dd"):
-                out = outs.get(kernel)
-                if out is not None and out.discovered.size:
-                    per_gpu_comp[g] += netmodel.traversal_time(
-                        out.edges_examined, backward=False
-                    )
-                    edges_examined[kernel] += out.edges_examined
-                    np.add.at(delegate_accum[g], out.discovered, out.values)
+            for kernel in _BILL_ORDER:
+                out = outputs[g].get(kernel)
+                if out is None or not out.discovered.size:
+                    continue
+                kernels[g].append((out.edges_examined, False))
+                edges_examined[kernel] += out.edges_examined
+                if kernel == "nn":
+                    nn_outboxes[g], nn_payloads[g] = out.discovered, out.values
+                else:
+                    accum = local_accum[g] if kernel == "dn" else delegate_accum[g]
+                    np.add.at(accum, out.discovered, out.values)
 
         exchange_started = ledger.phase("fold", fold_started, level, "fold")
         exchange = ledger.communicator.exchange(
@@ -381,18 +339,15 @@ class PageRank:
 
         # Overlay edges (not yet compacted into the CSR) relax on the
         # coordinator so every backend sees the union graph.
-        overlay_edges = 0
         if o_src.size:
             take = active[o_src]
             overlay_edges = int(np.count_nonzero(take))
             if overlay_edges:
                 np.add.at(recv, o_dst[take], contrib[o_src[take]])
-                per_gpu_comp[0] += netmodel.traversal_time(
-                    overlay_edges, backward=False
-                )
+                kernels[0].append((overlay_edges, False))
                 edges_examined["overlay"] = overlay_edges
-        return recv, step_record(
-            level, per_gpu_comp, exchange, reduce, opts.overlap_efficiency,
-            active_total, active_delegates, edges_examined, {"nd": 0, "dn": 0, "dd": 0},
-            int(np.count_nonzero(recv)),
-        )
+        record.discovered = int(np.count_nonzero(recv))
+        record.delegate_reduce = reduce is not None
+        bill.exchange = exchange.bill
+        bill.reduce = None if reduce is None else reduce.bill
+        return recv

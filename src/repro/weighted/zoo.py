@@ -15,7 +15,8 @@ tier) and run dense array passes on the coordinator:
   via rank-ordered wedge checks, with bounded-memory chunking.
 
 Both drivers synthesize the standard counter records, kept in the engine's
-:class:`~repro.core.engine.RunLedger`, so bench harnesses, traces and
+:class:`~repro.core.engine.RunLedger` and billed as one kernel term per step
+with no filter and no communication, so bench harnesses, traces and
 result plumbing treat them like any engine traversal, and both fold a live
 overlay (not-yet-compacted insertions) into the edge list so mutable graphs
 see the union graph.  Their whole run is coordinator work, charged to the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.netmodel import StepBill
 from repro.core.engine import RunLedger
 from repro.core.results import IterationRecord
 from repro.utils.sorting import sorted_unique
@@ -34,24 +36,18 @@ from repro.weighted.results import HookingResult, TriangleCountResult
 __all__ = ["edges_from_partitions", "ComponentsHooking", "TriangleCount"]
 
 
-def edges_from_partitions(
-    graph, include_weights: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def edges_from_partitions(graph) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the global directed edge list from the partitioned graph.
 
     Walks every kernel CSR of every GPU — nn (local slots to global
     normals), nd (local slots to delegate ids), dn (delegate ids to local
     slots) and dd (delegate ids to delegate ids) — and maps rows and
     columns back to global vertex ids.  Compressed subgraphs are decoded
-    row-block by row-block through their own ``decode_rows``.
-
-    Returns ``(src, dst, weights)`` with ``weights`` ``None`` unless
-    ``include_weights`` is set and the graph is weighted.
+    row-block by row-block through their own ``decode_rows``.  Returns
+    ``(src, dst)``.
     """
-    want_weights = include_weights and graph.is_weighted
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
     for g, part in enumerate(graph.gpus):
         for kind in ("nn", "nd", "dn", "dd"):
             csr = getattr(part, kind)
@@ -75,26 +71,17 @@ def edges_from_partitions(
                 dst = graph.delegate_vertices[cols]
             srcs.append(np.asarray(src, dtype=np.int64))
             dsts.append(np.asarray(dst, dtype=np.int64))
-            if want_weights:
-                weights.append(np.asarray(csr.edge_weights, dtype=np.float64))
     if not srcs:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), (np.zeros(0, dtype=np.float64) if want_weights else None)
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    w = np.concatenate(weights) if want_weights else None
-    return src, dst, w
+        return empty, empty.copy()
+    return np.concatenate(srcs), np.concatenate(dsts)
 
 
 def _with_overlay(src, dst, overlay):
     if overlay is None or overlay.empty:
-        return src, dst, 0
+        return src, dst
     o_src, o_dst, _ = overlay.edges()
-    return (
-        np.concatenate([src, o_src]),
-        np.concatenate([dst, o_dst]),
-        int(o_src.size),
-    )
+    return np.concatenate([src, o_src]), np.concatenate([dst, o_dst])
 
 
 class ComponentsHooking:
@@ -115,12 +102,10 @@ class ComponentsHooking:
         if init is not None:
             raise ValueError("components-hooking does not support seeded init")
         graph = engine.graph
-        netmodel = engine.netmodel
         opts = engine.options
         n = graph.num_vertices
         ledger = RunLedger(engine, self.name)
-        src, dst, _ = edges_from_partitions(graph)
-        src, dst, _overlay_edges = _with_overlay(src, dst, overlay)
+        src, dst = _with_overlay(*edges_from_partitions(graph), overlay)
         m = int(src.size)
 
         total_jumps = 0
@@ -143,10 +128,6 @@ class ComponentsHooking:
                 new = flat
                 jumps += 1
             changed = int(np.count_nonzero(new != labels))
-            examined = m + n * jumps
-            comp = netmodel.iteration_overhead() + netmodel.traversal_time(
-                examined, backward=False
-            )
             ledger.add(
                 IterationRecord(
                     iteration=level,
@@ -155,9 +136,8 @@ class ComponentsHooking:
                     edges_examined={"hook": m, "jump": n * jumps},
                     directions={"nd": 0, "dn": 0, "dd": 0},
                     discovered=changed,
-                    computation_s=comp,
-                    elapsed_s=comp,
-                )
+                ),
+                StepBill([[(m + n * jumps, False)]]),
             )
             total_jumps += jumps
             if changed == 0:
@@ -190,11 +170,9 @@ class TriangleCount:
         if init is not None:
             raise ValueError("triangle counting does not support seeded init")
         graph = engine.graph
-        netmodel = engine.netmodel
         n = graph.num_vertices
         ledger = RunLedger(engine, self.name)
-        src, dst, _ = edges_from_partitions(graph)
-        src, dst, _overlay_edges = _with_overlay(src, dst, overlay)
+        src, dst = _with_overlay(*edges_from_partitions(graph), overlay)
 
         # Undirected u < v edges, deduplicated via packed keys.
         lo = np.minimum(src, dst)
@@ -279,9 +257,6 @@ class TriangleCount:
                 np.add.at(per_vertex, x[found], 1)
                 np.add.at(per_vertex, y[found], 1)
 
-        comp = netmodel.iteration_overhead() + netmodel.traversal_time(
-            max(total_pairs, 1), backward=False
-        )
         record = IterationRecord(
             iteration=1,
             normal_frontier_size=int(np.count_nonzero(dag_deg >= 2)),
@@ -289,10 +264,8 @@ class TriangleCount:
             edges_examined={"wedges": total_pairs},
             directions={"nd": 0, "dn": 0, "dd": 0},
             discovered=triangles,
-            computation_s=comp,
-            elapsed_s=comp,
         )
-        ledger.add(record)
+        ledger.add(record, StepBill([[(max(total_pairs, 1), False)]]))
         ledger.phase("kernels", ledger.started)
         return TriangleCountResult(
             triangles=triangles, per_vertex=per_vertex, **ledger.close()

@@ -4,6 +4,12 @@
 :func:`exchange_cases` and :func:`reduce_cases`, a sha256 over the received
 buffers, the ``float.hex()`` of every modeled time, the byte counts and the
 ``CommStats`` dict of one fresh :class:`~repro.cluster.comm.Communicator`.
+The communicator reports volumes only; a record's times are those of a step
+bill holding just its exchange or just its reduce, priced by
+:meth:`~repro.cluster.NetworkModel.price` (the local phase is the bill's
+``local_communication_s``, the remote one its ``remote_normal_exchange_s``
+or ``remote_delegate_reduce_s``).  Results of the API these records were
+written with carry their times as fields, which are read as they stand.
 The JSON is never regenerated: the replay (``tests/test_golden_comm.py``)
 proves the folded paths move the same buffers at the same modeled cost.
 
@@ -38,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.comm import Communicator
-from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.partition.layout import ClusterLayout
 from repro.utils.bitmask import BatchBitmask, Bitmask
@@ -152,7 +157,7 @@ def run_exchange(case: tuple):
     layout = ClusterLayout.from_notation(layout_name)
     rng = np.random.default_rng(_seed(case))
     boxes, loads = payloads(outboxes(layout, shape, rng), payload, rng)
-    comm = Communicator(ClusterTopology(layout), NetworkModel())
+    comm = Communicator(ClusterTopology(layout))
     result = comm.exchange(
         boxes,
         local_all2all=option != "none",
@@ -189,7 +194,7 @@ def run_reduce(case: tuple):
     layout_name, kind, blocking = case
     layout = ClusterLayout.from_notation(layout_name)
     updates = _updates(layout, kind, np.random.default_rng(_seed(case)))
-    comm = Communicator(ClusterTopology(layout), NetworkModel())
+    comm = Communicator(ClusterTopology(layout))
     combine = np.add if kind == "values_add" else np.minimum
     return comm, comm.allreduce(updates, blocking=blocking, combine=combine)
 
@@ -211,15 +216,28 @@ def reduce_digest(case: tuple) -> dict:
     return reduce_record(*run_reduce(case))
 
 
+def _priced(comm, **bill):
+    """The modeled times of a step whose bill holds only ``bill`` (an
+    exchange's or a reduce's)."""
+    from repro.cluster.netmodel import NetworkModel, StepBill
+
+    return NetworkModel().price(StepBill(**bill), comm.topology, overlap_efficiency=0.0)
+
+
 def exchange_record(comm, result, received) -> dict:
     """The record of one exchange: its communicator, result and payload inboxes."""
     sha = hashlib.sha256()
     _hash_arrays(sha, result.inboxes)
     _hash_arrays(sha, received)
+    if hasattr(result, "bill"):
+        times = _priced(comm, exchange=result.bill)
+        local, remote = times.local_communication_s, times.remote_normal_exchange_s
+    else:  # the pre-bill API exchange_records_parent_api.py drives
+        local, remote = result.local_time_s, result.remote_time_s
     return {
         "buffers": sha.hexdigest(),
-        "local_time_s": float(result.local_time_s).hex(),
-        "remote_time_s": float(result.remote_time_s).hex(),
+        "local_time_s": float(local).hex(),
+        "remote_time_s": float(remote).hex(),
         "remote_bytes": int(result.remote_bytes),
         "local_bytes": int(result.local_bytes),
         "stats": comm.stats.as_dict(),
@@ -235,10 +253,15 @@ def reduce_record(comm, result) -> dict:
         merged = merged.words
     sha = hashlib.sha256()
     _hash_arrays(sha, [merged])
+    if hasattr(result, "bill"):
+        times = _priced(comm, reduce=result.bill)
+        local, remote = times.local_communication_s, times.remote_delegate_reduce_s
+    else:  # the pre-bill API exchange_records_parent_api.py drives
+        local, remote = result.local_time_s, result.global_time_s
     return {
         "buffers": sha.hexdigest(),
-        "local_time_s": float(result.local_time_s).hex(),
-        "global_time_s": float(result.global_time_s).hex(),
+        "local_time_s": float(local).hex(),
+        "global_time_s": float(remote).hex(),
         "global_bytes": int(result.global_bytes),
         "stats": comm.stats.as_dict(),
     }

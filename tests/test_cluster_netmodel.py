@@ -1,13 +1,17 @@
-"""Tests for the hardware spec and the analytic network model."""
+"""Tests for the hardware spec, the analytic network model and step pricing."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.cluster.comm import Communicator
 from repro.cluster.hardware import HardwareSpec
-from repro.cluster.netmodel import NetworkModel
+from repro.cluster.netmodel import IDLE_KERNEL, ExchangeBill, NetworkModel, StepBill
+from repro.cluster.topology import ClusterTopology
+from repro.partition.layout import ClusterLayout
 
 
 class TestHardwareSpec:
@@ -137,8 +141,6 @@ class TestCollectivesAndKernels:
         assert model.traversal_time(0) == pytest.approx(model.hardware.kernel_overhead_s)
 
     def test_send_times_sum_each_senders_messages(self):
-        import numpy as np
-
         model = NetworkModel()
         nbytes = np.array([[0, 1000, 3000], [0, 0, 0], [7, 0, 0]])
         near = np.array([[True, True, False], [True, True, False], [False, False, True]])
@@ -148,3 +150,97 @@ class TestCollectivesAndKernels:
             0.0,
             model.inter_node_time(7),
         ]
+
+
+class TestPrice:
+    """:meth:`NetworkModel.price` against the documented formulas, on
+    hand-built bills."""
+
+    TOPOLOGY = ClusterTopology(ClusterLayout.from_notation("2x1x2"))
+
+    def test_idle_kernel_costs_its_launch(self):
+        model = NetworkModel()
+        overhead = model.hardware.iteration_overhead_s
+        for idle in (IDLE_KERNEL, (0, True)):
+            times = model.price(StepBill([[idle]]), self.TOPOLOGY, 0.3)
+            assert times.computation_s == overhead + model.traversal_time(0)
+        assert model.traversal_time(0) > 0.0
+
+    def test_gpu_computation_adds_overhead_filter_then_kernels(self):
+        model = NetworkModel()
+        bill = StepBill([[(40, False), IDLE_KERNEL], [(9, True)]], filters=[6, 100])
+        times = model.price(bill, self.TOPOLOGY, 0.3)
+        gpu0 = model.hardware.iteration_overhead_s + model.filter_time(6)
+        gpu0 += model.traversal_time(40)
+        gpu0 += model.traversal_time(0)
+        gpu1 = model.hardware.iteration_overhead_s + model.filter_time(100)
+        gpu1 += model.traversal_time(9, backward=True)
+        assert times.computation_s == max(gpu0, gpu1)
+
+    def test_no_communication_means_elapsed_is_computation(self):
+        model = NetworkModel()
+        bill = StepBill([[(12345, True), IDLE_KERNEL], [(7, False)]], filters=[3, 0])
+        times = model.price(bill, self.TOPOLOGY, 0.7)
+        assert times.computation_s > 0.0
+        assert times[1:4] == (0.0, 0.0, 0.0)
+        assert times.elapsed_s == times.computation_s
+
+    def test_uniquify_filters_sum_in_first_seen_order(self):
+        """The comm golden's ``disjoint`` shape: GPU 0 sends only to GPU 3 and
+        GPU 1 only to GPU 1, so staging GPU 1 receives ids for destination 3
+        before destination 1, and its filters are billed — and summed — in
+        that order."""
+        layout = self.TOPOLOGY.layout
+        to_3 = layout.global_from_local(3, np.array([0, 1, 2, 0]))
+        to_1 = layout.global_from_local(1, np.array([5, 6]))
+        result = Communicator(self.TOPOLOGY).exchange(
+            [to_3, to_1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)],
+            local_all2all=True,
+            uniquify=True,
+        )
+        bill = result.bill
+        assert bill.held == [(1, 4), (1, 2)]
+
+        model = NetworkModel()
+        times = model.price(StepBill(exchange=bill), self.TOPOLOGY, 0.0)
+        same_rank = self.TOPOLOGY.same_rank_table
+        local = model.send_times(
+            bill.hops * bill.wire, same_rank[np.arange(4)[:, None], self.TOPOLOGY.staging_table]
+        )
+        local[1] += model.filter_time(4)
+        local[1] += model.filter_time(2)
+        assert times.local_communication_s == max(
+            model.filter_time(size) + hop for size, hop in zip(bill.sizes, local)
+        )
+        assert times.remote_normal_exchange_s == max(
+            model.send_times(bill.sent * bill.wire, same_rank)
+        )
+
+    def test_reduce(self):
+        model = NetworkModel()
+        for blocking in (True, False):
+            times = model.price(StepBill(reduce=(4096, blocking)), self.TOPOLOGY, 0.0)
+            assert times.local_communication_s == model.local_reduce_time(
+                4096, 2
+            ) + model.local_broadcast_time(4096, 2)
+            assert times.remote_delegate_reduce_s == model.global_allreduce_time(
+                4096, 2, blocking=blocking
+            )
+
+    def test_overlay_is_added_after_the_overlap(self):
+        model = NetworkModel()
+        exchange = ExchangeBill([3, 0, 0, 0], wire=4, sent=np.array(
+            [[0, 0, 3, 0], [0] * 4, [0] * 4, [0] * 4]
+        ))
+        plain = StepBill([[(100, False)]] * 4, filters=[10] * 4, exchange=exchange)
+        overlaid = StepBill(
+            [[(100, False)]] * 4, filters=[10] * 4, exchange=exchange, overlay_edges=50
+        )
+        base = model.price(plain, self.TOPOLOGY, 0.5)
+        times = model.price(overlaid, self.TOPOLOGY, 0.5)
+        extra = model.traversal_time(50)
+        comm = base.local_communication_s + base.remote_normal_exchange_s
+        assert 0.0 < comm and base.elapsed_s < base.computation_s + comm
+        assert times.computation_s == base.computation_s + extra
+        assert times.elapsed_s == base.elapsed_s + extra
+        assert times[1:4] == base[1:4]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.comm import Communicator
-from repro.cluster.netmodel import NetworkModel
+from repro.cluster.netmodel import NetworkModel, StepBill
 from repro.cluster.topology import ClusterTopology
 from repro.partition.layout import ClusterLayout
 from repro.utils.bitmask import BatchBitmask, Bitmask
@@ -19,7 +19,12 @@ def topo_2x2():
 
 @pytest.fixture()
 def comm_2x2(topo_2x2):
-    return Communicator(topo_2x2, NetworkModel())
+    return Communicator(topo_2x2)
+
+
+def _price_reduce(comm, result):
+    """The modeled times of a step whose only communication is ``result``."""
+    return NetworkModel().price(StepBill(reduce=result.bill), comm.topology, 0.0)
 
 
 class TestTopology:
@@ -78,11 +83,12 @@ class TestDelegateMaskReduce:
 
     def test_single_rank_has_no_global_bytes(self):
         topo = ClusterTopology(ClusterLayout(num_ranks=1, gpus_per_rank=4))
-        comm = Communicator(topo, NetworkModel())
+        comm = Communicator(topo)
         result = comm.allreduce([Bitmask.from_indices(8, [1])] * 4)
         assert result.global_bytes == 0
-        assert result.global_time_s == 0.0
-        assert result.local_time_s > 0.0
+        times = _price_reduce(comm, result)
+        assert times.remote_delegate_reduce_s == 0.0
+        assert times.local_communication_s > 0.0
 
     def test_value_and_lane_updates(self, comm_2x2):
         big = np.iinfo(np.int64).max
@@ -106,7 +112,10 @@ class TestDelegateMaskReduce:
         masks = [Bitmask.from_indices(1 << 16, [5])] * 4
         blocking = comm_2x2.allreduce(masks, blocking=True)
         nonblocking = comm_2x2.allreduce(masks, blocking=False)
-        assert nonblocking.global_time_s > blocking.global_time_s
+        assert (
+            _price_reduce(comm_2x2, nonblocking).remote_delegate_reduce_s
+            > _price_reduce(comm_2x2, blocking).remote_delegate_reduce_s
+        )
 
 
 class TestNormalExchange:
@@ -153,9 +162,9 @@ class TestNormalExchange:
         rng = np.random.default_rng(0)
         outboxes = [rng.integers(0, 1000, size=200).astype(np.int64) for _ in range(4)]
 
-        plain = Communicator(topo, NetworkModel())
+        plain = Communicator(topo)
         plain.exchange([o.copy() for o in outboxes], local_all2all=False)
-        grouped = Communicator(topo, NetworkModel())
+        grouped = Communicator(topo)
         grouped.exchange([o.copy() for o in outboxes], local_all2all=True)
         # The same remote payload flows either way...
         assert grouped.stats.normal_bytes_remote == plain.stats.normal_bytes_remote
@@ -169,10 +178,10 @@ class TestNormalExchange:
         topo = ClusterTopology(layout)
         rng = np.random.default_rng(1)
         outboxes = [rng.integers(0, 500, size=100).astype(np.int64) for _ in range(6)]
-        a = Communicator(topo, NetworkModel()).exchange(
+        a = Communicator(topo).exchange(
             [o.copy() for o in outboxes], local_all2all=False
         )
-        b = Communicator(topo, NetworkModel()).exchange(
+        b = Communicator(topo).exchange(
             [o.copy() for o in outboxes], local_all2all=True
         )
         for x, y in zip(a.inboxes, b.inboxes):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.comm import Communicator
 from repro.cluster.hardware import HardwareSpec
-from repro.cluster.netmodel import NetworkModel
+from repro.cluster.netmodel import NetworkModel, StepBill
 from repro.cluster.topology import ClusterTopology
 from repro.core.engine import TraversalEngine
 from repro.core.frontier import FlagFrontier
@@ -53,8 +53,16 @@ def _hub(graph) -> int:
 # --------------------------------------------------------------------------- #
 # (a) an exchange nobody sends into returns what routing would
 # --------------------------------------------------------------------------- #
+MODEL = NetworkModel(HardwareSpec())
+
+
 def _communicator() -> Communicator:
-    return Communicator(ClusterTopology(LAYOUT), NetworkModel(HardwareSpec()))
+    return Communicator(ClusterTopology(LAYOUT))
+
+
+def _price(comm, result):
+    """The modeled times of a step whose only communication is ``result``."""
+    return MODEL.price(StepBill(exchange=result.bill), comm.topology, 0.0)
 
 
 class TestEmptyExchange:
@@ -86,8 +94,9 @@ class TestEmptyExchange:
             payloads=payloads,
         )
         assert comm.stats.as_dict() == _communicator().stats.as_dict()
-        assert result.local_time_s == comm.netmodel.filter_time(0) > 0.0
-        assert result.remote_time_s == 0.0
+        times = _price(comm, result)
+        assert times.local_communication_s == MODEL.filter_time(0) > 0.0
+        assert times.remote_normal_exchange_s == 0.0
         assert (result.remote_bytes, result.local_bytes) == (0, 0)
         assert len(result.inboxes) == p
         assert all(box.dtype == np.int64 and box.shape == (0,) for box in result.inboxes)
@@ -110,7 +119,7 @@ class TestEmptyExchange:
             result.inboxes[1], LAYOUT.local_index_of(sent[:3]).astype(np.int64)
         )
         assert comm.stats.normal_messages == 2 and comm.stats.normal_vertices_sent == 5
-        assert result.local_time_s == comm.netmodel.filter_time(5)
+        assert _price(comm, result).local_communication_s == MODEL.filter_time(5)
 
     def test_input_validation_is_kept(self):
         p = LAYOUT.num_gpus
