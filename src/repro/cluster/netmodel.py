@@ -249,25 +249,39 @@ class NetworkModel:
         computation and communication is hidden behind the other.  Overlay
         edges, a serial side-structure, are added after the overlap.
         """
-        hw = self.hardware
-        traversal_time = self.traversal_time
+        overhead = self.hardware.iteration_overhead_s
+        traversal_time, filter_time = self.traversal_time, self.filter_time
         idle_s = traversal_time(0)
         filters = bill.filters
-        per_gpu = []
+        computation_s = 0.0
         for g, terms in enumerate(bill.kernels):
-            comp = hw.iteration_overhead_s
-            if filters is not None:
-                comp += self.filter_time(filters[g])
+            comp = overhead if filters is None else overhead + filter_time(filters[g])
             for edges, backward in terms:
                 # No edge costs the launch overhead in either direction.
                 comp += traversal_time(edges, backward) if edges else idle_s
-            per_gpu.append(comp)
-        computation_s = max(per_gpu) if per_gpu else 0.0
+            if comp > computation_s:
+                computation_s = comp
 
-        local_comm_s = remote_normal_s = 0.0
-        if bill.exchange is not None:
-            local_comm_s, remote_normal_s = self._exchange_times(bill.exchange, topology)
-        remote_delegate_s = 0.0
+        local_comm_s = remote_normal_s = remote_delegate_s = 0.0
+        exchange = bill.exchange
+        if exchange is not None:
+            # A GPU's sends are serial and GPUs send in parallel, so each
+            # phase costs its slowest GPU: every sender's binning filter, its
+            # L hops and its U filters locally, its messages remotely.
+            filter_s = [filter_time(size) for size in exchange.sizes]
+            local_comm_s = max(filter_s)
+            if exchange.sent is not None:
+                same_rank = topology.same_rank_table
+                local_s = [0.0] * len(filter_s)
+                if exchange.hops is not None:
+                    senders = np.arange(len(filter_s))[:, None]
+                    local_s = self.send_times(
+                        exchange.hops * exchange.wire, same_rank[senders, topology.staging_table]
+                    )
+                for gpu, held in exchange.held or ():
+                    local_s[gpu] += filter_time(held)
+                local_comm_s = max(f + s for f, s in zip(filter_s, local_s))
+                remote_normal_s = max(self.send_times(exchange.sent * exchange.wire, same_rank))
         if bill.reduce is not None:
             nbytes, blocking = bill.reduce
             pgpu, ranks = topology.layout.gpus_per_rank, topology.layout.num_ranks
@@ -285,24 +299,3 @@ class NetworkModel:
         return StepTimes(
             computation_s, local_comm_s, remote_normal_s, remote_delegate_s, elapsed_s
         )
-
-    def _exchange_times(self, bill: ExchangeBill, topology) -> tuple[float, float]:
-        """``(local, remote)`` seconds of one exchange: a GPU's sends are
-        serial and GPUs send in parallel, so each phase costs the slowest
-        GPU's sum (binning filter, hops and uniquify filters locally)."""
-        filter_s = [self.filter_time(size) for size in bill.sizes]
-        if bill.sent is None:
-            return max(filter_s), 0.0
-        p = len(filter_s)
-        same_rank = topology.same_rank_table
-        local_s = [0.0] * p
-        if bill.hops is not None:
-            senders = np.arange(p)[:, None]
-            local_s = self.send_times(
-                bill.hops * bill.wire, same_rank[senders, topology.staging_table]
-            )
-        if bill.held is not None:
-            for gpu, held in bill.held:
-                local_s[gpu] += self.filter_time(held)
-        send_s = self.send_times(bill.sent * bill.wire, same_rank)
-        return max(f + s for f, s in zip(filter_s, local_s)), max(send_s)

@@ -86,7 +86,7 @@ import numpy as np
 
 from repro.cluster.comm import Communicator
 from repro.cluster.hardware import HardwareSpec
-from repro.cluster.netmodel import IDLE_KERNEL, NetworkModel, StepBill, StepTimes
+from repro.cluster.netmodel import IDLE_KERNEL, NetworkModel, StepBill
 from repro.cluster.topology import ClusterTopology
 from repro.core.direction import DirectionState
 from repro.core.frontier import NORMAL_SOURCED, BatchState, frontier_for, global_ids
@@ -204,9 +204,13 @@ class RunLedger:
     def add(self, record: IterationRecord, bill: StepBill) -> None:
         """Book one record (a driver's step that has no ``super-step`` span),
         its five modeled times priced from its step's ``bill``."""
-        times = self._netmodel.price(bill, self._topology, self._overlap)
-        for name, seconds in zip(StepTimes._fields, times):
-            setattr(record, name, seconds)
+        (
+            record.computation_s,
+            record.local_communication_s,
+            record.remote_normal_exchange_s,
+            record.remote_delegate_reduce_s,
+            record.elapsed_s,
+        ) = self._netmodel.price(bill, self._topology, self._overlap)
         self.records.append(record)
         self.total_edges += record.total_edges_examined()
         self.timing.add(record)
