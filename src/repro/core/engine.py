@@ -308,6 +308,8 @@ class TraversalEngine:
             else ("nn", "nd", "dn", "dd") if gpu.num_local else ("nn", "nd", "dd")
             for gpu in graph.gpus
         ]
+        # The bill terms of a GPU none of whose kernels ran: all idle.
+        self._idle_terms = [(IDLE_KERNEL,) * len(kernels) for kernels in self._kernels]
         # Cache per-GPU out-degree arrays of every subgraph; they are needed
         # for the forward workloads and the previsit filter of each
         # super-step and never change.
@@ -734,9 +736,10 @@ class TraversalEngine:
             level=level, gpu_plans=gpu_plans, dense_delegate=rep.dense_delegate
         )
         record = IterationRecord(
-            level, normal_frontier_total, delegate_size, directions=directions
+            level, normal_frontier_total, delegate_size,
+            {"nn": 0, "nd": 0, "dn": 0, "dd": 0}, directions,
         )
-        return plan, (record, StepBill(filters=filters))
+        return plan, (record, StepBill([], filters))
 
     def _finalize_super_step(
         self,
@@ -761,11 +764,14 @@ class TraversalEngine:
         """
         p = self.graph.num_gpus
         kernels = bill.kernels
-        edges_examined = record.edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
+        edges_examined = record.edges_examined
 
         rep.begin_fold()
         for g in range(p):
             outs = outputs[g]
+            if not outs:
+                kernels.append(self._idle_terms[g])
+                continue
             terms = []
             for kernel in self._kernels[g]:
                 out = outs.get(kernel)
