@@ -735,10 +735,8 @@ class TraversalEngine:
         plan = SuperStepPlan(
             level=level, gpu_plans=gpu_plans, dense_delegate=rep.dense_delegate
         )
-        record = IterationRecord(
-            level, normal_frontier_total, delegate_size,
-            {"nn": 0, "nd": 0, "dn": 0, "dd": 0}, directions,
-        )
+        edges = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
+        record = IterationRecord(level, normal_frontier_total, delegate_size, edges, directions)
         return plan, (record, StepBill([], filters))
 
     def _finalize_super_step(
