@@ -499,13 +499,13 @@ def maintain(
 
 
 def _from_each(engine, sources: list, factory: Callable) -> tuple[dict, TimingBreakdown, list]:
-    """One run of ``factory(source)`` per source: the summed per-phase walls,
-    the summed modeled time and the per-source counters."""
+    """One run of ``factory(source)`` per source (dealt over the pool on a
+    process backend): the summed per-phase walls, the summed modeled time
+    and the per-source counters, in source order."""
     wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0, "traversal": 0.0}
     modeled = TimingBreakdown()
     per_source = []
-    for source in sources:
-        result = engine.run(factory(source))
+    for result in engine.run_each([factory(source) for source in sources]):
         for phase, seconds in result.wall_s.items():
             wall[phase] = wall.get(phase, 0.0) + seconds
         modeled = modeled + result.timing

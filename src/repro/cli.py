@@ -101,7 +101,7 @@ in one ``error:`` line and exit code 2:
 
 ``--backend inline|process`` (program commands, ``mutate``, ``bench run``,
 ``serve bench``; default ``$REPRO_BACKEND`` or inline)
-    *where* super-steps execute.
+    *where* whole runs execute: here, or dealt over a worker pool.
 ``--storage memory|mmap|compressed`` (program commands and ``bench run``;
 default ``$REPRO_STORAGE`` or memory)
     *where the adjacency lives* — process heap, memory-mapped store segments,
@@ -463,7 +463,7 @@ def _add_exec_args(sub: argparse.ArgumentParser, *axes: str) -> None:
     flags = {
         "backend": dict(
             choices=BACKEND_NAMES,
-            help="execution backend for super-steps; identical results, "
+            help="execution backend: where whole runs execute; identical results, "
             "different wall-clock (default: a bench scenario's pin, else "
             "$REPRO_BACKEND, else inline)",
         ),
@@ -994,10 +994,11 @@ def _cmd_program(args: argparse.Namespace, config) -> int:
     params = row.pick(**vars(args))
     results: list = []
     oracle = None
+    programs = [make_program(row.name, source, **params) for source in sources]
     try:
-        for source in sources:
-            program = make_program(row.name, source, **params)
-            result = engine.run(program)
+        # One run per source, dealt over the pool on a process backend;
+        # results come back, and are checked and printed, in source order.
+        for program, result in zip(programs, engine.run_each(programs)):
             if check is not None:
                 oracle = check(program, result)
             if not args.json:

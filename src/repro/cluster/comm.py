@@ -77,10 +77,6 @@ class ExchangeResult:
     inboxes: list[np.ndarray]
     #: What the exchange moved, for the step's bill.
     bill: ExchangeBill
-    #: Bytes sent over inter-rank links.
-    remote_bytes: int
-    #: Bytes moved over intra-rank (NVLink) links.
-    local_bytes: int
     #: Per destination GPU, the payload rows parallel to ``inboxes`` (int64
     #: values or ``(len, nwords)`` uint64 lane words); ``None`` when the
     #: exchange carried bare vertex ids, as plain BFS does.
@@ -96,8 +92,6 @@ class ReduceResult:
     merged: Bitmask | BatchBitmask | np.ndarray
     #: ``(bytes of one update, blocking)``, for the step's bill.
     bill: tuple[int, bool]
-    #: Bytes exchanged between ranks.
-    global_bytes: int
 
 
 def _payload_array(payload) -> np.ndarray:
@@ -173,7 +167,7 @@ class Communicator:
         else:
             self.stats.delegate_mask_bytes += global_bytes
         self.stats.delegate_reductions += 1
-        return ReduceResult(merged=merged, bill=(nbytes, blocking), global_bytes=global_bytes)
+        return ReduceResult(merged=merged, bill=(nbytes, blocking))
 
     # ------------------------------------------------------------------ #
     # Point-to-point (normal vertices)
@@ -240,8 +234,6 @@ class Communicator:
             return ExchangeResult(
                 inboxes=[_EMPTY_I64] * p,
                 bill=ExchangeBill(sizes),
-                remote_bytes=0,
-                local_bytes=0,
                 payload_inboxes=None if payloads is None else [payloads[0][:0]] * p,
             )
 
@@ -309,10 +301,9 @@ class Communicator:
         sent = np.bincount(key, minlength=p * p).reshape(p, p).T.copy()
         np.fill_diagonal(sent, 0)
         local_bytes += int(sent[same_rank].sum()) * wire
-        remote_bytes = int(sent[~same_rank].sum()) * wire
         self.stats.normal_messages += int(np.count_nonzero(sent))
         self.stats.normal_vertices_sent += int(sent.sum())
-        self.stats.normal_bytes_remote += remote_bytes
+        self.stats.normal_bytes_remote += int(sent[~same_rank].sum()) * wire
         self.stats.normal_bytes_local += local_bytes
         self.stats.normal_payload_bytes += payload_bytes + int(sent.sum()) * payload_row
 
@@ -320,7 +311,5 @@ class Communicator:
         return ExchangeResult(
             inboxes=np.split(slots, bounds),
             bill=ExchangeBill(sizes, wire, hops, held, sent),
-            remote_bytes=remote_bytes,
-            local_bytes=local_bytes,
             payload_inboxes=None if payload is None else np.split(payload, bounds),
         )

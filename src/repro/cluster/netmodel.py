@@ -271,17 +271,21 @@ class NetworkModel:
             filter_s = [filter_time(size) for size in exchange.sizes]
             local_comm_s = max(filter_s)
             if exchange.sent is not None:
-                same_rank = topology.same_rank_table
                 local_s = [0.0] * len(filter_s)
                 if exchange.hops is not None:
-                    senders = np.arange(len(filter_s))[:, None]
-                    local_s = self.send_times(
-                        exchange.hops * exchange.wire, same_rank[senders, topology.staging_table]
-                    )
+                    # An L hop never leaves its sender's rank: one NVLink
+                    # send each, added per sender in ascending destination
+                    # order, as send_times adds.
+                    hop_bytes = exchange.hops * exchange.wire
+                    senders, owners = np.nonzero(hop_bytes)
+                    for s, size in zip(senders.tolist(), hop_bytes[senders, owners].tolist()):
+                        local_s[s] += self.intra_node_time(size)
                 for gpu, held in exchange.held or ():
                     local_s[gpu] += filter_time(held)
                 local_comm_s = max(f + s for f, s in zip(filter_s, local_s))
-                remote_normal_s = max(self.send_times(exchange.sent * exchange.wire, same_rank))
+                remote_normal_s = max(
+                    self.send_times(exchange.sent * exchange.wire, topology.same_rank_table)
+                )
         if bill.reduce is not None:
             nbytes, blocking = bill.reduce
             pgpu, ranks = topology.layout.gpus_per_rank, topology.layout.num_ranks

@@ -9,7 +9,8 @@ per-source loop: it behaves like the plain list of results it aggregates
 geometric-mean rates on top.
 
 :func:`run_campaign` is the common driver: run a program per source through
-one engine, optionally validating each run against a serial oracle.
+one engine (spread over the pool on a process backend), optionally
+validating each run against a serial oracle.
 """
 
 from __future__ import annotations
@@ -115,11 +116,16 @@ def run_campaign(
 ) -> Campaign:
     """Run one program per source and aggregate the results.
 
+    The runs go through the engine's ``run_each``, so a process backend
+    deals them over its pool; results, and the callbacks, come in source
+    order either way.
+
     Parameters
     ----------
     engine:
-        A :class:`repro.core.engine.TraversalEngine` (or anything exposing
-        ``run(program)``).
+        A :class:`repro.core.engine.TraversalEngine` or
+        :class:`repro.dynamic.DynamicEngine` (anything exposing
+        ``run_each(programs)``).
     sources:
         Source vertices, one run each.
     program_factory:
@@ -135,9 +141,9 @@ def run_campaign(
     from repro.core.programs.bfs_levels import BFSLevels
 
     factory = program_factory if program_factory is not None else (lambda s: BFSLevels(source=s))
+    programs = [factory(int(source)) for source in np.asarray(sources, dtype=np.int64).ravel()]
     results = []
-    for source in np.asarray(sources, dtype=np.int64).ravel():
-        result = engine.run(factory(int(source)))
+    for result in engine.run_each(programs):
         if validate is not None:
             validate(result)
         if on_result is not None:

@@ -32,16 +32,18 @@ engine only moves frontiers, runs kernels and accounts modeled time in the
 paper's four phases (computation/communication overlap is modeled with a
 configurable efficiency as described in §VI-B).
 
-*Where* the kernels run is a third concern, owned by neither engine nor
-program: each super-step's kernel stage is described as a declarative
-:class:`repro.exec.SuperStepPlan` (per-GPU kernel tasks as pure data) and
-handed to an :class:`repro.exec.ExecutionBackend` —
-``"inline"`` for the classic in-process simulator, ``"process"`` for a
-persistent worker pool over shared-memory CSR buffers — whose
-``run_kernels`` returns the outputs; the exchange, the delegate reduction and
-the program folds then run here, on the coordinator.  Results, workload
-counters and modeled times are backend-independent; only the measured
-``wall_s`` phases change.
+*Where* a run executes is a third concern, owned by neither engine nor
+program: :meth:`TraversalEngine.run`, :meth:`~TraversalEngine.run_batch`
+and :meth:`~TraversalEngine.run_each` hand whole runs to an
+:class:`repro.exec.ExecutionBackend` — ``"inline"`` runs them here,
+``"process"`` on the inline engine of a persistent pool worker over a
+shared-memory export of the graph — and every run ends in
+:meth:`~TraversalEngine.execute`, which runs all of its super-steps in one
+process: each step's kernel stage is a declarative
+:class:`repro.exec.SuperStepPlan` that :func:`repro.exec.execute_plan` runs
+in place, and the folds, the exchange and the delegate reduction follow.
+Results, workload counters and modeled times are backend-independent; only
+the measured ``wall_s`` phases change.
 
 A super-step costs what its frontier costs.  The plan lists a kernel only
 where it pulls or has an edge to push along — an absent output *means*
@@ -71,8 +73,7 @@ For mutable graphs (:mod:`repro.dynamic`) the loop accepts two extensions:
 a pre-seeded ``init`` replacing the program's ``init_state`` (the
 resumable-from-frontier entry point incremental repair starts from) and an
 ``overlay`` of not-yet-compacted edge insertions, relaxed from each
-super-step's input frontier on the coordinator so results stay
-backend-invariant.
+super-step's input frontier after its kernels.
 
 :class:`DistributedBFS` remains as the seed's entry point: a thin wrapper
 running :class:`repro.core.programs.BFSLevels` through the generic engine
@@ -98,7 +99,7 @@ from repro.core.results import BatchResult, BFSResult, IterationRecord, Traversa
 from repro.core.state import TraversalState
 from repro.exec.backend import resolve_backend
 from repro.exec.config import ExecConfig, check_kernels
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
+from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_plan
 from repro.partition.subgraphs import PartitionedGraph
 from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
@@ -140,9 +141,9 @@ class RunLedger:
     Booking a record prices its step's bill with the engine's network model
     — the only place a run's modeled seconds are computed — so every
     booked record is complete and no bill outlives its step.
-    ``plan``, ``fold`` and ``overlay`` are the coordinator's own share of a
-    step; :meth:`close` folds them into ``kernels``, which otherwise holds
-    the engine's timing of the backend's ``run_kernels`` call.
+    ``plan``, ``fold`` and ``overlay`` are the serial share of a step;
+    :meth:`close` folds them into ``kernels``, which otherwise holds the
+    timing of each step's :func:`~repro.exec.execute_plan` call.
 
     With tracing off nothing here allocates per step: span arguments are
     built only when the tracer is enabled.
@@ -390,6 +391,9 @@ class TraversalEngine:
     ) -> TraversalResult:
         """Run ``program`` to completion and return its result.
 
+        The run executes where the backend says (:meth:`execute` is what
+        executes it); the result is the same wherever that is.
+
         Parameters
         ----------
         program:
@@ -407,11 +411,30 @@ class TraversalEngine:
             overlay edges leaving that step's input frontier, so traversals
             of a mutable graph see the union graph.
         """
-        graph = self.graph
+        (result,) = self.backend.run(self, [(program, init)], overlay)
+        return result
 
-        # Driver programs (delta-stepping SSSP, PageRank, ...) own their outer
-        # loop: they orchestrate engine phases themselves and return a
-        # complete result.  Everything else runs the standard level loop.
+    def run_each(self, programs, overlay=None):
+        """Yield the result of every program (sequential, batched or driver),
+        in order, each run to completion where the backend says — on a
+        process backend, spread over its pool."""
+        return self.backend.run(self, [(program, None) for program in programs], overlay)
+
+    def execute(self, program, init=None, overlay=None):
+        """Run one program to completion here, in the calling process.
+
+        What every backend ends in, in whichever process the run was placed:
+        a batched program sweeps its lanes (:meth:`run_batch`'s contract),
+        a driver program (delta-stepping SSSP, PageRank, ...) owns its outer
+        loop and orchestrates engine phases itself, and everything else runs
+        the standard level loop from ``init`` or the program's own
+        ``init_state``.
+        """
+        graph = self.graph
+        if isinstance(program, BatchedFrontierProgram):
+            program.begin(graph)
+            state = BatchState.initialize(graph, program.sources, program.width)
+            return program.make_result(self.step_loop(program, state, overlay=overlay))
         if hasattr(program, "drive"):
             return program.drive(self, init=init, overlay=overlay)
 
@@ -451,6 +474,9 @@ class TraversalEngine:
         through the plain sequential path — a 1-lane sweep would pay the
         lane-word machinery (``BatchBitmask`` state, OR-dedup exchange) for
         zero amortization.  Serve hits this with cold caches.
+
+        The deduplicated runs and batches go through :meth:`run_each`, so a
+        process backend deals them over its pool.
         """
         from repro.core.campaign import Campaign
 
@@ -477,18 +503,19 @@ class TraversalEngine:
             if batch_size and len(unique_programs) > 1
             else None
         )
+        runs = unique_programs
         if batch_factory is not None:
-            unique_results: list = []
             sources = [p.source for p in unique_programs]
+            runs = []
             for start in range(0, len(sources), batch_size):
                 chunk = sources[start:start + batch_size]
-                if len(chunk) == 1:
-                    unique_results.append(self.run(unique_programs[start], overlay=overlay))
-                    continue
-                batch = self.run_batch(batch_factory(chunk), overlay=overlay)
-                unique_results.extend(batch.per_source_results())
-        else:
-            unique_results = [self.run(prog, overlay=overlay) for prog in unique_programs]
+                runs.append(unique_programs[start] if len(chunk) == 1 else batch_factory(chunk))
+        unique_results: list = []
+        for run, result in zip(runs, self.run_each(runs, overlay=overlay)):
+            if isinstance(run, BatchedFrontierProgram):
+                unique_results.extend(result.per_source_results())
+            else:
+                unique_results.append(result)
         return Campaign.from_results(
             [unique_results[i] for i in fan], saved_traversals=saved
         )
@@ -508,10 +535,8 @@ class TraversalEngine:
         super-step with OR-propagated lane words, mirroring the sequential
         path, so the per-lane equivalence holds on dynamic graphs too.
         """
-        graph = self.graph
-        program.begin(graph)
-        state = BatchState.initialize(graph, program.sources, program.width)
-        return program.make_result(self.step_loop(program, state, overlay=overlay))
+        (result,) = self.backend.run(self, [(program, None)], overlay)
+        return result
 
     # ------------------------------------------------------------------ #
     # The step loop (shared by run, run_batch and driver programs)
@@ -521,7 +546,7 @@ class TraversalEngine:
 
         The one level loop of the engine: it owns level counting, the
         ``max_levels`` / ``max_iterations`` guards, overlay capture and
-        relaxation and the backend call, and keeps the run's spans, wall
+        relaxation and the kernel stage, and keeps the run's spans, wall
         clock and result ``base`` dictionary (which it returns) in a
         :class:`RunLedger`.
         :meth:`run` and :meth:`run_batch` build a state and call it; driver
@@ -555,7 +580,7 @@ class TraversalEngine:
             )
         }
         level = 0
-        backend = self.backend
+        gpus = graph.gpus
         overlay_live = overlay is not None and not overlay.empty
 
         has_work = select if select is not None else (lambda: not rep.frontier_empty())
@@ -574,7 +599,7 @@ class TraversalEngine:
             step_started = now_s()
             plan, (record, bill) = self._plan_super_step(rep, dir_states, level)
             kernels_started = ledger.phase("plan", step_started, level, "plan+direction", plan)
-            outputs = backend.run_kernels(plan)
+            outputs = execute_plan(plan, gpus)
             fold_started = ledger.phase("kernels", kernels_started)
             self._finalize_super_step(outputs, rep, ledger, level, fold_started, record, bill)
             if overlay_live:
@@ -594,8 +619,7 @@ class TraversalEngine:
     ) -> None:
         """Relax the overlay edges leaving this step's input frontier.
 
-        Runs on the coordinator after the planned kernels finish (so it is
-        backend-invariant): the captured frontier ``segments`` push their
+        Runs after the planned kernels finish: the captured frontier ``segments`` push their
         payload (program values, or lane words OR-propagated per lane)
         across the overlay, the representation turns that into one proposal
         per target exactly like a kernel discovery would, fresh vertices
@@ -757,8 +781,7 @@ class TraversalEngine:
         ``IDLE_KERNEL`` in the same nn → nd → dn → dd order as a kernel that
         ran, and contributes nothing to fold.  Completes the step's
         ``record`` (all but the modeled times, which booking prices) and its
-        ``bill``.  Always run on the coordinating process, so results,
-        counters and bills are identical under every backend.
+        ``bill``.
         """
         p = self.graph.num_gpus
         kernels = bill.kernels

@@ -17,7 +17,7 @@ state                      ``TraversalState``: int64       ``BatchState``: per-v
 dense frontier buffers     ``bool`` flags                  ``uint64`` lane words
 previsit filter / payload  zero-degree drop (frontiers     zero-degree drop; lane words
 of a forward task (built   are installed sorted-unique);   parallel to the queue
-for a kernel that pushes)  ``keep_sources`` / ``weighted``
+for a kernel that pushes)  ``weighted``
 open (pull-capable) rows   value still ``UNVISITED``:      some lane still unvisited:
                            counted per GPU, listed only    listed when a workload is
                            for a kernel that pulls         asked for
@@ -107,13 +107,8 @@ class FlagFrontier:
         # the options leave direction optimization on.
         self.pull_ok = options.direction_optimized and program.direction_optimized_ok
         self._mask_channel = program.delegate_channel == "mask"
-        # Which kernels' ``sources`` the fold reads (payload programs only).
-        self._keep_sources = {
-            "nn": program.payload_exchange,
-            "nd": not self._mask_channel,
-            "dn": program.payload_exchange or program.delegate_channel == "values",
-            "dd": not self._mask_channel,
-        }
+        # Whether the dn fold reads its kernel's ``sources`` (payload programs).
+        self._dn_sources = program.payload_exchange or program.delegate_channel == "values"
         # What a GPU that proposed no delegate update contributes to a
         # reduction: one shared, read-only all-zero mask / all-identity array.
         d = graph.num_delegates
@@ -220,7 +215,6 @@ class FlagFrontier:
         frontier = self.normal_rows(g) if kernel in NORMAL_SOURCED else self.delegate_rows()
         return {
             "queue": frontier[out_degrees[frontier] > 0],
-            "keep_sources": self._keep_sources[kernel],
             # Weighted programs gather edge weights on every forward visit
             # (they never pull: needs_weights implies no direction switch).
             "weighted": self.program.needs_weights,
@@ -234,10 +228,7 @@ class FlagFrontier:
             if kernel == "dn"
             else self._delegate_sources[2 * g + (kernel == "dd")] & self._open_delegates
         )
-        return {
-            "candidates": np.flatnonzero(open_rows),
-            "keep_sources": self._keep_sources[kernel],
-        }
+        return {"candidates": np.flatnonzero(open_rows)}
 
     def backward_workload(
         self, kernel: str, g: int, frontier_size: int, reverse_degrees: np.ndarray
@@ -311,7 +302,7 @@ class FlagFrontier:
         elif found.size == 0:
             return
         elif kernel == "dn":
-            values = self._kernel_values(g, "dn", out, found, self._keep_sources["dn"])
+            values = self._kernel_values(g, "dn", out, found, self._dn_sources)
             slots, values = program.merge_remote(found, values)
             self._fresh_dn[g] = self._update_normals(g, slots, values)
         elif self._mask_channel:

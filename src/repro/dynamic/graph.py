@@ -500,7 +500,7 @@ class DynamicEngine:
     """A traversal engine over a :class:`DynamicGraph`.
 
     Presents the same running surface as :class:`TraversalEngine`
-    (``run`` / ``run_batch`` / ``run_many`` / ``options`` / backend
+    (``run`` / ``run_batch`` / ``run_each`` / ``run_many`` / ``options`` / backend
     management) while forwarding the live overlay into every run and
     transparently rebinding to the freshly-partitioned CSR after a
     compaction — including re-resolving the execution backend, whose
@@ -621,6 +621,10 @@ class DynamicEngine:
     def run_batch(self, program):
         """Run one batched program over the current graph + overlay."""
         return self._resolve().run_batch(program, overlay=self.dynamic.overlay)
+
+    def run_each(self, programs):
+        """Yield each program's result over the current graph + overlay."""
+        return self._resolve().run_each(programs, overlay=self.dynamic.overlay)
 
     def run_many(self, programs, batch_size=None):
         """Run several programs (batched where possible) over graph + overlay."""

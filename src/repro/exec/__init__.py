@@ -1,27 +1,26 @@
 """Pluggable execution backends for the traversal engine.
 
-The engine (:mod:`repro.core.engine`) describes the kernel stage of each
-level-synchronous super-step as a declarative
-:class:`~repro.exec.plan.SuperStepPlan` — the per-GPU visit-kernel tasks —
-and an :class:`~repro.exec.backend.ExecutionBackend` decides *where* it runs
-and returns the kernel outputs (``run_kernels``); the (vertex, payload)
-exchange, the delegate reduction and the program folds stay with the
-engine:
+An :class:`~repro.exec.backend.ExecutionBackend` decides one thing: where a
+whole run executes.  The engine (:mod:`repro.core.engine`) hands it runs —
+a program, its optional pre-seeded state, the overlay of a mutable graph —
+and every run ends in :meth:`~repro.core.engine.TraversalEngine.execute` on
+one inline engine in one process:
 
-* :class:`~repro.exec.backend.InlineBackend` executes every kernel task in
-  the calling process, reproducing the classic single-process simulator
-  bit for bit (same results, same workload counters, same modeled times);
-* :class:`~repro.exec.process.ProcessBackend` executes the per-GPU kernel
-  tasks in a persistent :mod:`multiprocessing` worker pool over
-  shared-memory CSR and frontier-bitmask buffers.
+* :class:`~repro.exec.backend.InlineBackend` executes each run in the
+  calling process, on the calling engine;
+* :class:`~repro.exec.process.ProcessBackend` deals runs over a persistent
+  :mod:`multiprocessing` worker pool; each worker rebuilds the graph from a
+  shared-memory export (or the graph's store file) once and runs the
+  program on an inline engine of its own.  Results come back in job order.
 
-Every task runs the one set of visit kernels, :mod:`repro.core.kernels`,
-through :func:`~repro.exec.plan.execute_gpu_plan`, which also decodes the
-rows a visit reads from compressed storage.  Modeled times and workload
-counters are backend- and storage-independent by construction (the kernels
-are pure functions of their inputs and all folding happens on the
-coordinating process); only the measured ``wall_s`` phases depend on
-either.
+Inside a run, each super-step's kernel stage is a declarative
+:class:`~repro.exec.plan.SuperStepPlan` run in place by
+:func:`~repro.exec.plan.execute_plan`, the one set of visit kernels,
+:mod:`repro.core.kernels`, which also decodes the rows a visit reads from
+compressed storage.  Modeled times and workload counters are backend- and
+storage-independent by construction (a run executes the same code over the
+same arrays wherever it runs); only the measured ``wall_s`` phases depend
+on either.
 
 Backends are selected by name — ``TraversalEngine(graph, backend="process")``,
 ``Session.backend("process")``, the ``--backend`` CLI flag;
@@ -37,7 +36,7 @@ from repro.exec.backend import (
     resolve_backend,
 )
 from repro.exec.config import ExecConfig
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan
+from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan, execute_plan
 
 __all__ = [
     "BACKEND_NAMES",
@@ -50,6 +49,7 @@ __all__ = [
     "SuperStepPlan",
     "GPUPlan",
     "VisitSpec",
+    "execute_plan",
     "execute_gpu_plan",
 ]
 
@@ -63,7 +63,7 @@ def numba_available() -> bool:
 
 
 def __getattr__(name):
-    # ProcessBackend pulls in multiprocessing + shared_memory machinery;
+    # ProcessBackend pulls in multiprocessing + shared-memory machinery;
     # import it lazily so inline-only users never pay for it.
     if name == "ProcessBackend":
         from repro.exec.process import ProcessBackend

@@ -1,6 +1,6 @@
 """One run configuration: the run-time axes, resolved once, in one place.
 
-``backend`` (where super-steps run), ``storage`` (what backs the CSR
+``backend`` (where whole runs execute), ``storage`` (what backs the CSR
 arrays) and ``trace`` (where the CLI writes a trace) change wall-clock and
 memory, never an answer, a counter or a modeled time.
 :meth:`ExecConfig.resolve` is the only code that reads ``$REPRO_BACKEND``,
@@ -28,7 +28,7 @@ from pathlib import Path
 
 __all__ = ["BACKEND_NAMES", "KERNELS_LABEL", "STORAGE_NAMES", "ExecConfig", "axis_name"]
 
-#: Execution backends: *where* the per-GPU kernel tasks of a super-step run.
+#: Execution backends: *where* a whole run executes.
 BACKEND_NAMES = ("inline", "process")
 #: Storage modes: *what* backs the partitioned CSR arrays.
 STORAGE_NAMES = ("memory", "mmap", "compressed")

@@ -1,45 +1,50 @@
-"""The process execution backend: a persistent worker pool over shared memory.
+"""The process execution backend: whole runs in a persistent worker pool.
 
-:class:`ProcessBackend` runs the per-GPU kernel tasks of every super-step in
-a pool of worker processes, so the kernel stage — the compute-bound part of
-a traversal — actually runs in parallel on multi-core hosts instead of
-iterating the virtual GPUs in one Python loop.
+:class:`ProcessBackend` ships every run — a program, its optional pre-seeded
+state and the overlay edges of a mutable graph — to one pool worker, which
+executes it from its first super-step to its result on an inline engine of
+its own.  The paper's protocol is a campaign of independent searches (140
+roots, §VI-A3), so a campaign's runs spread over the pool and the
+super-steps of each run stay in one process, where a step costs what it
+costs inline.
 
 Design notes:
 
 * **The pool is persistent and process-global.**  Worker startup is paid
   once per interpreter, not per engine: every :class:`ProcessBackend`
-  instance (there can be many — each engine owns one) dispatches into the
-  same pool, keyed by worker count.  ``atexit`` tears the
-  pools down.
+  instance (there can be many — each engine owns one) submits into the
+  same pool, keyed by worker count.  ``atexit`` tears the pools down.
 * **Graph data crosses the process boundary through shared memory, not
   pickles.**  Each backend hands its graph to a
   :class:`~repro.exec.shm.SharedGraphStore`, which exports a memory graph's
-  CSR subgraphs once in the store layout (a store-backed graph's stay in
-  its ``graph.bin``) and pickles the graph's descriptor table once into
-  shared memory; the per-step dense frontier buffers (flags or lane words —
-  the store does not care which) are rewritten in place before each
-  dispatch.  Tasks carry only queues, candidate sets, segment names and the
-  table's offset; a worker unpickles the table the first time it sees a
-  graph and caches its views, so steady-state IPC is the frontier in and
-  the discoveries out.
-* **A worker that dies mid-step ends the run in an error, not a hang.**
-  ``multiprocessing.Pool`` replaces a dead worker but loses its task, so a
-  dispatch waits with a liveness poll: when a worker it started with has
+  flat form once (a store-backed graph's stays in its ``graph.bin``) and
+  pickles the graph's descriptor once into shared memory.  A run carries
+  segment names, the program, its ``init`` and the overlay as ``(src, dst,
+  weights)`` arrays; a worker rebuilds the graph through the store reader
+  the first time it sees it, on its first run over it (never in the
+  constructor), and keeps one engine per ``(graph, options, hardware)``
+  beside it in its :class:`~repro.exec.shm.SegmentCache`.
+* **Results come back in job order.**  :meth:`ProcessBackend.run` submits
+  every job at once and yields each result as its turn comes, so a caller
+  folds, validates and reports in source order.  With the coordinator's
+  tracer on, a worker traces its run and returns the events, which the
+  coordinator moves into the run's dispatch window: a process trace holds
+  the inline trace's spans.
+* **A worker that dies mid-run ends the call in an error, not a hang.**
+  ``multiprocessing.Pool`` replaces a dead worker but loses its task, so
+  waiting is a liveness poll: when a worker the call started with has
   exited, the pool is terminated and forgotten, the backend's segments are
-  unlinked and one ``RuntimeError`` names the GPUs whose results were lost.
+  unlinked and one ``RuntimeError`` names the runs that never returned.
   There is no retry.
-* **Workers return bit-identical kernel outputs** (the kernels are pure
-  functions), so results, workload counters and modeled times match the
-  inline backend exactly; only wall-clock changes.  Outputs whose
-  ``sources`` the fold never reads are stripped before the return trip.
+* **Workers return bit-identical results**: a run executes the same code
+  on the same arrays wherever it runs, so results, workload counters and
+  modeled times match the inline backend exactly; only wall-clock changes.
 
-The default worker count is ``min(num_gpus, cpu_count, 8)`` — more workers
-than virtual GPUs can never help, and past the physical cores they only add
-scheduler pressure.  On a single-core host the pool degenerates to one
-worker and the backend is strictly slower than inline (every byte still
-crosses the process boundary); it exists there only to exercise the same
-code path CI and multi-core hosts run.
+The default worker count is ``min(num_gpus, cpu_count, 8)``.  On a
+single-core host the pool degenerates to one worker and the backend is
+strictly slower than inline (every result still crosses the process
+boundary); it exists there only to exercise the same code path CI and
+multi-core hosts run.
 """
 
 from __future__ import annotations
@@ -48,16 +53,12 @@ import atexit
 import multiprocessing
 import os
 import weakref
-from typing import NamedTuple
+from typing import Iterator
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.plan import GPUPlan, SuperStepPlan, execute_gpu_plan
-from repro.exec.shm import (
-    SegmentCache,
-    SharedGraphStore,
-    csrs_from_descriptor,
-    dense_views_from_descriptor,
-)
+from repro.exec.shm import SegmentCache, SharedGraphStore, graph_from_descriptor
+from repro.obs.tracer import Tracer, get_tracer, set_tracer
+from repro.utils.timing import now_s
 
 __all__ = ["ProcessBackend", "shutdown_pools"]
 
@@ -65,7 +66,7 @@ __all__ = ["ProcessBackend", "shutdown_pools"]
 #: and a wider pool only shreds caches.
 MAX_WORKERS = 8
 
-#: Seconds between a waiting dispatch's checks that its workers are alive.
+#: Seconds between a waiting call's checks that its workers are alive.
 LIVENESS_POLL_S = 0.1
 
 
@@ -113,35 +114,39 @@ def _init_worker() -> None:  # pragma: no cover - runs in workers
     _WORKER_CACHE = SegmentCache()
 
 
-class _Task(NamedTuple):
-    """One GPU's share of a super-step, as shipped to a worker."""
+def _run_job(config: tuple, program, init) -> tuple:
+    """Run one job inside a worker: ``(result, trace events or None, start)``.
 
-    gpu: int
-    visits: list
-    graph: tuple  #: SharedGraphStore.graph_descriptor
-    dense: tuple  #: SharedGraphStore.publish_dense(...) descriptor
-    has_local: bool  #: whether this GPU's own dense buffer was published
-    collect_spans: bool
+    ``config`` is what every job of one call shares: the graph descriptor,
+    the engine's options and hardware, the overlay's ``(src, dst, weights)``
+    or ``None``, and whether the coordinator traces.
+    """
+    from repro.core.engine import TraversalEngine
 
-
-def _run_task(task: _Task):
-    """Execute one GPU's kernel tasks inside a worker; returns (gpu, outputs)."""
+    descriptor, options, hardware, overlay_edges, tracing = config
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else SegmentCache()
-    csrs = csrs_from_descriptor(cache, task.graph)
+    graph, engines = graph_from_descriptor(cache, descriptor)
+    engine = engines.get((options, hardware))
+    if engine is None:
+        engine = engines[(options, hardware)] = TraversalEngine(
+            graph, options=options, hardware=hardware, backend="inline"
+        )
+    overlay = None
+    if overlay_edges is not None:
+        from repro.dynamic.graph import OverlayBuffer
 
-    def resolve_csr(g: int, name: str):
-        return csrs[(g, name)]
-
-    dense_delegate, dense_local = dense_views_from_descriptor(
-        cache, task.dense, task.gpu, task.has_local
-    )
-    return task.gpu, execute_gpu_plan(
-        GPUPlan(task.gpu, task.visits, dense_local),
-        resolve_csr,
-        dense_delegate,
-        strip_sources=True,
-        collect_spans=task.collect_spans,
-    )
+        overlay = OverlayBuffer(graph)
+        overlay.add(*overlay_edges)
+    if not tracing:
+        return engine.execute(program, init, overlay), None, 0.0
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    started = now_s()
+    try:
+        result = engine.execute(program, init, overlay)
+    finally:
+        set_tracer(previous)
+    return result, tracer.events, started
 
 
 # --------------------------------------------------------------------------- #
@@ -171,14 +176,13 @@ atexit.register(shutdown_pools)
 
 
 class ProcessBackend(ExecutionBackend):
-    """Execute per-GPU kernel tasks in a persistent multiprocessing pool.
+    """Execute whole runs in a persistent multiprocessing pool.
 
     Parameters
     ----------
     graph:
-        The partitioned graph whose CSR subgraphs the workers read: a memory
-        graph's are exported to shared memory, a store-backed graph's are
-        mapped from its store.
+        The partitioned graph the workers traverse: a memory graph is
+        exported to shared memory, a store-backed graph's store is mapped.
     workers:
         Pool width; defaults to ``min(num_gpus, cpu_count, 8)``.
 
@@ -186,7 +190,6 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
-    dispatches = True
 
     def __init__(self, graph, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
@@ -205,51 +208,50 @@ class ProcessBackend(ExecutionBackend):
         # segments when the backend is garbage collected.
         self._finalizer = weakref.finalize(self, self.store.close)
 
-    def run_kernels(self, plan: SuperStepPlan) -> list:
+    def run(self, engine, jobs: list, overlay=None) -> Iterator:
         if self._closed:
             raise RuntimeError("ProcessBackend is closed")
-        return super().run_kernels(plan)
-
-    def _dispatch(self, plan: SuperStepPlan, work: list) -> list:
-        store = self.store
-        dense_local: list = [None] * len(self.graph.gpus)
-        for gp in work:
-            dense_local[gp.gpu] = gp.dense_local
-        dense = store.publish_dense(plan.dense_delegate, dense_local)
-        tasks = [
-            _Task(
-                gpu=gp.gpu,
-                visits=gp.visits,
-                graph=store.graph_descriptor,
-                dense=dense,
-                has_local=gp.dense_local is not None,
-                collect_spans=plan.collect_spans,
-            )
-            for gp in work
-        ]
-        # One task per GPU: per-GPU work is heterogeneous (delegate-heavy
-        # GPUs do more), so let idle workers steal instead of pre-binning.
-        # Each result names its GPU, so placement never relies on task order.
+        tracer = get_tracer()
+        edges = None if overlay is None or overlay.empty else overlay.edges()
+        config = (
+            self.store.graph_descriptor, engine.options, engine.hardware, edges, tracer.enabled,
+        )
         pool = _get_pool(self.workers)
         # The pool's own process list: it replaces a dead worker there, so
-        # the workers this dispatch started with are kept to watch.
+        # the workers this call started with are kept to watch.
         workers = list(pool._pool)
-        pending = [pool.apply_async(_run_task, (task,)) for task in tasks]
-        for result in pending:
-            while not result.ready():
-                result.wait(LIVENESS_POLL_S)
-                if not result.ready() and any(w.exitcode is not None for w in workers):
-                    lost = [task.gpu for task, r in zip(tasks, pending) if not r.ready()]
+        submitted = now_s()
+        pending = [pool.apply_async(_run_job, (config, program, init)) for program, init in jobs]
+        for pending_result in pending:
+            while not pending_result.ready():
+                pending_result.wait(LIVENESS_POLL_S)
+                if not pending_result.ready() and any(w.exitcode is not None for w in workers):
+                    # Each lost run is named by its program and its source(s).
+                    lost = [
+                        " from ".join([program.name] + [
+                            f"{attr} {getattr(program, attr)}" for attr in ("source", "sources")
+                            if getattr(program, attr, None) is not None
+                        ])
+                        for (program, _), r in zip(jobs, pending) if not r.ready()
+                    ]
                     # The pool is broken: the next backend gets a new one.
                     _POOLS.pop(self.workers, None)
                     pool.terminate()
                     pool.join()
                     self.close()
                     raise RuntimeError(
-                        f"a worker process died during a super-step; the kernels of "
-                        f"GPU {', '.join(map(str, lost))} never returned"
+                        "a worker process died during a run; the runs of "
+                        f"{', '.join(lost)} never returned"
                     )
-        return [result.get() for result in pending]
+            result, events, started = pending_result.get()
+            if events:
+                # A forked worker reads the coordinator's clock; any other
+                # clock is moved so the run starts when it was submitted.
+                shift = 0.0 if submitted <= started <= now_s() else submitted - started
+                for event in events:
+                    event["ts"] += shift * 1e6
+                tracer.events.extend(events)
+            yield result
 
     def close(self) -> None:
         """Unlink this backend's shared memory (the pool is shared, kept)."""

@@ -1,7 +1,7 @@
 """The span tracer: nested timing spans + structured events, off by default.
 
 The tracer is the one clock-bearing object of :mod:`repro.obs`.  Every
-instrumented layer (engine super-steps, backend kernel batches, storage
+instrumented layer (engine super-steps, per-GPU kernels, storage
 attaches, the serving tier) asks :func:`get_tracer` for the process-wide
 tracer and records into it; when tracing is disabled — the default — that
 call returns :data:`NULL_TRACER`, whose recording methods are

@@ -91,8 +91,8 @@ def session(*args, **kwargs) -> "Session":
         Engine options and performance-model hardware; default to the
         paper's main configuration and its Ray system.
     backend:
-        Where super-steps execute: ``"inline"`` (default), ``"process"`` (a
-        multiprocessing pool over shared memory), or a live
+        Where whole runs execute: ``"inline"`` (default), ``"process"`` (a
+        multiprocessing pool over a shared-memory graph), or a live
         :class:`repro.exec.ExecutionBackend`; also :meth:`Session.backend`.
     storage:
         ``"memory"`` (default), ``"mmap"`` (a memory-mapped store),
@@ -227,7 +227,7 @@ class Session(_Traced):
         return self._reconfigure(hardware=hardware)
 
     def backend(self, backend) -> "Session":
-        """Choose where super-steps execute (``"inline"`` / ``"process"``).
+        """Choose where whole runs execute (``"inline"`` / ``"process"``).
 
         Accepts a backend registry name, a live
         :class:`repro.exec.ExecutionBackend` instance, or ``None`` for the

@@ -5,11 +5,13 @@ binary arrays in a single ``graph.bin`` segment (every array 8-byte aligned)
 plus a ``manifest.json`` naming each array's offset, dtype and shape
 alongside the partitioning metadata (layout, threshold, census, per-GPU
 subgraph shapes).  This module owns that layout: every writer flattens a
-subgraph with :func:`csr_arrays` (the store savers and the process backend's
-shared-memory export), and every reader rebuilds one with :func:`load_csr`
-(:func:`load_graph_store` and the pool workers).  A *descriptor*,
-``{"segment", "arrays", "csrs"}`` in manifest vocabulary, tells a worker
-where one graph's subgraph arrays lie.
+graph with :func:`graph_arrays` (a subgraph with :func:`csr_arrays`: the
+store savers and the process backend's shared-memory export), and one
+reader, :func:`graph_from_manifest`, rebuilds it (a subgraph with
+:func:`load_csr`) from either byte source: :func:`load_graph_store` from a
+store file, a pool worker from the export.  A *descriptor* is a manifest
+plus the ``segment`` its ``arrays`` table points into; it tells a worker
+where one graph lies.
 
 Loading attaches ``graph.bin`` once with ``mmap`` and exposes every array as
 a zero-copy :func:`numpy.frombuffer` view.  The loaded graph owns its
@@ -46,6 +48,8 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "SegmentWriter",
     "StoreHandle",
+    "graph_arrays",
+    "graph_from_manifest",
     "save_graph_store",
     "load_graph_store",
 ]
@@ -294,10 +298,43 @@ class StoreHandle:
         ).reshape(shape)
 
     def descriptor(self) -> dict:
-        """The store's descriptor: its ``file://`` segment, its manifest's
-        ``arrays`` table and each GPU's subgraph entries."""
-        csrs = [gpu["csrs"] for gpu in self.manifest["gpus"]]
-        return {"segment": self.segment, "arrays": self.manifest["arrays"], "csrs": csrs}
+        """The store's descriptor: its manifest, plus the ``file://`` name
+        of the segment its ``arrays`` table points into."""
+        return {**self.manifest, "segment": self.segment}
+
+
+def graph_arrays(graph: PartitionedGraph, compress: bool = False) -> tuple[list, dict]:
+    """The flat form of a whole graph: its named arrays, in segment order, and
+    the manifest fields that describe them.
+
+    The separation arrays come first, then each GPU's four subgraphs and its
+    direction-optimization arrays; with ``compress`` the nn/nd column streams
+    are varint-encoded.  :func:`save_graph_store` writes this to a store and
+    the process backend exports it to shared memory; :func:`graph_from_manifest`
+    reads either back.
+    """
+    sep = graph.separation
+    named = [(f"sep.{name}", getattr(sep, name)) for name in SEPARATION_ARRAYS]
+    gpus_meta: list[dict] = []
+    for g, part in enumerate(graph.gpus):
+        csr_meta: dict[str, dict] = {}
+        for key in CSR_KEYS:
+            csr = getattr(part, key)
+            if compress and key in COMPRESSIBLE:
+                csr = compress_csr(csr)
+            arrays, csr_meta[key] = csr_arrays(f"g{g}.{key}", csr)
+            named += arrays
+        named += [(f"g{g}.{name}", getattr(part, name)) for name in GPU_ARRAYS]
+        gpus_meta.append({"num_local": int(part.num_local), "csrs": csr_meta})
+    return named, {
+        "storage": graph.storage,
+        "layout": graph.layout.notation(),
+        "threshold": int(graph.threshold),
+        "num_vertices": int(graph.num_vertices),
+        "num_directed_edges": int(graph.num_directed_edges),
+        "census": dataclasses.asdict(graph.census),
+        "gpus": gpus_meta,
+    }
 
 
 def save_graph_store(
@@ -317,37 +354,51 @@ def save_graph_store(
         raise ValueError("save_graph_store expects an in-memory graph")
     directory = Path(directory)
     writer = SegmentWriter(directory)
-    sep = graph.separation
-    for name in SEPARATION_ARRAYS:
-        writer.add(f"sep.{name}", getattr(sep, name))
-
-    gpus_meta: list[dict] = []
-    for g, part in enumerate(graph.gpus):
-        csr_meta: dict[str, dict] = {}
-        for key in CSR_KEYS:
-            csr = getattr(part, key)
-            if storage == "compressed" and key in COMPRESSIBLE:
-                csr = compress_csr(csr)
-            arrays, csr_meta[key] = csr_arrays(f"g{g}.{key}", csr)
-            for name, arr in arrays:
-                writer.add(name, arr)
-        for name in GPU_ARRAYS:
-            writer.add(f"g{g}.{name}", getattr(part, name))
-        gpus_meta.append({"num_local": int(part.num_local), "csrs": csr_meta})
-
+    named, metadata = graph_arrays(graph, compress=storage == "compressed")
+    for name, arr in named:
+        writer.add(name, arr)
     writer.finish(
-        {
-            "storage": storage,
-            "layout": graph.layout.notation(),
-            "threshold": int(graph.threshold),
-            "num_vertices": int(graph.num_vertices),
-            "num_directed_edges": int(graph.num_directed_edges),
-            "census": dataclasses.asdict(graph.census),
-            "gpus": gpus_meta,
-        },
+        {**metadata, "storage": storage},
         version=SCHEMA_VERSION_WEIGHTED if graph.is_weighted else SCHEMA_VERSION,
     )
     return directory
+
+
+def graph_from_manifest(manifest: dict, array, store: StoreHandle | None = None) -> PartitionedGraph:
+    """Rebuild a :class:`PartitionedGraph` from a manifest, reading each named
+    array through ``array(name)``; nothing is copied or re-validated.
+
+    The one reader of the flat form, fed from either byte source: a store's
+    ``graph.bin`` (:func:`load_graph_store`) or the process backend's
+    shared-memory export, which a pool worker rebuilds its graph from.
+    """
+    layout = ClusterLayout.from_notation(manifest["layout"])
+    separation = DegreeSeparation(
+        threshold=int(manifest["threshold"]),
+        **{name: array(f"sep.{name}") for name in SEPARATION_ARRAYS},
+    )
+    gpus = [
+        GPUPartition(
+            flat_gpu=g,
+            layout=layout,
+            num_local=int(meta["num_local"]),
+            num_delegates=separation.num_delegates,
+            **{key: load_csr(array, f"g{g}.{key}", meta["csrs"][key]) for key in CSR_KEYS},
+            **{name: array(f"g{g}.{name}") for name in GPU_ARRAYS},
+        )
+        for g, meta in enumerate(manifest["gpus"])
+    ]
+    return PartitionedGraph(
+        layout=layout,
+        threshold=int(manifest["threshold"]),
+        num_vertices=int(manifest["num_vertices"]),
+        num_directed_edges=int(manifest["num_directed_edges"]),
+        separation=separation,
+        census=EdgeCategoryCensus(**manifest["census"]),
+        gpus=gpus,
+        storage=manifest["storage"],
+        store=store,
+    )
 
 
 def load_graph_store(directory: str | Path) -> PartitionedGraph:
@@ -361,32 +412,4 @@ def load_graph_store(directory: str | Path) -> PartitionedGraph:
     rebuilt at the same path loads as the new graph.
     """
     handle = StoreHandle(directory)
-    manifest = handle.manifest
-    layout = ClusterLayout.from_notation(manifest["layout"])
-    census = EdgeCategoryCensus(**manifest["census"])
-    separation = DegreeSeparation(
-        threshold=int(manifest["threshold"]),
-        **{name: handle.array(f"sep.{name}") for name in SEPARATION_ARRAYS},
-    )
-    gpus = [
-        GPUPartition(
-            flat_gpu=g,
-            layout=layout,
-            num_local=int(meta["num_local"]),
-            num_delegates=separation.num_delegates,
-            **{key: load_csr(handle.array, f"g{g}.{key}", meta["csrs"][key]) for key in CSR_KEYS},
-            **{name: handle.array(f"g{g}.{name}") for name in GPU_ARRAYS},
-        )
-        for g, meta in enumerate(manifest["gpus"])
-    ]
-    return PartitionedGraph(
-        layout=layout,
-        threshold=int(manifest["threshold"]),
-        num_vertices=int(manifest["num_vertices"]),
-        num_directed_edges=int(manifest["num_directed_edges"]),
-        separation=separation,
-        census=census,
-        gpus=gpus,
-        storage=manifest["storage"],
-        store=handle,
-    )
+    return graph_from_manifest(handle.manifest, handle.array, store=handle)

@@ -16,7 +16,7 @@ Two kinds of time exist in this reproduction:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["now_s", "Timer", "TimingBreakdown", "PHASES"]
@@ -83,7 +83,6 @@ class TimingBreakdown:
     remote_delegate_reduce: float = 0.0
     elapsed_ms: float = 0.0
     iterations: int = 0
-    per_iteration: list = field(default_factory=list)
 
     def add(self, record) -> None:
         """Accumulate one super-step's :class:`IterationRecord` (seconds → ms)."""
@@ -92,7 +91,6 @@ class TimingBreakdown:
         self.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
         self.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
         self.elapsed_ms += record.elapsed_s * 1e3
-        self.per_iteration.append(record)
 
     def parts_sum(self) -> float:
         """Sum of the four phase times (no overlap accounting)."""

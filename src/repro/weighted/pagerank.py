@@ -32,7 +32,7 @@ from repro.cluster.netmodel import StepBill
 from repro.core.engine import RunLedger
 from repro.core.frontier import NORMAL_SOURCED
 from repro.core.results import IterationRecord
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
+from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_plan
 from repro.utils.timing import now_s
 from repro.weighted.results import PageRankResult
 
@@ -62,7 +62,8 @@ class PageRank:
 
     The engine dispatches to :meth:`drive`, which owns the outer loop:
     each round it plans one contribution super-step (a ``contrib_visit``
-    task per subgraph kernel), has the engine's backend run its kernels,
+    task per subgraph kernel), runs its kernels in place
+    (:func:`~repro.exec.plan.execute_plan`),
     folds the received mass with integer adds, and updates the rank vector.
     The run's accounting is the engine's :class:`~repro.core.engine.RunLedger`,
     which prices each step's bill.
@@ -240,7 +241,6 @@ class PageRank:
                             kernel,
                             backward=False,
                             queue=rows,
-                            keep_sources=False,
                             row_values=contrib[ids[rows]],
                         )
                     )
@@ -252,11 +252,11 @@ class PageRank:
         plan = SuperStepPlan(
             level=level,
             gpu_plans=gpu_plans,
-            # Contribution sweeps never pull; the buffer is only published.
+            # Contribution sweeps never pull, so no kernel reads it.
             dense_delegate=np.zeros(d, dtype=bool),
         )
         kernels_started = ledger.phase("plan", plan_started)
-        outputs = engine.backend.run_kernels(plan)
+        outputs = execute_plan(plan, graph.gpus)
         fold_started = ledger.phase("kernels", kernels_started)
         # Contribution sweeps take no direction decision.
         record = IterationRecord(
@@ -337,8 +337,8 @@ class PageRank:
         if reduce is not None:
             recv[dv] += reduce.merged
 
-        # Overlay edges (not yet compacted into the CSR) relax on the
-        # coordinator so every backend sees the union graph.
+        # Overlay edges (not yet compacted into the CSR) relax here, after
+        # the kernels, so the sweep sees the union graph.
         if o_src.size:
             take = active[o_src]
             overlay_edges = int(np.count_nonzero(take))

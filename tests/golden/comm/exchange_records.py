@@ -238,8 +238,8 @@ def exchange_record(comm, result, received) -> dict:
         "buffers": sha.hexdigest(),
         "local_time_s": float(local).hex(),
         "remote_time_s": float(remote).hex(),
-        "remote_bytes": int(result.remote_bytes),
-        "local_bytes": int(result.local_bytes),
+        "remote_bytes": int(comm.stats.normal_bytes_remote),
+        "local_bytes": int(comm.stats.normal_bytes_local),
         "stats": comm.stats.as_dict(),
     }
 
@@ -262,7 +262,7 @@ def reduce_record(comm, result) -> dict:
         "buffers": sha.hexdigest(),
         "local_time_s": float(local).hex(),
         "global_time_s": float(remote).hex(),
-        "global_bytes": int(result.global_bytes),
+        "global_bytes": int(comm.stats.delegate_value_bytes + comm.stats.delegate_mask_bytes),
         "stats": comm.stats.as_dict(),
     }
 

@@ -68,7 +68,7 @@ class TestDelegateMaskReduce:
         ]
         result = comm_2x2.allreduce(masks)
         np.testing.assert_array_equal(result.merged.to_indices(), [1, 2, 3, 19])
-        assert result.global_bytes > 0
+        assert comm_2x2.stats.delegate_mask_bytes > 0
         assert comm_2x2.stats.delegate_reductions == 1
 
     def test_wrong_mask_count_rejected(self, comm_2x2):
@@ -85,7 +85,7 @@ class TestDelegateMaskReduce:
         topo = ClusterTopology(ClusterLayout(num_ranks=1, gpus_per_rank=4))
         comm = Communicator(topo)
         result = comm.allreduce([Bitmask.from_indices(8, [1])] * 4)
-        assert result.global_bytes == 0
+        assert comm.stats.delegate_mask_bytes == 0
         times = _price_reduce(comm, result)
         assert times.remote_delegate_reduce_s == 0.0
         assert times.local_communication_s > 0.0
@@ -95,13 +95,13 @@ class TestDelegateMaskReduce:
         values = [np.array([5, big, 7]), np.array([3, 9, big]), np.full(3, big), np.full(3, big)]
         result = comm_2x2.allreduce(values, combine=np.minimum)
         np.testing.assert_array_equal(result.merged, [3, 9, 7])
-        assert comm_2x2.stats.delegate_value_bytes == result.global_bytes == 2 * 24 * 2
+        assert comm_2x2.stats.delegate_value_bytes == 2 * 24 * 2
         lanes = [BatchBitmask(3, 70) for _ in range(4)]
         lanes[1].set_lanes([2], [69])
         result = comm_2x2.allreduce(lanes)
         assert result.merged.nonzero_rows().tolist() == [2]
         # 3 rows x 70 lanes, packed: 27 bytes per update.
-        assert comm_2x2.stats.delegate_mask_bytes == result.global_bytes == 2 * 27 * 2
+        assert comm_2x2.stats.delegate_mask_bytes == 2 * 27 * 2
         assert comm_2x2.stats.delegate_reductions == 2
 
     def test_value_size_mismatch_rejected(self, comm_2x2):
@@ -139,7 +139,7 @@ class TestNormalExchange:
         outboxes = [np.zeros(0, dtype=np.int64)] * 4
         outboxes[2] = own
         result = comm_2x2.exchange(outboxes)
-        assert result.remote_bytes == 0
+        assert comm_2x2.stats.normal_bytes_remote == 0
         assert result.inboxes[2].size == 5
 
     def test_duplicates_kept_without_uniquify(self, comm_2x2):

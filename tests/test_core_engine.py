@@ -111,7 +111,7 @@ class TestResultMetrics:
         # Overlap means elapsed <= sum of parts.
         assert timing.elapsed_ms <= timing.parts_sum() + 1e-9
         assert timing.iterations == result.iterations
-        assert len(timing.per_iteration) == result.iterations
+        assert len(result.records) == result.iterations
 
     def test_teps_positive_and_scales_with_counted_edges(self, result):
         assert result.gteps() > 0

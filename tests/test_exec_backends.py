@@ -26,12 +26,14 @@ from repro.core.engine import TraversalEngine
 from repro.core.options import BFSOptions
 from repro.core.programs import (
     BatchedBFSLevels,
+    BatchedFrontierProgram,
     BatchedReachability,
     BFSLevels,
     BFSParents,
     ConnectedComponents,
     KHopReachability,
 )
+from repro.core.campaign import run_campaign
 from repro.exec import (
     BACKEND_NAMES,
     InlineBackend,
@@ -43,6 +45,7 @@ from repro.partition.delegates import suggest_threshold
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.storage import apply_storage
+from repro.weighted import DeltaSteppingSSSP, PageRank
 
 LAYOUT = ClusterLayout(num_ranks=2, gpus_per_rank=2)
 
@@ -206,6 +209,105 @@ class TestBackendEquivalence:
 
 
 # --------------------------------------------------------------------------- #
+# Root grain: a process backend deals whole runs over its pool
+# --------------------------------------------------------------------------- #
+#: Roots of the root-grain sweep; the repeats exercise the parent's dedup.
+ROOTS = [3, 17, 3, 40, 8, 17, 25]
+
+#: ``source -> program`` for one row each of the level loop (levels,
+#: parents), a frontier-scheduling driver (sssp) and an outer-loop driver
+#: (pagerank, whose round count follows the root so some runs dedup).
+ROOT_PROGRAMS = {
+    "levels": lambda s: BFSLevels(source=s),
+    "parents": lambda s: BFSParents(source=s),
+    "sssp": lambda s: DeltaSteppingSSSP(s, delta=0.25),
+    "pagerank": lambda s: PageRank(iterations=2 + s % 3),
+}
+
+
+@pytest.fixture(scope="module")
+def weighted_edges():
+    return generate_rmat(9, rng=5, weights_seed=3)
+
+
+@pytest.fixture(scope="module")
+def root_grain(weighted_edges, tmp_path_factory):
+    """The weighted reference graph, and storage -> ``(graph, process backend)``."""
+    graph = build_partitions(
+        weighted_edges, LAYOUT, suggest_threshold(weighted_edges, LAYOUT.num_gpus)
+    )
+    root = tmp_path_factory.mktemp("root-grain")
+    cells = {"memory": graph}
+    for storage in ("mmap", "compressed"):
+        cells[storage] = apply_storage(graph, storage, path=root / storage)
+    cells = {key: (cell, ProcessBackend(cell, workers=2)) for key, cell in cells.items()}
+    yield graph, cells
+    for _, backend in cells.values():
+        backend.close()
+
+
+def assert_runs_identical(reference, cell) -> None:
+    """Two campaigns hold the same runs in the same order: per-root
+    ``(elapsed_ms.hex(), iterations, total_edges_examined)`` and answers."""
+    assert len(reference) == len(cell)
+    assert reference.saved_traversals == cell.saved_traversals
+    for a, b in zip(reference, cell):
+        assert type(a) is type(b)
+        assert (a.timing.elapsed_ms.hex(), a.iterations, a.total_edges_examined) == (
+            b.timing.elapsed_ms.hex(), b.iterations, b.total_edges_examined
+        )
+        for name in type(a).answer_fields:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestRootGrain:
+    @pytest.mark.parametrize("storage", ["memory", "mmap", "compressed"])
+    @pytest.mark.parametrize("name", list(ROOT_PROGRAMS))
+    def test_run_many_and_campaigns_match_inline(self, root_grain, storage, name):
+        reference, cells = root_grain
+        graph, backend = cells[storage]
+        make = ROOT_PROGRAMS[name]
+        inline = TraversalEngine(reference, backend="inline")
+        engine = TraversalEngine(graph, backend=backend)
+        many = engine.run_many([make(s) for s in ROOTS])
+        assert_runs_identical(inline.run_many([make(s) for s in ROOTS]), many)
+        assert many.saved_traversals > 0
+        seen = []
+        campaign = run_campaign(engine, ROOTS, make, on_result=seen.append)
+        assert_runs_identical(run_campaign(inline, ROOTS, make), campaign)
+        assert len(seen) == len(ROOTS) and all(a is b for a, b in zip(seen, campaign))
+
+    @pytest.mark.parametrize("storage", ["memory", "mmap", "compressed"])
+    def test_batched_run_many_matches_inline(self, root_grain, storage):
+        reference, cells = root_grain
+        graph, backend = cells[storage]
+        programs = [BFSLevels(source=s) for s in ROOTS + [9, 11]]
+        want = TraversalEngine(reference, backend="inline").run_many(programs, batch_size=3)
+        got = TraversalEngine(graph, backend=backend).run_many(programs, batch_size=3)
+        assert_runs_identical(want, got)
+
+    @pytest.mark.parametrize("name", list(ROOT_PROGRAMS))
+    def test_dynamic_engine_ships_its_overlay(self, weighted_edges, name):
+        from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta
+
+        dynamic = DynamicGraph(weighted_edges, "2x2x1", 16, max_overlay_fraction=0.5)
+        pairs = [[3, 500], [17, 501], [40, 502], [8, 3], [25, 40]]
+        dynamic.apply(EdgeDelta.inserts(pairs, weights=np.full(len(pairs), 0.5)))
+        assert dynamic.overlay.num_edges > 0 and dynamic.compactions == 0
+        make = ROOT_PROGRAMS[name]
+        with DynamicEngine(dynamic, backend="inline") as inline, DynamicEngine(
+            dynamic, backend="process"
+        ) as remote:
+            assert_runs_identical(
+                inline.run_many([make(s) for s in ROOTS]),
+                remote.run_many([make(s) for s in ROOTS]),
+            )
+            assert_runs_identical(
+                run_campaign(inline, ROOTS, make), run_campaign(remote, ROOTS, make)
+            )
+
+
+# --------------------------------------------------------------------------- #
 # Backend selection and lifecycle
 # --------------------------------------------------------------------------- #
 class TestBackendSelection:
@@ -293,15 +395,18 @@ class TestRunManyBatchRouting:
         return TraversalEngine(graphs["auto"])
 
     def _trap_run_batch(self, engine, monkeypatch):
+        """Record the width of every batch ``run_many`` hands ``run_each``."""
         calls = []
-        original = engine.run_batch
+        original = engine.run_each
 
-        def spy(program, overlay=None):
-            calls.append(program.width)
-            assert program.width >= 2, "a 1-lane batch must never be built"
-            return original(program, overlay=overlay)
+        def spy(programs, overlay=None):
+            for program in programs:
+                if isinstance(program, BatchedFrontierProgram):
+                    calls.append(program.width)
+                    assert program.width >= 2, "a 1-lane batch must never be built"
+            return original(programs, overlay=overlay)
 
-        monkeypatch.setattr(engine, "run_batch", spy)
+        monkeypatch.setattr(engine, "run_each", spy)
         return calls
 
     def test_batch_size_one_routes_sequential(self, engine, monkeypatch):

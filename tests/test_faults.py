@@ -1,11 +1,11 @@
 """Faults end in a typed error within a bounded time, never a hang or a leak.
 
-A worker process of :class:`repro.exec.ProcessBackend` that dies mid-step
-(native code can kill one) must end the traversal in one ``RuntimeError``
-naming the GPU whose kernels were lost, with the backend's shared-memory
-segments unlinked.  The scenario runs in a child interpreter under a
-timeout, because the failure this guards against is the coordinator waiting
-forever.
+A worker process of :class:`repro.exec.ProcessBackend` that dies mid-run
+(native code can kill one) must end the call in one ``RuntimeError`` naming
+the runs that never returned, with the backend's shared-memory segment
+unlinked and the pool's processes gone.  The scenario runs in a child
+interpreter under a timeout, because the failure this guards against is the
+coordinator waiting forever.
 """
 
 from __future__ import annotations
@@ -21,45 +21,46 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: One super-step of a small graph, dispatched to a two-worker fork pool in
-#: which GPU 1's task SIGKILLs its own worker.
+#: A campaign of four roots dealt to a two-worker fork pool, in which the
+#: worker that runs the root ``DOOMED`` SIGKILLs itself after that run's
+#: first super-step.
 WORKER_KILLS_ITSELF = r"""
-import json, os, signal, time
-from repro.exec import backend as backend_module, process
-from repro.core.engine import TraversalEngine
-from repro.core.programs import BFSLevels
+import json, multiprocessing, os, signal, time
+from repro.core import engine as engine_module
+from repro.core.campaign import run_campaign
+from repro.exec import process
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 
-backend_module.SMALL_PLAN_ROWS = 0  # dispatch every step, however small
-run_here = process.execute_gpu_plan
+DOOMED = 40
+step_loop = engine_module.TraversalEngine.step_loop
 
 
-def dying(gpu_plan, *args, **kwargs):
-    if gpu_plan.gpu == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return run_here(gpu_plan, *args, **kwargs)
+def dying(self, program, state, *args, **kwargs):
+    if getattr(program, "source", None) == DOOMED:
+        kwargs["settle"] = lambda: os.kill(os.getpid(), signal.SIGKILL)
+    return step_loop(self, program, state, *args, **kwargs)
 
 
-process.execute_gpu_plan = dying  # the fork pool below inherits it
+engine_module.TraversalEngine.step_loop = dying  # the fork pool below inherits it
 graph = build_partitions(generate_rmat(8, rng=3), ClusterLayout(num_ranks=2, gpus_per_rank=2), 4)
 backend = process.ProcessBackend(graph, workers=2)  # fork, where offered
-engine = TraversalEngine(graph, backend=backend)
+engine = engine_module.TraversalEngine(graph, backend=backend)
 started = time.perf_counter()
 try:
-    engine.run(BFSLevels(int(graph.gpus[1].owned_global_ids()[0])))
+    run_campaign(engine, [3, 17, DOOMED, 25])
     error = None
 except RuntimeError as caught:
     error = str(caught)
-store = backend.store
-names = [s.name for s in (store._graph_segment, store._dense_segment) if s is not None]
+name = backend.store._graph_segment.name
 print(json.dumps({
     "error": error,
     "seconds": time.perf_counter() - started,
-    "segments": names,
-    "leaked": [n for n in names if os.path.exists("/dev/shm/" + n.lstrip("/"))],
+    "segment": name,
+    "leaked": os.path.exists("/dev/shm/" + name.lstrip("/")),
     "pools": len(process._POOLS),
+    "children": len(multiprocessing.active_children()),
 }))
 """
 
@@ -68,7 +69,7 @@ print(json.dumps({
     "fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/dev/shm"),
     reason="needs the fork start method and POSIX shared memory in /dev/shm",
 )
-def test_worker_killed_mid_step_raises_naming_the_gpu():
+def test_worker_killed_mid_run_raises_naming_the_run():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("REPRO_BACKEND", None)
     # At the parent this scenario waits forever; the timeout turns that into a failure.
@@ -78,7 +79,7 @@ def test_worker_killed_mid_step_raises_naming_the_gpu():
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["error"] is not None and "GPU 1" in report["error"]
+    assert report["error"] is not None and "from source 40" in report["error"]
     assert report["seconds"] < 10
-    assert report["segments"] and report["leaked"] == []
-    assert report["pools"] == 0
+    assert report["segment"] and not report["leaked"]
+    assert report["pools"] == 0 and report["children"] == 0

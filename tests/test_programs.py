@@ -263,7 +263,9 @@ class TestCustomProgram:
                 return _BFSResult(source=self.source, distances=values, **base)
 
         graph = build_partitions(rmat_small, small_layout, 32)
-        result = TraversalEngine(graph).run(EvenLevels(source=3))
+        # A class defined in a function does not pickle, so a process
+        # backend could not ship it to a worker: this run stays inline.
+        result = TraversalEngine(graph, backend="inline").run(EvenLevels(source=3))
         reference = serial_bfs(CSRGraph.from_edgelist(rmat_small), 3)
         expected = np.where(reference >= 0, 2 * reference, -1)
         np.testing.assert_array_equal(result.distances, expected)

@@ -4,8 +4,8 @@
 exactly what the dense one did; the tests here pin *why* each shortcut is
 sound: an exchange nobody sends into returns what routing would, the counted
 pull sets equal the arrays they replaced at every step, the reduce's proposed
-ids equal the scan of the merged mask, and a dispatching backend runs small
-plans in the coordinator without changing a record.
+ids equal the scan of the merged mask, and a run the process backend places
+in a pool worker changes no record and traces the same kernel spans.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class TestEmptyExchange:
         times = _price(comm, result)
         assert times.local_communication_s == MODEL.filter_time(0) > 0.0
         assert times.remote_normal_exchange_s == 0.0
-        assert (result.remote_bytes, result.local_bytes) == (0, 0)
+        assert (comm.stats.normal_bytes_remote, comm.stats.normal_bytes_local) == (0, 0)
         assert len(result.inboxes) == p
         assert all(box.dtype == np.int64 and box.shape == (0,) for box in result.inboxes)
         if payload is None:
@@ -296,41 +296,32 @@ class TestSparseReduce:
 
 
 # --------------------------------------------------------------------------- #
-# (d) small plans run in the coordinator, big ones are dispatched
+# (d) a process run is the inline run, kernel spans included
 # --------------------------------------------------------------------------- #
-class TestSmallPlansRunInTheCoordinator:
+class TestProcessRunsAreInlineRuns:
     @pytest.mark.parametrize("kind", [ProcessBackend])
-    def test_both_kinds_of_step_occur_and_match_inline(self, rmat10, kind):
+    def test_records_match_inline(self, rmat10, kind):
         graph = build_partitions(rmat10, LAYOUT, 8)
         source = _hub(graph)
         inline = TraversalEngine(graph, backend="inline").run(BFSParents(source))
         with kind(graph, workers=2) as backend:
             remote = TraversalEngine(graph, backend=backend).run(BFSParents(source))
-            assert backend.local_steps > 0 and backend.dispatched_steps > 0
-            assert backend.local_steps + backend.dispatched_steps == remote.iterations
         np.testing.assert_array_equal(remote.parents, inline.parents)
         assert remote.comm_stats.as_dict() == inline.comm_stats.as_dict()
         for got, want in zip(remote.records, inline.records, strict=True):
             assert got == want
 
-    def test_inline_never_dispatches(self, rmat10):
-        graph = build_partitions(rmat10, LAYOUT, 8)
-        engine = TraversalEngine(graph, backend="inline")
-        result = engine.run(BFSLevels(_hub(graph)))
-        assert engine.backend.dispatched_steps == 0
-        assert engine.backend.local_steps == result.iterations
-
-    def test_kernels_span_says_where_the_step_ran(self, rmat10):
+    def test_process_trace_has_the_inline_kernel_spans(self, rmat10):
         graph = build_partitions(rmat10, LAYOUT, 8)
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
             with ProcessBackend(graph, workers=2) as backend:
-                TraversalEngine(graph, backend=backend).run(BFSLevels(_hub(graph)))
+                result = TraversalEngine(graph, backend=backend).run(BFSLevels(_hub(graph)))
         finally:
             set_tracer(previous)
         spans = [e for e in tracer.events if e["name"] == "kernels" and e.get("cat") == "exec"]
-        assert {span["args"]["dispatched"] for span in spans} == {True, False}
+        assert len(spans) == result.iterations
         assert all(1 <= span["args"]["gpus"] <= graph.num_gpus for span in spans)
         # Idle kernels run nowhere: a step records one worker span per planned kernel.
         workers = [e for e in tracer.events if e.get("cat") == "worker"]

@@ -34,7 +34,7 @@ from repro.exec import (
     SuperStepPlan,
     VisitSpec,
     execute_gpu_plan,
-    resolve_backend,
+    execute_plan,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import wdc_like_edge_chunks
@@ -178,8 +178,9 @@ class TestGraphStore:
         save_graph_store(graph, tmp_path / "s", storage="mmap")
         desc = load_graph_store(tmp_path / "s").store.descriptor()
         assert desc["segment"].startswith("file://")
-        assert [list(entries) for entries in desc["csrs"]] == [["nn", "nd", "dn", "dd"]] * 2
-        assert all(e["kind"] == "raw" for entries in desc["csrs"] for e in entries.values())
+        csrs = [gpu["csrs"] for gpu in desc["gpus"]]
+        assert [list(entries) for entries in csrs] == [["nn", "nd", "dn", "dd"]] * 2
+        assert all(e["kind"] == "raw" for entries in csrs for e in entries.values())
         assert {
             f"g{g}.{key}.{part}" for g in range(2) for key in ("nn", "nd", "dn", "dd")
             for part in ("ro", "ci")
@@ -283,7 +284,6 @@ class TestRebuiltStore:
             backend = ProcessBackend(loaded, workers=2)
             try:
                 answers = _run_programs(loaded, backend)
-                assert backend.dispatched_steps > 0
             finally:
                 backend.close()
             assert answers == _run_programs(loaded, "inline") == _run_programs(graph, "inline")
@@ -345,8 +345,7 @@ class TestApplyStorage:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def zgraphs(tmp_path_factory):
-    """A weighted graph in memory and as a compressed store; GPU 0 has more
-    normal rows than a backend runs in place, so the pools really dispatch."""
+    """A weighted graph in memory and as a compressed store."""
     edges = generate_rmat(10, rng=3, weights_seed=5)
     raw = build_partitions(edges, ClusterLayout.from_notation("1x1x2"), 64)
     path = tmp_path_factory.mktemp("zstore") / "s"
@@ -399,27 +398,23 @@ class TestDecodeAtPlanBoundary:
         gpu_plan, dense = _visit_plans(raw)[kind]
         assert not isinstance(compressed.gpus[0].nn, CSRGraph)
         outputs = [
-            execute_gpu_plan(gpu_plan, lambda g, name: getattr(graph.gpus[g], name), dense)
+            execute_gpu_plan(gpu_plan, graph.gpus, dense)
             for graph in (raw, compressed)
         ]
         (out,) = outputs[0].values()
         assert out.edges_examined > 0
         _assert_outputs_equal(*outputs)
 
-    @pytest.mark.parametrize("backend", ["inline", "process"])
-    def test_one_lazy_decode_span_per_decoded_visit(self, zgraphs, backend):
+    def test_one_lazy_decode_span_per_decoded_visit(self, zgraphs):
         raw, compressed = zgraphs
-        engine_backend, _ = resolve_backend(backend, compressed)
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
             for kind, (gpu_plan, dense) in _visit_plans(raw).items():
-                expected = execute_gpu_plan(
-                    gpu_plan, lambda g, name: getattr(raw.gpus[g], name), dense
-                )
+                expected = execute_gpu_plan(gpu_plan, raw.gpus, dense)
                 before = len(tracer.events)
                 plan = SuperStepPlan(level=0, gpu_plans=[gpu_plan], dense_delegate=dense)
-                outputs = engine_backend.run_kernels(plan)
+                outputs = execute_plan(plan, compressed.gpus)
                 _assert_outputs_equal(expected, outputs[0])
                 decodes = [
                     e for e in tracer.events[before:] if e["name"] == "lazy-decode"
@@ -428,11 +423,25 @@ class TestDecodeAtPlanBoundary:
                 assert decodes[0]["tid"] == 1  # GPU 0's track
         finally:
             set_tracer(previous)
-            engine_backend.close()
-        if backend == "inline":
-            assert engine_backend.local_steps == 6
-        else:
-            assert engine_backend.dispatched_steps == 6
+
+    def test_a_process_run_traces_the_inline_decode_spans(self, zgraphs):
+        """A run placed in a pool worker returns the same ``lazy-decode``
+        spans, on the same GPU tracks, as the run in place."""
+        _, compressed = zgraphs
+        source = int(np.argmax(compressed.separation.degrees))
+        tracks = {}
+        for backend in ("inline", "process"):
+            tracer = Tracer()
+            previous = set_tracer(tracer)
+            try:
+                with TraversalEngine(compressed, backend=backend) as engine:
+                    engine.run(BFSLevels(source))
+            finally:
+                set_tracer(previous)
+            tracks[backend] = sorted(
+                (e["cat"], e["tid"]) for e in tracer.events if e["name"] == "lazy-decode"
+            )
+        assert tracks["inline"] and tracks["process"] == tracks["inline"]
 
 
 # --------------------------------------------------------------------------- #

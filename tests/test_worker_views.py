@@ -1,12 +1,15 @@
-"""The process backend's workers see the coordinator's CSRs, array for array.
+"""The process backend's workers see the coordinator's graph, array for array.
 
-A pool worker never receives a CSR: it rebuilds every ``(gpu, key)``
-subgraph from the graph descriptor its task names, as views into a POSIX
+A pool worker never receives a graph: it rebuilds the whole
+:class:`~repro.partition.subgraphs.PartitionedGraph` from the graph
+descriptor its run names, through the store reader, as views into a POSIX
 shared-memory segment (memory graphs) or into the store's ``graph.bin``
 (mmap and compressed graphs).  These tests run that worker-side rebuild in
-the test process and hold each view to the coordinator's own CSR: row
-offsets, columns (decoded when compressed), column dtype, shape and weights,
-across every storage mode, weighted and unweighted, on three layouts.
+the test process and hold it to the coordinator's own graph: the
+partitioning metadata and census, every separation and per-GPU array, and
+every CSR's row offsets, columns (decoded when compressed), column dtype,
+shape and weights, across every storage mode, weighted and unweighted, on
+three layouts.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec.shm import SegmentCache, SharedGraphStore, csrs_from_descriptor
+from repro.exec.shm import SegmentCache, SharedGraphStore, graph_from_descriptor
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.storage import apply_storage
+from repro.storage.segments import GPU_ARRAYS, SEPARATION_ARRAYS
 
 KEYS = ("nn", "nd", "dn", "dd")
 
@@ -53,14 +57,14 @@ def _plain(csr):
 
 @pytest.mark.parametrize("storage", ["memory", "mmap", "compressed"])
 @pytest.mark.parametrize("notation", list(LAYOUTS))
-def test_worker_csrs_equal_the_coordinators(memory_graphs, notation, storage, tmp_path):
+def test_worker_graph_equals_the_coordinators(memory_graphs, notation, storage, tmp_path):
     graph = memory_graphs[notation]
     if storage != "memory":
         graph = apply_storage(graph, storage, path=tmp_path / "store")
     store = SharedGraphStore(graph)
     cache = SegmentCache()
     try:
-        _assert_views_match(graph, csrs_from_descriptor(cache, store.graph_descriptor))
+        _assert_graphs_match(graph, cache, store.graph_descriptor)
     finally:
         # Drop the views before the cache's attachments, so none is closed
         # while a view still points into it.
@@ -68,11 +72,33 @@ def test_worker_csrs_equal_the_coordinators(memory_graphs, notation, storage, tm
         store.close()
 
 
-def _assert_views_match(graph, views) -> None:
-    assert set(views) == {(g, key) for g in range(graph.num_gpus) for key in KEYS}
+def _assert_graphs_match(graph, cache, descriptor) -> None:
+    worker, engines = graph_from_descriptor(cache, descriptor)
+    assert engines == {}
+    assert graph_from_descriptor(cache, descriptor)[0] is worker  # rebuilt once
+    assert worker.layout == graph.layout
+    assert (worker.threshold, worker.num_vertices, worker.num_directed_edges) == (
+        graph.threshold, graph.num_vertices, graph.num_directed_edges
+    )
+    assert worker.census == graph.census
+    assert worker.storage == graph.storage
+    assert worker.is_weighted == graph.is_weighted
+    assert worker.num_gpus == graph.num_gpus
+    for name in SEPARATION_ARRAYS:
+        ours, theirs = getattr(worker.separation, name), getattr(graph.separation, name)
+        assert ours.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(ours, theirs)
     for g, part in enumerate(graph.gpus):
+        mine = worker.gpus[g]
+        assert (mine.flat_gpu, mine.num_local, mine.num_delegates) == (
+            part.flat_gpu, part.num_local, part.num_delegates
+        )
+        for name in GPU_ARRAYS:
+            ours, theirs = getattr(mine, name), getattr(part, name)
+            assert ours.dtype == theirs.dtype, (g, name)
+            np.testing.assert_array_equal(ours, theirs)
         for key in KEYS:
-            ours, theirs = views[(g, key)], getattr(part, key)
+            ours, theirs = getattr(mine, key), getattr(part, key)
             assert type(ours) is type(theirs), (g, key)
             assert (ours.num_rows, ours.num_cols) == (theirs.num_rows, theirs.num_cols)
             assert ours.num_edges == theirs.num_edges
