@@ -278,8 +278,8 @@ class NetworkModel:
                     # order, as send_times adds.
                     hop_bytes = exchange.hops * exchange.wire
                     senders, owners = np.nonzero(hop_bytes)
-                    for s, size in zip(senders.tolist(), hop_bytes[senders, owners].tolist()):
-                        local_s[s] += self.intra_node_time(size)
+                    for sender, size in zip(senders.tolist(), hop_bytes[senders, owners].tolist()):
+                        local_s[sender] += self.intra_node_time(size)
                 for gpu, held in exchange.held or ():
                     local_s[gpu] += filter_time(held)
                 local_comm_s = max(f + s for f, s in zip(filter_s, local_s))

@@ -539,7 +539,7 @@ class TraversalEngine:
         return result
 
     # ------------------------------------------------------------------ #
-    # The step loop (shared by run, run_batch and driver programs)
+    # The step loop (shared by every program execute runs, drivers included)
     # ------------------------------------------------------------------ #
     def step_loop(self, program, state, overlay=None, select=None, settle=None) -> dict:
         """Run super-steps over ``state`` until its frontier drains.
@@ -549,7 +549,7 @@ class TraversalEngine:
         relaxation and the kernel stage, and keeps the run's spans, wall
         clock and result ``base`` dictionary (which it returns) in a
         :class:`RunLedger`.
-        :meth:`run` and :meth:`run_batch` build a state and call it; driver
+        :meth:`execute` builds a state and calls it; driver
         programs that schedule their own frontiers (delta-stepping SSSP)
         call it with two hooks:
 
@@ -619,13 +619,14 @@ class TraversalEngine:
     ) -> None:
         """Relax the overlay edges leaving this step's input frontier.
 
-        Runs after the planned kernels finish: the captured frontier ``segments`` push their
-        payload (program values, or lane words OR-propagated per lane)
-        across the overlay, the representation turns that into one proposal
-        per target exactly like a kernel discovery would, fresh vertices
-        merge into the next frontier, and the examined overlay edges are
-        added to the step's counters and its bill (which prices them into
-        computation unoverlapped — the overlay is a serial side-structure).
+        Runs after the planned kernels finish: the captured frontier
+        ``segments`` push their payload (program values, or lane words
+        OR-propagated per lane) across the overlay, the representation turns
+        that into one proposal per target exactly like a kernel discovery
+        would, fresh vertices merge into the next frontier, and the examined
+        overlay edges are added to the step's counters and its bill (which
+        prices them into computation unoverlapped — the overlay is a serial
+        side-structure).
         """
         graph = self.graph
         if not segments:

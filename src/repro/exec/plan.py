@@ -154,14 +154,14 @@ def execute_plan(plan: SuperStepPlan, gpus: list) -> list:
     """
     outputs: list = [{} for _ in gpus]
     tracer = get_tracer()
-    trace = tracer.events if tracer.enabled else None
-    started = now_s() if trace is not None else 0.0
+    traced = tracer if tracer.enabled else None
+    started = now_s() if traced is not None else 0.0
     ran = 0
     for gpu_plan in plan.gpu_plans:
         if gpu_plan.visits:
-            outputs[gpu_plan.gpu] = execute_gpu_plan(gpu_plan, gpus, plan.dense_delegate, trace)
+            outputs[gpu_plan.gpu] = execute_gpu_plan(gpu_plan, gpus, plan.dense_delegate, traced)
             ran += 1
-    if trace is not None:
+    if traced is not None:
         tracer.record_span(
             "kernels", cat="exec", start=started, dur=now_s() - started,
             args={"level": plan.level, "gpus": ran},
@@ -169,17 +169,8 @@ def execute_plan(plan: SuperStepPlan, gpus: list) -> list:
     return outputs
 
 
-def _span(cat: str, name: str, started: float, ended: float, tid: int) -> dict:
-    """One complete span in the tracer's event shape (microseconds)."""
-    dur = ended - started
-    return {
-        "name": name, "cat": cat, "ph": "X", "ts": started * 1e6,
-        "dur": dur * 1e6 if dur > 0.0 else 0.0, "pid": 0, "tid": tid,
-    }
-
-
 def execute_gpu_plan(
-    gpu_plan: GPUPlan, gpus: list, dense_delegate: np.ndarray, trace: list | None = None
+    gpu_plan: GPUPlan, gpus: list, dense_delegate: np.ndarray, tracer=None
 ) -> dict:
     """Run every visit task of one GPU; outputs keyed by kernel.
 
@@ -189,8 +180,8 @@ def execute_gpu_plan(
     reads (its queue, or its candidates for a pull) are decoded into a
     masked raw CSR first.  *Which* kernel of :mod:`repro.core.kernels` runs
     follows from the spec's own fields (``backward``, ``words``,
-    ``row_values``, ``weighted``).  Given a ``trace`` (a tracer's event
-    list), every kernel appends a ``worker`` span and every decoded visit a
+    ``row_values``, ``weighted``).  Given an enabled ``tracer``, every kernel
+    records a ``worker`` span and every decoded visit a
     ``storage/lazy-decode`` span, on track ``tid = gpu + 1``; without one —
     always when tracing is off — the loop reads no clock.
     """
@@ -198,12 +189,14 @@ def execute_gpu_plan(
     part = gpus[gpu_plan.gpu]
     tid = gpu_plan.gpu + 1
     for spec in gpu_plan.visits:
-        started = now_s() if trace is not None else 0.0
+        started = now_s() if tracer is not None else 0.0
         csr = getattr(part, spec.csr)
         if not isinstance(csr, CSRGraph):
             csr = csr.decode_rows(spec.candidates if spec.backward else spec.queue)
-            if trace is not None:
-                trace.append(_span("storage", "lazy-decode", started, now_s(), tid))
+            if tracer is not None:
+                tracer.record_span(
+                    "lazy-decode", cat="storage", start=started, dur=now_s() - started, tid=tid
+                )
         if spec.backward:
             dense = gpu_plan.dense_local if spec.parents == "normal" else dense_delegate
             if spec.words is not None:
@@ -219,7 +212,10 @@ def execute_gpu_plan(
         else:
             out = kernels.forward_visit(csr, spec.queue)
         outputs[spec.kernel] = out
-        if trace is not None:
+        if tracer is not None:
             kind = "pull" if spec.backward else "push"
-            trace.append(_span("worker", f"{spec.kernel}:{kind}", started, now_s(), tid))
+            tracer.record_span(
+                f"{spec.kernel}:{kind}", cat="worker", start=started, dur=now_s() - started,
+                tid=tid,
+            )
     return outputs

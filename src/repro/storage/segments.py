@@ -364,7 +364,9 @@ def save_graph_store(
     return directory
 
 
-def graph_from_manifest(manifest: dict, array, store: StoreHandle | None = None) -> PartitionedGraph:
+def graph_from_manifest(
+    manifest: dict, array, store: StoreHandle | None = None
+) -> PartitionedGraph:
     """Rebuild a :class:`PartitionedGraph` from a manifest, reading each named
     array through ``array(name)``; nothing is copied or re-validated.
 
