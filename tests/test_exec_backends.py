@@ -9,6 +9,12 @@ the delegate-threshold extremes (1 = almost everything is a delegate, auto,
 effectively-infinite = no delegates) over all four shipped programs plus the
 batched MS-BFS path, comparing each cell with inline x memory.
 
+The process backend runs whole runs in its workers, so ``run_many`` and
+``run_campaign`` deal runs over the pool: the root-grain sweep holds their
+per-root records, answers and order to inline for level-loop and driver
+programs, batched ``run_many``, a ``DynamicEngine``'s overlay and every
+storage mode.
+
 Also covered: backend selection (engine / session / CLI; the precedence of
 arguments, scenario pins and the environment is tests/test_exec_config.py's),
 engine-owned backend lifecycle, and the ``run_many`` batch-routing edge
@@ -154,8 +160,8 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_batched_sweeps(self, graphs, remote, threshold):
         graph, backend = remote[threshold]
-        # 70 lanes forces multi-word lane bitsets through the shared-memory
-        # dense scratch; the reachability batch exercises the hop cap.
+        # 70 lanes forces multi-word lane bitsets; the reachability batch
+        # exercises the hop cap.
         factories = (
             lambda: BatchedBFSLevels(list(range(70))),
             lambda: BatchedReachability([5, 9, 11], max_hops=2),
@@ -172,10 +178,11 @@ class TestBackendEquivalence:
     def test_multiword_batch_with_pulls_matches_sequential(
         self, graphs, process_backends, backend
     ):
-        """A 70-lane (two-word) batch whose nd kernels pull — so the dense
-        *local* lane-word buffer is published next to the delegate one — with
-        sequential runs before and after it on the same backend, so one dense
-        scratch serves flags, then wider lane words, then flags again."""
+        """A 70-lane (two-word) batch whose nd kernels pull — so a dense
+        *local* lane-word buffer is built next to the delegate one — with
+        sequential runs before and after it on the same backend (and, on the
+        process backend, on the same worker engines): flags, then wider lane
+        words, then flags again."""
         graph = graphs["auto"]
         sources = list(range(70))
         reference = TraversalEngine(graph).run_batch(BatchedBFSLevels(sources))

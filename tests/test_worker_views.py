@@ -57,7 +57,7 @@ def _plain(csr):
 
 @pytest.mark.parametrize("storage", ["memory", "mmap", "compressed"])
 @pytest.mark.parametrize("notation", list(LAYOUTS))
-def test_worker_graph_equals_the_coordinators(memory_graphs, notation, storage, tmp_path):
+def test_worker_csrs_equal_the_coordinators(memory_graphs, notation, storage, tmp_path):
     graph = memory_graphs[notation]
     if storage != "memory":
         graph = apply_storage(graph, storage, path=tmp_path / "store")
