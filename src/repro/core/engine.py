@@ -6,9 +6,9 @@
 
 1. **Local computation** on every virtual GPU (Fig. 3): the forward
    workloads are the input frontiers' degree sums; one visit kernel per
-   subgraph then runs in the direction chosen by its own
-   direction-optimization state (a previsit filter builds the queue of a
-   kernel that pushes) —
+   subgraph then runs, where the walk decides it, in the direction chosen
+   by its own direction-optimization state (a previsit filter builds the
+   queue of a kernel that pushes) —
 
    * nn (normal→normal): always forward; its discoveries are *remote* normal
      updates that enter the exchange stage,
@@ -39,13 +39,12 @@ and :meth:`~TraversalEngine.run_each` hand whole runs to an
 ``"process"`` on the inline engine of a persistent pool worker over a
 shared-memory export of the graph — and every run ends in
 :meth:`~TraversalEngine.execute`, which runs all of its super-steps in one
-process: each step's kernel stage is a declarative
-:class:`repro.exec.SuperStepPlan` that :func:`repro.exec.execute_plan` runs
-in place, and the folds, the exchange and the delegate reduction follow.
+process: each step's walk runs its visit kernels in place as it decides
+them, and the folds, the exchange and the delegate reduction follow.
 Results, workload counters and modeled times are backend-independent; only
 the measured ``wall_s`` phases change.
 
-A super-step costs what its frontier costs.  The plan lists a kernel only
+A super-step costs what its frontier costs.  The walk runs a kernel only
 where it pulls or has an edge to push along — an absent output *means*
 "idle forward kernel", which the serial half still charges its launch
 overhead — directions are decided on counts (degree sums forward, counted
@@ -54,7 +53,7 @@ kernel that then pushes or pulls, and fold, exchange and reduce touch only
 the GPUs and delegates that saw a discovery.
 
 That super-step is written once.  :meth:`TraversalEngine.step_loop` is the
-only level loop, :meth:`~TraversalEngine._plan_super_step` the only plan walk
+only level loop, :meth:`~TraversalEngine._walk_super_step` the only walk
 and :meth:`~TraversalEngine._finalize_super_step` the only serial half;
 sequential programs, batched (MS-BFS) programs and frontier-scheduling
 drivers such as delta-stepping SSSP all run through them.  A run's
@@ -90,7 +89,7 @@ from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import IDLE_KERNEL, NetworkModel, StepBill
 from repro.cluster.topology import ClusterTopology
 from repro.core.direction import DirectionState
-from repro.core.frontier import NORMAL_SOURCED, BatchState, frontier_for, global_ids
+from repro.core.frontier import NORMAL_SOURCED, REVERSE, BatchState, frontier_for, global_ids
 from repro.core.options import BFSOptions
 from repro.core.programs.base import FrontierProgram
 from repro.core.programs.batched import BatchedFrontierProgram
@@ -99,7 +98,6 @@ from repro.core.results import BatchResult, BFSResult, IterationRecord, Traversa
 from repro.core.state import TraversalState
 from repro.exec.backend import resolve_backend
 from repro.exec.config import ExecConfig, check_kernels
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_plan
 from repro.partition.subgraphs import PartitionedGraph
 from repro.obs.tracer import get_tracer
 from repro.utils.sorting import sorted_unique
@@ -110,22 +108,6 @@ __all__ = ["TraversalEngine", "DistributedBFS", "RunLedger"]
 #: Default lane count per batched sweep when ``run_many`` routes through the
 #: batched path; wider batches amortize better but grow the lane words.
 DEFAULT_BATCH_SIZE = 32
-
-#: The subgraph whose CSR holds each direction-optimised kernel's reverse
-#: edges (what its backward pull scans); dd is locally symmetric.
-_REVERSE = {"nd": "dn", "dn": "nd", "dd": "dd"}
-
-
-def _plan_pulls(plan) -> int:
-    """How many of a plan's visit tasks run backward (the direction decision).
-
-    Recorded as a ``plan+direction`` span argument when tracing is on: 0
-    means an all-forward-push step, higher counts mean direction
-    optimization switched subgraph quadrants to backward-pull.
-    """
-    return sum(
-        1 for gp in plan.gpu_plans for spec in gp.visits if spec.backward
-    )
 
 
 class RunLedger:
@@ -141,9 +123,9 @@ class RunLedger:
     Booking a record prices its step's bill with the engine's network model
     — the only place a run's modeled seconds are computed — so every
     booked record is complete and no bill outlives its step.
-    ``plan``, ``fold`` and ``overlay`` are the serial share of a step;
-    :meth:`close` folds them into ``kernels``, which otherwise holds the
-    timing of each step's :func:`~repro.exec.execute_plan` call.
+    A step's ``plan`` (its walk, the visit kernels included), ``fold`` and
+    ``overlay`` shares are what :meth:`close` folds into ``kernels``; only a
+    coordinator-run driver (hooking, triangles) charges ``kernels`` itself.
 
     With tracing off nothing here allocates per step: span arguments are
     built only when the tracer is enabled.
@@ -171,18 +153,21 @@ class RunLedger:
         self._num_directed_edges = engine.graph.num_directed_edges
         self.started = now_s()
 
-    def phase(self, key: str, started: float, level: int = 0, span=None, plan=None) -> float:
+    def phase(
+        self, key: str, started: float, level: int = 0, span=None, directions=None
+    ) -> float:
         """Charge the seconds since ``started`` to ``wall[key]``; returns now.
 
         With tracing on and a ``span`` name given, that span is recorded with
-        the step's ``level`` and, given the step's ``plan``, its pull count.
+        the step's ``level`` and, given the step's ``directions`` tally, how
+        many of its kernels pulled (0 is an all-forward-push step).
         """
         ended = now_s()
         self.wall[key] += ended - started
         if span is not None and self._tracer.enabled:
             args = {"level": level}
-            if plan is not None:
-                args["pulls"] = _plan_pulls(plan)
+            if directions is not None:
+                args["pulls"] = sum(directions.values())
             self._tracer.record_span(
                 span, cat="engine", start=started, dur=ended - started, args=args
             )
@@ -302,7 +287,7 @@ class TraversalEngine:
         self._owns_backend = False
         # Which visit kernels run on each GPU, in fold order: without
         # delegates only nn exists, and a GPU owning no normal vertex has no
-        # dn destinations.  Planning and folding both walk this list.
+        # dn destinations.  The walk and the fold both go over this list.
         self._kernels = [
             ("nn",)
             if not graph.num_delegates
@@ -546,7 +531,7 @@ class TraversalEngine:
 
         The one level loop of the engine: it owns level counting, the
         ``max_levels`` / ``max_iterations`` guards, overlay capture and
-        relaxation and the kernel stage, and keeps the run's spans, wall
+        relaxation and the walk, and keeps the run's spans, wall
         clock and result ``base`` dictionary (which it returns) in a
         :class:`RunLedger`.
         :meth:`execute` builds a state and calls it; driver
@@ -580,7 +565,6 @@ class TraversalEngine:
             )
         }
         level = 0
-        gpus = graph.gpus
         overlay_live = overlay is not None and not overlay.empty
 
         has_work = select if select is not None else (lambda: not rep.frontier_empty())
@@ -597,10 +581,10 @@ class TraversalEngine:
             if overlay_live:
                 pre_frontier = rep.capture()
             step_started = now_s()
-            plan, (record, bill) = self._plan_super_step(rep, dir_states, level)
-            kernels_started = ledger.phase("plan", step_started, level, "plan+direction", plan)
-            outputs = execute_plan(plan, gpus)
-            fold_started = ledger.phase("kernels", kernels_started)
+            outputs, record, bill = self._walk_super_step(rep, dir_states, level)
+            fold_started = ledger.phase(
+                "plan", step_started, level, "plan+direction", record.directions
+            )
             self._finalize_super_step(outputs, rep, ledger, level, fold_started, record, bill)
             if overlay_live:
                 relax_started = now_s()
@@ -619,7 +603,7 @@ class TraversalEngine:
     ) -> None:
         """Relax the overlay edges leaving this step's input frontier.
 
-        Runs after the planned kernels finish: the captured frontier
+        Runs after the step's kernels finish: the captured frontier
         ``segments`` push their payload (program values, or lane words
         OR-propagated per lane) across the overlay, the representation turns
         that into one proposal per target exactly like a kernel discovery
@@ -660,31 +644,27 @@ class TraversalEngine:
     # ------------------------------------------------------------------ #
     # One super-step
     # ------------------------------------------------------------------ #
-    def _plan_super_step(
+    def _walk_super_step(
         self, rep, dir_states: dict[str, list[DirectionState]], level: int
-    ) -> tuple[SuperStepPlan, tuple[IterationRecord, StepBill]]:
-        """Describe one super-step's kernels as a backend-executable plan.
+    ) -> tuple[list, IterationRecord, StepBill]:
+        """Decide one super-step's kernels and run each where it is decided.
 
-        The planning pass takes the seed engine's (stateful) per-subgraph
-        direction decisions in the same order and on the same two workloads
-        — the hysteresis depends on every one of them — but on counts: a
-        kernel's forward workload is its input frontier's degree sum in the
-        kernel's subgraph (for the delegate-sourced kernels, one gather over
-        the per-engine degree table), which needs no queue, and its backward
+        The walk takes the seed engine's (stateful) per-subgraph direction
+        decisions in the same order and on the same two workloads — the
+        hysteresis depends on every one of them — but on counts: a kernel's
+        forward workload is its input frontier's degree sum in the kernel's
+        subgraph (for the delegate-sourced kernels, one gather over the
+        per-engine degree table), which needs no queue, and its backward
         workload comes from the representation's counted pull sets.  A
-        :class:`repro.exec.VisitSpec` is emitted only for a kernel that
-        pulls or whose degree sum is positive, and a
-        :class:`repro.exec.GPUPlan` only for a GPU with such a kernel: a
-        kernel the plan does not list is an idle forward kernel, and
-        :meth:`_finalize_super_step` bills it as one.  The walk is the
-        same for every frontier representation; ``rep`` supplies the
-        frontier rows, the dense buffers, the backward-workload estimate,
-        and — only for the kernel that then pushes or pulls — the previsit-
-        filtered queue or the rows still open to a pull, with the task's
-        payload.  Beside the plan it returns the step's record and bill as
-        far as the walk knows them — the two frontier sizes, the direction
-        counts and the per-GPU previsit filter sizes — for
-        :meth:`_finalize_super_step` to complete.
+        kernel runs only if it pulls or its degree sum is positive; the
+        representation (``rep``) then builds its previsit-filtered queue or
+        its candidate rows and runs its visit kernel.  Kernels are pure and
+        every fold happens after the walk, so running them here changes no
+        decision.  Returns one output dict per GPU (kernel → output; an
+        absent kernel was an idle forward kernel, which
+        :meth:`_finalize_super_step` bills as one), and the step's record
+        and bill as far as the walk knows them — the two frontier sizes, the
+        direction counts and the per-GPU previsit filter sizes.
         """
         p = self.graph.num_gpus
 
@@ -700,7 +680,7 @@ class TraversalEngine:
         normal_frontier_total = 0
         directions = {"nd": 0, "dn": 0, "dd": 0}
         filters: list[int] = []
-        gpu_plans: list[GPUPlan] = []
+        outputs: list[dict] = []
 
         for g in range(p):
             deg = self._degrees[g]
@@ -708,8 +688,7 @@ class TraversalEngine:
             normal_size = int(normal_rows.size)
             normal_frontier_total += normal_size
             filters.append(2 * normal_size + 2 * delegate_size)
-            visits = []
-            dense_local = None
+            outs: dict = {}
             for kernel in self._kernels[g]:
                 # The kernel's input frontier — this GPU's normal slots for
                 # nn/nd, the delegates for dn/dd — and its forward workload:
@@ -726,43 +705,22 @@ class TraversalEngine:
                 if kernel != "nn":
                     # A pull scans the reverse edges: the dn CSR for nd and
                     # vice versa; dd is locally symmetric.
-                    reverse = _REVERSE[kernel]
-                    backward = rep.backward_workload(kernel, g, frontier_size, deg[reverse])
+                    backward = rep.backward_workload(
+                        kernel, g, frontier_size, deg[REVERSE[kernel]]
+                    )
                     if dir_states[kernel][g].decide(forward, backward):
                         directions[kernel] += 1
-                        if kernel == "nd":
-                            # A backward nd pull tests parents against this
-                            # GPU's dense normal frontier; dn/dd pulls test
-                            # the replicated delegate buffer.
-                            dense_local = rep.dense_local(g)
-                        visits.append(
-                            VisitSpec(
-                                kernel,
-                                reverse,
-                                backward=True,
-                                parents="normal" if kernel == "nd" else "delegate",
-                                **rep.pull_payload(kernel, g),
-                            )
-                        )
+                        outs[kernel] = rep.pull(kernel, g)
                         continue
-                # A forward task exists only if some frontier row has an edge
+                # A forward kernel runs only if some frontier row has an edge
                 # to push along, and only then is its queue built.
                 if forward:
-                    visits.append(
-                        VisitSpec(
-                            kernel, kernel, backward=False,
-                            **rep.push_payload(kernel, g, deg[kernel]),
-                        )
-                    )
-            if visits:
-                gpu_plans.append(GPUPlan(gpu=g, visits=visits, dense_local=dense_local))
+                    outs[kernel] = rep.push(kernel, g, deg[kernel])
+            outputs.append(outs)
 
-        plan = SuperStepPlan(
-            level=level, gpu_plans=gpu_plans, dense_delegate=rep.dense_delegate
-        )
         edges = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
         record = IterationRecord(level, normal_frontier_total, delegate_size, edges, directions)
-        return plan, (record, StepBill([], filters))
+        return outputs, record, StepBill([], filters)
 
     def _finalize_super_step(
         self,
@@ -776,8 +734,8 @@ class TraversalEngine:
     ) -> None:
         """Fold kernel outputs, exchange, reduce: the serial half of a step.
 
-        ``outputs[g]`` holds the outputs of the kernels the plan listed for
-        GPU ``g``.  A kernel without an output was an idle forward kernel:
+        ``outputs[g]`` holds the outputs of the kernels the walk ran on GPU
+        ``g``.  A kernel without an output was an idle forward kernel:
         it still pays its launch overhead, so it is billed as
         ``IDLE_KERNEL`` in the same nn → nd → dn → dd order as a kernel that
         ran, and contributes nothing to fold.  Completes the step's

@@ -2,7 +2,7 @@
 "which vertices are hot, and for whom" is stored.
 
 The engine (:mod:`repro.core.engine`) writes the level-synchronous
-super-step once — the step loop, the per-GPU plan walk with its direction
+super-step once — the step loop, the per-GPU walk with its direction
 decisions, the fold → nn-exchange → delegate-reduce serial half with its
 modeled-time arithmetic, and the overlay relaxation — and asks a *frontier
 representation* for everything that differs between a one-source traversal
@@ -15,9 +15,12 @@ state                      ``TraversalState``: int64       ``BatchState``: per-v
                            value per vertex + id-array     lane-word rows (``BatchBitmask``)
                            frontiers                       + (rows, words) frontiers
 dense frontier buffers     ``bool`` flags                  ``uint64`` lane words
-previsit filter / payload  zero-degree drop (frontiers     zero-degree drop; lane words
-of a forward task (built   are installed sorted-unique);   parallel to the queue
-for a kernel that pushes)  ``weighted``
+previsit filter of a push  zero-degree drop (frontiers     zero-degree drop; lane words
+(built for a kernel that   are installed sorted-unique)    parallel to the queue
+pushes)
+visit kernels              ``forward_visit``,              ``batched_forward_visit``,
+                           ``weighted_forward_visit``,     ``batched_backward_visit``
+                           ``backward_visit``
 open (pull-capable) rows   value still ``UNVISITED``:      some lane still unvisited:
                            counted per GPU, listed only    listed when a workload is
                            for a kernel that pulls         asked for
@@ -34,15 +37,18 @@ delegate reduce            1-bit masks or 64-bit values,   one ``d x B``-bit red
 overlay proposals          program values                  OR-propagated lane words
 =========================  ==============================  ==============================
 
-A representation never decides control flow, never touches modeled time and
-never records a span: those belong to the skeleton, which is why they exist
-exactly once.  The representation is chosen by :func:`frontier_for` from the
-type of state the entry point built.
+A representation never decides control flow and never touches modeled time:
+those belong to the skeleton, which is why they exist exactly once.  When the
+walk decides that a kernel pushes or pulls, the representation builds that
+kernel's queue or candidate rows and runs its visit kernel through
+:func:`run_visit`, the one place a visit's CSR is resolved (and, on
+compressed storage, decoded) and its spans are recorded.  The representation
+is chosen by :func:`frontier_for` from the type of state the entry point
+built.
 
 Adding a third representation (say, a sparse/dense hybrid) means
 implementing the method set below over a new state class and extending
-:func:`frontier_for`; neither the skeleton, the backends nor the plan
-vocabulary (:mod:`repro.exec.plan`) change.
+:func:`frontier_for`; neither the skeleton nor the backends change.
 """
 
 from __future__ import annotations
@@ -50,20 +56,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.direction import estimate_backward_workload
-from repro.core.kernels import batched_filter_frontier, mark_unvisited
+from repro.core.kernels import (
+    backward_visit,
+    batched_backward_visit,
+    batched_filter_frontier,
+    batched_forward_visit,
+    forward_visit,
+    mark_unvisited,
+    weighted_forward_visit,
+)
 from repro.core.programs.base import VisitContext
 from repro.core.state import UNVISITED, TraversalState
+from repro.graph.csr import CSRGraph
+from repro.obs.tracer import get_tracer
 from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import BatchBitmask, Bitmask
 from repro.utils.sorting import sorted_unique
+from repro.utils.timing import now_s
 
 __all__ = [
     "NORMAL_SOURCED",
+    "REVERSE",
     "BatchState",
     "FlagFrontier",
     "LaneFrontier",
     "frontier_for",
     "global_ids",
+    "run_visit",
 ]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
@@ -71,6 +90,44 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 #: Kernels whose frontier rows (forward sources) are local normal slots; the
 #: other two (dn, dd) expand the replicated delegate frontier.
 NORMAL_SOURCED = ("nn", "nd")
+
+#: The subgraph whose CSR holds each direction-optimised kernel's reverse
+#: edges (what its backward pull scans); dd is locally symmetric.
+REVERSE = {"nd": "dn", "dn": "nd", "dd": "dd"}
+
+
+def run_visit(graph: PartitionedGraph, g: int, kernel: str, csr: str, visit, rows, *args):
+    """Run one visit kernel on GPU ``g``: ``visit(subgraph, rows, *args)``.
+
+    ``csr`` names the GPU's subgraph the kernel scans — not always
+    ``kernel``: a backward nd pull scans the reverse edges, which live in the
+    dn CSR (and vice versa).  This is the one place a visit's CSR is
+    resolved, so it is where compressed storage decodes: a CSR that is not a
+    raw :class:`~repro.graph.csr.CSRGraph` is a
+    :class:`~repro.storage.codec.CompressedCSR`, and exactly ``rows`` (the
+    queue of a push, the candidates of a pull) are decoded into a masked raw
+    CSR before the unmodified kernel runs, so storage changes no output.
+    With tracing on, the visit records a ``worker/<kernel>:<push|pull>``
+    span, and a decoded visit a ``storage/lazy-decode`` span, on GPU ``g``'s
+    track ``g + 1``; with tracing off no clock is read.
+    """
+    tracer = get_tracer()
+    traced = tracer.enabled
+    started = now_s() if traced else 0.0
+    subgraph = getattr(graph.gpus[g], csr)
+    if not isinstance(subgraph, CSRGraph):
+        subgraph = subgraph.decode_rows(rows)
+        if traced:
+            tracer.record_span(
+                "lazy-decode", cat="storage", start=started, dur=now_s() - started, tid=g + 1
+            )
+    out = visit(subgraph, rows, *args)
+    if traced:
+        tracer.record_span(
+            f"{kernel}:{'pull' if out.backward else 'push'}", cat="worker",
+            start=started, dur=now_s() - started, tid=g + 1,
+        )
+    return out
 
 
 def global_ids(graph: PartitionedGraph, g: int | None, rows: np.ndarray) -> np.ndarray:
@@ -190,7 +247,7 @@ class FlagFrontier:
         return fresh
 
     # ------------------------------------------------------------------ #
-    # Plan
+    # Walk: queues, candidates and the visit kernels
     # ------------------------------------------------------------------ #
     def begin_step(self) -> None:
         """Build the step's shared input: the dense delegate frontier."""
@@ -208,19 +265,22 @@ class FlagFrontier:
             flags[frontier] = True
         return flags
 
-    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
-        """Previsit-filter the kernel's input frontier into forward-task
-        fields.  Built only for a kernel that pushes: the walk decides
-        directions on degree sums, which need no queue."""
+    def push_queue(self, kernel: str, g: int, out_degrees: np.ndarray) -> np.ndarray:
+        """Previsit-filter the kernel's input frontier into its queue.  Built
+        only for a kernel that pushes: the walk decides directions on degree
+        sums, which need no queue."""
         frontier = self.normal_rows(g) if kernel in NORMAL_SOURCED else self.delegate_rows()
-        return {
-            "queue": frontier[out_degrees[frontier] > 0],
-            # Weighted programs gather edge weights on every forward visit
-            # (they never pull: needs_weights implies no direction switch).
-            "weighted": self.program.needs_weights,
-        }
+        return frontier[out_degrees[frontier] > 0]
 
-    def pull_payload(self, kernel: str, g: int) -> dict:
+    def push(self, kernel: str, g: int, out_degrees: np.ndarray):
+        """Run the kernel forward over its queue.  Weighted programs gather
+        edge weights on every forward visit (they never pull: needs_weights
+        implies no direction switch)."""
+        visit = weighted_forward_visit if self.program.needs_weights else forward_visit
+        queue = self.push_queue(kernel, g, out_degrees)
+        return run_visit(self.graph, g, kernel, kernel, visit, queue)
+
+    def pull_rows(self, kernel: str, g: int) -> np.ndarray:
         """The rows that pull — the still-open sources of the kernel's
         reverse subgraph on GPU ``g`` — built here, for a kernel that pulls."""
         open_rows = (
@@ -228,7 +288,15 @@ class FlagFrontier:
             if kernel == "dn"
             else self._delegate_sources[2 * g + (kernel == "dd")] & self._open_delegates
         )
-        return {"candidates": np.flatnonzero(open_rows)}
+        return np.flatnonzero(open_rows)
+
+    def pull(self, kernel: str, g: int):
+        """Run the kernel backward: its open rows search their parents in
+        GPU ``g``'s dense normal frontier (nd) or the replicated delegate
+        frontier (dn, dd)."""
+        dense = self.dense_local(g) if kernel == "nd" else self.dense_delegate
+        rows = self.pull_rows(kernel, g)
+        return run_visit(self.graph, g, kernel, REVERSE[kernel], backward_visit, rows, dense)
 
     def backward_workload(
         self, kernel: str, g: int, frontier_size: int, reverse_degrees: np.ndarray
@@ -613,7 +681,7 @@ class LaneFrontier:
         return self.state.frontier_d_rows
 
     # ------------------------------------------------------------------ #
-    # Plan
+    # Walk: queues, candidates and the visit kernels
     # ------------------------------------------------------------------ #
     def begin_step(self) -> None:
         self.dense_delegate = self._dense(None, self.graph.num_delegates)
@@ -634,13 +702,17 @@ class LaneFrontier:
     def dense_local(self, g: int) -> np.ndarray:
         return self._dense(g, self.graph.gpus[g].num_local)
 
-    def push_payload(self, kernel: str, g: int, out_degrees: np.ndarray) -> dict:
-        rows, words = batched_filter_frontier(
+    def push_queue(self, kernel: str, g: int, out_degrees: np.ndarray) -> tuple:
+        """The kernel's previsit-filtered ``(rows, words)`` queue."""
+        return batched_filter_frontier(
             *self.state.frontier(g if kernel in NORMAL_SOURCED else None), out_degrees
         )
-        return {"queue": rows, "words": words}
 
-    def _pull_rows(self, kernel: str, g: int) -> np.ndarray:
+    def push(self, kernel: str, g: int, out_degrees: np.ndarray):
+        rows, words = self.push_queue(kernel, g, out_degrees)
+        return run_visit(self.graph, g, kernel, kernel, batched_forward_visit, rows, words)
+
+    def pull_rows(self, kernel: str, g: int) -> np.ndarray:
         """The still-open sources of the kernel's reverse subgraph on GPU
         ``g``: local slots for dn, delegates for nd/dd."""
         rows = self._candidates.get((kernel, g))
@@ -660,11 +732,16 @@ class LaneFrontier:
             self._candidates[kernel, g] = rows
         return rows
 
-    def pull_payload(self, kernel: str, g: int) -> dict:
-        """The rows that pull and the lanes each of them still wants."""
-        rows = self._pull_rows(kernel, g)
+    def pull(self, kernel: str, g: int):
+        """Run the kernel backward: its open rows collect, for every lane
+        each of them still wants, their parents in the dense frontier."""
+        rows = self.pull_rows(kernel, g)
         visited = self.state.visited_n[g] if kernel == "dn" else self.state.visited_d
-        return {"candidates": rows, "words": self._wanted(visited, rows)}
+        dense = self.dense_local(g) if kernel == "nd" else self.dense_delegate
+        return run_visit(
+            self.graph, g, kernel, REVERSE[kernel], batched_backward_visit,
+            rows, dense, self._wanted(visited, rows),
+        )
 
     def backward_workload(
         self, kernel: str, g: int, frontier_size: int, reverse_degrees: np.ndarray
@@ -672,7 +749,7 @@ class LaneFrontier:
         """A batched pull has no early exit, so its workload is not the
         paper's expected-first-hit estimate but the exact full parent lists
         of the rows that would pull — computable from the reverse CSR."""
-        rows = self._pull_rows(kernel, g)
+        rows = self.pull_rows(kernel, g)
         return int(reverse_degrees[rows].sum()) if rows.size else 0
 
     # ------------------------------------------------------------------ #

@@ -8,6 +8,11 @@ how many edges they examined, because the examined-edge count is what drives
 the paper's performance results (workload is what the GPUs are throughput-
 bound on).
 
+The kernels are pure functions of a CSR, the rows they visit and their
+dense frontier buffers.  The engine's walk runs each one where it decides it,
+through :func:`repro.core.frontier.run_visit`, which resolves (and, on
+compressed storage, decodes) the CSR it scans.
+
 Forward-push kernels gather the full neighbour lists of the frontier
 (workload = FV, the sum of frontier out-degrees).  Backward-pull kernels scan
 the parent list of each unvisited candidate only until the first parent in the

@@ -13,14 +13,14 @@ one inline engine in one process:
   shared-memory export (or the graph's store file) once and runs the
   program on an inline engine of its own.  Results come back in job order.
 
-Inside a run, each super-step's kernel stage is a declarative
-:class:`~repro.exec.plan.SuperStepPlan` run in place by
-:func:`~repro.exec.plan.execute_plan`, the one set of visit kernels,
-:mod:`repro.core.kernels`, which also decodes the rows a visit reads from
-compressed storage.  Modeled times and workload counters are backend- and
-storage-independent by construction (a run executes the same code over the
-same arrays wherever it runs); only the measured ``wall_s`` phases depend
-on either.
+Inside a run nothing here takes part: each super-step's walk
+(:mod:`repro.core.engine`) runs the one set of visit kernels,
+:mod:`repro.core.kernels`, where it decides them, through
+:func:`repro.core.frontier.run_visit`, which also decodes the rows a visit
+reads from compressed storage.  Modeled times and workload counters are
+backend- and storage-independent by construction (a run executes the same
+code over the same arrays wherever it runs); only the measured ``wall_s``
+phases depend on either.
 
 Backends are selected by name — ``TraversalEngine(graph, backend="process")``,
 ``Session.backend("process")``, the ``--backend`` CLI flag;
@@ -36,7 +36,6 @@ from repro.exec.backend import (
     resolve_backend,
 )
 from repro.exec.config import ExecConfig
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_gpu_plan, execute_plan
 
 __all__ = [
     "BACKEND_NAMES",
@@ -46,11 +45,6 @@ __all__ = [
     "resolve_backend",
     "ExecConfig",
     "numba_available",
-    "SuperStepPlan",
-    "GPUPlan",
-    "VisitSpec",
-    "execute_plan",
-    "execute_gpu_plan",
 ]
 
 

@@ -23,7 +23,10 @@ Design notes:
   weights)`` arrays; a worker rebuilds the graph through the store reader
   the first time it sees it, on its first run over it (never in the
   constructor), and keeps one engine per ``(graph, options, hardware)``
-  beside it in its :class:`~repro.exec.shm.SegmentCache`.
+  beside it in its :class:`~repro.exec.shm.SegmentCache` for as long as
+  the coordinator keeps the export open: a run also carries the names of
+  the coordinator's open exports, and a worker first drops every graph
+  whose segments are not among them.
 * **Results come back in job order.**  :meth:`ProcessBackend.run` submits
   every job at once and yields each result as its turn comes, so a caller
   folds, validates and reports in source order.  With the coordinator's
@@ -56,7 +59,7 @@ import weakref
 from typing import Iterator
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.shm import SegmentCache, SharedGraphStore, graph_from_descriptor
+from repro.exec.shm import SegmentCache, SharedGraphStore, graph_from_descriptor, open_segments
 from repro.obs.tracer import Tracer, get_tracer, set_tracer
 from repro.utils.timing import now_s
 
@@ -119,12 +122,14 @@ def _run_job(config: tuple, program, init) -> tuple:
 
     ``config`` is what every job of one call shares: the graph descriptor,
     the engine's options and hardware, the overlay's ``(src, dst, weights)``
-    or ``None``, and whether the coordinator traces.
+    or ``None``, whether the coordinator traces, and the segment names of the
+    coordinator's open exports (every other cached graph is dropped first).
     """
     from repro.core.engine import TraversalEngine
 
-    descriptor, options, hardware, overlay_edges, tracing = config
+    descriptor, options, hardware, overlay_edges, tracing, open_names = config
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else SegmentCache()
+    cache.retain(open_names)
     graph, engines = graph_from_descriptor(cache, descriptor)
     engine = engines.get((options, hardware))
     if engine is None:
@@ -215,6 +220,7 @@ class ProcessBackend(ExecutionBackend):
         edges = None if overlay is None or overlay.empty else overlay.edges()
         config = (
             self.store.graph_descriptor, engine.options, engine.hardware, edges, tracer.enabled,
+            open_segments(),
         )
         pool = _get_pool(self.workers)
         # The pool's own process list: it replaces a dead worker there, so

@@ -18,7 +18,9 @@ segment and where that pickled descriptor lies.  A worker unpickles it only
 the first time it sees the graph and rebuilds the
 :class:`~repro.partition.subgraphs.PartitionedGraph` through the store
 reader, :func:`~repro.storage.segments.graph_from_manifest`, over plain
-``numpy`` views.
+``numpy`` views.  It keeps them only while the coordinator keeps the export
+open: every run also carries :func:`open_segments`, and a worker detaches
+every other segment first (:meth:`SegmentCache.retain`).
 
 All offsets are 8-byte aligned so the views are aligned for every dtype
 involved (``int64`` offsets, ``int32``/``int64`` columns, ``bool`` masks).
@@ -30,7 +32,7 @@ import mmap
 import os
 import pickle
 import secrets
-from collections import OrderedDict
+from collections import Counter
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -43,7 +45,18 @@ from repro.storage.segments import (
     pack_arrays,
 )
 
-__all__ = ["SharedGraphStore", "SegmentCache", "graph_from_descriptor"]
+__all__ = ["SharedGraphStore", "SegmentCache", "graph_from_descriptor", "open_segments"]
+
+#: How many open exports of this process name each segment: process-wide,
+#: like the worker pools every export of the process shares.  A store's
+#: ``file://`` name is counted, not flagged, so that one of two open exports
+#: over the same store closing leaves its file attached in the workers.
+_OPEN_SEGMENTS: Counter = Counter()
+
+
+def open_segments() -> frozenset:
+    """The names of every segment an open export of this process uses."""
+    return frozenset(_OPEN_SEGMENTS)
 
 
 def _align(offset: int, alignment: int = 8) -> int:
@@ -57,8 +70,8 @@ class FileSegment:
     ``file://<path>#<identity>`` segment names
     (:func:`~repro.storage.segments.file_segment_name`); attaching maps the
     file read-only and exposes the same ``buf``/``close`` surface
-    :class:`multiprocessing.shared_memory.SharedMemory` has, so the cache,
-    view building and eviction logic need no storage-specific branches.  A
+    :class:`multiprocessing.shared_memory.SharedMemory` has, so the cache
+    and view building need no storage-specific branches.  A
     file whose identity no longer matches its name is refused: the store was
     rebuilt since the graph naming it was loaded.
     """
@@ -79,49 +92,43 @@ class FileSegment:
 
 
 class SegmentCache:
-    """Worker-side LRU cache of attached shared-memory segments.
+    """Worker-side cache of attached segments and of what a worker derives
+    from them.
 
-    Keeps at most ``capacity`` segments attached; evicted segments are
-    closed (their memory is freed once every process has dropped them,
-    since the coordinator unlinks segments it retires).  ``file://`` names
-    attach graph-store files by mmap instead of POSIX shared memory;
-    everything downstream of the attach is identical.
+    A segment stays attached until :meth:`retain` is told the coordinator no
+    longer uses it (the coordinator unlinks what it retires, so the memory is
+    freed once every process has dropped it).  ``file://`` names attach
+    graph-store files by mmap instead of POSIX shared memory; everything
+    downstream of the attach is identical.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        self.capacity = int(capacity)
-        self._segments: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
+    def __init__(self) -> None:
+        self._segments: dict[str, shared_memory.SharedMemory] = {}
         #: What a worker derives from a segment — its graph and the engines
         #: built over it — keyed by segment name and dropped with it.
         self.derived: dict[str, tuple] = {}
 
+    def retain(self, names) -> None:
+        """Detach every segment not in ``names``, with its graph and engines."""
+        for name in [name for name in self._segments if name not in names]:
+            self.derived.pop(name, None)
+            try:
+                self._segments.pop(name).close()
+            except BufferError:
+                # Some numpy view into this mapping is still alive.  Drop our
+                # reference and let the mapping unmap when the last view
+                # dies — never crash the worker over a detach.
+                pass
+
     def get(self, name: str) -> shared_memory.SharedMemory:
         segment = self._segments.get(name)
-        if segment is not None:
-            self._segments.move_to_end(name)
-            return segment
-        if name.startswith(FILE_SEGMENT_PREFIX):
-            segment = FileSegment(name)
-        else:
-            segment = shared_memory.SharedMemory(name=name)
-        self._segments[name] = segment
-        while len(self._segments) > self.capacity:
-            stale_name, stale = self._segments.popitem(last=False)
-            self.derived.pop(stale_name, None)
-            try:
-                stale.close()
-            except BufferError:
-                # Some numpy view into this mapping is still alive (e.g. a
-                # result not yet returned).  Drop our reference and let the
-                # mapping unmap when the last view dies — never crash the
-                # worker over an eviction.
-                pass
+        if segment is None:
+            if name.startswith(FILE_SEGMENT_PREFIX):
+                segment = FileSegment(name)
+            else:
+                segment = shared_memory.SharedMemory(name=name)
+            self._segments[name] = segment
         return segment
-
-    def touch(self, name: str) -> None:
-        """Refresh ``name``'s recency without (re)attaching it."""
-        if name in self._segments:
-            self._segments.move_to_end(name)
 
     def array(self, name: str, offset: int, dtype, shape) -> np.ndarray:
         """A numpy view into segment ``name`` at ``offset``."""
@@ -143,10 +150,6 @@ def graph_from_descriptor(cache: SegmentCache, descriptor: tuple) -> tuple:
     name, table_segment, table_offset = descriptor
     built = cache.derived.get(name)
     if built is not None:
-        # Mark the backing segment hot: the derived fast path bypasses
-        # ``get``, and without the touch a heavily-reused graph segment
-        # looks LRU-cold and can be evicted from under its own live views.
-        cache.touch(name)
         return built
     manifest = pickle.loads(cache.get(table_segment).buf[table_offset:])
     arrays = manifest["arrays"]
@@ -183,12 +186,18 @@ class SharedGraphStore:
         buf[table_offset : table_offset + len(pickled)] = pickled
         #: What every run carries (see :func:`graph_from_descriptor`).
         self.graph_descriptor = (descriptor["segment"], self._graph_segment.name, table_offset)
+        self._names = {descriptor["segment"], self._graph_segment.name}
+        _OPEN_SEGMENTS.update(self._names)
 
     def close(self) -> None:
         """Release and unlink the export's segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        for name in self._names:
+            _OPEN_SEGMENTS[name] -= 1
+            if not _OPEN_SEGMENTS[name]:
+                del _OPEN_SEGMENTS[name]
         # A store-backed graph's arrays stay in the store's file, which
         # belongs to the store and is never unlinked here.
         try:

@@ -14,8 +14,8 @@ Decoding is vectorized and *lazy*: a traversal super-step only touches the
 rows in its frontier (forward) or candidate set (backward), so
 :meth:`CompressedCSR.decode_rows` materializes a masked
 :class:`~repro.graph.csr.CSRGraph` with only those rows populated.
-:func:`repro.exec.plan.execute_gpu_plan` — the one place a visit task's CSR
-is resolved, on every backend — decodes each visit's rows that way and hands
+:func:`repro.core.frontier.run_visit` — the one place a visit's CSR is
+resolved, on every backend — decodes each visit's rows that way and hands
 the result to the unmodified visit kernels, so traversals run bit-identically
 over compressed storage.
 """

@@ -30,9 +30,9 @@ import numpy as np
 
 from repro.cluster.netmodel import StepBill
 from repro.core.engine import RunLedger
-from repro.core.frontier import NORMAL_SOURCED
+from repro.core.frontier import NORMAL_SOURCED, run_visit
+from repro.core.kernels import contrib_visit
 from repro.core.results import IterationRecord
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec, execute_plan
 from repro.utils.timing import now_s
 from repro.weighted.results import PageRankResult
 
@@ -61,14 +61,14 @@ class PageRank:
     """PageRank driver: self-scheduled contribution sweeps.
 
     The engine dispatches to :meth:`drive`, which owns the outer loop:
-    each round it plans one contribution super-step (a ``contrib_visit``
-    task per subgraph kernel), runs its kernels in place
-    (:func:`~repro.exec.plan.execute_plan`),
-    folds the received mass with integer adds, and updates the rank vector.
-    The run's accounting is the engine's :class:`~repro.core.engine.RunLedger`,
+    each round it runs one contribution super-step (a
+    :func:`~repro.core.kernels.contrib_visit` per subgraph kernel with an
+    active row, through :func:`~repro.core.frontier.run_visit`), folds the
+    received mass with integer adds, and updates the rank vector.  The
+    run's accounting is the engine's :class:`~repro.core.engine.RunLedger`,
     which prices each step's bill.
 
-    The plan walk and its charging rules are PageRank's own, not the
+    The walk and its charging rules are PageRank's own, not the
     engine's, and its bill states them: a GPU's filter is ``2 * queued``
     elements, its kernel terms run nn, dn, nd, dd and a kernel that
     discovered nothing has no term, overlay edges are one more kernel term on
@@ -218,16 +218,15 @@ class PageRank:
         d = graph.num_delegates
         dv = graph.delegate_vertices
 
-        plan_started = now_s()
-        gpu_plans: list[GPUPlan] = []
+        step_started = now_s()
+        outputs: list[dict] = []
         filters: list[int] = []
         active_total = 0
         active_delegates = int(np.count_nonzero(active[dv])) if d else 0
         for g in range(p):
-            part = graph.gpus[g]
             deg = engine._degrees[g]
-            owned = part.owned_global_ids()
-            visits: list[VisitSpec] = []
+            owned = graph.gpus[g].owned_global_ids()
+            outs: dict = {}
             queued = 0
             for kernel in engine._kernels[g]:
                 # nn / nd rows are this GPU's normal slots, dn / dd rows
@@ -235,29 +234,15 @@ class PageRank:
                 ids = owned if kernel in NORMAL_SOURCED else dv
                 rows = np.flatnonzero((deg[kernel] > 0) & active[ids])
                 if rows.size:
-                    visits.append(
-                        VisitSpec(
-                            kernel,
-                            kernel,
-                            backward=False,
-                            queue=rows,
-                            row_values=contrib[ids[rows]],
-                        )
+                    outs[kernel] = run_visit(
+                        graph, g, kernel, kernel, contrib_visit, rows, contrib[ids[rows]]
                     )
                     queued += int(rows.size)
             filters.append(2 * queued)
             active_total += queued
-            gpu_plans.append(GPUPlan(gpu=g, visits=visits))
+            outputs.append(outs)
 
-        plan = SuperStepPlan(
-            level=level,
-            gpu_plans=gpu_plans,
-            # Contribution sweeps never pull, so no kernel reads it.
-            dense_delegate=np.zeros(d, dtype=bool),
-        )
-        kernels_started = ledger.phase("plan", plan_started)
-        outputs = execute_plan(plan, graph.gpus)
-        fold_started = ledger.phase("kernels", kernels_started)
+        fold_started = ledger.phase("plan", step_started)
         # Contribution sweeps take no direction decision.
         record = IterationRecord(
             level, active_total, active_delegates, directions={"nd": 0, "dn": 0, "dd": 0}
@@ -267,7 +252,7 @@ class PageRank:
             outputs, engine, ledger, level, fold_started, contrib, active, o_src, o_dst,
             record, bill,
         )
-        ledger.step(plan_started, level, record, bill)
+        ledger.step(step_started, level, record, bill)
         return recv
 
     def _finalize_sweep(

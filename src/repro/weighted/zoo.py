@@ -43,16 +43,19 @@ def edges_from_partitions(graph) -> tuple[np.ndarray, np.ndarray]:
     normals), nd (local slots to delegate ids), dn (delegate ids to local
     slots) and dd (delegate ids to delegate ids) — and maps rows and
     columns back to global vertex ids.  Compressed subgraphs are decoded
-    row-block by row-block through their own ``decode_rows``.  Returns
+    whole (:meth:`~repro.storage.codec.CompressedCSR.decode`).  Returns
     ``(src, dst)``.
     """
+    # Imported here: ``import repro`` does not load the storage package.
+    from repro.storage.codec import CompressedCSR
+
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
     for g, part in enumerate(graph.gpus):
         for kind in ("nn", "nd", "dn", "dd"):
             csr = getattr(part, kind)
-            if hasattr(csr, "decode_rows"):
-                csr = csr.decode_rows(np.arange(csr.num_rows, dtype=np.int64))
+            if isinstance(csr, CompressedCSR):
+                csr = csr.decode()
             cols = np.asarray(csr.column_indices, dtype=np.int64)
             if cols.size == 0:
                 continue

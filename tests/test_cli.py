@@ -234,7 +234,9 @@ class TestTracing:
         names = {(e["cat"], e["name"]) for e in events}
         assert ("engine", "traversal") in names
         assert ("engine", "super-step") in names
-        assert ("exec", "kernels") in names
+        assert ("engine", "plan+direction") in names
+        assert any(cat == "worker" for cat, _ in names)
+        assert not any(cat == "exec" for cat, _ in names)
 
     def test_trace_env_var_fallback(self, tmp_path, monkeypatch):
         path = tmp_path / "env.trace.jsonl"

@@ -573,3 +573,48 @@ class TestBackendIntegration:
         assert out["batched"]["service"]["queries_per_sec"] >= 0.0
         assert out["sequential"]["service"]["queries_per_sec"] >= 0.0
         assert "speedup" in out
+
+
+def _worker_cache_names():
+    """In a pool worker: the names of its attached segments and of the
+    segments it keeps a graph for."""
+    from repro.exec import process
+
+    cache = process._WORKER_CACHE
+    return set(cache._segments), set(cache.derived)
+
+
+class TestWorkerCache:
+    def test_a_worker_keeps_only_the_open_exports(self, graphs, tmp_path):
+        from repro.exec.process import _get_pool
+        from repro.exec.shm import open_segments
+
+        graph = graphs["auto"]
+        stored = apply_storage(graph, "mmap", path=tmp_path / "store")
+        # One worker, so every run and the probe meet the same cache.
+        kept = ProcessBackend(stored, workers=1)
+        twin = ProcessBackend(stored, workers=1)
+        closed: set = set()
+        try:
+            reference = TraversalEngine(stored, backend=twin).run(BFSLevels(1))
+            for source in range(10):
+                with ProcessBackend(graph, workers=1) as backend:
+                    result = TraversalEngine(graph, backend=backend).run(BFSLevels(source))
+                    closed.update(backend.store.graph_descriptor[:2])
+                assert result.iterations >= 1
+            # Two open backends over one store count its file: closing one
+            # leaves the file (and the graph built over it) to the other.
+            file_name, twin_table, _ = twin.store.graph_descriptor
+            twin.close()
+            assert file_name in open_segments() and twin_table not in open_segments()
+            again = TraversalEngine(stored, backend=kept).run(BFSLevels(1))
+            np.testing.assert_array_equal(again.distances, reference.distances)
+            segments, derived = _get_pool(1).apply(_worker_cache_names)
+        finally:
+            kept.close()
+            twin.close()
+        # Only the export still open remains: the store file, whose graph the
+        # twin's run built and the kept backend's run reused.
+        assert file_name in segments <= set(kept.store.graph_descriptor[:2])
+        assert not segments & (closed | {twin_table})
+        assert derived == {file_name}

@@ -1,12 +1,12 @@
-"""The plan walk decides directions on degree sums and builds a queue only
-for a kernel that pushes (``TraversalEngine._plan_super_step``).
+"""The walk decides directions on degree sums and builds a queue only for a
+kernel that pushes (``TraversalEngine._walk_super_step``).
 
 Two fixed points: the ``(forward, backward)`` pairs handed to
 ``DirectionState.decide`` replay the golden list captured before the walk
 stopped building queues to sum their degrees (``tests/golden/engine/
-decide_pairs.py``; never regenerated), and ``push_payload`` — spied on, for
-both frontier representations — is reached exactly for the kernels whose
-forward task the plan then lists.
+decide_pairs.py``; never regenerated), and ``push_queue`` — spied on, for
+both frontier representations — is reached exactly for the kernels the walk
+then runs forward, as the spied kernel calls (``run_visit``) show.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core import frontier
 from repro.core.engine import TraversalEngine
 from repro.core.frontier import FlagFrontier, LaneFrontier
 
@@ -50,47 +51,56 @@ def test_decisions_are_taken_on_the_same_numbers(fixtures, case):
 
 @pytest.mark.parametrize("case", golden.CASES, ids=case_id)
 def test_a_queue_is_built_only_for_a_kernel_that_pushes(fixtures, case):
-    built: list = []  # (kernel, gpu) of every push_payload call of one step
-    steps = {"plans": 0, "pulls": 0, "pushes": 0}
+    built: list = []  # (kernel, gpu) of every push_queue call of one step
+    ran: list = []  # (kernel, gpu, backward) of every kernel call of one step
+    steps = {"walks": 0, "pulls": 0, "pushes": 0}
 
     def spy_on(kind):
-        push_payload = kind.push_payload
+        push_queue = kind.push_queue
 
         def spy(self, kernel, g, out_degrees):
-            fields = push_payload(self, kernel, g, out_degrees)
+            queue = push_queue(self, kernel, g, out_degrees)
+            rows = queue if isinstance(queue, np.ndarray) else queue[0]
             # Never a queue without an edge to push along.
-            assert fields["queue"].size and out_degrees[fields["queue"]].all()
+            assert rows.size and out_degrees[rows].all()
             built.append((kernel, g))
-            return fields
+            return queue
 
-        return mock.patch.object(kind, "push_payload", spy)
+        return mock.patch.object(kind, "push_queue", spy)
 
-    plan_super_step = TraversalEngine._plan_super_step
+    run_visit = frontier.run_visit
 
-    def checked_plan(self, *args):
-        del built[:]
-        plan, tally = plan_super_step(self, *args)
-        listed = [
-            (spec.kernel, gpu_plan.gpu, spec.backward)
-            for gpu_plan in plan.gpu_plans
-            for spec in gpu_plan.visits
+    def spied_visit(graph, g, kernel, *args):
+        out = run_visit(graph, g, kernel, *args)
+        ran.append((kernel, g, out.backward))
+        return out
+
+    walk_super_step = TraversalEngine._walk_super_step
+
+    def checked_walk(self, *args):
+        del built[:], ran[:]
+        outputs, record, bill = walk_super_step(self, *args)
+        # Every kernel the walk ran left its output, and only those.
+        assert [(k, g) for k, g, _ in ran] == [
+            (k, g) for g, outs in enumerate(outputs) for k in outs
         ]
-        forward = [(kernel, g) for kernel, g, backward in listed if not backward]
-        pulling = [(kernel, g) for kernel, g, backward in listed if backward]
+        forward = [(kernel, g) for kernel, g, backward in ran if not backward]
+        pulling = [(kernel, g) for kernel, g, backward in ran if backward]
         # Exactly the pushing kernels had a queue built, once, in walk order;
         # a kernel that pulls this step (or is idle) got none.
         assert built == forward
         assert not set(built) & set(pulling)
-        steps["plans"] += 1
+        assert len(pulling) == sum(record.directions.values())
+        steps["walks"] += 1
         steps["pulls"] += len(pulling)
         steps["pushes"] += len(forward)
-        return plan, tally
+        return outputs, record, bill
 
     with spy_on(FlagFrontier), spy_on(LaneFrontier), mock.patch.object(
-        TraversalEngine, "_plan_super_step", checked_plan
-    ):
+        frontier, "run_visit", spied_visit
+    ), mock.patch.object(TraversalEngine, "_walk_super_step", checked_walk):
         result = golden.step_records.run_case(fixtures, case)
-    assert steps["plans"] == len(result.records)
+    assert steps["walks"] == len(result.records)
     assert steps["pulls"] == sum(sum(r.directions.values()) for r in result.records) > 0
     assert steps["pushes"] > 0
 

@@ -154,7 +154,7 @@ class TestEmptyExchange:
 # (b) counted pull sets == the arrays the dense walk built, at every step
 # --------------------------------------------------------------------------- #
 def _dense_pull_sets(rep: FlagFrontier, g: int) -> dict:
-    """The candidate arrays of the dense plan walk, rebuilt from the state."""
+    """The candidate arrays of the dense walk, rebuilt from the state."""
     part = rep.graph.gpus[g]
     open_delegates = np.flatnonzero(rep.state.delegate_values == UNVISITED)
     slots = part.nd_source_list
@@ -173,7 +173,7 @@ def checked_pull_sets(monkeypatch):
 
     tally = {"workloads": 0, "pulls": 0}
     counted_workload = FlagFrontier.backward_workload
-    counted_pull = FlagFrontier.pull_payload
+    counted_pull = FlagFrontier.pull_rows
     sources_of = {"nd": "dn", "dn": "nd", "dd": "dd"}
 
     def backward_workload(self, kernel, g, frontier_size, reverse_degrees):
@@ -187,14 +187,14 @@ def checked_pull_sets(monkeypatch):
             tally["workloads"] += 1
         return got
 
-    def pull_payload(self, kernel, g):
-        fields = counted_pull(self, kernel, g)
-        np.testing.assert_array_equal(fields["candidates"], _dense_pull_sets(self, g)[kernel])
+    def pull_rows(self, kernel, g):
+        candidates = counted_pull(self, kernel, g)
+        np.testing.assert_array_equal(candidates, _dense_pull_sets(self, g)[kernel])
         tally["pulls"] += 1
-        return fields
+        return candidates
 
     monkeypatch.setattr(FlagFrontier, "backward_workload", backward_workload)
-    monkeypatch.setattr(FlagFrontier, "pull_payload", pull_payload)
+    monkeypatch.setattr(FlagFrontier, "pull_rows", pull_rows)
     return tally
 
 
@@ -313,19 +313,29 @@ class TestProcessRunsAreInlineRuns:
 
     def test_process_trace_has_the_inline_kernel_spans(self, rmat10):
         graph = build_partitions(rmat10, LAYOUT, 8)
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            with ProcessBackend(graph, workers=2) as backend:
-                result = TraversalEngine(graph, backend=backend).run(BFSLevels(_hub(graph)))
-        finally:
-            set_tracer(previous)
-        spans = [e for e in tracer.events if e["name"] == "kernels" and e.get("cat") == "exec"]
-        assert len(spans) == result.iterations
-        assert all(1 <= span["args"]["gpus"] <= graph.num_gpus for span in spans)
-        # Idle kernels run nowhere: a step records one worker span per planned kernel.
-        workers = [e for e in tracer.events if e.get("cat") == "worker"]
-        assert 0 < len(workers) < 4 * graph.num_gpus * len(spans)
+        kernels = {}
+        for backend in ("inline", "process"):
+            tracer = Tracer()
+            previous = set_tracer(tracer)
+            try:
+                with TraversalEngine(graph, backend=backend) as engine:
+                    result = engine.run(BFSLevels(_hub(graph)))
+            finally:
+                set_tracer(previous)
+            spans = [e for e in tracer.events if e["name"] == "plan+direction"]
+            assert len(spans) == result.iterations
+            # Idle kernels run nowhere: a step records one worker span per
+            # kernel it ran, inside its plan+direction span, on 1..p GPUs.
+            workers = [e for e in tracer.events if e.get("cat") == "worker"]
+            assert 0 < len(workers) < 4 * graph.num_gpus * len(spans)
+            for span in spans:
+                inside = [
+                    w for w in workers
+                    if span["ts"] <= w["ts"] and w["ts"] + w["dur"] <= span["ts"] + span["dur"]
+                ]
+                assert 1 <= len({w["tid"] for w in inside}) <= graph.num_gpus
+            kernels[backend] = [(w["name"], w["tid"]) for w in workers]
+        assert kernels["process"] == kernels["inline"]
 
 
 # --------------------------------------------------------------------------- #
@@ -349,7 +359,7 @@ class TestPrevisit:
         np.testing.assert_array_equal(state.normal_frontiers[g], [1, 3, 7])
         np.testing.assert_array_equal(state.delegate_frontier, [0, 2])
 
-    def test_push_payload_drops_zero_degree_rows(self, rmat10):
+    def test_push_queue_drops_zero_degree_rows(self, rmat10):
         graph = build_partitions(rmat10, LAYOUT, 8)
         program = BFSLevels(0)
         state = TraversalState.from_init(graph, program.init_state(graph))
@@ -358,14 +368,14 @@ class TestPrevisit:
         degrees = graph.gpus[g].nn.out_degrees()
         state.normal_frontiers[g] = np.arange(degrees.size, dtype=np.int64)
         np.testing.assert_array_equal(
-            rep.push_payload("nn", g, degrees)["queue"], np.flatnonzero(degrees > 0)
+            rep.push_queue("nn", g, degrees), np.flatnonzero(degrees > 0)
         )
-        # A frontier without an edge filters down to nothing; the plan walk
+        # A frontier without an edge filters down to nothing; the walk
         # sees its zero degree sum and never asks for this queue
         # (tests/test_plan_walk.py).
         state.normal_frontiers[g] = np.flatnonzero(degrees == 0)
         assert state.normal_frontiers[g].size
-        assert rep.push_payload("nn", g, degrees)["queue"].size == 0
+        assert rep.push_queue("nn", g, degrees).size == 0
 
 
 class TestPerStepAccounting:
@@ -377,7 +387,8 @@ class TestPerStepAccounting:
             "kernels", "plan", "fold", "overlay", "exchange", "delegate_reduce", "traversal"
         }
         assert wall["overlay"] == 0.0 and wall["plan"] > 0.0 and wall["fold"] > 0.0
-        assert wall["kernels"] > wall["plan"] + wall["fold"]
+        # The walk runs the kernels, so plan holds them: kernels is the sum.
+        assert wall["kernels"] == wall["plan"] + wall["fold"] + wall["overlay"]
         assert wall["kernels"] + wall["exchange"] + wall["delegate_reduce"] <= wall["traversal"]
         assert result.us_per_step == pytest.approx(wall["traversal"] / result.iterations * 1e6)
         assert result.ns_per_edge == pytest.approx(

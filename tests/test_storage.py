@@ -28,14 +28,16 @@ from repro.core.programs import (
     ConnectedComponents,
     KHopReachability,
 )
-from repro.exec import (
-    GPUPlan,
-    ProcessBackend,
-    SuperStepPlan,
-    VisitSpec,
-    execute_gpu_plan,
-    execute_plan,
+from repro.core.frontier import run_visit
+from repro.core.kernels import (
+    backward_visit,
+    batched_backward_visit,
+    batched_forward_visit,
+    contrib_visit,
+    forward_visit,
+    weighted_forward_visit,
 )
+from repro.exec import ProcessBackend
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import wdc_like_edge_chunks
 from repro.graph.rmat import generate_rmat, generate_rmat_edge_chunks, generate_rmat_edges
@@ -341,7 +343,7 @@ class TestApplyStorage:
 
 
 # --------------------------------------------------------------------------- #
-# Compressed rows decode at the plan boundary, on every backend
+# Compressed rows decode where a visit's CSR is resolved, on every backend
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def zgraphs(tmp_path_factory):
@@ -352,9 +354,10 @@ def zgraphs(tmp_path_factory):
     return raw, apply_storage(raw, "compressed", path=path)
 
 
-def _visit_plans(raw):
-    """One single-visit GPU plan per visit kind, each over a compressed CSR
-    (nn pushes; backward pulls scan nd), with its dense delegate buffer."""
+def _visits(raw):
+    """The ``run_visit`` arguments after the graph of one visit per visit
+    kind on GPU 0 (nn pushes; backward dn pulls scan the nd CSR against a
+    dense delegate buffer)."""
     gpu = raw.gpus[0]
     d = raw.num_delegates
     rows = np.flatnonzero(gpu.nn.out_degrees() > 0)
@@ -364,58 +367,52 @@ def _visit_plans(raw):
     flags[::3] = True
     lanes = (np.arange(d, dtype=np.uint64) % np.uint64(5)).reshape(-1, 1)
     wanted = np.full((candidates.size, 1), 7, dtype=np.uint64)
-    push = dict(kernel="nn", csr="nn", backward=False, queue=rows)
-    pull = dict(kernel="dn", csr="nd", backward=True, candidates=candidates, parents="delegate")
-    kinds = {
-        "forward": (VisitSpec(**push), flags),
-        "weighted": (VisitSpec(**push, weighted=True), flags),
-        "contrib": (VisitSpec(**push, row_values=rows * 3 + 1), flags),
-        "backward": (VisitSpec(**pull), flags),
-        "batched forward": (VisitSpec(**push, words=words), lanes),
-        "batched backward": (VisitSpec(**pull, words=wanted), lanes),
+    push = (0, "nn", "nn")
+    pull = (0, "dn", "nd")
+    return {
+        "forward": (*push, forward_visit, rows),
+        "weighted": (*push, weighted_forward_visit, rows),
+        "contrib": (*push, contrib_visit, rows, rows * 3 + 1),
+        "backward": (*pull, backward_visit, candidates, flags),
+        "batched forward": (*push, batched_forward_visit, rows, words),
+        "batched backward": (*pull, batched_backward_visit, candidates, lanes, wanted),
     }
-    return {kind: (GPUPlan(0, [spec]), dense) for kind, (spec, dense) in kinds.items()}
 
 
-def _assert_outputs_equal(a: dict, b: dict) -> None:
-    assert a.keys() == b.keys()
-    for key in a:
-        fields_a, fields_b = vars(a[key]), vars(b[key])
-        assert fields_a.keys() == fields_b.keys()
-        for name, value in fields_a.items():
-            if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(value, fields_b[name])
-            else:
-                assert value == fields_b[name], name
+def _assert_outputs_equal(a, b) -> None:
+    fields_a, fields_b = vars(a), vars(b)
+    assert fields_a.keys() == fields_b.keys()
+    for name, value in fields_a.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(value, fields_b[name])
+        else:
+            assert value == fields_b[name], name
 
 
 class TestDecodeAtPlanBoundary:
+    """The boundary between the walk's decision and its kernel: where
+    ``run_visit`` resolves a visit's CSR, compressed rows are decoded."""
+
     KINDS = ["forward", "weighted", "contrib", "backward", "batched forward", "batched backward"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_compressed_outputs_equal_raw(self, zgraphs, kind):
         raw, compressed = zgraphs
-        gpu_plan, dense = _visit_plans(raw)[kind]
+        visit = _visits(raw)[kind]
         assert not isinstance(compressed.gpus[0].nn, CSRGraph)
-        outputs = [
-            execute_gpu_plan(gpu_plan, graph.gpus, dense)
-            for graph in (raw, compressed)
-        ]
-        (out,) = outputs[0].values()
+        out, compressed_out = (run_visit(graph, *visit) for graph in (raw, compressed))
         assert out.edges_examined > 0
-        _assert_outputs_equal(*outputs)
+        _assert_outputs_equal(out, compressed_out)
 
     def test_one_lazy_decode_span_per_decoded_visit(self, zgraphs):
         raw, compressed = zgraphs
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            for kind, (gpu_plan, dense) in _visit_plans(raw).items():
-                expected = execute_gpu_plan(gpu_plan, raw.gpus, dense)
+            for kind, visit in _visits(raw).items():
+                expected = run_visit(raw, *visit)
                 before = len(tracer.events)
-                plan = SuperStepPlan(level=0, gpu_plans=[gpu_plan], dense_delegate=dense)
-                outputs = execute_plan(plan, compressed.gpus)
-                _assert_outputs_equal(expected, outputs[0])
+                _assert_outputs_equal(expected, run_visit(compressed, *visit))
                 decodes = [
                     e for e in tracer.events[before:] if e["name"] == "lazy-decode"
                 ]
