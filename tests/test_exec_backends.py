@@ -618,3 +618,40 @@ class TestWorkerCache:
         assert file_name in segments <= set(kept.store.graph_descriptor[:2])
         assert not segments & (closed | {twin_table})
         assert derived == {file_name}
+
+    def test_retain_detaches_every_other_segment_with_its_graph(self, graphs):
+        from repro.exec.shm import SegmentCache, SharedGraphStore, graph_from_descriptor
+
+        store = SharedGraphStore(graphs["auto"])
+        cache = SegmentCache()
+        try:
+            built, _ = graph_from_descriptor(cache, store.graph_descriptor)
+            assert graph_from_descriptor(cache, store.graph_descriptor)[0] is built
+            arrays, table, _ = store.graph_descriptor
+            # The arrays and the manifest's table share one segment here.
+            assert set(cache._segments) == {arrays, table}
+            assert set(cache.derived) == {arrays}
+            cache.retain({arrays, table})
+            assert set(cache._segments) == {arrays, table} and set(cache.derived) == {arrays}
+            del built
+            cache.retain(set())
+            assert not cache._segments and not cache.derived
+        finally:
+            store.close()
+
+    def test_closing_an_export_twice_releases_its_names_once(self, graphs, tmp_path):
+        from repro.exec.shm import SharedGraphStore, open_segments
+
+        stored = apply_storage(graphs["auto"], "mmap", path=tmp_path / "store")
+        first, second = SharedGraphStore(stored), SharedGraphStore(stored)
+        file_name = first.graph_descriptor[0]
+        assert second.graph_descriptor[0] == file_name
+        try:
+            first.close()
+            first.close()
+            assert file_name in open_segments()
+            assert first.graph_descriptor[1] not in open_segments()
+            assert second.graph_descriptor[1] in open_segments()
+        finally:
+            second.close()
+        assert not open_segments() & {file_name, second.graph_descriptor[1]}

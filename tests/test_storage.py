@@ -421,6 +421,34 @@ class TestDecodeAtPlanBoundary:
         finally:
             set_tracer(previous)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_raw_visit_records_one_worker_span(self, zgraphs, kind):
+        """A raw CSR decodes nothing: the visit's one span is its kernel's,
+        named for the kernel and its direction, on GPU 0's track."""
+        raw, _ = zgraphs
+        visit = _visits(raw)[kind]
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            out = run_visit(raw, *visit)
+        finally:
+            set_tracer(previous)
+        direction = "pull" if out.backward else "push"
+        assert direction == ("pull" if "backward" in kind else "push")
+        assert [(e["cat"], e["name"], e["tid"]) for e in tracer.events] == [
+            ("worker", f"{visit[1]}:{direction}", 1)
+        ]
+
+    def test_an_untraced_visit_reads_no_clock(self, zgraphs, monkeypatch):
+        raw, compressed = zgraphs
+
+        def clock():
+            raise AssertionError("an untraced visit read the clock")
+
+        monkeypatch.setattr("repro.core.frontier.now_s", clock)
+        for visit in _visits(raw).values():
+            _assert_outputs_equal(run_visit(raw, *visit), run_visit(compressed, *visit))
+
     def test_a_process_run_traces_the_inline_decode_spans(self, zgraphs):
         """A run placed in a pool worker returns the same ``lazy-decode``
         spans, on the same GPU tracks, as the run in place."""
