@@ -22,10 +22,14 @@ which the run's ledger prices: nothing here computes a second.
 **Global reduction, for delegates** (:meth:`Communicator.allreduce`)
     The replicated delegate state is combined in two phases: every GPU of a
     rank pushes its update to GPU0 over NVLink, the GPU0s run a tree-like
-    (I)AllReduce over the network, and the result is broadcast back.  An
-    update is the paper's packed 1-bit visited mask, a ``d × B`` lane mask
-    (one reduction serves a batch of B traversals) or one int64 value per
-    delegate (programs whose delegates carry a payload, at 64x the volume).
+    (I)AllReduce over the network, and the result is broadcast back.  On the
+    wire an update is the paper's packed 1-bit visited mask, a ``d × B``
+    lane mask (one reduction serves a batch of B traversals) or one int64
+    value per delegate (programs whose delegates carry a payload, at 64x the
+    volume), and that dense size is what is counted and billed.  On the host
+    each GPU hands in only what it proposes, keyed by delegate id, and the
+    merge costs what was proposed, not ``d``: a near-empty step of a
+    long-tail traversal proposes one or two of thousands of delegates.
 """
 
 from __future__ import annotations
@@ -36,13 +40,31 @@ import numpy as np
 
 from repro.cluster.netmodel import ExchangeBill
 from repro.cluster.topology import ClusterTopology
-from repro.utils.bitmask import BatchBitmask, Bitmask
+from repro.utils.sorting import sorted_unique
 
-__all__ = ["CommStats", "ExchangeResult", "ReduceResult", "Communicator"]
+__all__ = [
+    "DENSE_MASK_FILL",
+    "DENSE_VALUES_FILL",
+    "CommStats",
+    "ExchangeResult",
+    "ReduceResult",
+    "Communicator",
+]
 
 #: Bytes of one 32-bit local id on the wire.
 _ID_BYTES = 4
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
+
+#: A mask-channel reduce whose proposals hold more than ``d / DENSE_MASK_FILL``
+#: ids merges them in a dense flag array (a scatter and one scan of ``d``)
+#: instead of sorting them.  ``benchmarks/results/pr41/reduce_cutoff.py``
+#: measured, for ``d`` from 1,024 to 65,536 delegates, the sort at 0.3-0.8x
+#: the scatter up to ``d / 8`` ids and at 0.8-1.5x from ``d / 4``.
+DENSE_MASK_FILL = 8
+#: The same for the values and lane channels, whose sorted merge also
+#: reduces each id's values: about even with the dense merge at ``d / 32``
+#: entries (0.6-1.1x), 0.9-1.8x from ``d / 16``.
+DENSE_VALUES_FILL = 32
 
 
 @dataclass
@@ -85,11 +107,14 @@ class ExchangeResult:
 
 @dataclass
 class ReduceResult:
-    """Outcome of one delegate all-reduce."""
+    """Outcome of one delegate all-reduce, shared by every GPU afterwards."""
 
-    #: The combined update, shared by every GPU afterwards: a
-    #: :class:`Bitmask`, a :class:`BatchBitmask` or an int64 array, as given.
-    merged: Bitmask | BatchBitmask | np.ndarray
+    #: The delegates the merged update holds, ascending: a set bit, a lane
+    #: row with any bit set, or a value other than ``combine``'s identity.
+    ids: np.ndarray
+    #: Per entry of ``ids``, its merged int64 value or ``(len, nwords)``
+    #: uint64 lane words; ``None`` on the mask channel.
+    values: np.ndarray | None
     #: ``(bytes of one update, blocking)``, for the step's bill.
     bill: tuple[int, bool]
 
@@ -107,6 +132,60 @@ def _first_appearances(keys: np.ndarray) -> np.ndarray:
     return keys[np.sort(first)]
 
 
+def _key_dtype(p: int) -> np.dtype:
+    """The smallest unsigned dtype holding a binning key in ``[0, p²)``: the
+    sorts over it take NumPy's radix path and give the same permutation."""
+    return np.min_scalar_type(p * p - 1)
+
+
+def _check_ids(low, high, size: int) -> None:
+    """Reject proposals whose smallest and largest ids are not both in
+    ``[0, size)``."""
+    if low < 0 or high >= size:
+        raise ValueError(f"delegate id out of range [0, {size}): {low} .. {high}")
+
+
+def _union(ids: np.ndarray, size: int) -> np.ndarray:
+    """The mask channel's merge: the distinct proposed ids, ascending."""
+    if ids.size == 0:
+        return ids
+    if ids.size * DENSE_MASK_FILL > size:
+        _check_ids(ids.min(), ids.max(), size)
+        flags = np.zeros(size, dtype=bool)
+        flags[ids] = True
+        return np.flatnonzero(flags)
+    ids = sorted_unique(ids) if ids.size > 1 else ids
+    _check_ids(ids[0], ids[-1], size)
+    return ids
+
+
+def _combine(ids: np.ndarray, values: np.ndarray, size: int, combine, identity):
+    """The values and lane channels' merge: per distinct id, ascending, the
+    ``combine`` of its proposed values (or lane-word rows); an id whose
+    merged value is ``identity`` (a lane row with no bit set) is dropped.
+    ``combine`` is an integer ufunc, so the order it meets an id's values in
+    changes nothing."""
+    if ids.size == 0:
+        return ids, values
+    if ids.size * DENSE_VALUES_FILL > size:
+        _check_ids(ids.min(), ids.max(), size)
+        merged = np.full((size, *values.shape[1:]), identity, dtype=values.dtype)
+        combine.at(merged, ids, values)
+        ids = None
+    else:
+        order = np.argsort(ids)
+        ids = ids[order]
+        _check_ids(ids[0], ids[-1], size)
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        ids = ids[starts]
+        merged = combine.reduceat(values[order], starts, axis=0)
+    keep = merged != identity
+    if keep.ndim == 2:
+        keep = keep.any(axis=1)
+    keep = np.flatnonzero(keep)
+    return keep if ids is None else ids[keep], merged[keep]
+
+
 @dataclass
 class Communicator:
     """Moves buffers between virtual GPUs and accounts for their volume."""
@@ -118,56 +197,77 @@ class Communicator:
     # Global reduction (delegates)
     # ------------------------------------------------------------------ #
     def allreduce(
-        self, updates: list, blocking: bool = True, combine=np.minimum
+        self,
+        proposals: list,
+        size: int,
+        blocking: bool = True,
+        combine=np.minimum,
+        identity=np.iinfo(np.int64).max,
+        width: int = 1,
     ) -> ReduceResult:
-        """Two-phase reduction of one delegate update per GPU.
+        """Two-phase reduction of one delegate proposal per GPU.
 
         Parameters
         ----------
-        updates:
-            One update per GPU, all of one kind and size: packed
-            :class:`Bitmask` visited masks or :class:`BatchBitmask` lane masks
-            (OR-combined, sent at their packed size, counted as
-            ``delegate_mask_bytes``), or int64 arrays of one value per delegate
-            (merged by ``combine``, 8 bytes per delegate, counted as
-            ``delegate_value_bytes``).  A value array holds ``combine``'s
-            identity where its GPU proposed nothing.
+        proposals:
+            One entry per GPU, ``None`` where the GPU proposed nothing, all
+            of one channel otherwise: an int64 array of delegate ids (the
+            mask channel, OR-combined), or an ``(ids, values)`` pair whose
+            values are int64 (the values channel, merged by ``combine``) or
+            ``(len, nwords)`` uint64 lane words (the lane channel,
+            OR-combined).  Ids may repeat, in any order.
+        size:
+            The number of delegates ``d``.  The wire carries the dense
+            update whatever was proposed: ``ceil(d * width / 8)`` bytes of
+            mask, counted as ``delegate_mask_bytes``, or ``8 d`` bytes of
+            values, counted as ``delegate_value_bytes``.
         blocking:
             ``True`` models ``MPI_Allreduce``; ``False`` models
             ``MPI_Iallreduce`` with the software penalty observed on Ray.
-        combine:
-            Binary ufunc merging two value arrays element-wise.
+        combine, identity:
+            The values channel's binary ufunc and its neutral element.
+        width:
+            Lanes per delegate of the lane channel (1 for the 1-bit mask).
+
+        The merge is the one the dense update would give: the union of the
+        ids, or per id the ``combine`` of its values, dropping an id whose
+        merged value is ``identity``.  Up to ``d / DENSE_MASK_FILL`` ids
+        (``d / DENSE_VALUES_FILL`` entries on the other two channels) it
+        sorts them; beyond, it scatters them into a dense array.  An id outside ``[0, d)`` raises :class:`ValueError`.
         """
         layout = self.topology.layout
-        if len(updates) != layout.num_gpus:
+        if len(proposals) != layout.num_gpus:
             raise ValueError(
-                f"expected {layout.num_gpus} updates (one per GPU), got {len(updates)}"
+                f"expected {layout.num_gpus} proposals (one per GPU), got {len(proposals)}"
             )
-        first = updates[0]
-        values = isinstance(first, np.ndarray)
-        if values:
-            merged = np.array(first, dtype=np.int64, copy=True)
-            for update in updates[1:]:
-                if update.size != merged.size:
-                    raise ValueError("all delegate updates must have the same size")
-                merged = combine(merged, update)
-            nbytes = merged.nbytes
+        given = [proposal for proposal in proposals if proposal is not None]
+        if not given:
+            raise ValueError("no GPU proposed a delegate update")
+        values = None
+        if isinstance(given[0], tuple):
+            if any(len(ids) != len(rows) for ids, rows in given):
+                raise ValueError("a proposal's values must pair up with its ids")
+            ids = np.concatenate([ids for ids, _ in given]) if len(given) > 1 else given[0][0]
+            rows = np.concatenate([rows for _, rows in given]) if len(given) > 1 else given[0][1]
+            if rows.ndim == 2:
+                ids, values = _combine(ids, rows, size, np.bitwise_or, np.uint64(0))
+            else:
+                ids, values = _combine(ids, rows, size, combine, identity)
         else:
-            merged = first.copy()
-            for update in updates[1:]:
-                merged.or_with(update)
-            nbytes = merged.packed_nbytes if isinstance(merged, BatchBitmask) else merged.nbytes
+            ids = _union(np.concatenate(given) if len(given) > 1 else given[0], size)
+        dense_values = values is not None and values.ndim == 1
+        nbytes = 8 * size if dense_values else (size * width + 7) // 8
 
         # Reduction + broadcast trees each move one update per participating
         # rank per phase; the paper counts 2 * d * prank / 8 bytes for masks.
         ranks = layout.num_ranks
         global_bytes = 2 * nbytes * ranks if ranks > 1 else 0
-        if values:
+        if dense_values:
             self.stats.delegate_value_bytes += global_bytes
         else:
             self.stats.delegate_mask_bytes += global_bytes
         self.stats.delegate_reductions += 1
-        return ReduceResult(merged=merged, bill=(nbytes, blocking))
+        return ReduceResult(ids=ids, values=values, bill=(nbytes, blocking))
 
     # ------------------------------------------------------------------ #
     # Point-to-point (normal vertices)
@@ -266,7 +366,7 @@ class Communicator:
             via = staging[src, dst]
 
         # Inbox order: by owner, then sending (staging) GPU, then emission.
-        key = dst * p + via
+        key = (dst * p + via).astype(_key_dtype(p))
         if uniquify and staged:
             # U: a staging GPU keeps each destination slot once (ascending,
             # payloads merged in emission order) and runs a filter over what
@@ -274,7 +374,9 @@ class Communicator:
             # received ids for that destination, which the float sum keeps.
             held_ids = np.bincount(key, minlength=p * p)
             pairs = np.flatnonzero(counts)
-            first_seen = _first_appearances(pairs % p * p + staging.ravel()[pairs])
+            first_seen = _first_appearances(
+                (pairs % p * p + staging.ravel()[pairs]).astype(_key_dtype(p))
+            )
             held = list(zip((first_seen % p).tolist(), held_ids[first_seen].tolist()))
             order = np.lexsort((slots, key))
             key, slots = key[order], slots[order]

@@ -238,7 +238,18 @@ class NetworkModel:
     # ------------------------------------------------------------------ #
     # One super-step
     # ------------------------------------------------------------------ #
-    def price(self, bill: StepBill, topology, overlap_efficiency: float) -> StepTimes:
+    def reduce_times(self, reduce: tuple, topology) -> tuple[float, float]:
+        """``(local, remote)`` seconds of a delegate reduce billed
+        ``(nbytes, blocking)``: its two intra-rank phases, and its
+        (I)AllReduce over the ranks."""
+        nbytes, blocking = reduce
+        pgpu, ranks = topology.layout.gpus_per_rank, topology.layout.num_ranks
+        local_s = self.local_reduce_time(nbytes, pgpu) + self.local_broadcast_time(nbytes, pgpu)
+        return local_s, self.global_allreduce_time(nbytes, ranks, blocking=blocking)
+
+    def price(
+        self, bill: StepBill, topology, overlap_efficiency: float, reduce_prices=None
+    ) -> StepTimes:
         """The modeled times of one super-step (paper §VI-B) from its bill.
 
         A GPU's computation is the iteration overhead, its filter and its
@@ -248,6 +259,10 @@ class NetworkModel:
         (I)AllReduce; an ``overlap_efficiency`` share of the shorter of
         computation and communication is hidden behind the other.  Overlay
         edges, a serial side-structure, are added after the overlap.
+
+        ``reduce_prices``, a dict kept for one ``topology``, memoises
+        :meth:`reduce_times` by the reduce's bill: every step of a run
+        reduces the same bytes.
         """
         overhead = self.hardware.iteration_overhead_s
         traversal_time, filter_time = self.traversal_time, self.filter_time
@@ -287,12 +302,13 @@ class NetworkModel:
                     self.send_times(exchange.sent * exchange.wire, topology.same_rank_table)
                 )
         if bill.reduce is not None:
-            nbytes, blocking = bill.reduce
-            pgpu, ranks = topology.layout.gpus_per_rank, topology.layout.num_ranks
-            local_comm_s += self.local_reduce_time(nbytes, pgpu) + self.local_broadcast_time(
-                nbytes, pgpu
-            )
-            remote_delegate_s = self.global_allreduce_time(nbytes, ranks, blocking=blocking)
+            times = None if reduce_prices is None else reduce_prices.get(bill.reduce)
+            if times is None:
+                times = self.reduce_times(bill.reduce, topology)
+                if reduce_prices is not None:
+                    reduce_prices[bill.reduce] = times
+            local_comm_s += times[0]
+            remote_delegate_s = times[1]
         comm_total = local_comm_s + remote_normal_s + remote_delegate_s
         overlap = overlap_efficiency * min(computation_s, comm_total)
         elapsed_s = computation_s + comm_total - overlap

@@ -177,60 +177,6 @@ BATCHED_PULL(batched_pull_i64, int64_t)
 BATCHED_PUSH(batched_push_i32, int32_t)
 BATCHED_PUSH(batched_push_i64, int64_t)
 
-static int64_t check_bits(int64_t size, const int64_t *ids, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        if ((uint64_t)ids[i] >= (uint64_t)size)
-            return ROW_OUT_OF_RANGE;
-    return 0;
-}
-
-/* Bitmask.set_many: set every bit of ids in the packed little-endian mask. */
-int64_t set_bits(uint8_t *bits, int64_t size, const int64_t *ids, int64_t n)
-{
-    int64_t status = check_bits(size, ids, n);
-    if (status < 0)
-        return status;
-    for (int64_t i = 0; i < n; i++)
-        bits[ids[i] >> 3] |= (uint8_t)(1u << (ids[i] & 7));
-    return 0;
-}
-
-/* Bitmask.test_many: out[i] = whether bit ids[i] is set. */
-int64_t test_bits(const uint8_t *bits, int64_t size, const int64_t *ids, int64_t n,
-                  uint8_t *out)
-{
-    int64_t status = check_bits(size, ids, n);
-    if (status < 0)
-        return status;
-    for (int64_t i = 0; i < n; i++)
-        out[i] = (bits[ids[i] >> 3] >> (ids[i] & 7)) & 1;
-    return 0;
-}
-
-/* The mask-channel fold: set in update every bit of ids that visited has
- * clear.  update may be NULL (the GPU has proposed nothing yet): the scan then
- * stops at the first id it would set and returns that id's position, so the
- * caller allocates the update and calls again from there.  Returns n when
- * every id was handled. */
-int64_t mark_unvisited(uint8_t *update, const uint8_t *visited, int64_t size,
-                       const int64_t *ids, int64_t n)
-{
-    int64_t status = check_bits(size, ids, n);
-    if (status < 0)
-        return status;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t byte = ids[i] >> 3;
-        uint8_t bit = (uint8_t)(1u << (ids[i] & 7));
-        if (visited[byte] & bit)
-            continue;
-        if (!update)
-            return i;
-        update[byte] |= bit;
-    }
-    return n;
-}
-
 /* CompressedCSR.decode_rows: per row, LEB128 values (the first column, then
  * the gaps to each following one) summed back into columns.  A row must hold
  * exactly row_offsets' count of values in exactly its own bytes, and every

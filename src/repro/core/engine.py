@@ -122,7 +122,8 @@ class RunLedger:
     the ``traversal`` span and returns the result ``base`` dictionary.
     Booking a record prices its step's bill with the engine's network model
     — the only place a run's modeled seconds are computed — so every
-    booked record is complete and no bill outlives its step.
+    booked record is complete and no bill outlives its step.  The delegate
+    reduce's price, the same at every step of a run, is computed once.
     A step's ``plan`` (its walk, the visit kernels included), ``fold`` and
     ``overlay`` shares are what :meth:`close` folds into ``kernels``; only a
     coordinator-run driver (hooking, triangles) charges ``kernels`` itself.
@@ -134,6 +135,7 @@ class RunLedger:
     __slots__ = (
         "program", "communicator", "records", "timing", "total_edges", "wall",
         "started", "_tracer", "_num_directed_edges", "_netmodel", "_topology", "_overlap",
+        "_reduce_prices",
     )
 
     def __init__(self, engine: "TraversalEngine", program: str) -> None:
@@ -142,6 +144,7 @@ class RunLedger:
         self._netmodel = engine.netmodel
         self._topology = engine.topology
         self._overlap = engine.options.overlap_efficiency
+        self._reduce_prices: dict = {}
         self.records: list[IterationRecord] = []
         self.timing = TimingBreakdown()
         self.total_edges = 0
@@ -196,7 +199,7 @@ class RunLedger:
             record.remote_normal_exchange_s,
             record.remote_delegate_reduce_s,
             record.elapsed_s,
-        ) = self._netmodel.price(bill, self._topology, self._overlap)
+        ) = self._netmodel.price(bill, self._topology, self._overlap, self._reduce_prices)
         self.records.append(record)
         self.total_edges += record.total_edges_examined()
         self.timing.add(record)

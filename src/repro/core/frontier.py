@@ -32,8 +32,8 @@ folding a discovery        program ``visit_value`` /       ``& wanted`` lanes, `
 nn exchange                ``exchange``: int64 payload     ``exchange``: lane-word payload
                            for payload programs, L / U     rows, never L / U
 delegate reduce            1-bit masks or 64-bit values,   one ``d x B``-bit reduction,
-                           built only on GPUs that         built only on GPUs that
-                           proposed an update              proposed an update
+                           proposed as delegate ids or     proposed as (rows, words)
+                           (id, value) pairs               pairs
 overlay proposals          program values                  OR-propagated lane words
 =========================  ==============================  ==============================
 
@@ -62,7 +62,6 @@ from repro.core.kernels import (
     batched_filter_frontier,
     batched_forward_visit,
     forward_visit,
-    mark_unvisited,
     weighted_forward_visit,
 )
 from repro.core.programs.base import VisitContext
@@ -70,7 +69,7 @@ from repro.core.state import UNVISITED, TraversalState
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import get_tracer
 from repro.partition.subgraphs import PartitionedGraph
-from repro.utils.bitmask import BatchBitmask, Bitmask
+from repro.utils.bitmask import BatchBitmask
 from repro.utils.sorting import sorted_unique
 from repro.utils.timing import now_s
 
@@ -130,6 +129,16 @@ def run_visit(graph: PartitionedGraph, g: int, kernel: str, csr: str, visit, row
     return out
 
 
+def _joined(held, proposal):
+    """A GPU's delegate proposal (``None``, ids, or an ``(ids, values)`` /
+    ``(rows, words)`` pair) with one more of its kind appended."""
+    if held is None:
+        return proposal
+    if isinstance(held, tuple):
+        return tuple(map(np.concatenate, zip(held, proposal)))
+    return np.concatenate([held, proposal])
+
+
 def global_ids(graph: PartitionedGraph, g: int | None, rows: np.ndarray) -> np.ndarray:
     """Global vertex ids of ``rows``: local slots of GPU ``g``, or delegate
     ids when ``g`` is ``None`` (the replicated delegates belong to no GPU)."""
@@ -166,31 +175,27 @@ class FlagFrontier:
         self._mask_channel = program.delegate_channel == "mask"
         # Whether the dn fold reads its kernel's ``sources`` (payload programs).
         self._dn_sources = program.payload_exchange or program.delegate_channel == "values"
-        # What a GPU that proposed no delegate update contributes to a
-        # reduction: one shared, read-only all-zero mask / all-identity array.
+        # The dense delegate frontier a pull reads, kept for the whole run:
+        # each step clears only the ids the previous one set.
         d = graph.num_delegates
-        if self._mask_channel:
-            self._no_update = Bitmask(d)
-            self._no_update.buffer.setflags(write=False)
-        else:
-            self._no_update = np.full(d, program.combine_identity, dtype=np.int64)
-            self._no_update.setflags(write=False)
-        # The rows still open to a pull, as flags and as running counts: the
-        # direction decision needs only the sizes |U| and s of the paper's
-        # estimate, so the id arrays are built only for a kernel that pulls.
-        # Row 2g of the source table marks the delegates with an edge in GPU
-        # g's dn subgraph (the candidates of an nd pull, while open), row
-        # 2g + 1 the same for dd; the slot flags of GPU g are "open and a
-        # source of its nd subgraph" (the candidates of a dn pull).  Counted
-        # from the state — a seeded run starts with vertices already closed.
-        self._open_delegates = self._open_slots = None
+        self.dense_delegate = np.zeros(d, dtype=bool)
+        self._dense_rows = _EMPTY_I64
+        # The rows still open to a pull, as running counts: the direction
+        # decision needs only the sizes |U| and s of the paper's estimate, so
+        # the id arrays are built only for a kernel that pulls.  An open
+        # delegate is one the state has not visited.  Row 2g of the source
+        # table marks the delegates with an edge in GPU g's dn subgraph (the
+        # candidates of an nd pull, while open), row 2g + 1 the same for dd;
+        # the slot flags of GPU g are "open and a source of its nd subgraph"
+        # (the candidates of a dn pull).  Counted from the state — a seeded
+        # run starts with vertices already closed.
+        self._open_slots = None
         if self.pull_ok and d:
             self._delegate_sources = np.stack(
                 [mask for gpu in graph.gpus for mask in (gpu.dn_source_mask, gpu.dd_source_mask)]
             )
-            self._open_delegates = state.delegate_values == UNVISITED
             self._open_delegate_counts = (
-                (self._delegate_sources & self._open_delegates).sum(axis=1).tolist()
+                (self._delegate_sources > state.delegate_visited).sum(axis=1).tolist()
             )
             self._open_slots = []
             for gpu, values in zip(graph.gpus, state.normal_values):
@@ -234,28 +239,28 @@ class FlagFrontier:
 
     def _update_delegates(self, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Apply accepted proposals to the replicated delegates; returns the
-        fresh ones and closes them to future pulls on every GPU."""
+        fresh ones, which the state marks visited, and closes them to future
+        pulls on every GPU.  Pulls run only for visit-once programs, so every
+        fresh delegate was open until now."""
         fresh = self.state.update_delegates(ids, values, self.program.accept)
-        if fresh.size and self._open_delegates is not None:
-            closing = fresh[self._open_delegates[fresh]]
-            if closing.size:
-                self._open_delegates[closing] = False
-                counts = self._open_delegate_counts
-                closed = self._delegate_sources.take(closing, axis=1).sum(axis=1).tolist()
-                for row, count in enumerate(closed):
-                    counts[row] -= count
+        if fresh.size and self._open_slots is not None:
+            counts = self._open_delegate_counts
+            closed = self._delegate_sources.take(fresh, axis=1).sum(axis=1).tolist()
+            for row, count in enumerate(closed):
+                counts[row] -= count
         return fresh
 
     # ------------------------------------------------------------------ #
     # Walk: queues, candidates and the visit kernels
     # ------------------------------------------------------------------ #
     def begin_step(self) -> None:
-        """Build the step's shared input: the dense delegate frontier."""
-        flags = np.zeros(self.graph.num_delegates, dtype=bool)
-        frontier_d = self.state.delegate_frontier
-        if frontier_d.size:
-            flags[frontier_d] = True
-        self.dense_delegate = flags
+        """Install the step's shared input: the dense delegate frontier."""
+        flags = self.dense_delegate
+        if self._dense_rows.size:
+            flags[self._dense_rows] = False
+        self._dense_rows = rows = self.state.delegate_frontier
+        if rows.size:
+            flags[rows] = True
 
     def dense_local(self, g: int) -> np.ndarray:
         """GPU ``g``'s dense normal frontier (what a backward nd pull scans)."""
@@ -283,12 +288,11 @@ class FlagFrontier:
     def pull_rows(self, kernel: str, g: int) -> np.ndarray:
         """The rows that pull — the still-open sources of the kernel's
         reverse subgraph on GPU ``g`` — built here, for a kernel that pulls."""
-        open_rows = (
-            self._open_slots[g]
-            if kernel == "dn"
-            else self._delegate_sources[2 * g + (kernel == "dd")] & self._open_delegates
-        )
-        return np.flatnonzero(open_rows)
+        if kernel == "dn":
+            return np.flatnonzero(self._open_slots[g])
+        # A source of the reverse subgraph that is not visited yet.
+        sources = self._delegate_sources[2 * g + (kernel == "dd")]
+        return np.flatnonzero(sources > self.state.delegate_visited)
 
     def pull(self, kernel: str, g: int):
         """Run the kernel backward: its open rows search their parents in
@@ -304,7 +308,7 @@ class FlagFrontier:
         """The paper's expected-first-hit estimate ``|U| (q + s) / q`` from
         the counted open rows: ``U`` pulls, ``s`` are the unvisited forward
         sources (for dd the two coincide)."""
-        if self._open_delegates is None:
+        if self._open_slots is None:
             return estimate_backward_workload(0, q=frontier_size, s=0)
         delegates = self._open_delegate_counts[2 * g + (kernel == "dd")]
         if kernel == "dd":
@@ -323,10 +327,10 @@ class FlagFrontier:
         self._outboxes: list[np.ndarray] = [_EMPTY_I64] * p
         self._payloads: list[np.ndarray] = [_EMPTY_I64] * p
         self._fresh_dn: list[np.ndarray] = [_EMPTY_I64] * p
-        # Per GPU, the delegate update it proposes — a visited mask or a
-        # dense value array — built on its first proposal (``None`` until
-        # then: a GPU that found nothing owns no O(d) buffer).
-        self._updates: list = [None] * p
+        # Per GPU, the delegate update it proposes, keyed by delegate id:
+        # the ids (mask channel) or ``(ids, values)`` (values channel);
+        # ``None`` while it has proposed nothing.
+        self._proposals: list = [None] * p
 
     def _kernel_values(self, g: int, kernel: str, out, discovered, with_sources: bool):
         """The program's proposed values for one kernel's discoveries."""
@@ -374,19 +378,20 @@ class FlagFrontier:
             slots, values = program.merge_remote(found, values)
             self._fresh_dn[g] = self._update_normals(g, slots, values)
         elif self._mask_channel:
-            self._updates[g] = mark_unvisited(self._updates[g], state.delegate_visited, found)
+            # Already visited delegates are dropped locally: their status is
+            # replicated, so the filter needs no communication and spares
+            # pointless reductions.
+            ids = found[~state.delegate_visited[found]]
+            if ids.size:
+                self._proposals[g] = _joined(self._proposals[g], ids)
         else:
-            # Values channel: propose program values, keep only proposals the
-            # (replicated) current values would accept, and combine them into
-            # the dense per-GPU proposal array.
+            # Values channel: propose program values, keeping only proposals
+            # the (replicated) current values would accept.
             ids = np.asarray(found, dtype=np.int64)
             vals = self._kernel_values(g, kernel, out, ids, True)
             keep = program.accept(state.delegate_values[ids], vals)
-            ids, vals = ids[keep], vals[keep]
-            if ids.size:
-                if self._updates[g] is None:
-                    self._updates[g] = self._no_update.copy()
-                program.combine.at(self._updates[g], ids, vals)
+            if keep.any():
+                self._proposals[g] = _joined(self._proposals[g], (ids[keep], vals[keep]))
 
     def exchange(self, communicator):
         program = self.program
@@ -425,30 +430,30 @@ class FlagFrontier:
         return int(frontier.size)
 
     def reduce_delegates(self, communicator):
-        """All-reduce the per-GPU delegate updates if any GPU produced one;
+        """All-reduce the per-GPU delegate proposals if any GPU made one;
         installs the next delegate frontier.  Returns the reduce result, or
         ``None`` when no reduction was needed.
 
-        The updates were filtered against the replicated delegate state when
-        they were folded, and that state does not change between fold and
-        reduce: every set bit (non-identity entry) of the merged result is a
-        proposal for a delegate the state would accept, so the merged result
-        is read as it stands, without masking out the visited delegates.
+        The proposals were filtered against the replicated delegate state
+        when they were folded, and that state does not change between fold
+        and reduce: every merged id is a proposal the state would accept, so
+        the merge is read as it stands, without dropping visited delegates.
         """
         program = self.program
         state = self.state
         state.delegate_frontier = _EMPTY_I64
-        if all(update is None for update in self._updates):
+        if all(proposal is None for proposal in self._proposals):
             return None
-        blocking = self.options.blocking_reduce
-        updates = [self._no_update if update is None else update for update in self._updates]
-        reduce = communicator.allreduce(updates, blocking=blocking, combine=program.combine)
-        if self._mask_channel:
-            ids = reduce.merged.to_indices()
+        reduce = communicator.allreduce(
+            self._proposals,
+            self.graph.num_delegates,
+            blocking=self.options.blocking_reduce,
+            combine=program.combine,
+            identity=program.combine_identity,
+        )
+        ids, values = reduce.ids, reduce.values
+        if values is None:
             values = np.full(ids.size, program.level_value(self.level), dtype=np.int64)
-        else:
-            ids = np.flatnonzero(reduce.merged != program.combine_identity)
-            values = reduce.merged[ids]
         state.delegate_frontier = self._update_delegates(ids, values)
         return reduce
 
@@ -642,10 +647,10 @@ class LaneFrontier:
         if tail:
             self._full[-1] = np.uint64((1 << tail) - 1)
         self._no_words = np.zeros((0, nwords), dtype=np.uint64)
-        # What a GPU that proposed no delegate contributes to a reduction:
-        # one shared, read-only all-zero update mask.
-        self._no_update = BatchBitmask(graph.num_delegates, state.width)
-        self._no_update.words.setflags(write=False)
+        # The dense delegate frontier a pull reads, kept for the whole run:
+        # each step clears only the rows the previous one set.
+        self.dense_delegate = np.zeros((graph.num_delegates, nwords), dtype=np.uint64)
+        self._dense_rows = _EMPTY_I64
 
     def _wanted(self, visited: BatchBitmask, rows) -> np.ndarray:
         """The valid lanes each of ``rows`` has not been visited by yet."""
@@ -684,7 +689,13 @@ class LaneFrontier:
     # Walk: queues, candidates and the visit kernels
     # ------------------------------------------------------------------ #
     def begin_step(self) -> None:
-        self.dense_delegate = self._dense(None, self.graph.num_delegates)
+        dense = self.dense_delegate
+        if self._dense_rows.size:
+            dense[self._dense_rows] = 0
+        rows, words = self.state.frontier(None)
+        self._dense_rows = rows
+        if rows.size:
+            dense[rows] = words
         # Per (kernel, GPU), the rows still open to a pull this step.  Built
         # when the walk asks for a backward workload — which, unlike the
         # one-bit estimate, is a sum over the rows themselves — and reused
@@ -692,15 +703,13 @@ class LaneFrontier:
         self._candidates: dict = {}
         self._open_delegates = None
 
-    def _dense(self, g: int | None, num_rows: int) -> np.ndarray:
-        dense = np.zeros((num_rows, self.nwords), dtype=np.uint64)
+    def dense_local(self, g: int) -> np.ndarray:
+        """GPU ``g``'s dense normal frontier (what a backward nd pull scans)."""
+        dense = np.zeros((self.graph.gpus[g].num_local, self.nwords), dtype=np.uint64)
         rows, words = self.state.frontier(g)
         if rows.size:
             dense[rows] = words
         return dense
-
-    def dense_local(self, g: int) -> np.ndarray:
-        return self._dense(g, self.graph.gpus[g].num_local)
 
     def push_queue(self, kernel: str, g: int, out_degrees: np.ndarray) -> tuple:
         """The kernel's previsit-filtered ``(rows, words)`` queue."""
@@ -760,9 +769,9 @@ class LaneFrontier:
         self._outboxes: list[np.ndarray] = [_EMPTY_I64] * p
         self._outbox_words: list[np.ndarray] = [self._no_words] * p
         self._fresh_dn = [(_EMPTY_I64, self._no_words)] * p
-        # Per GPU, its delegate update mask, built on the first delegate it
-        # proposes (``None`` until then).
-        self._updates: list = [None] * p
+        # Per GPU, the ``(rows, words)`` of the delegates it proposes
+        # (``None`` while it has proposed none).
+        self._proposals: list = [None] * p
 
     def fold(self, g: int, kernel: str, out) -> None:
         found = out.discovered
@@ -779,9 +788,7 @@ class LaneFrontier:
             words = out.words & self._wanted(self.state.visited_d, found)
             keep = words.any(axis=1)
             if keep.any():
-                if self._updates[g] is None:
-                    self._updates[g] = BatchBitmask(self.graph.num_delegates, self.state.width)
-                self._updates[g].or_rows(found[keep], words[keep])
+                self._proposals[g] = _joined(self._proposals[g], (found[keep], words[keep]))
 
     def exchange(self, communicator):
         # The lane words ride as the payload.  Rows are unique per sender (the
@@ -805,19 +812,20 @@ class LaneFrontier:
 
     def reduce_delegates(self, communicator):
         """One ``d x B``-bit reduction if any GPU proposed a delegate.  The
-        updates were filtered against the replicated visited lanes when they
-        were folded (and those do not change between fold and reduce), so
-        the merged mask holds only new lanes and is read as it stands."""
+        proposals were filtered against the replicated visited lanes when
+        they were folded (and those do not change between fold and reduce),
+        so the merged rows hold only new lanes and are read as they stand."""
         state = self.state
-        if all(mask is None for mask in self._updates):
+        if all(proposal is None for proposal in self._proposals):
             state.set_frontier(None, _EMPTY_I64, self._no_words)
             return None
         reduce = communicator.allreduce(
-            [self._no_update if mask is None else mask for mask in self._updates],
+            self._proposals,
+            self.graph.num_delegates,
             blocking=self.options.blocking_reduce,
+            width=state.width,
         )
-        rows = reduce.merged.nonzero_rows()
-        words = reduce.merged.words[rows]
+        rows, words = reduce.ids, reduce.values
         state.visited_d.words[rows] |= words
         state.set_frontier(None, rows, words)
         self.program.record(self.graph.delegate_vertices[rows], words, self.level)

@@ -30,13 +30,15 @@ index through :meth:`repro.graph.csr.CSRGraph._gather_index` /
 The hottest bodies have a second, compiled statement in ``_c_kernels.c``:
 the pull (a plain early-exit scan per candidate), the forward and weighted
 gathers, the batched pull and push (the latter OR-ing lanes into a dense
-per-column accumulator), the mask-channel fold (:func:`mark_unvisited`),
-:class:`~repro.utils.bitmask.Bitmask`'s ``set_many`` / ``test_many`` and the
-varint decode of :meth:`repro.storage.codec.CompressedCSR.decode_rows`.  The
-first import compiles it once per source and compiler (``cc -O2 -shared
--fPIC``) into ``~/.cache/repro/`` — or a private per-uid directory under the
-system temporary directory when home is not writable — and loads it with
-``ctypes``.  Whenever that fails (no compiler, no writable cache, a library
+per-column accumulator) and the varint decode of
+:meth:`repro.storage.codec.CompressedCSR.decode_rows`.  The first import
+compiles it once per source and compiler (``cc -O2 -shared -fPIC``) into
+``~/.cache/repro/`` — or a private per-uid directory under the system
+temporary directory when home is not writable — and loads it with
+``ctypes``.  A compiled visit resolves a CSR's contiguous arrays and their
+addresses once per CSR object (:func:`_bound`), so a call on a near-empty
+frontier pays only for the addresses of its own rows and its one output
+buffer.  Whenever that fails (no compiler, no writable cache, a library
 that will not load) every kernel runs its NumPy statement, silently; there is
 no option to choose.  Both statements return the same arrays, counts and
 errors (``tests/test_c_kernels.py``); which one ran is a fact of the host,
@@ -62,12 +64,11 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, span_index
-from repro.utils import bitmask
-from repro.utils.sorting import sorted_unique
 
 __all__ = [
     "PULL_ONE_PASS_EDGES",
@@ -523,43 +524,6 @@ def batched_backward_visit(
 
 
 # --------------------------------------------------------------------------- #
-# The mask-channel fold
-# --------------------------------------------------------------------------- #
-def mark_unvisited(update, visited, ids: np.ndarray):
-    """Set in ``update`` every bit of ``ids`` that ``visited`` has clear.
-
-    The fold of a GPU's nd/dd discoveries into its proposed delegate mask:
-    already visited delegates are dropped locally (their status is
-    replicated, so the filter needs no communication and spares pointless
-    reductions).  ``update`` is a :class:`~repro.utils.bitmask.Bitmask` the
-    size of ``visited``, or ``None`` while the GPU has proposed nothing: it is
-    created at its first bit, so a GPU that finds only visited delegates owns
-    no mask.  Returns the update (still ``None`` if no bit was set).
-    """
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    if _LIB is None:
-        fresh = sorted_unique(ids)
-        fresh = fresh[~visited.test_many(fresh)]
-        if fresh.size:
-            if update is None:
-                update = bitmask.Bitmask(visited._size)
-            update.set_many(fresh)
-        return update
-    size, seen = visited._size, visited.buffer.ctypes.data
-    target = None if update is None else update.buffer.ctypes.data
-    stop = _LIB.mark_unvisited(target, seen, size, ids.ctypes.data, ids.size)
-    if stop < 0:
-        visited.test_many(ids)  # an id out of range: the bounds check's IndexError
-    if stop == ids.size:
-        return update
-    # ``ids[stop]`` is the first bit to set and there is no update yet.
-    update = bitmask.Bitmask(size)
-    rest = ids[stop:]
-    _LIB.mark_unvisited(update.buffer.ctypes.data, seen, size, rest.ctypes.data, rest.size)
-    return update
-
-
-# --------------------------------------------------------------------------- #
 # The compiled tier: ``_c_kernels.c``, built once per source and compiler
 # --------------------------------------------------------------------------- #
 _SOURCE = Path(__file__).with_name("_c_kernels.c")
@@ -583,9 +547,6 @@ _SIGNATURES = {
     "gather_size": (_I64, [_PTR, _I64, _I64, _PTR, _I64]),
     "gather_i32": _GATHER,
     "gather_i64": _GATHER,
-    "set_bits": (_I64, [_PTR, _I64, _PTR, _I64]),
-    "test_bits": (_I64, [_PTR, _I64, _PTR, _I64, _PTR]),
-    "mark_unvisited": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
     "decode_i32": _DECODE,
     "decode_i64": _DECODE,
     "batched_pull_i32": _BATCHED_PULL,
@@ -690,71 +651,108 @@ def _load_library():
     return None, None
 
 
+class _Bound(NamedTuple):
+    """A CSR as the compiled kernels address it: its contiguous arrays and
+    their addresses, beside the arrays they were resolved from."""
+
+    row_offsets: np.ndarray
+    column_indices: np.ndarray
+    edge_weights: np.ndarray | None
+    offsets: np.ndarray
+    columns: np.ndarray
+    weights: np.ndarray | None
+    offsets_at: int
+    columns_at: int
+    weights_at: int | None
+    wide: bool
+
+
+def _bound(csr: CSRGraph) -> _Bound:
+    """``csr``'s compiled view, resolved on the first compiled visit of the
+    CSR object and kept on it (:meth:`CSRGraph.__getstate__` leaves it out of
+    copies and pickles); a CSR whose arrays were replaced since is resolved
+    again."""
+    bound = csr.__dict__.get("_bound")
+    if (
+        bound is not None
+        and bound.column_indices is csr.column_indices
+        and bound.row_offsets is csr.row_offsets
+        and bound.edge_weights is csr.edge_weights
+    ):
+        return bound
+    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    columns = np.ascontiguousarray(csr.column_indices)
+    weights = None
+    if csr.edge_weights is not None:
+        weights = np.ascontiguousarray(csr.edge_weights, dtype=np.float64)
+    bound = _Bound(
+        csr.row_offsets, csr.column_indices, csr.edge_weights, offsets, columns, weights,
+        offsets.ctypes.data, columns.ctypes.data,
+        None if weights is None else weights.ctypes.data, columns.dtype != np.int32,
+    )
+    csr._bound = bound
+    return bound
+
+
 def _c_backward_visit(
     csr: CSRGraph, candidates: np.ndarray, in_frontier: np.ndarray
 ) -> KernelOutput:
     """:func:`backward_visit`'s compiled statement: the scalar scan itself."""
-    columns = np.ascontiguousarray(csr.column_indices)
-    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    bound = _bound(csr)
     in_frontier = np.ascontiguousarray(in_frontier)
-    pull = _LIB.pull_i32 if columns.dtype == np.int32 else _LIB.pull_i64
-    discovered = np.empty(candidates.size, dtype=np.int64)
-    sources = np.empty(candidates.size, dtype=np.int64)
-    examined = np.zeros(1, dtype=np.int64)
+    n = candidates.size
+    # One buffer: the discovered candidates, their sources, the edge count.
+    out = np.empty(2 * n + 1, dtype=np.int64)
+    at = out.ctypes.data
+    pull = _LIB.pull_i64 if bound.wide else _LIB.pull_i32
     found = pull(
-        offsets.ctypes.data, csr.num_rows, columns.ctypes.data, columns.size,
-        in_frontier.ctypes.data, in_frontier.size, candidates.ctypes.data, candidates.size,
-        discovered.ctypes.data, sources.ctypes.data, examined.ctypes.data,
+        bound.offsets_at, csr.num_rows, bound.columns_at, bound.columns.size,
+        in_frontier.ctypes.data, in_frontier.size, candidates.ctypes.data, n,
+        at, at + 8 * n, at + 16 * n,
     )
     if found < 0:
         csr._row_spans(candidates)  # a row out of range: the NumPy body's IndexError
         raise IndexError(_ROW_ERRORS[found])
-    return KernelOutput(discovered[:found], int(examined[0]), True, sources[:found])
+    return KernelOutput(out[:found], int(out[2 * n]), True, out[n:n + found])
 
 
 def _c_gather(csr: CSRGraph, rows: np.ndarray, weighted: bool = False) -> tuple:
     """The forward gather's compiled statement: ``(sources, destinations,
     weights)`` of every edge out of ``rows``, grouped by row in input order;
     ``weights`` only when ``weighted``, else ``None``."""
-    columns = np.ascontiguousarray(csr.column_indices)
-    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
-    total = _LIB.gather_size(
-        offsets.ctypes.data, csr.num_rows, columns.size, rows.ctypes.data, rows.size
-    )
+    bound = _bound(csr)
+    rows_at = rows.ctypes.data
+    total = _LIB.gather_size(bound.offsets_at, csr.num_rows, bound.columns.size, rows_at, rows.size)
     if total < 0:
         csr._row_spans(rows)  # a row out of range: the NumPy body's IndexError
         raise IndexError(_ROW_ERRORS[total])
-    sources = np.empty(total, dtype=np.int64)
-    destinations = np.empty(total, dtype=np.int64)
-    edge_weights = weights = None
-    if weighted:
-        edge_weights = np.ascontiguousarray(csr.edge_weights, dtype=np.float64)
-        weights = np.empty(total, dtype=np.float64)
-    gather = _LIB.gather_i32 if columns.dtype == np.int32 else _LIB.gather_i64
+    # One buffer for the sources and destinations.
+    edges = np.empty(2 * total, dtype=np.int64)
+    at = edges.ctypes.data
+    weights = np.empty(total, dtype=np.float64) if weighted else None
+    gather = _LIB.gather_i64 if bound.wide else _LIB.gather_i32
     gather(
-        offsets.ctypes.data, columns.ctypes.data,
-        None if edge_weights is None else edge_weights.ctypes.data,
-        rows.ctypes.data, rows.size, sources.ctypes.data, destinations.ctypes.data,
+        bound.offsets_at, bound.columns_at, bound.weights_at if weighted else None,
+        rows_at, rows.size, at, at + 8 * total,
         None if weights is None else weights.ctypes.data,
     )
-    return sources, destinations, weights
+    return edges[:total], edges[total:], weights
 
 
 def _c_batched_pull(
     csr: CSRGraph, candidates: np.ndarray, parent_words: np.ndarray, wanted: np.ndarray
 ) -> BatchKernelOutput:
     """:func:`batched_backward_visit`'s compiled statement."""
-    columns = np.ascontiguousarray(csr.column_indices)
-    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    bound = _bound(csr)
     parent_words = np.ascontiguousarray(parent_words, dtype=np.uint64)
     wanted = np.ascontiguousarray(wanted, dtype=np.uint64)
     nwords = parent_words.shape[1]
     discovered = np.empty(candidates.size, dtype=np.int64)
     gained = np.empty((candidates.size, nwords), dtype=np.uint64)
     examined = np.zeros(1, dtype=np.int64)
-    pull = _LIB.batched_pull_i32 if columns.dtype == np.int32 else _LIB.batched_pull_i64
+    pull = _LIB.batched_pull_i64 if bound.wide else _LIB.batched_pull_i32
     found = pull(
-        offsets.ctypes.data, csr.num_rows, columns.ctypes.data, columns.size,
+        bound.offsets_at, csr.num_rows, bound.columns_at, bound.columns.size,
         parent_words.ctypes.data, parent_words.shape[0], nwords, candidates.ctypes.data,
         wanted.ctypes.data, candidates.size, discovered.ctypes.data, gained.ctypes.data,
         examined.ctypes.data,
@@ -768,12 +766,11 @@ def _c_batched_pull(
 def _c_batched_push(csr: CSRGraph, rows: np.ndarray, words: np.ndarray) -> BatchKernelOutput:
     """:func:`batched_forward_visit`'s compiled statement: the lanes OR-ed
     into a dense per-column accumulator, whose reached columns are sorted."""
-    columns = np.ascontiguousarray(csr.column_indices)
-    offsets = np.ascontiguousarray(csr.row_offsets, dtype=np.int64)
+    bound = _bound(csr)
     words = np.ascontiguousarray(words, dtype=np.uint64)
     nwords = words.shape[1]
     total = _LIB.gather_size(
-        offsets.ctypes.data, csr.num_rows, columns.size, rows.ctypes.data, rows.size
+        bound.offsets_at, csr.num_rows, bound.columns.size, rows.ctypes.data, rows.size
     )
     if total < 0:
         csr._row_spans(rows)  # a row out of range: the NumPy body's IndexError
@@ -783,9 +780,9 @@ def _c_batched_push(csr: CSRGraph, rows: np.ndarray, words: np.ndarray) -> Batch
     acc = np.zeros((csr.num_cols, nwords), dtype=np.uint64)
     seen = np.zeros(csr.num_cols, dtype=np.uint8)
     distinct = np.empty(total, dtype=np.int64)
-    push = _LIB.batched_push_i32 if columns.dtype == np.int32 else _LIB.batched_push_i64
+    push = _LIB.batched_push_i64 if bound.wide else _LIB.batched_push_i32
     count = push(
-        offsets.ctypes.data, columns.ctypes.data, csr.num_cols, rows.ctypes.data,
+        bound.offsets_at, bound.columns_at, csr.num_cols, rows.ctypes.data,
         words.ctypes.data, rows.size, nwords, acc.ctypes.data, seen.ctypes.data,
         distinct.ctypes.data,
     )

@@ -6,9 +6,10 @@ The state mirrors what the real implementation keeps resident on the GPUs:
   means belongs to the running :class:`repro.core.programs.FrontierProgram`
   (hop level for BFS, parent pointer for Graph500 trees, component label for
   connected components); ``-1`` = "no value yet";
-* replicated across all GPUs, the visited bitmask and values of the
+* replicated across all GPUs, the visited flags and values of the
   *delegates* (identical everywhere after every reduction, so the simulation
-  stores one copy);
+  stores one copy; a GPU would keep the paper's packed bit per delegate, the
+  host keeps one ``bool`` each);
 * the per-super-step frontiers: newly-updated local normal slots per GPU and
   newly-updated delegate ids (shared).
 
@@ -25,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from repro.partition.subgraphs import PartitionedGraph
-from repro.utils.bitmask import Bitmask
 from repro.utils.sorting import sorted_unique
 
 __all__ = ["UNVISITED", "TraversalState"]
@@ -48,7 +48,7 @@ class TraversalState:
     graph: PartitionedGraph
     normal_values: list[np.ndarray] = field(default_factory=list)
     delegate_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    delegate_visited: Bitmask = field(default_factory=lambda: Bitmask(0))
+    delegate_visited: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     normal_frontiers: list[np.ndarray] = field(default_factory=list)
     delegate_frontier: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
@@ -56,23 +56,18 @@ class TraversalState:
     def from_init(cls, graph: PartitionedGraph, init) -> "TraversalState":
         """The state a run starts from: a program's (or a repair's pre-seeded)
         :class:`repro.core.programs.ProgramInit`, with the delegate visited
-        mask derived from the delegate values.
+        flags derived from the delegate values.
 
         Frontiers are sorted and duplicate-free from here on — the one
         de-duplication of a run: every frontier the engine installs later is
         sorted-unique by construction, so the per-step previsit only drops
         zero-degree rows.
         """
-        d = graph.num_delegates
         return cls(
             graph=graph,
             normal_values=init.normal_values,
             delegate_values=init.delegate_values,
-            delegate_visited=Bitmask.from_indices(
-                d, np.flatnonzero(init.delegate_values != UNVISITED)
-            )
-            if d
-            else Bitmask(0),
+            delegate_visited=init.delegate_values != UNVISITED,
             normal_frontiers=[_sorted_unique_ids(f) for f in init.normal_frontiers],
             delegate_frontier=_sorted_unique_ids(init.delegate_frontier),
         )
@@ -120,8 +115,7 @@ class TraversalState:
         take = accept(self.delegate_values[delegate_ids], values)
         fresh = delegate_ids[take]
         self.delegate_values[fresh] = values[take]
-        if fresh.size:
-            self.delegate_visited.set_many(fresh)
+        self.delegate_visited[fresh] = True
         return fresh
 
     def frontier_empty(self) -> bool:

@@ -96,6 +96,14 @@ class CSRGraph:
 
             self.edge_weights = validate_weights(self.edge_weights, self.column_indices.size)
 
+    def __getstate__(self) -> dict:
+        """The CSR's fields, without the compiled kernels' view of them
+        (``repro.core.kernels._bound``): its addresses hold only in this
+        process, so a copy or an unpickled CSR resolves its own."""
+        state = dict(self.__dict__)
+        state.pop("_bound", None)
+        return state
+
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #

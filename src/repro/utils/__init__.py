@@ -8,8 +8,8 @@ imports.
 Public modules
 --------------
 ``bitmask``
-    Packed boolean bitmasks used for delegate visited status (the paper stores
-    one bit per delegate and all-reduces the packed masks).
+    The packed lane bitmask of the batched traversal path (one bit per vertex
+    and source, the 2-D form of the paper's packed delegate masks).
 ``rng``
     Deterministic random-number and hashing helpers (the paper randomises
     vertex numbers with a deterministic hash after edge generation).
@@ -24,14 +24,12 @@ Public modules
     breakdown.
 """
 
-from repro.utils.bitmask import Bitmask
 from repro.utils.rng import deterministic_hash_permutation, make_rng, splitmix64
 from repro.utils.sorting import sorted_unique
 from repro.utils.stats import geometric_mean
 from repro.utils.timing import Timer, TimingBreakdown
 
 __all__ = [
-    "Bitmask",
     "deterministic_hash_permutation",
     "make_rng",
     "splitmix64",

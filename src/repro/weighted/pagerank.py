@@ -308,9 +308,14 @@ class PageRank:
 
         reduce_started = ledger.phase("exchange", exchange_started, level, "nn-exchange")
         reduce = None
-        if d > 0 and any(a.any() for a in delegate_accum):
+        proposals = [None] * p
+        for g, accum in enumerate(delegate_accum):
+            ids = np.flatnonzero(accum)
+            if ids.size:
+                proposals[g] = (ids, accum[ids])
+        if any(proposal is not None for proposal in proposals):
             reduce = ledger.communicator.allreduce(
-                delegate_accum, blocking=opts.blocking_reduce, combine=np.add
+                proposals, d, blocking=opts.blocking_reduce, combine=np.add, identity=0
             )
         ledger.phase("delegate_reduce", reduce_started, level, "delegate-reduce")
 
@@ -320,7 +325,7 @@ class PageRank:
         for g in range(p):
             recv[graph.gpus[g].owned_global_ids()] = local_accum[g]
         if reduce is not None:
-            recv[dv] += reduce.merged
+            recv[dv[reduce.ids]] += reduce.values
 
         # Overlay edges (not yet compacted into the CSR) relax here, after
         # the kernels, so the sweep sees the union graph.

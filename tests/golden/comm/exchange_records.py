@@ -21,7 +21,10 @@ id-only and int64 payloads, ``exchange_batch`` for lane words, and
 ``allreduce_delegate_batch`` for the reductions.  This script was then moved
 to the folded ``Communicator.exchange`` / ``Communicator.allreduce``;
 ``exchange_records_parent_api.py`` beside it keeps the old calls and checks
-the JSON against a checkout of that commit.
+the JSON against a checkout of that commit.  Since the all-reduce takes each
+GPU's proposal keyed by delegate id and returns the merged ids (and values),
+:func:`run_reduce` hands it the ids of each dense update the case builders
+draw and rebuilds the dense merged update the JSON hashes.
 
 Exchange cases cross five layouts, the L / L+U options, four payload kinds
 (none, int64 combined by ``np.minimum`` or ``np.add``, uint64 lane words of one
@@ -40,13 +43,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cluster.comm import Communicator
 from repro.cluster.topology import ClusterTopology
 from repro.partition.layout import ClusterLayout
-from repro.utils.bitmask import BatchBitmask, Bitmask
+from repro.utils.bitmask import BatchBitmask
 
 GOLDEN = Path(__file__).with_name("exchange_records.json")
 
@@ -175,7 +179,7 @@ def _updates(layout: ClusterLayout, kind: str, rng: np.random.Generator) -> list
     for g in range(p):
         hot = rng.integers(0, DELEGATES, size=int(rng.integers(0, 12))) if g % 3 else []
         if kind == "masks":
-            out.append(Bitmask.from_indices(DELEGATES, hot))
+            out.append(np.asarray(hot, dtype=np.int64))
         elif kind == "batch":
             mask = BatchBitmask(DELEGATES, WIDTH)
             if len(hot):
@@ -189,14 +193,44 @@ def _updates(layout: ClusterLayout, kind: str, rng: np.random.Generator) -> list
     return out
 
 
+class _Merged(NamedTuple):
+    """A reduction's dense merged update, beside its bill."""
+
+    merged: np.ndarray
+    bill: tuple
+
+
 def run_reduce(case: tuple):
-    """Build one reduction case and run it on a fresh communicator."""
+    """Build one reduction case and run it on a fresh communicator: each
+    GPU proposes the ids (with values or lane words) its dense update holds,
+    and the merge is rebuilt into the dense update the record hashes."""
     layout_name, kind, blocking = case
     layout = ClusterLayout.from_notation(layout_name)
     updates = _updates(layout, kind, np.random.default_rng(_seed(case)))
     comm = Communicator(ClusterTopology(layout))
     combine = np.add if kind == "values_add" else np.minimum
-    return comm, comm.allreduce(updates, blocking=blocking, combine=combine)
+    identity = 0 if kind == "values_add" else np.iinfo(np.int64).max
+    if kind == "masks":
+        proposals = updates
+    elif kind == "batch":
+        proposals = [(mask.nonzero_rows(), mask.words[mask.nonzero_rows()]) for mask in updates]
+    else:
+        proposals = [(np.flatnonzero(v != identity), v[v != identity]) for v in updates]
+    result = comm.allreduce(
+        proposals, DELEGATES, blocking=blocking, combine=combine, identity=identity,
+        width=WIDTH if kind == "batch" else 1,
+    )
+    if kind == "masks":
+        flags = np.zeros(DELEGATES, dtype=bool)
+        flags[result.ids] = True
+        merged = np.packbits(flags, bitorder="little")  # the packed d-bit mask
+    elif kind == "batch":
+        merged = np.zeros((DELEGATES, (WIDTH + 63) // 64), dtype=np.uint64)
+        merged[result.ids] = result.values
+    else:
+        merged = np.full(DELEGATES, identity, dtype=np.int64)
+        merged[result.ids] = result.values
+    return comm, _Merged(merged, result.bill)
 
 
 def _hash_arrays(sha, arrays) -> None:
@@ -247,10 +281,10 @@ def exchange_record(comm, result, received) -> dict:
 def reduce_record(comm, result) -> dict:
     """The record of one reduction: its communicator and result."""
     merged = result.merged
-    if isinstance(merged, Bitmask):
-        merged = merged.buffer
-    elif isinstance(merged, BatchBitmask):
+    if isinstance(merged, BatchBitmask):
         merged = merged.words
+    elif not isinstance(merged, np.ndarray):  # the parent API's packed Bitmask
+        merged = merged.buffer
     sha = hashlib.sha256()
     _hash_arrays(sha, [merged])
     if hasattr(result, "bill"):

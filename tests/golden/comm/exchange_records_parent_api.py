@@ -8,8 +8,9 @@ and runs it through those methods, the calls the JSON was written with:
 * ``exchange_normals`` for id-only and int64 payloads (its
   ``payload_inboxes`` are the received payloads);
 * ``exchange_batch`` for uint64 lane words (its ``word_inboxes``);
-* ``allreduce_delegate_masks``, ``allreduce_delegate_values`` and
-  ``allreduce_delegate_batch`` for the reductions.
+* ``allreduce_delegate_masks`` (over packed masks of the proposed ids),
+  ``allreduce_delegate_values`` and ``allreduce_delegate_batch`` for the
+  reductions.
 
 It writes nothing; it prints how many records match and exits nonzero on any
 mismatch.  Run it against a checkout of that commit::
@@ -31,6 +32,7 @@ from repro.cluster.comm import Communicator
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.partition.layout import ClusterLayout
+from repro.utils.bitmask import Bitmask
 
 _spec = importlib.util.spec_from_file_location(
     "golden_exchange_records", Path(__file__).with_name("exchange_records.py")
@@ -65,7 +67,8 @@ def run_reduce(case: tuple):
     updates = golden._updates(layout, kind, np.random.default_rng(golden._seed(case)))
     comm = Communicator(ClusterTopology(layout), NetworkModel())
     if kind == "masks":
-        return comm, comm.allreduce_delegate_masks(updates, blocking=blocking)
+        masks = [Bitmask.from_indices(golden.DELEGATES, hot) for hot in updates]
+        return comm, comm.allreduce_delegate_masks(masks, blocking=blocking)
     if kind == "batch":
         return comm, comm.allreduce_delegate_batch(updates, blocking=blocking)
     combine = np.add if kind == "values_add" else np.minimum

@@ -62,18 +62,6 @@ class TestBatchBitmask:
         mask.or_rows(np.array([0, 0]), words)
         assert mask.get_rows(np.array([0]))[0, 0] == np.uint64(3)
 
-    def test_or_with_merges_into_a_copy(self):
-        a, b = BatchBitmask(4, 4), BatchBitmask(4, 4)
-        a.set_lanes(np.array([0, 1]), np.array([0, 1]))
-        b.set_lanes(np.array([1, 2]), np.array([1, 2]))
-        merged = a.copy().or_with(b)
-        assert _lanes(merged) == {(0, 0), (1, 1), (2, 2)}
-        assert _lanes(a) == {(0, 0), (1, 1)}  # the copy left ``a`` alone
-
-    def test_packed_nbytes_is_tight(self):
-        assert BatchBitmask(10, 3).packed_nbytes == (10 * 3 + 7) // 8
-        assert BatchBitmask(0, 64).packed_nbytes == 0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="width"):
             BatchBitmask(4, 0)
@@ -81,8 +69,6 @@ class TestBatchBitmask:
             BatchBitmask(4, 4).set_lanes(np.array([4]), np.array([0]))
         with pytest.raises(IndexError, match="lane index"):
             BatchBitmask(4, 4).set_lanes(np.array([0]), np.array([4]))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            BatchBitmask(4, 4).or_with(BatchBitmask(4, 5))
 
 
 # --------------------------------------------------------------------------- #

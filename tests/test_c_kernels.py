@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.graph.csr import CSRGraph
 from repro.storage.codec import compress_csr
-from repro.utils.bitmask import Bitmask
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -175,56 +174,58 @@ class TestKernelsMatchNumpy:
 
 
 @needs_library
-class TestBitmaskMatchesNumpy:
-    @given(
-        size=st.integers(1, 300),
-        seed=st.integers(0, 2**32 - 1),
-        count=st.integers(0, 400),
-        start=st.sampled_from(["empty", "some", "none yet"]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_mark_unvisited(self, size, seed, count, start):
-        rng = np.random.default_rng(seed)
-        visited = Bitmask.from_indices(size, rng.integers(0, size, size // 2))
-        ids = rng.integers(0, size, count)
-        proposed = rng.integers(0, size, 3 if start == "some" else 0)
-        results = []
-        for patch in (mock.patch.object(kernels, "_LIB", kernels._LIB), numpy_bodies()):
-            update = None if start == "none yet" else Bitmask.from_indices(size, proposed)
-            with patch:
-                update = kernels.mark_unvisited(update, visited, ids)
-            results.append(None if update is None else update.buffer.copy())
-        assert_same_arrays(*results)
-        if start == "none yet":
-            fresh = np.setdiff1d(ids, visited.to_indices())
-            assert (results[0] is None) == (fresh.size == 0)
+class TestResolvedCsr:
+    """A compiled visit resolves a CSR's arrays once per CSR object and
+    resolves them again when they are replaced."""
 
-    @given(size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 50))
-    @settings(max_examples=200, deadline=None)
-    def test_set_and_test_many(self, size, seed, count):
-        rng = np.random.default_rng(seed)
-        ids = rng.integers(0, size, count)
-        masks = []
-        for patch in (mock.patch.object(kernels, "_LIB", kernels._LIB), numpy_bodies()):
-            with patch:
-                mask = Bitmask(size)
-                mask.set_many(ids)
-                masks.append((mask.buffer.copy(), mask.test_many(np.arange(size))))
-        assert_same_arrays(masks[0][0], masks[1][0])
-        assert_same_arrays(masks[0][1], masks[1][1])
+    def test_a_replaced_array_is_gathered_from(self):
+        csr = random_csr(3, 20, 20, 80, np.int32, weighted=True)
+        rows = np.arange(20)
+        kernels.weighted_forward_visit(csr, rows)  # resolves and keeps the view
+        csr.column_indices = (csr.num_cols - 1 - csr.column_indices).astype(np.int64)
+        csr.edge_weights = csr.edge_weights * 2.0
+        with numpy_bodies():
+            want = kernels.weighted_forward_visit(csr, rows)
+        assert_same_output(("value", kernels.weighted_forward_visit(csr, rows)), ("value", want))
+        bound = csr.__dict__["_bound"]
+        assert bound.column_indices is csr.column_indices and bound.wide
 
-    @pytest.mark.parametrize("bad", [-1, 10, 1 << 40])
-    def test_out_of_range_bits_raise_the_same_error(self, bad):
-        visited = Bitmask.from_indices(10, [1, 2])
-        ids = np.asarray([3, bad])
-        for call in (
-            lambda: Bitmask(10).set_many(ids),
-            lambda: visited.test_many(ids),
-            lambda: kernels.mark_unvisited(None, visited, ids),
-            lambda: kernels.mark_unvisited(None, visited, ids[::-1]),
-        ):
-            compiled, numpy = both(call)
-            assert compiled[0] is IndexError and compiled == numpy
+    def test_replaced_offsets_are_pulled_from(self):
+        csr = random_csr(4, 30, 30, 120, np.int64)
+        flags = np.zeros(30, dtype=bool)
+        flags[::3] = True
+        rows = np.arange(30)
+        kernels.backward_visit(csr, rows, flags)
+        # Every edge moves to row 0: the same columns, other spans.
+        csr.row_offsets = np.concatenate(
+            ([0], np.full(30, csr.column_indices.size, dtype=np.int64))
+        )
+        compiled, numpy = both(lambda: kernels.backward_visit(csr, rows, flags))
+        assert_same_output(compiled, numpy)
+        assert compiled[1].discovered.tolist() in ([0], [])
+
+    def test_copies_and_pickles_leave_the_view_behind(self):
+        import copy
+        import pickle
+
+        csr = random_csr(5, 10, 10, 30, np.int32)
+        kernels.forward_visit(csr, np.arange(10))
+        assert "_bound" in csr.__dict__
+        for clone in (copy.copy(csr), copy.deepcopy(csr), pickle.loads(pickle.dumps(csr))):
+            assert "_bound" not in clone.__dict__
+            np.testing.assert_array_equal(clone.column_indices, csr.column_indices)
+            assert_same_output(
+                ("value", kernels.forward_visit(clone, np.arange(10))),
+                ("value", kernels.forward_visit(csr, np.arange(10))),
+            )
+
+    def test_one_resolution_per_csr(self, monkeypatch):
+        csr = random_csr(6, 10, 10, 30, np.int64)
+        kernels.forward_visit(csr, np.arange(10))
+        bound = csr.__dict__["_bound"]
+        kernels.forward_visit(csr, np.arange(5))
+        kernels.backward_visit(csr, np.arange(10), np.ones(10, dtype=bool))
+        assert csr.__dict__["_bound"] is bound
 
 
 # --------------------------------------------------------------------------- #

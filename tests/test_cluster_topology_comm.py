@@ -9,7 +9,7 @@ from repro.cluster.comm import Communicator
 from repro.cluster.netmodel import NetworkModel, StepBill
 from repro.cluster.topology import ClusterTopology
 from repro.partition.layout import ClusterLayout
-from repro.utils.bitmask import BatchBitmask, Bitmask
+from repro.utils.bitmask import BatchBitmask
 
 
 @pytest.fixture()
@@ -58,33 +58,43 @@ class TestTopology:
             topo_2x2.staging_table[0, 0] = 3
 
 
+def _ids(*ids):
+    return np.asarray(ids, dtype=np.int64)
+
+
 class TestDelegateMaskReduce:
     def test_merged_mask_is_union(self, comm_2x2):
-        masks = [
-            Bitmask.from_indices(20, [1]),
-            Bitmask.from_indices(20, [2, 3]),
-            Bitmask.from_indices(20, []),
-            Bitmask.from_indices(20, [3, 19]),
-        ]
-        result = comm_2x2.allreduce(masks)
-        np.testing.assert_array_equal(result.merged.to_indices(), [1, 2, 3, 19])
-        assert comm_2x2.stats.delegate_mask_bytes > 0
+        proposals = [_ids(1), _ids(3, 2, 3), None, _ids(19, 3)]
+        result = comm_2x2.allreduce(proposals, 20)
+        np.testing.assert_array_equal(result.ids, [1, 2, 3, 19])
+        assert result.values is None
+        # The dense 20-bit mask is what is billed and counted: 3 bytes.
+        assert result.bill == (3, True)
+        assert comm_2x2.stats.delegate_mask_bytes == 2 * 3 * 2
         assert comm_2x2.stats.delegate_reductions == 1
 
     def test_wrong_mask_count_rejected(self, comm_2x2):
-        with pytest.raises(ValueError):
-            comm_2x2.allreduce([Bitmask(8)])
+        with pytest.raises(ValueError, match="one per GPU"):
+            comm_2x2.allreduce([_ids(1)], 8)
+        with pytest.raises(ValueError, match="no GPU proposed"):
+            comm_2x2.allreduce([None] * 4, 8)
 
-    def test_size_mismatch_rejected(self, comm_2x2):
-        with pytest.raises(ValueError):
-            comm_2x2.allreduce(
-                [Bitmask(8), Bitmask(8), Bitmask(8), Bitmask(16)]
-            )
+    @pytest.mark.parametrize("bad", [-1, 8, 1 << 40])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_size_mismatch_rejected(self, comm_2x2, bad, dense):
+        # A proposal for a delegate outside [0, d), on both sides of the
+        # dense cutoff, on the mask and the values channel.
+        ids = np.arange(8) if dense else _ids(3)
+        with pytest.raises(ValueError, match="out of range"):
+            comm_2x2.allreduce([np.append(ids, bad), None, None, None], 8)
+        with pytest.raises(ValueError, match="out of range"):
+            comm_2x2.allreduce([None, (np.append(ids, bad), np.append(ids, bad)), None, None], 8)
+        assert comm_2x2.stats.delegate_reductions == 0
 
     def test_single_rank_has_no_global_bytes(self):
         topo = ClusterTopology(ClusterLayout(num_ranks=1, gpus_per_rank=4))
         comm = Communicator(topo)
-        result = comm.allreduce([Bitmask.from_indices(8, [1])] * 4)
+        result = comm.allreduce([_ids(1)] * 4, 8)
         assert comm.stats.delegate_mask_bytes == 0
         times = _price_reduce(comm, result)
         assert times.remote_delegate_reduce_s == 0.0
@@ -92,26 +102,29 @@ class TestDelegateMaskReduce:
 
     def test_value_and_lane_updates(self, comm_2x2):
         big = np.iinfo(np.int64).max
-        values = [np.array([5, big, 7]), np.array([3, 9, big]), np.full(3, big), np.full(3, big)]
-        result = comm_2x2.allreduce(values, combine=np.minimum)
-        np.testing.assert_array_equal(result.merged, [3, 9, 7])
+        values = [(_ids(0, 2), _ids(5, 7)), (_ids(0, 1), _ids(3, 9)), None, (_ids(1), _ids(big))]
+        result = comm_2x2.allreduce(values, 3, combine=np.minimum, identity=big)
+        np.testing.assert_array_equal(result.ids, [0, 1, 2])
+        np.testing.assert_array_equal(result.values, [3, 9, 7])
         assert comm_2x2.stats.delegate_value_bytes == 2 * 24 * 2
-        lanes = [BatchBitmask(3, 70) for _ in range(4)]
-        lanes[1].set_lanes([2], [69])
-        result = comm_2x2.allreduce(lanes)
-        assert result.merged.nonzero_rows().tolist() == [2]
+        lanes = BatchBitmask(3, 70)
+        lanes.set_lanes([2], [69])
+        proposals = [None, (_ids(2), lanes.words[[2]]), None, None]
+        result = comm_2x2.allreduce(proposals, 3, width=70)
+        assert result.ids.tolist() == [2] and result.values.tolist() == [[0, 1 << 5]]
         # 3 rows x 70 lanes, packed: 27 bytes per update.
         assert comm_2x2.stats.delegate_mask_bytes == 2 * 27 * 2
         assert comm_2x2.stats.delegate_reductions == 2
 
-    def test_value_size_mismatch_rejected(self, comm_2x2):
-        with pytest.raises(ValueError, match="same size"):
-            comm_2x2.allreduce([np.zeros(3, dtype=np.int64)] * 3 + [np.zeros(4, dtype=np.int64)])
+    @pytest.mark.parametrize("size", [3, 100])
+    def test_value_size_mismatch_rejected(self, comm_2x2, size):
+        with pytest.raises(ValueError, match="pair up"):
+            comm_2x2.allreduce([(_ids(0, 1, 2), _ids(1, 2)), None, None, None], size)
 
     def test_blocking_faster_than_nonblocking(self, comm_2x2):
-        masks = [Bitmask.from_indices(1 << 16, [5])] * 4
-        blocking = comm_2x2.allreduce(masks, blocking=True)
-        nonblocking = comm_2x2.allreduce(masks, blocking=False)
+        proposals = [_ids(5)] * 4
+        blocking = comm_2x2.allreduce(proposals, 1 << 16, blocking=True)
+        nonblocking = comm_2x2.allreduce(proposals, 1 << 16, blocking=False)
         assert (
             _price_reduce(comm_2x2, nonblocking).remote_delegate_reduce_s
             > _price_reduce(comm_2x2, blocking).remote_delegate_reduce_s

@@ -42,7 +42,7 @@ class TestInitialization:
         source = int(partitioned.delegate_vertices[0])
         state = bfs_state(partitioned, source)
         assert state.delegate_values[0] == 0
-        assert state.delegate_visited.test_many(np.asarray([0]))[0]
+        assert state.delegate_visited.dtype == bool and state.delegate_visited[0]
         np.testing.assert_array_equal(state.delegate_frontier, [0])
         assert all(f.size == 0 for f in state.normal_frontiers)
 
@@ -74,7 +74,7 @@ class TestMarking:
         fresh = state.update_delegates(np.asarray([0, 1, 2]), levels(3, 3), visit_once)
         np.testing.assert_array_equal(fresh, [1, 2])  # 0 was the source
         assert state.delegate_values[1] == 3
-        assert state.delegate_visited.test_many(np.asarray([2]))[0]
+        np.testing.assert_array_equal(np.flatnonzero(state.delegate_visited), [0, 1, 2])
 
     def test_frontier_empty(self, partitioned):
         source = int(partitioned.delegate_vertices[0])

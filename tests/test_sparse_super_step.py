@@ -3,8 +3,8 @@
 ``tests/test_golden_step_records.py`` pins that the sparse super-step reports
 exactly what the dense one did; the tests here pin *why* each shortcut is
 sound: an exchange nobody sends into returns what routing would, the counted
-pull sets equal the arrays they replaced at every step, the reduce's proposed
-ids equal the scan of the merged mask, and a run the process backend places
+pull sets equal the arrays they replaced at every step, the reduce's merged
+ids equal the unvisited bits of the dense merged mask, and a run the process backend places
 in a pool worker changes no record and traces the same kernel spans.
 """
 
@@ -241,11 +241,11 @@ class TestCountedPullSets:
 
 
 # --------------------------------------------------------------------------- #
-# (c) the reduce's proposed ids == the scan of the merged mask
+# (c) the reduce's ids == the dense mask's unvisited bits
 # --------------------------------------------------------------------------- #
 class TestSparseReduce:
     @pytest.mark.parametrize("seed", range(6))
-    def test_ids_equal_merged_and_not_visited(self, rmat10, seed, monkeypatch):
+    def test_ids_equal_merged_and_not_visited(self, rmat10, seed):
         graph = build_partitions(rmat10, LAYOUT, 4)
         d, p = graph.num_delegates, graph.num_gpus
         rng = np.random.default_rng(seed)
@@ -259,28 +259,26 @@ class TestSparseReduce:
         rep = FlagFrontier(graph, BFSOptions(), program, state)
         rep.level = 3
         rep.begin_fold()
+        # The dense reference: every GPU ORs what it found into a d-bit mask.
+        merged = np.zeros(d, dtype=bool)
         shared = rng.choice(d, size=5, replace=False)  # found by every GPU
         for g in range(p):
             for kernel in ("nd", "dd"):
                 if seed == 0 and g % 2:
-                    continue  # a GPU that proposes nothing shares the zero mask
-                found = np.concatenate([rng.integers(0, d, size=rng.integers(0, 40)), shared])
+                    continue  # a GPU that proposes nothing
+                # Seed 1 finds enough to take the dense merge.
+                size = rng.integers(0, d if seed == 1 else 40)
+                found = np.concatenate([rng.integers(0, d, size=size), shared])
+                merged[found] = True
                 rep.fold(g, kernel, KernelOutput(found, int(found.size), backward=False))
         comm = _communicator()
-        merged = []
-        allreduce = comm.allreduce
-
-        def spy(updates, **kwargs):
-            result = allreduce(updates, **kwargs)
-            merged.append(result.merged)
-            return result
-
-        monkeypatch.setattr(comm, "allreduce", spy)
         assert rep.reduce_delegates(comm) is not None
-        want = merged[0].and_not(visited_before).to_indices()
+        want = np.flatnonzero(merged & ~visited_before)
         np.testing.assert_array_equal(state.delegate_frontier, want)
         assert np.all(state.delegate_values[want] == 3)
+        assert state.delegate_visited.sum() == visited_before.sum() + want.size
         assert comm.stats.delegate_reductions == 1
+        assert comm.stats.delegate_mask_bytes == 2 * ((d + 7) // 8) * LAYOUT.num_ranks
 
     def test_no_proposal_means_no_reduction(self, rmat10):
         graph = build_partitions(rmat10, LAYOUT, 4)
