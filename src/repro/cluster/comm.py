@@ -233,7 +233,8 @@ class Communicator:
         ids, or per id the ``combine`` of its values, dropping an id whose
         merged value is ``identity``.  Up to ``d / DENSE_MASK_FILL`` ids
         (``d / DENSE_VALUES_FILL`` entries on the other two channels) it
-        sorts them; beyond, it scatters them into a dense array.  An id outside ``[0, d)`` raises :class:`ValueError`.
+        sorts them; beyond, it scatters them into a dense array.  An id
+        outside ``[0, d)`` raises :class:`ValueError`.
         """
         layout = self.topology.layout
         if len(proposals) != layout.num_gpus:
@@ -244,25 +245,26 @@ class Communicator:
         if not given:
             raise ValueError("no GPU proposed a delegate update")
         values = None
+        values_channel = False
         if isinstance(given[0], tuple):
             if any(len(ids) != len(rows) for ids, rows in given):
                 raise ValueError("a proposal's values must pair up with its ids")
             ids = np.concatenate([ids for ids, _ in given]) if len(given) > 1 else given[0][0]
             rows = np.concatenate([rows for _, rows in given]) if len(given) > 1 else given[0][1]
-            if rows.ndim == 2:
-                ids, values = _combine(ids, rows, size, np.bitwise_or, np.uint64(0))
-            else:
+            values_channel = rows.ndim == 1
+            if values_channel:
                 ids, values = _combine(ids, rows, size, combine, identity)
+            else:
+                ids, values = _combine(ids, rows, size, np.bitwise_or, np.uint64(0))
         else:
             ids = _union(np.concatenate(given) if len(given) > 1 else given[0], size)
-        dense_values = values is not None and values.ndim == 1
-        nbytes = 8 * size if dense_values else (size * width + 7) // 8
+        nbytes = 8 * size if values_channel else (size * width + 7) // 8
 
         # Reduction + broadcast trees each move one update per participating
         # rank per phase; the paper counts 2 * d * prank / 8 bytes for masks.
         ranks = layout.num_ranks
         global_bytes = 2 * nbytes * ranks if ranks > 1 else 0
-        if dense_values:
+        if values_channel:
             self.stats.delegate_value_bytes += global_bytes
         else:
             self.stats.delegate_mask_bytes += global_bytes

@@ -178,17 +178,21 @@ class TestResolvedCsr:
     """A compiled visit resolves a CSR's arrays once per CSR object and
     resolves them again when they are replaced."""
 
-    def test_a_replaced_array_is_gathered_from(self):
+    @pytest.mark.parametrize("replaced", ["column_indices", "edge_weights"])
+    def test_a_replaced_array_is_gathered_from(self, replaced):
         csr = random_csr(3, 20, 20, 80, np.int32, weighted=True)
         rows = np.arange(20)
         kernels.weighted_forward_visit(csr, rows)  # resolves and keeps the view
-        csr.column_indices = (csr.num_cols - 1 - csr.column_indices).astype(np.int64)
-        csr.edge_weights = csr.edge_weights * 2.0
+        if replaced == "column_indices":
+            csr.column_indices = (csr.num_cols - 1 - csr.column_indices).astype(np.int64)
+        else:
+            csr.edge_weights = csr.edge_weights * 2.0
         with numpy_bodies():
             want = kernels.weighted_forward_visit(csr, rows)
         assert_same_output(("value", kernels.weighted_forward_visit(csr, rows)), ("value", want))
         bound = csr.__dict__["_bound"]
-        assert bound.column_indices is csr.column_indices and bound.wide
+        assert getattr(bound, replaced) is getattr(csr, replaced)
+        assert bound.wide == (replaced == "column_indices")
 
     def test_replaced_offsets_are_pulled_from(self):
         csr = random_csr(4, 30, 30, 120, np.int64)
