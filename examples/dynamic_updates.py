@@ -6,7 +6,9 @@ This walks the whole mutable-graph story:
 1. build a partitioned RMAT graph through the fluent session,
 2. keep a BFS answer *maintained* while a preferential-attachment update
    stream mutates the graph — every batch repaired from a bounded frontier
-   and verified bit-identical to a from-scratch run,
+   (seeded by ``repair_seeds``: the inserted edges relaxed once through the
+   repair program's own hooks) and verified bit-identical to a from-scratch
+   run,
 3. compare the repair's traversal work against the full recompute it
    replaces, and
 4. serve a mixed read/update workload through the QueryService, watching the
@@ -25,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro
-from repro.dynamic import DynamicEngine, DynamicGraph, MaintainedLevels, update_stream
+from repro.dynamic import DynamicEngine, DynamicGraph, Maintained, update_stream
 from repro.graph.degree import out_degrees
 from repro.serve import MixedWorkload, QueryService, ZipfWorkload
 
@@ -39,7 +41,7 @@ def main(scale: int = 13) -> None:
     print("\n== Maintaining BFS levels across an update stream ==")
     dynamic = DynamicGraph(edges, graph.graph.layout, graph.graph.threshold)
     engine = DynamicEngine(dynamic)
-    maintained = MaintainedLevels(engine, source=0)
+    maintained = Maintained(engine, "levels", source=0)
     initial = maintained.result
     print(
         f"initial BFS: {initial.num_visited:,} visited, "

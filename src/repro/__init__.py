@@ -74,9 +74,7 @@ from repro.dynamic import (
     DynamicEngine,
     DynamicGraph,
     EdgeDelta,
-    MaintainedComponents,
-    MaintainedLevels,
-    MaintainedSSSP,
+    Maintained,
     update_stream,
 )
 from repro.graph import EdgeList, friendster_like, generate_rmat, wdc_like
@@ -146,9 +144,7 @@ __all__ = [
     "DynamicEngine",
     "EdgeDelta",
     "update_stream",
-    "MaintainedLevels",
-    "MaintainedComponents",
-    "MaintainedSSSP",
+    "Maintained",
     # options + hardware
     "BFSOptions",
     "HardwareSpec",

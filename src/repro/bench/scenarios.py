@@ -341,7 +341,7 @@ class Scenario:
         }
         if self.weights is not None:
             base["weights"] = self.weights
-        row = PROGRAM_TABLE.get(self.program)
+        row = self._traversed_row()
         if row is not None:
             # Each declared parameter under its scenario field name, in its
             # canonical type ("auto" stays a string, a numeric delta a float).

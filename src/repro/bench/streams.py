@@ -403,15 +403,17 @@ def maintain(
     program: str,
     source: int | None = None,
     *,
+    params: dict | None = None,
     verify: bool = True,
     baseline: bool = False,
 ) -> Replayed:
     """Maintained updates: per batch of ``stream``, apply it to a fresh mutable
-    view, update ``program``'s maintained answer and (``verify``) recompute it
-    from scratch, which raises on any divergence.  Both paths always run, so
-    the counters are the same in either mode; ``baseline`` charges the
-    recompute path to the measured ``traversal``.  ``detail``: the per-batch
-    entries ``mutate`` prints, the maintenance stats and the graph.
+    view, update ``program``'s maintained answer (run with its declared
+    ``params``) and (``verify``) recompute it from scratch, which raises on
+    any divergence.  Both paths always run, so the counters are the same in
+    either mode; ``baseline`` charges the recompute path to the measured
+    ``traversal``.  ``detail``: the per-batch entries ``mutate`` prints, the
+    maintenance stats and the graph.
     """
     engine = prepared.dynamic_engine()
     dynamic = engine.dynamic
@@ -419,7 +421,7 @@ def maintain(
     batches: list[dict] = []
     checksum = 0
     try:
-        maintained = PROGRAM_TABLE[program].maintain(engine, source)
+        maintained = PROGRAM_TABLE[program].maintain(engine, source, **(params or {}))
         initial = maintained.result
         wall["initial"] = float(initial.wall_s["traversal"])
         for i, delta in enumerate(stream):
@@ -577,10 +579,11 @@ def _cluster_feed(spec, prepared: Prepared) -> tuple[dict, dict]:
 
 
 def _dynamic_feed(spec, prepared: Prepared) -> tuple[dict, dict]:
-    takes_source = PROGRAM_TABLE[spec.maintained].takes_source
-    source = spec.pick_sources(prepared.edges)[0] if takes_source else None
+    row = PROGRAM_TABLE[spec.maintained]
+    source = spec.pick_sources(prepared.edges)[0] if row.takes_source else None
     stream = spec.update_stream(prepared.edges)
-    return {"stream": stream, "program": spec.maintained, "source": source}, {}
+    params = spec._program_params(row)
+    return {"stream": stream, "program": spec.maintained, "source": source, "params": params}, {}
 
 
 def _build_feed(spec, prepared: Prepared) -> tuple[dict, dict]:

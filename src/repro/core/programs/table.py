@@ -22,7 +22,11 @@ here.  A :class:`ProgramRow` states:
 ``batched``
     The MS-BFS style equivalent taking ``(sources, **params)``, if any.
 ``maintained``
-    The incrementally maintained form over a ``DynamicEngine``, if any.
+    The repair program of the row's incrementally maintained answer, if it
+    has one: the program :class:`repro.dynamic.Maintained` resumes from the
+    seeds an edge insertion improves.  It is built from the full-run
+    program's same-named attributes, so it is the row's own program when
+    that is already label correcting.
 ``servable``
     Whether the serving tier accepts the program as a query kind.
 ``baseline``
@@ -114,10 +118,14 @@ class ProgramRow:
         """The batched program answering ``sources`` in one fused sweep."""
         return _resolve(self.batched)(sources, **params)
 
-    def maintain(self, engine, source: int | None = None):
+    @property
+    def repair_cls(self) -> type:
+        """The ``maintained`` repair program class (imported on first use)."""
+        return _resolve(self.maintained)
+
+    def maintain(self, engine, source: int | None = None, **params):
         """The maintained answer over ``engine`` (a ``DynamicEngine``)."""
-        cls = _resolve(self.maintained)
-        return cls(engine, source) if self.takes_source else cls(engine)
+        return _resolve(_DYNAMIC + "Maintained")(engine, self.name, source, **params)
 
 
 # ---------------------------------------------------------------------- #
@@ -220,13 +228,13 @@ _ROWS = (
     ProgramRow(
         "levels", _CORE + "bfs_levels:BFSLevels", True, _bfs_oracle,
         batched=_CORE + "batched:BatchedBFSLevels",
-        maintained=_DYNAMIC + "MaintainedLevels",
+        maintained=_DYNAMIC + "LevelRepair",
         servable=True,
     ),
     ProgramRow("parents", _CORE + "bfs_parents:BFSParents", True, _bfs_oracle),
     ProgramRow(
         "components", _CORE + "components:ConnectedComponents", False, _components_oracle,
-        maintained=_DYNAMIC + "MaintainedComponents",
+        maintained=_CORE + "components:ConnectedComponents",
     ),
     ProgramRow(
         "khop", _CORE + "khop:KHopReachability", True, _bfs_oracle,
@@ -243,7 +251,7 @@ _ROWS = (
                 "(one bucket = the Bellman-Ford schedule)",
             ),
         ),
-        maintained=_DYNAMIC + "MaintainedSSSP",
+        maintained=_WEIGHTED + "sssp:DeltaSteppingSSSP",
         servable=True,
         baseline="bellman-ford",
     ),

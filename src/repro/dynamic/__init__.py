@@ -11,21 +11,21 @@ mutable without giving up the degree-separated machinery:
   increasing ``version``, delegate-set crossing tracking, and compaction
   back into clean CSR once the overlay outgrows its budget;
   :class:`DynamicEngine` runs any frontier program over CSR + overlay;
-* :mod:`repro.dynamic.incremental` — :class:`MaintainedLevels`,
-  :class:`MaintainedComponents` and :class:`MaintainedSSSP`: keep a
-  traversal answer current across deltas by resuming the engine from a
-  bounded repair frontier (bit-identical to full recompute, at a fraction
-  of the traversal work).
+* :mod:`repro.dynamic.incremental` — :class:`Maintained`: keeps the answer
+  of any program-table row with a ``maintained`` column (levels,
+  components, sssp) current across deltas by resuming the engine from a
+  bounded repair frontier, whose seeds :func:`repair_seeds` relaxes from
+  the inserted edges through the repair program's own hooks (bit-identical
+  to full recompute, at a fraction of the traversal work).
 
 Typical use::
 
     import repro
-    from repro.dynamic import DynamicGraph, DynamicEngine, EdgeDelta
-    from repro.dynamic import MaintainedLevels
+    from repro.dynamic import DynamicGraph, DynamicEngine, EdgeDelta, Maintained
 
     dyn = DynamicGraph(edges, layout="2x1x2", threshold=32)
     engine = DynamicEngine(dyn)
-    bfs = MaintainedLevels(engine, source=0)
+    bfs = Maintained(engine, "levels", source=0)
     applied = engine.apply_delta(EdgeDelta.inserts([[1, 9], [4, 7]]))
     bfs.update(applied)        # bounded repair, not a re-traversal
     bfs.verify()               # bit-identical to a from-scratch run
@@ -34,30 +34,24 @@ Typical use::
 from repro.dynamic.delta import AppliedDelta, EdgeDelta, UPDATE_STYLES, update_stream
 from repro.dynamic.graph import DynamicEngine, DynamicGraph, OverlayBuffer
 from repro.dynamic.incremental import (
-    ComponentsRepair,
     LevelRepair,
-    MaintainedComponents,
-    MaintainedLevels,
-    MaintainedSSSP,
+    Maintained,
     MaintenanceStats,
-    SSSPRepair,
+    repair_seeds,
     seeded_init,
 )
 
 __all__ = [
     "AppliedDelta",
-    "ComponentsRepair",
     "DynamicEngine",
     "DynamicGraph",
     "EdgeDelta",
     "LevelRepair",
-    "MaintainedComponents",
-    "MaintainedLevels",
-    "MaintainedSSSP",
+    "Maintained",
     "MaintenanceStats",
     "OverlayBuffer",
-    "SSSPRepair",
     "UPDATE_STYLES",
+    "repair_seeds",
     "seeded_init",
     "update_stream",
 ]

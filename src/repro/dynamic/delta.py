@@ -142,8 +142,8 @@ class AppliedDelta:
     compact_reason: str = ""
     #: Effective weights of the inserted edges (parallel to ``insert_src``)
     #: on a weighted graph, ``None`` on an unweighted one.  Weighted
-    #: maintenance (:class:`repro.dynamic.MaintainedSSSP`) relaxes its
-    #: repair seeds from these.
+    #: maintenance (:func:`repro.dynamic.repair_seeds`) relaxes its repair
+    #: seeds from these.
     insert_weights: np.ndarray | None = None
 
     @property

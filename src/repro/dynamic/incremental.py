@@ -1,62 +1,53 @@
 """Incremental traversal maintenance: repair answers instead of recomputing.
 
 An edge insertion can only *improve* monotone traversal answers — BFS hop
-levels can only shrink, connected-component labels can only decrease — and
-only downstream of the inserted edge's endpoints.  The maintainers here
-exploit that: each keeps the last full answer, and on an applied delta seeds
-a **repair frontier** with exactly the vertices whose value the new edges
-improve, then resumes the :class:`repro.core.engine.TraversalEngine`
-super-step loop from those seeds (the engine's resumable-from-frontier entry
-point) under label-correcting ``accept`` semantics.  The repaired answer is
-**bit-identical** to a from-scratch run on the mutated graph — both converge
-to the same unique fixpoint (true hop distances; minimum component labels) —
-while examining orders of magnitude fewer edges when the delta is small.
+levels and shortest-path distances can only shrink, connected-component
+labels can only decrease — and only downstream of the inserted edge's
+endpoints.  :class:`Maintained` exploits that for every program-table row
+with a ``maintained`` column: it keeps the last full answer, and on an
+applied delta :func:`repair_seeds` relaxes the inserted edges once through
+the repair program's own hooks to find exactly the vertices the insertion
+improves; the :class:`repro.core.engine.TraversalEngine` then resumes from
+those seeds (``engine.run(repair, init=seeded_init(...))``, the engine's
+resumable-from-frontier entry point) under the repair program's
+label-correcting ``accept``.  The repaired answer is **bit-identical** to a
+from-scratch run on the mutated graph — both converge to the same unique
+fixpoint (true hop distances, minimum component labels, exact float
+distances) — while examining orders of magnitude fewer edges when the delta
+is small.
+
+The repair program is the row's own program when it is already label
+correcting (components; delta-stepping SSSP, whose driver re-buckets any
+improved vertex) and :class:`LevelRepair` for BFS levels, whose visit-once
+program assigns step numbers rather than carrying levels.
 
 Deletions can make answers *worse*, which monotone repair cannot express, so
 deltas carrying effective deletions fall back to a full recompute (the graph
 itself has already compacted the deletion away; see
-:class:`repro.dynamic.DynamicGraph`).
-
-:class:`MaintainedLevels`, :class:`MaintainedComponents` and
-:class:`MaintainedSSSP` wrap the maintained programs; all count repairs,
+:class:`repro.dynamic.DynamicGraph`).  Every maintainer counts repairs,
 recomputes, skipped no-op deltas and the modeled/examined work of every
-maintenance traversal, which is what the ``dyn-*`` bench scenarios record
-for the incremental-vs-recompute comparison.  The SSSP maintainer extends
-the same monotone argument to weighted distances: an inserted edge
-``(u, v, w)`` can only improve ``dist[v]`` to ``dist[u] + w``, so the
-repair seeds are the endpoints the insertion actually improved and the
-repair traversal is the delta-stepping driver resumed from them.
+maintenance traversal in :class:`MaintenanceStats`, which is what the
+``dyn-*`` bench scenarios record for the incremental-vs-recompute
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.core.programs.base import FrontierProgram, ProgramInit, VisitContext
 from repro.core.programs.bfs_levels import BFSLevels
-from repro.core.programs.components import ConnectedComponents
-from repro.core.results import BFSResult, TraversalResult
+from repro.core.programs.table import PROGRAM_TABLE, make_program, names_where
+from repro.core.results import TraversalResult
 from repro.core.state import UNVISITED
 from repro.dynamic.delta import AppliedDelta
 from repro.dynamic.graph import DynamicEngine
 from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.sorting import sorted_unique
-from repro.weighted.sssp import DeltaSteppingSSSP
 
-__all__ = [
-    "seeded_init",
-    "LevelRepair",
-    "ComponentsRepair",
-    "SSSPRepair",
-    "MaintenanceStats",
-    "MaintainedLevels",
-    "MaintainedComponents",
-    "MaintainedSSSP",
-]
-
-_MAXI = np.int64(np.iinfo(np.int64).max)
+__all__ = ["seeded_init", "repair_seeds", "LevelRepair", "MaintenanceStats", "Maintained"]
 
 
 def seeded_init(
@@ -103,7 +94,42 @@ def seeded_init(
     )
 
 
-class LevelRepair(FrontierProgram):
+def repair_seeds(program: FrontierProgram, values: np.ndarray, applied: AppliedDelta):
+    """Relax ``applied``'s inserted edges once through ``program``'s hooks.
+
+    The fold the engine's overlay relaxation runs each super-step: edges
+    leaving an unset vertex are dropped, the rest propose
+    ``program.visit_value`` for their destinations (with the inserted
+    edges' weights when the program ``needs_weights``), duplicate proposals
+    combine through ``merge_remote``, and ``accept`` keeps the ones that
+    beat ``values``.  Returns ``(seeded values, improved vertices)`` — the
+    repair's starting answer and frontier — or ``None`` when the insertion
+    improves nothing.
+    """
+    src = applied.insert_src
+    live = values[src] != UNVISITED
+    if not live.any():
+        return None
+    ctx = VisitContext(
+        kernel="overlay",
+        gpu=-1,
+        level=0,
+        backward=False,
+        discovered=applied.insert_dst[live],
+        source_ids=src[live],
+        source_values=values[src[live]],
+        edge_weights=applied.insert_weights[live] if program.needs_weights else None,
+    )
+    targets, proposed = program.merge_remote(ctx.discovered, program.visit_value(ctx))
+    better = program.accept(values[targets], proposed)
+    if not better.any():
+        return None
+    seeded = values.copy()
+    seeded[targets[better]] = proposed[better]
+    return seeded, targets[better]
+
+
+class LevelRepair(BFSLevels):
     """Label-correcting BFS repair: resume from improved seeds, only improve.
 
     Unlike :class:`BFSLevels` (visit-once, level = super-step number), repair
@@ -115,18 +141,9 @@ class LevelRepair(FrontierProgram):
     correcting breaks.
     """
 
-    name = "bfs-repair"
     payload_exchange = True
     delegate_channel = "values"
     direction_optimized_ok = False
-
-    def __init__(self, source: int, values: np.ndarray, frontier: np.ndarray) -> None:
-        self.source = int(source)
-        self._values = values
-        self._frontier = frontier
-
-    def init_state(self, graph: PartitionedGraph) -> ProgramInit:
-        return seeded_init(graph, self._values, self._frontier)
 
     def visit_value(self, ctx: VisitContext) -> np.ndarray:
         if ctx.source_values is None:
@@ -138,50 +155,6 @@ class LevelRepair(FrontierProgram):
 
     def accept(self, current: np.ndarray, proposed: np.ndarray) -> np.ndarray:
         return (current == UNVISITED) | (proposed < current)
-
-    def make_result(self, values: np.ndarray, base: dict) -> BFSResult:
-        return BFSResult(source=self.source, distances=values, **base)
-
-
-class ComponentsRepair(ConnectedComponents):
-    """Min-label repair: resume label propagation from re-labelled seeds."""
-
-    name = "components-repair"
-
-    def __init__(self, values: np.ndarray, frontier: np.ndarray) -> None:
-        self._values = values
-        self._frontier = frontier
-
-    def init_state(self, graph: PartitionedGraph) -> ProgramInit:
-        return seeded_init(graph, self._values, self._frontier)
-
-
-class SSSPRepair(DeltaSteppingSSSP):
-    """Delta-stepping repair: resume the bucketed relaxation from seeds.
-
-    The delta-stepping driver is already label-correcting (any vertex whose
-    tentative distance improves re-enters the pending set), so repair needs
-    no new acceptance semantics — only a seeded initial state.  The values
-    are distance *bit patterns* (see :mod:`repro.weighted.sssp`); the
-    ``UNVISITED`` convention matches the engine's, so :func:`seeded_init`
-    scatters them unchanged.
-    """
-
-    name = "sssp-repair"
-
-    def __init__(
-        self,
-        source: int,
-        delta: float | str,
-        values: np.ndarray,
-        frontier: np.ndarray,
-    ) -> None:
-        super().__init__(source, delta=delta)
-        self._values = values
-        self._frontier = frontier
-
-    def init_state(self, graph: PartitionedGraph) -> ProgramInit:
-        return seeded_init(graph, self._values, self._frontier)
 
 
 @dataclass
@@ -206,45 +179,41 @@ class MaintenanceStats:
     recompute_modeled_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "repairs": self.repairs,
-            "recomputes": self.recomputes,
-            "skipped": self.skipped,
-            "repair_edges": self.repair_edges,
-            "repair_iterations": self.repair_iterations,
-            "repair_modeled_ms": self.repair_modeled_ms,
-            "recompute_edges": self.recompute_edges,
-            "recompute_modeled_ms": self.recompute_modeled_ms,
-        }
+        return asdict(self)
 
 
-class _Maintainer:
-    """Shared machinery of the two maintained programs."""
+class Maintained:
+    """Program-table row ``name``'s answer, kept current across deltas.
 
-    def __init__(self, engine: DynamicEngine) -> None:
+    The full run is ``make_program(name, source, **params)``, the maintained
+    array is its result's first ``answer_fields`` entry, and a repair runs
+    the row's ``maintained`` program (built from the full run's parameters)
+    from the seeds :func:`repair_seeds` computes.
+    """
+
+    def __init__(
+        self, engine: DynamicEngine, name: str, source: int | None = None, **params
+    ) -> None:
         self.engine = engine
+        self.program = make_program(name, source, **params)
+        row = PROGRAM_TABLE[name]
+        if row.maintained is None:
+            raise ValueError(
+                f"program {name!r} has no maintained form; expected one of "
+                f"{names_where('maintained')}"
+            )
+        self.repair = row.repair_cls(**vars(self.program))
         self.stats = MaintenanceStats()
-        self.result: TraversalResult = self._count_recompute(self._full_run())
+        self.result: TraversalResult = self._recompute()
         self.version = engine.graph_version
-
-    # -- hooks ---------------------------------------------------------- #
-    def _full_run(self) -> TraversalResult:
-        raise NotImplementedError
-
-    def _seed(self, applied: AppliedDelta):
-        """Return ``(new_values, frontier)`` or ``None`` when nothing improves."""
-        raise NotImplementedError
-
-    def _repair_program(self, values: np.ndarray, frontier: np.ndarray):
-        raise NotImplementedError
 
     @property
     def values(self) -> np.ndarray:
         """The maintained per-vertex answer array."""
-        raise NotImplementedError
+        return getattr(self.result, self.result.answer_fields[0])
 
-    # -- maintenance ---------------------------------------------------- #
-    def _count_recompute(self, result: TraversalResult) -> TraversalResult:
+    def _recompute(self) -> TraversalResult:
+        result = self.engine.run(self.program)
         self.stats.recomputes += 1
         self.stats.recompute_edges += int(result.total_edges_examined)
         self.stats.recompute_modeled_ms += float(result.timing.elapsed_ms)
@@ -260,14 +229,14 @@ class _Maintainer:
         way; it is always bit-identical to a from-scratch run.
         """
         if applied.num_deletes or applied.version != self.version + 1:
-            self.result = self._count_recompute(self._full_run())
+            self.result = self._recompute()
         else:
-            seeds = self._seed(applied)
+            seeds = repair_seeds(self.repair, self.values, applied)
             if seeds is None:
                 self.stats.skipped += 1
             else:
-                values, frontier = seeds
-                result = self.engine.run(self._repair_program(values, frontier))
+                init = seeded_init(self.engine.graph, *seeds)
+                result = self.engine.run(self.repair, init=init)
                 self.stats.repairs += 1
                 self.stats.repair_edges += int(result.total_edges_examined)
                 self.stats.repair_iterations += int(result.iterations)
@@ -278,143 +247,12 @@ class _Maintainer:
 
     def verify(self) -> TraversalResult:
         """Recompute from scratch and assert the maintained answer matches."""
-        fresh = self._full_run()
-        if not np.array_equal(self.values, self._values_of(fresh)):
-            mismatches = int(np.count_nonzero(self.values != self._values_of(fresh)))
+        fresh = self.engine.run(self.program)
+        expected = getattr(fresh, fresh.answer_fields[0])
+        if not np.array_equal(self.values, expected):
+            mismatches = int(np.count_nonzero(self.values != expected))
             raise AssertionError(
                 f"maintained {self.result.algorithm} answer diverged from the "
                 f"from-scratch run on {mismatches} vertices"
             )
         return fresh
-
-    @staticmethod
-    def _values_of(result: TraversalResult) -> np.ndarray:
-        raise NotImplementedError
-
-
-class MaintainedLevels(_Maintainer):
-    """BFS hop levels from one source, repaired across edge insertions."""
-
-    def __init__(self, engine: DynamicEngine, source: int) -> None:
-        self.source = int(source)
-        super().__init__(engine)
-
-    def _full_run(self) -> TraversalResult:
-        return self.engine.run(BFSLevels(source=self.source))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.result.distances
-
-    @staticmethod
-    def _values_of(result: TraversalResult) -> np.ndarray:
-        return result.distances
-
-    def _seed(self, applied: AppliedDelta):
-        dist = self.result.distances
-        du = dist[applied.insert_src]
-        ok = du >= 0
-        if not np.any(ok):
-            return None
-        current = np.where(dist >= 0, dist, _MAXI)
-        proposed = current.copy()
-        np.minimum.at(proposed, applied.insert_dst[ok], du[ok] + 1)
-        changed = np.flatnonzero(proposed < current)
-        if changed.size == 0:
-            return None
-        values = dist.copy()
-        values[changed] = proposed[changed]
-        return values, changed
-
-    def _repair_program(self, values: np.ndarray, frontier: np.ndarray):
-        return LevelRepair(self.source, values, frontier)
-
-
-class MaintainedComponents(_Maintainer):
-    """Connected-component labels, repaired across edge insertions."""
-
-    def _full_run(self) -> TraversalResult:
-        return self.engine.run(ConnectedComponents())
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.result.labels
-
-    @staticmethod
-    def _values_of(result: TraversalResult) -> np.ndarray:
-        return result.labels
-
-    def _seed(self, applied: AppliedDelta):
-        labels = self.result.labels
-        proposed = labels.copy()
-        np.minimum.at(proposed, applied.insert_dst, labels[applied.insert_src])
-        changed = np.flatnonzero(proposed < labels)
-        if changed.size == 0:
-            return None
-        values = labels.copy()
-        values[changed] = proposed[changed]
-        return values, changed
-
-    def _repair_program(self, values: np.ndarray, frontier: np.ndarray):
-        return ComponentsRepair(values, frontier)
-
-
-class MaintainedSSSP(_Maintainer):
-    """Shortest-path distances from one source, repaired across insertions.
-
-    The maintained values are the int64 distance *bit patterns* of
-    :class:`repro.weighted.SSSPResult` — the same encoding the engine folds
-    — so seeding, repair and verification all compare exactly, and the
-    repaired answer is bit-identical to a from-scratch delta-stepping run
-    on the mutated graph.  Requires a weighted dynamic graph; deltas with
-    effective deletions recompute, as for the other maintainers.
-    """
-
-    def __init__(
-        self, engine: DynamicEngine, source: int, delta: float | str = "auto"
-    ) -> None:
-        self.source = int(source)
-        self.delta = delta
-        super().__init__(engine)
-
-    def _full_run(self) -> TraversalResult:
-        return self.engine.run(DeltaSteppingSSSP(self.source, delta=self.delta))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.result.dist_bits
-
-    @staticmethod
-    def _values_of(result: TraversalResult) -> np.ndarray:
-        return result.dist_bits
-
-    def _seed(self, applied: AppliedDelta):
-        bits = self.result.dist_bits
-        weights = applied.insert_weights
-        if weights is None:  # pragma: no cover - _full_run already rejects
-            raise ValueError("MaintainedSSSP needs a weighted dynamic graph")
-        reached = bits != UNVISITED
-        # Relax each inserted edge once in float space: unreached sources
-        # propose nothing, unreached destinations sit at +inf and accept any
-        # finite proposal.  Exactly the engine's fold arithmetic (float64
-        # add, minimum), so the seeds match what a full run would compute.
-        dist = bits.view(np.float64).copy()
-        dist[~reached] = np.inf
-        ok = reached[applied.insert_src]
-        if not np.any(ok):
-            return None
-        proposed = dist.copy()
-        np.minimum.at(
-            proposed,
-            applied.insert_dst[ok],
-            dist[applied.insert_src[ok]] + weights[ok],
-        )
-        changed = np.flatnonzero(proposed < dist)
-        if changed.size == 0:
-            return None
-        values = bits.copy()
-        values[changed] = proposed[changed].view(np.int64)
-        return values, changed
-
-    def _repair_program(self, values: np.ndarray, frontier: np.ndarray):
-        return SSSPRepair(self.source, self.delta, values, frontier)

@@ -22,7 +22,7 @@ from repro.core.frontier import FlagFrontier, LaneFrontier
 from repro.core.programs import BFSLevels, BFSParents
 from repro.core.programs.batched import BatchedBFSLevels
 from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta
-from repro.dynamic.incremental import MaintainedLevels, seeded_init
+from repro.dynamic.incremental import Maintained, seeded_init
 from repro.graph.generators import wdc_like
 from repro.graph.rmat import generate_rmat
 from repro.partition.layout import ClusterLayout
@@ -234,7 +234,7 @@ class TestPersistentDenseFrontier:
 
         with DynamicEngine(dyn, backend="inline") as engine:
             engine.apply_delta(inserts())
-            maintained = MaintainedLevels(engine, _hub(dyn.partitioned))
+            maintained = Maintained(engine, "levels", _hub(dyn.partitioned))
             maintained.update(engine.apply_delta(inserts()))
             maintained.verify()
             sources = [_hub(dyn.partitioned), int(dyn.partitioned.delegate_vertices[0]), 3]

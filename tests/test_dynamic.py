@@ -20,8 +20,7 @@ from repro.dynamic import (
     DynamicEngine,
     DynamicGraph,
     EdgeDelta,
-    MaintainedComponents,
-    MaintainedLevels,
+    Maintained,
     update_stream,
 )
 from repro.graph.rmat import generate_rmat
@@ -289,8 +288,8 @@ class TestIncrementalEquivalence:
         dyn = DynamicGraph(edges, "2x1x2", threshold)
         engine = DynamicEngine(dyn, options=options, backend=backend)
         try:
-            levels = MaintainedLevels(engine, source=1)
-            components = MaintainedComponents(engine)
+            levels = Maintained(engine, "levels", source=1)
+            components = Maintained(engine, "components")
             stream = update_stream(edges, 2, 96, style="pa", seed=31)
             for delta in stream:
                 applied = engine.apply_delta(delta)
@@ -304,7 +303,7 @@ class TestIncrementalEquivalence:
 
     def test_delete_falls_back_to_recompute(self, rmat10):
         engine = fresh_engine(rmat10)
-        levels = MaintainedLevels(engine, source=0)
+        levels = Maintained(engine, "levels", source=0)
         u, v = int(rmat10.src[10]), int(rmat10.dst[10])
         applied = engine.apply_delta(EdgeDelta.deletes([[u, v]]))
         levels.update(applied)
@@ -315,7 +314,7 @@ class TestIncrementalEquivalence:
     def test_unreachable_vertex_becomes_reachable(self, rmat10):
         # Find an unreached vertex, connect it, and expect a repaired level.
         engine = fresh_engine(rmat10)
-        levels = MaintainedLevels(engine, source=0)
+        levels = Maintained(engine, "levels", source=0)
         unreached = int(np.flatnonzero(levels.values < 0)[0])
         applied = engine.apply_delta(EdgeDelta.inserts([[0, unreached]]))
         levels.update(applied)
@@ -324,7 +323,7 @@ class TestIncrementalEquivalence:
 
     def test_noop_delta_skips_traversal(self, rmat10):
         engine = fresh_engine(rmat10)
-        levels = MaintainedLevels(engine, source=0)
+        levels = Maintained(engine, "levels", source=0)
         unreached = np.flatnonzero(levels.values < 0)
         if unreached.size < 2:
             pytest.skip("graph has too few unreachable vertices")
@@ -336,7 +335,7 @@ class TestIncrementalEquivalence:
 
     def test_out_of_order_update_recomputes(self, rmat10):
         engine = fresh_engine(rmat10)
-        levels = MaintainedLevels(engine, source=0)
+        levels = Maintained(engine, "levels", source=0)
         engine.apply_delta(EdgeDelta.inserts([[1, 900]]))
         applied = engine.apply_delta(EdgeDelta.inserts([[2, 901]]))
         levels.update(applied)  # skipped a version: must not trust seeding
@@ -345,7 +344,7 @@ class TestIncrementalEquivalence:
 
     def test_repair_cheaper_than_recompute(self, rmat10):
         engine = fresh_engine(rmat10)
-        levels = MaintainedLevels(engine, source=0)
+        levels = Maintained(engine, "levels", source=0)
         full_edges = levels.result.total_edges_examined
         applied = engine.apply_delta(EdgeDelta.inserts([[0, 777]]))
         repaired = levels.update(applied)
@@ -370,7 +369,7 @@ class TestIncrementalEquivalence:
     def test_maintenance_across_compaction(self, rmat10):
         dyn = DynamicGraph(rmat10, "2x1x2", 32, max_overlay_fraction=0.002)
         engine = DynamicEngine(dyn)
-        levels = MaintainedLevels(engine, source=0)
+        levels = Maintained(engine, "levels", source=0)
         compacted = False
         for delta in update_stream(rmat10, 3, 64, seed=41):
             applied = engine.apply_delta(delta)
@@ -520,6 +519,25 @@ class TestDynamicBench:
             tiny_dynamic_scenario(maintained="components"), repeats=2
         )
         assert record["counters"]["updates_applied"] == 2
+
+    def test_maintained_row_parameters_reach_the_maintainer(self, monkeypatch):
+        from repro.weighted.sssp import DeltaSteppingSSSP
+
+        drive, deltas = DeltaSteppingSSSP.drive, []
+
+        def recording(program, engine, init=None, overlay=None):
+            deltas.append(program.delta)
+            return drive(program, engine, init=init, overlay=overlay)
+
+        monkeypatch.setattr(DeltaSteppingSSSP, "drive", recording)
+        spec = tiny_dynamic_scenario(maintained="sssp", weights=3, delta=0.5)
+        assert spec.describe()["delta"] == 0.5
+        assert spec.describe() != tiny_dynamic_scenario(maintained="sssp", weights=3).describe()
+        assert "delta" not in tiny_dynamic_scenario().describe()
+        with pytest.raises(ValueError, match="delta"):
+            tiny_dynamic_scenario(maintained="sssp", weights=3, delta=-1)
+        run_scenario(spec, repeats=1)
+        assert deltas and set(deltas) == {0.5}
 
     def test_registry_has_quick_dyn_scenario(self):
         from repro.bench import quick_scenarios

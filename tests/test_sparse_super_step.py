@@ -25,7 +25,7 @@ from repro.core.programs import BFSLevels, BFSParents
 from repro.core.programs.base import ProgramInit
 from repro.core.state import UNVISITED, TraversalState
 from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta
-from repro.dynamic.incremental import MaintainedLevels
+from repro.dynamic.incremental import Maintained
 from repro.exec import ProcessBackend
 from repro.graph.generators import wdc_like
 from repro.graph.rmat import generate_rmat
@@ -220,7 +220,7 @@ class TestCountedPullSets:
         with DynamicEngine(dyn, backend="inline") as engine:
             engine.apply_delta(inserts())
             # The initial full run pulls, and overlay proposals close rows too.
-            maintained = MaintainedLevels(engine, _hub(dyn.partitioned))
+            maintained = Maintained(engine, "levels", _hub(dyn.partitioned))
             maintained.update(engine.apply_delta(inserts()))
             maintained.verify()
         assert dyn.compactions == 0 and not dyn.overlay.empty

@@ -24,7 +24,7 @@ from repro.bench.runner import values_checksum
 from repro.cli import main
 from repro.core.engine import TraversalEngine
 from repro.core.programs import ConnectedComponents
-from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta, MaintainedSSSP
+from repro.dynamic import DynamicEngine, DynamicGraph, EdgeDelta, Maintained
 from repro.graph.edgelist import EdgeList
 from repro.graph.rmat import generate_rmat
 from repro.graph.weights import edge_keyed_weights, validate_weights
@@ -340,7 +340,7 @@ class TestMaintainedSSSP:
         return DynamicEngine(dyn)
 
     def test_insert_repair_is_bit_identical(self, dyn_engine):
-        sssp = MaintainedSSSP(dyn_engine, SOURCE)
+        sssp = Maintained(dyn_engine, "sssp", SOURCE)
         before = sssp.values.copy()
         applied = dyn_engine.apply_delta(
             EdgeDelta.inserts([[SOURCE, 1500], [1500, 77], [77, 900]])
@@ -358,7 +358,7 @@ class TestMaintainedSSSP:
             assert (new[improved] < old[improved]).all()
 
     def test_delete_falls_back_to_recompute(self, dyn_engine, wedges):
-        sssp = MaintainedSSSP(dyn_engine, SOURCE)
+        sssp = Maintained(dyn_engine, "sssp", SOURCE)
         recomputes_before = sssp.stats.recomputes
         pair = [[int(wedges.src[0]), int(wedges.dst[0])]]
         applied = dyn_engine.apply_delta(EdgeDelta.deletes(pair))
@@ -370,7 +370,7 @@ class TestMaintainedSSSP:
         dyn = DynamicGraph(rmat_small, "1x2x2", 32)
         engine = DynamicEngine(dyn)
         with pytest.raises(ValueError, match="weights"):
-            MaintainedSSSP(engine, 0)
+            Maintained(engine, "sssp", 0)
 
 
 # --------------------------------------------------------------------------- #
